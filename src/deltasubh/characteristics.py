@@ -84,10 +84,12 @@ def _apply_transform(vals: np.ndarray, polar: np.ndarray, transform: str) -> np.
     raise ValueError(f"unknown transform {transform!r}; use one of {TRANSFORMS}")
 
 
-def _charge_atom_points(U: DeltaSubharmonicFn):
-    pts = [np.asarray(c.point) for c in U.u.riesz.components if isinstance(c, Atom)]
-    pts += [np.asarray(c.point) for c in U.v.riesz.components if isinstance(c, Atom)]
-    return pts
+def _charge_atom_points(U: DeltaSubharmonicFn) -> list:
+    """Points of the atoms of both Riesz measures of U, as float arrays."""
+    return [np.asarray(c.point, dtype=float)
+            for c in U.u.riesz.components + U.v.riesz.components
+            if isinstance(c, Atom)]
+
 
 def _split_angles_near_radius(U: DeltaSubharmonicFn, r: float,
                               band: float = 0.05) -> list:

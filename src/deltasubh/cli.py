@@ -25,6 +25,7 @@ import csv
 import io
 import os
 import sys
+from functools import partial
 from typing import Optional, Sequence
 
 from .characteristics import (
@@ -41,6 +42,7 @@ from .lab import (
     CorpusConfig,
     Scenario,
     Tolerances,
+    _corpus_reports,
     run_checks,
     run_corpus,
 )
@@ -216,27 +218,14 @@ def _cmd_corpus(args) -> int:
     return _exit_code(counts, args.max_inconclusive)
 
 
-def _corpus_chunk(payload):
-    config, seed, indices = payload
-    from .lab import generate_scenario
-    out = []
-    for index in indices:
-        family = config.families[index % len(config.families)]
-        s = generate_scenario(seed, index, family, config.tolerances)
-        out.extend(run_checks(s, config.checks, timing=config.timing))
-    return out
-
-
 def _run_corpus_parallel(config: CorpusConfig, seed: int, threads: int):
     if threads <= 1 or config.count < 2 * threads:
         return run_corpus(config, seed)
     from concurrent.futures import ProcessPoolExecutor
-    chunks = [(config, seed, list(range(i, config.count, threads)))
-              for i in range(threads)]
-    rows = []
+    chunks = [range(i, config.count, threads) for i in range(threads)]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(_corpus_chunk, chunks):
-            rows.extend(part)
+        parts = pool.map(partial(_corpus_reports, config, seed), chunks)
+        rows = [rep for part in parts for rep in part]
     rows.sort(key=lambda rep: (rep.scenario_id, rep.inequality))
     return rows
 

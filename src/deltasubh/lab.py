@@ -8,6 +8,12 @@ meromorphic specializations, the Poisson-Jensen identity, the pointwise
 bound behind the proof, and the counting-measure lemma.  A seeded corpus
 driver generates deterministic scenario batches.
 
+The four UR-family tags (UR, UR2, UR2f, UR2fr) share one left side, one
+Dini factor and one A_d and differ only in the growth factor: T_U(r0, R),
+T(R, f) - N(r0, f) or T(R, f).  They are assembled by one function from one
+per-scenario ingredient set whose members (the Dini integral, the
+mu-integral of U^+, T_U and T(R, f)) are each computed on first use.
+
 Verdict semantics are honest about quadrature error: "pass" requires the
 slack to clear the combined error budget, a negative slack beyond the budget
 is "fail" (a genuine counterexample, i.e. an implementation bug), anything
@@ -21,11 +27,13 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .characteristics import (
+    _charge_atom_points,
     difference_characteristic,
     nevanlinna_N,
     nevanlinna_T,
@@ -146,14 +154,6 @@ def _verdict(slack: float, budget: float) -> str:
 # left-hand side: integral of U^+ against mu
 
 
-def _charge_points(U: DeltaSubharmonicFn) -> list:
-    pts = [np.asarray(c.point, dtype=float)
-           for c in U.u.riesz.components if isinstance(c, Atom)]
-    pts += [np.asarray(c.point, dtype=float)
-            for c in U.v.riesz.components if isinstance(c, Atom)]
-    return pts
-
-
 def _segment_integral(U, comp: UniformSegment, tol: float) -> QuadratureResult:
     a = np.asarray(comp.start)
     e = np.asarray(comp.end) - a
@@ -164,7 +164,7 @@ def _segment_integral(U, comp: UniformSegment, tol: float) -> QuadratureResult:
         return U.positive_values(pts)
 
     splits = []
-    for p in _charge_points(U):
+    for p in _charge_atom_points(U):
         s_star = float(np.clip((p - a) @ e / (e @ e), 0.0, 1.0))
         if np.linalg.norm(a + s_star * e - p) <= 0.05 * L:
             splits.append(s_star)
@@ -184,7 +184,7 @@ def _arc_integral(U, comp: UniformArc, tol: float) -> QuadratureResult:
         return U.positive_values(curve(theta))
 
     splits = []
-    for p in _charge_points(U):
+    for p in _charge_atom_points(U):
         q = float(np.linalg.norm(p - c))
         if abs(q - comp.radius) <= 0.05 * comp.radius:
             ang = math.atan2(p[1] - c[1], p[0] - c[0])
@@ -230,7 +230,7 @@ def _ball_integral(U, comp: UniformBall, tol: float) -> QuadratureResult:
     c = np.asarray(comp.center)
     rho = comp.radius
     dim = comp.dim
-    breaks = sorted({float(np.linalg.norm(p - c)) for p in _charge_points(U)
+    breaks = sorted({float(np.linalg.norm(p - c)) for p in _charge_atom_points(U)
                      if 0.0 < float(np.linalg.norm(p - c)) < rho})
     edges = [0.0] + breaks + [rho]
     prev = None
@@ -303,14 +303,74 @@ def positive_part_integral(U: DeltaSubharmonicFn, mu: BorelMeasure,
 # the main theorem and its specializations
 
 
-def _assemble_report(s: Scenario, tag: str, lhs: QuadratureResult,
-                     growth: float, growth_err: float, A: float,
-                     dini: QuadratureResult, note: str = "") -> VerificationReport:
-    """rhs = A * growth * (M + dini) with the extended-real conventions."""
+class _Ingredients:
+    """The UR-family ingredients of one scenario, each computed on first use
+    and then shared by every tag that needs it; growth factors are
+    (value, error) pairs."""
+
+    def __init__(self, s: Scenario):
+        self.s = s
+        self.r_growth = s.r0 if s.r0 is not None else s.r
+
+    @cached_property
+    def dini(self) -> QuadratureResult:
+        s = self.s
+        return dini_integral_result(s.ctx, s.mu, s.R + s.r, s.tolerances.dini)
+
+    @cached_property
+    def lhs(self) -> QuadratureResult:
+        return positive_part_integral(self.s.U, self.s.mu, self.s.tolerances.mean)
+
+    @cached_property
+    def T_U(self) -> tuple:
+        """T_U(r0 or r, R)."""
+        s = self.s
+        T = difference_characteristic(s.U, self.r_growth, s.R, s.tolerances.mean)
+        return T.value, T.error_estimate
+
+    @cached_property
+    def T_f(self) -> tuple:
+        """T(R, f)."""
+        T = nevanlinna_T(self.s.f, self.s.R, self.s.tolerances.mean)
+        return T.value, T.error_estimate
+
+    @property
+    def T_f_minus_N(self) -> tuple:
+        """T(R, f) - N(r0 or r, f)."""
+        N = nevanlinna_N(self.s.f, self.r_growth)
+        if math.isinf(N.value):  # pole at 0 with r0 = 0: T - N = +inf, vacuous
+            return math.inf, 0.0
+        T, T_err = self.T_f
+        return T - N.value, T_err + N.error_estimate
+
+
+# the growth factor of each UR-family tag; A_d already is the d=2 form of UR2
+_GROWTH = {"UR": "T_U", "UR2": "T_U", "UR2f": "T_f_minus_N", "UR2fr": "T_f"}
+
+
+def _ur_report(tag: str, ing: _Ingredients) -> VerificationReport:
+    """lhs = integral of U^+ d mu, rhs = A * growth * (M + dini) with the
+    extended-real conventions and the tag's preconditions."""
+    s = ing.s
+    meromorphic = tag in ("UR2f", "UR2fr")
+    if meromorphic and (s.ctx.d != 2 or s.f is None):
+        raise ValueError(f"{tag} requires a d=2 meromorphic scenario")
+    if tag == "UR2fr" and s.r < 1.0 and s.f.pole_count(0.0) > 0:
+        return VerificationReport(s.scenario_id, tag, math.nan, math.nan,
+                                  math.nan, 0.0, PRECONDITION_FAILED,
+                                  note="needs r >= 1 or f(0) finite")
+    dini = ing.dini
+    if math.isinf(dini.value):
+        got = ing.lhs.value if s.mu.is_atomic and not meromorphic else math.nan
+        return VerificationReport(s.scenario_id, tag, got, math.inf,
+                                  math.inf, 0.0, PRECONDITION_FAILED,
+                                  {"dini": math.inf},
+                                  note="Dini integral diverges")
+    lhs = ing.lhs
+    growth, growth_err = getattr(ing, _GROWTH[tag])
+    A = constant_A(s.ctx, s.r, s.R)
     M = s.mu.mass
-    components = {
-        "A": A, "T": growth, "M": M, "dini": dini.value,
-    }
+    components = {"A": A, "T": growth, "M": M, "dini": dini.value}
     factor = M + dini.value
     if factor == 0.0:
         rhs = 0.0  # mu = 0: 0 * (anything, even +inf) = 0 by convention
@@ -325,83 +385,23 @@ def _assemble_report(s: Scenario, tag: str, lhs: QuadratureResult,
                   + A * (growth_err * factor + abs(growth) * dini.error_estimate))
     slack = rhs - lhs.value
     return VerificationReport(s.scenario_id, tag, lhs.value, rhs, slack,
-                              budget, _verdict(slack, budget), components, note=note)
+                              budget, _verdict(slack, budget), components)
 
 
-def verify_main_theorem(s: Scenario, tag: str = "UR",
-                        lhs: Optional[QuadratureResult] = None) -> VerificationReport:
-    """LHS = integral of U^+ d mu; RHS = A_d(r,R) T_U(r0, R) (M + Dini).
-
-    lhs may be passed in when already computed (it is shared between the
-    UR-family checks of one scenario).
-    """
-    tols = s.tolerances
-    dini = dini_integral_result(s.ctx, s.mu, s.R + s.r, tols.dini)
-    if math.isinf(dini.value):
-        got = lhs if lhs is not None else (
-            positive_part_integral(s.U, s.mu, tols.mean) if s.mu.is_atomic
-            else QuadratureResult(math.nan, 0.0, 0))
-        return VerificationReport(s.scenario_id, tag, got.value, math.inf,
-                                  math.inf, 0.0, PRECONDITION_FAILED,
-                                  {"dini": math.inf},
-                                  note="Dini integral diverges")
-    if lhs is None:
-        lhs = positive_part_integral(s.U, s.mu, tols.mean)
-    r_growth = s.r0 if s.r0 is not None else s.r
-    T = difference_characteristic(s.U, r_growth, s.R, tols.mean)
-    return _assemble_report(s, tag, lhs, T.value, T.error_estimate,
-                            constant_A(s.ctx, s.r, s.R), dini)
+def verify_main_theorem(s: Scenario) -> VerificationReport:
+    """LHS = integral of U^+ d mu; RHS = A_d(r,R) T_U(r0, R) (M + Dini)."""
+    return _ur_report("UR", _Ingredients(s))
 
 
-def verify_planar_meromorphic(s: Scenario,
-                              lhs: Optional[QuadratureResult] = None) -> VerificationReport:
+def verify_planar_meromorphic(s: Scenario) -> VerificationReport:
     """d=2 meromorphic form: growth factor T(R, f) - N(r0 or r, f)."""
-    if s.ctx.d != 2 or s.f is None:
-        raise ValueError("UR2f requires a d=2 meromorphic scenario")
-    tols = s.tolerances
-    dini = dini_integral_result(s.ctx, s.mu, s.R + s.r, tols.dini)
-    if math.isinf(dini.value):
-        return VerificationReport(s.scenario_id, "UR2f", math.nan, math.inf,
-                                  math.inf, 0.0, PRECONDITION_FAILED,
-                                  {"dini": math.inf},
-                                  note="Dini integral diverges")
-    if lhs is None:
-        lhs = positive_part_integral(s.U, s.mu, tols.mean)
-    r_growth = s.r0 if s.r0 is not None else s.r
-    T = nevanlinna_T(s.f, s.R, tols.mean)
-    N = nevanlinna_N(s.f, r_growth)
-    if math.isinf(N.value):  # pole at 0 with r0 = 0: T - N = +inf, vacuous
-        growth = math.inf
-        growth_err = 0.0
-    else:
-        growth = T.value - N.value
-        growth_err = T.error_estimate + N.error_estimate
-    return _assemble_report(s, "UR2f", lhs, growth, growth_err,
-                            constant_A(s.ctx, s.r, s.R), dini)
+    return _ur_report("UR2f", _Ingredients(s))
 
 
-def verify_planar_meromorphic_simplified(s: Scenario,
-                                         lhs: Optional[QuadratureResult] = None) -> VerificationReport:
+def verify_planar_meromorphic_simplified(s: Scenario) -> VerificationReport:
     """UR2fr: N(r, f) >= 0 dropped, growth factor T(R, f) alone; requires
     r >= 1 or no pole at the origin."""
-    if s.ctx.d != 2 or s.f is None:
-        raise ValueError("UR2fr requires a d=2 meromorphic scenario")
-    if s.r < 1.0 and s.f.pole_count(0.0) > 0:
-        return VerificationReport(s.scenario_id, "UR2fr", math.nan, math.nan,
-                                  math.nan, 0.0, PRECONDITION_FAILED,
-                                  note="needs r >= 1 or f(0) finite")
-    tols = s.tolerances
-    dini = dini_integral_result(s.ctx, s.mu, s.R + s.r, tols.dini)
-    if math.isinf(dini.value):
-        return VerificationReport(s.scenario_id, "UR2fr", math.nan, math.inf,
-                                  math.inf, 0.0, PRECONDITION_FAILED,
-                                  {"dini": math.inf},
-                                  note="Dini integral diverges")
-    if lhs is None:
-        lhs = positive_part_integral(s.U, s.mu, tols.mean)
-    T = nevanlinna_T(s.f, s.R, tols.mean)
-    return _assemble_report(s, "UR2fr", lhs, T.value, T.error_estimate,
-                            constant_A(s.ctx, s.r, s.R), dini)
+    return _ur_report("UR2fr", _Ingredients(s))
 
 
 # ---------------------------------------------------------------------------
@@ -734,26 +734,18 @@ def run_checks(s: Scenario, checks: Sequence[str], timing: bool = False,
                point_count: int = 20) -> list:
     """Evaluate the requested inequality tags on one scenario.
 
-    The mu-integral of U^+ is computed once and shared by the UR-family tags.
+    The UR-family tags share one ingredient set: the Dini integral, the
+    mu-integral of U^+, T_U(r0 or r, R) and T(R, f) are each computed once,
+    inside the first row that needs them, so that row's wall_time_ms
+    includes it.
     """
     reports = []
     rng = random.Random(f"points:{s.seed}:{s.scenario_id}")
-    applicable = _applicable_checks(s, checks)
-    shared_lhs = None
-    if any(t in ("UR", "UR2", "UR2f", "UR2fr") for t in applicable):
-        dini = dini_integral_result(s.ctx, s.mu, s.R + s.r, s.tolerances.dini)
-        if not math.isinf(dini.value):
-            shared_lhs = positive_part_integral(s.U, s.mu, s.tolerances.mean)
-    for tag in applicable:
+    ingredients = _Ingredients(s)
+    for tag in _applicable_checks(s, checks):
         start = time.perf_counter()
-        if tag == "UR":
-            rep = verify_main_theorem(s, lhs=shared_lhs)
-        elif tag == "UR2":
-            rep = verify_main_theorem(s, tag="UR2", lhs=shared_lhs)  # A_2 form
-        elif tag == "UR2f":
-            rep = verify_planar_meromorphic(s, lhs=shared_lhs)
-        elif tag == "UR2fr":
-            rep = verify_planar_meromorphic_simplified(s, lhs=shared_lhs)
+        if tag in _GROWTH:
+            rep = _ur_report(tag, ingredients)
         elif tag == "Ux":
             pts = [_point_in_ball(rng, s.r, s.ctx.d) for _ in range(point_count)]
             pr = verify_poisson_jensen(s.U, s.R, pts, s.tolerances.mean)
@@ -794,11 +786,15 @@ class CorpusConfig:
     timing: bool = False
 
 
-def run_corpus(config: CorpusConfig, seed: int) -> list:
-    """Deterministic scenario batch; reports ordered by scenario id."""
+def _corpus_reports(config: CorpusConfig, seed: int, indices) -> list:
     reports = []
-    for index in range(config.count):
+    for index in indices:
         family = config.families[index % len(config.families)]
         s = generate_scenario(seed, index, family, config.tolerances)
         reports.extend(run_checks(s, config.checks, timing=config.timing))
     return reports
+
+
+def run_corpus(config: CorpusConfig, seed: int) -> list:
+    """Deterministic scenario batch; reports ordered by scenario id."""
+    return _corpus_reports(config, seed, range(config.count))

@@ -64,6 +64,11 @@ def _dist(p: Point, q: Point) -> float:
     return math.dist(p, q)
 
 
+def _shaped_like(t, out):
+    """out as a float when the radius argument t is a scalar, else as is."""
+    return float(out) if np.ndim(t) == 0 else out
+
+
 @dataclass(frozen=True)
 class Atom:
     point: Point
@@ -86,7 +91,7 @@ class Atom:
         d = _dist(self.point, y)
         t_arr = np.asarray(t, dtype=float)
         out = np.where(d <= t_arr, self.weight, 0.0)
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+        return _shaped_like(t, out)
 
     def breakpoint_radii(self, y: Point) -> list:
         return [_dist(self.point, y)]
@@ -97,7 +102,7 @@ class Atom:
     def h_single(self, t):
         t_arr = np.asarray(t, dtype=float)
         out = np.full_like(t_arr, self.weight)
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+        return _shaped_like(t, out)
 
     def translate(self, v) -> "Atom":
         return Atom(tuple(p + dv for p, dv in zip(self.point, v)), self.weight)
@@ -144,7 +149,7 @@ class UniformSegment:
         s_hi = (dot + safe) / ee
         frac = np.maximum(0.0, np.minimum(s_hi, 1.0) - np.maximum(s_lo, 0.0))
         out = np.where(disc >= 0.0, self.weight * frac, 0.0)
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+        return _shaped_like(t, out)
 
     def breakpoint_radii(self, y: Point) -> list:
         a = np.asarray(self.start)
@@ -164,7 +169,7 @@ class UniformSegment:
     def h_single(self, t):
         t_arr = np.asarray(t, dtype=float)
         out = self.weight * np.minimum(2.0 * t_arr, self.length) / self.length
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+        return _shaped_like(t, out)
 
     def translate(self, v) -> "UniformSegment":
         return UniformSegment(
@@ -221,7 +226,7 @@ class UniformArc:
         w = self.width
         if q < 1e-15 * max(1.0, self.radius):
             out = np.where(t_arr >= self.radius, self.weight, 0.0)
-            return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+            return _shaped_like(t, out)
         cosv = (self.radius ** 2 + q * q - t_arr * t_arr) / (2.0 * self.radius * q)
         half = np.arccos(np.clip(cosv, -1.0, 1.0))
         phi = math.atan2(y[1] - self.center[1], y[0] - self.center[0])
@@ -234,7 +239,7 @@ class UniformArc:
         inter = np.where(s0 + lam <= TWO_PI, direct, np.maximum(0.0, w - s0) + wrapped)
         inter = np.where(cosv <= -1.0, w, np.where(cosv >= 1.0, 0.0, inter))
         out = self.weight * inter / w
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+        return _shaped_like(t, out)
 
     def breakpoint_radii(self, y: Point) -> list:
         q = _dist(self.center, y)
@@ -269,7 +274,7 @@ class UniformArc:
             self.weight,
             self.weight * np.minimum(ang, self.width) / self.width,
         )
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+        return _shaped_like(t, out)
 
     def translate(self, v) -> "UniformArc":
         return UniformArc(
@@ -314,7 +319,7 @@ class UniformBall:
             inter = _lens_volume_3d(t_arr, rho, q)
             frac = inter / (4.0 / 3.0 * math.pi * rho ** 3)
         out = self.weight * frac
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+        return _shaped_like(t, out)
 
     def breakpoint_radii(self, y: Point) -> list:
         q = _dist(self.center, y)
@@ -327,7 +332,7 @@ class UniformBall:
         t_arr = np.asarray(t, dtype=float)
         ratio = np.clip(t_arr / self.radius, 0.0, 1.0)
         out = self.weight * ratio ** self.dim
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+        return _shaped_like(t, out)
 
     def translate(self, v) -> "UniformBall":
         return UniformBall(

@@ -28,7 +28,7 @@ sets are mu-null for every Dini-admissible mu).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -275,12 +275,6 @@ class SubharmonicFn:
         return float(self.values(np.asarray(x, dtype=float)[None, :])[0])
 
 
-def constant_subharmonic(dim: int, c: float = 0.0) -> SubharmonicFn:
-    harmonic = (HarmonicPolynomial((complex(c),)) if dim == 2
-                else AffineHarmonic(c, (0.0,) * dim))
-    return SubharmonicFn(dim, harmonic, BorelMeasure((), dim))
-
-
 @dataclass(frozen=True)
 class DeltaSubharmonicFn:
     """U = u - v for two subharmonic models of the same dimension."""
@@ -317,10 +311,6 @@ class DeltaSubharmonicFn:
         with np.errstate(invalid="ignore"):
             out = np.where(polar, 0.0, np.maximum(vals, 0.0))
         return out
-
-    @property
-    def riesz_charge_mass(self) -> float:
-        return self.u.riesz.mass + self.v.riesz.mass
 
 
 def evaluate(U: DeltaSubharmonicFn, x) -> Optional[float]:
@@ -447,18 +437,6 @@ def _geometry_key(comp):
     raise UnsupportedModelError(f"unknown component {type(comp).__name__}")
 
 
-def _with_weight(comp, w: float):
-    if isinstance(comp, Atom):
-        return Atom(comp.point, w)
-    if isinstance(comp, UniformSegment):
-        return UniformSegment(comp.start, comp.end, w)
-    if isinstance(comp, UniformArc):
-        return UniformArc(comp.center, comp.radius, comp.angle_start, comp.angle_end, w)
-    if isinstance(comp, UniformBall):
-        return UniformBall(comp.center, comp.radius, w)
-    raise UnsupportedModelError(f"unknown component {type(comp).__name__}")
-
-
 def _cross_norm(a: np.ndarray, b: np.ndarray) -> float:
     if a.size == 2:
         return abs(float(a[0] * b[1] - a[1] * b[0]))
@@ -516,9 +494,9 @@ def jordan_decomposition(U: DeltaSubharmonicFn):
     for key in order:
         comp, w = net[key]
         if w > 1e-300:
-            pos.append(_with_weight(comp, w))
+            pos.append(replace(comp, weight=w))
         elif w < -1e-300:
-            neg.append(_with_weight(comp, -w))
+            neg.append(replace(comp, weight=-w))
     for p in pos:
         for q in neg:
             if not isinstance(p, Atom) and not isinstance(q, Atom) \

@@ -97,12 +97,13 @@ def _eval_safe(f, x: np.ndarray, scale: float) -> np.ndarray:
     bad = ~np.isfinite(y)
     if not bad.any():
         return y
+    n_bad = int(bad.sum())
     for step in (1e-13, -1e-13, 1e-11, -1e-11):
         xs = np.where(bad, x + step * max(scale, abs(float(np.max(np.abs(x)))), 1.0), x)
         y = np.where(bad, np.asarray(f(xs), dtype=float), y)
         bad = ~np.isfinite(y)
         if not bad.any():
-            logger.debug("perturbed %d quadrature nodes off a singular point", int(bad.size))
+            logger.debug("perturbed %d quadrature nodes off a singular point", n_bad)
             return y
     raise QuadratureBudgetError(
         "integrand is non-finite at nudged nodes; undeclared non-integrable singularity?",

@@ -5,6 +5,7 @@ lines and timings.  Quantitative anchors are closed forms; everything else is
 property-based over seeded random scenarios.
 """
 
+import hashlib
 import math
 import random
 import subprocess
@@ -316,3 +317,5 @@ def test_criterion_10_corpus_determinism(tmp_path):
             assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+        # the corpus bytes are frozen: a refactor must reproduce them exactly
+        assert hashlib.md5(outs[0]).hexdigest() == "14cbfeb71e991f681963cb229e83c9d7"

@@ -1,9 +1,12 @@
 import math
 import random
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
+
+from deltasubh import lab
 
 from deltasubh.geometry import DimensionContext
 from deltasubh.measures import (
@@ -180,6 +183,44 @@ def test_specialization_consistency_UR_vs_UR2f():
         rep_f = verify_planar_meromorphic(s)
         assert rep_main.verdict == "pass" and rep_f.verdict == "pass"
         assert abs(rep_main.rhs - rep_f.rhs) <= 1e-9 * max(1.0, abs(rep_main.rhs))
+
+
+UR_FAMILY = ("UR", "UR2", "UR2f", "UR2fr")
+
+
+def test_ur_family_computes_each_ingredient_once(monkeypatch):
+    s = generate_scenario(42, 1, "segment")
+    calls = Counter()
+    names = ("dini_integral_result", "positive_part_integral",
+             "difference_characteristic", "nevanlinna_T")
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(lab, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(lab, name, counted)
+    reports = run_checks(s, UR_FAMILY)
+    assert [rep.inequality for rep in reports] == list(UR_FAMILY)
+    assert all(rep.verdict == "pass" for rep in reports)
+    assert calls == {name: 1 for name in names}
+
+
+def test_run_checks_timing_covers_the_shared_ingredients(monkeypatch):
+    s = generate_scenario(42, 1, "segment")
+    real_dini = lab.dini_integral_result
+
+    def slow_dini(*args, **kwargs):
+        time.sleep(0.05)
+        return real_dini(*args, **kwargs)
+
+    monkeypatch.setattr(lab, "dini_integral_result", slow_dini)
+    start = time.perf_counter()
+    reports = run_checks(s, UR_FAMILY, timing=True)
+    elapsed_ms = 1000.0 * (time.perf_counter() - start)
+    timed_ms = sum(rep.wall_time_ms for rep in reports)
+    assert timed_ms >= 50
+    # no ingredient is computed outside the per-row timers
+    assert timed_ms >= elapsed_ms - 25
 
 
 def test_r0_replacement_monotone_rhs():

@@ -1,3 +1,4 @@
+import logging
 import math
 import random
 
@@ -54,6 +55,21 @@ def test_budget_error_carries_partial():
     with pytest.raises(QuadratureBudgetError) as err:
         integrate_interval(nasty, 0.0, 1.0, [0.0], tol=1e-10)
     assert err.value.partial is not None
+
+
+def test_nudge_log_counts_only_the_non_finite_nodes(caplog):
+    # inf at exactly one node of the first GL15 panel on [-1, 1]
+    node = float(np.polynomial.legendre.leggauss(15)[0][3])
+
+    def f(t):
+        return np.where(t == node, np.inf, 1.0)
+
+    with caplog.at_level(logging.DEBUG, logger="deltasubh.quadrature"):
+        res = integrate_interval(f, -1.0, 1.0, (), tol=1e-10)
+    assert res.value == pytest.approx(2.0, abs=1e-12)
+    nudges = [rec.getMessage() for rec in caplog.records
+              if rec.getMessage().startswith("perturbed")]
+    assert nudges == ["perturbed 1 quadrature nodes off a singular point"]
 
 
 def test_circle_mean_constant():
