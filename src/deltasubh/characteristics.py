@@ -105,32 +105,37 @@ def _split_angles_near_radius(U: DeltaSubharmonicFn, r: float,
     return out
 
 
+def _bisect_sign_changes(evaluator, lo, hi, f_lo, steps: int) -> list:
+    """Midpoints of the brackets [lo[i], hi[i]] after `steps` bisections, all
+    brackets in one evaluator call per step; f_lo holds the (nonzero) values
+    at lo.  A bracket stops early at a midpoint whose value is non-finite or
+    exactly 0, as a bisection of that bracket alone would."""
+    lo, hi, f_lo = (np.array(v, dtype=float) for v in (lo, hi, f_lo))
+    open_ = np.arange(lo.size)
+    for _ in range(steps):
+        if not open_.size:
+            break
+        mid = 0.5 * (lo[open_] + hi[open_])
+        fm = np.asarray(evaluator(mid), dtype=float)
+        go = np.isfinite(fm) & (fm != 0.0)
+        up = go & ((fm > 0) == (f_lo[open_] > 0))
+        down = go & ~up
+        lo[open_[up]], f_lo[open_[up]] = mid[up], fm[up]
+        hi[open_[down]] = mid[down]
+        open_ = open_[go]
+    return list(0.5 * (lo + hi))
+
+
 def _sign_change_angles(evaluator, n: int = 2048) -> list:
     """Angles where the (continuous off polar) integrand changes sign;
     located by a dense scan plus bisection, used as kink split points."""
     theta = TWO_PI * np.arange(n) / n
     vals = np.asarray(evaluator(theta), dtype=float)
-    finite = np.isfinite(vals)
-    out = []
-    for i in range(n):
-        j = (i + 1) % n
-        if not (finite[i] and finite[j]):
-            continue
-        if vals[i] == 0.0 or vals[i] * vals[j] >= 0.0:
-            continue
-        lo, hi = theta[i], theta[i] + TWO_PI / n
-        flo = vals[i]
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            fm = float(np.asarray(evaluator(np.array([mid])), dtype=float)[0])
-            if not math.isfinite(fm) or fm == 0.0:
-                break
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        out.append(0.5 * (lo + hi))
-    return out
+    nxt = np.roll(vals, -1)
+    with np.errstate(over="ignore"):
+        change = np.isfinite(vals) & np.isfinite(nxt) & (vals != 0.0) & (vals * nxt < 0.0)
+    i = np.flatnonzero(change)
+    return _bisect_sign_changes(evaluator, theta[i], theta[i] + TWO_PI / n, vals[i], 48)
 
 
 def spherical_mean(U: DeltaSubharmonicFn, r: float, transform: str = "identity",

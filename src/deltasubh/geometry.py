@@ -138,14 +138,18 @@ def kernel(ctx: DimensionContext, t: ArrayLike) -> ArrayLike:
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0):
         raise ValueError("kernel argument must be >= 0")
-    with np.errstate(divide="ignore"):
-        if ctx.d == 2:
-            out = np.log(arr)
-        else:
-            out = -arr ** float(2 - ctx.d)
+    out = _kernel_values(ctx.d, arr)
     if np.isscalar(t) or arr.ndim == 0:
         return float(out)
     return out
+
+
+def _kernel_values(d: int, arr: np.ndarray) -> np.ndarray:
+    """kernel on an array of radii already known to be >= 0 (distances)."""
+    with np.errstate(divide="ignore"):
+        if d == 2:
+            return np.log(arr)
+        return -arr ** float(2 - d)
 
 
 def kernel_inverse(ctx: DimensionContext, v: float) -> float:

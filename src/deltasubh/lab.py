@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .characteristics import (
+    _bisect_sign_changes,
     _charge_atom_points,
     difference_characteristic,
     nevanlinna_N,
@@ -57,7 +58,13 @@ from .potentials import (
     positive_part,
     potential_values,
 )
-from .quadrature import QuadratureResult, circle_mean, integrate_interval, sphere_mean_3d
+from .quadrature import (
+    QuadratureResult,
+    _gl_nodes,
+    circle_mean,
+    integrate_interval,
+    sphere_mean_3d,
+)
 
 __all__ = [
     "CorpusConfig",
@@ -196,78 +203,81 @@ def _arc_integral(U, comp: UniformArc, tol: float) -> QuadratureResult:
     th_scan = comp.angle_start + comp.width * (np.arange(n_scan) + 0.5) / n_scan
     vals = U.values_with_polar(curve(th_scan))[0]
     sign = np.sign(vals)
-    for i in range(n_scan - 1):
-        if np.isfinite(vals[i]) and np.isfinite(vals[i + 1]) and sign[i] * sign[i + 1] < 0:
-            lo, hi = th_scan[i], th_scan[i + 1]
-            flo = vals[i]
-            for _ in range(40):
-                mid = 0.5 * (lo + hi)
-                fm = float(U.values_with_polar(curve(np.array([mid])))[0][0])
-                if not math.isfinite(fm) or fm == 0.0:
-                    break
-                if (fm > 0) == (flo > 0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            splits.append(0.5 * (lo + hi))
+    i = np.flatnonzero(np.isfinite(vals[:-1]) & np.isfinite(vals[1:])
+                       & (sign[:-1] * sign[1:] < 0))
+    splits += _bisect_sign_changes(lambda th: U.values_with_polar(curve(th))[0],
+                                   th_scan[i], th_scan[i + 1], vals[i], 40)
     res = integrate_interval(g, comp.angle_start, comp.angle_end, splits,
                              tol * comp.width / max(comp.weight, 1e-300))
     return res.scaled(comp.weight / comp.width)
-
-
-def _gl_nodes(a: float, b: float, n: int):
-    from .quadrature import _leggauss
-    x, w = _leggauss(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
 
 
 def _ball_integral(U, comp: UniformBall, tol: float) -> QuadratureResult:
     """Tensor-product rule over the solid ball: composite Gauss-Legendre in
     the radius (panels split at charge-atom distances) x equispaced angles,
     doubled together until the value is stable.  The U^+ kink curves limit
-    angular convergence to O(n^-2), which the doubling estimate reflects."""
+    angular convergence to O(n^-2), which the doubling estimate reflects.
+
+    Once the radial rule stops changing (it is capped at 48 nodes), a
+    doubling evaluates only the new odd angles: 2 pi (2j) / 2n is exactly
+    2 pi j / n, so the even ones are the previous level's samples."""
     c = np.asarray(comp.center)
     rho = comp.radius
     dim = comp.dim
     breaks = sorted({float(np.linalg.norm(p - c)) for p in _charge_atom_points(U)
                      if 0.0 < float(np.linalg.norm(p - c)) < rho})
     edges = [0.0] + breaks + [rho]
+    u, uw = _gl_nodes(-1.0, 1.0, 48)  # polar rule in 3-d, the same at every level
+
+    def samples(qs, angles):
+        """U^+ on the grid qs x angles (x u in 3-d), angles on the last axis."""
+        if dim == 2:
+            Q, TH = np.meshgrid(qs, angles, indexing="ij")
+            pts = np.column_stack([c[0] + (Q * np.cos(TH)).ravel(),
+                                   c[1] + (Q * np.sin(TH)).ravel()])
+        else:
+            Q, UU, PP = np.meshgrid(qs, u, angles, indexing="ij")
+            st = np.sqrt(np.maximum(0.0, 1.0 - UU ** 2))
+            pts = np.column_stack([
+                (c[0] + Q * st * np.cos(PP)).ravel(),
+                (c[1] + Q * st * np.sin(PP)).ravel(),
+                (c[2] + Q * UU).ravel(),
+            ])
+        vals = U.positive_values(pts).reshape(Q.shape)
+        return np.where(np.isfinite(vals), vals, 0.0)  # measure-zero nodes
+
     prev = None
     diff = math.inf
     nodes = 0
     n_r, n_a = 8, 128
+    kept: dict = {}  # radial panel -> its samples at the previous level
+    n_q_prev = None
     for _level in range(7):
+        n_q = min(n_r, 48)
+        reuse = n_q == n_q_prev
+        angles = 2.0 * math.pi * np.arange(n_a) / n_a
         total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
+        for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
             if hi - lo <= 1e-15 * rho:
                 continue
-            qs, qw = _gl_nodes(lo, hi, min(n_r, 48))
+            qs, qw = _gl_nodes(lo, hi, n_q)
+            if reuse:
+                odd = samples(qs, angles[1::2])
+                vals = np.empty(odd.shape[:-1] + (n_a,))
+                vals[..., 0::2] = kept[k]
+                vals[..., 1::2] = odd
+                nodes += odd.size
+            else:
+                vals = samples(qs, angles)
+                nodes += vals.size
+            kept[k] = vals
             if dim == 2:
-                theta = 2.0 * math.pi * np.arange(n_a) / n_a
-                Q, TH = np.meshgrid(qs, theta, indexing="ij")
-                pts = np.column_stack([c[0] + (Q * np.cos(TH)).ravel(),
-                                       c[1] + (Q * np.sin(TH)).ravel()])
-                vals = U.positive_values(pts).reshape(len(qs), n_a)
-                vals = np.where(np.isfinite(vals), vals, 0.0)  # measure-zero nodes
                 shell = vals.mean(axis=1)
                 total += float(np.dot(qw, 2.0 * qs / (rho * rho) * shell))
             else:
-                m = n_a // 2
-                u, uw = _gl_nodes(-1.0, 1.0, min(m, 48))
-                phi = 2.0 * math.pi * np.arange(n_a) / n_a
-                QQ, UU, PP = np.meshgrid(qs, u, phi, indexing="ij")
-                st = np.sqrt(np.maximum(0.0, 1.0 - UU ** 2))
-                pts = np.column_stack([
-                    (c[0] + QQ * st * np.cos(PP)).ravel(),
-                    (c[1] + QQ * st * np.sin(PP)).ravel(),
-                    (c[2] + QQ * UU).ravel(),
-                ])
-                vals = U.positive_values(pts).reshape(len(qs), len(u), n_a)
-                vals = np.where(np.isfinite(vals), vals, 0.0)
                 shell = 0.5 * np.einsum("j,ij->i", uw, vals.mean(axis=2))
                 total += float(np.dot(qw, 3.0 * qs ** 2 / rho ** 3 * shell))
-            nodes += pts.shape[0]
+        n_q_prev = n_q
         if prev is not None:
             diff = abs(total - prev)
             if diff <= tol / max(comp.weight, 1e-300):

@@ -33,7 +33,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .geometry import kernel, DimensionContext
+from .geometry import _kernel_values
 from .measures import Atom, BorelMeasure, UniformArc, UniformBall, UniformSegment
 from .quadrature import _leggauss
 
@@ -139,10 +139,20 @@ def _combine_harmonics(a: Optional[HarmonicPart], b: Optional[HarmonicPart],
 # kernel potentials of the measure primitives
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (n, d) array: the same floats as
+    np.linalg.norm(v, axis=1), summing the squared columns left to right,
+    without its slow reduction over 2 or 3 columns."""
+    sq = v * v
+    total = sq[:, 0]
+    for k in range(1, sq.shape[1]):
+        total = total + sq[:, k]
+    return np.sqrt(total)
+
+
 def _atom_potential(comp: Atom, pts: np.ndarray, d: int) -> np.ndarray:
-    dist = np.linalg.norm(pts - np.asarray(comp.point), axis=1)
-    ctx = DimensionContext(d)
-    return comp.weight * np.asarray(kernel(ctx, dist), dtype=float)
+    dist = _row_norms(pts - np.asarray(comp.point))
+    return comp.weight * _kernel_values(d, dist)
 
 
 def _segment_potential(comp: UniformSegment, pts: np.ndarray, d: int) -> np.ndarray:
@@ -153,7 +163,7 @@ def _segment_potential(comp: UniformSegment, pts: np.ndarray, d: int) -> np.ndar
     w = pts - a
     u0 = w @ ehat
     perp = w - u0[:, None] * ehat
-    h = np.linalg.norm(perp, axis=1)
+    h = _row_norms(perp)
     u_lo = -u0
     u_hi = L - u0
 
@@ -185,7 +195,7 @@ def _arc_potential(comp: UniformArc, pts: np.ndarray, d: int) -> np.ndarray:
     if d != 2:
         raise UnsupportedModelError("arc charges are d=2 only")
     c = np.asarray(comp.center)
-    q = np.linalg.norm(pts - c, axis=1)
+    q = _row_norms(pts - c)
     if abs(comp.width - 2.0 * math.pi) <= 1e-12:
         # full circle: mean-value closed form W * ln max(q, rho)
         with np.errstate(divide="ignore"):
@@ -211,7 +221,7 @@ def _arc_potential(comp: UniformArc, pts: np.ndarray, d: int) -> np.ndarray:
 
 def _ball_potential(comp: UniformBall, pts: np.ndarray, d: int) -> np.ndarray:
     c = np.asarray(comp.center)
-    q = np.linalg.norm(pts - c, axis=1)
+    q = _row_norms(pts - c)
     rho = comp.radius
     if d == 2:
         with np.errstate(divide="ignore"):

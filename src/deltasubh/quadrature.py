@@ -14,7 +14,9 @@ Four entry points:
   bound of the sup whose refinement gap is below the requested tolerance.
 
 All integrands are VECTORIZED callables: f(ndarray) -> ndarray (for
-sphere_mean_3d, f(theta_array, phi_array) -> array).  Values of +-inf at a
+sphere_mean_3d, f(theta_array, phi_array) -> array).  integrate_interval
+evaluates the nodes of many panels in one call; its results equal those of
+one call per panel bit for bit when f acts node by node.  Values of +-inf at a
 node mean the node landed exactly on a declared singular point; the engine
 nudges such nodes by an ulp-scale offset and logs the event, per the polar
 set policy (any finite node set may be safely adjusted).
@@ -91,12 +93,25 @@ def _leggauss(n: int):
     return x, w
 
 
+def _gl_nodes(a: float, b: float, n: int):
+    """Gauss-Legendre nodes and weights of order n mapped to [a, b]."""
+    x, w = _leggauss(n)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return mid + half * x, half * w
+
+
 def _eval_safe(f, x: np.ndarray, scale: float) -> np.ndarray:
     """Evaluate f at nodes; nudge any node that returns a non-finite value."""
     y = np.asarray(f(x), dtype=float)
-    bad = ~np.isfinite(y)
-    if not bad.any():
+    if np.isfinite(y).all():
         return y
+    return _nudge(f, x, y, scale)
+
+
+def _nudge(f, x: np.ndarray, y: np.ndarray, scale: float) -> np.ndarray:
+    """y = f(x) with its non-finite entries re-evaluated at nodes moved by an
+    ulp-scale offset; the offset is taken from x alone (one panel's nodes)."""
+    bad = ~np.isfinite(y)
     n_bad = int(bad.sum())
     for step in (1e-13, -1e-13, 1e-11, -1e-11):
         xs = np.where(bad, x + step * max(scale, abs(float(np.max(np.abs(x)))), 1.0), x)
@@ -111,12 +126,20 @@ def _eval_safe(f, x: np.ndarray, scale: float) -> np.ndarray:
     )
 
 
-def _gl_panel(f, a: float, b: float, scale: float, n: int = 15) -> float:
-    x, w = _leggauss(n)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    y = _eval_safe(f, mid + half * x, scale)
-    return half * float(np.dot(w, y))
+def _gl_panels(f, lo: np.ndarray, hi: np.ndarray, scale: float) -> list:
+    """GL15 sums over the panels [lo[i], hi[i]], all nodes in one call of f.
+
+    Each sum is formed exactly as for a lone panel, half * dot(w, y), and a
+    panel with a non-finite node is nudged on its own nodes, so for an f that
+    acts node by node every sum equals the one a call per panel gives."""
+    x, w = _leggauss(15)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    nodes = mid[:, None] + half[:, None] * x
+    y = np.array(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    for i in np.flatnonzero(~np.isfinite(y).all(axis=1)):
+        y[i] = _nudge(f, nodes[i], y[i], scale)
+    return [h * float(np.dot(w, row)) for h, row in zip(half.tolist(), y)]
 
 
 class _Budget:
@@ -135,19 +158,53 @@ class _Budget:
             )
 
 
-def _adaptive(f, a, b, tol, scale, budget: _Budget, depth: int = 0) -> tuple[float, float]:
-    """Adaptive GL15 bisection on a panel without interior singularities."""
-    coarse = _gl_panel(f, a, b, scale)
+def _adaptive(f, a, b, tol, scale, budget: _Budget) -> tuple[float, float]:
+    """Adaptive GL15 bisection on a panel without interior singularities.
+
+    Breadth-first: one call of f evaluates the half-panels of every panel
+    still open at a refinement level.  A panel's coarse rule is its parent's
+    half-panel sum, and values and errors are summed bottom-up in the order
+    of the depth-first recursion, so the result is that recursion's bit for
+    bit, with a third fewer nodes."""
     mid = 0.5 * (a + b)
-    fine = _gl_panel(f, a, mid, scale) + _gl_panel(f, mid, b, scale)
     budget.spend(45)
-    err = abs(fine - coarse)
-    if err <= tol or (b - a) <= 1e-14 * scale or depth >= 48:
-        budget.acc += fine
-        return fine, err
-    lv, le = _adaptive(f, a, mid, 0.5 * tol, scale, budget, depth + 1)
-    rv, re_ = _adaptive(f, mid, b, 0.5 * tol, scale, budget, depth + 1)
-    return lv + rv, le + re_
+    coarse, left, right = _gl_panels(f, np.array([a, a, mid]), np.array([b, mid, b]), scale)
+    # panel k spans [lo[k], hi[k]]; halves are numbered after their parent
+    lo, hi, coarse_of, tol_of = [a], [b], [coarse], [tol]
+    halves = {0: (left, right)}
+    value, error, split = {}, {}, {}
+    level = [0]
+    depth = 0
+    while level:
+        if depth:
+            a_ = np.array([lo[k] for k in level])
+            b_ = np.array([hi[k] for k in level])
+            m_ = 0.5 * (a_ + b_)
+            budget.spend(30 * len(level))
+            sums = _gl_panels(f, np.concatenate([a_, m_]), np.concatenate([m_, b_]), scale)
+            halves = {k: (sums[i], sums[i + len(level)]) for i, k in enumerate(level)}
+        nxt = []
+        for k in level:
+            left, right = halves[k]
+            fine = left + right
+            err = abs(fine - coarse_of[k])
+            if err <= tol_of[k] or (hi[k] - lo[k]) <= 1e-14 * scale or depth >= 48:
+                budget.acc += fine
+                value[k], error[k] = fine, err
+                continue
+            mid = 0.5 * (lo[k] + hi[k])
+            split[k] = (len(lo), len(lo) + 1)
+            lo += [lo[k], mid]
+            hi += [mid, hi[k]]
+            coarse_of += [left, right]
+            tol_of += [0.5 * tol_of[k]] * 2
+            nxt += split[k]
+        level = nxt
+        depth += 1
+    for k in sorted(split, reverse=True):
+        l, r = split[k]
+        value[k], error[k] = value[l] + value[r], error[l] + error[r]
+    return value[0], error[0]
 
 
 def _ladder(f, s, a, b, tol, scale, budget: _Budget) -> tuple[float, float]:

@@ -426,3 +426,54 @@ def test_scenario_validation():
     big = BorelMeasure((Atom((5.0, 0.0), 1.0),))
     with pytest.raises(ValueError):
         Scenario("bad", D2, f.to_delta_subharmonic(), big, 1.0, 2.0, f=f)
+
+
+def _ref_disk_integral(U, comp, tol):
+    """The disk branch of lab._ball_integral before it reused samples: every
+    level evaluates the whole radius x angle grid afresh."""
+    c = np.asarray(comp.center)
+    rho = comp.radius
+    breaks = sorted({float(np.linalg.norm(p - c)) for p in lab._charge_atom_points(U)
+                     if 0.0 < float(np.linalg.norm(p - c)) < rho})
+    edges = [0.0] + breaks + [rho]
+    prev = None
+    diff = math.inf
+    nodes = 0
+    n_r, n_a = 8, 128
+    for _level in range(7):
+        total = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            if hi - lo <= 1e-15 * rho:
+                continue
+            x, w = np.polynomial.legendre.leggauss(min(n_r, 48))
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            qs, qw = mid + half * x, half * w
+            theta = 2.0 * math.pi * np.arange(n_a) / n_a
+            Q, TH = np.meshgrid(qs, theta, indexing="ij")
+            pts = np.column_stack([c[0] + (Q * np.cos(TH)).ravel(),
+                                   c[1] + (Q * np.sin(TH)).ravel()])
+            vals = U.positive_values(pts).reshape(len(qs), n_a)
+            vals = np.where(np.isfinite(vals), vals, 0.0)
+            shell = vals.mean(axis=1)
+            total += float(np.dot(qw, 2.0 * qs / (rho * rho) * shell))
+            nodes += pts.shape[0]
+        if prev is not None:
+            diff = abs(total - prev)
+            if diff <= tol / max(comp.weight, 1e-300):
+                return comp.weight * total, comp.weight * diff, nodes
+        prev = total
+        n_r *= 2
+        n_a *= 2
+    return comp.weight * prev, comp.weight * diff, nodes
+
+
+def test_ball_integral_reuses_samples_bit_for_bit():
+    # U^+ kinks across the disk, so the doubling runs to level 6; from level
+    # 4 on the radial rule is capped at 48 nodes and only odd angles are new
+    U = MeromorphicFn(((0.3 + 0.1j, 1),), ((-0.2 + 0j, 1),), 1.4).to_delta_subharmonic()
+    disk = UniformBall((0.1, 0.0), 0.8, 1.0)
+    value, err, ref_nodes = _ref_disk_integral(U, disk, 1e-7)
+    got = lab._ball_integral(U, disk, 1e-7)
+    assert (got.value, got.error_estimate) == (value, err)
+    assert ref_nodes == 2_276_352  # levels 0-6 on three radial panels
+    assert got.nodes_used == 1_244_160

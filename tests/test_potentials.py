@@ -4,8 +4,10 @@ import random
 import numpy as np
 import pytest
 
+from deltasubh.geometry import DimensionContext, kernel
 from deltasubh.measures import Atom, BorelMeasure, UniformArc, UniformBall, UniformSegment
 from deltasubh.potentials import (
+    _row_norms,
     AffineHarmonic,
     DeltaSubharmonicFn,
     HarmonicPolynomial,
@@ -295,3 +297,20 @@ def test_affine_harmonic_d3():
     aff = AffineHarmonic(1.0, (0.5, -0.25, 2.0))
     pts = np.array([[1.0, 2.0, 0.5]])
     assert aff.values(pts)[0] == pytest.approx(1.0 + 0.5 - 0.5 + 1.0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_row_norms_equal_linalg_norm_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    p = rng.uniform(-1.0, 1.0, d)
+    pts = rng.uniform(-3.0, 3.0, (4096, d)) * 10.0 ** rng.integers(-4, 4, (4096, 1))
+    pts[17] = p  # a point sitting on the atom
+    dist = _row_norms(pts - p)
+    assert np.array_equal(dist, np.linalg.norm(pts - p, axis=1))
+    assert dist[17] == 0.0
+    # the atom potential skips kernel's domain check but keeps its floats
+    atom = Atom(tuple(p), 0.7)
+    got = potential_values(BorelMeasure((atom,), d), pts, d)
+    want = 0.7 * kernel(DimensionContext(d), np.linalg.norm(pts - p, axis=1))
+    assert np.array_equal(got, want)
+    assert got[17] == -np.inf

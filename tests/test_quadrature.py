@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from deltasubh import quadrature
 from deltasubh.quadrature import (
     QuadratureBudgetError,
     circle_mean,
@@ -195,3 +196,105 @@ def test_sphere_sup_3d():
 def test_sphere_sup_bad_dim():
     with pytest.raises(ValueError):
         sphere_sup(lambda th: th, dim=4)
+
+
+# -- the depth-first engine, kept as the bit-identity reference ----------------
+# _adaptive evaluates a whole refinement level per integrand call; these are
+# the one-panel-per-call recursion it replaced, which it must equal float for
+# float (value and error estimate).
+
+
+def _ref_eval_safe(f, x, scale):
+    y = np.asarray(f(x), dtype=float)
+    bad = ~np.isfinite(y)
+    if not bad.any():
+        return y
+    for step in (1e-13, -1e-13, 1e-11, -1e-11):
+        xs = np.where(bad, x + step * max(scale, abs(float(np.max(np.abs(x)))), 1.0), x)
+        y = np.where(bad, np.asarray(f(xs), dtype=float), y)
+        bad = ~np.isfinite(y)
+        if not bad.any():
+            return y
+    raise QuadratureBudgetError("non-finite at nudged nodes", None)
+
+
+def _ref_gl_panel(f, a, b, scale, n=15):
+    x, w = np.polynomial.legendre.leggauss(n)
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    y = _ref_eval_safe(f, mid + half * x, scale)
+    return half * float(np.dot(w, y))
+
+
+def _ref_adaptive(f, a, b, tol, scale, budget, depth=0):
+    coarse = _ref_gl_panel(f, a, b, scale)
+    mid = 0.5 * (a + b)
+    fine = _ref_gl_panel(f, a, mid, scale) + _ref_gl_panel(f, mid, b, scale)
+    budget.spend(45)
+    err = abs(fine - coarse)
+    if err <= tol or (b - a) <= 1e-14 * scale or depth >= 48:
+        budget.acc += fine
+        return fine, err
+    lv, le = _ref_adaptive(f, a, mid, 0.5 * tol, scale, budget, depth + 1)
+    rv, re_ = _ref_adaptive(f, mid, b, 0.5 * tol, scale, budget, depth + 1)
+    return lv + rv, le + re_
+
+
+def _reference_integral(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_adaptive", _ref_adaptive)
+        return integrate_interval(*args, **kwargs)
+
+
+def _kinked(t):
+    return np.abs(np.sin(3.0 * t)) + np.maximum(t - 0.3, 0.0)
+
+
+def _peaked(t):
+    return 1.0 / (1e-6 + (t - 1.0 / 3.0) ** 2) + np.sqrt(np.abs(t - 0.7))
+
+
+@pytest.mark.parametrize("f, a, b, sings, tol", [
+    (lambda t: np.exp(-t) * np.sin(3.0 * t), 0.0, 4.0, (), 1e-10),  # smooth
+    (_kinked, -1.0, 2.0, (), 1e-9),                                # undeclared kinks
+    (np.log, 0.0, 1.0, [0.0], 1e-9),                               # endpoint-log ladder
+    (_peaked, 0.0, 1.0, (), 1e-7),                                 # deep refinement
+])
+def test_batched_adaptive_equals_depth_first_bit_for_bit(monkeypatch, f, a, b, sings, tol):
+    ref = _reference_integral(monkeypatch, f, a, b, sings, tol)
+    got = integrate_interval(f, a, b, sings, tol)
+    assert got.value == ref.value
+    assert got.error_estimate == ref.error_estimate
+    # each child panel reuses its parent's half-panel sum as its coarse rule
+    assert got.nodes_used <= ref.nodes_used
+
+
+def test_batched_adaptive_refines_deeply_in_few_calls():
+    calls = []
+
+    def f(t):
+        calls.append(t.size)
+        return _peaked(t)
+
+    res = integrate_interval(f, 0.0, 1.0, (), 1e-7)
+    assert res.nodes_used == sum(calls)
+    assert len(calls) <= 49  # one call per refinement level
+    assert res.nodes_used > 45 * len(calls)  # not one panel per call
+
+
+def test_nudge_inside_a_batch_equals_depth_first(monkeypatch, caplog):
+    # |t| splits [-1, 1] once; at depth 1 the halves of [-1, 0] and [0, 1]
+    # share one call, and the integrand is inf at one node of [-1, -0.5]
+    x = np.polynomial.legendre.leggauss(15)[0]
+    node = float(-0.75 + 0.25 * x[3])
+
+    def f(t):
+        return np.where(t == node, np.inf, np.abs(t) + t * t)
+
+    ref = _reference_integral(monkeypatch, f, -1.0, 1.0, (), 1e-10)
+    with caplog.at_level(logging.DEBUG, logger="deltasubh.quadrature"):
+        got = integrate_interval(f, -1.0, 1.0, (), 1e-10)
+    assert (got.value, got.error_estimate) == (ref.value, ref.error_estimate)
+    nudges = [rec.getMessage() for rec in caplog.records
+              if rec.getMessage().startswith("perturbed")]
+    assert nudges == ["perturbed 1 quadrature nodes off a singular point"]
