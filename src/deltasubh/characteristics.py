@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import DimensionContext
-from .measures import Atom, integrated_counting_result
+from .measures import integrated_counting_result
 from .potentials import (
     DeltaSubharmonicFn,
     MeromorphicFn,
@@ -71,7 +71,27 @@ def _sphere_points(r: float, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
                             r * np.cos(theta)])
 
 
-def _apply_transform(vals: np.ndarray, polar: np.ndarray, transform: str) -> np.ndarray:
+def _on_sphere(values, r: float, dim: int):
+    """The angle integrand of a points -> values function on the sphere
+    |x| = r: g(theta) on the circle for d=2, g(theta, phi) for d=3."""
+    if dim == 2:
+        return lambda theta: values(_circle_points(r, theta))
+    if dim == 3:
+        return lambda theta, phi: values(_sphere_points(r, theta, phi))
+    raise ValueError(f"sphere quadrature supports d in (2, 3), got {dim}")
+
+
+def _sphere_mean(values, r: float, dim: int, angles, tol: float):
+    """Mean of values over the sphere |x| = r; the split angles are used in
+    d=2 only."""
+    g = _on_sphere(values, r, dim)
+    if dim == 2:
+        return circle_mean(g, angles, tol)
+    return sphere_mean_3d(g, tol)
+
+
+def _transformed_values(U: DeltaSubharmonicFn, pts: np.ndarray, transform: str) -> np.ndarray:
+    vals, polar = U.values_with_polar(pts)
     if transform == "identity":
         return vals  # polar entries stay NaN; the quadrature nudges those nodes
     with np.errstate(invalid="ignore"):
@@ -86,22 +106,18 @@ def _apply_transform(vals: np.ndarray, polar: np.ndarray, transform: str) -> np.
 
 def _charge_atom_points(U: DeltaSubharmonicFn) -> list:
     """Points of the atoms of both Riesz measures of U, as float arrays."""
-    return [np.asarray(c.point, dtype=float)
-            for c in U.u.riesz.components + U.v.riesz.components
-            if isinstance(c, Atom)]
+    return [np.asarray(c.point, dtype=float) for c in U.u.riesz.atoms + U.v.riesz.atoms]
 
 
 def _split_angles_near_radius(U: DeltaSubharmonicFn, r: float,
                               band: float = 0.05) -> list:
-    """Angles of charge atoms within a relative band of the circle |x| = r;
-    passing these to the quadrature concentrates refinement where the
-    integrand has (near-)singular dips."""
+    """Angles of charge atoms (d=2) within a relative band of the circle
+    |x| = r; passing these to the quadrature concentrates refinement where
+    the integrand has (near-)singular dips."""
     out = []
     for p in _charge_atom_points(U):
-        dist = float(np.hypot(p[0], p[1])) if p.size == 2 else float(np.linalg.norm(p))
-        if abs(dist - r) <= band * max(r, 1e-300):
-            if p.size == 2:
-                out.append(math.atan2(p[1], p[0]))
+        if abs(float(np.hypot(p[0], p[1])) - r) <= band * max(r, 1e-300):
+            out.append(math.atan2(p[1], p[0]))
     return out
 
 
@@ -145,24 +161,14 @@ def spherical_mean(U: DeltaSubharmonicFn, r: float, transform: str = "identity",
         raise ValueError("r must be > 0")
     if transform not in TRANSFORMS:
         raise ValueError(f"unknown transform {transform!r}")
+    angles = []
     if U.dim == 2:
-        def g(theta):
-            vals, polar = U.values_with_polar(_circle_points(r, theta))
-            return _apply_transform(vals, polar, transform)
-
         angles = _split_angles_near_radius(U, r)
         if transform in ("positive", "negative", "abs"):
             angles += _sign_change_angles(
-                lambda th: U.values_with_polar(_circle_points(r, th))[0])
-        res = circle_mean(g, angles, tol)
-    elif U.dim == 3:
-        def g3(theta, phi):
-            vals, polar = U.values_with_polar(_sphere_points(r, theta, phi))
-            return _apply_transform(vals, polar, transform)
-
-        res = sphere_mean_3d(g3, tol)
-    else:
-        raise ValueError(f"sphere quadrature supports d in (2, 3), got {U.dim}")
+                _on_sphere(lambda pts: U.values_with_polar(pts)[0], r, 2))
+    res = _sphere_mean(lambda pts: _transformed_values(U, pts, transform),
+                       r, U.dim, angles, tol)
     return CharacteristicRecord("C_mean", r, res.value, res.error_estimate,
                                 transform=transform)
 
@@ -172,20 +178,8 @@ def sup_on_sphere(U: DeltaSubharmonicFn, r: float, transform: str = "identity",
     """M over the sphere of radius r (a refined lower bound of the sup)."""
     if not r > 0:
         raise ValueError("r must be > 0")
-    if U.dim == 2:
-        def g(theta):
-            vals, polar = U.values_with_polar(_circle_points(r, theta))
-            return _apply_transform(vals, polar, transform)
-
-        value = sphere_sup(g, refinement_tol, dim=2)
-    elif U.dim == 3:
-        def g3(theta, phi):
-            vals, polar = U.values_with_polar(_sphere_points(r, theta, phi))
-            return _apply_transform(vals, polar, transform)
-
-        value = sphere_sup(g3, refinement_tol, dim=3)
-    else:
-        raise ValueError(f"sphere sup supports d in (2, 3), got {U.dim}")
+    g = _on_sphere(lambda pts: _transformed_values(U, pts, transform), r, U.dim)
+    value = sphere_sup(g, refinement_tol, dim=U.dim)
     return CharacteristicRecord("M_sup", r, value, refinement_tol,
                                 transform=transform)
 
@@ -277,32 +271,17 @@ def difference_characteristic_canonical(U: DeltaSubharmonicFn, r: float, R: floa
     u_star, v_star = canonical_representation(U, R)
     pair = DeltaSubharmonicFn(u_star, v_star)
 
+    def sup_values(pts):
+        return np.maximum(u_star.values(pts), v_star.values(pts))
+
+    angles_R, angles_r = [], []
     if U.dim == 2:
-        def g_sup(theta):
-            pts = _circle_points(R, theta)
-            return np.maximum(u_star.values(pts), v_star.values(pts))
-
-        angles = _split_angles_near_radius(pair, R)
-        angles += _sign_change_angles(
-            lambda th: pair.values_with_polar(_circle_points(R, th))[0])
-        sup_mean = circle_mean(g_sup, angles, tol)
-
-        def g_v(theta):
-            return v_star.values(_circle_points(r, theta))
-
-        v_mean = circle_mean(g_v, _split_angles_near_radius(pair, r), tol)
-    elif U.dim == 3:
-        def g3_sup(theta, phi):
-            pts = _sphere_points(R, theta, phi)
-            return np.maximum(u_star.values(pts), v_star.values(pts))
-
-        def g3_v(theta, phi):
-            return v_star.values(_sphere_points(r, theta, phi))
-
-        sup_mean = sphere_mean_3d(g3_sup, tol)
-        v_mean = sphere_mean_3d(g3_v, tol)
-    else:
-        raise ValueError(f"supported dimensions are 2 and 3, got {U.dim}")
+        angles_R = _split_angles_near_radius(pair, R)
+        angles_R += _sign_change_angles(
+            _on_sphere(lambda pts: pair.values_with_polar(pts)[0], R, 2))
+        angles_r = _split_angles_near_radius(pair, r)
+    sup_mean = _sphere_mean(sup_values, R, U.dim, angles_R, tol)
+    v_mean = _sphere_mean(v_star.values, r, U.dim, angles_r, tol)
     return CharacteristicRecord(
         "T_difference", r, sup_mean.value - v_mean.value,
         sup_mean.error_estimate + v_mean.error_estimate, R=R,

@@ -144,6 +144,17 @@ def kernel(ctx: DimensionContext, t: ArrayLike) -> ArrayLike:
     return out
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (n, d) array: the same floats as
+    np.linalg.norm(v, axis=1), summing the squared columns left to right,
+    without its slow reduction over 2 or 3 columns."""
+    sq = v * v
+    total = sq[:, 0]
+    for k in range(1, sq.shape[1]):
+        total = total + sq[:, k]
+    return np.sqrt(total)
+
+
 def _kernel_values(d: int, arr: np.ndarray) -> np.ndarray:
     """kernel on an array of radii already known to be >= 0 (distances)."""
     with np.errstate(divide="ignore"):

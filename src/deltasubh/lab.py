@@ -571,22 +571,7 @@ def _sample_disk_point(rng: random.Random, radius: float) -> complex:
 def _min_dist_to_measure(z: complex, mu: BorelMeasure) -> float:
     """Distance from a d=2 point to the support of mu (for rejection)."""
     p = np.array([z.real, z.imag])
-    best = math.inf
-    for comp in mu.components:
-        if isinstance(comp, Atom):
-            best = min(best, float(np.linalg.norm(p - np.asarray(comp.point))))
-        elif isinstance(comp, UniformSegment):
-            a = np.asarray(comp.start)
-            e = np.asarray(comp.end) - a
-            s = float(np.clip((p - a) @ e / (e @ e), 0.0, 1.0))
-            best = min(best, float(np.linalg.norm(a + s * e - p)))
-        elif isinstance(comp, UniformArc):
-            q = float(np.linalg.norm(p - np.asarray(comp.center)))
-            best = min(best, abs(q - comp.radius))  # circle distance suffices
-        elif isinstance(comp, UniformBall):
-            q = float(np.linalg.norm(p - np.asarray(comp.center)))
-            best = min(best, max(0.0, q - comp.radius))
-    return best
+    return min((c.distance_to(p) for c in mu.components), default=math.inf)
 
 
 def _random_measure(rng: random.Random, family: str, r: float) -> BorelMeasure:

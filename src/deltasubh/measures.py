@@ -16,6 +16,11 @@ upper bound (h_{mu1+mu2} <= h_mu1 + h_mu2) which is what inequality
 verification feeds into a right-hand side.
 
 Closed balls throughout: mass sitting at distance exactly t from y counts.
+
+Each component kind carries its own behaviour, so callers never switch on
+the kind: ball_mass, breakpoint_radii, h_single, outer_radius, translate,
+search_starts (modulus search), potential (closed-form kernel potential,
+per point) and distance_to (generator rejection).
 """
 
 from __future__ import annotations
@@ -26,8 +31,9 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import spence
 
-from .geometry import DimensionContext, ext_mul, kernel
+from .geometry import DimensionContext, _kernel_values, _row_norms, ext_mul, kernel
 from .quadrature import QuadratureBudgetError, QuadratureResult, integrate_interval
 
 __all__ = [
@@ -38,6 +44,7 @@ __all__ = [
     "UniformArc",
     "UniformBall",
     "UniformSegment",
+    "UnsupportedModelError",
     "dini_integral",
     "dini_integral_result",
     "dini_limits_check",
@@ -54,6 +61,10 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 Point = tuple  # tuple of d floats
+
+
+class UnsupportedModelError(ValueError):
+    """The charge configuration falls outside the exactly-decomposable family."""
 
 
 def _as_point(p) -> Point:
@@ -103,6 +114,16 @@ class Atom:
         t_arr = np.asarray(t, dtype=float)
         out = np.full_like(t_arr, self.weight)
         return _shaped_like(t, out)
+
+    def search_starts(self, t: float) -> list:
+        return [np.asarray(self.point, dtype=float)]
+
+    def potential(self, pts: np.ndarray, d: int) -> np.ndarray:
+        dist = _row_norms(pts - np.asarray(self.point))
+        return self.weight * _kernel_values(d, dist)
+
+    def distance_to(self, p: np.ndarray) -> float:
+        return float(np.linalg.norm(p - np.asarray(self.point)))
 
     def translate(self, v) -> "Atom":
         return Atom(tuple(p + dv for p, dv in zip(self.point, v)), self.weight)
@@ -170,6 +191,51 @@ class UniformSegment:
         t_arr = np.asarray(t, dtype=float)
         out = self.weight * np.minimum(2.0 * t_arr, self.length) / self.length
         return _shaped_like(t, out)
+
+    def search_starts(self, t: float) -> list:
+        a, b = np.asarray(self.start), np.asarray(self.end)
+        return [0.5 * (a + b), a, b, 0.25 * a + 0.75 * b, 0.75 * a + 0.25 * b]
+
+    def potential(self, pts: np.ndarray, d: int) -> np.ndarray:
+        a = np.asarray(self.start)
+        e = np.asarray(self.end) - a
+        L = self.length
+        ehat = e / L
+        w = pts - a
+        u0 = w @ ehat
+        perp = w - u0[:, None] * ehat
+        h = _row_norms(perp)
+        u_lo = -u0
+        u_hi = L - u0
+
+        if d == 2:
+            def F(u):
+                r2 = u * u + h * h
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    term = 0.5 * u * np.log(r2) - u + h * np.arctan2(u, h)
+                return np.where(r2 == 0.0, 0.0, np.where(h == 0.0,
+                                np.where(u == 0.0, 0.0, u * np.log(np.abs(u)) - u), term))
+            integral = F(u_hi) - F(u_lo)
+            return self.weight / L * integral
+        # d == 3: antiderivative of -1/sqrt(u^2+h^2); -inf on the segment itself
+        on_axis = h == 0.0
+        inside = on_axis & (u_lo <= 0.0) & (u_hi >= 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            safe_h = np.where(on_axis, 1.0, h)
+            F_hi = -np.arcsinh(u_hi / safe_h)
+            F_lo = -np.arcsinh(u_lo / safe_h)
+            # h = 0, interval on one side of 0: integral of -1/|u|
+            F_hi0 = np.where(u_hi > 0, -np.log(np.abs(u_hi)), np.log(np.abs(u_hi)))
+            F_lo0 = np.where(u_lo > 0, -np.log(np.abs(u_lo)), np.log(np.abs(u_lo)))
+        integral = np.where(on_axis, F_hi0 - F_lo0, F_hi - F_lo)
+        integral = np.where(inside, -np.inf, integral)
+        return self.weight / L * integral
+
+    def distance_to(self, p: np.ndarray) -> float:
+        a = np.asarray(self.start)
+        e = np.asarray(self.end) - a
+        s = float(np.clip((p - a) @ e / (e @ e), 0.0, 1.0))
+        return float(np.linalg.norm(a + s * e - p))
 
     def translate(self, v) -> "UniformSegment":
         return UniformSegment(
@@ -276,6 +342,44 @@ class UniformArc:
         )
         return _shaped_like(t, out)
 
+    def search_starts(self, t: float) -> list:
+        on = np.asarray(self.point_at(0.5 * (self.angle_start + self.angle_end)), dtype=float)
+        ctr = np.asarray(self.center, dtype=float)
+        if t >= self.radius:
+            return [on, ctr]
+        # analytic optimum for a lone arc: center at distance
+        # sqrt(rho^2 - t^2) toward the covered mid-angle
+        q = math.sqrt(self.radius ** 2 - t * t)
+        return [on, ctr, ctr + q * ((on - ctr) / self.radius)]
+
+    def potential(self, pts: np.ndarray, d: int) -> np.ndarray:
+        """weight * (ln max(q, rho) - s Im[Li2(b e^{i s a2}) - Li2(b e^{i s a1})] / W)
+        with z = x - center, q = |z|, W = a2 - a1, Li2(x) = spence(1 - x) and
+        (s, b) = (1, rho / z) for q >= rho, (-1, z / rho) inside (Lewin,
+        Polylogarithms and Associated Functions, 1981); the full circle keeps
+        the mean-value form weight * ln max(q, rho)."""
+        if d != 2:
+            raise UnsupportedModelError("arc charges are d=2 only")
+        c = np.asarray(self.center)
+        q = _row_norms(pts - c)
+        log_far = np.log(np.maximum(q, self.radius))
+        if abs(self.width - TWO_PI) <= 1e-12:
+            return self.weight * log_far
+        z = (pts[:, 0] - c[0]) + 1j * (pts[:, 1] - c[1])
+        outside = q >= self.radius
+        sign = np.where(outside, 1.0, -1.0)
+        base = np.where(outside, self.radius / np.where(outside, z, 1.0), z / self.radius)
+        li2_end, li2_start = (spence(1.0 - base * np.exp(1j * sign * a))
+                              for a in (self.angle_end, self.angle_start))
+        return self.weight * (log_far - sign * (li2_end - li2_start).imag / self.width)
+
+    def distance_to(self, p: np.ndarray) -> float:
+        """Distance from p to the full circle: a lower bound of the distance
+        to the arc.  The scenario generators reject points on exactly this
+        value, so it stays the circle distance."""
+        q = float(np.linalg.norm(p - np.asarray(self.center)))
+        return abs(q - self.radius)
+
     def translate(self, v) -> "UniformArc":
         return UniformArc(
             tuple(p + dv for p, dv in zip(self.center, v)),
@@ -333,6 +437,29 @@ class UniformBall:
         ratio = np.clip(t_arr / self.radius, 0.0, 1.0)
         out = self.weight * ratio ** self.dim
         return _shaped_like(t, out)
+
+    def search_starts(self, t: float) -> list:
+        return [np.asarray(self.center, dtype=float)]
+
+    def potential(self, pts: np.ndarray, d: int) -> np.ndarray:
+        c = np.asarray(self.center)
+        q = _row_norms(pts - c)
+        rho = self.radius
+        if d == 2:
+            with np.errstate(divide="ignore"):
+                outside = np.log(np.maximum(q, rho))
+            inside = math.log(rho) - 0.5 + q * q / (2.0 * rho * rho)
+            return self.weight * np.where(q >= rho, outside, inside)
+        if d == 3:
+            with np.errstate(divide="ignore"):
+                outside = -1.0 / np.maximum(q, rho)
+            inside = -(3.0 * rho * rho - q * q) / (2.0 * rho ** 3)
+            return self.weight * np.where(q >= rho, outside, inside)
+        raise UnsupportedModelError(f"ball potentials support d in (2, 3), got {d}")
+
+    def distance_to(self, p: np.ndarray) -> float:
+        q = float(np.linalg.norm(p - np.asarray(self.center)))
+        return max(0.0, q - self.radius)
 
     def translate(self, v) -> "UniformBall":
         return UniformBall(
@@ -521,24 +648,7 @@ def modulus_upper_bound(mu: BorelMeasure, t: float) -> float:
 def _search_starts(mu: BorelMeasure, t: float) -> list:
     starts = [np.zeros(mu.dim)]  # support lies in a ball around the origin
     for c in mu.components:
-        if isinstance(c, Atom):
-            starts.append(np.asarray(c.point, dtype=float))
-        elif isinstance(c, UniformSegment):
-            a, b = np.asarray(c.start), np.asarray(c.end)
-            starts += [0.5 * (a + b), a, b, 0.25 * a + 0.75 * b, 0.75 * a + 0.25 * b]
-        elif isinstance(c, UniformArc):
-            mid = 0.5 * (c.angle_start + c.angle_end)
-            on = np.asarray(c.point_at(mid), dtype=float)
-            ctr = np.asarray(c.center, dtype=float)
-            starts += [on, ctr]
-            if t < c.radius:
-                # analytic optimum for a lone arc: center at distance
-                # sqrt(rho^2 - t^2) toward the covered mid-angle
-                q = math.sqrt(c.radius ** 2 - t * t)
-                direction = (on - ctr) / c.radius
-                starts.append(ctr + q * direction)
-        elif isinstance(c, UniformBall):
-            starts.append(np.asarray(c.center, dtype=float))
+        starts += c.search_starts(t)
     if mu.dim == 2 and len(mu.atoms) >= 2 and t > 0:
         pts, _ = _grouped_atoms(mu)
         for i in range(len(pts)):
@@ -643,7 +753,7 @@ def integrated_counting_result(ctx: DimensionContext, mu: BorelMeasure,
     if not 0.0 <= r < R:
         raise ValueError(f"need 0 <= r < R, got ({r}, {R})")
     center = _as_point(center) if center is not None else (0.0,) * ctx.d
-    atoms = [c for c in mu.components if isinstance(c, Atom)]
+    atoms = mu.atoms
     cont = [c for c in mu.components if not isinstance(c, Atom)]
     value = _exact_atomic_counting(ctx, atoms, r, R, center)
     err = 0.0
@@ -699,13 +809,10 @@ def integrated_counting(ctx: DimensionContext, mu: BorelMeasure,
 
 
 def _h_for_integration(mu: BorelMeasure):
-    """A sound h evaluator for right-hand sides: exact if certifiable for all
-    t, else the subadditive upper bound.  Returns (vectorized fn, flag)."""
-    if len(mu.components) <= 1:
-        if not mu.components:
-            return (lambda t: np.zeros_like(np.asarray(t, dtype=float))), "exact"
-        comp = mu.components[0]
-        return (lambda t: comp.h_single(t)), "exact"
+    """A sound vectorized h evaluator for right-hand sides: exact if
+    certifiable for all t, else the subadditive upper bound."""
+    if len(mu.components) == 1:
+        return mu.components[0].h_single
 
     def upper(t):
         t = np.asarray(t, dtype=float)
@@ -714,7 +821,7 @@ def _h_for_integration(mu: BorelMeasure):
             total = total + c.h_single(t)
         return np.minimum(total, mu.mass)
 
-    return upper, "upper-bound"
+    return upper
 
 
 def dini_integral_result(ctx: DimensionContext, mu: BorelMeasure, upper: float,
@@ -729,9 +836,9 @@ def dini_integral_result(ctx: DimensionContext, mu: BorelMeasure, upper: float,
         raise ValueError("upper must be > 0")
     if not mu.components:
         return QuadratureResult(0.0, 0.0, 0)
-    if any(isinstance(c, Atom) for c in mu.components):
+    if mu.atoms:
         return QuadratureResult(math.inf, 0.0, 0)
-    h_fn, _flag = _h_for_integration(mu)
+    h_fn = _h_for_integration(mu)
     power = ctx.d - 1
 
     def integrand(t):

@@ -15,9 +15,10 @@ The logarithm of the modulus of a rational-type meromorphic function
 f = c e^{p} prod (z-a_i)^{m_i} / prod (z-b_j)^{n_j} is the d=2 bridge case:
 log|f| = ln|c| + Re p + sum m_i ln|z-a_i| - sum n_j ln|z-b_j|.
 
-Potentials of atoms, segments, solid balls and full circles have closed
-forms; partial-arc potentials fall back to a doubling Gauss-Legendre rule
-vectorized over evaluation points.
+The kernel potential of a measure is the sum, in component order, of the
+closed-form potentials its components carry (Atom.potential,
+UniformSegment.potential, UniformArc.potential, UniformBall.potential in the
+measures module); each point's value depends on that point alone.
 
 Pointwise evaluation of U follows the extended-real conventions; the one
 undefined case (-inf) - (-inf) -- x in the polar set of both parts -- is
@@ -33,9 +34,14 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .geometry import _kernel_values
-from .measures import Atom, BorelMeasure, UniformArc, UniformBall, UniformSegment
-from .quadrature import _leggauss
+from .measures import (
+    Atom,
+    BorelMeasure,
+    UniformArc,
+    UniformBall,
+    UniformSegment,
+    UnsupportedModelError,
+)
 
 __all__ = [
     "AffineHarmonic",
@@ -50,10 +56,6 @@ __all__ = [
     "positive_part",
     "potential_values",
 ]
-
-
-class UnsupportedModelError(ValueError):
-    """The charge configuration falls outside the exactly-decomposable family."""
 
 
 @dataclass(frozen=True)
@@ -135,122 +137,12 @@ def _combine_harmonics(a: Optional[HarmonicPart], b: Optional[HarmonicPart],
     raise UnsupportedModelError("cannot combine harmonic parts of different kinds")
 
 
-# ---------------------------------------------------------------------------
-# kernel potentials of the measure primitives
-
-
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of an (n, d) array: the same floats as
-    np.linalg.norm(v, axis=1), summing the squared columns left to right,
-    without its slow reduction over 2 or 3 columns."""
-    sq = v * v
-    total = sq[:, 0]
-    for k in range(1, sq.shape[1]):
-        total = total + sq[:, k]
-    return np.sqrt(total)
-
-
-def _atom_potential(comp: Atom, pts: np.ndarray, d: int) -> np.ndarray:
-    dist = _row_norms(pts - np.asarray(comp.point))
-    return comp.weight * _kernel_values(d, dist)
-
-
-def _segment_potential(comp: UniformSegment, pts: np.ndarray, d: int) -> np.ndarray:
-    a = np.asarray(comp.start)
-    e = np.asarray(comp.end) - a
-    L = comp.length
-    ehat = e / L
-    w = pts - a
-    u0 = w @ ehat
-    perp = w - u0[:, None] * ehat
-    h = _row_norms(perp)
-    u_lo = -u0
-    u_hi = L - u0
-
-    if d == 2:
-        def F(u):
-            r2 = u * u + h * h
-            with np.errstate(divide="ignore", invalid="ignore"):
-                term = 0.5 * u * np.log(r2) - u + h * np.arctan2(u, h)
-            return np.where(r2 == 0.0, 0.0, np.where(h == 0.0,
-                            np.where(u == 0.0, 0.0, u * np.log(np.abs(u)) - u), term))
-        integral = F(u_hi) - F(u_lo)
-        return comp.weight / L * integral
-    # d == 3: antiderivative of -1/sqrt(u^2+h^2); -inf on the segment itself
-    on_axis = h == 0.0
-    inside = on_axis & (u_lo <= 0.0) & (u_hi >= 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        safe_h = np.where(on_axis, 1.0, h)
-        F_hi = -np.arcsinh(u_hi / safe_h)
-        F_lo = -np.arcsinh(u_lo / safe_h)
-        # h = 0, interval on one side of 0: integral of -1/|u|
-        F_hi0 = np.where(u_hi > 0, -np.log(np.abs(u_hi)), np.log(np.abs(u_hi)))
-        F_lo0 = np.where(u_lo > 0, -np.log(np.abs(u_lo)), np.log(np.abs(u_lo)))
-    integral = np.where(on_axis, F_hi0 - F_lo0, F_hi - F_lo)
-    integral = np.where(inside, -np.inf, integral)
-    return comp.weight / L * integral
-
-
-def _arc_potential(comp: UniformArc, pts: np.ndarray, d: int) -> np.ndarray:
-    if d != 2:
-        raise UnsupportedModelError("arc charges are d=2 only")
-    c = np.asarray(comp.center)
-    q = _row_norms(pts - c)
-    if abs(comp.width - 2.0 * math.pi) <= 1e-12:
-        # full circle: mean-value closed form W * ln max(q, rho)
-        with np.errstate(divide="ignore"):
-            return comp.weight * np.log(np.maximum(q, comp.radius))
-    # partial arc: doubling composite Gauss-Legendre, vectorized over points
-    z = (pts[:, 0] - c[0]) + 1j * (pts[:, 1] - c[1])
-    prev = None
-    for panels in (4, 8, 16, 32, 64, 128, 256):
-        xs, ws = _leggauss(12)
-        edges = np.linspace(comp.angle_start, comp.angle_end, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
-        theta = (mid[:, None] + half * xs[None, :]).ravel()
-        wts = np.broadcast_to(half * ws[None, :], (panels, ws.size)).ravel()
-        with np.errstate(divide="ignore"):
-            vals = np.log(np.abs(z[:, None] - comp.radius * np.exp(1j * theta)[None, :]))
-        est = (vals * wts[None, :]).sum(axis=1) / comp.width
-        if prev is not None and float(np.max(np.abs(est - prev))) < 1e-11:
-            return comp.weight * est
-        prev = est
-    return comp.weight * prev
-
-
-def _ball_potential(comp: UniformBall, pts: np.ndarray, d: int) -> np.ndarray:
-    c = np.asarray(comp.center)
-    q = _row_norms(pts - c)
-    rho = comp.radius
-    if d == 2:
-        with np.errstate(divide="ignore"):
-            outside = np.log(np.maximum(q, rho))
-        inside = math.log(rho) - 0.5 + q * q / (2.0 * rho * rho)
-        return comp.weight * np.where(q >= rho, outside, inside)
-    if d == 3:
-        with np.errstate(divide="ignore"):
-            outside = -1.0 / np.maximum(q, rho)
-        inside = -(3.0 * rho * rho - q * q) / (2.0 * rho ** 3)
-        return comp.weight * np.where(q >= rho, outside, inside)
-    raise UnsupportedModelError(f"ball potentials support d in (2, 3), got {d}")
-
-
 def potential_values(measure: BorelMeasure, pts: np.ndarray, d: int) -> np.ndarray:
     """Kernel potential integral k(|x - y|) d nu(y) at each row of pts."""
     pts = np.asarray(pts, dtype=float)
     total = np.zeros(pts.shape[0])
     for comp in measure.components:
-        if isinstance(comp, Atom):
-            total = total + _atom_potential(comp, pts, d)
-        elif isinstance(comp, UniformSegment):
-            total = total + _segment_potential(comp, pts, d)
-        elif isinstance(comp, UniformArc):
-            total = total + _arc_potential(comp, pts, d)
-        elif isinstance(comp, UniformBall):
-            total = total + _ball_potential(comp, pts, d)
-        else:
-            raise UnsupportedModelError(f"unknown component {type(comp).__name__}")
+        total = total + comp.potential(pts, d)
     return total
 
 
@@ -435,18 +327,6 @@ def product(f: MeromorphicFn, g: MeromorphicFn) -> MeromorphicFn:
 # Jordan decomposition and canonical representation
 
 
-def _geometry_key(comp):
-    if isinstance(comp, Atom):
-        return ("atom", comp.point)
-    if isinstance(comp, UniformSegment):
-        return ("segment", comp.start, comp.end)
-    if isinstance(comp, UniformArc):
-        return ("arc", comp.center, comp.radius, comp.angle_start, comp.angle_end)
-    if isinstance(comp, UniformBall):
-        return ("ball", comp.center, comp.radius)
-    raise UnsupportedModelError(f"unknown component {type(comp).__name__}")
-
-
 def _cross_norm(a: np.ndarray, b: np.ndarray) -> float:
     if a.size == 2:
         return abs(float(a[0] * b[1] - a[1] * b[0]))
@@ -486,31 +366,20 @@ def jordan_decomposition(U: DeltaSubharmonicFn):
     continuous components that overlap only partially cannot be decomposed
     exactly and raise UnsupportedModelError.
     """
-    net: dict = {}
-    order: list = []
-    for comp in U.u.riesz.components:
-        key = _geometry_key(comp)
-        if key not in net:
-            order.append(key)
-            net[key] = [comp, 0.0]
-        net[key][1] += comp.weight
-    for comp in U.v.riesz.components:
-        key = _geometry_key(comp)
-        if key not in net:
-            order.append(key)
-            net[key] = [comp, 0.0]
-        net[key][1] -= comp.weight
+    net: dict = {}  # the component at unit weight -> its net weight
+    for sub, sign in ((U.u, 1.0), (U.v, -1.0)):
+        for comp in sub.riesz.components:
+            key = replace(comp, weight=1.0)
+            net[key] = net.get(key, 0.0) + sign * comp.weight
     pos, neg = [], []
-    for key in order:
-        comp, w = net[key]
+    for key, w in net.items():
         if w > 1e-300:
-            pos.append(replace(comp, weight=w))
+            pos.append(replace(key, weight=w))
         elif w < -1e-300:
-            neg.append(replace(comp, weight=-w))
+            neg.append(replace(key, weight=-w))
     for p in pos:
         for q in neg:
-            if not isinstance(p, Atom) and not isinstance(q, Atom) \
-                    and _positively_overlapping(p, q):
+            if _positively_overlapping(p, q):
                 raise UnsupportedModelError(
                     "continuous charge components overlap partially; "
                     "exact Jordan decomposition is unavailable")

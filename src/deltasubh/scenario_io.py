@@ -72,21 +72,25 @@ def _component_from_json(obj: dict, dim: int):
         _fail("NEGATIVE_WEIGHT", f"component weight must be > 0, got {weight}")
     try:
         if kind == "atom":
-            return Atom(tuple(obj["point"]), weight)
-        if kind == "segment":
+            comp = Atom(tuple(obj["point"]), weight)
+        elif kind == "segment":
             a, b = obj["endpoints"]
-            return UniformSegment(tuple(a), tuple(b), weight)
-        if kind == "arc":
+            comp = UniformSegment(tuple(a), tuple(b), weight)
+        elif kind == "arc":
             a0, a1 = obj["angles"]
-            return UniformArc(tuple(obj["center"]), float(obj["radius"]),
+            comp = UniformArc(tuple(obj["center"]), float(obj["radius"]),
                               float(a0), float(a1), weight)
-        if kind == "ball":
-            return UniformBall(tuple(obj["center"]), float(obj["radius"]), weight)
+        elif kind == "ball":
+            comp = UniformBall(tuple(obj["center"]), float(obj["radius"]), weight)
+        else:
+            _fail("MEASURE_SPEC", f"unknown component type {kind!r}")
     except ScenarioError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         _fail("MEASURE_SPEC", f"bad {kind} component: {exc}")
-    _fail("MEASURE_SPEC", f"unknown component type {kind!r}")
+    if comp.dim != dim:
+        _fail("DIMENSION", f"{kind} component has dimension {comp.dim}, not {dim}")
+    return comp
 
 
 def _component_to_json(comp) -> dict:

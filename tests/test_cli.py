@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -60,6 +61,14 @@ def test_parse_error_codes():
 
     bad = json.loads(GOLDEN.read_text())
     bad["dimension"] = 1
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(json.dumps(bad))
+    assert err.value.code == "DIMENSION"
+
+    # a component whose point has the wrong number of coordinates
+    bad = json.loads(GOLDEN.read_text())
+    bad["measure"]["components"] = [{"type": "atom", "point": [0.5, 0.0, 0.0],
+                                     "weight": 1.0}]
     with pytest.raises(ScenarioError) as err:
         parse_scenario(json.dumps(bad))
     assert err.value.code == "DIMENSION"
@@ -292,3 +301,94 @@ def test_env_thread_cap_preserves_output(tmp_path, monkeypatch):
         capture_output=True, text=True, env=env)
     assert proc2.returncode == 0, proc2.stderr
     assert out1.read_bytes() == out2.read_bytes()
+
+
+TWO_PI = 6.283185307179586
+PIN_2D = {
+    "schema_version": "1", "scenario_id": "pin-2d", "dimension": 2,
+    "function": {
+        "type": "delta_subharmonic",
+        "u": {"harmonic": {"poly": [[0.2, 0.0], [0.1, -0.05]]},
+              "charge": [
+                  {"type": "segment", "endpoints": [[-0.8, 0.3], [0.6, -0.4]], "weight": 0.9},
+                  {"type": "ball", "center": [0.5, 0.6], "radius": 0.4, "weight": 0.7},
+                  {"type": "arc", "center": [-0.3, -0.2], "radius": 0.9,
+                   "angles": [0.0, TWO_PI], "weight": 0.6},
+                  {"type": "atom", "point": [1.1, 0.9], "weight": 0.5}]},
+        "v": {"harmonic": None,
+              "charge": [
+                  {"type": "atom", "point": [-1.2, 0.8], "weight": 0.8},
+                  {"type": "ball", "center": [-0.6, -1.0], "radius": 0.5, "weight": 0.4},
+                  {"type": "segment", "endpoints": [[0.9, -1.1], [1.4, -0.2]], "weight": 0.5}]},
+    },
+    "measure": {"components": [
+        {"type": "segment", "endpoints": [[-1.0, -0.5], [0.7, 1.2]], "weight": 0.8},
+        {"type": "arc", "center": [0.2, 0.1], "radius": 0.7, "angles": [0.0, TWO_PI],
+         "weight": 0.5},
+        {"type": "ball", "center": [-0.4, 0.9], "radius": 0.3, "weight": 0.6},
+        {"type": "atom", "point": [1.0, -0.6], "weight": 0.3}]},
+    "radii": {"r": 2.0, "R": 4.0},
+}
+PIN_DISK_UNION = dict(PIN_2D, scenario_id="pin-disk-union", measure={"components": [
+    {"type": "ball", "center": [0.6, 0.4], "radius": 0.5, "weight": 0.8},
+    {"type": "ball", "center": [-0.7, 0.3], "radius": 0.4, "weight": 0.5},
+    {"type": "ball", "center": [0.1, -1.0], "radius": 0.35, "weight": 0.6}]})
+PIN_3D = {
+    "schema_version": "1", "scenario_id": "pin-3d", "dimension": 3,
+    "function": {
+        "type": "delta_subharmonic",
+        "u": {"harmonic": {"affine": {"constant": 0.1, "gradient": [0.2, -0.1, 0.05]}},
+              "charge": [
+                  {"type": "ball", "center": [0.3, 0.2, -0.1], "radius": 0.8, "weight": 0.9},
+                  {"type": "segment", "endpoints": [[-0.5, 0.0, 0.2], [0.4, 0.3, -0.3]],
+                   "weight": 0.6},
+                  {"type": "atom", "point": [-0.4, -0.6, 0.5], "weight": 0.4}]},
+        "v": {"harmonic": None,
+              "charge": [
+                  {"type": "atom", "point": [0.7, -0.3, 0.2], "weight": 0.5},
+                  {"type": "ball", "center": [-0.8, 0.6, -0.5], "radius": 0.3, "weight": 0.3}]},
+    },
+    "measure": {"components": [
+        {"type": "ball", "center": [0.2, -0.3, 0.1], "radius": 0.6, "weight": 0.7},
+        {"type": "segment", "endpoints": [[-0.8, 0.2, 0.0], [0.3, 0.9, -0.5]], "weight": 0.5},
+        {"type": "atom", "point": [0.5, 0.5, 0.5], "weight": 0.2}]},
+    "radii": {"r": 1.5, "R": 3.0},
+}
+# md5 of stdout per (scenario, command); the generated corpus carries only
+# atomic charges, so these are what pins the segment, ball and full-circle
+# charge potentials, canonical T_U, the 3-d sphere means and the modulus
+# search starts
+PINNED_STDOUT = {
+    ("pin-2d", "Tdiff"): "8f17f6af54fde49050fd0b426c5cc365",
+    ("pin-2d", "TdiffC"): "893c2f99ec674aa26ea5e1310a41854b",
+    ("pin-2d", "C+"): "105117a62956b62ec1e4f4e2affe1e08",
+    ("pin-2d", "M"): "931ea9146dbdbea482bc3ebf1b212140",
+    ("pin-3d", "Tdiff"): "a0c70747a3b4a7adb2179051619dbc6f",
+    ("pin-3d", "TdiffC"): "2e266ef82dd19503b59d41184f94424e",
+    ("pin-3d", "C+"): "af72c8a565eb888e624b4e3a946ac31e",
+    ("pin-3d", "M"): "faa26312bb58e6c8f8326e711facf071",
+    ("pin-2d", "auto"): "b63713cb4f44659bb842c8ea93250f0f",
+    ("pin-2d", "upper"): "c3651186304887789faf0c28e4266f97",
+    ("pin-disk-union", "auto"): "424a57a6c687e9cfe2edb5dc667a6913",
+    ("pin-disk-union", "upper"): "82799362e8e1f316a1f9c4b003811cce",
+    ("pin-3d", "auto"): "0b9edc0fff95f53da2c82ab93eca96f1",
+    ("pin-3d", "upper"): "dcb52053e83ec256dbb7dfd1959d862a",
+}
+
+
+def test_characteristic_and_modulus_stdout_is_pinned(tmp_path, capsys):
+    paths = {}
+    for obj in (PIN_2D, PIN_DISK_UNION, PIN_3D):
+        paths[obj["scenario_id"]] = tmp_path / f"{obj['scenario_id']}.json"
+        paths[obj["scenario_id"]].write_text(json.dumps(obj))
+    got = {}
+    for name, arg in PINNED_STDOUT:
+        if arg in ("auto", "upper"):
+            argv = ["modulus", str(paths[name]), "--t-grid", "0.1:0.9:0.4",
+                    "--method", arg]
+        else:
+            grid = "1.5:3.0:0.75" if name == "pin-2d" else "1.0:2.0:1.0"
+            argv = ["characteristic", str(paths[name]), "--kind", arg, "--r-grid", grid]
+        assert main(argv) == 0
+        got[name, arg] = hashlib.md5(capsys.readouterr().out.encode()).hexdigest()
+    assert got == PINNED_STDOUT

@@ -4,10 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from deltasubh.geometry import DimensionContext, kernel
+from deltasubh.geometry import DimensionContext, _row_norms, kernel
 from deltasubh.measures import Atom, BorelMeasure, UniformArc, UniformBall, UniformSegment
 from deltasubh.potentials import (
-    _row_norms,
     AffineHarmonic,
     DeltaSubharmonicFn,
     HarmonicPolynomial,
@@ -314,3 +313,36 @@ def test_row_norms_equal_linalg_norm_bit_for_bit(d):
     want = 0.7 * kernel(DimensionContext(d), np.linalg.norm(pts - p, axis=1))
     assert np.array_equal(got, want)
     assert got[17] == -np.inf
+
+
+def test_partial_arc_potential_of_a_point_is_independent_of_its_batch():
+    arc = BorelMeasure((UniformArc((0.0, 0.0), 1.0, 0.2, 2.0, 1.0),))
+    far = np.array([[3.0, 0.5]])
+    near = (1.0 + 1e-6) * np.array([[math.cos(1.0), math.sin(1.0)]])
+    alone = potential_values(arc, far, 2)
+    together = potential_values(arc, np.vstack([far, near]), 2)
+    assert alone[0] == together[0]
+
+
+@pytest.mark.parametrize("angles", [(0.2, 2.0), (-1.0, 3.5)])
+def test_partial_arc_potential_matches_mpmath(angles):
+    mp = pytest.importorskip("mpmath").mp
+    a1, a2 = angles
+    c, rho, w = np.array([0.3, -0.2]), 1.4, 1.3
+    comp = UniformArc(tuple(c), rho, a1, a2, w)
+    mid = 0.5 * (a1 + a2)
+
+    def at(radius, ang):
+        return c + radius * np.array([math.cos(ang), math.sin(ang)])
+
+    # far, near the arc, on the arc, an endpoint, the centre
+    pts = np.array([[3.0, 0.5], at(1.01 * rho, mid), at(rho, mid), at(rho, a1), c])
+    got = potential_values(BorelMeasure((comp,)), pts, 2)
+    with mp.workdps(30):
+        for p, value in zip(pts, got):
+            z = mp.mpc(*(p - c))
+            # split at the point's angle, where the integrand dips
+            ang = a1 + (float(mp.arg(z)) - a1) % (2.0 * math.pi) if z != 0 else a1
+            nodes = [a1, ang, a2] if a1 < ang < a2 else [a1, a2]
+            ref = w * mp.quad(lambda a: mp.log(abs(z - rho * mp.expj(a))), nodes) / (a2 - a1)
+            assert abs(value - float(ref)) <= 1e-14, p
