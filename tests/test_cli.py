@@ -392,3 +392,69 @@ def test_characteristic_and_modulus_stdout_is_pinned(tmp_path, capsys):
         assert main(argv) == 0
         got[name, arg] = hashlib.md5(capsys.readouterr().out.encode()).hexdigest()
     assert got == PINNED_STDOUT
+PIN_ARC = {
+    "schema_version": "1", "scenario_id": "pin-arc", "dimension": 2,
+    "function": {"type": "meromorphic",
+                 "zeros": [{"point": [1.22, 0.12], "multiplicity": 1}],
+                 "poles": [{"point": [-0.015, -0.897], "multiplicity": 1},
+                           {"point": [-0.229, 1.037], "multiplicity": 1}],
+                 "unit_factor": [0.8, 0.3], "exponent": []},
+    "measure": {"components": [
+        {"type": "arc", "center": [0.2, 0.1], "radius": 1.0, "angles": [-0.2, 3.5],
+         "weight": 1.0}]},
+    "radii": {"r": 1.5, "R": 3.5},
+}
+# md5 of stdout per command line ({pin-3d}, {pin-arc}: the scenario files).
+# These reach what neither the corpus nor the pins above do: the 3-d
+# Poisson-Jensen boundary mean and reflected potentials; the arc integral's
+# split at a pole within 5 % of its circle and inside its angles (a zero
+# there, and a pole within 5 % but outside them, add no split that moves a
+# byte: U+ vanishes near a zero); the near-circle split angles of m(r, f)
+# and C_{U+}(r) (the zero and the pole lie within 5 % of r = 1.2 and 0.9);
+# and the --tol-mean/--tol-dini overrides.
+PINNED_RUNS = {
+    "verify pin-3d": "verify {pin-3d} --checks UR,Ux,U+B,dBr",
+    "verify pin-arc": "verify {pin-arc} --checks UR,UR2,UR2f,UR2fr,Ux,U+B,dBr",
+    "verify pin-arc mean": "verify {pin-arc} --tol-mean 1e-5",
+    "verify pin-arc dini": "verify {pin-arc} --tol-dini 1e-4",
+    "m pin-arc": "characteristic {pin-arc} --kind m --r-grid 0.9:1.2:0.3",
+    "C+ pin-arc": "characteristic {pin-arc} --kind C+ --r-grid 0.9:1.2:0.3",
+    "C+ pin-arc mean": "characteristic {pin-arc} --kind C+ --r-grid 0.9:1.2:0.3 "
+                       "--tol-mean 1e-5",
+    "C+ pin-arc dini": "characteristic {pin-arc} --kind C+ --r-grid 0.9:1.2:0.3 "
+                       "--tol-dini 1e-4",
+    "corpus": "corpus --seed 3 --count 4",
+    "corpus tols": "corpus --seed 3 --count 4 --tol-mean 1e-6 --tol-dini 1e-4",
+    "verify pin-arc default": "verify {pin-arc}",
+}
+PINNED_RUN_STDOUT = {
+    "verify pin-3d": "1b31483e57188f0be76ebc865d8579d2",
+    "verify pin-arc": "fc0eff2927d7f421b7630603f6e4d4b9",
+    "verify pin-arc mean": "8d017f9abe49357e9be81de1b1a2ab19",
+    "verify pin-arc dini": "716df3a3bea15eb02db319a64ba21ef5",
+    "m pin-arc": "e7db2afda0c6e2f48d9005c24ab4429c",
+    "C+ pin-arc": "7cba73fae4b082bdf3e402d8fd728d70",
+    "C+ pin-arc mean": "2d1a3ffcc46b840f257d2082816cc0b8",
+    "C+ pin-arc dini": "7cba73fae4b082bdf3e402d8fd728d70",
+    "corpus": "8c47b97785b86c08cb6ffd192d5864d4",
+    "corpus tols": "667264528ad85c52b63935ab54164985",
+    "verify pin-arc default": "9d249b6dc81516809aa9b2feb6a514ee",
+}
+
+
+def test_unpinned_paths_and_tolerance_flags_stdout_is_pinned(tmp_path, capsys):
+    paths = {}
+    for obj in (PIN_3D, PIN_ARC):
+        paths[obj["scenario_id"]] = tmp_path / f"{obj['scenario_id']}.json"
+        paths[obj["scenario_id"]].write_text(json.dumps(obj))
+    got = {}
+    for label, line in PINNED_RUNS.items():
+        assert main(line.format(**paths).split()) == 0
+        got[label] = hashlib.md5(capsys.readouterr().out.encode()).hexdigest()
+    # each override reaches the output; characteristics take no Dini tolerance
+    assert got["verify pin-arc mean"] != got["verify pin-arc default"]
+    assert got["verify pin-arc dini"] != got["verify pin-arc default"]
+    assert got["C+ pin-arc mean"] != got["C+ pin-arc"]
+    assert got["C+ pin-arc dini"] == got["C+ pin-arc"]
+    assert got["corpus tols"] != got["corpus"]
+    assert got == PINNED_RUN_STDOUT
