@@ -15,6 +15,9 @@ For meromorphic f the classical quantities m, N, T are tied to the
 delta-subharmonic ones by the bridge identities: m(r,f) = C over the circle
 of ln^+|f|, N(R,f) - N(r,f) = N_{charge^-}(r,R), and
 T(R,f) - N(r,f) = T_{log|f|}(r,R).
+
+The split, kink and sphere rules of these quadratures live here, and lab
+reuses them: _angles_near_circle, _sign_changes and _sphere_mean.
 """
 
 from __future__ import annotations
@@ -109,24 +112,23 @@ def _charge_atom_points(U: DeltaSubharmonicFn) -> list:
     return [np.asarray(c.point, dtype=float) for c in U.u.riesz.atoms + U.v.riesz.atoms]
 
 
-def _split_angles_near_radius(U: DeltaSubharmonicFn, r: float,
-                              band: float = 0.05) -> list:
-    """Angles of charge atoms (d=2) within a relative band of the circle
-    |x| = r; passing these to the quadrature concentrates refinement where
-    the integrand has (near-)singular dips."""
-    out = []
-    for p in _charge_atom_points(U):
-        if abs(float(np.hypot(p[0], p[1])) - r) <= band * max(r, 1e-300):
-            out.append(math.atan2(p[1], p[0]))
-    return out
+def _angles_near_circle(points, r: float) -> list:
+    """Angles of the d=2 points within 5 % of r of the circle |x| = r, where
+    integrands on it peak or dip: the split rule of _circle_splits (charge
+    atoms), nevanlinna_m (zeros, poles) and lab._arc_integral (about its centre)."""
+    return [math.atan2(p[1], p[0]) for p in points
+            if abs(float(np.hypot(p[0], p[1])) - r) <= 0.05 * max(r, 1e-300)]
 
 
-def _bisect_sign_changes(evaluator, lo, hi, f_lo, steps: int) -> list:
-    """Midpoints of the brackets [lo[i], hi[i]] after `steps` bisections, all
-    brackets in one evaluator call per step; f_lo holds the (nonzero) values
-    at lo.  A bracket stops early at a midpoint whose value is non-finite or
-    exactly 0, as a bisection of that bracket alone would."""
-    lo, hi, f_lo = (np.array(v, dtype=float) for v in (lo, hi, f_lo))
+def _sign_changes(evaluator, lo, hi, f_lo, f_hi, steps: int) -> list:
+    """Sign changes of evaluator between scan nodes lo[i] < hi[i] whose values
+    f_lo[i], f_hi[i] are finite with opposite signs: the midpoints after
+    `steps` bisections, one evaluator call per step for all brackets; a
+    bracket stops early at a non-finite or zero midpoint value.  The kink
+    scan of _sign_change_angles (a circle) and lab._arc_integral (an arc)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        i = np.flatnonzero(np.isfinite(f_lo) & np.isfinite(f_hi) & (f_lo * f_hi < 0.0))
+    lo, hi, f_lo = (np.asarray(v, dtype=float)[i] for v in (lo, hi, f_lo))
     open_ = np.arange(lo.size)
     for _ in range(steps):
         if not open_.size:
@@ -147,11 +149,19 @@ def _sign_change_angles(evaluator, n: int = 2048) -> list:
     located by a dense scan plus bisection, used as kink split points."""
     theta = TWO_PI * np.arange(n) / n
     vals = np.asarray(evaluator(theta), dtype=float)
-    nxt = np.roll(vals, -1)
-    with np.errstate(over="ignore"):
-        change = np.isfinite(vals) & np.isfinite(nxt) & (vals != 0.0) & (vals * nxt < 0.0)
-    i = np.flatnonzero(change)
-    return _bisect_sign_changes(evaluator, theta[i], theta[i] + TWO_PI / n, vals[i], 48)
+    return _sign_changes(evaluator, theta, theta + TWO_PI / n, vals, np.roll(vals, -1), 48)
+
+
+def _circle_splits(U: DeltaSubharmonicFn, r: float, kinks: bool) -> list:
+    """Split angles of a mean over |x| = r (none in d=3): charge atoms near the
+    circle and, with kinks, the sign changes of U on it."""
+    if U.dim != 2:
+        return []
+    angles = _angles_near_circle(_charge_atom_points(U), r)
+    if kinks:
+        angles += _sign_change_angles(
+            _on_sphere(lambda pts: U.values_with_polar(pts)[0], r, 2))
+    return angles
 
 
 def spherical_mean(U: DeltaSubharmonicFn, r: float, transform: str = "identity",
@@ -161,14 +171,8 @@ def spherical_mean(U: DeltaSubharmonicFn, r: float, transform: str = "identity",
         raise ValueError("r must be > 0")
     if transform not in TRANSFORMS:
         raise ValueError(f"unknown transform {transform!r}")
-    angles = []
-    if U.dim == 2:
-        angles = _split_angles_near_radius(U, r)
-        if transform in ("positive", "negative", "abs"):
-            angles += _sign_change_angles(
-                _on_sphere(lambda pts: U.values_with_polar(pts)[0], r, 2))
-    res = _sphere_mean(lambda pts: _transformed_values(U, pts, transform),
-                       r, U.dim, angles, tol)
+    res = _sphere_mean(lambda pts: _transformed_values(U, pts, transform), r, U.dim,
+                       _circle_splits(U, r, transform != "identity"), tol)
     return CharacteristicRecord("C_mean", r, res.value, res.error_estimate,
                                 transform=transform)
 
@@ -188,14 +192,6 @@ def sup_on_sphere(U: DeltaSubharmonicFn, r: float, transform: str = "identity",
 # classical Nevanlinna quantities for meromorphic f
 
 
-def _pole_zero_split_angles(f: MeromorphicFn, r: float, band: float = 0.05) -> list:
-    out = []
-    for a, _ in f.zeros + f.poles:
-        if abs(abs(a) - r) <= band * max(r, 1e-300):
-            out.append(math.atan2(a.imag, a.real))
-    return out
-
-
 def nevanlinna_m(f: MeromorphicFn, r: float, tol: float = 1e-8) -> CharacteristicRecord:
     """m(r, f): circle mean of ln^+ |f|.
 
@@ -206,13 +202,12 @@ def nevanlinna_m(f: MeromorphicFn, r: float, tol: float = 1e-8) -> Characteristi
     if not r > 0:
         raise ValueError("r must be > 0")
 
-    def g(theta):
-        z = r * np.exp(1j * theta)
-        return np.maximum(f.log_abs(z), 0.0)
+    def log_abs(theta):
+        return f.log_abs(r * np.exp(1j * theta))
 
-    angles = _pole_zero_split_angles(f, r)
-    angles += _sign_change_angles(lambda th: f.log_abs(r * np.exp(1j * th)))
-    res = circle_mean(g, angles, tol)
+    angles = _angles_near_circle([(a.real, a.imag) for a, _ in f.zeros + f.poles], r)
+    angles += _sign_change_angles(log_abs)
+    res = circle_mean(lambda theta: np.maximum(log_abs(theta), 0.0), angles, tol)
     return CharacteristicRecord("m_classical", r, res.value, res.error_estimate)
 
 
@@ -274,14 +269,8 @@ def difference_characteristic_canonical(U: DeltaSubharmonicFn, r: float, R: floa
     def sup_values(pts):
         return np.maximum(u_star.values(pts), v_star.values(pts))
 
-    angles_R, angles_r = [], []
-    if U.dim == 2:
-        angles_R = _split_angles_near_radius(pair, R)
-        angles_R += _sign_change_angles(
-            _on_sphere(lambda pts: pair.values_with_polar(pts)[0], R, 2))
-        angles_r = _split_angles_near_radius(pair, r)
-    sup_mean = _sphere_mean(sup_values, R, U.dim, angles_R, tol)
-    v_mean = _sphere_mean(v_star.values, r, U.dim, angles_r, tol)
+    sup_mean = _sphere_mean(sup_values, R, U.dim, _circle_splits(pair, R, True), tol)
+    v_mean = _sphere_mean(v_star.values, r, U.dim, _circle_splits(pair, r, False), tol)
     return CharacteristicRecord(
         "T_difference", r, sup_mean.value - v_mean.value,
         sup_mean.error_estimate + v_mean.error_estimate, R=R,

@@ -25,6 +25,7 @@ import csv
 import io
 import os
 import sys
+from dataclasses import replace
 from functools import partial
 from typing import Optional, Sequence
 
@@ -91,14 +92,14 @@ def _load_scenario(path: str) -> Scenario:
         return parse_scenario(fh.read())
 
 
+def _tolerances(base: Tolerances, args) -> Tolerances:
+    """base with the --tol-mean and --tol-dini overrides applied."""
+    given = {"mean": args.tol_mean, "dini": args.tol_dini}
+    return replace(base, **{k: v for k, v in given.items() if v is not None})
+
+
 def _apply_tol_overrides(s: Scenario, args) -> Scenario:
-    from dataclasses import replace
-    tols = s.tolerances
-    if getattr(args, "tol_mean", None) is not None:
-        tols = replace(tols, mean=args.tol_mean)
-    if getattr(args, "tol_dini", None) is not None:
-        tols = replace(tols, dini=args.tol_dini)
-    return replace(s, tolerances=tols)
+    return replace(s, tolerances=_tolerances(s.tolerances, args))
 
 
 def _write_rows(rows, out_path: Optional[str]) -> str:
@@ -201,12 +202,8 @@ def _cmd_verify(args) -> int:
 def _cmd_corpus(args) -> int:
     checks = tuple(args.checks.split(",")) if args.checks else ("UR", "UR2", "UR2f", "UR2fr")
     families = tuple(args.families.split(",")) if args.families else None
-    tols = Tolerances(
-        mean=args.tol_mean if args.tol_mean is not None else Tolerances.mean,
-        dini=args.tol_dini if args.tol_dini is not None else Tolerances.dini,
-    )
     config = CorpusConfig(count=args.count, checks=checks,
-                          tolerances=tols, timing=args.timing,
+                          tolerances=_tolerances(Tolerances(), args), timing=args.timing,
                           **({"families": families} if families else {}))
     threads = int(os.environ.get("DELTASUBH_THREADS", "1"))
     rows = _run_corpus_parallel(config, args.seed, threads)

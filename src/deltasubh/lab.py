@@ -33,8 +33,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .characteristics import (
-    _bisect_sign_changes,
+    _angles_near_circle,
     _charge_atom_points,
+    _sign_changes,
+    _sphere_mean,
     difference_characteristic,
     nevanlinna_N,
     nevanlinna_T,
@@ -58,13 +60,7 @@ from .potentials import (
     positive_part,
     potential_values,
 )
-from .quadrature import (
-    QuadratureResult,
-    _gl_nodes,
-    circle_mean,
-    integrate_interval,
-    sphere_mean_3d,
-)
+from .quadrature import QuadratureResult, _gl_nodes, integrate_interval
 
 __all__ = [
     "CorpusConfig",
@@ -191,22 +187,16 @@ def _arc_integral(U, comp: UniformArc, tol: float) -> QuadratureResult:
         return U.positive_values(curve(theta))
 
     splits = []
-    for p in _charge_atom_points(U):
-        q = float(np.linalg.norm(p - c))
-        if abs(q - comp.radius) <= 0.05 * comp.radius:
-            ang = math.atan2(p[1] - c[1], p[0] - c[0])
-            rel = (ang - comp.angle_start) % (2.0 * math.pi)
-            if rel <= comp.width:
-                splits.append(comp.angle_start + rel)
+    for ang in _angles_near_circle([p - c for p in _charge_atom_points(U)], comp.radius):
+        rel = (ang - comp.angle_start) % (2.0 * math.pi)
+        if rel <= comp.width:
+            splits.append(comp.angle_start + rel)
     # kinks of U^+ where U crosses zero along the arc
     n_scan = 512
     th_scan = comp.angle_start + comp.width * (np.arange(n_scan) + 0.5) / n_scan
     vals = U.values_with_polar(curve(th_scan))[0]
-    sign = np.sign(vals)
-    i = np.flatnonzero(np.isfinite(vals[:-1]) & np.isfinite(vals[1:])
-                       & (sign[:-1] * sign[1:] < 0))
-    splits += _bisect_sign_changes(lambda th: U.values_with_polar(curve(th))[0],
-                                   th_scan[i], th_scan[i + 1], vals[i], 40)
+    splits += _sign_changes(lambda th: U.values_with_polar(curve(th))[0],
+                            th_scan[:-1], th_scan[1:], vals[:-1], vals[1:], 40)
     res = integrate_interval(g, comp.angle_start, comp.angle_end, splits,
                              tol * comp.width / max(comp.weight, 1e-300))
     return res.scaled(comp.weight / comp.width)
@@ -466,24 +456,15 @@ def verify_poisson_jensen(U: DeltaSubharmonicFn, R: float,
             skipped.append(tuple(x))
             continue
         q2 = float(x @ x)
-        if d == 2:
-            def g(theta):
-                y = np.column_stack([R * np.cos(theta), R * np.sin(theta)])
-                dist2 = ((y - x[None, :]) ** 2).sum(axis=1)
-                vals, polar = U.values_with_polar(y)
-                return np.where(polar, np.nan, (R * R - q2) / dist2 * vals)
 
-            boundary = circle_mean(g, (), tol)
-        else:
-            def g3(theta, phi):
-                st = np.sin(theta)
-                y = np.column_stack([R * st * np.cos(phi), R * st * np.sin(phi),
-                                     R * np.cos(theta)])
-                dist = np.sqrt(((y - x[None, :]) ** 2).sum(axis=1))
-                vals, polar = U.values_with_polar(y)
-                return np.where(polar, np.nan, R * (R * R - q2) / dist ** 3 * vals)
+        def poisson(y):
+            dist2 = ((y - x[None, :]) ** 2).sum(axis=1)
+            vals, polar = U.values_with_polar(y)
+            kern = ((R * R - q2) / dist2 if d == 2
+                    else R * (R * R - q2) / np.sqrt(dist2) ** 3)
+            return np.where(polar, np.nan, kern * vals)
 
-            boundary = sphere_mean_3d(g3, tol)
+        boundary = _sphere_mean(poisson, R, d, (), tol)
         green = 0.0
         for nu, sign in ((plus, 1.0), (minus, -1.0)):
             if nu.mass == 0.0:
@@ -530,7 +511,7 @@ def verify_pointwise_bound(U: DeltaSubharmonicFn, r: float, R: float,
     budget = coeff * c_plus.error_estimate
     ok = all(sl >= -budget for sl in slacks)
     return PointReport(points, slacks, relative, skipped,
-                       max((abs(s) for s in slacks), default=0.0),
+                       max((abs(v) for v in relative), default=0.0),
                        PASS if ok else FAIL)
 
 
@@ -560,18 +541,21 @@ def _rng_for(seed: int, index: int, family: str) -> random.Random:
     return random.Random(f"{seed}:{index}:{family}")
 
 
-def _sample_disk_point(rng: random.Random, radius: float) -> complex:
-    while True:
-        x = rng.uniform(-radius, radius)
-        y = rng.uniform(-radius, radius)
-        if x * x + y * y <= radius * radius:
-            return complex(x, y)
-
-
 def _min_dist_to_measure(z: complex, mu: BorelMeasure) -> float:
     """Distance from a d=2 point to the support of mu (for rejection)."""
     p = np.array([z.real, z.imag])
     return min((c.distance_to(p) for c in mu.components), default=math.inf)
+
+
+def _clear_point(rng: random.Random, R: float, mu: BorelMeasure,
+                 margin: float) -> complex:
+    """A point of B(0.8 R) at least 0.05 from the origin and margin from the
+    support of mu, by rejection: where the generators put zeros, poles and
+    charge atoms."""
+    while True:
+        z = complex(*_point_in_ball(rng, 0.8 * R, 2))
+        if abs(z) >= 0.05 and _min_dist_to_measure(z, mu) >= margin:
+            return z
 
 
 def _random_measure(rng: random.Random, family: str, r: float) -> BorelMeasure:
@@ -621,21 +605,13 @@ def _random_rational(rng: random.Random, R: float, mu: BorelMeasure,
     if n_zero + n_pole == 0:
         n_zero = 1
 
-    def draw() -> complex:
-        while True:
-            z = _sample_disk_point(rng, 0.8 * R)
-            if abs(z) < 0.05:
-                continue
-            if _min_dist_to_measure(z, mu) < margin:
-                continue
-            return z
-
-    zeros = tuple((draw(), rng.choice([1, 1, 2])) for _ in range(n_zero))
+    zeros = tuple((_clear_point(rng, R, mu, margin), rng.choice([1, 1, 2]))
+                  for _ in range(n_zero))
     poles = []
     taken = {a for a, _ in zeros}
     for _ in range(n_pole):
         while True:
-            b = draw()
+            b = _clear_point(rng, R, mu, margin)
             if b not in taken:
                 break
         taken.add(b)
@@ -660,10 +636,7 @@ def _random_charge_pair(rng: random.Random, R: float, mu: BorelMeasure,
     def draw_atoms(count):
         atoms = []
         for _ in range(count):
-            while True:
-                z = _sample_disk_point(rng, 0.8 * R)
-                if abs(z) >= 0.05 and _min_dist_to_measure(z, mu) >= margin:
-                    break
+            z = _clear_point(rng, R, mu, margin)
             atoms.append(Atom((z.real, z.imag), rng.uniform(0.2, 1.5)))
         return tuple(atoms)
 

@@ -639,10 +639,7 @@ def modulus_of_continuity_exact(mu: BorelMeasure, t: float):
 
 def modulus_upper_bound(mu: BorelMeasure, t: float) -> float:
     """Subadditive upper bound: sum of the exact single-component moduli."""
-    exact = modulus_of_continuity_exact(mu, t)
-    if exact is not None:
-        return exact
-    return float(sum(c.h_single(t) for c in mu.components))
+    return _modulus(mu, t, "upper")[0]
 
 
 def _search_starts(mu: BorelMeasure, t: float) -> list:
@@ -678,8 +675,20 @@ def modulus_lower_bound(mu: BorelMeasure, t: float) -> float:
 def modulus_of_continuity(mu: BorelMeasure, t: float) -> float:
     """h_mu(t) = sup_y mu(B_y(t)): exact when certifiable, else a search
     lower bound (see modulus_profile for the per-point exactness flag)."""
+    return _modulus(mu, t, "auto")[0]
+
+
+def _modulus(mu: BorelMeasure, t: float, method: str) -> tuple:
+    """(h_mu(t), flag): the exact value where certifiable, else the
+    subadditive upper bound (method "upper") or the search lower bound.  The
+    one choice behind modulus_of_continuity, modulus_upper_bound and
+    modulus_profile."""
     exact = modulus_of_continuity_exact(mu, t)
-    return exact if exact is not None else modulus_lower_bound(mu, t)
+    if exact is not None:
+        return exact, "exact"
+    if method == "upper":
+        return float(sum(c.h_single(t) for c in mu.components)), "upper-bound"
+    return modulus_lower_bound(mu, t), "lower-bound"
 
 
 @dataclass(frozen=True)
@@ -708,19 +717,9 @@ def modulus_profile(mu: BorelMeasure, radii: Sequence[float],
     non-certifiable points (what inequality verification wants).
     """
     radii = tuple(float(t) for t in radii)
-    values, flags = [], []
-    for t in radii:
-        exact = modulus_of_continuity_exact(mu, t)
-        if exact is not None:
-            values.append(exact)
-            flags.append("exact")
-        elif method == "upper":
-            values.append(modulus_upper_bound(mu, t))
-            flags.append("upper-bound")
-        else:
-            values.append(modulus_lower_bound(mu, t))
-            flags.append("lower-bound")
-    return ModulusProfile(radii, tuple(values), tuple(flags), mu.mass)
+    pairs = [_modulus(mu, t, method) for t in radii]
+    return ModulusProfile(radii, tuple(v for v, _ in pairs),
+                          tuple(flag for _, flag in pairs), mu.mass)
 
 
 # ---------------------------------------------------------------------------

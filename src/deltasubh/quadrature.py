@@ -366,10 +366,11 @@ def sphere_mean_3d(
             logger.debug("perturbed sphere nodes off a singular point")
         nodes += vals.size
         mean = 0.5 * float(np.dot(w, vals.reshape(n, 2 * n).mean(axis=1)))
-        if prev is not None and abs(mean - prev) <= tol:
-            return QuadratureResult(mean, abs(mean - prev), nodes)
+        diff = math.inf if prev is None else abs(mean - prev)
+        if diff <= tol:
+            return QuadratureResult(mean, diff, nodes)
         prev = mean
-    return QuadratureResult(prev, abs(mean - prev) if prev is not None else math.inf, nodes)
+    return QuadratureResult(prev, diff, nodes)  # not converged: the last change
 
 
 def _golden_max(h, lo: float, hi: float, value_tol: float) -> float:

@@ -365,7 +365,7 @@ PINNED_STDOUT = {
     ("pin-2d", "M"): "931ea9146dbdbea482bc3ebf1b212140",
     ("pin-3d", "Tdiff"): "a0c70747a3b4a7adb2179051619dbc6f",
     ("pin-3d", "TdiffC"): "2e266ef82dd19503b59d41184f94424e",
-    ("pin-3d", "C+"): "af72c8a565eb888e624b4e3a946ac31e",
+    ("pin-3d", "C+"): "a4085361ed81bac1fe099ead2369a2d5",
     ("pin-3d", "M"): "faa26312bb58e6c8f8326e711facf071",
     ("pin-2d", "auto"): "b63713cb4f44659bb842c8ea93250f0f",
     ("pin-2d", "upper"): "c3651186304887789faf0c28e4266f97",

@@ -286,6 +286,15 @@ def test_pointwise_bound_examples():
     assert rep2.verdict == "pass"
 
 
+def test_pointwise_bound_max_relative_is_relative():
+    # slack / max(1, |rhs|) per point, as in the Poisson-Jensen report
+    f = _mero(zeros=[(0.5 + 0.2j, 1)], poles=[(-0.6 + 0.4j, 2)], unit=1.3)
+    rep = verify_pointwise_bound(f.to_delta_subharmonic(), 1.2, 2.5,
+                                 [(0.1, 0.2), (0.9, -0.3), (-0.2, -0.7)], tol=1e-9)
+    assert rep.max_relative == max(abs(v) for v in rep.relative)
+    assert rep.max_relative <= 1.0 < max(abs(v) for v in rep.residuals)
+
+
 def test_pointwise_bound_random_scenarios():
     rng = random.Random(53)
     for index in range(5):

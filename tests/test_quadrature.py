@@ -154,6 +154,26 @@ def test_sphere_mean_odd_function():
     assert res.value == pytest.approx(0.0, abs=1e-12)
 
 
+def test_sphere_mean_reports_last_change_when_levels_run_out():
+    # the cap theta < 1 has mean (1 - cos 1) / 2; its rim keeps every level
+    # from converging to 1e-12, so the estimate is the last doubling change
+    def g(th, ph):
+        return (th < 1.0).astype(float)
+
+    def level_mean(n):
+        u, w = quadrature._leggauss(n)
+        phi = 2.0 * math.pi * np.arange(2 * n) / (2 * n)
+        U, PHI = np.meshgrid(u, phi, indexing="ij")
+        vals = g(np.arccos(U.ravel()), PHI.ravel())
+        return 0.5 * float(np.dot(w, vals.reshape(n, 2 * n).mean(axis=1)))
+
+    res = sphere_mean_3d(g, tol=1e-12)
+    assert res.value == level_mean(1024)
+    assert res.value == pytest.approx((1.0 - math.cos(1.0)) / 2.0, abs=1e-3)
+    assert res.error_estimate > 0.0
+    assert res.error_estimate == abs(level_mean(1024) - level_mean(512))
+
+
 def test_sphere_sup_2d_anchors():
     # max over theta of |2 e^{i theta} - 1| is 3 at theta = pi
     def g(th):
