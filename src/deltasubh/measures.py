@@ -202,7 +202,9 @@ class UniformSegment:
         L = self.length
         ehat = e / L
         w = pts - a
-        u0 = w @ ehat
+        u0 = w[:, 0] * ehat[0]  # left to right, as _row_norms: node by node
+        for k in range(1, w.shape[1]):
+            u0 = u0 + w[:, k] * ehat[k]
         perp = w - u0[:, None] * ehat
         h = _row_norms(perp)
         u_lo = -u0

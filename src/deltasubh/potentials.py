@@ -104,7 +104,13 @@ class AffineHarmonic:
         return len(self.gradient)
 
     def values(self, pts: np.ndarray) -> np.ndarray:
-        return self.constant + pts @ np.asarray(self.gradient)
+        # columns summed left to right, not by a BLAS product, so each
+        # point's value is the same floats whatever shares its call
+        g = self.gradient
+        total = self.constant + pts[:, 0] * g[0]
+        for k in range(1, len(g)):
+            total = total + pts[:, k] * g[k]
+        return total
 
     def __neg__(self) -> "AffineHarmonic":
         return AffineHarmonic(-self.constant, tuple(-g for g in self.gradient))

@@ -360,13 +360,13 @@ PIN_3D = {
 # search starts
 PINNED_STDOUT = {
     ("pin-2d", "Tdiff"): "8f17f6af54fde49050fd0b426c5cc365",
-    ("pin-2d", "TdiffC"): "893c2f99ec674aa26ea5e1310a41854b",
-    ("pin-2d", "C+"): "105117a62956b62ec1e4f4e2affe1e08",
-    ("pin-2d", "M"): "931ea9146dbdbea482bc3ebf1b212140",
+    ("pin-2d", "TdiffC"): "0854faf6d47dca6e11ddf9ec13d90b7f",
+    ("pin-2d", "C+"): "435bf3368cc408dab94509584613ff5c",
+    ("pin-2d", "M"): "64649216225916d627af82fbf7db2de5",
     ("pin-3d", "Tdiff"): "a0c70747a3b4a7adb2179051619dbc6f",
     ("pin-3d", "TdiffC"): "2e266ef82dd19503b59d41184f94424e",
     ("pin-3d", "C+"): "a4085361ed81bac1fe099ead2369a2d5",
-    ("pin-3d", "M"): "faa26312bb58e6c8f8326e711facf071",
+    ("pin-3d", "M"): "ee195a8ae7729bb849096c6ccf4f3013",
     ("pin-2d", "auto"): "b63713cb4f44659bb842c8ea93250f0f",
     ("pin-2d", "upper"): "c3651186304887789faf0c28e4266f97",
     ("pin-disk-union", "auto"): "424a57a6c687e9cfe2edb5dc667a6913",

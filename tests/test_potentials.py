@@ -346,3 +346,38 @@ def test_partial_arc_potential_matches_mpmath(angles):
             nodes = [a1, ang, a2] if a1 < ang < a2 else [a1, a2]
             ref = w * mp.quad(lambda a: mp.log(abs(z - rho * mp.expj(a))), nodes) / (a2 - a1)
             assert abs(value - float(ref)) <= 1e-14, p
+
+
+def _batch_evaluators(d):
+    """(label, points -> values) for every component potential and harmonic
+    part in dimension d."""
+    rng = np.random.default_rng(10 + d)
+    a, b, c = (tuple(rng.uniform(-1.0, 1.0, d)) for _ in range(3))
+    comps = [("atom", Atom(a, 0.7)), ("segment", UniformSegment(a, b, 0.9)),
+             ("ball", UniformBall(c, 0.6, 1.1))]
+    if d == 2:
+        comps += [("full arc", UniformArc(c, 0.8, 0.0, 2.0 * math.pi, 0.5)),
+                  ("partial arc", UniformArc(c, 0.8, -0.4, 2.3, 0.5))]
+    out = [(name, lambda pts, comp=comp: comp.potential(pts, d)) for name, comp in comps]
+    out.append(("affine", AffineHarmonic(0.3, tuple(rng.uniform(-2.0, 2.0, d))).values))
+    if d == 2:
+        out.append(("polynomial", HarmonicPolynomial((0.2, 1 - 0.5j, 0.3 + 0.1j)).values))
+        f = _mero(zeros=[(0.4 + 0.1j, 2)], poles=[(-0.3 + 0.6j, 1)], unit=1.5,
+                  exponent=(0.1, 0.2 - 0.3j))
+        out.append(("log_abs", lambda pts: f.log_abs(pts[:, 0] + 1j * pts[:, 1])))
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_every_evaluator_is_node_by_node(d):
+    # the batched engines and proof checks rely on a point's value being the
+    # same floats whatever else shares its call
+    rng = np.random.default_rng(d)
+    pts = rng.uniform(-2.0, 2.0, (4096, d))
+    differ = []
+    for label, values in _batch_evaluators(d):
+        together = values(pts)
+        alone = np.concatenate([values(pts[i:i + 1]) for i in range(len(pts))])
+        if not np.array_equal(together, alone, equal_nan=True):
+            differ.append(label)
+    assert differ == []
