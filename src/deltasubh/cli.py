@@ -93,8 +93,9 @@ def _load_scenario(path: str) -> Scenario:
 
 
 def _tolerances(base: Tolerances, args) -> Tolerances:
-    """base with the --tol-mean and --tol-dini overrides applied."""
-    given = {"mean": args.tol_mean, "dini": args.tol_dini}
+    """base with the --tol-mean and --tol-dini overrides applied
+    (characteristic has no --tol-dini)."""
+    given = {"mean": args.tol_mean, "dini": getattr(args, "tol_dini", None)}
     return replace(base, **{k: v for k, v in given.items() if v is not None})
 
 
@@ -253,18 +254,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True):
+    def common(p, scenario=True, verdicts=True):
+        """The scenario and --tol-mean; the Dini tolerance and the exit
+        threshold only for the subcommands that print verdicts."""
         if scenario:
             p.add_argument("scenario", help="scenario JSON file")
         p.add_argument("--tol-mean", type=float, default=None,
                        help="override the circle/sphere mean tolerance")
-        p.add_argument("--tol-dini", type=float, default=None,
-                       help="override the Dini integral tolerance")
-        p.add_argument("--max-inconclusive", type=float, default=0.02,
-                       help="inconclusive fraction tolerated before exit 1")
+        if verdicts:
+            p.add_argument("--tol-dini", type=float, default=None,
+                           help="override the Dini integral tolerance")
+            p.add_argument("--max-inconclusive", type=float, default=0.02,
+                           help="inconclusive fraction tolerated before exit 1")
 
     p_char = sub.add_parser("characteristic", help="characteristic records over a radius grid")
-    common(p_char)
+    common(p_char, verdicts=False)
     p_char.add_argument("--kind", default="T",
                         choices=["m", "N", "T", "C", "C+", "M", "Tdiff", "TdiffC"])
     p_char.add_argument("--r-grid", required=True, help="start:stop:step")

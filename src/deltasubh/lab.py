@@ -55,7 +55,6 @@ from .measures import (
 from .potentials import (
     DeltaSubharmonicFn,
     MeromorphicFn,
-    evaluate,
     jordan_decomposition,
     positive_part,
     potential_values,
@@ -220,20 +219,23 @@ def _ball_integral(U, comp: UniformBall, tol: float) -> QuadratureResult:
     u, uw = _gl_nodes(-1.0, 1.0, 48)  # polar rule in 3-d, the same at every level
 
     def samples(qs, angles):
-        """U^+ on the grid qs x angles (x u in 3-d), angles on the last axis."""
+        """U^+ on the grid qs x angles (x u in 3-d), angles on the last axis;
+        cos and sin are taken once per angle."""
+        cos_a, sin_a = np.cos(angles), np.sin(angles)
         if dim == 2:
-            Q, TH = np.meshgrid(qs, angles, indexing="ij")
-            pts = np.column_stack([c[0] + (Q * np.cos(TH)).ravel(),
-                                   c[1] + (Q * np.sin(TH)).ravel()])
+            shape = (qs.size, angles.size)
+            pts = np.column_stack([c[0] + (qs[:, None] * cos_a).ravel(),
+                                   c[1] + (qs[:, None] * sin_a).ravel()])
         else:
-            Q, UU, PP = np.meshgrid(qs, u, angles, indexing="ij")
-            st = np.sqrt(np.maximum(0.0, 1.0 - UU ** 2))
+            shape = (qs.size, u.size, angles.size)
+            q_st = (qs[:, None] * np.sqrt(np.maximum(0.0, 1.0 - u ** 2)))[:, :, None]
+            q_u = np.broadcast_to((qs[:, None] * u)[:, :, None], shape)
             pts = np.column_stack([
-                (c[0] + Q * st * np.cos(PP)).ravel(),
-                (c[1] + Q * st * np.sin(PP)).ravel(),
-                (c[2] + Q * UU).ravel(),
+                (c[0] + q_st * cos_a).ravel(),
+                (c[1] + q_st * sin_a).ravel(),
+                (c[2] + q_u).ravel(),
             ])
-        vals = U.positive_values(pts).reshape(Q.shape)
+        vals = U.positive_values(pts).reshape(shape)
         return np.where(np.isfinite(vals), vals, 0.0)  # measure-zero nodes
 
     prev = None
@@ -420,21 +422,36 @@ class PointReport:
     verdict: str
 
 
-def _reflected_potential(nu: BorelMeasure, x: np.ndarray, R: float, d: int) -> float:
-    """integral of k(|R y/|y| - |y| x / R|) d nu(y), via the symmetry
-    |R y/|y| - |y| x / R| = (|x|/R) |x* - y| with x* = R^2 x / |x|^2."""
+def _finite_values(U: DeltaSubharmonicFn, sample_points: Sequence):
+    """U at all sample points in one call: the kept points with their values
+    as ([x], [U(x)]), and the skipped ones (polar or non-finite) as tuples."""
+    xs = [np.asarray(raw, dtype=float) for raw in sample_points]
+    kept, values, skipped = [], [], []
+    if xs:
+        vals, polar = U.values_with_polar(np.array(xs))
+        for x, val, pol in zip(xs, vals.tolist(), polar.tolist()):
+            if pol or not math.isfinite(val):
+                skipped.append(tuple(x))
+            else:
+                kept.append(x)
+                values.append(val)
+    return kept, values, skipped
+
+
+def _reflected_potentials(nu: BorelMeasure, xs: list, R: float, d: int) -> list:
+    """integral of k(|R y/|y| - |y| x / R|) d nu(y) at each x of xs, via the
+    symmetry |R y/|y| - |y| x / R| = (|x|/R) |x* - y| with x* = R^2 x / |x|^2;
+    the potentials at all x* in one call."""
     mass = nu.mass
-    if mass == 0.0:
-        return 0.0
-    q = float(np.linalg.norm(x))
-    ctx = DimensionContext(d)
-    if q == 0.0:
-        return mass * float(kernel(ctx, R))
-    x_star = (R * R / (q * q)) * x
-    pot = float(potential_values(nu, x_star[None, :], d)[0])
-    if d == 2:
-        return mass * math.log(q / R) + pot
-    return (R / q) * pot
+    qs = [float(np.linalg.norm(x)) for x in xs]
+    far = [i for i, q in enumerate(qs) if q != 0.0]
+    out = [mass * float(kernel(DimensionContext(d), R))] * len(xs)  # q == 0
+    if far:
+        x_star = np.array([(R * R / (qs[i] * qs[i])) * xs[i] for i in far])
+        for i, pot in zip(far, potential_values(nu, x_star, d).tolist()):
+            q = qs[i]
+            out[i] = mass * math.log(q / R) + pot if d == 2 else (R / q) * pot
+    return out
 
 
 def verify_poisson_jensen(U: DeltaSubharmonicFn, R: float,
@@ -445,34 +462,44 @@ def verify_poisson_jensen(U: DeltaSubharmonicFn, R: float,
                - integral of (k(reflected) - k(|y-x|)) d charge(y),
 
     i.e. the harmonic majorant minus the positive-Green-function potential of
-    the Riesz charge (subharmonic parts sit below their Poisson integral)."""
+    the Riesz charge (subharmonic parts sit below their Poisson integral).
+
+    U at the sample points and each charge part's potentials are one call
+    each, and U on a boundary node set is computed once and shared by the
+    Poisson integrals of all points."""
     d = U.dim
-    points, residuals, relative, skipped = [], [], [], []
     plus, minus = jordan_decomposition(U)
-    for raw in sample_points:
-        x = np.asarray(raw, dtype=float)
-        lhs = evaluate(U, x)
-        if lhs is None or not math.isfinite(lhs):
-            skipped.append(tuple(x))
-            continue
+    xs, lhs_values, skipped = _finite_values(U, sample_points)
+    green = [0.0] * len(xs)
+    if xs:
+        for nu, sign in ((plus, 1.0), (minus, -1.0)):
+            if nu.mass == 0.0:
+                continue
+            refl = _reflected_potentials(nu, xs, R, d)
+            direct = potential_values(nu, np.array(xs), d).tolist()
+            for i in range(len(xs)):
+                green[i] -= sign * (refl[i] - direct[i])
+    boundary_values: dict = {}  # node-set bytes -> U.values_with_polar on it
+
+    def on_boundary(y):
+        key = y.tobytes()
+        if key not in boundary_values:
+            boundary_values[key] = U.values_with_polar(y)
+        return boundary_values[key]
+
+    points, residuals, relative = [], [], []
+    for x, lhs, g in zip(xs, lhs_values, green):
         q2 = float(x @ x)
 
         def poisson(y):
             dist2 = ((y - x[None, :]) ** 2).sum(axis=1)
-            vals, polar = U.values_with_polar(y)
+            vals, polar = on_boundary(y)
             kern = ((R * R - q2) / dist2 if d == 2
                     else R * (R * R - q2) / np.sqrt(dist2) ** 3)
             return np.where(polar, np.nan, kern * vals)
 
         boundary = _sphere_mean(poisson, R, d, (), tol)
-        green = 0.0
-        for nu, sign in ((plus, 1.0), (minus, -1.0)):
-            if nu.mass == 0.0:
-                continue
-            refl = _reflected_potential(nu, x, R, d)
-            direct = float(potential_values(nu, x[None, :], d)[0])
-            green -= sign * (refl - direct)
-        rhs = boundary.value + green
+        rhs = boundary.value + g
         res = lhs - rhs
         points.append(tuple(x))
         residuals.append(res)
@@ -494,15 +521,12 @@ def verify_pointwise_bound(U: DeltaSubharmonicFn, r: float, R: float,
     c_plus = spherical_mean(U, R, "positive", tol)
     coeff = R ** (d - 2) * (R + r) / (R - r) ** (d - 1)
     k_Rr = float(kernel(ctx, R + r))
-    points, slacks, relative, skipped = [], [], [], []
-    for raw in sample_points:
-        x = np.asarray(raw, dtype=float)
-        lhs = evaluate(U, x)
-        if lhs is None or not math.isfinite(lhs):
-            skipped.append(tuple(x))
-            continue
+    xs, lhs_values, skipped = _finite_values(U, sample_points)
+    pots = potential_values(minus, np.array(xs), d).tolist() if xs else []
+    points, slacks, relative = [], [], []
+    for x, lhs, pot in zip(xs, lhs_values, pots):
         lhs_plus = max(lhs, 0.0)
-        charge_term = k_Rr * minus.mass - float(potential_values(minus, x[None, :], d)[0])
+        charge_term = k_Rr * minus.mass - pot
         rhs = coeff * c_plus.value + charge_term
         slack = rhs - lhs_plus
         points.append(tuple(x))

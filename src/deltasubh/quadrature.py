@@ -15,8 +15,12 @@ Four entry points:
 
 All integrands are VECTORIZED callables: f(ndarray) -> ndarray (for
 sphere_mean_3d, f(theta_array, phi_array) -> array).  integrate_interval
-evaluates the nodes of many panels in one call; its results equal those of
-one call per panel bit for bit when f acts node by node.  Values of +-inf at a
+runs the adaptive rules and singular-cell ladders of all its segments in
+lockstep, as generators that ask for panels and are sent their sums: one
+call of f per round evaluates every panel any of them asks for.  Nothing is
+evaluated ahead of a stop rule, and sums are formed in the order of one
+panel per call and one segment after another, so the results equal that
+order's bit for bit when f acts node by node.  Values of +-inf at a
 node mean the node landed exactly on a declared singular point; the engine
 nudges such nodes by an ulp-scale offset and logs the event, per the polar
 set policy (any finite node set may be safely adjusted).
@@ -158,17 +162,18 @@ class _Budget:
             )
 
 
-def _adaptive(f, a, b, tol, scale, budget: _Budget) -> tuple[float, float]:
+def _adaptive(a, b, tol, scale, budget: _Budget):
     """Adaptive GL15 bisection on a panel without interior singularities.
 
-    Breadth-first: one call of f evaluates the half-panels of every panel
-    still open at a refinement level.  A panel's coarse rule is its parent's
+    A generator: it yields the panels (lo, hi) of each refinement level, is
+    sent back their GL15 sums, and returns (value, error); _lockstep
+    evaluates them.  Breadth-first: one round asks for the half-panels of
+    every panel still open at a level.  A panel's coarse rule is its parent's
     half-panel sum, and values and errors are summed bottom-up in the order
     of the depth-first recursion, so the result is that recursion's bit for
     bit, with a third fewer nodes."""
     mid = 0.5 * (a + b)
-    budget.spend(45)
-    coarse, left, right = _gl_panels(f, np.array([a, a, mid]), np.array([b, mid, b]), scale)
+    coarse, left, right = yield np.array([a, a, mid]), np.array([b, mid, b])
     # panel k spans [lo[k], hi[k]]; halves are numbered after their parent
     lo, hi, coarse_of, tol_of = [a], [b], [coarse], [tol]
     halves = {0: (left, right)}
@@ -180,8 +185,7 @@ def _adaptive(f, a, b, tol, scale, budget: _Budget) -> tuple[float, float]:
             a_ = np.array([lo[k] for k in level])
             b_ = np.array([hi[k] for k in level])
             m_ = 0.5 * (a_ + b_)
-            budget.spend(30 * len(level))
-            sums = _gl_panels(f, np.concatenate([a_, m_]), np.concatenate([m_, b_]), scale)
+            sums = yield np.concatenate([a_, m_]), np.concatenate([m_, b_])
             halves = {k: (sums[i], sums[i + len(level)]) for i, k in enumerate(level)}
         nxt = []
         for k in level:
@@ -207,9 +211,10 @@ def _adaptive(f, a, b, tol, scale, budget: _Budget) -> tuple[float, float]:
     return value[0], error[0]
 
 
-def _ladder(f, s, a, b, tol, scale, budget: _Budget) -> tuple[float, float]:
+def _ladder(s, a, b, tol, scale, budget: _Budget):
     """Integrate over (a, b] where the singular point s is the endpoint a == s
-    (or b == s, mirrored): geometric cells shrinking into s."""
+    (or b == s, mirrored): geometric cells shrinking into s.  A generator
+    like _adaptive; cell k+1 is asked for only once cell k says go on."""
     left = math.isclose(a, s, rel_tol=0.0, abs_tol=1e-14 * scale)
     h = b - a
     total = 0.0
@@ -220,7 +225,7 @@ def _ladder(f, s, a, b, tol, scale, budget: _Budget) -> tuple[float, float]:
             lo, hi = s + h * 2.0 ** (-k - 1), s + h * 2.0 ** (-k)
         else:
             lo, hi = b - h * 2.0 ** (-k), b - h * 2.0 ** (-k - 1)
-        v, e = _adaptive(f, lo, hi, tol / 8.0, scale, budget)
+        v, e = yield from _adaptive(lo, hi, tol / 8.0, scale, budget)
         total += v
         err += e
         if abs(total) > 1e12:
@@ -237,6 +242,47 @@ def _ladder(f, s, a, b, tol, scale, budget: _Budget) -> tuple[float, float]:
         "singular cells still significant after full ladder",
         QuadratureResult(total, math.inf, budget.nodes),
     )
+
+
+def _lockstep(f, gens: list, scale: float, budget: _Budget) -> list:
+    """Run the _adaptive/_ladder generators gens together: each round
+    evaluates the panels of every open one in one _gl_panels call (15 nodes a
+    panel off the budget).  Returns their (value, error) results in order.
+
+    A generator that raises drops the ones after it; the ones before it run
+    to the end, and the error of the first failing one is raised, as when
+    they run one after another."""
+    results = [None] * len(gens)
+    asks: dict = {}  # open generator -> the panels (lo, hi) it asks for
+    failed = None    # (index, error) of the first generator that raised
+
+    def send(i, sums):
+        nonlocal failed
+        asks.pop(i, None)
+        try:
+            asks[i] = gens[i].send(sums)
+        except StopIteration as stop:
+            results[i] = stop.value
+        except QuadratureBudgetError as exc:
+            failed = (i, exc)
+            for j in [j for j in asks if j > i]:
+                del asks[j]
+
+    for i, gen in enumerate(gens):
+        asks[i] = next(gen)  # the first panels; no generator raises before them
+    while asks:
+        order = sorted(asks)
+        lo = np.concatenate([asks[i][0] for i in order])
+        hi = np.concatenate([asks[i][1] for i in order])
+        budget.spend(15 * lo.size)
+        sums = _gl_panels(f, lo, hi, scale)
+        ends = np.cumsum([asks[i][0].size for i in order]).tolist()
+        for i, start, end in zip(order, [0] + ends, ends):
+            if i in asks:  # not dropped by an earlier failure this round
+                send(i, sums[start:end])
+    if failed is not None:
+        raise failed[1]
+    return results
 
 
 def integrate_interval(
@@ -264,8 +310,8 @@ def integrate_interval(
             merged.append(s)
     pts = sorted(set(merged) | {a, b})
     budget = _Budget()
-    total = 0.0
-    err = 0.0
+    gens: list = []
+    counts: list = []  # generators per segment: two for singular points at both ends
     nseg = len(pts) - 1
     for lo, hi in zip(pts[:-1], pts[1:]):
         if hi - lo <= 1e-14 * scale:
@@ -273,22 +319,27 @@ def integrate_interval(
         seg_tol = tol / max(1, nseg)
         lo_sing = lo in merged
         hi_sing = hi in merged
+        counts.append(2 if lo_sing and hi_sing else 1)
         if lo_sing and hi_sing:
             mid = 0.5 * (lo + hi)
-            v1, e1 = _ladder(f, lo, lo, mid, 0.5 * seg_tol, scale, budget)
-            v2, e2 = _ladder(f, hi, mid, hi, 0.5 * seg_tol, scale, budget)
+            gens.append(_ladder(lo, lo, mid, 0.5 * seg_tol, scale, budget))
+            gens.append(_ladder(hi, mid, hi, 0.5 * seg_tol, scale, budget))
+        elif lo_sing:
+            gens.append(_ladder(lo, lo, hi, seg_tol, scale, budget))
+        elif hi_sing:
+            gens.append(_ladder(hi, lo, hi, seg_tol, scale, budget))
+        else:
+            gens.append(_adaptive(lo, hi, seg_tol, scale, budget))
+    runs = iter(_lockstep(f, gens, scale, budget))
+    total = 0.0
+    err = 0.0
+    for n in counts:  # summed in segment order, as one after another
+        if n == 2:
+            (v1, e1), (v2, e2) = next(runs), next(runs)
             total += v1 + v2
             err += e1 + e2
-        elif lo_sing:
-            v, e = _ladder(f, lo, lo, hi, seg_tol, scale, budget)
-            total += v
-            err += e
-        elif hi_sing:
-            v, e = _ladder(f, hi, lo, hi, seg_tol, scale, budget)
-            total += v
-            err += e
         else:
-            v, e = _adaptive(f, lo, hi, seg_tol, scale, budget)
+            v, e = next(runs)
             total += v
             err += e
     return QuadratureResult(total, err, budget.nodes, merged)

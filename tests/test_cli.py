@@ -421,8 +421,6 @@ PINNED_RUNS = {
     "C+ pin-arc": "characteristic {pin-arc} --kind C+ --r-grid 0.9:1.2:0.3",
     "C+ pin-arc mean": "characteristic {pin-arc} --kind C+ --r-grid 0.9:1.2:0.3 "
                        "--tol-mean 1e-5",
-    "C+ pin-arc dini": "characteristic {pin-arc} --kind C+ --r-grid 0.9:1.2:0.3 "
-                       "--tol-dini 1e-4",
     "corpus": "corpus --seed 3 --count 4",
     "corpus tols": "corpus --seed 3 --count 4 --tol-mean 1e-6 --tol-dini 1e-4",
     "verify pin-arc default": "verify {pin-arc}",
@@ -435,7 +433,6 @@ PINNED_RUN_STDOUT = {
     "m pin-arc": "e7db2afda0c6e2f48d9005c24ab4429c",
     "C+ pin-arc": "7cba73fae4b082bdf3e402d8fd728d70",
     "C+ pin-arc mean": "2d1a3ffcc46b840f257d2082816cc0b8",
-    "C+ pin-arc dini": "7cba73fae4b082bdf3e402d8fd728d70",
     "corpus": "8c47b97785b86c08cb6ffd192d5864d4",
     "corpus tols": "667264528ad85c52b63935ab54164985",
     "verify pin-arc default": "9d249b6dc81516809aa9b2feb6a514ee",
@@ -451,10 +448,21 @@ def test_unpinned_paths_and_tolerance_flags_stdout_is_pinned(tmp_path, capsys):
     for label, line in PINNED_RUNS.items():
         assert main(line.format(**paths).split()) == 0
         got[label] = hashlib.md5(capsys.readouterr().out.encode()).hexdigest()
-    # each override reaches the output; characteristics take no Dini tolerance
+    # each override reaches the output
     assert got["verify pin-arc mean"] != got["verify pin-arc default"]
     assert got["verify pin-arc dini"] != got["verify pin-arc default"]
     assert got["C+ pin-arc mean"] != got["C+ pin-arc"]
-    assert got["C+ pin-arc dini"] == got["C+ pin-arc"]
     assert got["corpus tols"] != got["corpus"]
     assert got == PINNED_RUN_STDOUT
+
+
+@pytest.mark.parametrize("flag", ["--tol-dini", "--max-inconclusive"])
+def test_characteristic_rejects_verdict_flags(tmp_path, capsys, flag):
+    # characteristic prints no verdict and takes no Dini tolerance
+    path = tmp_path / "pin-arc.json"
+    path.write_text(json.dumps(PIN_ARC))
+    with pytest.raises(SystemExit) as exc:
+        main(["characteristic", str(path), "--kind", "C+", "--r-grid", "0.9:1.2:0.3",
+              flag, "1e-4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

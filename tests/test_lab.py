@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -8,7 +9,8 @@ import pytest
 
 from deltasubh import lab
 
-from deltasubh.geometry import DimensionContext
+from deltasubh.characteristics import _sphere_mean
+from deltasubh.geometry import DimensionContext, kernel
 from deltasubh.measures import (
     Atom,
     BorelMeasure,
@@ -21,7 +23,11 @@ from deltasubh.potentials import (
     DeltaSubharmonicFn,
     MeromorphicFn,
     SubharmonicFn,
+    evaluate,
+    jordan_decomposition,
+    potential_values,
 )
+from deltasubh.scenario_io import parse_scenario
 from deltasubh.lab import (
     CorpusConfig,
     Scenario,
@@ -486,3 +492,134 @@ def test_ball_integral_reuses_samples_bit_for_bit():
     assert (got.value, got.error_estimate) == (value, err)
     assert ref_nodes == 2_276_352  # levels 0-6 on three radial panels
     assert got.nodes_used == 1_244_160
+
+
+# -- the per-point proof checks, kept as the bit-identity reference -----------
+# verify_poisson_jensen and verify_pointwise_bound evaluate U and the charge
+# potentials at all sample points in one call each and share U's boundary
+# values between points; these are the one-point-at-a-time loops they
+# replaced, which they must equal in every PointReport field.
+
+
+def _ref_reflected_potential(nu, x, R, d):
+    mass = nu.mass
+    if mass == 0.0:
+        return 0.0
+    q = float(np.linalg.norm(x))
+    if q == 0.0:
+        return mass * float(kernel(DimensionContext(d), R))
+    x_star = (R * R / (q * q)) * x
+    pot = float(potential_values(nu, x_star[None, :], d)[0])
+    if d == 2:
+        return mass * math.log(q / R) + pot
+    return (R / q) * pot
+
+
+def _ref_poisson_jensen(U, R, sample_points, tol):
+    d = U.dim
+    points, residuals, relative, skipped = [], [], [], []
+    plus, minus = jordan_decomposition(U)
+    for raw in sample_points:
+        x = np.asarray(raw, dtype=float)
+        lhs = evaluate(U, x)
+        if lhs is None or not math.isfinite(lhs):
+            skipped.append(tuple(x))
+            continue
+        q2 = float(x @ x)
+
+        def poisson(y):
+            dist2 = ((y - x[None, :]) ** 2).sum(axis=1)
+            vals, polar = U.values_with_polar(y)
+            kern = ((R * R - q2) / dist2 if d == 2
+                    else R * (R * R - q2) / np.sqrt(dist2) ** 3)
+            return np.where(polar, np.nan, kern * vals)
+
+        boundary = _sphere_mean(poisson, R, d, (), tol)
+        green = 0.0
+        for nu, sign in ((plus, 1.0), (minus, -1.0)):
+            if nu.mass == 0.0:
+                continue
+            refl = _ref_reflected_potential(nu, x, R, d)
+            direct = float(potential_values(nu, x[None, :], d)[0])
+            green -= sign * (refl - direct)
+        res = lhs - (boundary.value + green)
+        points.append(tuple(x))
+        residuals.append(res)
+        relative.append(abs(res) / max(1.0, abs(lhs)))
+    max_rel = max(relative, default=0.0)
+    return lab.PointReport(points, residuals, relative, skipped, max_rel,
+                           "pass" if max_rel < 1e-6 else "fail")
+
+
+def _ref_pointwise_bound(U, r, R, sample_points, tol):
+    d = U.dim
+    _plus, minus = jordan_decomposition(U)
+    c_plus = lab.spherical_mean(U, R, "positive", tol)
+    coeff = R ** (d - 2) * (R + r) / (R - r) ** (d - 1)
+    k_Rr = float(kernel(DimensionContext(d), R + r))
+    points, slacks, relative, skipped = [], [], [], []
+    for raw in sample_points:
+        x = np.asarray(raw, dtype=float)
+        lhs = evaluate(U, x)
+        if lhs is None or not math.isfinite(lhs):
+            skipped.append(tuple(x))
+            continue
+        charge_term = k_Rr * minus.mass - float(potential_values(minus, x[None, :], d)[0])
+        rhs = coeff * c_plus.value + charge_term
+        slack = rhs - max(lhs, 0.0)
+        points.append(tuple(x))
+        slacks.append(slack)
+        relative.append(slack / max(1.0, abs(rhs)))
+    budget = coeff * c_plus.error_estimate
+    return lab.PointReport(points, slacks, relative, skipped,
+                           max((abs(v) for v in relative), default=0.0),
+                           "pass" if all(sl >= -budget for sl in slacks) else "fail")
+
+
+def _proof_case(name):
+    """(U, r, R, sample points): 18 random points of B(r), the origin (the
+    q = 0 reflected branch) and a charge atom (skipped)."""
+    if name == "charges":
+        s = generate_scenario(42, 4, "charges")
+    else:
+        from test_cli import PIN_3D
+        s = parse_scenario(json.dumps(PIN_3D).encode())
+    rng = random.Random(f"points:{name}")
+    pts = [lab._point_in_ball(rng, s.r, s.ctx.d) for _ in range(18)]
+    pts += [(0.0,) * s.ctx.d, s.U.u.riesz.atoms[0].point]
+    return s.U, s.r, s.R, pts
+
+
+@pytest.mark.parametrize("name", ["charges", "pin-3d"])
+def test_batched_proof_checks_equal_per_point_loops(name):
+    U, r, R, pts = _proof_case(name)
+    got = verify_poisson_jensen(U, R, pts, 1e-8)
+    assert got == _ref_poisson_jensen(U, R, pts, 1e-8)
+    assert got.points[-1] == (0.0,) * U.dim
+    assert got.skipped == [tuple(float(c) for c in pts[-1])]
+    bound = verify_pointwise_bound(U, r, R, pts, 1e-8)
+    assert bound == _ref_pointwise_bound(U, r, R, pts, 1e-8)
+    assert bound.skipped == got.skipped
+
+
+def test_poisson_jensen_evaluates_each_boundary_node_set_once(monkeypatch):
+    s = generate_scenario(42, 1, "charges")
+    rng = random.Random(7)
+    pts = [lab._point_in_ball(rng, s.r, 2) for _ in range(20)]
+    original = DeltaSubharmonicFn.values_with_polar
+    calls = []
+
+    def counted(self, pts):
+        calls.append(hash(np.asarray(pts, dtype=float).tobytes()))
+        return original(self, pts)
+
+    monkeypatch.setattr(DeltaSubharmonicFn, "values_with_polar", counted)
+    got = verify_poisson_jensen(s.U, s.R, pts, 1e-8)
+    got_calls, calls[:] = list(calls), []
+    ref = _ref_poisson_jensen(s.U, s.R, pts, 1e-8)
+    assert got == ref
+    # one call at the sample points, then one per distinct node set
+    assert len(got_calls) == 1 + len(set(got_calls[1:]))
+    # the per-point loop: 20 point values plus every point's boundary
+    # levels, at least the first trapezoid and one doubling each
+    assert len(got_calls) == 4 and len(calls) >= 20 + 20 * 2

@@ -218,10 +218,13 @@ def test_sphere_sup_bad_dim():
         sphere_sup(lambda th: th, dim=4)
 
 
-# -- the depth-first engine, kept as the bit-identity reference ----------------
-# _adaptive evaluates a whole refinement level per integrand call; these are
-# the one-panel-per-call recursion it replaced, which it must equal float for
-# float (value and error estimate).
+# -- the sequential depth-first engine, kept as the bit-identity reference ----
+# integrate_interval runs the ladders and panels of all its segments in
+# lockstep, one integrand call per refinement round; these are the
+# one-panel-per-call recursion and the one-segment-after-another loop it
+# replaced, which it must equal float for float (value, error estimate, nodes
+# and splits).  A child panel's coarse rule is its parent's half-panel sum,
+# the same floats as a fresh GL15 sum over it.
 
 
 def _ref_eval_safe(f, x, scale):
@@ -246,24 +249,92 @@ def _ref_gl_panel(f, a, b, scale, n=15):
     return half * float(np.dot(w, y))
 
 
-def _ref_adaptive(f, a, b, tol, scale, budget, depth=0):
-    coarse = _ref_gl_panel(f, a, b, scale)
+def _ref_adaptive(f, a, b, tol, scale, budget, coarse=None, depth=0):
+    if coarse is None:
+        budget.spend(15)
+        coarse = _ref_gl_panel(f, a, b, scale)
     mid = 0.5 * (a + b)
-    fine = _ref_gl_panel(f, a, mid, scale) + _ref_gl_panel(f, mid, b, scale)
-    budget.spend(45)
+    budget.spend(30)
+    left, right = _ref_gl_panel(f, a, mid, scale), _ref_gl_panel(f, mid, b, scale)
+    fine = left + right
     err = abs(fine - coarse)
     if err <= tol or (b - a) <= 1e-14 * scale or depth >= 48:
-        budget.acc += fine
         return fine, err
-    lv, le = _ref_adaptive(f, a, mid, 0.5 * tol, scale, budget, depth + 1)
-    rv, re_ = _ref_adaptive(f, mid, b, 0.5 * tol, scale, budget, depth + 1)
+    lv, le = _ref_adaptive(f, a, mid, 0.5 * tol, scale, budget, left, depth + 1)
+    rv, re_ = _ref_adaptive(f, mid, b, 0.5 * tol, scale, budget, right, depth + 1)
     return lv + rv, le + re_
 
 
-def _reference_integral(monkeypatch, *args, **kwargs):
-    with monkeypatch.context() as m:
-        m.setattr(quadrature, "_adaptive", _ref_adaptive)
-        return integrate_interval(*args, **kwargs)
+def _ref_ladder(f, s, a, b, tol, scale, budget):
+    left = math.isclose(a, s, rel_tol=0.0, abs_tol=1e-14 * scale)
+    h = b - a
+    total = 0.0
+    err = 0.0
+    prev = math.inf
+    for k in range(quadrature._LADDER_LEVELS):
+        if left:
+            lo, hi = s + h * 2.0 ** (-k - 1), s + h * 2.0 ** (-k)
+        else:
+            lo, hi = b - h * 2.0 ** (-k), b - h * 2.0 ** (-k - 1)
+        v, e = _ref_adaptive(f, lo, hi, tol / 8.0, scale, budget)
+        total += v
+        err += e
+        if abs(total) > 1e12:
+            raise QuadratureBudgetError(
+                "geometric cells near declared singularity do not converge",
+                quadrature.QuadratureResult(total, math.inf, budget.nodes))
+        if k >= 3 and abs(v) <= tol / 8.0 and abs(v) <= abs(prev):
+            ratio = min(0.9, abs(v) / abs(prev)) if prev not in (0.0, math.inf) else 0.5
+            err += abs(v) * ratio / (1.0 - ratio)
+            return total, err
+        prev = v
+    raise QuadratureBudgetError(
+        "singular cells still significant after full ladder",
+        quadrature.QuadratureResult(total, math.inf, budget.nodes))
+
+
+def _reference_integral(f, a, b, known_singularities=(), tol=1e-8):
+    scale = max(abs(a), abs(b), b - a)
+    sings = sorted({float(s) for s in known_singularities if a <= s <= b})
+    merged = []
+    for s in sings:
+        if not merged or s - merged[-1] > 1e-13 * scale:
+            merged.append(s)
+    pts = sorted(set(merged) | {a, b})
+    budget = quadrature._Budget()
+    total = 0.0
+    err = 0.0
+    nseg = len(pts) - 1
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        if hi - lo <= 1e-14 * scale:
+            continue
+        seg_tol = tol / max(1, nseg)
+        if lo in merged and hi in merged:
+            mid = 0.5 * (lo + hi)
+            v1, e1 = _ref_ladder(f, lo, lo, mid, 0.5 * seg_tol, scale, budget)
+            v2, e2 = _ref_ladder(f, hi, mid, hi, 0.5 * seg_tol, scale, budget)
+            total += v1 + v2
+            err += e1 + e2
+        elif lo in merged:
+            v, e = _ref_ladder(f, lo, lo, hi, seg_tol, scale, budget)
+            total += v
+            err += e
+        elif hi in merged:
+            v, e = _ref_ladder(f, hi, lo, hi, seg_tol, scale, budget)
+            total += v
+            err += e
+        else:
+            v, e = _ref_adaptive(f, lo, hi, seg_tol, scale, budget)
+            total += v
+            err += e
+    return quadrature.QuadratureResult(total, err, budget.nodes, merged)
+
+
+def _assert_same(got, ref):
+    assert got.value == ref.value
+    assert got.error_estimate == ref.error_estimate
+    assert got.nodes_used == ref.nodes_used
+    assert got.singularities_split == ref.singularities_split
 
 
 def _kinked(t):
@@ -274,19 +345,54 @@ def _peaked(t):
     return 1.0 / (1e-6 + (t - 1.0 / 3.0) ** 2) + np.sqrt(np.abs(t - 0.7))
 
 
+# six interior log singularities: 5 two-ladder segments and 2 one-ladder
+# ones, 12 ladders in lockstep
+_SIX = (0.11, 0.23, 0.4, 0.52, 0.7, 0.86)
+
+
+def _six_logs(t):
+    with np.errstate(divide="ignore"):
+        return sum(np.log(np.abs(t - s)) for s in _SIX)
+
+
+_KINKS = tuple(k * math.pi / 8.0 for k in range(1, 8))
+
+
+def _log_by_kinks(t):
+    # a log singularity at 1.2 between the kinks of |sin 8t| at 3 pi / 8
+    # and pi / 2
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(t - 1.2)) + np.abs(np.sin(8.0 * t))
+
+
 @pytest.mark.parametrize("f, a, b, sings, tol", [
     (lambda t: np.exp(-t) * np.sin(3.0 * t), 0.0, 4.0, (), 1e-10),  # smooth
     (_kinked, -1.0, 2.0, (), 1e-9),                                # undeclared kinks
     (np.log, 0.0, 1.0, [0.0], 1e-9),                               # endpoint-log ladder
     (_peaked, 0.0, 1.0, (), 1e-7),                                 # deep refinement
+    (_six_logs, 0.0, 1.0, _SIX, 1e-9),                             # 12 ladders
+    (_log_by_kinks, 0.0, 3.0, (1.2,) + _KINKS, 1e-9),               # log next to kinks
 ])
-def test_batched_adaptive_equals_depth_first_bit_for_bit(monkeypatch, f, a, b, sings, tol):
-    ref = _reference_integral(monkeypatch, f, a, b, sings, tol)
-    got = integrate_interval(f, a, b, sings, tol)
-    assert got.value == ref.value
-    assert got.error_estimate == ref.error_estimate
-    # each child panel reuses its parent's half-panel sum as its coarse rule
-    assert got.nodes_used <= ref.nodes_used
+def test_lockstep_equals_sequential_depth_first_bit_for_bit(f, a, b, sings, tol):
+    _assert_same(integrate_interval(f, a, b, sings, tol),
+                 _reference_integral(f, a, b, sings, tol))
+
+
+def test_lockstep_ladders_share_integrand_calls():
+    calls = {"got": 0, "ref": 0}
+
+    def counted(key):
+        def f(t):
+            calls[key] += 1
+            return _six_logs(t)
+        return f
+
+    got = integrate_interval(counted("got"), 0.0, 1.0, _SIX, 1e-9)
+    ref = _reference_integral(counted("ref"), 0.0, 1.0, _SIX, 1e-9)
+    _assert_same(got, ref)
+    assert calls["got"] < calls["ref"] / 10
+    # every round evaluates at least the open panels of the longest ladder
+    assert got.nodes_used > 15 * calls["got"]
 
 
 def test_batched_adaptive_refines_deeply_in_few_calls():
@@ -302,19 +408,58 @@ def test_batched_adaptive_refines_deeply_in_few_calls():
     assert res.nodes_used > 45 * len(calls)  # not one panel per call
 
 
-def test_nudge_inside_a_batch_equals_depth_first(monkeypatch, caplog):
-    # |t| splits [-1, 1] once; at depth 1 the halves of [-1, 0] and [0, 1]
-    # share one call, and the integrand is inf at one node of [-1, -0.5]
-    x = np.polynomial.legendre.leggauss(15)[0]
-    node = float(-0.75 + 0.25 * x[3])
-
+def _inf_at(node, g):
     def f(t):
-        return np.where(t == node, np.inf, np.abs(t) + t * t)
+        with np.errstate(divide="ignore"):
+            return np.where(t == node, np.inf, g(t))
+    return f
 
-    ref = _reference_integral(monkeypatch, f, -1.0, 1.0, (), 1e-10)
-    with caplog.at_level(logging.DEBUG, logger="deltasubh.quadrature"):
-        got = integrate_interval(f, -1.0, 1.0, (), 1e-10)
-    assert (got.value, got.error_estimate) == (ref.value, ref.error_estimate)
+
+def _assert_one_nudge(caplog):
     nudges = [rec.getMessage() for rec in caplog.records
               if rec.getMessage().startswith("perturbed")]
     assert nudges == ["perturbed 1 quadrature nodes off a singular point"]
+
+
+def test_nudge_inside_a_batch_equals_depth_first(caplog):
+    # |t| splits [-1, 1] once; at depth 1 the halves of [-1, 0] and [0, 1]
+    # share one call, and the integrand is inf at one node of [-1, -0.5]
+    x = np.polynomial.legendre.leggauss(15)[0]
+    f = _inf_at(float(-0.75 + 0.25 * x[3]), lambda t: np.abs(t) + t * t)
+    ref = _reference_integral(f, -1.0, 1.0, (), 1e-10)
+    with caplog.at_level(logging.DEBUG, logger="deltasubh.quadrature"):
+        got = integrate_interval(f, -1.0, 1.0, (), 1e-10)
+    _assert_same(got, ref)
+    _assert_one_nudge(caplog)
+
+
+def test_nudge_inside_a_ladder_cell_equals_depth_first(caplog):
+    # ln|t - 0.3| on [0, 1]: two ladders run in lockstep, and the integrand
+    # is inf at one node of the first cell [0.65, 1] of the right one
+    x = np.polynomial.legendre.leggauss(15)[0]
+    lo, hi = 0.3 + 0.7 * 2.0 ** -1, 0.3 + 0.7 * 2.0 ** 0
+    node = float(0.5 * (lo + hi) + 0.5 * (hi - lo) * x[3])
+    f = _inf_at(node, lambda t: np.log(np.abs(t - 0.3)))
+    ref = _reference_integral(f, 0.0, 1.0, [0.3], 1e-9)
+    with caplog.at_level(logging.DEBUG, logger="deltasubh.quadrature"):
+        got = integrate_interval(f, 0.0, 1.0, [0.3], 1e-9)
+    _assert_same(got, ref)
+    _assert_one_nudge(caplog)
+
+
+def test_first_failing_segment_in_order_raises():
+    # 1/|t| on [-1, 0] fails only after the full ladder (each cell adds
+    # ln 2); 1/t^2 on [0, 1] fails much sooner, as its cells double.  In
+    # lockstep the later segment fails first, yet the error raised is the
+    # first segment's, as when the segments run one after another.
+    def f(t):
+        with np.errstate(divide="ignore"):
+            return np.where(t < 0.0, -1.0 / t, 1.0 / (t * t))
+
+    with pytest.raises(QuadratureBudgetError) as ref:
+        _reference_integral(f, -1.0, 1.0, [0.0], 1e-8)
+    with pytest.raises(QuadratureBudgetError) as got:
+        integrate_interval(f, -1.0, 1.0, [0.0], 1e-8)
+    assert str(ref.value) == "singular cells still significant after full ladder"
+    assert str(got.value) == str(ref.value)
+    assert got.value.partial.value == ref.value.partial.value
