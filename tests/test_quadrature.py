@@ -373,7 +373,7 @@ def _log_by_kinks(t):
     (_six_logs, 0.0, 1.0, _SIX, 1e-9),                             # 12 ladders
     (_log_by_kinks, 0.0, 3.0, (1.2,) + _KINKS, 1e-9),               # log next to kinks
 ])
-def test_lockstep_equals_sequential_depth_first_bit_for_bit(f, a, b, sings, tol):
+def test_batched_adaptive_equals_depth_first_bit_for_bit(f, a, b, sings, tol):
     _assert_same(integrate_interval(f, a, b, sings, tol),
                  _reference_integral(f, a, b, sings, tol))
 
