@@ -225,6 +225,11 @@ def _ladder(s, a, b, tol, scale, budget: _Budget):
             lo, hi = s + h * 2.0 ** (-k - 1), s + h * 2.0 ** (-k)
         else:
             lo, hi = b - h * 2.0 ** (-k), b - h * 2.0 ** (-k - 1)
+        if not lo < hi or s in (lo, hi):  # the cell has rounded onto s
+            raise QuadratureBudgetError(
+                "geometric cells collapsed onto the singular point before converging",
+                QuadratureResult(total, math.inf, budget.nodes),
+            )
         v, e = yield from _adaptive(lo, hi, tol / 8.0, scale, budget)
         total += v
         err += e

@@ -48,13 +48,17 @@ def test_doubling_stability():
     assert abs(res.value - res2.value) <= max(res.error_estimate, 1e-14)
 
 
-def test_budget_error_carries_partial():
+@pytest.mark.parametrize("s, tol", [
+    (0.0, 1e-10),
+    (0.5, 1e-8),  # the cells round onto s before they would stop growing
+])
+def test_budget_error_carries_partial(s, tol):
     def nasty(t):
         with np.errstate(divide="ignore"):
-            return 1.0 / np.abs(t)  # non-integrable at 0
+            return 1.0 / np.abs(t - s)  # non-integrable at s
 
     with pytest.raises(QuadratureBudgetError) as err:
-        integrate_interval(nasty, 0.0, 1.0, [0.0], tol=1e-10)
+        integrate_interval(nasty, 0.0, 1.0, [s], tol=tol)
     assert err.value.partial is not None
 
 
