@@ -93,10 +93,8 @@ def _load_scenario(path: str) -> Scenario:
 
 
 def _tolerances(base: Tolerances, args) -> Tolerances:
-    """base with the --tol-mean and --tol-dini overrides applied
-    (characteristic has no --tol-dini)."""
-    given = {"mean": args.tol_mean, "dini": getattr(args, "tol_dini", None)}
-    return replace(base, **{k: v for k, v in given.items() if v is not None})
+    """base with the --tol-mean override applied."""
+    return base if args.tol_mean is None else replace(base, mean=args.tol_mean)
 
 
 def _apply_tol_overrides(s: Scenario, args) -> Scenario:
@@ -255,15 +253,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, scenario=True, verdicts=True):
-        """The scenario and --tol-mean; the Dini tolerance and the exit
-        threshold only for the subcommands that print verdicts."""
+        """The scenario and --tol-mean; the exit threshold only for the
+        subcommands that print verdicts."""
         if scenario:
             p.add_argument("scenario", help="scenario JSON file")
         p.add_argument("--tol-mean", type=float, default=None,
                        help="override the circle/sphere mean tolerance")
         if verdicts:
-            p.add_argument("--tol-dini", type=float, default=None,
-                           help="override the Dini integral tolerance")
             p.add_argument("--max-inconclusive", type=float, default=0.02,
                            help="inconclusive fraction tolerated before exit 1")
 

@@ -93,7 +93,6 @@ ALL_CHECKS = ("UR", "UR2", "UR2f", "UR2fr", "Ux", "U+B", "dBr")
 @dataclass(frozen=True)
 class Tolerances:
     mean: float = 1e-8   # absolute, circle/sphere means
-    dini: float = 1e-6   # relative, Dini integrals
     sup: float = 1e-7    # refinement gap for sups
 
 
@@ -317,7 +316,7 @@ class _Ingredients:
     @cached_property
     def dini(self) -> QuadratureResult:
         s = self.s
-        return dini_integral_result(s.ctx, s.mu, s.R + s.r, s.tolerances.dini)
+        return dini_integral_result(s.ctx, s.mu, s.R + s.r)
 
     @cached_property
     def lhs(self) -> QuadratureResult:

@@ -22,13 +22,14 @@ Schema (version "1"):
                               "angles": [a0, a1], "weight": w},
           {"type": "ball",    "center": [...], "radius": rho, "weight": w}]},
       "radii": {"r": 2.0, "R": 4.0, "r0": 0.0},
-      "tolerances": {"mean": 1e-8, "dini": 1e-6, "sup": 1e-7},
+      "tolerances": {"mean": 1e-8, "sup": 1e-7},
       "seed": 42,
       "scenario_id": "golden"
     }
 
-Validation failures raise ScenarioError with a distinct .code naming the
-offending constraint.
+Unknown keys are ignored, among them the "dini" tolerance of older files:
+the Dini integral is closed-form and takes none.  Validation failures raise
+ScenarioError with a distinct .code naming the offending constraint.
 """
 
 from __future__ import annotations
@@ -216,7 +217,6 @@ def parse_scenario(data: Union[bytes, str, dict]) -> Scenario:
     tol_obj = obj.get("tolerances") or {}
     tolerances = Tolerances(
         mean=float(tol_obj.get("mean", Tolerances.mean)),
-        dini=float(tol_obj.get("dini", Tolerances.dini)),
         sup=float(tol_obj.get("sup", Tolerances.sup)),
     )
     return Scenario(
@@ -258,7 +258,6 @@ def serialize_scenario(s: Scenario) -> dict:
         "function": function,
         "measure": {"components": [_component_to_json(c) for c in s.mu.components]},
         "radii": radii,
-        "tolerances": {"mean": s.tolerances.mean, "dini": s.tolerances.dini,
-                       "sup": s.tolerances.sup},
+        "tolerances": {"mean": s.tolerances.mean, "sup": s.tolerances.sup},
         "seed": s.seed,
     }

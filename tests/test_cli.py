@@ -81,6 +81,15 @@ def test_round_trip_scenarios():
     assert parse_scenario(serialize_scenario(generated)) == generated
 
 
+def test_parse_ignores_the_dropped_dini_tolerance():
+    # scenario files written while the Dini integral had a tolerance still load
+    obj = json.loads(GOLDEN.read_text())
+    obj["tolerances"] = {"mean": 1e-9, "dini": 1e-4, "sup": 1e-6}
+    s = parse_scenario(json.dumps(obj))
+    assert s.tolerances == Tolerances(mean=1e-9, sup=1e-6)
+    assert "dini" not in serialize_scenario(s)["tolerances"]
+
+
 def test_round_trip_delta_subharmonic_scenario():
     obj = {
         "schema_version": "1",
@@ -411,31 +420,29 @@ PIN_ARC = {
 # there, and a pole within 5 % but outside them, add no split that moves a
 # byte: U+ vanishes near a zero); the near-circle split angles of m(r, f)
 # and C_{U+}(r) (the zero and the pole lie within 5 % of r = 1.2 and 0.9);
-# and the --tol-mean/--tol-dini overrides.
+# and the --tol-mean override.
 PINNED_RUNS = {
     "verify pin-3d": "verify {pin-3d} --checks UR,Ux,U+B,dBr",
     "verify pin-arc": "verify {pin-arc} --checks UR,UR2,UR2f,UR2fr,Ux,U+B,dBr",
     "verify pin-arc mean": "verify {pin-arc} --tol-mean 1e-5",
-    "verify pin-arc dini": "verify {pin-arc} --tol-dini 1e-4",
     "m pin-arc": "characteristic {pin-arc} --kind m --r-grid 0.9:1.2:0.3",
     "C+ pin-arc": "characteristic {pin-arc} --kind C+ --r-grid 0.9:1.2:0.3",
     "C+ pin-arc mean": "characteristic {pin-arc} --kind C+ --r-grid 0.9:1.2:0.3 "
                        "--tol-mean 1e-5",
     "corpus": "corpus --seed 3 --count 4",
-    "corpus tols": "corpus --seed 3 --count 4 --tol-mean 1e-6 --tol-dini 1e-4",
+    "corpus tols": "corpus --seed 3 --count 4 --tol-mean 1e-6",
     "verify pin-arc default": "verify {pin-arc}",
 }
 PINNED_RUN_STDOUT = {
     "verify pin-3d": "1b31483e57188f0be76ebc865d8579d2",
-    "verify pin-arc": "fc0eff2927d7f421b7630603f6e4d4b9",
-    "verify pin-arc mean": "8d017f9abe49357e9be81de1b1a2ab19",
-    "verify pin-arc dini": "716df3a3bea15eb02db319a64ba21ef5",
+    "verify pin-arc": "b99e7ac1341f687ea556d663eb700100",
+    "verify pin-arc mean": "80cff00b1b554684eb64c041c40d6787",
     "m pin-arc": "e7db2afda0c6e2f48d9005c24ab4429c",
     "C+ pin-arc": "7cba73fae4b082bdf3e402d8fd728d70",
     "C+ pin-arc mean": "2d1a3ffcc46b840f257d2082816cc0b8",
-    "corpus": "8c47b97785b86c08cb6ffd192d5864d4",
-    "corpus tols": "667264528ad85c52b63935ab54164985",
-    "verify pin-arc default": "9d249b6dc81516809aa9b2feb6a514ee",
+    "corpus": "8ba5c29d58b7a0cdfc035883a1b78c07",
+    "corpus tols": "cad0ed26f4bcd64489ae0d072f8be34f",
+    "verify pin-arc default": "2cb8a2c9ac15f669a4a185718a7a5628",
 }
 
 
@@ -450,19 +457,26 @@ def test_unpinned_paths_and_tolerance_flags_stdout_is_pinned(tmp_path, capsys):
         got[label] = hashlib.md5(capsys.readouterr().out.encode()).hexdigest()
     # each override reaches the output
     assert got["verify pin-arc mean"] != got["verify pin-arc default"]
-    assert got["verify pin-arc dini"] != got["verify pin-arc default"]
     assert got["C+ pin-arc mean"] != got["C+ pin-arc"]
     assert got["corpus tols"] != got["corpus"]
     assert got == PINNED_RUN_STDOUT
 
 
-@pytest.mark.parametrize("flag", ["--tol-dini", "--max-inconclusive"])
-def test_characteristic_rejects_verdict_flags(tmp_path, capsys, flag):
-    # characteristic prints no verdict and takes no Dini tolerance
+@pytest.mark.parametrize("command, flag", [
+    pytest.param("characteristic", "--tol-dini", id="--tol-dini"),
+    pytest.param("characteristic", "--max-inconclusive", id="--max-inconclusive"),
+    pytest.param("verify", "--tol-dini", id="verify---tol-dini"),
+    pytest.param("corpus", "--tol-dini", id="corpus---tol-dini"),
+])
+def test_characteristic_rejects_verdict_flags(tmp_path, capsys, command, flag):
+    # the Dini integral is closed-form and takes no tolerance anywhere, and
+    # characteristic prints no verdict
     path = tmp_path / "pin-arc.json"
     path.write_text(json.dumps(PIN_ARC))
+    argv = {"characteristic": [str(path), "--kind", "C+", "--r-grid", "0.9:1.2:0.3"],
+            "verify": [str(path)],
+            "corpus": ["--seed", "3", "--count", "1"]}[command]
     with pytest.raises(SystemExit) as exc:
-        main(["characteristic", str(path), "--kind", "C+", "--r-grid", "0.9:1.2:0.3",
-              flag, "1e-4"])
+        main([command, *argv, flag, "1e-4"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err

@@ -182,7 +182,7 @@ def test_constant_function_small_modulus():
 def test_specialization_consistency_UR_vs_UR2f():
     # identical RHS to 1e-9 relative for d=2 meromorphic scenarios
     rng = random.Random(51)
-    tight = Tolerances(mean=1e-11, dini=1e-9)
+    tight = Tolerances(mean=1e-11)
     for index in range(6):
         s = generate_scenario(777, index, "segment", tight)
         rep_main = verify_main_theorem(s)

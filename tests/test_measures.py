@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -360,36 +361,115 @@ def test_integrated_counting_splitting():
 # Dini integral
 
 
-def test_dini_segment_closed_form():
-    # h(t) = W min(2t, L)/L; integral_0^u h/t dt = 2W/L * min(u, L/2)
-    #   + W ln(u / (L/2)) for u > L/2
-    W, L, upper = 1.5, 0.8, 2.0
-    mu = BorelMeasure((UniformSegment((0.0, 0.0), (L, 0.0), W),))
-    t_star = L / 2.0
-    expected = 2.0 * W / L * min(upper, t_star)
-    if upper > t_star:
-        expected += W * math.log(upper / t_star)
-    tight = dini_integral_result(D2, mu, upper, tol=1e-9)
-    assert tight.value == pytest.approx(expected, rel=1e-8)
-    # the default-tolerance run must be honest about its own error
-    default = dini_integral_result(D2, mu, upper)
-    assert abs(default.value - expected) <= max(default.error_estimate,
-                                                1e-6 * expected)
+def _mp_h(c):
+    """(h_single of c at an mpf radius, its kinks), from the component's
+    float parameters in 30-digit arithmetic, independently of measures."""
+    w = mp.mpf(c.weight)
+    if isinstance(c, Atom):
+        return (lambda t: w), []
+    if isinstance(c, UniformSegment):
+        L = mp.sqrt(mp.fsum((mp.mpf(a) - mp.mpf(b)) ** 2 for a, b in zip(c.start, c.end)))
+        return (lambda t: w * min(2 * t, L) / L), [L / 2]
+    rho = mp.mpf(c.radius)
+    if isinstance(c, UniformBall):
+        return (lambda t: w * min(t / rho, 1) ** c.dim), [rho]
+    W = mp.mpf(c.angle_end) - mp.mpf(c.angle_start)
+    t_star = rho * mp.sin(min(W / 2, mp.pi / 2))
+    return (lambda t: w if t >= rho else w * min(2 * mp.asin(t / rho), W) / W), \
+        [t_star, rho]
+
+
+def _mp_dini(mu, upper, d):
+    """integral_0^upper (sum of the h_single) / t^{d-1} dt by mpmath at 30
+    digits, split at every kink; mp.inf when t times the integrand stays
+    away from 0 as t -> 0 (log divergence: an atom, or a d=3 segment)."""
+    with mp.workdps(30):
+        parts = [_mp_h(c) for c in mu.components]
+
+        def f(t):
+            return mp.fsum(h(t) for h, _ in parts) / t ** (d - 1)
+
+        tiny = mp.mpf("1e-30")
+        if tiny * f(tiny) > mp.mpf("1e-12"):
+            return mp.inf
+        top = mp.mpf(upper)
+        kinks = sorted({k for _, ks in parts for k in ks if 0 < k < top})
+        return mp.quad(f, [0] + kinks + [top])
+
+
+def _arc_cases():
+    """Arcs of width W < pi, = pi, > pi and = 2 pi, at U/rho = 1e-8, below
+    t* = rho sin(min(W/2, pi/2)), at t*, between t* and rho (W < pi only)
+    and above rho."""
+    rho, w = 0.9, 1.3
+    for label, W in (("narrow", 1.0), ("half", math.pi), ("wide", 4.0),
+                     ("full", 2.0 * math.pi)):
+        mu = BorelMeasure((UniformArc((0.1, -0.2), rho, -0.5, -0.5 + W, w),))
+        t_star = rho * math.sin(min(W / 2.0, math.pi / 2.0))
+        uppers = {"tiny": 1e-8 * rho, "below": 0.5 * t_star, "at-tstar": t_star,
+                  "above": 1.7 * rho}
+        if t_star < rho:
+            uppers["between"] = 0.5 * (t_star + rho)
+        for where, upper in uppers.items():
+            yield pytest.param(mu, 2, upper, id=f"arc-{label}-{where}")
+
+
+def _ef_arc_s0116():
+    from deltasubh.lab import generate_scenario
+
+    s = generate_scenario(42, 116, "ef_arc")
+    return pytest.param(s.mu, 2, s.R + s.r, id="ef_arc-s0116")
+
+
+DINI_CASES = [
+    pytest.param(BorelMeasure((Atom((0.7, 0.2), 1.0),)), 2, 1.0, id="atom-d2"),
+    pytest.param(BorelMeasure((Atom((0.1, 0.2, -0.3), 0.4),)), 3, 1.0, id="atom-d3"),
+    pytest.param(BorelMeasure((UniformSegment((0.0, 0.0), (0.8, 0.0), 1.5),)), 2, 0.3,
+                 id="segment-d2-below"),
+    pytest.param(BorelMeasure((UniformSegment((0.0, 0.0), (0.8, 0.0), 1.5),)), 2, 2.0,
+                 id="segment-d2"),
+    pytest.param(BorelMeasure((UniformSegment((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 1.0),)),
+                 3, 1.0, id="segment-d3"),
+    pytest.param(BorelMeasure((UniformBall((0.2, 0.1), 0.7, 0.6),)), 2, 0.5,
+                 id="ball-d2-below"),
+    pytest.param(BorelMeasure((UniformBall((0.2, 0.1), 0.7, 0.6),)), 2, 3.1,
+                 id="ball-d2"),
+    pytest.param(BorelMeasure((UniformBall((0.0, 0.0, 0.0), 1.0, 1.0),)), 3, 2.0,
+                 id="ball-d3"),
+    pytest.param(BorelMeasure((UniformBall((0.0, 0.3, 0.0), 0.8, 1.7),)), 3, 0.25,
+                 id="ball-d3-below"),
+    *_arc_cases(),
+    pytest.param(BorelMeasure((UniformBall((0.3, 0.2), 0.4, 0.5),
+                               UniformBall((-0.5, 0.1), 0.25, 1.1),
+                               UniformBall((0.0, -0.6), 0.6, 0.3))), 2, 0.5,
+                 id="disk_union"),
+    pytest.param(BorelMeasure((UniformBall((0.3, 0.2, 0.0), 0.4, 0.5),
+                               UniformBall((-0.5, 0.1, 0.2), 1.25, 1.1))), 3, 0.9,
+                 id="ball-union-d3"),
+    pytest.param(BorelMeasure((UniformSegment((-0.4, 0.0), (0.4, 0.3), 0.7),
+                               UniformArc((0.0, 0.0), 1.0, 0.5, 4.2, 0.9),
+                               UniformBall((0.2, -0.3), 0.3, 0.4))), 2, 1.4,
+                 id="mixed-d2"),
+    pytest.param(BorelMeasure((UniformBall((0.0, 0.0), 0.5, 1.0),
+                               Atom((0.1, 0.1), 0.2))), 2, 2.0, id="ball-and-atom"),
+    _ef_arc_s0116(),
+]
+
+
+@pytest.mark.parametrize("mu, d, upper", DINI_CASES)
+def test_dini_within_its_estimate_of_a_30_digit_reference(mu, d, upper):
+    res = dini_integral_result(DimensionContext(d), mu, upper)
+    assert res.nodes_used == 0
+    ref = _mp_dini(mu, upper, d)
+    if ref == mp.inf:
+        assert res.value == math.inf
+    else:
+        assert abs(mp.mpf(res.value) - ref) <= res.error_estimate
 
 
 def test_dini_atom_diverges():
     mu = BorelMeasure((Atom((0.7, 0.2), 1.0),))
     assert dini_integral(D2, mu, 1.0) == math.inf
-
-
-def test_dini_ball3_closed_form():
-    # h(t) = W (t/rho)^3 for t < rho, W after; d=3 integrand h/t^2
-    W, rho, upper = 1.0, 1.0, 2.0
-    mu = BorelMeasure((UniformBall((0.0, 0.0, 0.0), rho, W),))
-    expected = W * rho ** -3 * rho ** 2 / 2.0  # int_0^rho t dt / rho^3
-    expected += W * (1.0 / rho - 1.0 / upper)  # int_rho^upper dt/t^2
-    res = dini_integral_result(D3, mu, upper, tol=1e-9)
-    assert res.value == pytest.approx(expected, rel=1e-8)
 
 
 def test_dini_segment3_diverges():
