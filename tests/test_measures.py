@@ -375,8 +375,11 @@ def _mp_h(c):
         return (lambda t: w * min(t / rho, 1) ** c.dim), [rho]
     W = mp.mpf(c.angle_end) - mp.mpf(c.angle_start)
     t_star = rho * mp.sin(min(W / 2, mp.pi / 2))
-    return (lambda t: w if t >= rho else w * min(2 * mp.asin(t / rho), W) / W), \
-        [t_star, rho]
+
+    def h(t):
+        return w if t >= rho else w * min(2 * mp.asin(t / rho), W) / W
+
+    return h, [t_star, rho]
 
 
 def _mp_dini(mu, upper, d):
