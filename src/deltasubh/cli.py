@@ -155,7 +155,7 @@ def _cmd_characteristic(args) -> int:
         elif args.kind == "C+":
             rec = spherical_mean(s.U, r, "positive", s.tolerances.mean)
         elif args.kind == "M":
-            rec = sup_on_sphere(s.U, r, "identity", s.tolerances.sup)
+            rec = sup_on_sphere(s.U, r)
         elif args.kind == "Tdiff":
             rec = difference_characteristic(s.U, r, args.R or s.R, s.tolerances.mean)
         elif args.kind == "TdiffC":

@@ -93,7 +93,6 @@ ALL_CHECKS = ("UR", "UR2", "UR2f", "UR2fr", "Ux", "U+B", "dBr")
 @dataclass(frozen=True)
 class Tolerances:
     mean: float = 1e-8   # absolute, circle/sphere means
-    sup: float = 1e-7    # refinement gap for sups
 
 
 @dataclass(frozen=True)

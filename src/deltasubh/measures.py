@@ -10,28 +10,30 @@ N_mu(r, R) and the modulus of continuity h_mu certifiable:
 
 h_mu is exact for purely atomic measures in d=2 (the optimum is attained at
 an atom or at a center equidistant from two atoms, so O(n^2) candidates
-suffice) and for any single symmetric primitive; otherwise a multi-start
-local search returns a flagged lower bound, and subadditivity gives a flagged
-upper bound (h_{mu1+mu2} <= h_mu1 + h_mu2) which is what inequality
+suffice) and for any single symmetric primitive; otherwise branch and bound
+over centers brackets it, and its lower end is reported, flagged exact when
+the bracket closes to 1e-12 max(1, mass).  Subadditivity gives a
+flagged upper bound (h_{mu1+mu2} <= h_mu1 + h_mu2) which is what inequality
 verification feeds into a right-hand side.
 
 Closed balls throughout: mass sitting at distance exactly t from y counts.
 
 Each component kind carries its own behaviour, so callers never switch on
-the kind: ball_mass, breakpoint_radii, h_single, dini_single (closed-form
+the kind: ball_mass (at one center or an (n, d) array of centers),
+breakpoint_radii, h_single, dini_single (closed-form
 integral_0^upper h_single(t) / t^{d-1} dt), outer_radius, translate,
-search_starts (modulus search), potential (closed-form kernel potential,
-per point) and distance_to (generator rejection).
+potential (closed-form kernel potential, per point) and distance_to
+(generator rejection).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import spence
 
 from .geometry import DimensionContext, _kernel_values, _row_norms, ext_mul, kernel
@@ -72,13 +74,16 @@ def _as_point(p) -> Point:
     return tuple(float(c) for c in p)
 
 
-def _dist(p: Point, q: Point) -> float:
-    return math.dist(p, q)
+def _dist(p: Point, y):
+    """|p - y|: a float for one point y, an array for an (n, d) array y."""
+    if np.ndim(y) == 2:
+        return _row_norms(np.asarray(y, dtype=float) - np.asarray(p))
+    return math.dist(p, y)
 
 
-def _shaped_like(t, out):
-    """out as a float when the radius argument t is a scalar, else as is."""
-    return float(out) if np.ndim(t) == 0 else out
+def _float_or_array(out):
+    """out as a float when it holds one value (one center, a scalar radius)."""
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -99,11 +104,9 @@ class Atom:
     def mass(self) -> float:
         return self.weight
 
-    def ball_mass(self, y: Point, t):
-        d = _dist(self.point, y)
-        t_arr = np.asarray(t, dtype=float)
-        out = np.where(d <= t_arr, self.weight, 0.0)
-        return _shaped_like(t, out)
+    def ball_mass(self, y, t):
+        out = np.where(_dist(self.point, y) <= np.asarray(t, dtype=float), self.weight, 0.0)
+        return _float_or_array(out)
 
     def breakpoint_radii(self, y: Point) -> list:
         return [_dist(self.point, y)]
@@ -114,13 +117,10 @@ class Atom:
     def h_single(self, t):
         t_arr = np.asarray(t, dtype=float)
         out = np.full_like(t_arr, self.weight)
-        return _shaped_like(t, out)
+        return _float_or_array(out)
 
     def dini_single(self, upper: float, d: int) -> float:
         return math.inf  # h = weight near 0
-
-    def search_starts(self, t: float) -> list:
-        return [np.asarray(self.point, dtype=float)]
 
     def potential(self, pts: np.ndarray, d: int) -> np.ndarray:
         dist = _row_norms(pts - np.asarray(self.point))
@@ -159,14 +159,14 @@ class UniformSegment:
     def length(self) -> float:
         return _dist(self.start, self.end)
 
-    def ball_mass(self, y: Point, t):
+    def ball_mass(self, y, t):
         # parameter fraction of {s in [0,1] : |start + s (end-start) - y| <= t}
         a = np.asarray(self.start)
         e = np.asarray(self.end) - a
         w = np.asarray(y, dtype=float) - a
         ee = float(np.dot(e, e))
-        dot = float(np.dot(e, w))
-        dd = float(np.dot(w, w))
+        dot = np.dot(w, e)
+        dd = np.dot(w, w) if w.ndim == 1 else (w * w).sum(axis=1)  # one center: np.dot's floats
         t_arr = np.asarray(t, dtype=float)
         disc = dot * dot - ee * (dd - t_arr * t_arr)
         safe = np.sqrt(np.maximum(disc, 0.0))
@@ -174,7 +174,7 @@ class UniformSegment:
         s_hi = (dot + safe) / ee
         frac = np.maximum(0.0, np.minimum(s_hi, 1.0) - np.maximum(s_lo, 0.0))
         out = np.where(disc >= 0.0, self.weight * frac, 0.0)
-        return _shaped_like(t, out)
+        return _float_or_array(out)
 
     def breakpoint_radii(self, y: Point) -> list:
         a = np.asarray(self.start)
@@ -194,7 +194,7 @@ class UniformSegment:
     def h_single(self, t):
         t_arr = np.asarray(t, dtype=float)
         out = self.weight * np.minimum(2.0 * t_arr, self.length) / self.length
-        return _shaped_like(t, out)
+        return _float_or_array(out)
 
     def dini_single(self, upper: float, d: int) -> float:
         """h = weight * t / (L/2) up to L/2, weight after; h / t^2 ~ 1/t in d=3."""
@@ -204,10 +204,6 @@ class UniformSegment:
         if upper <= half:
             return self.weight * upper / half
         return self.weight * (1.0 + math.log(upper / half))
-
-    def search_starts(self, t: float) -> list:
-        a, b = np.asarray(self.start), np.asarray(self.end)
-        return [0.5 * (a + b), a, b, 0.25 * a + 0.75 * b, 0.75 * a + 0.25 * b]
 
     def potential(self, pts: np.ndarray, d: int) -> np.ndarray:
         a = np.asarray(self.start)
@@ -301,16 +297,17 @@ class UniformArc:
         cx, cy = self.center
         return cx + self.radius * np.cos(theta), cy + self.radius * np.sin(theta)
 
-    def ball_mass(self, y: Point, t):
+    def ball_mass(self, y, t):
+        y = np.asarray(y, dtype=float)
         q = _dist(self.center, y)
         t_arr = np.asarray(t, dtype=float)
         w = self.width
-        if q < 1e-15 * max(1.0, self.radius):
-            out = np.where(t_arr >= self.radius, self.weight, 0.0)
-            return _shaped_like(t, out)
-        cosv = (self.radius ** 2 + q * q - t_arr * t_arr) / (2.0 * self.radius * q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cosv = (self.radius ** 2 + q * q - t_arr * t_arr) / (2.0 * self.radius * q)
         half = np.arccos(np.clip(cosv, -1.0, 1.0))
-        phi = math.atan2(y[1] - self.center[1], y[0] - self.center[0])
+        dx, dy = y[..., 0] - self.center[0], y[..., 1] - self.center[1]
+        # math.atan2 for one center: np.arctan2 may differ in the last bit
+        phi = math.atan2(dy, dx) if y.ndim == 1 else np.arctan2(dy, dx)
         # covered angular interval [phi-half, phi+half] intersected with the
         # support interval, both on the circle
         s0 = np.mod(phi - half - self.angle_start, TWO_PI)
@@ -319,8 +316,9 @@ class UniformArc:
         wrapped = np.maximum(0.0, np.minimum(s0 + lam - TWO_PI, w))
         inter = np.where(s0 + lam <= TWO_PI, direct, np.maximum(0.0, w - s0) + wrapped)
         inter = np.where(cosv <= -1.0, w, np.where(cosv >= 1.0, 0.0, inter))
-        out = self.weight * inter / w
-        return _shaped_like(t, out)
+        out = np.where(q < 1e-15 * max(1.0, self.radius),  # y at the center
+                       np.where(t_arr >= self.radius, self.weight, 0.0), self.weight * inter / w)
+        return _float_or_array(out)
 
     def breakpoint_radii(self, y: Point) -> list:
         q = _dist(self.center, y)
@@ -355,7 +353,7 @@ class UniformArc:
             self.weight,
             self.weight * np.minimum(ang, self.width) / self.width,
         )
-        return _shaped_like(t, out)
+        return _float_or_array(out)
 
     def dini_single(self, upper: float, d: int) -> float:
         """With t = rho sin(phi), h = (2 weight / W) phi up to t* = rho sin(theta*),
@@ -371,16 +369,6 @@ class UniformArc:
         if upper > t_star:
             value += self.weight * math.log(upper / t_star)
         return value
-
-    def search_starts(self, t: float) -> list:
-        on = np.asarray(self.point_at(0.5 * (self.angle_start + self.angle_end)), dtype=float)
-        ctr = np.asarray(self.center, dtype=float)
-        if t >= self.radius:
-            return [on, ctr]
-        # analytic optimum for a lone arc: center at distance
-        # sqrt(rho^2 - t^2) toward the covered mid-angle
-        q = math.sqrt(self.radius ** 2 - t * t)
-        return [on, ctr, ctr + q * ((on - ctr) / self.radius)]
 
     def potential(self, pts: np.ndarray, d: int) -> np.ndarray:
         """weight * (ln max(q, rho) - s Im[Li2(b e^{i s a2}) - Li2(b e^{i s a1})] / W)
@@ -442,7 +430,7 @@ class UniformBall:
     def mass(self) -> float:
         return self.weight
 
-    def ball_mass(self, y: Point, t):
+    def ball_mass(self, y, t):
         q = _dist(self.center, y)
         rho = self.radius
         t_arr = np.asarray(t, dtype=float)
@@ -453,7 +441,7 @@ class UniformBall:
             inter = _lens_volume_3d(t_arr, rho, q)
             frac = inter / (4.0 / 3.0 * math.pi * rho ** 3)
         out = self.weight * frac
-        return _shaped_like(t, out)
+        return _float_or_array(out)
 
     def breakpoint_radii(self, y: Point) -> list:
         q = _dist(self.center, y)
@@ -466,7 +454,7 @@ class UniformBall:
         t_arr = np.asarray(t, dtype=float)
         ratio = np.clip(t_arr / self.radius, 0.0, 1.0)
         out = self.weight * ratio ** self.dim
-        return _shaped_like(t, out)
+        return _float_or_array(out)
 
     def dini_single(self, upper: float, d: int) -> float:
         """h / t^{d-1} = weight * t / rho^d up to rho, weight / t^{d-1} after."""
@@ -476,9 +464,6 @@ class UniformBall:
         if d == 2:
             return self.weight * (0.5 + math.log(upper / rho))
         return self.weight * (1.5 / rho - 1.0 / upper)
-
-    def search_starts(self, t: float) -> list:
-        return [np.asarray(self.center, dtype=float)]
 
     def potential(self, pts: np.ndarray, d: int) -> np.ndarray:
         c = np.asarray(self.center)
@@ -615,22 +600,15 @@ def radial_counting(mu: BorelMeasure, y, t):
 # modulus of continuity
 
 
-def _grouped_atoms(mu: BorelMeasure):
+def _atomic_h_exact_2d(mu: BorelMeasure, t: float) -> float:
+    """Exact h for purely atomic mu in d=2 via two-atom candidate centers."""
     merged: dict = {}
     for a in mu.atoms:
         merged[a.point] = merged.get(a.point, 0.0) + a.weight
     keys = sorted(merged)
     pts = np.array(keys, dtype=float).reshape(len(keys), -1)
     wts = np.array([merged[k] for k in keys], dtype=float)
-    return pts, wts
-
-
-def _atomic_h_exact_2d(mu: BorelMeasure, t: float) -> float:
-    """Exact h for purely atomic mu in d=2 via two-atom candidate centers."""
-    pts, wts = _grouped_atoms(mu)
     n = len(pts)
-    if n == 0:
-        return 0.0
     scale = max(1.0, float(np.max(np.abs(pts))), t)
     tol = 1e-12 * scale
     cands = [pts]
@@ -681,59 +659,82 @@ def modulus_upper_bound(mu: BorelMeasure, t: float) -> float:
     return _modulus(mu, t, "upper")[0]
 
 
-def _search_starts(mu: BorelMeasure, t: float) -> list:
-    starts = [np.zeros(mu.dim)]  # support lies in a ball around the origin
-    for c in mu.components:
-        starts += c.search_starts(t)
-    if mu.dim == 2 and len(mu.atoms) >= 2 and t > 0:
-        pts, _ = _grouped_atoms(mu)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if np.hypot(*(pts[j] - pts[i])) <= 2.0 * t:
-                    starts.append(0.5 * (pts[i] + pts[j]))
-    return starts[:64]
+_BEAM = 4096  # most cells split per level; the others keep their upper bounds
+_BRACKET_TOL = 1e-12  # closing gap of the bracket, relative to max(1, mass)
+
+
+def _modulus_bracket(mu: BorelMeasure, t: float) -> tuple:
+    """(lower, upper) around h_mu(t) by interval branch and bound over centers
+    (Hansen, Global Optimization Using Interval Analysis, 1992).  The root is
+    the cube of half-side support_radius + t around 0.  A cell with center c
+    and half-diagonal delta lies between mu(B_c(t)) and sum_i min(h_i(t),
+    mu_i(B_c(t + delta))), as B_y(t) lies in B_c(t + delta) for every y in
+    it.  Cells within tol of the best lower bound are dropped, the rest
+    split in 2^d, down to 1e-13 of the root; past _BEAM live cells only
+    those with the largest upper + lower are split."""
+    if not mu.components:
+        return 0.0, 0.0
+    comps, d = mu.components, mu.dim
+    caps = np.array([[float(c.h_single(t))] for c in comps])
+    tol = _BRACKET_TOL * max(1.0, mu.mass)
+    half = mu.support_radius + t
+    smallest = 1e-13 * half
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
+    centers = np.zeros((1, d))
+    best = upper = 0.0
+    while True:
+        radii = np.array([[t], [t + half * math.sqrt(d)]])  # t, then t + half-diagonal
+        masses = np.array([c.ball_mass(centers, radii) for c in comps])
+        lower = masses[:, 0].sum(axis=0)
+        best = max(best, float(lower.max()))
+        cover = np.minimum(caps, masses[:, 1]).sum(axis=0)
+        live = cover > best + tol
+        upper = max(upper, float(cover[~live].max(initial=0.0)))
+        centers, cover, lower = centers[live], cover[live], lower[live]
+        if not len(centers) or half < smallest:
+            break
+        if len(centers) > _BEAM:
+            order = np.argpartition(-(cover + lower), _BEAM - 1)
+            upper = max(upper, float(cover[order[_BEAM:]].max()))
+            centers = centers[order[:_BEAM]]
+        half *= 0.5
+        centers = (centers[:, None, :] + half * corners).reshape(-1, d)
+    upper = max(upper, float(cover.max(initial=0.0)), best)
+    return min(best, mu.mass), min(upper, mu.mass)
 
 
 def modulus_lower_bound(mu: BorelMeasure, t: float) -> float:
-    """Certified lower bound of h_mu(t) from multi-start local search."""
-    if not mu.components:
-        return 0.0
-    best = 0.0
-    scale = max(1.0, mu.support_radius, t)
-    for y0 in _search_starts(mu, t):
-        best = max(best, float(mu.radial_counting(tuple(y0), t)))
-        res = minimize(
-            lambda y: -float(mu.radial_counting(tuple(y), t)),
-            y0, method="Nelder-Mead",
-            options={"xatol": 1e-10 * scale, "fatol": 1e-12, "maxiter": 250},
-        )
-        best = max(best, -float(res.fun))
-    return min(best, mu.mass)
+    """Certified lower bound of h_mu(t): the lower end of its bracket."""
+    return _modulus_bracket(mu, t)[0]
 
 
 def modulus_of_continuity(mu: BorelMeasure, t: float) -> float:
-    """h_mu(t) = sup_y mu(B_y(t)): exact when certifiable, else a search
+    """h_mu(t) = sup_y mu(B_y(t)): exact when certifiable, else a certified
     lower bound (see modulus_profile for the per-point exactness flag)."""
     return _modulus(mu, t, "auto")[0]
 
 
 def _modulus(mu: BorelMeasure, t: float, method: str) -> tuple:
     """(h_mu(t), flag): the exact value where certifiable, else the
-    subadditive upper bound (method "upper") or the search lower bound.  The
-    one choice behind modulus_of_continuity, modulus_upper_bound and
-    modulus_profile."""
+    subadditive upper bound (method "upper") or the lower end of the
+    branch-and-bound bracket, "exact" when the bracket closes to within
+    its tolerance.  The one choice behind modulus_of_continuity,
+    modulus_upper_bound and modulus_profile."""
     exact = modulus_of_continuity_exact(mu, t)
     if exact is not None:
         return exact, "exact"
     if method == "upper":
         return float(sum(c.h_single(t) for c in mu.components)), "upper-bound"
-    return modulus_lower_bound(mu, t), "lower-bound"
+    lower, upper = _modulus_bracket(mu, t)
+    closed = upper <= lower + _BRACKET_TOL * max(1.0, mu.mass)
+    return lower, "exact" if closed else "lower-bound"
 
 
 @dataclass(frozen=True)
 class ModulusProfile:
     """h_mu sampled on an increasing grid, with a per-point exactness flag:
-    "exact", "lower-bound" (from search) or "upper-bound" (subadditivity)."""
+    "exact", "lower-bound" (branch and bound left a gap) or "upper-bound"
+    (subadditivity)."""
 
     radii: tuple
     values: tuple
@@ -751,8 +752,8 @@ def modulus_profile(mu: BorelMeasure, radii: Sequence[float],
                     method: str = "auto") -> ModulusProfile:
     """Sample h_mu on a grid.
 
-    method="auto" uses the exact value where certifiable and the search lower
-    bound otherwise; "upper" uses the subadditive upper bound for the
+    method="auto" uses the exact value where certifiable and the certified
+    lower bound otherwise; "upper" uses the subadditive upper bound for the
     non-certifiable points (what inequality verification wants).
     """
     radii = tuple(float(t) for t in radii)

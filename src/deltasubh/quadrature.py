@@ -10,8 +10,9 @@ Four entry points:
   engine when singular angles are declared;
 * sphere_mean_3d -- product Gauss-Legendre (polar) x trapezoid (azimuth)
   mean over the unit 2-sphere with doubling;
-* sphere_sup -- dense-grid maximum plus local refinement; returns a lower
-  bound of the sup whose refinement gap is below the requested tolerance.
+* sphere_sup -- dense-grid maximum plus golden-section refinement around
+  the top grid nodes; returns a lower bound of the sup whose refinement gap
+  is below the requested tolerance.
 
 All integrands are VECTORIZED callables: f(ndarray) -> ndarray (for
 sphere_mean_3d, f(theta_array, phi_array) -> array).  integrate_interval
@@ -38,7 +39,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 logger = logging.getLogger(__name__)
 
@@ -429,14 +429,14 @@ def sphere_mean_3d(
     return QuadratureResult(prev, diff, nodes)  # not converged: the last change
 
 
-def _golden_max(h, lo: float, hi: float, value_tol: float) -> float:
-    """Golden-section maximum of scalar h on [lo, hi]."""
+def _golden_max(h, lo: float, hi: float, value_tol: float) -> tuple:
+    """Golden-section maximum of scalar h on [lo, hi]: (value, argument)."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = h(c), h(d)
-    best = max(fc, fd)
+    best = max((fc, c), (fd, d))
     for _ in range(120):
         if fc >= fd:
             b, d, fd = d, c, fc
@@ -446,11 +446,11 @@ def _golden_max(h, lo: float, hi: float, value_tol: float) -> float:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = h(d)
-        new_best = max(fc, fd)
-        if abs(new_best - best) < value_tol and (b - a) < 1e-10:
-            best = max(best, new_best)
-            break
+        new_best = max((fc, c), (fd, d))
+        done = abs(new_best[0] - best[0]) < value_tol and (b - a) < 1e-10
         best = max(best, new_best)
+        if done:
+            break
     return best
 
 
@@ -463,7 +463,8 @@ def sphere_sup(
 
     dim=2: g(theta_array) -> array, dense scan of 4096 angles then golden-
     section refinement around the top 8 local maxima.  dim=3: g(theta, phi)
-    vectorized, ~10^4 product nodes then Nelder-Mead refinement.
+    vectorized, ~10^4 product nodes, then around each of the top 8 golden-
+    section steps along theta, then phi, then theta again.
     """
     if dim == 2:
         n = 4096
@@ -486,7 +487,7 @@ def sphere_sup(
                 v = float(np.asarray(g(np.array([t])), dtype=float)[0])
                 return v if math.isfinite(v) else -math.inf
 
-            best = max(best, _golden_max(scalar, t0 - h, t0 + h, refinement_tol / 8.0))
+            best = max(best, _golden_max(scalar, t0 - h, t0 + h, refinement_tol / 8.0)[0])
         return best
     if dim == 3:
         n_th, n_ph = 80, 128
@@ -498,16 +499,16 @@ def sphere_sup(
         flat_order = np.argsort(vals)[::-1][:8]
         best = float(vals[flat_order[0]])
 
-        def neg(x):
-            v = float(np.asarray(g(np.array([x[0]]), np.array([x[1]])), dtype=float)[0])
-            return -v if math.isfinite(v) else math.inf
+        def at(theta, phi):
+            v = float(np.asarray(g(np.array([theta]), np.array([phi])), dtype=float)[0])
+            return v if math.isfinite(v) else -math.inf
 
+        h_th, h_ph, gap = 2.0 * math.pi / n_th, 2.0 * TWO_PI / n_ph, refinement_tol / 8.0
         for idx in flat_order:
-            x0 = np.array([TH.ravel()[idx], PH.ravel()[idx]])
-            res = minimize(neg, x0, method="Nelder-Mead",
-                           options={"xatol": 1e-9, "fatol": refinement_tol / 8.0,
-                                    "maxiter": 400})
-            if math.isfinite(res.fun):
-                best = max(best, -float(res.fun))
+            theta, phi = TH.ravel()[idx], PH.ravel()[idx]
+            v1, theta = _golden_max(lambda x: at(x, phi), theta - h_th, theta + h_th, gap)
+            v2, phi = _golden_max(lambda x: at(theta, x), phi - h_ph, phi + h_ph, gap)
+            v3, theta = _golden_max(lambda x: at(x, phi), theta - h_th, theta + h_th, gap)
+            best = max(best, v1, v2, v3)
         return best
     raise ValueError(f"sphere_sup supports dim 2 or 3, got {dim}")

@@ -22,13 +22,14 @@ Schema (version "1"):
                               "angles": [a0, a1], "weight": w},
           {"type": "ball",    "center": [...], "radius": rho, "weight": w}]},
       "radii": {"r": 2.0, "R": 4.0, "r0": 0.0},
-      "tolerances": {"mean": 1e-8, "sup": 1e-7},
+      "tolerances": {"mean": 1e-8},
       "seed": 42,
       "scenario_id": "golden"
     }
 
-Unknown keys are ignored, among them the "dini" tolerance of older files:
-the Dini integral is closed-form and takes none.  Validation failures raise
+Unknown keys are ignored, among them the "dini" and "sup" tolerances of
+older files: the Dini integral is closed-form and takes none, and the sup on
+a sphere keeps its own refinement gap.  Validation failures raise
 ScenarioError with a distinct .code naming the offending constraint.
 """
 
@@ -215,10 +216,7 @@ def parse_scenario(data: Union[bytes, str, dict]) -> Scenario:
               f"measure support radius {mu.support_radius} exceeds r={r}")
     U, f = _function_from_json(obj.get("function") or {}, dim)
     tol_obj = obj.get("tolerances") or {}
-    tolerances = Tolerances(
-        mean=float(tol_obj.get("mean", Tolerances.mean)),
-        sup=float(tol_obj.get("sup", Tolerances.sup)),
-    )
+    tolerances = Tolerances(mean=float(tol_obj.get("mean", Tolerances.mean)))
     return Scenario(
         scenario_id=str(obj.get("scenario_id", "scenario")),
         ctx=DimensionContext(dim),
@@ -258,6 +256,6 @@ def serialize_scenario(s: Scenario) -> dict:
         "function": function,
         "measure": {"components": [_component_to_json(c) for c in s.mu.components]},
         "radii": radii,
-        "tolerances": {"mean": s.tolerances.mean, "sup": s.tolerances.sup},
+        "tolerances": {"mean": s.tolerances.mean},
         "seed": s.seed,
     }

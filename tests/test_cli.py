@@ -82,12 +82,13 @@ def test_round_trip_scenarios():
 
 
 def test_parse_ignores_the_dropped_dini_tolerance():
-    # scenario files written while the Dini integral had a tolerance still load
+    # scenario files written while the Dini integral and the sphere sup had
+    # tolerances still load
     obj = json.loads(GOLDEN.read_text())
     obj["tolerances"] = {"mean": 1e-9, "dini": 1e-4, "sup": 1e-6}
     s = parse_scenario(json.dumps(obj))
-    assert s.tolerances == Tolerances(mean=1e-9, sup=1e-6)
-    assert "dini" not in serialize_scenario(s)["tolerances"]
+    assert s.tolerances == Tolerances(mean=1e-9)
+    assert serialize_scenario(s)["tolerances"] == {"mean": 1e-9}
 
 
 def test_round_trip_delta_subharmonic_scenario():
@@ -366,7 +367,7 @@ PIN_3D = {
 # md5 of stdout per (scenario, command); the generated corpus carries only
 # atomic charges, so these are what pins the segment, ball and full-circle
 # charge potentials, canonical T_U, the 3-d sphere means and the modulus
-# search starts
+# bracket
 PINNED_STDOUT = {
     ("pin-2d", "Tdiff"): "8f17f6af54fde49050fd0b426c5cc365",
     ("pin-2d", "TdiffC"): "0854faf6d47dca6e11ddf9ec13d90b7f",
@@ -375,12 +376,12 @@ PINNED_STDOUT = {
     ("pin-3d", "Tdiff"): "a0c70747a3b4a7adb2179051619dbc6f",
     ("pin-3d", "TdiffC"): "2e266ef82dd19503b59d41184f94424e",
     ("pin-3d", "C+"): "a4085361ed81bac1fe099ead2369a2d5",
-    ("pin-3d", "M"): "ee195a8ae7729bb849096c6ccf4f3013",
-    ("pin-2d", "auto"): "b63713cb4f44659bb842c8ea93250f0f",
+    ("pin-3d", "M"): "5e5375ddb3d3886e44313a31b720b0cb",
+    ("pin-2d", "auto"): "a1b35f94afcfef9b007b6387a6578970",
     ("pin-2d", "upper"): "c3651186304887789faf0c28e4266f97",
-    ("pin-disk-union", "auto"): "424a57a6c687e9cfe2edb5dc667a6913",
+    ("pin-disk-union", "auto"): "39b61e7f81a1cc6a830438a9d0bae0e3",
     ("pin-disk-union", "upper"): "82799362e8e1f316a1f9c4b003811cce",
-    ("pin-3d", "auto"): "0b9edc0fff95f53da2c82ab93eca96f1",
+    ("pin-3d", "auto"): "d2e1618f4a88e6224d6ee41214cfd7e7",
     ("pin-3d", "upper"): "dcb52053e83ec256dbb7dfd1959d862a",
 }
 

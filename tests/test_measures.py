@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from deltasubh.geometry import DimensionContext
 from deltasubh.measures import (
+    _modulus_bracket,
     Atom,
     BorelMeasure,
     UniformArc,
@@ -296,9 +299,58 @@ def test_modulus_profile_flags_and_bounds():
     prof_up = modulus_profile(mixed, grid, method="upper")
     assert "upper-bound" in prof_up.flags
     prof_lo = modulus_profile(mixed, grid)
-    assert "lower-bound" in prof_lo.flags
+    # the bracket closes at every grid point: inside the denser disk, that
+    # disk filled, the other disk filled, then both
+    assert prof_lo.flags == ("exact",) * len(grid)
+    assert prof_lo.values == pytest.approx((0.125, 0.5, 1.0, 1.5, 1.5), abs=1.5e-12)
     for up, lo_v in zip(prof_up.values, prof_lo.values):
         assert up >= lo_v - 1e-12
+
+
+def _grid_max(mu, t, n):
+    """max of mu(B_y(t)) over n^d centers evenly spread on the cube of
+    half-side support_radius + t: a lower bound of h_mu(t).  The centers go
+    through ball_mass as one array, checked first against one-center calls."""
+    side = np.linspace(-(mu.support_radius + t), mu.support_radius + t, n)
+    centers = np.stack(np.meshgrid(*[side] * mu.dim, indexing="ij"), -1).reshape(-1, mu.dim)
+    masses = sum(c.ball_mass(centers, t) for c in mu.components)
+    for k in range(0, len(centers), len(centers) // 97):
+        assert masses[k] == pytest.approx(radial_counting(mu, centers[k], t), abs=1e-14)
+    return float(masses.max())
+
+
+PIN_3D_MEASURE = BorelMeasure((
+    UniformBall((0.2, -0.3, 0.1), 0.6, 0.7),
+    UniformSegment((-0.8, 0.2, 0.0), (0.3, 0.9, -0.5), 0.5),
+    Atom((0.5, 0.5, 0.5), 0.2)))
+
+
+@pytest.mark.parametrize("mu, t, n", [
+    # disk union of sweep seed 13, k 55: the best ball holds two whole disks
+    (BorelMeasure((UniformBall((0.5036, -0.8712), 0.1599, 0.8255),
+                   UniformBall((1.0401, -0.0574), 0.0876, 0.9038),
+                   UniformBall((-0.5419, 0.1612), 0.2988, 0.4945))), 0.69, 601),
+    # the best ball straddles the two balls, so the bracket stays open
+    (BorelMeasure((UniformBall((0.0, 0.0, 0.0), 0.4, 1.0),
+                   UniformBall((0.7, 0.1, 0.0), 0.3, 0.8))), 0.45, 81),
+    (PIN_3D_MEASURE, 0.1, 81),
+    (PIN_3D_MEASURE, 0.5, 81),
+    (PIN_3D_MEASURE, 0.9, 81),
+], ids=["disk-union-seed13", "two-balls-d3", "pin-3d-0.1", "pin-3d-0.5", "pin-3d-0.9"])
+def test_modulus_bracket_holds_the_grid_maximum(mu, t, n):
+    lower, upper = _modulus_bracket(mu, t)
+    brute = _grid_max(mu, t, n)
+    assert brute <= upper, (brute, upper)
+    assert lower >= brute - 1e-9, (lower, brute)
+    closed = upper <= lower + 1e-12 * max(1.0, mu.mass)
+    assert modulus_profile(mu, [t]).values == (lower,)
+    assert modulus_profile(mu, [t]).flags == ("exact" if closed else "lower-bound",)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    code = "import sys, deltasubh; assert 'scipy.optimize' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
