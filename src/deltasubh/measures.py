@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import spence
 
 from .geometry import DimensionContext, _kernel_values, _row_norms, ext_mul, kernel
-from .quadrature import QuadratureBudgetError, QuadratureResult, _gl_nodes, integrate_interval
+from .quadrature import QuadratureResult, _gl_nodes, integrate_interval
 
 __all__ = [
     "Atom",
@@ -166,9 +166,11 @@ class UniformSegment:
         w = np.asarray(y, dtype=float) - a
         ee = float(np.dot(e, e))
         dot = np.dot(w, e)
-        dd = np.dot(w, w) if w.ndim == 1 else (w * w).sum(axis=1)  # one center: np.dot's floats
+        # ee (t^2 - |w_perp|^2), not dot^2 - ee (|w|^2 - t^2): the latter
+        # cancels for centers on or near the segment's line
+        perp = w - np.multiply.outer(dot / ee, e)
         t_arr = np.asarray(t, dtype=float)
-        disc = dot * dot - ee * (dd - t_arr * t_arr)
+        disc = ee * (t_arr * t_arr - (perp * perp).sum(axis=-1))
         safe = np.sqrt(np.maximum(disc, 0.0))
         s_lo = (dot - safe) / ee
         s_hi = (dot + safe) / ee
@@ -766,12 +768,15 @@ def modulus_profile(mu: BorelMeasure, radii: Sequence[float],
 # integrated counting function N_mu(r, R)
 
 
+_COUNTING_TOL = 1e-10
+
+
 def _exact_atomic_counting(ctx: DimensionContext, atoms: Iterable[Atom],
-                           r: float, R: float, center: Point) -> float:
+                           r: float, R: float, origin: Point) -> float:
     total = 0.0
     kR = kernel(ctx, R)
     for a in atoms:
-        ti = _dist(a.point, center)
+        ti = _dist(a.point, origin)
         if ti >= R:
             continue
         lo = max(ti, r)
@@ -780,67 +785,45 @@ def _exact_atomic_counting(ctx: DimensionContext, atoms: Iterable[Atom],
 
 
 def integrated_counting_result(ctx: DimensionContext, mu: BorelMeasure,
-                               r: float, R: float, center=None,
-                               tol: float = 1e-10) -> QuadratureResult:
-    """N_mu(r, R) = d_hat * integral_r^R mu_center^rad(t) / t^{d-1} dt.
+                               r: float, R: float) -> QuadratureResult:
+    """N_mu(r, R) = d_hat * integral_r^R mu(B_0(t)) / t^{d-1} dt.
 
-    Exact (piecewise kernel differences) for the atomic part; adaptive
-    quadrature for continuous components.  Returns +inf when the integral
-    diverges at r = 0 (mass at the center, or d=3 mass reaching the center
-    too slowly).
+    Exact (piecewise kernel differences) for the atoms; one adaptive
+    quadrature over [r, R], split at the breakpoint radii, for the continuous
+    components.  +inf when the integral diverges at r = 0: an atom at the
+    origin, or a continuous component through the origin whose closed-form
+    Dini integral is +inf.
     """
     if not 0.0 <= r < R:
         raise ValueError(f"need 0 <= r < R, got ({r}, {R})")
-    center = _as_point(center) if center is not None else (0.0,) * ctx.d
-    atoms = mu.atoms
+    origin = (0.0,) * ctx.d
     cont = [c for c in mu.components if not isinstance(c, Atom)]
-    value = _exact_atomic_counting(ctx, atoms, r, R, center)
-    err = 0.0
-    nodes = 0
-    if cont:
-        d_hat = float(ctx.d_hat)
-        power = ctx.d - 1
+    value = _exact_atomic_counting(ctx, mu.atoms, r, R, origin)
+    if not cont:
+        return QuadratureResult(value, 0.0, 0)
+    # dini_single is +inf for a carrier of dimension at most d - 2 (a segment
+    # in d = 3): its mass near any of its points grows like t^{d-2} or
+    # slower, so mass / t^{d-1} is not integrable at a point of it either.
+    if r == 0.0 and any(math.isinf(c.dini_single(R, ctx.d))
+                        and c.distance_to(np.zeros(ctx.d)) == 0.0 for c in cont):
+        return QuadratureResult(math.inf, 0.0, 0)
+    d_hat = float(ctx.d_hat)
+    power = ctx.d - 1
 
-        def integrand(t):
-            m = np.zeros_like(t)
-            for c in cont:
-                m = m + c.ball_mass(center, t)
-            return d_hat * m / t ** power
-
-        breakpoints = []
+    def integrand(t):
+        m = np.zeros_like(t)
         for c in cont:
-            breakpoints += c.breakpoint_radii(center)
-        breakpoints = [b for b in breakpoints if r < b < R]
-        lo = r
-        if r == 0.0:
-            near = float(sum(c.ball_mass(center, 0.0) for c in cont))
-            if near > 0.0:
-                return QuadratureResult(math.inf, 0.0, 0)
-            inner = min([R] + breakpoints) if breakpoints else R
-            first = min(inner, 1e-3 * R) if inner > 0 else 1e-3 * R
-            start = min(c.breakpoint_radii(center)[0] for c in cont)
-            if start <= 1e-14 * R:
-                # support reaches the center: geometric ladder on (0, first]
-                try:
-                    res0 = integrate_interval(integrand, 0.0, first, [0.0], tol / 2.0)
-                except QuadratureBudgetError:
-                    return QuadratureResult(math.inf, 0.0, 0)
-                value += res0.value
-                err += res0.error_estimate
-                nodes += res0.nodes_used
-                lo = first
-            else:
-                lo = start * 0.5
-        res = integrate_interval(integrand, lo, R, breakpoints, tol)
-        value += res.value
-        err += res.error_estimate
-        nodes += res.nodes_used
-    return QuadratureResult(value, err, nodes)
+            m = m + c.ball_mass(origin, t)
+        return d_hat * m / t ** power
+
+    breakpoints = [b for c in cont for b in c.breakpoint_radii(origin) if r < b < R]
+    res = integrate_interval(integrand, r, R, breakpoints, _COUNTING_TOL)
+    return QuadratureResult(value + res.value, res.error_estimate, res.nodes_used)
 
 
 def integrated_counting(ctx: DimensionContext, mu: BorelMeasure,
-                        r: float, R: float, center=None) -> float:
-    return integrated_counting_result(ctx, mu, r, R, center).value
+                        r: float, R: float) -> float:
+    return integrated_counting_result(ctx, mu, r, R).value
 
 
 # ---------------------------------------------------------------------------

@@ -377,11 +377,11 @@ PINNED_STDOUT = {
     ("pin-3d", "TdiffC"): "2e266ef82dd19503b59d41184f94424e",
     ("pin-3d", "C+"): "a4085361ed81bac1fe099ead2369a2d5",
     ("pin-3d", "M"): "5e5375ddb3d3886e44313a31b720b0cb",
-    ("pin-2d", "auto"): "a1b35f94afcfef9b007b6387a6578970",
+    ("pin-2d", "auto"): "1f34b06f671f1448fe0f6631e6d476d2",
     ("pin-2d", "upper"): "c3651186304887789faf0c28e4266f97",
     ("pin-disk-union", "auto"): "39b61e7f81a1cc6a830438a9d0bae0e3",
     ("pin-disk-union", "upper"): "82799362e8e1f316a1f9c4b003811cce",
-    ("pin-3d", "auto"): "d2e1618f4a88e6224d6ee41214cfd7e7",
+    ("pin-3d", "auto"): "517351612ae280dfac5a9fca902f17d2",
     ("pin-3d", "upper"): "dcb52053e83ec256dbb7dfd1959d862a",
 }
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deltasubh import measures
 from deltasubh.geometry import DimensionContext
 from deltasubh.measures import (
     _modulus_bracket,
@@ -376,6 +377,48 @@ def test_integrated_counting_r_zero_divergence():
     # same geometry in d=3 diverges (integrand ~ c/t)
     seg3 = BorelMeasure((UniformSegment((-0.5, 0.0, 0.0), (0.5, 0.0, 0.0), 1.0),))
     assert integrated_counting(D3, seg3, 0.0, 1.0) == math.inf
+
+
+def test_integrated_counting_segments_through_the_origin_d2():
+    # mu(B_0(t)) = (min(t, a) + min(t, b)) / (a + b): N(0, 2) in closed form
+    rng = random.Random(2106)
+    for _ in range(100):
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        u = (math.cos(theta), math.sin(theta))
+        a, b = rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)
+        seg = UniformSegment((-a * u[0], -a * u[1]), (b * u[0], b * u[1]), 1.0)
+        value = integrated_counting(D2, BorelMeasure((seg,)), 0.0, 2.0)
+        exact = (a + a * math.log(2.0 / a) + b + b * math.log(2.0 / b)) / (a + b)
+        assert math.isfinite(value)
+        assert abs(value - exact) <= 1e-10
+
+
+def test_integrated_counting_d3_segment_through_the_origin_spends_no_node(monkeypatch):
+    calls = []
+    engine = measures.integrate_interval
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "integrate_interval", counted)
+    seg3 = BorelMeasure((UniformSegment((-0.5, 0.0, 0.0), (0.5, 0.0, 0.0), 1.0),))
+    res = integrated_counting_result(D3, seg3, 0.0, 1.0)
+    assert res.value == math.inf and res.nodes_used == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("seg", [
+    UniformSegment((-0.5, 0.0, 0.0), (0.5, 0.0, 0.0), 1.0),
+    UniformSegment((-0.8387068571281568, -0.15098412746126805),
+                   (0.4817465587815061, 0.08672408388808474), 1.0),
+])
+def test_segment_ball_mass_about_a_point_of_it(seg):
+    origin = (0.0,) * seg.dim
+    assert seg.ball_mass(origin, 0.0) == 0.0
+    for t in (1e-3, 1e-6, 1e-9):
+        exact = seg.weight * 2.0 * t / seg.length
+        assert seg.ball_mass(origin, t) == pytest.approx(exact, rel=1e-6)
 
 
 def test_integrated_counting_segment_quadrature_matches_oracle():
