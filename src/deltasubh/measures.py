@@ -516,9 +516,10 @@ def _lens_volume_3d(t, rho, q):
     full_small = 4.0 / 3.0 * math.pi * t ** 3
     full_rho = 4.0 / 3.0 * math.pi * rho ** 3
     with np.errstate(invalid="ignore", divide="ignore"):
+        # (t - rho)^2 grouped: the expanded -3t^2 + 6 rho t - 3 rho^2 cancels
+        # for near-concentric balls
         lens = (math.pi * (t + rho - q) ** 2
-                * (q * q + 2.0 * q * t - 3.0 * t * t + 2.0 * q * rho
-                   + 6.0 * rho * t - 3.0 * rho * rho) / (12.0 * q))
+                * (q * q + 2.0 * q * (t + rho) - 3.0 * (t - rho) ** 2) / (12.0 * q))
     out = np.where(t + rho <= q, 0.0,
                    np.where(q + rho <= t, full_rho,
                             np.where(q + t <= rho, full_small, lens)))

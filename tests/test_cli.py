@@ -373,7 +373,7 @@ PINNED_STDOUT = {
     ("pin-2d", "TdiffC"): "0854faf6d47dca6e11ddf9ec13d90b7f",
     ("pin-2d", "C+"): "435bf3368cc408dab94509584613ff5c",
     ("pin-2d", "M"): "64649216225916d627af82fbf7db2de5",
-    ("pin-3d", "Tdiff"): "a0c70747a3b4a7adb2179051619dbc6f",
+    ("pin-3d", "Tdiff"): "3e4f744f1faa681737db0d0f55191664",
     ("pin-3d", "TdiffC"): "2e266ef82dd19503b59d41184f94424e",
     ("pin-3d", "C+"): "a4085361ed81bac1fe099ead2369a2d5",
     ("pin-3d", "M"): "5e5375ddb3d3886e44313a31b720b0cb",

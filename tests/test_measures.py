@@ -149,6 +149,12 @@ def test_radial_counting_ball3_oracle():
             _ball3_mass_oracle(comp, y, t), rel=1e-10, abs=1e-12)
 
 
+def test_ball3_mass_of_a_near_concentric_equal_ball():
+    # B_y(0.3) with |y - center| = 1e-12 holds all but O(1e-12) of the ball
+    ball = UniformBall((0.7, 0.1, 0.0), 0.3, 0.8)
+    assert abs(ball.ball_mass((0.7 + 1e-12, 0.1, 0.0), 0.3) - 0.8) <= 1e-9
+
+
 def test_radial_counting_monotone_right_continuous():
     rng = random.Random(15)
     mu = BorelMeasure((
