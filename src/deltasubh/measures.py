@@ -194,8 +194,8 @@ class UniformSegment:
         return max(math.hypot(*self.start), math.hypot(*self.end))
 
     def h_single(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        out = self.weight * np.minimum(2.0 * t_arr, self.length) / self.length
+        L = self.length
+        out = self.weight * (np.minimum(2.0 * np.asarray(t, dtype=float), L) / L)  # <= weight
         return _float_or_array(out)
 
     def dini_single(self, upper: float, d: int) -> float:

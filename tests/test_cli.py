@@ -378,7 +378,7 @@ PINNED_STDOUT = {
     ("pin-3d", "C+"): "a4085361ed81bac1fe099ead2369a2d5",
     ("pin-3d", "M"): "5e5375ddb3d3886e44313a31b720b0cb",
     ("pin-2d", "auto"): "1f34b06f671f1448fe0f6631e6d476d2",
-    ("pin-2d", "upper"): "c3651186304887789faf0c28e4266f97",
+    ("pin-2d", "upper"): "391a7f6fb6b6f50f27e9471f4c6d5c0f",
     ("pin-disk-union", "auto"): "39b61e7f81a1cc6a830438a9d0bae0e3",
     ("pin-disk-union", "upper"): "82799362e8e1f316a1f9c4b003811cce",
     ("pin-3d", "auto"): "517351612ae280dfac5a9fca902f17d2",

@@ -232,6 +232,16 @@ def test_modulus_atomic_exact_vs_brute_force():
         assert exact == pytest.approx(brute, abs=1e-9)
 
 
+def test_segment_modulus_never_exceeds_its_weight():
+    rng = random.Random(7)
+    for _ in range(2000):
+        d = rng.choice((2, 3))
+        seg = UniformSegment(tuple(rng.uniform(-1, 1) for _ in range(d)),
+                             tuple(rng.uniform(-1, 1) for _ in range(d)),
+                             rng.uniform(0.1, 2.0))
+        assert seg.h_single(5.0) <= seg.weight
+
+
 def test_modulus_single_components_exact():
     # segment: h(t) = W min(2t, L) / L
     seg = BorelMeasure((UniformSegment((0.0, 0.0), (2.0, 0.0), 3.0),))
