@@ -51,9 +51,6 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-TRANSFORMS = ("identity", "positive", "negative", "abs")
-
-
 @dataclass(frozen=True)
 class CharacteristicRecord:
     kind: str  # C_mean | M_sup | m_classical | N_classical | T_classical | T_difference
@@ -91,20 +88,6 @@ def _sphere_mean(values, r: float, dim: int, angles, tol: float):
     if dim == 2:
         return circle_mean(g, angles, tol)
     return sphere_mean_3d(g, tol)
-
-
-def _transformed_values(U: DeltaSubharmonicFn, pts: np.ndarray, transform: str) -> np.ndarray:
-    vals, polar = U.values_with_polar(pts)
-    if transform == "identity":
-        return vals  # polar entries stay NaN; the quadrature nudges those nodes
-    with np.errstate(invalid="ignore"):
-        if transform == "positive":
-            return np.where(polar, 0.0, np.maximum(vals, 0.0))
-        if transform == "negative":
-            return np.where(polar, 0.0, np.maximum(-vals, 0.0))
-        if transform == "abs":
-            return np.abs(vals)
-    raise ValueError(f"unknown transform {transform!r}; use one of {TRANSFORMS}")
 
 
 def _charge_atom_points(U: DeltaSubharmonicFn) -> list:
@@ -166,26 +149,26 @@ def _circle_splits(U: DeltaSubharmonicFn, r: float, kinks: bool) -> list:
 
 def spherical_mean(U: DeltaSubharmonicFn, r: float, transform: str = "identity",
                    tol: float = 1e-8) -> CharacteristicRecord:
-    """C over the sphere of radius r of U (or of U^+ / U^- / |U|)."""
+    """C over the sphere of radius r of U, or of U^+ (transform "positive")."""
     if not r > 0:
         raise ValueError("r must be > 0")
-    if transform not in TRANSFORMS:
+    if transform not in ("identity", "positive"):
         raise ValueError(f"unknown transform {transform!r}")
-    res = _sphere_mean(lambda pts: _transformed_values(U, pts, transform), r, U.dim,
-                       _circle_splits(U, r, transform != "identity"), tol)
+    positive = transform == "positive"
+    # polar entries of U.values stay NaN; the quadrature nudges those nodes
+    values = U.positive_values if positive else U.values
+    res = _sphere_mean(values, r, U.dim, _circle_splits(U, r, positive), tol)
     return CharacteristicRecord("C_mean", r, res.value, res.error_estimate,
                                 transform=transform)
 
 
-def sup_on_sphere(U: DeltaSubharmonicFn, r: float, transform: str = "identity",
-                  refinement_tol: float = 1e-7) -> CharacteristicRecord:
+def sup_on_sphere(U: DeltaSubharmonicFn, r: float) -> CharacteristicRecord:
     """M over the sphere of radius r (a refined lower bound of the sup)."""
     if not r > 0:
         raise ValueError("r must be > 0")
-    g = _on_sphere(lambda pts: _transformed_values(U, pts, transform), r, U.dim)
-    value = sphere_sup(g, refinement_tol, dim=U.dim)
-    return CharacteristicRecord("M_sup", r, value, refinement_tol,
-                                transform=transform)
+    refinement_tol = 1e-7
+    value = sphere_sup(_on_sphere(U.values, r, U.dim), refinement_tol, dim=U.dim)
+    return CharacteristicRecord("M_sup", r, value, refinement_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -720,8 +720,10 @@ def _applicable_checks(s: Scenario, checks: Sequence[str]) -> list:
     return out
 
 
-def run_checks(s: Scenario, checks: Sequence[str], timing: bool = False,
-               point_count: int = 20) -> list:
+_POINT_COUNT = 20  # random points of B(0, r) per Ux and U+B check
+
+
+def run_checks(s: Scenario, checks: Sequence[str], timing: bool = False) -> list:
     """Evaluate the requested inequality tags on one scenario.
 
     The UR-family tags share one ingredient set: the Dini integral, the
@@ -737,13 +739,13 @@ def run_checks(s: Scenario, checks: Sequence[str], timing: bool = False,
         if tag in _GROWTH:
             rep = _ur_report(tag, ingredients)
         elif tag == "Ux":
-            pts = [_point_in_ball(rng, s.r, s.ctx.d) for _ in range(point_count)]
+            pts = [_point_in_ball(rng, s.r, s.ctx.d) for _ in range(_POINT_COUNT)]
             pr = verify_poisson_jensen(s.U, s.R, pts, s.tolerances.mean)
             rep = VerificationReport(s.scenario_id, "Ux", pr.max_relative, 1e-6,
                                      1e-6 - pr.max_relative, 0.0, pr.verdict,
                                      {"skipped": len(pr.skipped)})
         elif tag == "U+B":
-            pts = [_point_in_ball(rng, s.r, s.ctx.d) for _ in range(point_count)]
+            pts = [_point_in_ball(rng, s.r, s.ctx.d) for _ in range(_POINT_COUNT)]
             pr = verify_pointwise_bound(s.U, s.r, s.R, pts, s.tolerances.mean)
             worst = min(pr.residuals, default=0.0)
             rep = VerificationReport(s.scenario_id, "U+B", -worst, 0.0, worst,
