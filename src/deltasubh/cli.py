@@ -43,7 +43,7 @@ from .lab import (
     CorpusConfig,
     Scenario,
     Tolerances,
-    _corpus_reports,
+    _scenario_reports,
     run_checks,
     run_corpus,
 )
@@ -215,15 +215,13 @@ def _cmd_corpus(args) -> int:
 
 
 def _run_corpus_parallel(config: CorpusConfig, seed: int, threads: int):
+    """run_corpus over `threads` processes; map keeps the scenario order."""
     if threads <= 1 or config.count < 2 * threads:
         return run_corpus(config, seed)
     from concurrent.futures import ProcessPoolExecutor
-    chunks = [range(i, config.count, threads) for i in range(threads)]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(partial(_corpus_reports, config, seed), chunks)
-        rows = [rep for part in parts for rep in part]
-    rows.sort(key=lambda rep: (rep.scenario_id, rep.inequality))
-    return rows
+        parts = pool.map(partial(_scenario_reports, config, seed), range(config.count))
+        return [rep for part in parts for rep in part]
 
 
 def _cmd_report(args) -> int:

@@ -778,15 +778,13 @@ class CorpusConfig:
     timing: bool = False
 
 
-def _corpus_reports(config: CorpusConfig, seed: int, indices) -> list:
-    reports = []
-    for index in indices:
-        family = config.families[index % len(config.families)]
-        s = generate_scenario(seed, index, family, config.tolerances)
-        reports.extend(run_checks(s, config.checks, timing=config.timing))
-    return reports
+def _scenario_reports(config: CorpusConfig, seed: int, index: int) -> list:
+    family = config.families[index % len(config.families)]
+    s = generate_scenario(seed, index, family, config.tolerances)
+    return run_checks(s, config.checks, timing=config.timing)
 
 
 def run_corpus(config: CorpusConfig, seed: int) -> list:
-    """Deterministic scenario batch; reports ordered by scenario id."""
-    return _corpus_reports(config, seed, range(config.count))
+    """Deterministic scenario batch; reports in scenario-index order."""
+    return [rep for index in range(config.count)
+            for rep in _scenario_reports(config, seed, index)]

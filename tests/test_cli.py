@@ -299,18 +299,21 @@ def test_main_entry_in_process(tmp_path, capsys):
 
 
 def test_env_thread_cap_preserves_output(tmp_path, monkeypatch):
-    out1 = tmp_path / "serial.csv"
-    out2 = tmp_path / "parallel.csv"
-    proc1 = _run(["corpus", "--seed", "9", "--count", "8", "--out", str(out1)])
-    assert proc1.returncode == 0
     import os
     env = dict(os.environ, DELTASUBH_THREADS="2")
-    proc2 = subprocess.run(
-        [sys.executable, "-m", "deltasubh.cli", "corpus", "--seed", "9",
-         "--count", "8", "--out", str(out2)],
-        capture_output=True, text=True, env=env)
-    assert proc2.returncode == 0, proc2.stderr
-    assert out1.read_bytes() == out2.read_bytes()
+    # the second run's checks are out of tag order: rows keep the scenario's
+    # check order, not a sorted one
+    for args in (["corpus", "--seed", "9", "--count", "8"],
+                 ["corpus", "--seed", "3", "--count", "4", "--checks", "UR2f,UR"]):
+        out1 = tmp_path / "serial.csv"
+        out2 = tmp_path / "parallel.csv"
+        proc1 = _run(args + ["--out", str(out1)])
+        assert proc1.returncode == 0
+        proc2 = subprocess.run(
+            [sys.executable, "-m", "deltasubh.cli"] + args + ["--out", str(out2)],
+            capture_output=True, text=True, env=env)
+        assert proc2.returncode == 0, proc2.stderr
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 TWO_PI = 6.283185307179586
