@@ -773,11 +773,11 @@ _COUNTING_TOL = 1e-10
 
 
 def _exact_atomic_counting(ctx: DimensionContext, atoms: Iterable[Atom],
-                           r: float, R: float, origin: Point) -> float:
+                           r: float, R: float) -> float:
     total = 0.0
     kR = kernel(ctx, R)
     for a in atoms:
-        ti = _dist(a.point, origin)
+        ti = a.outer_radius()  # |a.point|
         if ti >= R:
             continue
         lo = max(ti, r)
@@ -799,12 +799,13 @@ def integrated_counting_result(ctx: DimensionContext, mu: BorelMeasure,
         raise ValueError(f"need 0 <= r < R, got ({r}, {R})")
     origin = (0.0,) * ctx.d
     cont = [c for c in mu.components if not isinstance(c, Atom)]
-    value = _exact_atomic_counting(ctx, mu.atoms, r, R, origin)
+    value = _exact_atomic_counting(ctx, mu.atoms, r, R)
     if not cont:
         return QuadratureResult(value, 0.0, 0)
     # dini_single is +inf for a carrier of dimension at most d - 2 (a segment
     # in d = 3): its mass near any of its points grows like t^{d-2} or
     # slower, so mass / t^{d-1} is not integrable at a point of it either.
+    # That one fact decides both divergences: the protocol needs no new member.
     if r == 0.0 and any(math.isinf(c.dini_single(R, ctx.d))
                         and c.distance_to(np.zeros(ctx.d)) == 0.0 for c in cont):
         return QuadratureResult(math.inf, 0.0, 0)
