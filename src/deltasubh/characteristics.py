@@ -178,9 +178,9 @@ def sup_on_sphere(U: DeltaSubharmonicFn, r: float) -> CharacteristicRecord:
 def nevanlinna_m(f: MeromorphicFn, r: float, tol: float = 1e-8) -> CharacteristicRecord:
     """m(r, f): circle mean of ln^+ |f|.
 
-    Zeros of f on the circle need no singular split (ln^+ caps them at 0),
-    but the kinks where |f| crosses 1 are located and passed as split points
-    so the adaptive rule keeps spectral accuracy per panel.
+    The split points are the angles of the zeros and poles within 5 % of r
+    of the circle and the kinks where |f| crosses 1, so the adaptive rule
+    keeps spectral accuracy per panel.
     """
     if not r > 0:
         raise ValueError("r must be > 0")

@@ -12,7 +12,8 @@ The four UR-family tags (UR, UR2, UR2f, UR2fr) share one left side, one
 Dini factor and one A_d and differ only in the growth factor: T_U(r0, R),
 T(R, f) - N(r0, f) or T(R, f).  They are assembled by one function from one
 per-scenario ingredient set whose members (the Dini integral, the
-mu-integral of U^+, T_U and T(R, f)) are each computed on first use.
+mu-integral of U^+ and C_{U^+}(R)) are each computed on first use; every
+growth factor adds a counting term to the one C_{U^+}(R).
 
 Verdict semantics are honest about quadrature error: "pass" requires the
 slack to clear the combined error budget, a negative slack beyond the budget
@@ -37,9 +38,7 @@ from .characteristics import (
     _charge_atom_points,
     _sign_changes,
     _sphere_mean,
-    difference_characteristic,
     nevanlinna_N,
-    nevanlinna_T,
     spherical_mean,
 )
 from .geometry import DimensionContext, ext_mul, kernel
@@ -322,24 +321,31 @@ class _Ingredients:
         return positive_part_integral(self.s.U, self.s.mu, self.s.tolerances.mean)
 
     @cached_property
-    def T_U(self) -> tuple:
-        """T_U(r0 or r, R)."""
+    def C_plus(self):
+        """C_{U^+}(R), which is m(R, f) when U = log|f|."""
         s = self.s
-        T = difference_characteristic(s.U, self.r_growth, s.R, s.tolerances.mean)
-        return T.value, T.error_estimate
+        return spherical_mean(s.U, s.R, "positive", s.tolerances.mean)
+
+    @cached_property
+    def T_U(self) -> tuple:
+        """T_U(r0 or r, R) = C_{U^+}(R) + N_{charge^-}(r0 or r, R)."""
+        s = self.s
+        _plus, minus = jordan_decomposition(s.U)
+        N = integrated_counting_result(s.ctx, minus, self.r_growth, s.R)
+        return (self.C_plus.value + N.value,
+                self.C_plus.error_estimate + N.error_estimate)
 
     @cached_property
     def T_f(self) -> tuple:
-        """T(R, f)."""
-        T = nevanlinna_T(self.s.f, self.s.R, self.s.tolerances.mean)
-        return T.value, T.error_estimate
+        """T(R, f) = C_{U^+}(R) + N(R, f)."""
+        N = nevanlinna_N(self.s.f, self.s.R)
+        return (self.C_plus.value + N.value,
+                self.C_plus.error_estimate + N.error_estimate)
 
     @property
     def T_f_minus_N(self) -> tuple:
-        """T(R, f) - N(r0 or r, f)."""
+        """T(R, f) - N(r0 or r, f); +inf when N(0, f) = -inf (a pole at 0)."""
         N = nevanlinna_N(self.s.f, self.r_growth)
-        if math.isinf(N.value):  # pole at 0 with r0 = 0: T - N = +inf, vacuous
-            return math.inf, 0.0
         T, T_err = self.T_f
         return T - N.value, T_err + N.error_estimate
 
@@ -727,9 +733,8 @@ def run_checks(s: Scenario, checks: Sequence[str], timing: bool = False) -> list
     """Evaluate the requested inequality tags on one scenario.
 
     The UR-family tags share one ingredient set: the Dini integral, the
-    mu-integral of U^+, T_U(r0 or r, R) and T(R, f) are each computed once,
-    inside the first row that needs them, so that row's wall_time_ms
-    includes it.
+    mu-integral of U^+ and C_{U^+}(R) are each computed once, inside the
+    first row that needs them, so that row's wall_time_ms includes it.
     """
     reports = []
     rng = random.Random(f"points:{s.seed}:{s.scenario_id}")

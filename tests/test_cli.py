@@ -444,8 +444,8 @@ PINNED_RUN_STDOUT = {
     "m pin-arc": "e7db2afda0c6e2f48d9005c24ab4429c",
     "C+ pin-arc": "7cba73fae4b082bdf3e402d8fd728d70",
     "C+ pin-arc mean": "2d1a3ffcc46b840f257d2082816cc0b8",
-    "corpus": "8ba5c29d58b7a0cdfc035883a1b78c07",
-    "corpus tols": "cad0ed26f4bcd64489ae0d072f8be34f",
+    "corpus": "48c1b1d467f529c52438026a167ecc06",
+    "corpus tols": "d437eb02799262b7536ed23b427fee2b",
     "verify pin-arc default": "2cb8a2c9ac15f669a4a185718a7a5628",
 }
 

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from deltasubh import lab
+from deltasubh import characteristics, lab, measures
 
 from deltasubh.characteristics import _sphere_mean
 from deltasubh.geometry import DimensionContext, kernel
@@ -195,20 +195,38 @@ UR_FAMILY = ("UR", "UR2", "UR2f", "UR2fr")
 
 
 def test_ur_family_computes_each_ingredient_once(monkeypatch):
+    # each function is counted in every module that holds it, so a call made
+    # through any binding (lab's import, or characteristics' own globals) shows
     s = generate_scenario(42, 1, "segment")
     calls = Counter()
-    names = ("dini_integral_result", "positive_part_integral",
-             "difference_characteristic", "nevanlinna_T")
-    for name in names:
-        def counted(*args, _name=name, _fn=getattr(lab, name), **kwargs):
+    defined = {"dini_integral_result": measures, "positive_part_integral": lab,
+               "spherical_mean": characteristics, "nevanlinna_m": characteristics,
+               "nevanlinna_T": characteristics,
+               "difference_characteristic": characteristics}
+    for name, home in defined.items():
+        original = getattr(home, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(lab, name, counted)
+        for module in (lab, characteristics, measures):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
     reports = run_checks(s, UR_FAMILY)
     assert [rep.inequality for rep in reports] == list(UR_FAMILY)
     assert all(rep.verdict == "pass" for rep in reports)
-    assert calls == {name: 1 for name in names}
+    assert calls == {"dini_integral_result": 1, "positive_part_integral": 1,
+                     "spherical_mean": 1}
+
+
+def test_shared_circle_mean_agrees_with_nevanlinna_T():
+    # m(R, f) stays the oracle of the T(R, f) built from C_{U^+}(R)
+    for index in range(8):
+        s = generate_scenario(42, index, lab.DEFAULT_FAMILIES[index % 4])
+        value, error = lab._Ingredients(s).T_f
+        T = characteristics.nevanlinna_T(s.f, s.R, s.tolerances.mean)
+        assert abs(value - T.value) <= error + T.error_estimate, s.scenario_id
 
 
 def test_run_checks_timing_covers_the_shared_ingredients(monkeypatch):
