@@ -792,8 +792,8 @@ def integrated_counting_result(ctx: DimensionContext, mu: BorelMeasure,
     Exact (piecewise kernel differences) for the atoms; one adaptive
     quadrature over [r, R], split at the breakpoint radii, for the continuous
     components.  +inf when the integral diverges at r = 0: an atom at the
-    origin, or a continuous component through the origin whose closed-form
-    Dini integral is +inf.
+    origin, or a continuous component within 1e-14 R of the origin whose
+    closed-form Dini integral is +inf.
     """
     if not 0.0 <= r < R:
         raise ValueError(f"need 0 <= r < R, got ({r}, {R})")
@@ -806,8 +806,10 @@ def integrated_counting_result(ctx: DimensionContext, mu: BorelMeasure,
     # in d = 3): its mass near any of its points grows like t^{d-2} or
     # slower, so mass / t^{d-1} is not integrable at a point of it either.
     # That one fact decides both divergences: the protocol needs no new member.
+    # A float segment through the origin misses it by rounding; 1e-14 R is
+    # the width below which integrate_interval drops a panel anyway.
     if r == 0.0 and any(math.isinf(c.dini_single(R, ctx.d))
-                        and c.distance_to(np.zeros(ctx.d)) == 0.0 for c in cont):
+                        and c.distance_to(np.zeros(ctx.d)) <= 1e-14 * R for c in cont):
         return QuadratureResult(math.inf, 0.0, 0)
     d_hat = float(ctx.d_hat)
     power = ctx.d - 1

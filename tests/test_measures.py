@@ -418,9 +418,18 @@ def test_integrated_counting_d3_segment_through_the_origin_spends_no_node(monkey
         return engine(*args, **kwargs)
 
     monkeypatch.setattr(measures, "integrate_interval", counted)
-    seg3 = BorelMeasure((UniformSegment((-0.5, 0.0, 0.0), (0.5, 0.0, 0.0), 1.0),))
-    res = integrated_counting_result(D3, seg3, 0.0, 1.0)
-    assert res.value == math.inf and res.nodes_used == 0
+    segments = [UniformSegment((-0.5, 0.0, 0.0), (0.5, 0.0, 0.0), 1.0)]
+    # from -a u to b u in a general direction: in floats such a segment
+    # misses the origin by up to about 1.6e-16
+    rng = random.Random(2106)
+    for _ in range(6):
+        u = np.array([rng.gauss(0.0, 1.0) for _ in range(3)])
+        u /= np.linalg.norm(u)
+        a, b = rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)
+        segments.append(UniformSegment(tuple(-a * u), tuple(b * u), 1.0))
+    for seg in segments:
+        res = integrated_counting_result(D3, BorelMeasure((seg,)), 0.0, 2.0)
+        assert res.value == math.inf and res.nodes_used == 0
     assert calls == []
 
 
