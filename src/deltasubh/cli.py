@@ -141,6 +141,7 @@ def _exit_code(counts: dict, max_inconclusive: float) -> int:
 def _cmd_characteristic(args) -> int:
     s = _apply_tol_overrides(_load_scenario(args.scenario), args)
     radii = _parse_grid(args.r_grid)
+    R = s.R if args.R is None else args.R
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["kind", "r", "R", "value", "error_estimate"])
     for r in radii:
@@ -157,10 +158,9 @@ def _cmd_characteristic(args) -> int:
         elif args.kind == "M":
             rec = sup_on_sphere(s.U, r)
         elif args.kind == "Tdiff":
-            rec = difference_characteristic(s.U, r, args.R or s.R, s.tolerances.mean)
+            rec = difference_characteristic(s.U, r, R, s.tolerances.mean)
         elif args.kind == "TdiffC":
-            rec = difference_characteristic_canonical(s.U, r, args.R or s.R,
-                                                      s.tolerances.mean)
+            rec = difference_characteristic_canonical(s.U, r, R, s.tolerances.mean)
         else:
             raise ValueError(f"unknown kind {args.kind!r}")
         writer.writerow([rec.kind, _fmt(rec.r), _fmt(rec.R) if rec.R else "",

@@ -203,6 +203,18 @@ def test_characteristic_other_kinds():
     assert val == pytest.approx(math.log(4.0), abs=1e-7)
 
 
+@pytest.mark.parametrize("kind", ["Tdiff", "TdiffC"])
+def test_characteristic_upper_radius_zero_is_rejected(capsys, kind):
+    # --R 0 is a value like any other: it fails the 0 <= r < R check rather
+    # than falling back to the scenario's R
+    code = main(["characteristic", str(GOLDEN), "--kind", kind,
+                 "--r-grid", "0.5:0.5:1", "--R", "0"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert "r < R" in out.err
+    assert out.out.count("\n") == 1  # the header only
+
+
 def test_verify_delta_subharmonic_scenario(tmp_path):
     obj = {
         "schema_version": "1",
