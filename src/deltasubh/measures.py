@@ -304,9 +304,11 @@ class UniformArc:
         q = _dist(self.center, y)
         t_arr = np.asarray(t, dtype=float)
         w = self.width
+        # sin^2(half / 2) = (t^2 - (q - rho)^2) / (4 rho q): the arccos of
+        # (rho^2 + q^2 - t^2) / (2 rho q) loses t^2 against 2 rho^2 near q = rho
         with np.errstate(divide="ignore", invalid="ignore"):
-            cosv = (self.radius ** 2 + q * q - t_arr * t_arr) / (2.0 * self.radius * q)
-        half = np.arccos(np.clip(cosv, -1.0, 1.0))
+            s2 = (t_arr * t_arr - (q - self.radius) ** 2) / (4.0 * self.radius * q)
+            half = 2.0 * np.arcsin(np.sqrt(np.clip(s2, 0.0, 1.0)))
         dx, dy = y[..., 0] - self.center[0], y[..., 1] - self.center[1]
         # math.atan2 for one center: np.arctan2 may differ in the last bit
         phi = math.atan2(dy, dx) if y.ndim == 1 else np.arctan2(dy, dx)
@@ -317,7 +319,7 @@ class UniformArc:
         direct = np.maximum(0.0, np.minimum(s0 + lam, w) - s0)
         wrapped = np.maximum(0.0, np.minimum(s0 + lam - TWO_PI, w))
         inter = np.where(s0 + lam <= TWO_PI, direct, np.maximum(0.0, w - s0) + wrapped)
-        inter = np.where(cosv <= -1.0, w, np.where(cosv >= 1.0, 0.0, inter))
+        inter = np.where(s2 >= 1.0, w, np.where(s2 <= 0.0, 0.0, inter))
         out = np.where(q < 1e-15 * max(1.0, self.radius),  # y at the center
                        np.where(t_arr >= self.radius, self.weight, 0.0), self.weight * inter / w)
         return _float_or_array(out)

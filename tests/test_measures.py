@@ -409,6 +409,17 @@ def test_integrated_counting_segments_through_the_origin_d2():
         assert abs(value - exact) <= 1e-10
 
 
+def test_integrated_counting_circles_through_the_origin_d2():
+    # mu(B_0(t)) = (2 / pi) asin(t / (2 rho)) up to t = 2 rho: N(0, 2) = ln(2 / rho)
+    rng = random.Random(2106)
+    for _ in range(100):
+        rho, ang = rng.uniform(0.1, 1.0), rng.uniform(0.0, 2.0 * math.pi)
+        circle = UniformArc((rho * math.cos(ang), rho * math.sin(ang)), rho,
+                            0.0, 2.0 * math.pi, 1.0)
+        value = integrated_counting(D2, BorelMeasure((circle,)), 0.0, 2.0)
+        assert abs(value - math.log(2.0 / rho)) <= 1e-10
+
+
 def test_integrated_counting_d3_segment_through_the_origin_spends_no_node(monkeypatch):
     calls = []
     engine = measures.integrate_interval
