@@ -58,7 +58,7 @@ from .potentials import (
     positive_part,
     potential_values,
 )
-from .quadrature import QuadratureResult, _gl_nodes, integrate_interval
+from .quadrature import QuadratureResult, _floored, _gl_nodes, integrate_interval
 
 __all__ = [
     "CorpusConfig",
@@ -271,11 +271,11 @@ def _ball_integral(U, comp: UniformBall, tol: float) -> QuadratureResult:
             diff = abs(total - prev)
             if diff <= tol / max(comp.weight, 1e-300):
                 return QuadratureResult(comp.weight * total,
-                                        comp.weight * diff, nodes)
+                                        comp.weight * _floored(total, diff), nodes)
         prev = total
         n_r *= 2
         n_a *= 2
-    return QuadratureResult(comp.weight * prev, comp.weight * diff, nodes)
+    return QuadratureResult(comp.weight * prev, comp.weight * _floored(prev, diff), nodes)
 
 
 def positive_part_integral(U: DeltaSubharmonicFn, mu: BorelMeasure,

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import spence
 
 from .geometry import DimensionContext, _kernel_values, _row_norms, ext_mul, kernel
-from .quadrature import QuadratureResult, _gl_nodes, integrate_interval
+from .quadrature import _ROUNDING, QuadratureResult, _gl_nodes, integrate_interval
 
 __all__ = [
     "Atom",
@@ -849,7 +849,7 @@ def dini_integral_result(ctx: DimensionContext, mu: BorelMeasure,
     total = math.fsum(c.dini_single(upper, ctx.d) for c in mu.components)
     if math.isinf(total):
         return QuadratureResult(math.inf, 0.0, 0)
-    return QuadratureResult(total, 16.0 * np.finfo(float).eps * total, 0)
+    return QuadratureResult(total, _ROUNDING * total, 0)
 
 
 def dini_integral(ctx: DimensionContext, mu: BorelMeasure, upper: float) -> float:

@@ -27,7 +27,9 @@ nudges such nodes by an ulp-scale offset and logs the event, per the polar
 set policy (any finite node set may be safely adjusted).
 
 Every accepted result carries error_estimate, a doubling-based heuristic
-bound: the change under one further refinement of the accepted rule.
+bound: the change under one further refinement of the accepted rule, and at
+least 16 eps |value|, the rounding floor (two rules that agree bit for bit
+still carry the rounding of their sums).
 """
 
 from __future__ import annotations
@@ -57,6 +59,12 @@ TWO_PI = 2.0 * math.pi
 _MAX_NODES = 2_000_000
 _MAX_TRAP = 2 ** 18
 _LADDER_LEVELS = 60
+_ROUNDING = 16.0 * float(np.finfo(float).eps)
+
+
+def _floored(value: float, error: float) -> float:
+    """error raised to the rounding floor 16 eps |value|."""
+    return max(error, _ROUNDING * abs(value))
 
 
 @dataclass
@@ -347,7 +355,7 @@ def integrate_interval(
             v, e = next(runs)
             total += v
             err += e
-    return QuadratureResult(total, err, budget.nodes, merged)
+    return QuadratureResult(total, _floored(total, err), budget.nodes, merged)
 
 
 def circle_mean(
@@ -385,7 +393,7 @@ def circle_mean(
         if diff <= tol:
             hits += 1
             if hits >= 2 or diff <= tol / 16.0:
-                return QuadratureResult(mean, diff, nodes)
+                return QuadratureResult(mean, _floored(mean, diff), nodes)
         else:
             hits = 0
     raise QuadratureBudgetError(
@@ -424,9 +432,9 @@ def sphere_mean_3d(
         mean = 0.5 * float(np.dot(w, vals.reshape(n, 2 * n).mean(axis=1)))
         diff = math.inf if prev is None else abs(mean - prev)
         if diff <= tol:
-            return QuadratureResult(mean, diff, nodes)
+            return QuadratureResult(mean, _floored(mean, diff), nodes)
         prev = mean
-    return QuadratureResult(prev, diff, nodes)  # not converged: the last change
+    return QuadratureResult(prev, _floored(prev, diff), nodes)  # not converged: the last change
 
 
 def _golden_max(h, lo: float, hi: float, value_tol: float) -> tuple:

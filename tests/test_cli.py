@@ -384,11 +384,11 @@ PIN_3D = {
 # charge potentials, canonical T_U, the 3-d sphere means and the modulus
 # bracket
 PINNED_STDOUT = {
-    ("pin-2d", "Tdiff"): "8f17f6af54fde49050fd0b426c5cc365",
-    ("pin-2d", "TdiffC"): "0854faf6d47dca6e11ddf9ec13d90b7f",
-    ("pin-2d", "C+"): "435bf3368cc408dab94509584613ff5c",
+    ("pin-2d", "Tdiff"): "df541338ca7c089aefccf5942160898a",
+    ("pin-2d", "TdiffC"): "2021f191efe664505ee9e02efbbd9cf8",
+    ("pin-2d", "C+"): "285e0ee53e88f4cc9409eee4b64414e6",
     ("pin-2d", "M"): "64649216225916d627af82fbf7db2de5",
-    ("pin-3d", "Tdiff"): "3e4f744f1faa681737db0d0f55191664",
+    ("pin-3d", "Tdiff"): "4620137f0b26b85ddeceef99e472eff4",
     ("pin-3d", "TdiffC"): "2e266ef82dd19503b59d41184f94424e",
     ("pin-3d", "C+"): "a4085361ed81bac1fe099ead2369a2d5",
     ("pin-3d", "M"): "5e5375ddb3d3886e44313a31b720b0cb",
@@ -450,14 +450,14 @@ PINNED_RUNS = {
     "verify pin-arc default": "verify {pin-arc}",
 }
 PINNED_RUN_STDOUT = {
-    "verify pin-3d": "1b31483e57188f0be76ebc865d8579d2",
+    "verify pin-3d": "982db8a1e08f34d3be7f7243a683fd16",
     "verify pin-arc": "b99e7ac1341f687ea556d663eb700100",
     "verify pin-arc mean": "80cff00b1b554684eb64c041c40d6787",
     "m pin-arc": "e7db2afda0c6e2f48d9005c24ab4429c",
     "C+ pin-arc": "7cba73fae4b082bdf3e402d8fd728d70",
     "C+ pin-arc mean": "2d1a3ffcc46b840f257d2082816cc0b8",
-    "corpus": "48c1b1d467f529c52438026a167ecc06",
-    "corpus tols": "d437eb02799262b7536ed23b427fee2b",
+    "corpus": "cc7780e371ddf7c4856db4d4e49618dd",
+    "corpus tols": "91851fbc6964206e8672fdab90b1330a",
     "verify pin-arc default": "2cb8a2c9ac15f669a4a185718a7a5628",
 }
 

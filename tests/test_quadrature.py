@@ -178,6 +178,27 @@ def test_sphere_mean_reports_last_change_when_levels_run_out():
     assert res.error_estimate == abs(level_mean(1024) - level_mean(512))
 
 
+def test_every_engine_reports_at_least_the_rounding_floor():
+    # on integrands the rules integrate exactly, two levels agree bit for
+    # bit; the estimate is then the rounding floor 16 eps |value|, not 0
+    from deltasubh.lab import _ball_integral
+    from deltasubh.measures import UniformBall
+    from deltasubh.potentials import MeromorphicFn
+
+    floor = 16.0 * np.finfo(float).eps
+    results = [
+        integrate_interval(lambda t: 3.0 * t * t, 0.0, 2.0, (), 1e-10),
+        circle_mean(lambda th: np.full_like(th, 2.5), (), 1e-12),
+        circle_mean(lambda th: np.full_like(th, 2.5), [1.0], 1e-12),
+        sphere_mean_3d(lambda th, ph: np.ones_like(th), 1e-12),
+        _ball_integral(MeromorphicFn((), (), 3.0, ()).to_delta_subharmonic(),
+                       UniformBall((0.1, 0.2), 0.5, 2.0), 1e-10),
+    ]
+    for res, value in zip(results, (8.0, 2.5, 2.5, 1.0, 2.0 * math.log(3.0))):
+        assert res.value == pytest.approx(value, rel=1e-13)
+        assert res.error_estimate >= floor * abs(res.value) > 0.0
+
+
 def test_sphere_sup_2d_anchors():
     # max over theta of |2 e^{i theta} - 1| is 3 at theta = pi
     def g(th):
@@ -331,6 +352,7 @@ def _reference_integral(f, a, b, known_singularities=(), tol=1e-8):
             v, e = _ref_adaptive(f, lo, hi, seg_tol, scale, budget)
             total += v
             err += e
+    err = max(err, 16.0 * np.finfo(float).eps * abs(total))  # the rounding floor
     return quadrature.QuadratureResult(total, err, budget.nodes, merged)
 
 
