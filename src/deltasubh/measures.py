@@ -312,13 +312,13 @@ class UniformArc:
         dx, dy = y[..., 0] - self.center[0], y[..., 1] - self.center[1]
         # math.atan2 for one center: np.arctan2 may differ in the last bit
         phi = math.atan2(dy, dx) if y.ndim == 1 else np.arctan2(dy, dx)
-        # covered angular interval [phi-half, phi+half] intersected with the
-        # support interval, both on the circle
-        s0 = np.mod(phi - half - self.angle_start, TWO_PI)
-        lam = 2.0 * half
-        direct = np.maximum(0.0, np.minimum(s0 + lam, w) - s0)
-        wrapped = np.maximum(0.0, np.minimum(s0 + lam - TWO_PI, w))
-        inter = np.where(s0 + lam <= TWO_PI, direct, np.maximum(0.0, w - s0) + wrapped)
+        # the covered interval [phi - half, phi + half] meets the support
+        # [angle_start, angle_start + w] in its copies centred at c = c0 + 2 pi k
+        # relative to angle_start, each over min(half, w - c) + min(half, c):
+        # no length of order 1 is added to one of order half
+        c0 = np.mod(phi - self.angle_start, TWO_PI)
+        inter = sum(np.maximum(0.0, np.minimum(half, w - c) + np.minimum(half, c))
+                    for c in (c0 - TWO_PI, c0, c0 + TWO_PI))
         inter = np.where(s2 >= 1.0, w, np.where(s2 <= 0.0, 0.0, inter))
         out = np.where(q < 1e-15 * max(1.0, self.radius),  # y at the center
                        np.where(t_arr >= self.radius, self.weight, 0.0), self.weight * inter / w)

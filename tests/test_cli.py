@@ -392,7 +392,7 @@ PINNED_STDOUT = {
     ("pin-3d", "TdiffC"): "2e266ef82dd19503b59d41184f94424e",
     ("pin-3d", "C+"): "a4085361ed81bac1fe099ead2369a2d5",
     ("pin-3d", "M"): "5e5375ddb3d3886e44313a31b720b0cb",
-    ("pin-2d", "auto"): "1f34b06f671f1448fe0f6631e6d476d2",
+    ("pin-2d", "auto"): "326fc8e5f72a669d88f2720d48555c43",
     ("pin-2d", "upper"): "391a7f6fb6b6f50f27e9471f4c6d5c0f",
     ("pin-disk-union", "auto"): "39b61e7f81a1cc6a830438a9d0bae0e3",
     ("pin-disk-union", "upper"): "82799362e8e1f316a1f9c4b003811cce",

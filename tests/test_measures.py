@@ -96,6 +96,24 @@ def test_radial_counting_arc_oracle():
             _arc_mass_oracle(comp, y, t), abs=3e-5 * comp.weight)
 
 
+@pytest.mark.parametrize("full", [True, False])
+def test_arc_ball_mass_about_a_point_on_it_is_relatively_exact(full):
+    # the origin lies on the circle of radius 0.37 (inside the partial arc's
+    # angles), so mu(B(0, t)) = weight * 2 half / width, half of order t / rho
+    rho, alpha = 0.37, 0.6
+    center = (rho * math.cos(alpha), rho * math.sin(alpha))
+    phi = alpha - math.pi  # the direction of the origin seen from the centre
+    start, end = (0.0, 2.0 * math.pi) if full else (phi - 1.0, phi + 0.5)
+    arc = UniformArc(center, rho, start, end, 1.3)
+    with mp.workdps(30):
+        q = mp.hypot(mp.mpf(center[0]), mp.mpf(center[1]))
+        for t in (1e-9, 1e-7, 1e-5, 1e-3):
+            s2 = (mp.mpf(t) ** 2 - (q - rho) ** 2) / (4 * rho * q)
+            exact = 1.3 * 4 * mp.asin(mp.sqrt(s2)) / (mp.mpf(end) - mp.mpf(start))
+            got = arc.ball_mass((0.0, 0.0), t)
+            assert abs(got - exact) <= 1e-13 * exact, t
+
+
 def _disk_mass_oracle(comp, y, t, n=1200):
     # polar grid over the disk support
     qs = (np.arange(n) + 0.5) / n * comp.radius
