@@ -64,8 +64,17 @@ def _fail(code: str, message: str):
     raise ScenarioError(code, message)
 
 
+def _typed(value, kind: type, code: str, what: str):
+    """value, which must be a JSON object (kind dict) or array (kind list);
+    anything else fails with code, so a malformed file is a ScenarioError."""
+    if not isinstance(value, kind):
+        _fail(code, f"{what} must be a JSON {'object' if kind is dict else 'array'}, "
+                    f"got {value!r}")
+    return value
+
+
 def _component_from_json(obj: dict, dim: int):
-    kind = obj.get("type")
+    kind = _typed(obj, dict, "MEASURE_SPEC", "a measure component").get("type")
     try:
         weight = float(obj["weight"])
     except (KeyError, TypeError, ValueError):
@@ -123,6 +132,7 @@ def _complex_to(c: complex) -> list:
 def _harmonic_from_json(obj, dim: int):
     if obj is None:
         return None
+    _typed(obj, dict, "FUNCTION_SPEC", "a harmonic part")
     if "poly" in obj:
         if dim != 2:
             _fail("FUNCTION_SPEC", "polynomial harmonic parts are d=2 only")
@@ -143,14 +153,15 @@ def _harmonic_to_json(h):
 
 
 def _subharmonic_from_json(obj: dict, dim: int) -> SubharmonicFn:
-    comps = tuple(_component_from_json(c, dim) for c in obj.get("charge", []))
+    charge = _typed(obj, dict, "FUNCTION_SPEC", "u and v").get("charge", [])
+    comps = tuple(_component_from_json(c, dim) for c in charge)
     return SubharmonicFn(dim, _harmonic_from_json(obj.get("harmonic"), dim),
                          BorelMeasure(comps, dim))
 
 
 def _function_from_json(obj: dict, dim: int):
     """-> (DeltaSubharmonicFn, MeromorphicFn | None)"""
-    kind = obj.get("type")
+    kind = _typed(obj, dict, "FUNCTION_SPEC", "function").get("type")
     if kind == "meromorphic":
         if dim != 2:
             _fail("FUNCTION_SPEC", "meromorphic functions require dimension 2")
@@ -188,13 +199,13 @@ def parse_scenario(data: Union[bytes, str, dict]) -> Scenario:
             raise ScenarioError("JSON_SYNTAX", str(exc)) from exc
     else:
         obj = data
-    version = obj.get("schema_version")
+    version = _typed(obj, dict, "SCHEMA_VERSION", "a scenario").get("schema_version")
     if version != SCHEMA_VERSION:
         _fail("SCHEMA_VERSION", f"unknown schema_version {version!r}")
     dim = obj.get("dimension")
     if not isinstance(dim, int) or dim < 2:
         _fail("DIMENSION", f"dimension must be an integer >= 2, got {dim!r}")
-    radii = obj.get("radii") or {}
+    radii = _typed(obj.get("radii") or {}, dict, "RADII_ORDER", "radii")
     try:
         r = float(radii["r"])
         R = float(radii["R"])
@@ -207,16 +218,18 @@ def parse_scenario(data: Union[bytes, str, dict]) -> Scenario:
         r0 = float(r0)
         if not 0.0 <= r0 <= r:
             _fail("RADII_ORDER", f"r0 must lie in [0, r], got {r0}")
-    measure_obj = obj.get("measure") or {}
-    comps = tuple(_component_from_json(c, dim)
-                  for c in measure_obj.get("components", []))
-    mu = BorelMeasure(comps, dim)
+    measure_obj = _typed(obj.get("measure") or {}, dict, "MEASURE_SPEC", "measure")
+    components = _typed(measure_obj.get("components", []), list, "MEASURE_SPEC", "components")
+    mu = BorelMeasure(tuple(_component_from_json(c, dim) for c in components), dim)
     if mu.support_radius > r * (1.0 + 1e-12):
         _fail("SUPPORT_OUTSIDE_BALL",
               f"measure support radius {mu.support_radius} exceeds r={r}")
     U, f = _function_from_json(obj.get("function") or {}, dim)
-    tol_obj = obj.get("tolerances") or {}
-    tolerances = Tolerances(mean=float(tol_obj.get("mean", Tolerances.mean)))
+    tol_obj = _typed(obj.get("tolerances") or {}, dict, "TOLERANCES", "tolerances")
+    try:
+        tolerances = Tolerances(mean=float(tol_obj.get("mean", Tolerances.mean)))
+    except (TypeError, ValueError):
+        _fail("TOLERANCES", f"tolerances.mean must be a number, got {tol_obj!r}")
     return Scenario(
         scenario_id=str(obj.get("scenario_id", "scenario")),
         ctx=DimensionContext(dim),

@@ -148,6 +148,20 @@ def test_verify_radii_order_exit_two(tmp_path):
     assert "RADII_ORDER" in proc.stderr
 
 
+@pytest.mark.parametrize("edit, code", [
+    (lambda obj: [], "SCHEMA_VERSION"),
+    (lambda obj: dict(obj, measure={"components": [5]}), "MEASURE_SPEC"),
+    (lambda obj: dict(obj, function="x"), "FUNCTION_SPEC"),
+    (lambda obj: dict(obj, tolerances=5), "TOLERANCES"),
+])
+def test_malformed_scenario_json_exits_two(tmp_path, capsys, edit, code):
+    # exit 1 is the fail verdict; a file of the wrong shape is an input error
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(json.loads(GOLDEN.read_text()))))
+    assert main(["verify", str(path)]) == 2
+    assert f"error: {code}:" in capsys.readouterr().err
+
+
 def test_missing_file_exit_two():
     proc = _run(["verify", "/nonexistent/file.json"])
     assert proc.returncode == 2
