@@ -16,8 +16,13 @@ delta-subharmonic ones by the bridge identities: m(r,f) = C over the circle
 of ln^+|f|, N(R,f) - N(r,f) = N_{charge^-}(r,R), and
 T(R,f) - N(r,f) = T_{log|f|}(r,R).
 
-The split, kink and sphere rules of these quadratures live here, and lab
-reuses them: _angles_near_circle, _sign_changes and _sphere_mean.
+One rule integrates a positive part along a path, here and in lab:
+_integral_by_sign cuts the path into pieces where the sign of U (of
+ln|f|, of u* - v*) is constant, found by a 2048-node scan and bisection
+(_sign_changes), and integrates each piece with integrate_interval.  So a
+kink of U^+ is a panel edge, and only the charge atoms near the path
+(_angles_near_circle on circles) are singular points.  The sphere mean of
+U itself, and every mean in d=3, is _sphere_mean.
 """
 
 from __future__ import annotations
@@ -36,7 +41,13 @@ from .potentials import (
     canonical_representation,
     jordan_decomposition,
 )
-from .quadrature import circle_mean, sphere_mean_3d, sphere_sup
+from .quadrature import (
+    QuadratureResult,
+    circle_mean,
+    integrate_interval,
+    sphere_mean_3d,
+    sphere_sup,
+)
 
 __all__ = [
     "CharacteristicRecord",
@@ -50,6 +61,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+_SCAN = 2048  # cells of the sign scan of _integral_by_sign
 
 @dataclass(frozen=True)
 class CharacteristicRecord:
@@ -81,12 +93,12 @@ def _on_sphere(values, r: float, dim: int):
     raise ValueError(f"sphere quadrature supports d in (2, 3), got {dim}")
 
 
-def _sphere_mean(values, r: float, dim: int, angles, tol: float):
-    """Mean of values over the sphere |x| = r; the split angles are used in
-    d=2 only."""
+def _sphere_mean(values, r: float, dim: int, points, tol: float):
+    """Mean of values over the sphere |x| = r; in d=2 the angles of the
+    points near the circle are split points (see _angles_near_circle)."""
     g = _on_sphere(values, r, dim)
     if dim == 2:
-        return circle_mean(g, angles, tol)
+        return circle_mean(g, _angles_near_circle(points, r), tol)
     return sphere_mean_3d(g, tol)
 
 
@@ -97,54 +109,64 @@ def _charge_atom_points(U: DeltaSubharmonicFn) -> list:
 
 def _angles_near_circle(points, r: float) -> list:
     """Angles of the d=2 points within 5 % of r of the circle |x| = r, where
-    integrands on it peak or dip: the split rule of _circle_splits (charge
-    atoms), nevanlinna_m (zeros, poles) and lab._arc_integral (about its centre)."""
+    integrands on it peak or dip: the singular points of the circle means
+    here and of lab._arc_integral (about its centre)."""
     return [math.atan2(p[1], p[0]) for p in points
             if abs(float(np.hypot(p[0], p[1])) - r) <= 0.05 * max(r, 1e-300)]
 
 
-def _sign_changes(evaluator, lo, hi, f_lo, f_hi, steps: int) -> list:
-    """Sign changes of evaluator between scan nodes lo[i] < hi[i] whose values
-    f_lo[i], f_hi[i] are finite with opposite signs: the midpoints after
-    `steps` bisections, one evaluator call per step for all brackets; a
-    bracket stops early at a non-finite or zero midpoint value.  The kink
-    scan of _sign_change_angles (a circle) and lab._arc_integral (an arc)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        i = np.flatnonzero(np.isfinite(f_lo) & np.isfinite(f_hi) & (f_lo * f_hi < 0.0))
-    lo, hi, f_lo = (np.asarray(v, dtype=float)[i] for v in (lo, hi, f_lo))
-    open_ = np.arange(lo.size)
-    for _ in range(steps):
-        if not open_.size:
-            break
-        mid = 0.5 * (lo[open_] + hi[open_])
-        fm = np.asarray(evaluator(mid), dtype=float)
-        go = np.isfinite(fm) & (fm != 0.0)
-        up = go & ((fm > 0) == (f_lo[open_] > 0))
-        down = go & ~up
-        lo[open_[up]], f_lo[open_[up]] = mid[up], fm[up]
-        hi[open_[down]] = mid[down]
-        open_ = open_[go]
-    return list(0.5 * (lo + hi))
+def _sign_changes(evaluator, x, fx) -> list:
+    """Points where the class evaluator > 0 flips between consecutive scan
+    nodes x[i] < x[i + 1] with values fx: the bracket midpoints after 48
+    bisections, one evaluator call per step for all brackets.  Zero, NaN
+    and -inf are outside the class alike, so an exact zero at a scan node
+    is found like any other flip."""
+    up = fx > 0.0
+    i = np.flatnonzero(up[:-1] != up[1:])
+    lo, hi, lo_up = x[i], x[i + 1], up[i]
+    for _ in range(48 if i.size else 0):
+        mid = 0.5 * (lo + hi)
+        same = (np.asarray(evaluator(mid), dtype=float) > 0.0) == lo_up
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return (0.5 * (lo + hi)).tolist()
 
 
-def _sign_change_angles(evaluator, n: int = 2048) -> list:
-    """Angles where the (continuous off polar) integrand changes sign;
-    located by a dense scan plus bisection, used as kink split points."""
-    theta = TWO_PI * np.arange(n) / n
-    vals = np.asarray(evaluator(theta), dtype=float)
-    return _sign_changes(evaluator, theta, theta + TWO_PI / n, vals, np.roll(vals, -1), 48)
+def _integral_by_sign(signed, pos, lo: float, hi: float, singular, tol: float,
+                      neg=None) -> QuadratureResult:
+    """Integral over [lo, hi] of pos where signed > 0 and of neg elsewhere
+    (0 when neg is None), to the absolute tolerance tol.
+
+    The pieces end where the class signed > 0 flips between the nodes of a
+    closed 2048-node grid (so a full period wraps), refined by
+    _sign_changes, and none is wider than (hi - lo) / 8.  Each piece is one
+    integrate_interval call with the singular points inside it and a
+    tolerance in proportion to its width: a kink of U^+ is a panel edge,
+    not a singular point.  A piece where the integrand is 0 costs no node."""
+    x = lo + (hi - lo) * np.arange(_SCAN + 1) / _SCAN
+    fx = np.asarray(signed(x), dtype=float)
+    edges = [lo] + _sign_changes(signed, x, fx) + [hi]
+    cap = (hi - lo) / 8.0
+    total = QuadratureResult(0.0, 0.0, 0)
+    for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        g = pos if (fx[0] > 0.0) != (k % 2 == 1) else neg  # classes alternate
+        if g is None or not a < b:
+            continue
+        cuts = np.linspace(a, b, math.ceil((b - a) / cap) + 1).tolist()
+        for c, d in zip(cuts[:-1], cuts[1:]):
+            total = total + integrate_interval(
+                g, c, d, [t for t in singular if c <= t <= d], tol * (d - c) / (hi - lo))
+    return total
 
 
-def _circle_splits(U: DeltaSubharmonicFn, r: float, kinks: bool) -> list:
-    """Split angles of a mean over |x| = r (none in d=3): charge atoms near the
-    circle and, with kinks, the sign changes of U on it."""
-    if U.dim != 2:
-        return []
-    angles = _angles_near_circle(_charge_atom_points(U), r)
-    if kinks:
-        angles += _sign_change_angles(
-            _on_sphere(lambda pts: U.values_with_polar(pts)[0], r, 2))
-    return angles
+def _circle_by_sign(signed, pos, r: float, points, tol: float,
+                    neg=None) -> QuadratureResult:
+    """The mean over the circle |x| = r of _integral_by_sign's integrand of
+    the angle, singular at the angles of the points near the circle (each
+    with its copies a period away, so one on the seam serves both ends)."""
+    angles = [a % TWO_PI + k * TWO_PI for a in _angles_near_circle(points, r)
+              for k in (-1, 0, 1)]
+    return _integral_by_sign(signed, pos, 0.0, TWO_PI, angles, tol * TWO_PI,
+                             neg).scaled(1.0 / TWO_PI)
 
 
 def spherical_mean(U: DeltaSubharmonicFn, r: float, transform: str = "identity",
@@ -156,8 +178,12 @@ def spherical_mean(U: DeltaSubharmonicFn, r: float, transform: str = "identity",
         raise ValueError(f"unknown transform {transform!r}")
     positive = transform == "positive"
     # polar entries of U.values stay NaN; the quadrature nudges those nodes
-    values = U.positive_values if positive else U.values
-    res = _sphere_mean(values, r, U.dim, _circle_splits(U, r, positive), tol)
+    if positive and U.dim == 2:
+        res = _circle_by_sign(_on_sphere(U.values, r, 2), _on_sphere(U.positive_values, r, 2),
+                              r, _charge_atom_points(U), tol)
+    else:
+        res = _sphere_mean(U.positive_values if positive else U.values, r, U.dim,
+                           _charge_atom_points(U), tol)
     return CharacteristicRecord("C_mean", r, res.value, res.error_estimate,
                                 transform=transform)
 
@@ -176,11 +202,10 @@ def sup_on_sphere(U: DeltaSubharmonicFn, r: float) -> CharacteristicRecord:
 
 
 def nevanlinna_m(f: MeromorphicFn, r: float, tol: float = 1e-8) -> CharacteristicRecord:
-    """m(r, f): circle mean of ln^+ |f|.
-
-    The split points are the angles of the zeros and poles within 5 % of r
-    of the circle and the kinks where |f| crosses 1, so the adaptive rule
-    keeps spectral accuracy per panel.
+    """m(r, f): circle mean of ln^+ |f|, integrated over the arcs where
+    |f| > 1 (_circle_by_sign), singular at the angles of the zeros and poles
+    within 5 % of r of the circle; a zero's angle lies where ln^+ |f| = 0
+    and costs nothing.
     """
     if not r > 0:
         raise ValueError("r must be > 0")
@@ -188,9 +213,8 @@ def nevanlinna_m(f: MeromorphicFn, r: float, tol: float = 1e-8) -> Characteristi
     def log_abs(theta):
         return f.log_abs(r * np.exp(1j * theta))
 
-    angles = _angles_near_circle([(a.real, a.imag) for a, _ in f.zeros + f.poles], r)
-    angles += _sign_change_angles(log_abs)
-    res = circle_mean(lambda theta: np.maximum(log_abs(theta), 0.0), angles, tol)
+    res = _circle_by_sign(log_abs, lambda theta: np.maximum(log_abs(theta), 0.0), r,
+                          [(a.real, a.imag) for a, _ in f.zeros + f.poles], tol)
     return CharacteristicRecord("m_classical", r, res.value, res.error_estimate)
 
 
@@ -247,13 +271,15 @@ def difference_characteristic_canonical(U: DeltaSubharmonicFn, r: float, R: floa
     if not 0.0 < r < R:
         raise ValueError(f"need 0 < r < R, got ({r}, {R})")
     u_star, v_star = canonical_representation(U, R)
-    pair = DeltaSubharmonicFn(u_star, v_star)
-
-    def sup_values(pts):
-        return np.maximum(u_star.values(pts), v_star.values(pts))
-
-    sup_mean = _sphere_mean(sup_values, R, U.dim, _circle_splits(pair, R, True), tol)
-    v_mean = _sphere_mean(v_star.values, r, U.dim, _circle_splits(pair, r, False), tol)
+    atoms = _charge_atom_points(DeltaSubharmonicFn(u_star, v_star))
+    if U.dim == 2:  # u* where u* > v*, v* elsewhere
+        sup_mean = _circle_by_sign(
+            _on_sphere(lambda pts: u_star.values(pts) - v_star.values(pts), R, 2),
+            _on_sphere(u_star.values, R, 2), R, atoms, tol, _on_sphere(v_star.values, R, 2))
+    else:
+        sup_mean = _sphere_mean(lambda pts: np.maximum(u_star.values(pts), v_star.values(pts)),
+                                R, U.dim, atoms, tol)
+    v_mean = _sphere_mean(v_star.values, r, U.dim, atoms, tol)
     return CharacteristicRecord(
         "T_difference", r, sup_mean.value - v_mean.value,
         sup_mean.error_estimate + v_mean.error_estimate, R=R,

@@ -36,7 +36,7 @@ import numpy as np
 from .characteristics import (
     _angles_near_circle,
     _charge_atom_points,
-    _sign_changes,
+    _integral_by_sign,
     _sphere_mean,
     nevanlinna_N,
     spherical_mean,
@@ -58,7 +58,7 @@ from .potentials import (
     positive_part,
     potential_values,
 )
-from .quadrature import QuadratureResult, _floored, _gl_nodes, integrate_interval
+from .quadrature import QuadratureResult, _floored, _gl_nodes
 
 __all__ = [
     "CorpusConfig",
@@ -158,16 +158,16 @@ def _segment_integral(U, comp: UniformSegment, tol: float) -> QuadratureResult:
     e = np.asarray(comp.end) - a
     L = comp.length
 
-    def g(s):
-        pts = a[None, :] + np.asarray(s)[:, None] * e[None, :]
-        return U.positive_values(pts)
+    def path(s):
+        return a[None, :] + np.asarray(s)[:, None] * e[None, :]
 
     splits = []
     for p in _charge_atom_points(U):
         s_star = float(np.clip((p - a) @ e / (e @ e), 0.0, 1.0))
         if np.linalg.norm(a + s_star * e - p) <= 0.05 * L:
             splits.append(s_star)
-    res = integrate_interval(g, 0.0, 1.0, splits, tol / max(comp.weight, 1e-300))
+    res = _integral_by_sign(lambda s: U.values(path(s)), lambda s: U.positive_values(path(s)),
+                            0.0, 1.0, splits, tol / max(comp.weight, 1e-300))
     return res.scaled(comp.weight)
 
 
@@ -179,22 +179,15 @@ def _arc_integral(U, comp: UniformArc, tol: float) -> QuadratureResult:
         return np.column_stack([c[0] + comp.radius * np.cos(th),
                                 c[1] + comp.radius * np.sin(th)])
 
-    def g(theta):
-        return U.positive_values(curve(theta))
-
     splits = []
     for ang in _angles_near_circle([p - c for p in _charge_atom_points(U)], comp.radius):
         rel = (ang - comp.angle_start) % (2.0 * math.pi)
         if rel <= comp.width:
             splits.append(comp.angle_start + rel)
-    # kinks of U^+ where U crosses zero along the arc
-    n_scan = 512
-    th_scan = comp.angle_start + comp.width * (np.arange(n_scan) + 0.5) / n_scan
-    vals = U.values_with_polar(curve(th_scan))[0]
-    splits += _sign_changes(lambda th: U.values_with_polar(curve(th))[0],
-                            th_scan[:-1], th_scan[1:], vals[:-1], vals[1:], 40)
-    res = integrate_interval(g, comp.angle_start, comp.angle_end, splits,
-                             tol * comp.width / max(comp.weight, 1e-300))
+    res = _integral_by_sign(lambda th: U.values(curve(th)),
+                            lambda th: U.positive_values(curve(th)),
+                            comp.angle_start, comp.angle_end, splits,
+                            tol * comp.width / max(comp.weight, 1e-300))
     return res.scaled(comp.weight / comp.width)
 
 

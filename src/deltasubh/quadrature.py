@@ -308,8 +308,10 @@ def integrate_interval(
     """Integral of f over [a, b] with singular points isolated adaptively.
 
     f must be vectorized and integrable, with at most logarithmic (or weak
-    power) singularities at the listed points; kink/breakpoint locations may
-    also be passed, which merely concentrates refinement there.  Non-
+    power) singularities at the listed points, each isolated by geometric
+    cells.  A listed kink gets those cells too, whose untallied tail biases
+    the value by about its estimate; a kink is better an end of [a, b], as
+    characteristics._integral_by_sign makes the sign changes of U.  Non-
     convergence raises QuadratureBudgetError carrying the partial value.
     """
     if not a < b:

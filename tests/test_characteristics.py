@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from deltasubh.characteristics import (
-    _sign_change_angles,
+    _sign_changes,
     difference_characteristic,
     difference_characteristic_canonical,
     nevanlinna_N,
@@ -363,59 +363,70 @@ def test_proposition_proT_monotone_convex_grids():
         assert all(s2 <= s1 + 1e-6 for s1, s2 in zip(slopes_r, slopes_r[1:]))
 
 
-def _ref_sign_change_angles(evaluator, n=2048):
-    """The one-bracket-at-a-time scan and bisection the batched one replaced."""
-    theta = 2.0 * math.pi * np.arange(n) / n
-    vals = np.asarray(evaluator(theta), dtype=float)
-    finite = np.isfinite(vals)
+def _ref_sign_changes(evaluator, x, fx):
+    """The one-bracket-at-a-time bisection the batched one must equal: a
+    bracket wherever the class f > 0 flips between neighbouring scan nodes."""
     out = []
-    for i in range(n):
-        j = (i + 1) % n
-        if not (finite[i] and finite[j]):
+    for i in range(len(x) - 1):
+        lo, hi = float(x[i]), float(x[i + 1])
+        lo_up = bool(fx[i] > 0.0)
+        if lo_up == bool(fx[i + 1] > 0.0):
             continue
-        if vals[i] == 0.0 or vals[i] * vals[j] >= 0.0:
-            continue
-        lo, hi = theta[i], theta[i] + 2.0 * math.pi / n
-        flo = vals[i]
         for _ in range(48):
             mid = 0.5 * (lo + hi)
             fm = float(np.asarray(evaluator(np.array([mid])), dtype=float)[0])
-            if not math.isfinite(fm) or fm == 0.0:
-                break
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
+            if (fm > 0.0) == lo_up:
+                lo = mid
             else:
                 hi = mid
         out.append(0.5 * (lo + hi))
     return out
 
 
+def _scan(evaluator, n=2048):
+    x = 2.0 * math.pi * np.arange(n + 1) / n
+    return x, np.asarray(evaluator(x), dtype=float)
+
+
 def test_batched_sign_change_bisection_equals_scalar_bit_for_bit():
     n = 2048
-    theta = 2.0 * math.pi * np.arange(n) / n
+    theta = 2.0 * math.pi * np.arange(n + 1) / n
 
     def smooth(th):
         return np.sin(3.0 * th + 0.1) - 0.2
 
-    # the first midpoints of two brackets: exactly 0 at one, NaN at the other,
-    # which stop those brackets at once while the others keep bisecting
-    i = np.flatnonzero(smooth(theta) * smooth(np.roll(theta, -1)) < 0.0)
+    # the first midpoints of two brackets: exactly 0 at one, NaN at the
+    # other; both are outside the class f > 0, so those brackets bisect on
+    i = np.flatnonzero((smooth(theta[:-1]) > 0) != (smooth(theta[1:]) > 0))
     assert i.size == 6
-    m_zero = 0.5 * (theta[i[1]] + (theta[i[1]] + 2.0 * math.pi / n))
-    m_nan = 0.5 * (theta[i[4]] + (theta[i[4]] + 2.0 * math.pi / n))
+    m_zero = 0.5 * (theta[i[1]] + theta[i[1] + 1])
+    m_nan = 0.5 * (theta[i[4]] + theta[i[4] + 1])
     calls = []
 
     def evaluator(th):
         calls.append(th.size)
         return np.where(th == m_zero, 0.0, np.where(th == m_nan, np.nan, smooth(th)))
 
-    got = _sign_change_angles(evaluator, n)
+    x, fx = _scan(evaluator, n)
+    calls.clear()
+    got = _sign_changes(evaluator, x, fx)
     batched_calls = len(calls)
-    ref = _ref_sign_change_angles(evaluator, n)
-    assert got == ref
-    assert got[1] == m_zero and got[4] == m_nan
-    assert batched_calls <= 1 + 48  # one call per bisection step
+    ref = _ref_sign_changes(evaluator, x, fx)
+    assert got == ref and len(got) == 6
+    assert batched_calls == 48  # one call per bisection step
+
+    # an exact zero at a scan node, where the sign of f changes: the class
+    # flips between that node (0) and the next (> 0)
+    def through_node(th):
+        return th - theta[100]
+
+    x, fx = _scan(through_node, n)
+    got = _sign_changes(through_node, x, fx)
+    assert got == _ref_sign_changes(through_node, x, fx)
+    assert len(got) == 1 and theta[100] <= got[0] < theta[101]
+    assert got[0] - theta[100] < 1e-15
 
     f = _mero(zeros=[(0.5 + 0.2j, 1), (-1.1j, 2)], poles=[(0.9, 1)], unit=1.3)
     log_abs = lambda th: f.log_abs(1.05 * np.exp(1j * th))  # noqa: E731
-    assert _sign_change_angles(log_abs) == _ref_sign_change_angles(log_abs)
+    x, fx = _scan(log_abs)
+    assert _sign_changes(log_abs, x, fx) == _ref_sign_changes(log_abs, x, fx)
