@@ -16,13 +16,9 @@ delta-subharmonic ones by the bridge identities: m(r,f) = C over the circle
 of ln^+|f|, N(R,f) - N(r,f) = N_{charge^-}(r,R), and
 T(R,f) - N(r,f) = T_{log|f|}(r,R).
 
-One rule integrates a positive part along a path, here and in lab:
-_integral_by_sign cuts the path into pieces where the sign of U (of
-ln|f|, of u* - v*) is constant, found by a 2048-node scan and bisection
-(_sign_changes), and integrates each piece with integrate_interval.  So a
-kink of U^+ is a panel edge, and only the charge atoms near the path
-(_angles_near_circle on circles) are singular points.  The sphere mean of
-U itself, and every mean in d=3, is _sphere_mean.
+A positive part along a path (here and in lab) is integrated by
+_integral_by_sign over the pieces where the sign of U is constant, so a kink
+of U^+ is a panel edge; other means are _sphere_mean.
 """
 
 from __future__ import annotations
@@ -41,13 +37,8 @@ from .potentials import (
     canonical_representation,
     jordan_decomposition,
 )
-from .quadrature import (
-    QuadratureResult,
-    circle_mean,
-    integrate_interval,
-    sphere_mean_3d,
-    sphere_sup,
-)
+from .quadrature import (QuadratureResult, circle_mean, integrate_interval, sphere_mean_3d,
+                         sphere_sup)
 
 __all__ = [
     "CharacteristicRecord",
@@ -61,7 +52,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-_SCAN = 2048  # cells of the sign scan of _integral_by_sign
 
 @dataclass(frozen=True)
 class CharacteristicRecord:
@@ -109,18 +99,15 @@ def _charge_atom_points(U: DeltaSubharmonicFn) -> list:
 
 def _angles_near_circle(points, r: float) -> list:
     """Angles of the d=2 points within 5 % of r of the circle |x| = r, where
-    integrands on it peak or dip: the singular points of the circle means
-    here and of lab._arc_integral (about its centre)."""
+    integrands on it peak or dip: the singular points of circle and arc means."""
     return [math.atan2(p[1], p[0]) for p in points
             if abs(float(np.hypot(p[0], p[1])) - r) <= 0.05 * max(r, 1e-300)]
 
 
 def _sign_changes(evaluator, x, fx) -> list:
-    """Points where the class evaluator > 0 flips between consecutive scan
-    nodes x[i] < x[i + 1] with values fx: the bracket midpoints after 48
-    bisections, one evaluator call per step for all brackets.  Zero, NaN
-    and -inf are outside the class alike, so an exact zero at a scan node
-    is found like any other flip."""
+    """Where the class evaluator > 0 (which 0, NaN and -inf are all outside)
+    flips between scan nodes x[i] < x[i + 1] of values fx: the midpoints
+    after 48 bisections, one evaluator call per step for all brackets."""
     up = fx > 0.0
     i = np.flatnonzero(up[:-1] != up[1:])
     lo, hi, lo_up = x[i], x[i + 1], up[i]
@@ -133,16 +120,12 @@ def _sign_changes(evaluator, x, fx) -> list:
 
 def _integral_by_sign(signed, pos, lo: float, hi: float, singular, tol: float,
                       neg=None) -> QuadratureResult:
-    """Integral over [lo, hi] of pos where signed > 0 and of neg elsewhere
-    (0 when neg is None), to the absolute tolerance tol.
-
-    The pieces end where the class signed > 0 flips between the nodes of a
-    closed 2048-node grid (so a full period wraps), refined by
-    _sign_changes, and none is wider than (hi - lo) / 8.  Each piece is one
-    integrate_interval call with the singular points inside it and a
-    tolerance in proportion to its width: a kink of U^+ is a panel edge,
-    not a singular point.  A piece where the integrand is 0 costs no node."""
-    x = lo + (hi - lo) * np.arange(_SCAN + 1) / _SCAN
+    """Integral over [lo, hi] of pos where signed > 0 and of neg (0 if None)
+    elsewhere, to the absolute tolerance tol.  Pieces end at the class flips
+    _sign_changes finds on a closed 2048-node grid (a full period wraps), none
+    wider than (hi - lo) / 8; each is one integrate_interval call, singular at
+    the points of singular inside it, to a tolerance in proportion to its width."""
+    x = lo + (hi - lo) * np.arange(2049) / 2048
     fx = np.asarray(signed(x), dtype=float)
     edges = [lo] + _sign_changes(signed, x, fx) + [hi]
     cap = (hi - lo) / 8.0
@@ -158,15 +141,12 @@ def _integral_by_sign(signed, pos, lo: float, hi: float, singular, tol: float,
     return total
 
 
-def _circle_by_sign(signed, pos, r: float, points, tol: float,
-                    neg=None) -> QuadratureResult:
-    """The mean over the circle |x| = r of _integral_by_sign's integrand of
-    the angle, singular at the angles of the points near the circle (each
-    with its copies a period away, so one on the seam serves both ends)."""
-    angles = [a % TWO_PI + k * TWO_PI for a in _angles_near_circle(points, r)
-              for k in (-1, 0, 1)]
-    return _integral_by_sign(signed, pos, 0.0, TWO_PI, angles, tol * TWO_PI,
-                             neg).scaled(1.0 / TWO_PI)
+def _circle_by_sign(signed, pos, r: float, points, tol: float, neg=None) -> QuadratureResult:
+    """Mean over |x| = r of the angle integrand of _integral_by_sign, singular
+    at the angles of the points near the circle and their copies a period away."""
+    angles = [a % TWO_PI + k * TWO_PI for a in _angles_near_circle(points, r) for k in (-1, 0, 1)]
+    res = _integral_by_sign(signed, pos, 0.0, TWO_PI, angles, tol * TWO_PI, neg)
+    return res.scaled(1.0 / TWO_PI)
 
 
 def spherical_mean(U: DeltaSubharmonicFn, r: float, transform: str = "identity",
@@ -202,11 +182,8 @@ def sup_on_sphere(U: DeltaSubharmonicFn, r: float) -> CharacteristicRecord:
 
 
 def nevanlinna_m(f: MeromorphicFn, r: float, tol: float = 1e-8) -> CharacteristicRecord:
-    """m(r, f): circle mean of ln^+ |f|, integrated over the arcs where
-    |f| > 1 (_circle_by_sign), singular at the angles of the zeros and poles
-    within 5 % of r of the circle; a zero's angle lies where ln^+ |f| = 0
-    and costs nothing.
-    """
+    """m(r, f): circle mean of ln^+ |f| over the arcs where |f| > 1, singular
+    at the zeros and poles near the circle (a zero's arc costs nothing)."""
     if not r > 0:
         raise ValueError("r must be > 0")
 

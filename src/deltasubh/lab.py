@@ -58,7 +58,7 @@ from .potentials import (
     positive_part,
     potential_values,
 )
-from .quadrature import QuadratureResult, _floored, _gl_nodes
+from .quadrature import _ROUNDING, QuadratureResult, _gl_nodes
 
 __all__ = [
     "CorpusConfig",
@@ -153,41 +153,28 @@ def _verdict(slack: float, budget: float) -> str:
 # left-hand side: integral of U^+ against mu
 
 
+def _path_integral(U, path, lo: float, hi: float, singular, tol: float) -> QuadratureResult:
+    """integral of U^+ along path(t), t in [lo, hi], over the pieces where U > 0."""
+    return _integral_by_sign(lambda t: U.values(path(t)), lambda t: U.positive_values(path(t)),
+                             lo, hi, singular, tol)
+
+
 def _segment_integral(U, comp: UniformSegment, tol: float) -> QuadratureResult:
     a = np.asarray(comp.start)
     e = np.asarray(comp.end) - a
-    L = comp.length
-
-    def path(s):
-        return a[None, :] + np.asarray(s)[:, None] * e[None, :]
-
-    splits = []
-    for p in _charge_atom_points(U):
-        s_star = float(np.clip((p - a) @ e / (e @ e), 0.0, 1.0))
-        if np.linalg.norm(a + s_star * e - p) <= 0.05 * L:
-            splits.append(s_star)
-    res = _integral_by_sign(lambda s: U.values(path(s)), lambda s: U.positive_values(path(s)),
-                            0.0, 1.0, splits, tol / max(comp.weight, 1e-300))
+    feet = [(float(np.clip((p - a) @ e / (e @ e), 0.0, 1.0)), p) for p in _charge_atom_points(U)]
+    splits = [s for s, p in feet if np.linalg.norm(a + s * e - p) <= 0.05 * comp.length]
+    res = _path_integral(U, lambda s: a[None, :] + s[:, None] * e[None, :], 0.0, 1.0, splits,
+                         tol / max(comp.weight, 1e-300))
     return res.scaled(comp.weight)
 
 
 def _arc_integral(U, comp: UniformArc, tol: float) -> QuadratureResult:
-    c = np.asarray(comp.center)
-
-    def curve(theta):
-        th = np.asarray(theta, dtype=float)
-        return np.column_stack([c[0] + comp.radius * np.cos(th),
-                                c[1] + comp.radius * np.sin(th)])
-
-    splits = []
-    for ang in _angles_near_circle([p - c for p in _charge_atom_points(U)], comp.radius):
-        rel = (ang - comp.angle_start) % (2.0 * math.pi)
-        if rel <= comp.width:
-            splits.append(comp.angle_start + rel)
-    res = _integral_by_sign(lambda th: U.values(curve(th)),
-                            lambda th: U.positive_values(curve(th)),
-                            comp.angle_start, comp.angle_end, splits,
-                            tol * comp.width / max(comp.weight, 1e-300))
+    rels = [(ang - comp.angle_start) % (2.0 * math.pi) for ang in
+            _angles_near_circle([p - comp.center for p in _charge_atom_points(U)], comp.radius)]
+    splits = [comp.angle_start + rel for rel in rels if rel <= comp.width]
+    res = _path_integral(U, lambda th: np.column_stack(comp.point_at(th)), comp.angle_start,
+                         comp.angle_end, splits, tol * comp.width / max(comp.weight, 1e-300))
     return res.scaled(comp.weight / comp.width)
 
 
@@ -229,7 +216,6 @@ def _ball_integral(U, comp: UniformBall, tol: float) -> QuadratureResult:
         return np.where(np.isfinite(vals), vals, 0.0)  # measure-zero nodes
 
     prev = None
-    diff = math.inf
     nodes = 0
     n_r, n_a = 8, 128
     kept: dict = {}  # radial panel -> its samples at the previous level
@@ -260,15 +246,15 @@ def _ball_integral(U, comp: UniformBall, tol: float) -> QuadratureResult:
                 shell = 0.5 * np.einsum("j,ij->i", uw, vals.mean(axis=2))
                 total += float(np.dot(qw, 3.0 * qs ** 2 / rho ** 3 * shell))
         n_q_prev = n_q
-        if prev is not None:
-            diff = abs(total - prev)
-            if diff <= tol / max(comp.weight, 1e-300):
-                return QuadratureResult(comp.weight * total,
-                                        comp.weight * _floored(total, diff), nodes)
+        diff = math.inf if prev is None else abs(total - prev)
         prev = total
+        if diff <= tol / max(comp.weight, 1e-300):
+            break
         n_r *= 2
         n_a *= 2
-    return QuadratureResult(comp.weight * prev, comp.weight * _floored(prev, diff), nodes)
+    # converged, or the last change when the levels run out
+    return QuadratureResult(comp.weight * prev, comp.weight * max(diff, _ROUNDING * abs(prev)),
+                            nodes)
 
 
 def positive_part_integral(U: DeltaSubharmonicFn, mu: BorelMeasure,

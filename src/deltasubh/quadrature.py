@@ -27,9 +27,7 @@ nudges such nodes by an ulp-scale offset and logs the event, per the polar
 set policy (any finite node set may be safely adjusted).
 
 Every accepted result carries error_estimate, a doubling-based heuristic
-bound: the change under one further refinement of the accepted rule, and at
-least 16 eps |value|, the rounding floor (two rules that agree bit for bit
-still carry the rounding of their sums).
+bound: the change under one more refinement, and at least 16 eps |value|.
 """
 
 from __future__ import annotations
@@ -59,12 +57,7 @@ TWO_PI = 2.0 * math.pi
 _MAX_NODES = 2_000_000
 _MAX_TRAP = 2 ** 18
 _LADDER_LEVELS = 60
-_ROUNDING = 16.0 * float(np.finfo(float).eps)
-
-
-def _floored(value: float, error: float) -> float:
-    """error raised to the rounding floor 16 eps |value|."""
-    return max(error, _ROUNDING * abs(value))
+_ROUNDING = 16.0 * float(np.finfo(float).eps)  # error estimates are >= _ROUNDING * |value|
 
 
 @dataclass
@@ -309,10 +302,9 @@ def integrate_interval(
 
     f must be vectorized and integrable, with at most logarithmic (or weak
     power) singularities at the listed points, each isolated by geometric
-    cells.  A listed kink gets those cells too, whose untallied tail biases
-    the value by about its estimate; a kink is better an end of [a, b], as
-    characteristics._integral_by_sign makes the sign changes of U.  Non-
-    convergence raises QuadratureBudgetError carrying the partial value.
+    cells whose untallied tail biases the value by about its estimate: a kink
+    is better an end of [a, b], as in characteristics._integral_by_sign.
+    Non-convergence raises QuadratureBudgetError carrying the partial value.
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
@@ -357,7 +349,7 @@ def integrate_interval(
             v, e = next(runs)
             total += v
             err += e
-    return QuadratureResult(total, _floored(total, err), budget.nodes, merged)
+    return QuadratureResult(total, max(err, _ROUNDING * abs(total)), budget.nodes, merged)
 
 
 def circle_mean(
@@ -395,7 +387,7 @@ def circle_mean(
         if diff <= tol:
             hits += 1
             if hits >= 2 or diff <= tol / 16.0:
-                return QuadratureResult(mean, _floored(mean, diff), nodes)
+                return QuadratureResult(mean, max(diff, _ROUNDING * abs(mean)), nodes)
         else:
             hits = 0
     raise QuadratureBudgetError(
@@ -433,10 +425,11 @@ def sphere_mean_3d(
         nodes += vals.size
         mean = 0.5 * float(np.dot(w, vals.reshape(n, 2 * n).mean(axis=1)))
         diff = math.inf if prev is None else abs(mean - prev)
-        if diff <= tol:
-            return QuadratureResult(mean, _floored(mean, diff), nodes)
         prev = mean
-    return QuadratureResult(prev, _floored(prev, diff), nodes)  # not converged: the last change
+        if diff <= tol:
+            break
+    # converged, or the last change when the levels run out
+    return QuadratureResult(prev, max(diff, _ROUNDING * abs(prev)), nodes)
 
 
 def _golden_max(h, lo: float, hi: float, value_tol: float) -> tuple:

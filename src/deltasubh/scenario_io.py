@@ -65,11 +65,9 @@ def _fail(code: str, message: str):
 
 
 def _typed(value, kind: type, code: str, what: str):
-    """value, which must be a JSON object (kind dict) or array (kind list);
-    anything else fails with code, so a malformed file is a ScenarioError."""
+    """value if it is a JSON object (kind dict) or array (list), else a ScenarioError."""
     if not isinstance(value, kind):
-        _fail(code, f"{what} must be a JSON {'object' if kind is dict else 'array'}, "
-                    f"got {value!r}")
+        _fail(code, f"{what} must be a JSON {'object' if kind is dict else 'array'}: {value!r}")
     return value
 
 
@@ -132,8 +130,7 @@ def _complex_to(c: complex) -> list:
 def _harmonic_from_json(obj, dim: int):
     if obj is None:
         return None
-    _typed(obj, dict, "FUNCTION_SPEC", "a harmonic part")
-    if "poly" in obj:
+    if "poly" in _typed(obj, dict, "FUNCTION_SPEC", "a harmonic part"):
         if dim != 2:
             _fail("FUNCTION_SPEC", "polynomial harmonic parts are d=2 only")
         return HarmonicPolynomial(tuple(_complex_from(c) for c in obj["poly"]))
