@@ -122,10 +122,11 @@ def _integral_by_sign(signed, pos, lo: float, hi: float, singular, tol: float,
                       neg=None) -> QuadratureResult:
     """Integral over [lo, hi] of pos where signed > 0 and of neg (0 if None)
     elsewhere, to the absolute tolerance tol.  Pieces end at the class flips
-    _sign_changes finds on a closed 2048-node grid (a full period wraps), none
-    wider than (hi - lo) / 8; each is one integrate_interval call, singular at
-    the points of singular inside it, to a tolerance in proportion to its width."""
-    x = lo + (hi - lo) * np.arange(2049) / 2048
+    _sign_changes finds on a closed 2048-node grid (a full period wraps) plus
+    the singular points, all in [lo, hi], so no piece about one hides in a
+    cell; none is wider than (hi - lo) / 8, and each is one integrate_interval
+    call, singular at the singular points inside it, to its share of tol."""
+    x = np.union1d(lo + (hi - lo) * np.arange(2049) / 2048, singular)
     fx = np.asarray(signed(x), dtype=float)
     edges = [lo] + _sign_changes(signed, x, fx) + [hi]
     cap = (hi - lo) / 8.0
@@ -143,8 +144,9 @@ def _integral_by_sign(signed, pos, lo: float, hi: float, singular, tol: float,
 
 def _circle_by_sign(signed, pos, r: float, points, tol: float, neg=None) -> QuadratureResult:
     """Mean over |x| = r of the angle integrand of _integral_by_sign, singular
-    at the angles of the points near the circle and their copies a period away."""
-    angles = [a % TWO_PI + k * TWO_PI for a in _angles_near_circle(points, r) for k in (-1, 0, 1)]
+    at the angles in [0, 2 pi] of the points near the circle (0 and 2 pi both)."""
+    ends = [a % TWO_PI for a in _angles_near_circle(points, r)]
+    angles = ends + [TWO_PI - a for a in ends if a in (0.0, TWO_PI)]
     res = _integral_by_sign(signed, pos, 0.0, TWO_PI, angles, tol * TWO_PI, neg)
     return res.scaled(1.0 / TWO_PI)
 

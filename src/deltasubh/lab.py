@@ -172,7 +172,7 @@ def _segment_integral(U, comp: UniformSegment, tol: float) -> QuadratureResult:
 def _arc_integral(U, comp: UniformArc, tol: float) -> QuadratureResult:
     rels = [(ang - comp.angle_start) % (2.0 * math.pi) for ang in
             _angles_near_circle([p - comp.center for p in _charge_atom_points(U)], comp.radius)]
-    splits = [comp.angle_start + rel for rel in rels if rel <= comp.width]
+    splits = [comp.angle_start + rel for rel in rels if comp.angle_start + rel <= comp.angle_end]
     res = _path_integral(U, lambda th: np.column_stack(comp.point_at(th)), comp.angle_start,
                          comp.angle_end, splits, tol * comp.width / max(comp.weight, 1e-300))
     return res.scaled(comp.weight / comp.width)

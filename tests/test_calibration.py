@@ -11,8 +11,13 @@ untallied tail off (s0013, s0043, s0086, s0101), one whose circle has a
 positive arc narrower than an eighth of the period (s0182), two whose
 segment integrals two GL15 levels once agreed on across a kink (s0053, and
 seed 13 s0057, then 4.4e-7 off with an estimate of 0), and sweep seed 9,
-s0258, whose T_U is the ladder-biased case of both forms.
+s0258, whose T_U is the ladder-biased case of both forms.  Last, a pole so
+close to the path that U > 0 only on a window narrower than a cell of the
+sign scan.
 """
+
+import cmath
+import math
 
 import mpmath as mp
 import numpy as np
@@ -25,6 +30,8 @@ from deltasubh.characteristics import (
     spherical_mean,
 )
 from deltasubh.lab import generate_scenario, positive_part_integral
+from deltasubh.measures import BorelMeasure, UniformArc, UniformSegment
+from deltasubh.potentials import MeromorphicFn
 
 FAMILIES = ("ef_arc", "segment", "disk", "disk_union")  # the corpus round robin
 
@@ -131,3 +138,25 @@ def test_difference_characteristic_both_forms_within_their_estimates():
     for form in (difference_characteristic, difference_characteristic_canonical):
         rec = form(s.U, r0, s.R, s.tolerances.mean)
         _assert_within(rec.value, rec.error_estimate, ref)
+
+
+def test_a_positive_window_between_two_scan_nodes_is_integrated():
+    # f = 0.01005 / (z - b), |b| = 1.01: on the unit circle |f| > 1 only for
+    # |theta - alpha| < 9.96e-4, inside one 3.07e-3 cell of the 2048-cell scan
+    # at alpha = pi / 2048, so no scan node but the pole's angle sees U > 0
+    alpha = math.pi / 2048
+    b = 1.01 * cmath.exp(1j * alpha)
+    f = MeromorphicFn(poles=((b, 1),), unit_factor=0.01005)
+    U = f.to_delta_subharmonic()
+    ref = _mp_circle_mean_plus(f, 1.0)  # also T_U(r, 1): the pole lies outside
+    circle = BorelMeasure((UniformArc((0.0, 0.0), 1.0, 0.0, 2 * math.pi, 1.0),), 2)
+    for res in (nevanlinna_m(f, 1.0), spherical_mean(U, 1.0, "positive"),
+                difference_characteristic(U, 0.25, 1.0),
+                difference_characteristic_canonical(U, 0.25, 1.0),
+                positive_part_integral(U, circle, 1e-8)):
+        _assert_within(res.value, res.error_estimate, ref)
+    # a segment of length 10 past the pole, its foot mid-cell: U > 0 on 2e-4 of it
+    seg = UniformSegment((1.0, b.imag - 10 * (0.5 + 0.5 / 2048)),
+                         (1.0, b.imag + 10 * (0.5 - 0.5 / 2048)), 1.0)
+    res = positive_part_integral(U, BorelMeasure((seg,), 2), 1e-8)
+    _assert_within(res.value, res.error_estimate, _mp_segment_plus(f, seg))
