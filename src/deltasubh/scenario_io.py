@@ -133,7 +133,8 @@ def _harmonic_from_json(obj, dim: int):
     if "poly" in _typed(obj, dict, "FUNCTION_SPEC", "a harmonic part"):
         if dim != 2:
             _fail("FUNCTION_SPEC", "polynomial harmonic parts are d=2 only")
-        return HarmonicPolynomial(tuple(_complex_from(c) for c in obj["poly"]))
+        poly = _typed(obj["poly"], list, "FUNCTION_SPEC", "poly")
+        return HarmonicPolynomial(tuple(_complex_from(c) for c in poly))
     if "affine" in obj:
         aff = obj["affine"]
         return AffineHarmonic(float(aff["constant"]),
@@ -151,7 +152,8 @@ def _harmonic_to_json(h):
 
 def _subharmonic_from_json(obj: dict, dim: int) -> SubharmonicFn:
     charge = _typed(obj, dict, "FUNCTION_SPEC", "u and v").get("charge", [])
-    comps = tuple(_component_from_json(c, dim) for c in charge)
+    comps = tuple(_component_from_json(c, dim)
+                  for c in _typed(charge, list, "FUNCTION_SPEC", "charge"))
     return SubharmonicFn(dim, _harmonic_from_json(obj.get("harmonic"), dim),
                          BorelMeasure(comps, dim))
 

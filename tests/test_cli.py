@@ -153,6 +153,10 @@ def test_verify_radii_order_exit_two(tmp_path):
     (lambda obj: dict(obj, measure={"components": [5]}), "MEASURE_SPEC"),
     (lambda obj: dict(obj, function="x"), "FUNCTION_SPEC"),
     (lambda obj: dict(obj, tolerances=5), "TOLERANCES"),
+    (lambda obj: dict(obj, function={"type": "delta_subharmonic",
+                                     "u": {"charge": 5}, "v": {}}), "FUNCTION_SPEC"),
+    (lambda obj: dict(obj, function={"type": "delta_subharmonic",
+                                     "u": {"harmonic": {"poly": 5}}, "v": {}}), "FUNCTION_SPEC"),
 ])
 def test_malformed_scenario_json_exits_two(tmp_path, capsys, edit, code):
     # exit 1 is the fail verdict; a file of the wrong shape is an input error
