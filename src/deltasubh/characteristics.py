@@ -16,29 +16,34 @@ delta-subharmonic ones by the bridge identities: m(r,f) = C over the circle
 of ln^+|f|, N(R,f) - N(r,f) = N_{charge^-}(r,R), and
 T(R,f) - N(r,f) = T_{log|f|}(r,R).
 
-A positive part along a path (here and in lab) is integrated by
-_integral_by_sign over the pieces where the sign of U is constant, so a kink
-of U^+ is a panel edge; other means are _sphere_mean.
+Every charge atom's kernel term is taken in closed form (_split), so
+quadrature sees only the rest.  Along a path (here and in lab),
+_integral_by_sign integrates the rest over the pieces where the sign of U is
+constant, so a kink of U^+ is a panel edge, and adds each atom's potential
+of the piece; a mean over a sphere (_identity_mean) takes each atom by
+Gauss's mean value theorem.  The remaining means are _sphere_mean.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import DimensionContext
-from .measures import integrated_counting_result
+from .geometry import DimensionContext, _kernel_values, _row_norms
+from .measures import (Atom, BorelMeasure, UniformArc, UniformSegment,
+                       integrated_counting_result)
 from .potentials import (
     DeltaSubharmonicFn,
     MeromorphicFn,
+    SubharmonicFn,
     canonical_representation,
     jordan_decomposition,
 )
-from .quadrature import (QuadratureResult, circle_mean, integrate_interval, sphere_mean_3d,
-                         sphere_sup)
+from .quadrature import (_ROUNDING, QuadratureResult, circle_mean, integrate_interval,
+                         sphere_mean_3d, sphere_sup)
 
 __all__ = [
     "CharacteristicRecord",
@@ -63,10 +68,6 @@ class CharacteristicRecord:
     transform: str = "identity"
 
 
-def _circle_points(r: float, theta: np.ndarray) -> np.ndarray:
-    return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-
-
 def _sphere_points(r: float, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     st = np.sin(theta)
     return np.column_stack([r * st * np.cos(phi), r * st * np.sin(phi),
@@ -77,31 +78,113 @@ def _on_sphere(values, r: float, dim: int):
     """The angle integrand of a points -> values function on the sphere
     |x| = r: g(theta) on the circle for d=2, g(theta, phi) for d=3."""
     if dim == 2:
-        return lambda theta: values(_circle_points(r, theta))
+        return lambda theta: values(_Circle((0.0, 0.0), r).at(theta))
     if dim == 3:
         return lambda theta, phi: values(_sphere_points(r, theta, phi))
     raise ValueError(f"sphere quadrature supports d in (2, 3), got {dim}")
 
 
-def _sphere_mean(values, r: float, dim: int, points, tol: float):
-    """Mean of values over the sphere |x| = r; in d=2 the angles of the
-    points near the circle are split points (see _angles_near_circle)."""
+def _sphere_mean(values, r: float, dim: int, tol: float):
+    """Mean of values over the sphere |x| = r."""
     g = _on_sphere(values, r, dim)
-    if dim == 2:
-        return circle_mean(g, _angles_near_circle(points, r), tol)
-    return sphere_mean_3d(g, tol)
+    return circle_mean(g, tol) if dim == 2 else sphere_mean_3d(g, tol)
 
 
-def _charge_atom_points(U: DeltaSubharmonicFn) -> list:
-    """Points of the atoms of both Riesz measures of U, as float arrays."""
-    return [np.asarray(c.point, dtype=float) for c in U.u.riesz.atoms + U.v.riesz.atoms]
+class _Split(NamedTuple):
+    """F = rest + sum_j weights[j] k(|x - points[j]|), with rest (points ->
+    values) F without its charge atoms: smooth about them, and no cancellation."""
+
+    rest: Callable
+    points: np.ndarray   # (n, d)
+    weights: np.ndarray  # (n,), signed
 
 
-def _angles_near_circle(points, r: float) -> list:
-    """Angles of the d=2 points within 5 % of r of the circle |x| = r, where
-    integrands on it peak or dip: the singular points of circle and arc means."""
-    return [math.atan2(p[1], p[0]) for p in points
-            if abs(float(np.hypot(p[0], p[1])) - r) <= 0.05 * max(r, 1e-300)]
+def _split(F) -> _Split:
+    """A SubharmonicFn, or a DeltaSubharmonicFn with the atoms of u at +w and
+    those of v at -w, split into its atoms and the rest."""
+    parts = [(F, 1.0)] if isinstance(F, SubharmonicFn) else [(F.u, 1.0), (F.v, -1.0)]
+    atoms = [(a.point, sign * a.weight) for sub, sign in parts for a in sub.riesz.atoms]
+    bare = [replace(sub, riesz=BorelMeasure(tuple(c for c in sub.riesz.components
+                                                  if not isinstance(c, Atom)), F.dim))
+            for sub, _sign in parts]
+    rest = bare[0] if len(bare) == 1 else DeltaSubharmonicFn(*bare)
+    return _Split(rest.values, np.array([p for p, _ in atoms], dtype=float).reshape(-1, F.dim),
+                  np.array([w for _, w in atoms], dtype=float))
+
+
+def _identity_mean(split: _Split, r: float, dim: int, tol: float) -> QuadratureResult:
+    """Mean over |x| = r of a split function: the rest by _sphere_mean, and
+    each atom as w k(max(r, |p|)), Gauss's mean value of its kernel term."""
+    res = _sphere_mean(split.rest, r, dim, tol)
+    terms = split.weights * _kernel_values(dim, np.maximum(r, _row_norms(split.points)))
+    return res + QuadratureResult(float(np.sum(terms)), _ROUNDING * float(np.sum(np.abs(terms))), 0)
+
+
+@dataclass(frozen=True)
+class _Circle:
+    """The path x(t) = center + radius (cos t, sin t)."""
+
+    center: tuple
+    radius: float
+
+    def at(self, t):
+        return np.column_stack([self.center[0] + self.radius * np.cos(t),
+                                self.center[1] + self.radius * np.sin(t)])
+
+    def feet(self, pts, lo: float, hi: float):
+        """The angles in [lo, hi] of the points about the center."""
+        c = self.center
+        ang = lo + np.mod(np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0]) - lo, TWO_PI)
+        return ang[ang <= hi]
+
+    def kernel_integrals(self, a: float, b: float, pts, d: int):
+        """integral_a^b k(|x(t) - p|) dt at each row p of pts, the potential at p
+        of the arc [a, b] of mass b - a, and its rounding: 16 eps times what it
+        subtracts, (b - a) ln F (F = max(|p - c|, radius)) and two dilogarithms
+        of at most pi^2 / 6, plus the coordinates' rounding, scale / radius,
+        times their slope |ln(D / F)| + 2 at each end, D its distance from p."""
+        far = np.maximum(_row_norms(pts - np.asarray(self.center)), self.radius)
+        scale = _row_norms(pts) + math.hypot(*self.center) + self.radius
+        ends = sum(np.abs(np.log(np.maximum(_row_norms(pts - self.at(np.array([t]))),
+                                            _ROUNDING * scale) / far)) for t in (a, b))
+        return (UniformArc(self.center, self.radius, a, b, b - a).potential(pts, d),
+                _ROUNDING * ((b - a) * np.abs(np.log(far)) + 4.0
+                             + scale / self.radius * (ends + 4.0)))
+
+
+@dataclass(frozen=True)
+class _Line:
+    """The path x(s) = start + s step (arrays)."""
+
+    start: np.ndarray
+    step: np.ndarray
+
+    def at(self, s):
+        return self.start[None, :] + s[:, None] * self.step[None, :]
+
+    def feet(self, pts, lo: float, hi: float):
+        """The parameters of the points' projections, clipped to [lo, hi]."""
+        return np.clip((pts - self.start) @ self.step / (self.step @ self.step), lo, hi)
+
+    def kernel_integrals(self, a: float, b: float, pts, d: int):
+        """integral_a^b k(|x(s) - p|) ds at each row p of pts, the potential at p
+        of the segment [a, b] of mass b - a in the frame of start, and its
+        rounding.  It subtracts antiderivatives of |u| (|ln D| + 2) (d=2) or
+        |asinh(u / h)| + 1 (d=3) at the ends (u the offset from p's foot, D
+        the distance from p, h from the line), and the coordinates' rounding,
+        eps scale, moves it by that times |k(D)| at both ends plus pi (d=2) or
+        6 |k| nearest p (d=3): 16 eps (2 + scale (...)) per unit of s."""
+        rel = pts - self.start
+        length = math.hypot(*self.step)
+        scale = _row_norms(rel) + (abs(a) + abs(b)) * length
+        dist = [_row_norms(rel - np.multiply.outer(t, self.step))
+                for t in (np.full(len(rel), a), np.full(len(rel), b), self.feet(pts, a, b))]
+        size = [np.abs(_kernel_values(d, np.maximum(D, _ROUNDING * scale))) for D in dist]
+        values = UniformSegment(tuple(a * self.step), tuple(b * self.step), b - a).potential(rel, d)
+        if d > 2:  # p on the piece up to rounding: the integral of -1/D diverges
+            values = np.where(dist[2] <= _ROUNDING * scale, -np.inf, values)
+        inner = 8.0 if d == 2 else 6.0 * size[2]
+        return values, _ROUNDING * (2.0 + scale * (size[0] + size[1] + inner)) / length
 
 
 def _sign_changes(evaluator, x, fx) -> list:
@@ -118,36 +201,43 @@ def _sign_changes(evaluator, x, fx) -> list:
     return (0.5 * (lo + hi)).tolist()
 
 
-def _integral_by_sign(signed, pos, lo: float, hi: float, singular, tol: float,
-                      neg=None) -> QuadratureResult:
-    """Integral over [lo, hi] of pos where signed > 0 and of neg (0 if None)
-    elsewhere, to the absolute tolerance tol.  Pieces end at the class flips
-    _sign_changes finds on a closed 2048-node grid (a full period wraps) plus
-    the singular points, all in [lo, hi], so no piece about one hides in a
-    cell; none is wider than (hi - lo) / 8, and each is one integrate_interval
-    call, singular at the singular points inside it, to its share of tol."""
-    x = np.union1d(lo + (hi - lo) * np.arange(2049) / 2048, singular)
-    fx = np.asarray(signed(x), dtype=float)
-    edges = [lo] + _sign_changes(signed, x, fx) + [hi]
+def _integral_by_sign(signed, pos: _Split, path, lo: float, hi: float, tol: float,
+                      neg: Optional[_Split] = None) -> QuadratureResult:
+    """Integral over [lo, hi] along path of pos where signed > 0 and of neg
+    (0 if None) elsewhere, to the absolute tolerance tol; all three act on
+    points.  Pieces end at the class flips _sign_changes finds on a closed
+    2048-cell grid plus the feet of all atoms of pos and neg, so a window of
+    one class about an atom narrower than a cell is not lost.  On each piece
+    [a, b] the rest goes to one integrate_interval call, cut into parts no
+    wider than (hi - lo) / 8, to the piece's share of tol, and each atom adds
+    w integral_a^b k(|x(t) - p|) dt in closed form (path.kernel_integrals),
+    whose rounding bound joins the estimate.  So quadrature sees only
+    integrands smooth between piece ends."""
+    feet = np.concatenate([path.feet(sp.points, lo, hi) for sp in (pos, neg) if sp is not None])
+    x = np.union1d(lo + (hi - lo) * np.arange(2049) / 2048, feet)
+    fx = np.asarray(signed(path.at(x)), dtype=float)
+    edges = [lo] + _sign_changes(lambda t: signed(path.at(t)), x, fx) + [hi]
     cap = (hi - lo) / 8.0
     total = QuadratureResult(0.0, 0.0, 0)
     for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        g = pos if (fx[0] > 0.0) != (k % 2 == 1) else neg  # classes alternate
-        if g is None or not a < b:
+        sp = pos if (fx[0] > 0.0) != (k % 2 == 1) else neg  # classes alternate
+        if sp is None or b - a <= 1e-14 * max(abs(a), abs(b)):  # what the engine drops
             continue
-        cuts = np.linspace(a, b, math.ceil((b - a) / cap) + 1).tolist()
-        for c, d in zip(cuts[:-1], cuts[1:]):
-            total = total + integrate_interval(
-                g, c, d, [t for t in singular if c <= t <= d], tol * (d - c) / (hi - lo))
+        cuts = np.linspace(a, b, math.ceil((b - a) / cap) + 1)[1:-1].tolist()
+        total = total + integrate_interval(lambda t: sp.rest(path.at(t)), a, b, cuts,
+                                           tol * (b - a) / (hi - lo))
+        if sp.weights.size:
+            values, rounding = path.kernel_integrals(a, b, sp.points, sp.points.shape[1])
+            value = float(np.sum(sp.weights * values))
+            total = total + QuadratureResult(
+                value, max(float(np.abs(sp.weights) @ rounding), _ROUNDING * abs(value)), 0)
     return total
 
 
-def _circle_by_sign(signed, pos, r: float, points, tol: float, neg=None) -> QuadratureResult:
-    """Mean over |x| = r of the angle integrand of _integral_by_sign, singular
-    at the angles in [0, 2 pi] of the points near the circle (0 and 2 pi both)."""
-    ends = [a % TWO_PI for a in _angles_near_circle(points, r)]
-    angles = ends + [TWO_PI - a for a in ends if a in (0.0, TWO_PI)]
-    res = _integral_by_sign(signed, pos, 0.0, TWO_PI, angles, tol * TWO_PI, neg)
+def _circle_by_sign(signed, pos: _Split, r: float, tol: float,
+                    neg: Optional[_Split] = None) -> QuadratureResult:
+    """Mean over |x| = r of the integrand of _integral_by_sign."""
+    res = _integral_by_sign(signed, pos, _Circle((0.0, 0.0), r), 0.0, TWO_PI, tol * TWO_PI, neg)
     return res.scaled(1.0 / TWO_PI)
 
 
@@ -158,14 +248,13 @@ def spherical_mean(U: DeltaSubharmonicFn, r: float, transform: str = "identity",
         raise ValueError("r must be > 0")
     if transform not in ("identity", "positive"):
         raise ValueError(f"unknown transform {transform!r}")
-    positive = transform == "positive"
     # polar entries of U.values stay NaN; the quadrature nudges those nodes
-    if positive and U.dim == 2:
-        res = _circle_by_sign(_on_sphere(U.values, r, 2), _on_sphere(U.positive_values, r, 2),
-                              r, _charge_atom_points(U), tol)
+    if transform == "identity":
+        res = _identity_mean(_split(U), r, U.dim, tol)
+    elif U.dim == 2:
+        res = _circle_by_sign(U.values, _split(U), r, tol)
     else:
-        res = _sphere_mean(U.positive_values if positive else U.values, r, U.dim,
-                           _charge_atom_points(U), tol)
+        res = _sphere_mean(U.positive_values, r, U.dim, tol)
     return CharacteristicRecord("C_mean", r, res.value, res.error_estimate,
                                 transform=transform)
 
@@ -184,16 +273,20 @@ def sup_on_sphere(U: DeltaSubharmonicFn, r: float) -> CharacteristicRecord:
 
 
 def nevanlinna_m(f: MeromorphicFn, r: float, tol: float = 1e-8) -> CharacteristicRecord:
-    """m(r, f): circle mean of ln^+ |f| over the arcs where |f| > 1, singular
-    at the zeros and poles near the circle (a zero's arc costs nothing)."""
+    """m(r, f): circle mean of ln |f| over the arcs where |f| > 1, split into
+    its own zeros and poles (+m and -n times ln|z - a|) and the rest, so it
+    stays an oracle for C_{U^+}(r) independent of the potential models."""
     if not r > 0:
         raise ValueError("r must be > 0")
 
-    def log_abs(theta):
-        return f.log_abs(r * np.exp(1j * theta))
+    def on_points(g):
+        return lambda pts: g(pts[:, 0] + 1j * pts[:, 1])
 
-    res = _circle_by_sign(log_abs, lambda theta: np.maximum(log_abs(theta), 0.0), r,
-                          [(a.real, a.imag) for a, _ in f.zeros + f.poles], tol)
+    atoms = f.zeros + tuple((b, -n) for b, n in f.poles)
+    split = _Split(on_points(replace(f, zeros=(), poles=()).log_abs),
+                   np.array([(a.real, a.imag) for a, _ in atoms], dtype=float).reshape(-1, 2),
+                   np.array([m for _, m in atoms], dtype=float))
+    res = _circle_by_sign(on_points(f.log_abs), split, r, tol)
     return CharacteristicRecord("m_classical", r, res.value, res.error_estimate)
 
 
@@ -250,15 +343,13 @@ def difference_characteristic_canonical(U: DeltaSubharmonicFn, r: float, R: floa
     if not 0.0 < r < R:
         raise ValueError(f"need 0 < r < R, got ({r}, {R})")
     u_star, v_star = canonical_representation(U, R)
-    atoms = _charge_atom_points(DeltaSubharmonicFn(u_star, v_star))
     if U.dim == 2:  # u* where u* > v*, v* elsewhere
-        sup_mean = _circle_by_sign(
-            _on_sphere(lambda pts: u_star.values(pts) - v_star.values(pts), R, 2),
-            _on_sphere(u_star.values, R, 2), R, atoms, tol, _on_sphere(v_star.values, R, 2))
+        sup_mean = _circle_by_sign(lambda pts: u_star.values(pts) - v_star.values(pts),
+                                   _split(u_star), R, tol, _split(v_star))
     else:
         sup_mean = _sphere_mean(lambda pts: np.maximum(u_star.values(pts), v_star.values(pts)),
-                                R, U.dim, atoms, tol)
-    v_mean = _sphere_mean(v_star.values, r, U.dim, atoms, tol)
+                                R, U.dim, tol)
+    v_mean = _identity_mean(_split(v_star), r, U.dim, tol)
     return CharacteristicRecord(
         "T_difference", r, sup_mean.value - v_mean.value,
         sup_mean.error_estimate + v_mean.error_estimate, R=R,

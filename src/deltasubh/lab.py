@@ -34,10 +34,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .characteristics import (
-    _angles_near_circle,
-    _charge_atom_points,
+    _Circle,
     _integral_by_sign,
+    _Line,
     _sphere_mean,
+    _split,
     nevanlinna_N,
     spherical_mean,
 )
@@ -153,31 +154,6 @@ def _verdict(slack: float, budget: float) -> str:
 # left-hand side: integral of U^+ against mu
 
 
-def _path_integral(U, path, lo: float, hi: float, singular, tol: float) -> QuadratureResult:
-    """integral of U^+ along path(t), t in [lo, hi], over the pieces where U > 0."""
-    return _integral_by_sign(lambda t: U.values(path(t)), lambda t: U.positive_values(path(t)),
-                             lo, hi, singular, tol)
-
-
-def _segment_integral(U, comp: UniformSegment, tol: float) -> QuadratureResult:
-    a = np.asarray(comp.start)
-    e = np.asarray(comp.end) - a
-    feet = [(float(np.clip((p - a) @ e / (e @ e), 0.0, 1.0)), p) for p in _charge_atom_points(U)]
-    splits = [s for s, p in feet if np.linalg.norm(a + s * e - p) <= 0.05 * comp.length]
-    res = _path_integral(U, lambda s: a[None, :] + s[:, None] * e[None, :], 0.0, 1.0, splits,
-                         tol / max(comp.weight, 1e-300))
-    return res.scaled(comp.weight)
-
-
-def _arc_integral(U, comp: UniformArc, tol: float) -> QuadratureResult:
-    rels = [(ang - comp.angle_start) % (2.0 * math.pi) for ang in
-            _angles_near_circle([p - comp.center for p in _charge_atom_points(U)], comp.radius)]
-    splits = [comp.angle_start + rel for rel in rels if comp.angle_start + rel <= comp.angle_end]
-    res = _path_integral(U, lambda th: np.column_stack(comp.point_at(th)), comp.angle_start,
-                         comp.angle_end, splits, tol * comp.width / max(comp.weight, 1e-300))
-    return res.scaled(comp.weight / comp.width)
-
-
 def _ball_integral(U, comp: UniformBall, tol: float) -> QuadratureResult:
     """Tensor-product rule over the solid ball: composite Gauss-Legendre in
     the radius (panels split at charge-atom distances) x equispaced angles,
@@ -190,7 +166,7 @@ def _ball_integral(U, comp: UniformBall, tol: float) -> QuadratureResult:
     c = np.asarray(comp.center)
     rho = comp.radius
     dim = comp.dim
-    breaks = sorted({float(np.linalg.norm(p - c)) for p in _charge_atom_points(U)
+    breaks = sorted({float(np.linalg.norm(p - c)) for p in _split(U).points
                      if 0.0 < float(np.linalg.norm(p - c)) < rho})
     edges = [0.0] + breaks + [rho]
     u, uw = _gl_nodes(-1.0, 1.0, 48)  # polar rule in 3-d, the same at every level
@@ -259,17 +235,23 @@ def _ball_integral(U, comp: UniformBall, tol: float) -> QuadratureResult:
 
 def positive_part_integral(U: DeltaSubharmonicFn, mu: BorelMeasure,
                            tol: float = 1e-8) -> QuadratureResult:
-    """integral of U^+ d mu: exact weighted point values on atoms, adaptive
-    quadrature along segments/arcs, nested product quadrature over balls."""
+    """integral of U^+ d mu: exact weighted point values on atoms, U over
+    its positive pieces along segments/arcs (_integral_by_sign), nested
+    product quadrature over balls."""
     total = QuadratureResult(0.0, 0.0, 0)
     for comp in mu.components:
         if isinstance(comp, Atom):
             total.value += comp.weight * positive_part(U, comp.point)
             total.nodes_used += 1
-        elif isinstance(comp, UniformSegment):
-            total = total + _segment_integral(U, comp, tol)
-        elif isinstance(comp, UniformArc):
-            total = total + _arc_integral(U, comp, tol)
+        elif isinstance(comp, (UniformSegment, UniformArc)):
+            if isinstance(comp, UniformSegment):
+                a = np.asarray(comp.start)
+                path, lo, hi = _Line(a, np.asarray(comp.end) - a), 0.0, 1.0
+            else:
+                path, lo, hi = _Circle(comp.center, comp.radius), comp.angle_start, comp.angle_end
+            density = comp.weight / (hi - lo)
+            total = total + _integral_by_sign(U.values, _split(U), path, lo, hi,
+                                              tol / max(density, 1e-300)).scaled(density)
         elif isinstance(comp, UniformBall):
             total = total + _ball_integral(U, comp, tol)
         else:
@@ -481,7 +463,7 @@ def verify_poisson_jensen(U: DeltaSubharmonicFn, R: float,
                     else R * (R * R - q2) / np.sqrt(dist2) ** 3)
             return np.where(polar, np.nan, kern * vals)
 
-        boundary = _sphere_mean(poisson, R, d, (), tol)
+        boundary = _sphere_mean(poisson, R, d, tol)
         rhs = boundary.value + g
         res = lhs - rhs
         points.append(tuple(x))

@@ -792,8 +792,8 @@ def integrated_counting_result(ctx: DimensionContext, mu: BorelMeasure,
     """N_mu(r, R) = d_hat * integral_r^R mu(B_0(t)) / t^{d-1} dt.
 
     Exact (piecewise kernel differences) for the atoms; one adaptive
-    quadrature over [r, R], split at the breakpoint radii, for the continuous
-    components.  +inf when the integral diverges at r = 0: an atom at the
+    quadrature over [r, R], with the breakpoint radii as piece ends, for the
+    continuous components.  +inf when the integral diverges at r = 0: an atom at the
     origin, or a continuous component within 1e-14 R of the origin whose
     closed-form Dini integral is +inf.
     """

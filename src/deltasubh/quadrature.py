@@ -2,12 +2,10 @@
 
 Four entry points:
 
-* integrate_interval -- adaptive Gauss-Legendre on [a, b] with declared
-  singular points isolated in geometrically shrinking cells (handles
-  integrable logarithmic / weak power singularities);
+* integrate_interval -- adaptive Gauss-Legendre on [a, b] cut at given piece
+  ends, for integrands smooth on each piece (no engine takes singular points);
 * circle_mean -- (1/2pi) integral over a full period, spectral periodic
-  trapezoid with Richardson-style doubling, falling back to the adaptive
-  engine when singular angles are declared;
+  trapezoid with Richardson-style doubling;
 * sphere_mean_3d -- product Gauss-Legendre (polar) x trapezoid (azimuth)
   mean over the unit 2-sphere with doubling;
 * sphere_sup -- dense-grid maximum plus golden-section refinement around
@@ -16,25 +14,26 @@ Four entry points:
 
 All integrands are VECTORIZED callables: f(ndarray) -> ndarray (for
 sphere_mean_3d, f(theta_array, phi_array) -> array).  integrate_interval
-runs the adaptive rules and singular-cell ladders of all its segments in
-lockstep, as generators that ask for panels and are sent their sums: one
-call of f per round evaluates every panel any of them asks for.  Nothing is
-evaluated ahead of a stop rule, and sums are formed in the order of one
-panel per call and one segment after another, so the results equal that
-order's bit for bit when f acts node by node.  Values of +-inf at a
-node mean the node landed exactly on a declared singular point; the engine
-nudges such nodes by an ulp-scale offset and logs the event, per the polar
-set policy (any finite node set may be safely adjusted).
+runs the adaptive rules of all its pieces in lockstep, as generators that
+ask for panels and are sent their sums: one call of f per round evaluates
+every panel any of them asks for.  Nothing is evaluated ahead of a stop
+rule, and sums are formed in the order of one panel per call and one piece
+after another, so the results equal that order's bit for bit when f acts
+node by node.  Values of +-inf at a node mean the node landed exactly on a
+polar point; the engine nudges such nodes by an ulp-scale offset and logs
+the event, per the polar set policy (any finite node set may be safely
+adjusted).
 
 Every accepted result carries error_estimate, a doubling-based heuristic
-bound: the change under one more refinement, and at least 16 eps |value|.
+bound: the change under one more refinement, and at least 16 eps |value|;
+a panel still above its tolerance at the resolution floor raises.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -56,7 +55,6 @@ TWO_PI = 2.0 * math.pi
 # hard caps; accepted runs in this artifact stay far below them
 _MAX_NODES = 2_000_000
 _MAX_TRAP = 2 ** 18
-_LADDER_LEVELS = 60
 _ROUNDING = 16.0 * float(np.finfo(float).eps)  # error estimates are >= _ROUNDING * |value|
 
 
@@ -65,23 +63,16 @@ class QuadratureResult:
     value: float
     error_estimate: float
     nodes_used: int
-    singularities_split: list = field(default_factory=list)
 
     def __add__(self, other: "QuadratureResult") -> "QuadratureResult":
         return QuadratureResult(
             self.value + other.value,
             self.error_estimate + other.error_estimate,
             self.nodes_used + other.nodes_used,
-            self.singularities_split + other.singularities_split,
         )
 
     def scaled(self, c: float) -> "QuadratureResult":
-        return QuadratureResult(
-            c * self.value,
-            abs(c) * self.error_estimate,
-            self.nodes_used,
-            list(self.singularities_split),
-        )
+        return QuadratureResult(c * self.value, abs(c) * self.error_estimate, self.nodes_used)
 
 
 class QuadratureBudgetError(RuntimeError):
@@ -126,7 +117,7 @@ def _nudge(f, x: np.ndarray, y: np.ndarray, scale: float) -> np.ndarray:
             logger.debug("perturbed %d quadrature nodes off a singular point", n_bad)
             return y
     raise QuadratureBudgetError(
-        "integrand is non-finite at nudged nodes; undeclared non-integrable singularity?",
+        "integrand is non-finite at nudged nodes; a non-integrable singularity?",
         QuadratureResult(math.nan, math.inf, int(x.size)),
     )
 
@@ -164,7 +155,7 @@ class _Budget:
 
 
 def _adaptive(a, b, tol, scale, budget: _Budget):
-    """Adaptive GL15 bisection on a panel without interior singularities.
+    """Adaptive GL15 bisection on a panel where f is smooth.
 
     A generator: it yields the panels (lo, hi) of each refinement level, is
     sent back their GL15 sums, and returns (value, error); _lockstep
@@ -172,13 +163,16 @@ def _adaptive(a, b, tol, scale, budget: _Budget):
     every panel still open at a level.  A panel's coarse rule is its parent's
     half-panel sum, and values and errors are summed bottom-up in the order
     of the depth-first recursion, so the result is that recursion's bit for
-    bit, with a third fewer nodes."""
+    bit, with a third fewer nodes.  A panel still above its tolerance at
+    width 1e-14 scale or depth 48 raises QuadratureBudgetError: f is not
+    integrable there, or not smooth enough to integrate."""
     mid = 0.5 * (a + b)
     coarse, left, right = yield np.array([a, a, mid]), np.array([b, mid, b])
     # panel k spans [lo[k], hi[k]]; halves are numbered after their parent
     lo, hi, coarse_of, tol_of = [a], [b], [coarse], [tol]
     halves = {0: (left, right)}
     value, error, split = {}, {}, {}
+    done = 0.0  # the accepted panels' sum, reported as the partial at the floor
     level = [0]
     depth = 0
     while level:
@@ -193,10 +187,16 @@ def _adaptive(a, b, tol, scale, budget: _Budget):
             left, right = halves[k]
             fine = left + right
             err = abs(fine - coarse_of[k])
-            if err <= tol_of[k] or (hi[k] - lo[k]) <= 1e-14 * scale or depth >= 48:
+            if err <= tol_of[k]:
                 budget.acc += fine
+                done += fine
                 value[k], error[k] = fine, err
                 continue
+            if (hi[k] - lo[k]) <= 1e-14 * scale or depth >= 48:
+                raise QuadratureBudgetError(
+                    f"panel [{lo[k]!r}, {hi[k]!r}] at the resolution floor still "
+                    f"changes by {err:.3g} > {tol_of[k]:.3g}",
+                    QuadratureResult(done + fine, math.inf, budget.nodes))
             mid = 0.5 * (lo[k] + hi[k])
             split[k] = (len(lo), len(lo) + 1)
             lo += [lo[k], mid]
@@ -212,46 +212,8 @@ def _adaptive(a, b, tol, scale, budget: _Budget):
     return value[0], error[0]
 
 
-def _ladder(s, a, b, tol, scale, budget: _Budget):
-    """Integrate over (a, b] where the singular point s is the endpoint a == s
-    (or b == s, mirrored): geometric cells shrinking into s.  A generator
-    like _adaptive; cell k+1 is asked for only once cell k says go on."""
-    left = math.isclose(a, s, rel_tol=0.0, abs_tol=1e-14 * scale)
-    h = b - a
-    total = 0.0
-    err = 0.0
-    prev = math.inf
-    for k in range(_LADDER_LEVELS):
-        if left:
-            lo, hi = s + h * 2.0 ** (-k - 1), s + h * 2.0 ** (-k)
-        else:
-            lo, hi = b - h * 2.0 ** (-k), b - h * 2.0 ** (-k - 1)
-        if not lo < hi or s in (lo, hi):  # the cell has rounded onto s
-            raise QuadratureBudgetError(
-                "geometric cells collapsed onto the singular point before converging",
-                QuadratureResult(total, math.inf, budget.nodes),
-            )
-        v, e = yield from _adaptive(lo, hi, tol / 8.0, scale, budget)
-        total += v
-        err += e
-        if abs(total) > 1e12:
-            raise QuadratureBudgetError(
-                "geometric cells near declared singularity do not converge",
-                QuadratureResult(total, math.inf, budget.nodes),
-            )
-        if k >= 3 and abs(v) <= tol / 8.0 and abs(v) <= abs(prev):
-            ratio = min(0.9, abs(v) / abs(prev)) if prev not in (0.0, math.inf) else 0.5
-            err += abs(v) * ratio / (1.0 - ratio)  # tail of the geometric series
-            return total, err
-        prev = v
-    raise QuadratureBudgetError(
-        "singular cells still significant after full ladder",
-        QuadratureResult(total, math.inf, budget.nodes),
-    )
-
-
 def _lockstep(f, gens: list, scale: float, budget: _Budget) -> list:
-    """Run the _adaptive/_ladder generators gens together: each round
+    """Run the _adaptive generators gens together: each round
     evaluates the panels of every open one in one _gl_panels call (15 nodes a
     panel off the budget).  Returns their (value, error) results in order.
 
@@ -295,83 +257,40 @@ def integrate_interval(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
-    known_singularities: Sequence[float] = (),
+    ends: Sequence[float] = (),
     tol: float = 1e-8,
 ) -> QuadratureResult:
-    """Integral of f over [a, b] with singular points isolated adaptively.
+    """Integral of f over [a, b], cut at the piece ends inside it.
 
-    f must be vectorized and integrable, with at most logarithmic (or weak
-    power) singularities at the listed points, each isolated by geometric
-    cells whose untallied tail biases the value by about its estimate: a kink
-    is better an end of [a, b], as in characteristics._integral_by_sign.
-    Non-convergence raises QuadratureBudgetError carrying the partial value.
+    f must be vectorized and smooth on each piece (a kink or jump belongs at
+    a piece end), which gets an equal share of tol.  Non-convergence, as at
+    a singular point, raises QuadratureBudgetError carrying a partial value.
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     scale = max(abs(a), abs(b), b - a)
-    sings = sorted({float(s) for s in known_singularities if a <= s <= b})
-    # cluster points closer than resolution
-    merged: list[float] = []
-    for s in sings:
-        if not merged or s - merged[-1] > 1e-13 * scale:
-            merged.append(s)
-    pts = sorted(set(merged) | {a, b})
+    pts = sorted({a, b} | {float(s) for s in ends if a < s < b})
     budget = _Budget()
-    gens: list = []
-    counts: list = []  # generators per segment: two for singular points at both ends
-    nseg = len(pts) - 1
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        if hi - lo <= 1e-14 * scale:
-            continue
-        seg_tol = tol / max(1, nseg)
-        lo_sing = lo in merged
-        hi_sing = hi in merged
-        counts.append(2 if lo_sing and hi_sing else 1)
-        if lo_sing and hi_sing:
-            mid = 0.5 * (lo + hi)
-            gens.append(_ladder(lo, lo, mid, 0.5 * seg_tol, scale, budget))
-            gens.append(_ladder(hi, mid, hi, 0.5 * seg_tol, scale, budget))
-        elif lo_sing:
-            gens.append(_ladder(lo, lo, hi, seg_tol, scale, budget))
-        elif hi_sing:
-            gens.append(_ladder(hi, lo, hi, seg_tol, scale, budget))
-        else:
-            gens.append(_adaptive(lo, hi, seg_tol, scale, budget))
-    runs = iter(_lockstep(f, gens, scale, budget))
+    seg_tol = tol / (len(pts) - 1)
+    gens = [_adaptive(lo, hi, seg_tol, scale, budget) for lo, hi in zip(pts[:-1], pts[1:])
+            if hi - lo > 1e-14 * scale]
     total = 0.0
     err = 0.0
-    for n in counts:  # summed in segment order, as one after another
-        if n == 2:
-            (v1, e1), (v2, e2) = next(runs), next(runs)
-            total += v1 + v2
-            err += e1 + e2
-        else:
-            v, e = next(runs)
-            total += v
-            err += e
-    return QuadratureResult(total, max(err, _ROUNDING * abs(total)), budget.nodes, merged)
+    for v, e in _lockstep(f, gens, scale, budget):  # summed in piece order
+        total += v
+        err += e
+    return QuadratureResult(total, max(err, _ROUNDING * abs(total)), budget.nodes)
 
 
 def circle_mean(
     g: Callable[[np.ndarray], np.ndarray],
-    singular_angles: Sequence[float] = (),
     tol: float = 1e-8,
 ) -> QuadratureResult:
     """(1/2pi) * integral of g over one period.
 
-    Without declared singular angles the periodic trapezoid rule (= mean of
-    equispaced samples) converges spectrally for analytic g; with declared
-    angles the adaptive interval engine takes over on a period split there.
+    The periodic trapezoid rule (= mean of equispaced samples), doubled
+    until stable; it converges spectrally for analytic g.
     """
-    if singular_angles:
-        base = float(singular_angles[0]) % TWO_PI
-        shifted = sorted({base + ((s - base) % TWO_PI) for s in singular_angles})
-        shifted.append(base + TWO_PI)
-        res = integrate_interval(g, base, base + TWO_PI, shifted, tol * TWO_PI)
-        return QuadratureResult(
-            res.value / TWO_PI, res.error_estimate / TWO_PI, res.nodes_used,
-            res.singularities_split,
-        )
     n = 64
     theta = TWO_PI * np.arange(n) / n
     mean = float(np.mean(_eval_safe(g, theta, TWO_PI)))
@@ -391,7 +310,7 @@ def circle_mean(
         else:
             hits = 0
     raise QuadratureBudgetError(
-        "periodic trapezoid did not converge; declare the singular angles",
+        "periodic trapezoid did not converge",
         QuadratureResult(mean, math.inf, nodes),
     )
 

@@ -11,9 +11,13 @@ untallied tail off (s0013, s0043, s0086, s0101), one whose circle has a
 positive arc narrower than an eighth of the period (s0182), two whose
 segment integrals two GL15 levels once agreed on across a kink (s0053, and
 seed 13 s0057, then 4.4e-7 off with an estimate of 0), and sweep seed 9,
-s0258, whose T_U is the ladder-biased case of both forms.  Last, a pole so
+s0258, whose T_U is the ladder-biased case of both forms.  Then a pole so
 close to the path that U > 0 only on a window narrower than a cell of the
-sign scan.
+sign scan.  Last, the cases that singular-point cells once biased by about
+their own estimate: the arc integral of PIN_ARC (a pole close to its circle,
+inside its angles), sweep seed 42 s0123 T(r_0, f) (5.3 times its estimate
+off) and s0184 canonical T_U, and N_{charge^-}(1.5, 4) of PIN_2D, whose
+continuous charges need mpmath ball-lens and segment-chord masses.
 """
 
 import cmath
@@ -27,11 +31,16 @@ from deltasubh.characteristics import (
     difference_characteristic,
     difference_characteristic_canonical,
     nevanlinna_m,
+    nevanlinna_T,
     spherical_mean,
 )
+from deltasubh.geometry import DimensionContext
 from deltasubh.lab import generate_scenario, positive_part_integral
-from deltasubh.measures import BorelMeasure, UniformArc, UniformSegment
-from deltasubh.potentials import MeromorphicFn
+from deltasubh.measures import (Atom, BorelMeasure, UniformArc, UniformBall, UniformSegment,
+                                integrated_counting_result)
+from deltasubh.potentials import MeromorphicFn, jordan_decomposition
+from deltasubh.scenario_io import parse_scenario
+from test_cli import PIN_2D, PIN_ARC
 
 FAMILIES = ("ef_arc", "segment", "disk", "disk_union")  # the corpus round robin
 
@@ -101,6 +110,27 @@ def _mp_segment_plus(f, comp):
             mp.mpf(0), mp.mpf(1), near)
 
 
+def _mp_arc_plus(f, comp):
+    """integral of U^+ against the uniform measure on the arc comp."""
+    with mp.workdps(30):
+        log_abs = _mp_log_abs(f)
+        c = mp.mpc(*comp.center)
+        near = [comp.angle_start + (mp.arg(mp.mpc(z) - c) - comp.angle_start) % (2 * mp.pi)
+                for z, _ in f.zeros + f.poles]
+        zc = complex(*comp.center)
+        return comp.weight / mp.mpf(comp.width) * _mp_positive_integral(
+            lambda t: log_abs(c + comp.radius * mp.expj(t)),
+            lambda t: f.log_abs(zc + comp.radius * np.exp(1j * t)),
+            mp.mpf(comp.angle_start), mp.mpf(comp.angle_end), near)
+
+
+def _mp_T(f, r):
+    """T(r, f) = m(r, f) + N(r, f)."""
+    with mp.workdps(30):
+        return _mp_circle_mean_plus(f, r) + mp.fsum(
+            n * mp.log(mp.mpf(r) / abs(mp.mpc(b))) for b, n in f.poles if abs(b) <= r)
+
+
 def _mp_counting_minus(f, r, R):
     """N_{charge^-}(r, R): the poles counted by ln(R / max(r, |b|))."""
     with mp.workdps(30):
@@ -160,3 +190,78 @@ def test_a_positive_window_between_two_scan_nodes_is_integrated():
                          (1.0, b.imag + 10 * (0.5 - 0.5 / 2048)), 1.0)
     res = positive_part_integral(U, BorelMeasure((seg,), 2), 1e-8)
     _assert_within(res.value, res.error_estimate, _mp_segment_plus(f, seg))
+
+
+def test_arc_integral_with_a_pole_close_to_its_circle():
+    s = parse_scenario(PIN_ARC)
+    res = positive_part_integral(s.U, s.mu, s.tolerances.mean)
+    ref = _mp_arc_plus(s.f, s.mu.components[0])
+    assert abs(ref - mp.mpf("0.43677670118060840")) < 1e-17
+    _assert_within(res.value, res.error_estimate, ref)
+
+
+def test_sweep_characteristics_once_biased_by_their_estimate():
+    # the bench sweep's grid r_0 < ... < r_7 = linspace(R/4, R, 8); seed 42
+    # s0123 is step 4, s0184 step 2
+    s = _scenario(42, 123)
+    r0 = float(np.linspace(0.25 * s.R, s.R, 8)[0])
+    rec = nevanlinna_T(s.f, r0, s.tolerances.mean)
+    _assert_within(rec.value, rec.error_estimate, _mp_T(s.f, r0))
+    s = _scenario(42, 184)
+    grid = np.linspace(0.25 * s.R, s.R, 8)
+    r0, r = float(grid[0]), float(grid[3])
+    rec = difference_characteristic_canonical(s.U, r0, r, s.tolerances.mean)
+    _assert_within(rec.value, rec.error_estimate,
+                   _mp_circle_mean_plus(s.f, r) + _mp_counting_minus(s.f, r0, r))
+
+
+def _mp_ball_mass(comp, t):
+    """mass of the d=2 ball comp in the disk |x| <= t: the lens area."""
+    q, rho, t = mp.hypot(*comp.center), mp.mpf(comp.radius), mp.mpf(t)
+    if t + rho <= q:
+        return mp.mpf(0)
+    if q + rho <= t or q + t <= rho:
+        return comp.weight * min(t, rho) ** 2 / rho ** 2
+    a1 = mp.acos((q * q + t * t - rho * rho) / (2 * q * t))
+    a2 = mp.acos((q * q + rho * rho - t * t) / (2 * q * rho))
+    kite = mp.sqrt((-q + t + rho) * (q + t - rho) * (q - t + rho) * (q + t + rho)) / 2
+    return comp.weight * (t * t * a1 + rho * rho * a2 - kite) / (mp.pi * rho * rho)
+
+
+def _mp_chord_mass(comp, t):
+    """mass of the segment comp in the disk |x| <= t: its chord's share."""
+    a, e = mp.matrix(comp.start), mp.matrix(comp.end) - mp.matrix(comp.start)
+    ee, ae, aa = (e.T * e)[0], (a.T * e)[0], (a.T * a)[0]
+    disc = ae * ae - ee * (aa - mp.mpf(t) ** 2)
+    if disc <= 0:
+        return mp.mpf(0)
+    lo, hi = (-ae - mp.sqrt(disc)) / ee, (-ae + mp.sqrt(disc)) / ee
+    return comp.weight * max(mp.mpf(0), min(hi, 1) - max(lo, 0))
+
+
+def test_counting_function_of_continuous_charges():
+    # N_{charge^-}(1.5, 4) of PIN_2D: an atom, a ball and a segment
+    s = parse_scenario(PIN_2D)
+    _plus, minus = jordan_decomposition(s.U)
+    r, R = 1.5, 4.0
+    res = integrated_counting_result(DimensionContext(2), minus, r, R)
+    with mp.workdps(30):
+        breaks = {mp.mpf(r), mp.mpf(R)}
+        for comp in minus.components:
+            if isinstance(comp, UniformBall):
+                q = mp.hypot(*comp.center)
+                breaks |= {abs(q - comp.radius), q + comp.radius}
+            elif isinstance(comp, UniformSegment):
+                a, b = mp.matrix(comp.start), mp.matrix(comp.end)
+                e = b - a
+                foot = a + min(max(-(a.T * e)[0] / (e.T * e)[0], 0), 1) * e
+                breaks |= {mp.norm(foot), mp.norm(a), mp.norm(b)}
+        edges = sorted(t for t in breaks if r <= t <= R)
+        ref = mp.mpf(0)
+        for comp in minus.components:
+            if isinstance(comp, Atom):
+                ref += comp.weight * mp.log(R / max(mp.mpf(r), mp.hypot(*comp.point)))
+            else:
+                mass = _mp_ball_mass if isinstance(comp, UniformBall) else _mp_chord_mass
+                ref += mp.quad(lambda t: mass(comp, t) / t, edges)
+    _assert_within(res.value, res.error_estimate, ref)

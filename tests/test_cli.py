@@ -402,12 +402,12 @@ PIN_3D = {
 # charge potentials, canonical T_U, the 3-d sphere means and the modulus
 # bracket
 PINNED_STDOUT = {
-    ("pin-2d", "Tdiff"): "26b378994208fe3599915c7938a098ad",
-    ("pin-2d", "TdiffC"): "2021f191efe664505ee9e02efbbd9cf8",
-    ("pin-2d", "C+"): "9f34f5101b689509190f54bcaf3d7c41",
+    ("pin-2d", "Tdiff"): "1357b95166377471859482b8a9ba8544",
+    ("pin-2d", "TdiffC"): "dbb7ef866dd27bc0a0429a524ca574cc",
+    ("pin-2d", "C+"): "8ee350de354b4b3c30892eda186bfddb",
     ("pin-2d", "M"): "64649216225916d627af82fbf7db2de5",
-    ("pin-3d", "Tdiff"): "4620137f0b26b85ddeceef99e472eff4",
-    ("pin-3d", "TdiffC"): "2e266ef82dd19503b59d41184f94424e",
+    ("pin-3d", "Tdiff"): "d722f1c0b200e3fd1dc24e8a5db1a816",
+    ("pin-3d", "TdiffC"): "07ed9155d445b12325c2be489db90213",
     ("pin-3d", "C+"): "a4085361ed81bac1fe099ead2369a2d5",
     ("pin-3d", "M"): "5e5375ddb3d3886e44313a31b720b0cb",
     ("pin-2d", "auto"): "326fc8e5f72a669d88f2720d48555c43",
@@ -447,22 +447,24 @@ PIN_ARC = {
          "weight": 1.0}]},
     "radii": {"r": 1.5, "R": 3.5},
 }
-# md5 of stdout per command line ({pin-3d}, {pin-arc}: the scenario files).
+# md5 of stdout per command line ({pin-3d}, {pin-arc}, ...: the scenario files).
 # These reach what neither the corpus nor the pins above do: the 3-d
-# Poisson-Jensen boundary mean and reflected potentials; the arc integral's
-# split at a pole within 5 % of its circle and inside its angles (a zero
-# there, and a pole within 5 % but outside them, add no split that moves a
-# byte: U+ vanishes near a zero); the near-circle split angles of m(r, f)
-# and C_{U+}(r) (the zero and the pole lie within 5 % of r = 1.2 and 0.9);
-# and the --tol-mean override.
+# Poisson-Jensen boundary mean and reflected potentials; the closed-form
+# kernel terms of a pole close to the arc of pin-arc and inside its angles
+# (test_calibration checks that integral against its 30-digit reference), and
+# of the zero and the pole close to the circles r = 1.2 and 0.9 of m(r, f)
+# and C_{U+}(r); and the --tol-mean override.  Atomic charges converge to
+# rounding at either tolerance, so the override is seen through the ball rule
+# (pin-disk-union) and through pin-2d's continuous charges.
 PINNED_RUNS = {
     "verify pin-3d": "verify {pin-3d} --checks UR,Ux,U+B,dBr",
     "verify pin-arc": "verify {pin-arc} --checks UR,UR2,UR2f,UR2fr,Ux,U+B,dBr",
-    "verify pin-arc mean": "verify {pin-arc} --tol-mean 1e-5",
     "m pin-arc": "characteristic {pin-arc} --kind m --r-grid 0.9:1.2:0.3",
     "C+ pin-arc": "characteristic {pin-arc} --kind C+ --r-grid 0.9:1.2:0.3",
-    "C+ pin-arc mean": "characteristic {pin-arc} --kind C+ --r-grid 0.9:1.2:0.3 "
-                       "--tol-mean 1e-5",
+    "verify pin-disk-union": "verify {pin-disk-union}",
+    "verify pin-disk-union mean": "verify {pin-disk-union} --tol-mean 1e-5",
+    "C+ pin-2d": "characteristic {pin-2d} --kind C+ --r-grid 1.5:3.0:0.75",
+    "C+ pin-2d mean": "characteristic {pin-2d} --kind C+ --r-grid 1.5:3.0:0.75 --tol-mean 1e-5",
     # 11 scenarios: the first whose output --tol-mean reaches is s0010-disk,
     # through the ball rule; the line and circle rules of the ones before
     # converge to rounding at either tolerance
@@ -472,20 +474,22 @@ PINNED_RUNS = {
 }
 PINNED_RUN_STDOUT = {
     "verify pin-3d": "982db8a1e08f34d3be7f7243a683fd16",
-    "verify pin-arc": "85eaaaf52e60e94b8003674771729663",
-    "verify pin-arc mean": "3a6b3c04018140fff9184f3e530878cb",
-    "m pin-arc": "4d6fc63814418535cf68665a8b825391",
-    "C+ pin-arc": "bfd1fc962ad2f097ea11c59e865d592a",
-    "C+ pin-arc mean": "4dad8948f3dddd982558653374c6da97",
-    "corpus": "d311d9aef4c3978e0294f81c53c1f395",
-    "corpus tols": "0b5b4f452461226fda17701962e81a1a",
-    "verify pin-arc default": "8d016c5f646a6c65c33f214652e2f952",
+    "verify pin-arc": "e98522a6e851cda1dc4856bd3685e1c2",
+    "m pin-arc": "731882c769227084b78f7a1428007fc8",
+    "C+ pin-arc": "5d0c9eac69ed3d222e14279134118600",
+    "verify pin-disk-union": "c65473acfdaadd79d04ece7bf48f6eb1",
+    "verify pin-disk-union mean": "7918a13f2d93006466659fb590e62843",
+    "C+ pin-2d": "8ee350de354b4b3c30892eda186bfddb",
+    "C+ pin-2d mean": "078cbd4551fde142b48aa6bac1762670",
+    "corpus": "b1b59611f401986c3462b34a0a0a2da4",
+    "corpus tols": "88ae2422ecbba3f22fbeb8689876ad7b",
+    "verify pin-arc default": "f05bde3cf59a7ca3a254ce73c210e5f3",
 }
 
 
 def test_unpinned_paths_and_tolerance_flags_stdout_is_pinned(tmp_path, capsys):
     paths = {}
-    for obj in (PIN_3D, PIN_ARC):
+    for obj in (PIN_2D, PIN_DISK_UNION, PIN_3D, PIN_ARC):
         paths[obj["scenario_id"]] = tmp_path / f"{obj['scenario_id']}.json"
         paths[obj["scenario_id"]].write_text(json.dumps(obj))
     got = {}
@@ -493,8 +497,8 @@ def test_unpinned_paths_and_tolerance_flags_stdout_is_pinned(tmp_path, capsys):
         assert main(line.format(**paths).split()) == 0
         got[label] = hashlib.md5(capsys.readouterr().out.encode()).hexdigest()
     # each override reaches the output
-    assert got["verify pin-arc mean"] != got["verify pin-arc default"]
-    assert got["C+ pin-arc mean"] != got["C+ pin-arc"]
+    assert got["verify pin-disk-union mean"] != got["verify pin-disk-union"]
+    assert got["C+ pin-2d mean"] != got["C+ pin-2d"]
     assert got["corpus tols"] != got["corpus"]
     assert got == PINNED_RUN_STDOUT
 

@@ -466,7 +466,7 @@ def _ref_disk_integral(U, comp, tol):
     level evaluates the whole radius x angle grid afresh."""
     c = np.asarray(comp.center)
     rho = comp.radius
-    breaks = sorted({float(np.linalg.norm(p - c)) for p in lab._charge_atom_points(U)
+    breaks = sorted({float(np.linalg.norm(p - c)) for p in lab._split(U).points
                      if 0.0 < float(np.linalg.norm(p - c)) < rho})
     edges = [0.0] + breaks + [rho]
     prev = None
@@ -552,7 +552,7 @@ def _ref_poisson_jensen(U, R, sample_points, tol):
                     else R * (R * R - q2) / np.sqrt(dist2) ** 3)
             return np.where(polar, np.nan, kern * vals)
 
-        boundary = _sphere_mean(poisson, R, d, (), tol)
+        boundary = _sphere_mean(poisson, R, d, tol)
         green = 0.0
         for nu, sign in ((plus, 1.0), (minus, -1.0)):
             if nu.mass == 0.0:

@@ -15,23 +15,6 @@ from deltasubh.quadrature import (
 )
 
 
-def test_log_singularity_at_endpoint():
-    res = integrate_interval(np.log, 0.0, 1.0, [0.0], tol=1e-9)
-    assert res.value == pytest.approx(-1.0, abs=1e-9)
-    assert res.error_estimate < 1e-6
-
-
-def test_log_singularity_interior():
-    # closed form: integral of ln|t - 1/2| over [0, 1] is -1 - ln 2
-    def f(t):
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(t - 0.5))
-
-    res = integrate_interval(f, 0.0, 1.0, [0.5], tol=1e-8)
-    assert res.value == pytest.approx(-1.0 - math.log(2.0), abs=1e-8)
-    assert 0.5 in res.singularities_split
-
-
 def test_smooth_interval():
     res = integrate_interval(lambda t: 1.0 / t, 1.0, 2.0, (), tol=1e-10)
     assert res.value == pytest.approx(math.log(2.0), abs=1e-10)
@@ -49,8 +32,8 @@ def test_doubling_stability():
 
 
 @pytest.mark.parametrize("s, tol", [
-    (0.0, 1e-10),
-    (0.5, 1e-8),  # the cells round onto s before they would stop growing
+    (0.0, 1e-10),  # at an end of [0, 1]
+    (0.5, 1e-8),   # at a piece end inside it
 ])
 def test_budget_error_carries_partial(s, tol):
     def nasty(t):
@@ -60,6 +43,19 @@ def test_budget_error_carries_partial(s, tol):
     with pytest.raises(QuadratureBudgetError) as err:
         integrate_interval(nasty, 0.0, 1.0, [s], tol=tol)
     assert err.value.partial is not None
+    assert math.isfinite(err.value.partial.value)
+
+
+def test_a_non_integrable_singular_point_raises_at_the_floor():
+    # 1/|t| on [-1, 1]: the panels next to 0 change by about ln 2 at every
+    # level, so refinement reaches its width floor still above tolerance
+    def f(t):
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.abs(t)
+
+    for ends in ([0.0], ()):
+        with pytest.raises(QuadratureBudgetError, match="resolution floor"):
+            integrate_interval(f, -1.0, 1.0, ends, 1e-8)
 
 
 def test_nudge_log_counts_only_the_non_finite_nodes(caplog):
@@ -78,7 +74,7 @@ def test_nudge_log_counts_only_the_non_finite_nodes(caplog):
 
 
 def test_circle_mean_constant():
-    res = circle_mean(lambda th: np.full_like(th, 2.5), (), tol=1e-12)
+    res = circle_mean(lambda th: np.full_like(th, 2.5), tol=1e-12)
     assert res.value == pytest.approx(2.5, abs=1e-13)
 
 
@@ -87,7 +83,7 @@ def test_circle_mean_trig_polynomial_exact():
     def g(th):
         return 1.0 + np.cos(th) - 2.0 * np.sin(3 * th) + 0.5 * np.cos(7 * th)
 
-    res = circle_mean(g, (), tol=1e-12)
+    res = circle_mean(g, tol=1e-12)
     assert res.value == pytest.approx(1.0, abs=1e-13)
 
 
@@ -105,26 +101,13 @@ def test_circle_mean_jensen_random():
         def g(th):
             return np.log(np.abs(r * np.exp(1j * th) - a))
 
-        res = circle_mean(g, (), tol=1e-10)
+        res = circle_mean(g, tol=1e-10)
         assert res.value == pytest.approx(math.log(max(r, abs(a))), abs=1e-8)
-
-
-def test_circle_mean_singular_angle():
-    # a on the circle: integrable log singularity, declared split
-    r = 2.0
-    a = 2.0 + 0.0j
-
-    def g(th):
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(r * np.exp(1j * th) - a))
-
-    res = circle_mean(g, [0.0], tol=1e-9)
-    assert res.value == pytest.approx(math.log(r), abs=1e-8)
 
 
 def test_circle_mean_positive_log_pole():
     # ln^+ |2 e^{i theta}| = ln 2 everywhere
-    res = circle_mean(lambda th: np.maximum(np.log(2.0) + 0.0 * th, 0.0), (), 1e-12)
+    res = circle_mean(lambda th: np.maximum(np.log(2.0) + 0.0 * th, 0.0), 1e-12)
     assert res.value == pytest.approx(math.log(2.0), abs=1e-13)
 
 
@@ -188,13 +171,12 @@ def test_every_engine_reports_at_least_the_rounding_floor():
     floor = 16.0 * np.finfo(float).eps
     results = [
         integrate_interval(lambda t: 3.0 * t * t, 0.0, 2.0, (), 1e-10),
-        circle_mean(lambda th: np.full_like(th, 2.5), (), 1e-12),
-        circle_mean(lambda th: np.full_like(th, 2.5), [1.0], 1e-12),
+        circle_mean(lambda th: np.full_like(th, 2.5), 1e-12),
         sphere_mean_3d(lambda th, ph: np.ones_like(th), 1e-12),
         _ball_integral(MeromorphicFn((), (), 3.0, ()).to_delta_subharmonic(),
                        UniformBall((0.1, 0.2), 0.5, 2.0), 1e-10),
     ]
-    for res, value in zip(results, (8.0, 2.5, 2.5, 1.0, 2.0 * math.log(3.0))):
+    for res, value in zip(results, (8.0, 2.5, 1.0, 2.0 * math.log(3.0))):
         assert res.value == pytest.approx(value, rel=1e-13)
         assert res.error_estimate >= floor * abs(res.value) > 0.0
 
@@ -244,12 +226,12 @@ def test_sphere_sup_bad_dim():
 
 
 # -- the sequential depth-first engine, kept as the bit-identity reference ----
-# integrate_interval runs the ladders and panels of all its segments in
-# lockstep, one integrand call per refinement round; these are the
-# one-panel-per-call recursion and the one-segment-after-another loop it
-# replaced, which it must equal float for float (value, error estimate, nodes
-# and splits).  A child panel's coarse rule is its parent's half-panel sum,
-# the same floats as a fresh GL15 sum over it.
+# integrate_interval runs the adaptive rules of all its pieces in lockstep,
+# one integrand call per refinement round; these are the one-panel-per-call
+# recursion and the one-piece-after-another loop it replaced, which it must
+# equal float for float (value, error estimate and nodes), or raise the same
+# error.  A child panel's coarse rule is its parent's half-panel sum, the
+# same floats as a fresh GL15 sum over it.
 
 
 def _ref_eval_safe(f, x, scale):
@@ -274,7 +256,8 @@ def _ref_gl_panel(f, a, b, scale, n=15):
     return half * float(np.dot(w, y))
 
 
-def _ref_adaptive(f, a, b, tol, scale, budget, coarse=None, depth=0):
+def _ref_adaptive(f, a, b, tol, scale, budget, done, coarse=None, depth=0):
+    """done: [the accepted panels' sum], the partial at the floor."""
     if coarse is None:
         budget.spend(15)
         coarse = _ref_gl_panel(f, a, b, scale)
@@ -283,84 +266,49 @@ def _ref_adaptive(f, a, b, tol, scale, budget, coarse=None, depth=0):
     left, right = _ref_gl_panel(f, a, mid, scale), _ref_gl_panel(f, mid, b, scale)
     fine = left + right
     err = abs(fine - coarse)
-    if err <= tol or (b - a) <= 1e-14 * scale or depth >= 48:
+    if err <= tol:
+        done[0] += fine
         return fine, err
-    lv, le = _ref_adaptive(f, a, mid, 0.5 * tol, scale, budget, left, depth + 1)
-    rv, re_ = _ref_adaptive(f, mid, b, 0.5 * tol, scale, budget, right, depth + 1)
+    if (b - a) <= 1e-14 * scale or depth >= 48:
+        raise QuadratureBudgetError(
+            f"panel [{a!r}, {b!r}] at the resolution floor still changes by {err:.3g} > {tol:.3g}",
+            quadrature.QuadratureResult(done[0] + fine, math.inf, budget.nodes))
+    lv, le = _ref_adaptive(f, a, mid, 0.5 * tol, scale, budget, done, left, depth + 1)
+    rv, re_ = _ref_adaptive(f, mid, b, 0.5 * tol, scale, budget, done, right, depth + 1)
     return lv + rv, le + re_
 
 
-def _ref_ladder(f, s, a, b, tol, scale, budget):
-    left = math.isclose(a, s, rel_tol=0.0, abs_tol=1e-14 * scale)
-    h = b - a
-    total = 0.0
-    err = 0.0
-    prev = math.inf
-    for k in range(quadrature._LADDER_LEVELS):
-        if left:
-            lo, hi = s + h * 2.0 ** (-k - 1), s + h * 2.0 ** (-k)
-        else:
-            lo, hi = b - h * 2.0 ** (-k), b - h * 2.0 ** (-k - 1)
-        v, e = _ref_adaptive(f, lo, hi, tol / 8.0, scale, budget)
-        total += v
-        err += e
-        if abs(total) > 1e12:
-            raise QuadratureBudgetError(
-                "geometric cells near declared singularity do not converge",
-                quadrature.QuadratureResult(total, math.inf, budget.nodes))
-        if k >= 3 and abs(v) <= tol / 8.0 and abs(v) <= abs(prev):
-            ratio = min(0.9, abs(v) / abs(prev)) if prev not in (0.0, math.inf) else 0.5
-            err += abs(v) * ratio / (1.0 - ratio)
-            return total, err
-        prev = v
-    raise QuadratureBudgetError(
-        "singular cells still significant after full ladder",
-        quadrature.QuadratureResult(total, math.inf, budget.nodes))
-
-
-def _reference_integral(f, a, b, known_singularities=(), tol=1e-8):
+def _reference_integral(f, a, b, ends=(), tol=1e-8):
     scale = max(abs(a), abs(b), b - a)
-    sings = sorted({float(s) for s in known_singularities if a <= s <= b})
-    merged = []
-    for s in sings:
-        if not merged or s - merged[-1] > 1e-13 * scale:
-            merged.append(s)
-    pts = sorted(set(merged) | {a, b})
+    pts = sorted({a, b} | {float(s) for s in ends if a < s < b})
     budget = quadrature._Budget()
     total = 0.0
     err = 0.0
-    nseg = len(pts) - 1
     for lo, hi in zip(pts[:-1], pts[1:]):
         if hi - lo <= 1e-14 * scale:
             continue
-        seg_tol = tol / max(1, nseg)
-        if lo in merged and hi in merged:
-            mid = 0.5 * (lo + hi)
-            v1, e1 = _ref_ladder(f, lo, lo, mid, 0.5 * seg_tol, scale, budget)
-            v2, e2 = _ref_ladder(f, hi, mid, hi, 0.5 * seg_tol, scale, budget)
-            total += v1 + v2
-            err += e1 + e2
-        elif lo in merged:
-            v, e = _ref_ladder(f, lo, lo, hi, seg_tol, scale, budget)
-            total += v
-            err += e
-        elif hi in merged:
-            v, e = _ref_ladder(f, hi, lo, hi, seg_tol, scale, budget)
-            total += v
-            err += e
-        else:
-            v, e = _ref_adaptive(f, lo, hi, seg_tol, scale, budget)
-            total += v
-            err += e
+        v, e = _ref_adaptive(f, lo, hi, tol / (len(pts) - 1), scale, budget, [0.0])
+        total += v
+        err += e
     err = max(err, 16.0 * np.finfo(float).eps * abs(total))  # the rounding floor
-    return quadrature.QuadratureResult(total, err, budget.nodes, merged)
+    return quadrature.QuadratureResult(total, err, budget.nodes)
+
+
+def _outcome(run):
+    """(value, error estimate, nodes), or the error raised: which panel
+    failed, by how much.  Its partial sum is not compared, as breadth-first
+    refinement has accepted other panels than depth-first by then."""
+    try:
+        res = run()
+    except QuadratureBudgetError as exc:
+        return str(exc)
+    return res.value, res.error_estimate, res.nodes_used
 
 
 def _assert_same(got, ref):
     assert got.value == ref.value
     assert got.error_estimate == ref.error_estimate
     assert got.nodes_used == ref.nodes_used
-    assert got.singularities_split == ref.singularities_split
 
 
 def _kinked(t):
@@ -371,14 +319,13 @@ def _peaked(t):
     return 1.0 / (1e-6 + (t - 1.0 / 3.0) ** 2) + np.sqrt(np.abs(t - 0.7))
 
 
-# six interior log singularities: 5 two-ladder segments and 2 one-ladder
-# ones, 12 ladders in lockstep
+# six interior points where the derivative has a log singularity, as piece
+# ends: 7 pieces in lockstep, each converging at its ends
 _SIX = (0.11, 0.23, 0.4, 0.52, 0.7, 0.86)
 
 
 def _six_logs(t):
-    with np.errstate(divide="ignore"):
-        return sum(np.log(np.abs(t - s)) for s in _SIX)
+    return sum((t - s) * np.log(np.abs(t - s)) for s in _SIX)
 
 
 _KINKS = tuple(k * math.pi / 8.0 for k in range(1, 8))
@@ -391,33 +338,40 @@ def _log_by_kinks(t):
         return np.log(np.abs(t - 1.2)) + np.abs(np.sin(8.0 * t))
 
 
+def _kinks(t):
+    # kinked at the seven _KINKS inside [0, 3]
+    return np.abs(np.sin(8.0 * t)) + np.sqrt(t + 1.0)
+
+
 @pytest.mark.parametrize("f, a, b, sings, tol", [
     (lambda t: np.exp(-t) * np.sin(3.0 * t), 0.0, 4.0, (), 1e-10),  # smooth
     (_kinked, -1.0, 2.0, (), 1e-9),                                # undeclared kinks
-    (np.log, 0.0, 1.0, [0.0], 1e-9),                               # endpoint-log ladder
+    (np.log, 0.0, 1.0, [0.0], 1e-9),                               # log at an end: raises
     (_peaked, 0.0, 1.0, (), 1e-7),                                 # deep refinement
-    (_six_logs, 0.0, 1.0, _SIX, 1e-9),                             # 12 ladders
-    (_log_by_kinks, 0.0, 3.0, (1.2,) + _KINKS, 1e-9),               # log next to kinks
+    (_six_logs, 0.0, 1.0, _SIX, 1e-9),                             # x ln|x| at piece ends
+    (_log_by_kinks, 0.0, 3.0, (1.2,) + _KINKS, 1e-9),              # raises in piece 4
+    (_kinks, 0.0, 3.0, _KINKS, 1e-10),                             # 8 pieces in lockstep
+    (_kinked, -1.0, 2.0, (math.pi / 3, 0.3, 0.0), 1e-9),           # declared kinks
 ])
 def test_batched_adaptive_equals_depth_first_bit_for_bit(f, a, b, sings, tol):
-    _assert_same(integrate_interval(f, a, b, sings, tol),
-                 _reference_integral(f, a, b, sings, tol))
+    assert _outcome(lambda: integrate_interval(f, a, b, sings, tol)) == \
+        _outcome(lambda: _reference_integral(f, a, b, sings, tol))
 
 
-def test_lockstep_ladders_share_integrand_calls():
+def test_lockstep_pieces_share_integrand_calls():
     calls = {"got": 0, "ref": 0}
 
     def counted(key):
         def f(t):
             calls[key] += 1
-            return _six_logs(t)
+            return _kinks(t)
         return f
 
-    got = integrate_interval(counted("got"), 0.0, 1.0, _SIX, 1e-9)
-    ref = _reference_integral(counted("ref"), 0.0, 1.0, _SIX, 1e-9)
+    got = integrate_interval(counted("got"), 0.0, 3.0, _KINKS, 1e-10)
+    ref = _reference_integral(counted("ref"), 0.0, 3.0, _KINKS, 1e-10)
     _assert_same(got, ref)
     assert calls["got"] < calls["ref"] / 10
-    # every round evaluates at least the open panels of the longest ladder
+    # every round evaluates at least the open panels of the deepest piece
     assert got.nodes_used > 15 * calls["got"]
 
 
@@ -459,33 +413,19 @@ def test_nudge_inside_a_batch_equals_depth_first(caplog):
     _assert_one_nudge(caplog)
 
 
-def test_nudge_inside_a_ladder_cell_equals_depth_first(caplog):
-    # ln|t - 0.3| on [0, 1]: two ladders run in lockstep, and the integrand
-    # is inf at one node of the first cell [0.65, 1] of the right one
-    x = np.polynomial.legendre.leggauss(15)[0]
-    lo, hi = 0.3 + 0.7 * 2.0 ** -1, 0.3 + 0.7 * 2.0 ** 0
-    node = float(0.5 * (lo + hi) + 0.5 * (hi - lo) * x[3])
-    f = _inf_at(node, lambda t: np.log(np.abs(t - 0.3)))
-    ref = _reference_integral(f, 0.0, 1.0, [0.3], 1e-9)
-    with caplog.at_level(logging.DEBUG, logger="deltasubh.quadrature"):
-        got = integrate_interval(f, 0.0, 1.0, [0.3], 1e-9)
-    _assert_same(got, ref)
-    _assert_one_nudge(caplog)
-
-
 def test_first_failing_segment_in_order_raises():
-    # 1/|t| on [-1, 0] fails only after the full ladder (each cell adds
-    # ln 2); 1/t^2 on [0, 1] fails much sooner, as its cells double.  In
-    # lockstep the later segment fails first, yet the error raised is the
-    # first segment's, as when the segments run one after another.
+    # -1/t on [-1, 0] reaches the width floor after 47 halvings; 1/t^2 on the
+    # piece [0, 1e-6] after 27, as its floor is relative to all of [-1, 1].
+    # In lockstep the later piece fails first, yet the error raised is the
+    # first piece's, as when the pieces run one after another.
     def f(t):
         with np.errstate(divide="ignore"):
             return np.where(t < 0.0, -1.0 / t, 1.0 / (t * t))
 
     with pytest.raises(QuadratureBudgetError) as ref:
-        _reference_integral(f, -1.0, 1.0, [0.0], 1e-8)
+        _reference_integral(f, -1.0, 1.0, [0.0, 1e-6], 1e-8)
     with pytest.raises(QuadratureBudgetError) as got:
-        integrate_interval(f, -1.0, 1.0, [0.0], 1e-8)
-    assert str(ref.value) == "singular cells still significant after full ladder"
+        integrate_interval(f, -1.0, 1.0, [0.0, 1e-6], 1e-8)
+    assert str(ref.value).startswith("panel [-1.4210854715202004e-14, 0.0] at the resolution")
     assert str(got.value) == str(ref.value)
     assert got.value.partial.value == ref.value.partial.value
