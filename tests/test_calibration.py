@@ -17,17 +17,23 @@ sign scan.  Last, the cases that singular-point cells once biased by about
 their own estimate: the arc integral of PIN_ARC (a pole close to its circle,
 inside its angles), sweep seed 42 s0123 T(r_0, f) (5.3 times its estimate
 off) and s0184 canonical T_U, and N_{charge^-}(1.5, 4) of PIN_2D, whose
-continuous charges need mpmath ball-lens and segment-chord masses.
+continuous charges need mpmath ball-lens and segment-chord masses.  And the
+closed-form kernel integrals that replaced those cells, whose rounding bound
+must hold where their terms cancel, as on a piece far shorter than its
+distance from the atom.
 """
 
 import cmath
 import math
+import random
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from deltasubh.characteristics import (
+    _Circle,
+    _Line,
     difference_characteristic,
     difference_characteristic_canonical,
     nevanlinna_m,
@@ -265,3 +271,64 @@ def test_counting_function_of_continuous_charges():
                 mass = _mp_ball_mass if isinstance(comp, UniformBall) else _mp_chord_mass
                 ref += mp.quad(lambda t: mass(comp, t) / t, edges)
     _assert_within(res.value, res.error_estimate, ref)
+
+
+def _mp_kernel_integral(path, a, b, p, d):
+    """integral_a^b k(|x(t) - p|) dt along path, split at p's foot."""
+    with mp.workdps(30):
+        if isinstance(path, _Circle):
+            c, rho = [mp.mpf(x) for x in path.center], mp.mpf(path.radius)
+            x = lambda t: [c[0] + rho * mp.cos(t), c[1] + rho * mp.sin(t)]
+            foot = mp.atan2(mp.mpf(p[1]) - c[1], mp.mpf(p[0]) - c[0])
+            feet = [foot + 2 * mp.pi * j for j in range(-2, 3)]
+        else:
+            s0, st = [mp.mpf(v) for v in path.start], [mp.mpf(v) for v in path.step]
+            x = lambda t: [s0[i] + t * st[i] for i in range(d)]
+            feet = [mp.fsum((mp.mpf(p[i]) - s0[i]) * st[i] for i in range(d))
+                    / mp.fsum(v * v for v in st)]
+
+        def k(t):
+            dist = mp.sqrt(mp.fsum((xi - mp.mpf(pi)) ** 2 for xi, pi in zip(x(t), p)))
+            return mp.log(dist) if d == 2 else -1 / dist
+
+        return mp.quad(k, sorted({mp.mpf(a), mp.mpf(b)} | {t for t in feet if a < t < b}))
+
+
+def test_closed_form_kernel_integrals_within_their_rounding_bound():
+    # first, short pieces of a line hundreds of lengths from the atom along
+    # it: the antiderivatives subtracted are of size |u| ln|u|, so these miss
+    # by 5 to 46 times a bound of 16 eps (|value| + 4)
+    for step, a, length, along, normal in [((1.0, 0.5), 0.4, 1e-6, 700.0, 1e-3),
+                                           ((0.3, 2.0), 0.2, 1e-4, -900.0, 0.5),
+                                           ((1.0, 0.5), 0.4, 1e-3, 300.0, 2.0)]:
+        path = _Line(np.array([3.0, -2.0]), np.array(step))
+        p = path.start + along * path.step + normal * np.array([-step[1], step[0]])
+        values, bound = path.kernel_integrals(a, a + length, p[None, :], 2)
+        _assert_within(float(values[0]), float(bound[0]),
+                       _mp_kernel_integral(path, a, a + length, p, 2))
+    # then arcs of every width about atoms on, near and far from their
+    # circle, and line pieces far from the origin, down to 1e-10 of the path
+    # and 1e-6 of the atom's distance, in d = 2 and 3
+    rng = random.Random(5)
+    for _ in range(60):
+        kind = rng.choice(["arc", 2, 3])
+        if kind == "arc":
+            d = 2
+            path = _Circle((rng.uniform(-2, 2), rng.uniform(-2, 2)), rng.uniform(0.1, 3))
+            a = rng.uniform(-3, 3)
+            b = a + rng.choice([1e-9, 1e-5, 1e-2, 0.5, 3.0, 2 * math.pi])
+            t = rng.uniform(a - 1, b + 1)
+            q = path.radius + rng.choice([0.0, 1e-12, 1e-6, 1e-2, 1.0, 30.0]) * rng.choice([-1, 1])
+            p = np.array([path.center[0] + q * math.cos(t), path.center[1] + q * math.sin(t)])
+        else:
+            d = kind
+            path = _Line(np.array([rng.uniform(-50, 50) for _ in range(d)]),
+                         np.array([rng.uniform(-3, 3) for _ in range(d)]))
+            a = rng.uniform(0.0, 0.9)
+            b = a + rng.choice([1e-10, 1e-6, 1e-3, 0.1])
+            normal = np.array([rng.gauss(0, 1) for _ in range(d)])
+            normal -= normal @ path.step / (path.step @ path.step) * path.step
+            p = (path.start + rng.uniform(a - 0.2, b + 0.2) * path.step
+                 + rng.choice([1e-6, 1e-2, 1.0, 30.0, 1000.0]) * normal / np.linalg.norm(normal))
+        values, bound = path.kernel_integrals(a, b, p[None, :], d)
+        _assert_within(float(values[0]), float(bound[0]), _mp_kernel_integral(path, a, b, p, d))
