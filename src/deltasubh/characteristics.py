@@ -70,8 +70,9 @@ class CharacteristicRecord:
 
 def _sphere_points(r: float, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     st = np.sin(theta)
-    return np.column_stack([r * st * np.cos(phi), r * st * np.sin(phi),
-                            r * np.cos(theta)])
+    pts = np.empty((np.size(phi), 3))
+    pts[:, 0], pts[:, 1], pts[:, 2] = r * st * np.cos(phi), r * st * np.sin(phi), r * np.cos(theta)
+    return pts
 
 
 def _on_sphere(values, r: float, dim: int):
@@ -128,8 +129,9 @@ class _Circle:
     radius: float
 
     def at(self, t):
-        return np.column_stack([self.center[0] + self.radius * np.cos(t),
-                                self.center[1] + self.radius * np.sin(t)])
+        (cx, cy), r, pts = self.center, self.radius, np.empty((np.size(t), 2))
+        pts[:, 0], pts[:, 1] = cx + r * np.cos(t), cy + r * np.sin(t)
+        return pts
 
     def feet(self, pts, lo: float, hi: float):
         """The angles in [lo, hi] of the points about the center."""
