@@ -183,8 +183,6 @@ class _Line:
                 for t in (np.full(len(rel), a), np.full(len(rel), b), self.feet(pts, a, b))]
         size = [np.abs(_kernel_values(d, np.maximum(D, _ROUNDING * scale))) for D in dist]
         values = UniformSegment(tuple(a * self.step), tuple(b * self.step), b - a).potential(rel, d)
-        if d > 2:  # p on the piece up to rounding: the integral of -1/D diverges
-            values = np.where(dist[2] <= _ROUNDING * scale, -np.inf, values)
         inner = 8.0 if d == 2 else 6.0 * size[2]
         return values, _ROUNDING * (2.0 + scale * (size[0] + size[1] + inner)) / length
 

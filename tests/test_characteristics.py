@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from deltasubh.characteristics import (
+    _Line,
     _sign_changes,
     difference_characteristic,
     difference_characteristic_canonical,
@@ -430,3 +431,14 @@ def test_batched_sign_change_bisection_equals_scalar_bit_for_bit():
     log_abs = lambda th: f.log_abs(1.05 * np.exp(1j * th))  # noqa: E731
     x, fx = _scan(log_abs)
     assert _sign_changes(log_abs, x, fx) == _ref_sign_changes(log_abs, x, fx)
+
+
+def test_d3_line_kernel_integral_is_minus_inf_through_an_atom_on_the_piece():
+    # the origin is on the slanted line at s = 0.5 only up to rounding
+    path = _Line(np.array([-0.5, 0.1, 0.0]), np.array([1.0, -0.2, 0.0]))
+    atoms = np.array([[0.0, 0.0, 0.0], [0.25, 0.05, 0.0]])
+    for a, b in [(0.2, 0.8), (0.0, 0.5), (0.5, 0.9)]:
+        values, _bound = path.kernel_integrals(a, b, atoms, 3)
+        assert values[0] == -np.inf and np.isfinite(values[1])
+    values, _bound = path.kernel_integrals(0.6, 0.9, atoms, 3)
+    assert np.isfinite(values).all()

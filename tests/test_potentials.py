@@ -274,6 +274,16 @@ def test_segment_potential_on_segment_d2_finite_d3_minus_inf():
     assert potential_values(seg3, on3, 3)[0] == -math.inf
 
 
+def test_segment_potential_d3_is_minus_inf_on_a_slanted_segment():
+    # the origin lies on this segment, but its distance h from the line
+    # rounds to ~1e-17, not 0: -inf up to rounding, finite just off it
+    seg = UniformSegment((-0.5, 0.1, 0.0), (0.5, -0.1, 0.0), 1.0)
+    on = np.array([[0.0, 0.0, 0.0], [0.5, -0.1, 0.0], [-0.25, 0.05, 0.0]])
+    assert (seg.potential(on, 3) == -np.inf).all()
+    off = np.array([[0.0, 0.0, 1e-9], [0.6, -0.12, 0.0]])
+    assert np.isfinite(seg.potential(off, 3)).all()
+
+
 def test_representation_equivalence_shared_harmonic():
     # (u + h) - (v + h) evaluates identically to u - v off polar sets
     rng = random.Random(35)
