@@ -19,9 +19,10 @@ T(R,f) - N(r,f) = T_{log|f|}(r,R).
 Every charge atom's kernel term is taken in closed form (_split), so
 quadrature sees only the rest.  Along a path (here and in lab),
 _integral_by_sign integrates the rest over the pieces where the sign of U is
-constant, so a kink of U^+ is a panel edge, and adds each atom's potential
-of the piece; a mean over a sphere (_identity_mean) takes each atom by
-Gauss's mean value theorem.  The remaining means are _sphere_mean.
+constant, ended at Illinois roots (_sign_changes) so a kink of U^+ is a panel
+edge, in one lockstep per sign, and adds each atom's potential of the piece;
+a mean over a sphere (_identity_mean) takes each atom by Gauss's mean value
+theorem.  The remaining means are _sphere_mean.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .potentials import (
     canonical_representation,
     jordan_decomposition,
 )
-from .quadrature import (_ROUNDING, QuadratureResult, circle_mean, integrate_interval,
+from .quadrature import (_ROUNDING, QuadratureResult, _integrate_pieces, circle_mean,
                          sphere_mean_3d, sphere_sup)
 
 __all__ = [
@@ -189,15 +190,29 @@ class _Line:
 
 def _sign_changes(evaluator, x, fx) -> list:
     """Where the class evaluator > 0 (which 0, NaN and -inf are all outside)
-    flips between scan nodes x[i] < x[i + 1] of values fx: the midpoints
-    after 48 bisections, one evaluator call per step for all brackets."""
+    flips between scan nodes x[i] < x[i + 1] of values fx: the midpoints of
+    the brackets once no wider than 4 eps max(|lo|, |hi|, span).  Each step
+    is one evaluator call at the Illinois points (Dowell & Jarratt 1971) of
+    the open brackets, kept at least half that width inside; a bracket
+    bisects where an end is not finite or it has not halved in two steps."""
     up = fx > 0.0
     i = np.flatnonzero(up[:-1] != up[1:])
-    lo, hi, lo_up = x[i], x[i + 1], up[i]
-    for _ in range(48 if i.size else 0):
-        mid = 0.5 * (lo + hi)
-        same = (np.asarray(evaluator(mid), dtype=float) > 0.0) == lo_up
-        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    lo, hi, f_lo, f_hi, lo_up = x[i], x[i + 1], fx[i], fx[i + 1], up[i]
+    close = 4.0 * np.finfo(float).eps * np.maximum(np.maximum(-lo, hi), x[-1] - x[0])  # lo < hi
+    older, old = np.full(i.size, np.inf), np.full(i.size, np.inf)  # widths 2 and 1 steps ago
+    kept = np.zeros(i.size)  # the end the last step kept: 1 lo, 2 hi
+    while (k := np.flatnonzero(hi - lo > close)).size:
+        a, b, fa, fb = lo[k], hi[k], f_lo[k], f_hi[k]
+        with np.errstate(all="ignore"):
+            t = a + (b - a) * (fa / (fa - fb))
+        secant = np.isfinite(fa) & np.isfinite(fb) & (a <= t) & (t <= b) & (b - a <= 0.5 * older[k])
+        t = np.clip(np.where(secant, t, 0.5 * (a + b)), a + 0.5 * close[k], b - 0.5 * close[k])
+        ft = np.asarray(evaluator(t), dtype=float)
+        keep_lo = (ft > 0.0) != lo_up[k]
+        halve = np.where(kept[k] == 2 - keep_lo, 0.5, 1.0)  # Illinois: an end kept twice
+        lo[k], hi[k] = np.where(keep_lo, a, t), np.where(keep_lo, t, b)
+        f_lo[k], f_hi[k] = np.where(keep_lo, halve * fa, ft), np.where(keep_lo, ft, halve * fb)
+        kept[k], older[k], old[k] = 2 - keep_lo, old[k], b - a
     return (0.5 * (lo + hi)).tolist()
 
 
@@ -207,26 +222,29 @@ def _integral_by_sign(signed, pos: _Split, path, lo: float, hi: float, tol: floa
     (0 if None) elsewhere, to the absolute tolerance tol; all three act on
     points.  Pieces end at the class flips _sign_changes finds on a closed
     2048-cell grid plus the feet of all atoms of pos and neg, so a window of
-    one class about an atom narrower than a cell is not lost.  On each piece
-    [a, b] the rest goes to one integrate_interval call, cut into parts no
-    wider than (hi - lo) / 8, to the piece's share of tol, and each atom adds
-    w integral_a^b k(|x(t) - p|) dt in closed form (path.kernel_integrals),
-    whose rounding bound joins the estimate.  So quadrature sees only
-    integrands smooth between piece ends."""
+    one class about an atom narrower than a cell is not lost.  The rest of
+    each class goes to one _integrate_pieces call over its pieces, each cut
+    into parts no wider than (hi - lo) / 8 and given tol times its share of
+    [lo, hi], and each atom adds w integral_a^b k(|x(t) - p|) dt per piece
+    [a, b] in closed form (path.kernel_integrals), whose rounding bound joins
+    the estimate.  So quadrature sees only integrands smooth between piece
+    ends."""
     feet = np.concatenate([path.feet(sp.points, lo, hi) for sp in (pos, neg) if sp is not None])
     x = np.union1d(lo + (hi - lo) * np.arange(2049) / 2048, feet)
     fx = np.asarray(signed(path.at(x)), dtype=float)
     edges = [lo] + _sign_changes(lambda t: signed(path.at(t)), x, fx) + [hi]
     cap = (hi - lo) / 8.0
     total = QuadratureResult(0.0, 0.0, 0)
-    for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        sp = pos if (fx[0] > 0.0) != (k % 2 == 1) else neg  # classes alternate
-        if sp is None or b - a <= 1e-14 * max(abs(a), abs(b)):  # what the engine drops
+    pieces = list(zip(edges[:-1], edges[1:]))  # the classes alternate
+    first = 0 if fx[0] > 0.0 else 1
+    for sp, ends in ((pos, pieces[first::2]), (neg, pieces[1 - first::2])):
+        if sp is None:
             continue
-        cuts = np.linspace(a, b, math.ceil((b - a) / cap) + 1)[1:-1].tolist()
-        total = total + integrate_interval(lambda t: sp.rest(path.at(t)), a, b, cuts,
-                                           tol * (b - a) / (hi - lo))
-        if sp.weights.size:
+        cuts = [np.linspace(a, b, math.ceil((b - a) / cap) + 1).tolist() for a, b in ends]
+        parts = [(c, d, tol * (d - c) / (hi - lo)) for u in cuts for c, d in zip(u[:-1], u[1:])]
+        total = total + _integrate_pieces(lambda t: sp.rest(path.at(t)), parts,
+                                          max(abs(lo), abs(hi), hi - lo))
+        for a, b in ends if sp.weights.size else ():
             values, rounding = path.kernel_integrals(a, b, sp.points, sp.points.shape[1])
             value = float(np.sum(sp.weights * values))
             total = total + QuadratureResult(

@@ -230,8 +230,7 @@ class UniformSegment:
                                 np.where(u == 0.0, 0.0, u * np.log(np.abs(u)) - u), term))
             integral = F(u_hi) - F(u_lo)
             return self.weight / L * integral
-        # d == 3: antiderivative of -1/sqrt(u^2+h^2); -inf on the segment itself,
-        # up to the rounding of h and u at the coordinates' scale
+        # d == 3: antiderivative of -1/sqrt(u^2+h^2); -inf on the segment up to rounding
         near = _ROUNDING * (_row_norms(pts) + float(np.linalg.norm(a)) + L)
         on_axis = h <= near
         inside = on_axis & (u_lo <= near) & (u_hi >= -near)

@@ -14,9 +14,10 @@ Four entry points:
 
 All integrands are VECTORIZED callables: f(ndarray) -> ndarray (for
 sphere_mean_3d, f(theta_array, phi_array) -> array).  integrate_interval
-runs the adaptive rules of all its pieces in lockstep, as generators that
-ask for panels and are sent their sums: one call of f per round evaluates
-every panel any of them asks for.  Nothing is evaluated ahead of a stop
+(through _integrate_pieces, whose pieces carry their own tolerances) runs
+the adaptive rules of all its pieces in lockstep, as generators that ask
+for panels and are sent their sums: one call of f per round evaluates every
+panel any of them asks for.  Nothing is evaluated ahead of a stop
 rule, and sums are formed in the order of one panel per call and one piece
 after another, so the results equal that order's bit for bit when f acts
 node by node.  Values of +-inf at a node mean the node landed exactly on a
@@ -253,6 +254,19 @@ def _lockstep(f, gens: list, scale: float, budget: _Budget) -> list:
     return results
 
 
+def _integrate_pieces(f, pieces, scale: float) -> QuadratureResult:
+    """Sum of the integrals of f over the pieces (a, b, tol), each smooth for
+    f and integrated to its own tol, all in one _lockstep; a piece no wider
+    than 1e-14 scale is dropped, as the resolution floor would drop it."""
+    budget = _Budget()
+    gens = [_adaptive(a, b, tol, scale, budget) for a, b, tol in pieces if b - a > 1e-14 * scale]
+    total = err = 0.0
+    for v, e in _lockstep(f, gens, scale, budget):  # summed in piece order
+        total += v
+        err += e
+    return QuadratureResult(total, max(err, _ROUNDING * abs(total)), budget.nodes)
+
+
 def integrate_interval(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -268,18 +282,10 @@ def integrate_interval(
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    scale = max(abs(a), abs(b), b - a)
     pts = sorted({a, b} | {float(s) for s in ends if a < s < b})
-    budget = _Budget()
     seg_tol = tol / (len(pts) - 1)
-    gens = [_adaptive(lo, hi, seg_tol, scale, budget) for lo, hi in zip(pts[:-1], pts[1:])
-            if hi - lo > 1e-14 * scale]
-    total = 0.0
-    err = 0.0
-    for v, e in _lockstep(f, gens, scale, budget):  # summed in piece order
-        total += v
-        err += e
-    return QuadratureResult(total, max(err, _ROUNDING * abs(total)), budget.nodes)
+    return _integrate_pieces(f, [(lo, hi, seg_tol) for lo, hi in zip(pts[:-1], pts[1:])],
+                             max(abs(a), abs(b), b - a))
 
 
 def circle_mean(

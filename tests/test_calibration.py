@@ -34,6 +34,7 @@ import pytest
 from deltasubh.characteristics import (
     _Circle,
     _Line,
+    _sign_changes,
     difference_characteristic,
     difference_characteristic_canonical,
     nevanlinna_m,
@@ -73,14 +74,19 @@ def _mp_log_abs(f):
     return log_abs
 
 
-def _mp_positive_integral(g, g_float, lo, hi, near, scan=8192):
-    """integral of max(g, 0) over [lo, hi] (mp numbers), split at the zeros
-    of g, found from the sign flips of its float twin g_float on a scan, and
-    at the points near."""
+def _mp_roots(g, g_float, lo, hi, scan=8192, solver="anderson"):
+    """The zeros of g (mp numbers) in [lo, hi], by mp.findroot from the
+    brackets where its float twin g_float flips sign on a scan."""
     x = np.linspace(float(lo), float(hi), scan + 1)
     up = g_float(x) > 0.0
-    roots = [mp.findroot(g, (mp.mpf(x[i]), mp.mpf(x[i + 1])), solver="anderson")
-             for i in np.flatnonzero(up[:-1] != up[1:])]
+    return [mp.findroot(g, (mp.mpf(x[i]), mp.mpf(x[i + 1])), solver=solver)
+            for i in np.flatnonzero(up[:-1] != up[1:])]
+
+
+def _mp_positive_integral(g, g_float, lo, hi, near, scan=8192):
+    """integral of max(g, 0) over [lo, hi] (mp numbers), split at the zeros
+    of g (_mp_roots) and at the points near."""
+    roots = _mp_roots(g, g_float, lo, hi, scan)
     edges = sorted(set([lo, hi] + roots + [mp.mpf(t) for t in near if lo < t < hi]))
     total = mp.mpf(0)
     for a, b in zip(edges[:-1], edges[1:]):
@@ -332,3 +338,42 @@ def test_closed_form_kernel_integrals_within_their_rounding_bound():
                  + rng.choice([1e-6, 1e-2, 1.0, 30.0, 1000.0]) * normal / np.linalg.norm(normal))
         values, bound = path.kernel_integrals(a, b, p[None, :], d)
         _assert_within(float(values[0]), float(bound[0]), _mp_kernel_integral(path, a, b, p, d))
+
+
+_SPAN = (-1.0, 2.0)
+_CELL = (_SPAN[1] - _SPAN[0]) / 2048
+_C = _SPAN[0] + 700.7 * _CELL  # the kink and the flat root, inside a cell
+
+
+@pytest.mark.parametrize("name, g_float, g, solver, max_calls", [
+    ("smooth", lambda t: np.sin(3.0 * t + 0.1) - 0.2,
+     lambda t: mp.sin(3 * t + mp.mpf("0.1")) - mp.mpf("0.2"), "anderson", 10),
+    # |t - c| - delta: the kink at c shares a cell with the root c - delta
+    ("kinked", lambda t: np.abs(t - _C) - 0.6 * _CELL,
+     lambda t: abs(t - mp.mpf(_C)) - mp.mpf(0.6 * _CELL), "anderson", 10),
+    # (t - c)^5: regula falsi alone crawls, so the bisection guard sets the
+    # pace: the bracket halves at least every third step.  (anderson stops
+    # short of this root.)
+    ("flat", lambda t: (t - _C) ** 5, lambda t: (t - mp.mpf(_C)) ** 5, "bisect",
+     3 * math.ceil(math.log2(_CELL / (4.0 * np.finfo(float).eps * (_SPAN[1] - _SPAN[0]))))),
+])
+def test_sign_changes_find_each_root_to_rounding_in_few_calls(name, g_float, g, solver,
+                                                              max_calls):
+    # the edges of the by-sign rule, on its 2048-cell scan, against 30-digit
+    # roots: within 4 eps of the span each, and on the smooth and kinked
+    # roots in far fewer calls than the 48 of one bisection per bit
+    lo, hi = _SPAN
+    x = lo + (hi - lo) * np.arange(2049) / 2048
+    calls = []
+
+    def evaluator(t):
+        calls.append(t.size)
+        return g_float(t)
+
+    edges = _sign_changes(evaluator, x, g_float(x))
+    with mp.workdps(30):
+        roots = _mp_roots(g, g_float, mp.mpf(lo), mp.mpf(hi), 2048, solver)
+    assert len(edges) == len(roots) == (1 if name == "flat" else 2)
+    for edge, root in zip(edges, roots):
+        assert abs(edge - root) <= 4.0 * np.finfo(float).eps * (hi - lo), name
+    assert len(calls) <= max_calls
