@@ -11,8 +11,9 @@ N_mu(r, R) and the modulus of continuity h_mu certifiable:
 h_mu is exact for purely atomic measures in d=2 (the optimum is attained at
 an atom or at a center equidistant from two atoms, so O(n^2) candidates
 suffice) and for any single symmetric primitive; otherwise branch and bound
-over centers brackets it, and its lower end is reported, flagged exact when
-the bracket closes to 1e-12 max(1, mass).  Subadditivity gives a
+over centers brackets it, and its lower end, a certified lower bound, is
+reported, flagged exact when the bracket closes to 1e-12 max(1, mass); the
+beam narrows once the bracket is open.  Subadditivity gives a
 flagged upper bound (h_{mu1+mu2} <= h_mu1 + h_mu2) which is what inequality
 verification feeds into a right-hand side.
 
@@ -665,7 +666,7 @@ def modulus_upper_bound(mu: BorelMeasure, t: float) -> float:
     return _modulus(mu, t, "upper")[0]
 
 
-_BEAM = 4096  # most cells split per level; the others keep their upper bounds
+_BEAM = 4096  # most cells split per level, 1/16 of it once the bracket is open
 _BRACKET_TOL = 1e-12  # closing gap of the bracket, relative to max(1, mass)
 
 
@@ -676,8 +677,11 @@ def _modulus_bracket(mu: BorelMeasure, t: float) -> tuple:
     and half-diagonal delta lies between mu(B_c(t)) and sum_i min(h_i(t),
     mu_i(B_c(t + delta))), as B_y(t) lies in B_c(t + delta) for every y in
     it.  Cells within tol of the best lower bound are dropped, the rest
-    split in 2^d, down to 1e-13 of the root; past _BEAM live cells only
-    those with the largest upper + lower are split."""
+    split in 2^d, down to 1e-13 of the root; past the beam only the live
+    cells with the largest upper + lower are split, the others keeping their
+    upper bounds.  The beam is _BEAM while the bracket can still close and
+    _BEAM // 16 once a discarded cover holds it open, where more levels
+    barely raise the lower end; that stays mu(B_c(t)) at a real center c."""
     if not mu.components:
         return 0.0, 0.0
     comps, d = mu.components, mu.dim
@@ -699,10 +703,11 @@ def _modulus_bracket(mu: BorelMeasure, t: float) -> tuple:
         centers, cover, lower = centers[live], cover[live], lower[live]
         if not len(centers) or half < smallest:
             break
-        if len(centers) > _BEAM:
-            order = np.argpartition(-(cover + lower), _BEAM - 1)
-            upper = max(upper, float(cover[order[_BEAM:]].max()))
-            centers = centers[order[:_BEAM]]
+        beam = _BEAM if upper <= best + tol else _BEAM // 16
+        if len(centers) > beam:
+            order = np.argpartition(-(cover + lower), beam - 1)
+            upper = max(upper, float(cover[order[beam:]].max()))
+            centers = centers[order[:beam]]
         half *= 0.5
         centers = (centers[:, None, :] + half * corners).reshape(-1, d)
     upper = max(upper, float(cover.max(initial=0.0)), best)

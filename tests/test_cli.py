@@ -410,11 +410,11 @@ PINNED_STDOUT = {
     ("pin-3d", "TdiffC"): "07ed9155d445b12325c2be489db90213",
     ("pin-3d", "C+"): "a4085361ed81bac1fe099ead2369a2d5",
     ("pin-3d", "M"): "5e5375ddb3d3886e44313a31b720b0cb",
-    ("pin-2d", "auto"): "326fc8e5f72a669d88f2720d48555c43",
+    ("pin-2d", "auto"): "7bfc7064fd39f6becf0332f5fca5e4e8",
     ("pin-2d", "upper"): "391a7f6fb6b6f50f27e9471f4c6d5c0f",
-    ("pin-disk-union", "auto"): "39b61e7f81a1cc6a830438a9d0bae0e3",
+    ("pin-disk-union", "auto"): "784a63b519b4bcd3002a3640151e47bf",
     ("pin-disk-union", "upper"): "82799362e8e1f316a1f9c4b003811cce",
-    ("pin-3d", "auto"): "517351612ae280dfac5a9fca902f17d2",
+    ("pin-3d", "auto"): "0aa5323c64e6370ed1826528b369f604",
     ("pin-3d", "upper"): "dcb52053e83ec256dbb7dfd1959d862a",
 }
 

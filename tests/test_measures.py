@@ -354,6 +354,17 @@ def _grid_max(mu, t, n):
     return float(masses.max())
 
 
+# disk union of sweep seed 42, k 239: an open 2-d bracket whose beam
+# saturates (the cover bound overshoots by O(delta) at a smooth maximum)
+OPEN_DISK_UNION = BorelMeasure((
+    UniformBall((-0.2474110498153557, 0.1255547887375945), 0.1588984565844954,
+                0.9013514718826396),
+    UniformBall((0.2366174293171714, 0.12705869771565573), 0.24798861235982123,
+                0.8503140488211554),
+    UniformBall((0.021338951871140783, -0.5453910081386381), 0.10212866814013223,
+                0.7100416173489872)))
+OPEN_DISK_UNION_T = 0.4608275374353696
+
 PIN_3D_MEASURE = BorelMeasure((
     UniformBall((0.2, -0.3, 0.1), 0.6, 0.7),
     UniformSegment((-0.8, 0.2, 0.0), (0.3, 0.9, -0.5), 0.5),
@@ -365,13 +376,15 @@ PIN_3D_MEASURE = BorelMeasure((
     (BorelMeasure((UniformBall((0.5036, -0.8712), 0.1599, 0.8255),
                    UniformBall((1.0401, -0.0574), 0.0876, 0.9038),
                    UniformBall((-0.5419, 0.1612), 0.2988, 0.4945))), 0.69, 601),
+    # the first open 2-d case: a discarded cover holds the bracket open
+    (OPEN_DISK_UNION, OPEN_DISK_UNION_T, 601),
     # the best ball straddles the two balls, so the bracket stays open
     (BorelMeasure((UniformBall((0.0, 0.0, 0.0), 0.4, 1.0),
                    UniformBall((0.7, 0.1, 0.0), 0.3, 0.8))), 0.45, 81),
     (PIN_3D_MEASURE, 0.1, 81),
     (PIN_3D_MEASURE, 0.5, 81),
     (PIN_3D_MEASURE, 0.9, 81),
-], ids=["disk-union-seed13", "two-balls-d3", "pin-3d-0.1", "pin-3d-0.5", "pin-3d-0.9"])
+], ids=["disk-union-seed13", "open-disk-union-seed42", "two-balls-d3", "pin-3d-0.1", "pin-3d-0.5", "pin-3d-0.9"])
 def test_modulus_bracket_holds_the_grid_maximum(mu, t, n):
     lower, upper = _modulus_bracket(mu, t)
     brute = _grid_max(mu, t, n)
@@ -380,6 +393,22 @@ def test_modulus_bracket_holds_the_grid_maximum(mu, t, n):
     closed = upper <= lower + 1e-12 * max(1.0, mu.mass)
     assert modulus_profile(mu, [t]).values == (lower,)
     assert modulus_profile(mu, [t]).flags == ("exact" if closed else "lower-bound",)
+
+
+def test_open_modulus_bracket_narrows_its_beam(monkeypatch):
+    # once a beam discard leaves the bracket open, the remaining levels split
+    # at most _BEAM // 16 cells: 1,529,307 centers with the full beam
+    seen = [0]
+    ball_mass = UniformBall.ball_mass
+
+    def counting(self, y, t):
+        seen[0] += len(np.atleast_2d(y))
+        return ball_mass(self, y, t)
+
+    monkeypatch.setattr(UniformBall, "ball_mass", counting)
+    lower, upper = _modulus_bracket(OPEN_DISK_UNION, OPEN_DISK_UNION_T)
+    assert upper > lower + 1e-12 * OPEN_DISK_UNION.mass
+    assert seen[0] <= 300_000, seen[0]
 
 
 def test_import_leaves_scipy_optimize_unloaded():
