@@ -43,8 +43,8 @@ from .potentials import (
     canonical_representation,
     jordan_decomposition,
 )
-from .quadrature import (_ROUNDING, QuadratureResult, _integrate_pieces, circle_mean,
-                         sphere_mean_3d, sphere_sup)
+from .quadrature import (_ROUNDING, QuadratureResult, _circle_means, _integrate_pieces,
+                         _sphere_means_3d, circle_mean, sphere_mean_3d, sphere_sup)
 
 __all__ = [
     "CharacteristicRecord",
@@ -90,6 +90,13 @@ def _sphere_mean(values, r: float, dim: int, tol: float):
     """Mean of values over the sphere |x| = r."""
     g = _on_sphere(values, r, dim)
     return circle_mean(g, tol) if dim == 2 else sphere_mean_3d(g, tol)
+
+
+def _sphere_means(values, r: float, dim: int, tol: float) -> list:
+    """Means over the sphere |x| = r of the rows of values: points (n, d) ->
+    (m, n), all rows at each level in one call."""
+    g = _on_sphere(values, r, dim)
+    return _circle_means(g, tol) if dim == 2 else _sphere_means_3d(g, tol)
 
 
 class _Split(NamedTuple):

@@ -37,7 +37,7 @@ from .characteristics import (
     _Circle,
     _integral_by_sign,
     _Line,
-    _sphere_mean,
+    _sphere_means,
     _split,
     nevanlinna_N,
     spherical_mean,
@@ -430,12 +430,13 @@ def verify_poisson_jensen(U: DeltaSubharmonicFn, R: float,
     the Riesz charge (subharmonic parts sit below their Poisson integral).
 
     U at the sample points and each charge part's potentials are one call
-    each, and U on a boundary node set is computed once and shared by the
-    Poisson integrals of all points."""
+    each, and the Poisson integrals of all points are the rows of one
+    boundary mean: U is evaluated once per node set."""
     d = U.dim
     plus, minus = jordan_decomposition(U)
     xs, lhs_values, skipped = _finite_values(U, sample_points)
     green = [0.0] * len(xs)
+    boundary = []
     if xs:
         for nu, sign in ((plus, 1.0), (minus, -1.0)):
             if nu.mass == 0.0:
@@ -444,28 +445,23 @@ def verify_poisson_jensen(U: DeltaSubharmonicFn, R: float,
             direct = potential_values(nu, np.array(xs), d).tolist()
             for i in range(len(xs)):
                 green[i] -= sign * (refl[i] - direct[i])
-    boundary_values: dict = {}  # node-set bytes -> U.values_with_polar on it
-
-    def on_boundary(y):
-        key = y.tobytes()
-        if key not in boundary_values:
-            boundary_values[key] = U.values_with_polar(y)
-        return boundary_values[key]
-
-    points, residuals, relative = [], [], []
-    for x, lhs, g in zip(xs, lhs_values, green):
-        q2 = float(x @ x)
+        X = np.array(xs)
+        # the kernel's numerator at each point, as a column
+        num = np.array([[R * R - float(x @ x) if d == 2 else R * (R * R - float(x @ x))]
+                        for x in xs])
 
         def poisson(y):
-            dist2 = ((y - x[None, :]) ** 2).sum(axis=1)
-            vals, polar = on_boundary(y)
-            kern = ((R * R - q2) / dist2 if d == 2
-                    else R * (R * R - q2) / np.sqrt(dist2) ** 3)
+            dist2 = (y[:, 0] - X[:, :1]) ** 2
+            for k in range(1, d):
+                dist2 += (y[:, k] - X[:, k:k + 1]) ** 2
+            vals, polar = U.values_with_polar(y)
+            kern = num / dist2 if d == 2 else num / np.sqrt(dist2) ** 3
             return np.where(polar, np.nan, kern * vals)
 
-        boundary = _sphere_mean(poisson, R, d, tol)
-        rhs = boundary.value + g
-        res = lhs - rhs
+        boundary = _sphere_means(poisson, R, d, tol)
+    points, residuals, relative = [], [], []
+    for x, lhs, g, b in zip(xs, lhs_values, green, boundary):
+        res = lhs - (b.value + g)
         points.append(tuple(x))
         residuals.append(res)
         relative.append(abs(res) / max(1.0, abs(lhs)))

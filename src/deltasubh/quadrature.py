@@ -13,17 +13,22 @@ Four entry points:
   is below the requested tolerance.
 
 All integrands are VECTORIZED callables: f(ndarray) -> ndarray (for
-sphere_mean_3d, f(theta_array, phi_array) -> array).  integrate_interval
-(through _integrate_pieces, whose pieces carry their own tolerances) runs
-the adaptive rules of all its pieces in lockstep, as generators that ask
-for panels and are sent their sums: one call of f per round evaluates every
-panel any of them asks for.  Nothing is evaluated ahead of a stop
-rule, and sums are formed in the order of one panel per call and one piece
-after another, so the results equal that order's bit for bit when f acts
-node by node.  Values of +-inf at a node mean the node landed exactly on a
-polar point; the engine nudges such nodes by an ulp-scale offset and logs
-the event, per the polar set policy (any finite node set may be safely
-adjusted).
+sphere_mean_3d, f(theta_array, phi_array) -> array).  circle_mean and
+sphere_mean_3d are the one-row case of the row-batched rules _circle_means
+and _sphere_means_3d, whose integrand gives an (m, n) array at n nodes and
+which return one result per row: each row doubles until it is stable, and
+keeps its value, estimate and nodes from the level where it stopped.
+
+integrate_interval (through _integrate_pieces, whose pieces carry their own
+tolerances) runs the adaptive rules of all its pieces in lockstep, as
+generators that ask for panels and are sent their sums: one call of f per
+round evaluates every panel any of them asks for.  Nothing is evaluated
+ahead of a stop rule, and sums are formed in the order of one panel per
+call and one piece after another, so the results equal that order's bit
+for bit when f acts node by node.  Values of +-inf at a node mean the node
+landed exactly on a polar point; the engine nudges such nodes by an
+ulp-scale offset and logs the event, per the polar set policy (any finite
+node set may be safely adjusted).
 
 Every accepted result carries error_estimate, a doubling-based heuristic
 bound: the change under one more refinement, and at least 16 eps |value|;
@@ -97,21 +102,16 @@ def _gl_nodes(a: float, b: float, n: int):
     return mid + half * x, half * w
 
 
-def _eval_safe(f, x: np.ndarray, scale: float) -> np.ndarray:
-    """Evaluate f at nodes; nudge any node that returns a non-finite value."""
-    y = np.asarray(f(x), dtype=float)
-    if np.isfinite(y).all():
-        return y
-    return _nudge(f, x, y, scale)
-
-
 def _nudge(f, x: np.ndarray, y: np.ndarray, scale: float) -> np.ndarray:
     """y = f(x) with its non-finite entries re-evaluated at nodes moved by an
-    ulp-scale offset; the offset is taken from x alone (one panel's nodes)."""
+    ulp-scale offset; the offset is taken from x alone (one panel's nodes).
+    y may hold rows of values at the nodes x: a node is moved where any row
+    is non-finite, and only the non-finite entries are replaced."""
     bad = ~np.isfinite(y)
     n_bad = int(bad.sum())
     for step in (1e-13, -1e-13, 1e-11, -1e-11):
-        xs = np.where(bad, x + step * max(scale, abs(float(np.max(np.abs(x)))), 1.0), x)
+        moved = bad.reshape(-1, x.size).any(axis=0)
+        xs = np.where(moved, x + step * max(scale, abs(float(np.max(np.abs(x)))), 1.0), x)
         y = np.where(bad, np.asarray(f(xs), dtype=float), y)
         bad = ~np.isfinite(y)
         if not bad.any():
@@ -288,73 +288,127 @@ def integrate_interval(
                              max(abs(a), abs(b), b - a))
 
 
+def _settle(y: np.ndarray, active) -> np.ndarray:
+    """y (m, n) with the non-finite entries of the rows not in active (a list
+    of row indices or a slice) set to 0: those rows have stopped, so they
+    need no nudge."""
+    keep = np.zeros((len(y), 1), dtype=bool)
+    keep[active] = True
+    return np.where(np.isfinite(y) | keep, y, 0.0)
+
+
+def _trapezoid_rows(G, theta: np.ndarray, active) -> np.ndarray:
+    """G(theta) (m, n), the non-finite entries of its active rows nudged."""
+    y = np.asarray(G(theta), dtype=float)
+    return y if np.isfinite(y).all() else _nudge(G, theta, _settle(y, active), TWO_PI)
+
+
+def _results(mean: list, diff: list, nodes: list) -> list:
+    return [QuadratureResult(v, max(e, _ROUNDING * abs(v)), k)
+            for v, e, k in zip(mean, diff, nodes)]
+
+
+def _circle_means(G: Callable[[np.ndarray], np.ndarray], tol: float = 1e-8) -> list:
+    """(1/2pi) * integral over one period of each row of G(theta), an (m, n)
+    array for n angles: one QuadratureResult per row.
+
+    The periodic trapezoid rule (= mean of equispaced samples), doubled
+    until stable; it converges spectrally for analytic rows.  Each row stops
+    on its own, and keeps its mean, change and nodes from that level."""
+    n = 64
+    theta = TWO_PI * np.arange(n) / n
+    mean = _trapezoid_rows(G, theta, slice(None)).mean(axis=1).tolist()
+    m = len(mean)
+    diff, hits, nodes = [0.0] * m, [0] * m, [n] * m
+    active = list(range(m))
+    total = n
+    while active:
+        if n >= _MAX_TRAP:
+            raise QuadratureBudgetError(
+                "periodic trapezoid did not converge",
+                QuadratureResult(mean[active[0]], math.inf, nodes[active[0]]),
+            )
+        new = TWO_PI * (np.arange(n) + 0.5) / n
+        half = _trapezoid_rows(G, new, active).mean(axis=1).tolist()
+        total += n
+        n *= 2
+        still = []
+        for i in active:
+            mean_new = 0.5 * (mean[i] + half[i])
+            diff[i] = abs(mean_new - mean[i])
+            mean[i], nodes[i] = mean_new, total
+            if diff[i] <= tol:
+                hits[i] += 1
+                if hits[i] >= 2 or diff[i] <= tol / 16.0:
+                    continue
+            else:
+                hits[i] = 0
+            still.append(i)
+        active = still
+    return _results(mean, diff, nodes)
+
+
 def circle_mean(
     g: Callable[[np.ndarray], np.ndarray],
     tol: float = 1e-8,
 ) -> QuadratureResult:
-    """(1/2pi) * integral of g over one period.
+    """(1/2pi) * integral of g over one period: _circle_means of one row."""
+    return _circle_means(lambda theta: np.asarray(g(theta), dtype=float).reshape(1, -1), tol)[0]
 
-    The periodic trapezoid rule (= mean of equispaced samples), doubled
-    until stable; it converges spectrally for analytic g.
+
+def _sphere_means_3d(G: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                     tol: float = 1e-8) -> list:
+    """Mean over the unit 2-sphere of each row of G(theta, phi), an (m, n)
+    array for n nodes (theta polar, phi azimuth): one QuadratureResult per row.
+
+    Product rule: Gauss-Legendre in cos(theta) x trapezoid in phi, doubled
+    until a row's mean is stable to tol; a row still changing when the
+    levels run out reports its last change.
     """
-    n = 64
-    theta = TWO_PI * np.arange(n) / n
-    mean = float(np.mean(_eval_safe(g, theta, TWO_PI)))
-    nodes = n
-    hits = 0
-    while n < _MAX_TRAP:
-        new = TWO_PI * (np.arange(n) + 0.5) / n
-        mean_new = 0.5 * (mean + float(np.mean(_eval_safe(g, new, TWO_PI))))
-        nodes += n
-        n *= 2
-        diff = abs(mean_new - mean)
-        mean = mean_new
-        if diff <= tol:
-            hits += 1
-            if hits >= 2 or diff <= tol / 16.0:
-                return QuadratureResult(mean, max(diff, _ROUNDING * abs(mean)), nodes)
-        else:
-            hits = 0
-    raise QuadratureBudgetError(
-        "periodic trapezoid did not converge",
-        QuadratureResult(mean, math.inf, nodes),
-    )
+    active = None
+    total = 0
+    for n in (8, 16, 32, 64, 128, 256, 512, 1024):
+        u, w = _leggauss(n)
+        phi = TWO_PI * np.arange(2 * n) / (2 * n)
+        U, PHI = np.meshgrid(u, phi, indexing="ij")
+        vals = np.asarray(G(np.arccos(U.ravel()), PHI.ravel()), dtype=float)
+        if active is None:
+            m = len(vals)
+            active, prev, diff, nodes = list(range(m)), [math.inf] * m, [math.inf] * m, [0] * m
+        if not np.isfinite(vals).all():
+            vals = _settle(vals, active)
+            bad = ~np.isfinite(vals)
+            theta2 = np.arccos(np.clip(U.ravel() + 1e-12, -1.0, 1.0))
+            vals = np.where(bad, np.asarray(G(theta2, PHI.ravel() + 1e-12), dtype=float), vals)
+            if not np.isfinite(vals).all():
+                raise QuadratureBudgetError(
+                    "sphere integrand non-finite at nudged nodes",
+                    QuadratureResult(math.nan, math.inf, total),
+                )
+            logger.debug("perturbed sphere nodes off a singular point")
+        total += vals.shape[1]
+        rows = vals.reshape(-1, n, 2 * n).mean(axis=2)
+        still = []
+        for i in active:
+            mean = 0.5 * float(np.dot(w, rows[i]))
+            diff[i] = abs(mean - prev[i])  # inf at the first level
+            prev[i], nodes[i] = mean, total
+            if not diff[i] <= tol:
+                still.append(i)
+        active = still
+        if not active:
+            break
+    # converged, or the last change when the levels run out
+    return _results(prev, diff, nodes)
 
 
 def sphere_mean_3d(
     g: Callable[[np.ndarray, np.ndarray], np.ndarray],
     tol: float = 1e-8,
 ) -> QuadratureResult:
-    """Mean of g(theta, phi) over the unit 2-sphere (theta polar, phi azimuth).
-
-    Product rule: Gauss-Legendre in cos(theta) x trapezoid in phi, doubled
-    until the mean is stable to tol.
-    """
-    prev = None
-    nodes = 0
-    for n in (8, 16, 32, 64, 128, 256, 512, 1024):
-        u, w = _leggauss(n)
-        phi = TWO_PI * np.arange(2 * n) / (2 * n)
-        U, PHI = np.meshgrid(u, phi, indexing="ij")
-        vals = np.asarray(g(np.arccos(U.ravel()), PHI.ravel()), dtype=float)
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            theta2 = np.arccos(np.clip(U.ravel() + 1e-12, -1.0, 1.0))
-            vals = np.where(bad, np.asarray(g(theta2, PHI.ravel() + 1e-12), dtype=float), vals)
-            if not np.isfinite(vals).all():
-                raise QuadratureBudgetError(
-                    "sphere integrand non-finite at nudged nodes",
-                    QuadratureResult(math.nan, math.inf, nodes),
-                )
-            logger.debug("perturbed sphere nodes off a singular point")
-        nodes += vals.size
-        mean = 0.5 * float(np.dot(w, vals.reshape(n, 2 * n).mean(axis=1)))
-        diff = math.inf if prev is None else abs(mean - prev)
-        prev = mean
-        if diff <= tol:
-            break
-    # converged, or the last change when the levels run out
-    return QuadratureResult(prev, max(diff, _ROUNDING * abs(prev)), nodes)
+    """Mean of g(theta, phi) over the unit 2-sphere: _sphere_means_3d of one row."""
+    return _sphere_means_3d(
+        lambda theta, phi: np.asarray(g(theta, phi), dtype=float).reshape(1, -1), tol)[0]
 
 
 def _golden_max(h, lo: float, hi: float, value_tol: float) -> tuple:

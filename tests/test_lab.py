@@ -620,24 +620,37 @@ def test_batched_proof_checks_equal_per_point_loops(name):
     assert bound.skipped == got.skipped
 
 
-def test_poisson_jensen_evaluates_each_boundary_node_set_once(monkeypatch):
+def test_poisson_jensen_calls_the_boundary_integrand_once_per_level(monkeypatch):
     s = generate_scenario(42, 1, "charges")
     rng = random.Random(7)
     pts = [lab._point_in_ball(rng, s.r, 2) for _ in range(20)]
-    original = DeltaSubharmonicFn.values_with_polar
-    calls = []
-
-    def counted(self, pts):
-        calls.append(hash(np.asarray(pts, dtype=float).tobytes()))
-        return original(self, pts)
-
-    monkeypatch.setattr(DeltaSubharmonicFn, "values_with_polar", counted)
-    got = verify_poisson_jensen(s.U, s.R, pts, 1e-8)
-    got_calls, calls[:] = list(calls), []
     ref = _ref_poisson_jensen(s.U, s.R, pts, 1e-8)
-    assert got == ref
-    # one call at the sample points, then one per distinct node set
-    assert len(got_calls) == 1 + len(set(got_calls[1:]))
-    # the per-point loop: 20 point values plus every point's boundary
-    # levels, at least the first trapezoid and one doubling each
-    assert len(got_calls) == 4 and len(calls) >= 20 + 20 * 2
+    on_sphere = characteristics._on_sphere
+    angles, shapes, u_calls = [], [], []
+
+    def counted_on_sphere(values, r, dim):
+        g = on_sphere(values, r, dim)
+
+        def counted(theta):
+            angles.append(theta.size)
+            out = g(theta)
+            shapes.append(np.shape(out))
+            return out
+        return counted
+
+    original = DeltaSubharmonicFn.values_with_polar
+
+    def counted_values(self, y):
+        u_calls.append(len(y))
+        return original(self, y)
+
+    monkeypatch.setattr(characteristics, "_on_sphere", counted_on_sphere)
+    monkeypatch.setattr(DeltaSubharmonicFn, "values_with_polar", counted_values)
+    assert verify_poisson_jensen(s.U, s.R, pts, 1e-8) == ref
+    # one call per doubling level of the trapezoid (64 nodes, then the
+    # 64, 128, ... new ones), each for all 20 points; not one per point
+    assert angles == [64] + [64 * 2 ** k for k in range(len(angles) - 1)]
+    assert 2 <= len(angles) <= 4
+    assert shapes == [(20, n) for n in angles]
+    # U at the sample points, then once on each level's boundary nodes
+    assert u_calls == [20] + angles

@@ -29,6 +29,7 @@ from deltasubh.measures import (
     modulus_upper_bound,
     radial_counting,
 )
+from deltasubh.quadrature import QuadratureBudgetError
 
 D2 = DimensionContext(2)
 D3 = DimensionContext(3)
@@ -489,6 +490,20 @@ def test_integrated_counting_d3_segment_through_the_origin_spends_no_node(monkey
         res = integrated_counting_result(D3, BorelMeasure((seg,)), 0.0, 2.0)
         assert res.value == math.inf and res.nodes_used == 0
     assert calls == []
+
+
+@pytest.mark.xfail(raises=QuadratureBudgetError, strict=True,
+                   reason="known defect: the 1/delta square-root edge at t = delta exhausts "
+                          "the node budget; a closed form for a segment's N_mu removes it")
+def test_integrated_counting_d3_segment_near_the_origin_is_finite():
+    # the chord of B(t) through the segment at distance delta has mass
+    # min(sqrt(t^2 - delta^2), 1), so with d_hat = 1 and T = sqrt(1 + delta^2)
+    # N_mu(0, 2) = ln((1 + T) / delta) - 1/2, about ln(1 / delta)
+    delta = 1e-10
+    seg = UniformSegment((-1.0, delta, 0.0), (1.0, delta, 0.0), 1.0)
+    res = integrated_counting_result(D3, BorelMeasure((seg,)), 0.0, 2.0)
+    exact = math.log((1.0 + math.sqrt(1.0 + delta * delta)) / delta) - 0.5
+    assert abs(res.value - exact) <= max(res.error_estimate, 1e-12 * exact)
 
 
 @pytest.mark.parametrize("seg", [

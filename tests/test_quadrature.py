@@ -161,6 +161,97 @@ def test_sphere_mean_reports_last_change_when_levels_run_out():
     assert res.error_estimate == abs(level_mean(1024) - level_mean(512))
 
 
+def _rows(*gs):
+    """The batched integrand whose rows are the one-row integrands gs."""
+    return lambda *angles: np.vstack([g(*angles) for g in gs])
+
+
+def _assert_rows_equal_one_row_calls(batched, one_row, gs, tol):
+    got = batched(_rows(*gs), tol)
+    ref = [one_row(g, tol) for g in gs]
+    assert [(r.value, r.error_estimate, r.nodes_used) for r in got] == \
+        [(r.value, r.error_estimate, r.nodes_used) for r in ref]
+    return got
+
+
+def _smooth_row(th):
+    return 1.0 + np.cos(th) - 2.0 * np.sin(3 * th)
+
+
+def _log_pole_row(th):
+    # ln |e^{i theta} - 1.05|: analytic, but slow to converge this close
+    return np.log(np.abs(np.exp(1j * th) - 1.05))
+
+
+def test_batched_circle_rows_stop_at_their_own_levels():
+    got = _assert_rows_equal_one_row_calls(quadrature._circle_means, circle_mean,
+                                           [_smooth_row, _log_pole_row, _smooth_row], 1e-10)
+    assert got[0].nodes_used == got[2].nodes_used < got[1].nodes_used
+
+
+def test_batched_circle_nudges_a_column_non_finite_in_one_row_only(caplog):
+    # theta = 0 is a node of the first level; only the second row is inf there
+    def pole_at_zero(th):
+        return np.where(th == 0.0, np.inf, np.cos(th) ** 2)
+
+    with caplog.at_level(logging.DEBUG, logger="deltasubh.quadrature"):
+        got = _assert_rows_equal_one_row_calls(quadrature._circle_means, circle_mean,
+                                               [_log_pole_row, pole_at_zero], 1e-10)
+    assert got[1].value == pytest.approx(0.5, abs=1e-12)
+    nudges = [rec.getMessage() for rec in caplog.records
+              if rec.getMessage().startswith("perturbed")]
+    # once in the batch, once in the one-row call of pole_at_zero
+    assert nudges == ["perturbed 1 quadrature nodes off a singular point"] * 2
+
+
+def _newtonian_row(a):
+    def g(th, ph):
+        st = np.sin(th)
+        pts = np.column_stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)])
+        return -1.0 / np.linalg.norm(pts - np.asarray(a), axis=1)
+    return g
+
+
+def _cap_row(th, ph):
+    # the cap theta < 1: its rim keeps every level from converging to 1e-12
+    return (th < 1.0).astype(float)
+
+
+def test_batched_sphere_rows_stop_at_their_own_levels_or_run_out():
+    smooth = lambda th, ph: np.cos(th) ** 2
+    near = _newtonian_row((0.0, 0.0, 1.2))
+    got = _assert_rows_equal_one_row_calls(quadrature._sphere_means_3d, sphere_mean_3d,
+                                           [smooth, near, _cap_row], 1e-12)
+    assert got[0].nodes_used < got[1].nodes_used < got[2].nodes_used
+    assert got[0].value == pytest.approx(1.0 / 3.0, abs=1e-14)
+    # the cap ran out of levels: its estimate is the last doubling change
+    assert got[2].error_estimate > 1e-12
+
+
+def test_batched_sphere_nudges_a_column_non_finite_in_one_row_only(caplog):
+    # (theta_0, 0) is a node of the first level; only the first row is inf there
+    theta0 = float(np.arccos(quadrature._leggauss(8)[0][0]))
+
+    def pole(th, ph):
+        return np.where((th == theta0) & (ph == 0.0), np.inf, np.cos(th) ** 2)
+
+    with caplog.at_level(logging.DEBUG, logger="deltasubh.quadrature"):
+        got = _assert_rows_equal_one_row_calls(quadrature._sphere_means_3d, sphere_mean_3d,
+                                               [pole, _newtonian_row((0.3, 0.0, 1.2))], 1e-10)
+    assert got[0].value == pytest.approx(1.0 / 3.0, abs=1e-12)
+    nudges = [rec.getMessage() for rec in caplog.records
+              if rec.getMessage().startswith("perturbed")]
+    assert nudges == ["perturbed sphere nodes off a singular point"] * 2
+
+
+@pytest.mark.parametrize("batched, one_row, g", [
+    (quadrature._circle_means, circle_mean, _log_pole_row),
+    (quadrature._sphere_means_3d, sphere_mean_3d, _newtonian_row((0.3, 0.0, 1.2))),
+])
+def test_batched_rule_of_one_row(batched, one_row, g):
+    _assert_rows_equal_one_row_calls(batched, one_row, [g], 1e-10)
+
+
 def test_every_engine_reports_at_least_the_rounding_floor():
     # on integrands the rules integrate exactly, two levels agree bit for
     # bit; the estimate is then the rounding floor 16 eps |value|, not 0
