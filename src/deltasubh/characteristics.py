@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import DimensionContext, _kernel_values, _row_norms
+from .geometry import DimensionContext, _distances, _kernel_values, _row_norms
 from .measures import (Atom, BorelMeasure, UniformArc, UniformSegment,
                        integrated_counting_result)
 from .potentials import (
@@ -71,7 +71,7 @@ class CharacteristicRecord:
 
 def _sphere_points(r: float, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     st = np.sin(theta)
-    pts = np.empty((np.size(phi), 3))
+    pts = np.empty((3, np.size(phi))).T  # column-major: each coordinate contiguous
     pts[:, 0], pts[:, 1], pts[:, 2] = r * st * np.cos(phi), r * st * np.sin(phi), r * np.cos(theta)
     return pts
 
@@ -137,7 +137,7 @@ class _Circle:
     radius: float
 
     def at(self, t):
-        (cx, cy), r, pts = self.center, self.radius, np.empty((np.size(t), 2))
+        (cx, cy), r, pts = self.center, self.radius, np.empty((2, np.size(t))).T
         pts[:, 0], pts[:, 1] = cx + r * np.cos(t), cy + r * np.sin(t)
         return pts
 
@@ -153,9 +153,9 @@ class _Circle:
         subtracts, (b - a) ln F (F = max(|p - c|, radius)) and two dilogarithms
         of at most pi^2 / 6, plus the coordinates' rounding, scale / radius,
         times their slope |ln(D / F)| + 2 at each end, D its distance from p."""
-        far = np.maximum(_row_norms(pts - np.asarray(self.center)), self.radius)
+        far = np.maximum(_distances(pts, self.center), self.radius)
         scale = _row_norms(pts) + math.hypot(*self.center) + self.radius
-        ends = sum(np.abs(np.log(np.maximum(_row_norms(pts - self.at(np.array([t]))),
+        ends = sum(np.abs(np.log(np.maximum(_distances(pts, self.at(np.array([t]))),
                                             _ROUNDING * scale) / far)) for t in (a, b))
         return (UniformArc(self.center, self.radius, a, b, b - a).potential(pts, d),
                 _ROUNDING * ((b - a) * np.abs(np.log(far)) + 4.0
@@ -170,7 +170,10 @@ class _Line:
     step: np.ndarray
 
     def at(self, s):
-        return self.start[None, :] + s[:, None] * self.step[None, :]
+        pts = np.empty((self.step.size, np.size(s))).T
+        for k in range(self.step.size):
+            pts[:, k] = self.start[k] + s * self.step[k]
+        return pts
 
     def feet(self, pts, lo: float, hi: float):
         """The parameters of the points' projections, clipped to [lo, hi]."""
@@ -187,7 +190,7 @@ class _Line:
         rel = pts - self.start
         length = math.hypot(*self.step)
         scale = _row_norms(rel) + (abs(a) + abs(b)) * length
-        dist = [_row_norms(rel - np.multiply.outer(t, self.step))
+        dist = [_distances(rel, np.multiply.outer(t, self.step))
                 for t in (np.full(len(rel), a), np.full(len(rel), b), self.feet(pts, a, b))]
         size = [np.abs(_kernel_values(d, np.maximum(D, _ROUNDING * scale))) for D in dist]
         values = UniformSegment(tuple(a * self.step), tuple(b * self.step), b - a).potential(rel, d)

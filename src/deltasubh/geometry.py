@@ -155,6 +155,19 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(total)
 
 
+def _distances(pts: np.ndarray, p) -> np.ndarray:
+    """|x - p| at each row x of an (n, d) array: the floats of
+    _row_norms(pts - p), from one column-major buffer of pts - p squared in
+    place, so every step runs on contiguous columns whatever the layout of
+    pts."""
+    v = np.subtract(pts, p, order="F")
+    v *= v
+    total = v[:, 0]
+    for k in range(1, v.shape[1]):
+        total = total + v[:, k]
+    return np.sqrt(total)
+
+
 def _kernel_values(d: int, arr: np.ndarray) -> np.ndarray:
     """kernel on an array of radii already known to be >= 0 (distances)."""
     with np.errstate(divide="ignore"):

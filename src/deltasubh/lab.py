@@ -173,23 +173,23 @@ def _ball_integral(U, comp: UniformBall, tol: float) -> QuadratureResult:
 
     def samples(qs, angles):
         """U^+ on the grid qs x angles (x u in 3-d), angles on the last axis;
-        cos and sin are taken once per angle."""
-        cos_a, sin_a = np.cos(angles), np.sin(angles)
+        cos and sin are taken once per angle.  The points are column-major:
+        each coordinate is filled in place as one contiguous block."""
         if dim == 2:
-            shape = (qs.size, angles.size)
-            pts = np.column_stack([c[0] + (qs[:, None] * cos_a).ravel(),
-                                   c[1] + (qs[:, None] * sin_a).ravel()])
+            shape, q_xy = (qs.size, angles.size), qs[:, None]
         else:
             shape = (qs.size, u.size, angles.size)
-            q_st = (qs[:, None] * np.sqrt(np.maximum(0.0, 1.0 - u ** 2)))[:, :, None]
-            q_u = np.broadcast_to((qs[:, None] * u)[:, :, None], shape)
-            pts = np.column_stack([
-                (c[0] + q_st * cos_a).ravel(),
-                (c[1] + q_st * sin_a).ravel(),
-                (c[2] + q_u).ravel(),
-            ])
-        vals = U.positive_values(pts).reshape(shape)
-        return np.where(np.isfinite(vals), vals, 0.0)  # measure-zero nodes
+            q_xy = (qs[:, None] * np.sqrt(np.maximum(0.0, 1.0 - u ** 2)))[:, :, None]
+        coords = np.empty((dim,) + shape)
+        np.multiply(q_xy, np.cos(angles), out=coords[0])
+        np.multiply(q_xy, np.sin(angles), out=coords[1])
+        if dim == 3:
+            coords[2] = (qs[:, None] * u)[:, :, None]
+        for k in range(dim):
+            coords[k] += c[k]
+        vals = U.positive_values(coords.reshape(dim, -1).T).reshape(shape)
+        np.copyto(vals, 0.0, where=~np.isfinite(vals))  # measure-zero nodes
+        return vals
 
     prev = None
     nodes = 0

@@ -37,7 +37,8 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 from scipy.special import spence
 
-from .geometry import DimensionContext, _kernel_values, _row_norms, ext_mul, kernel
+from .geometry import (DimensionContext, _distances, _kernel_values, _row_norms, ext_mul,
+                       kernel)
 from .quadrature import _ROUNDING, QuadratureResult, _gl_nodes, integrate_interval
 
 __all__ = [
@@ -78,7 +79,7 @@ def _as_point(p) -> Point:
 def _dist(p: Point, y):
     """|p - y|: a float for one point y, an array for an (n, d) array y."""
     if np.ndim(y) == 2:
-        return _row_norms(np.asarray(y, dtype=float) - np.asarray(p))
+        return _distances(np.asarray(y, dtype=float), p)
     return math.dist(p, y)
 
 
@@ -124,8 +125,7 @@ class Atom:
         return math.inf  # h = weight near 0
 
     def potential(self, pts: np.ndarray, d: int) -> np.ndarray:
-        dist = _row_norms(pts - np.asarray(self.point))
-        return self.weight * _kernel_values(d, dist)
+        return self.weight * _kernel_values(d, _distances(pts, self.point))
 
     def distance_to(self, p: np.ndarray) -> float:
         return float(np.linalg.norm(p - np.asarray(self.point)))
@@ -227,8 +227,9 @@ class UniformSegment:
                 r2 = u * u + h * h
                 with np.errstate(divide="ignore", invalid="ignore"):
                     term = 0.5 * u * np.log(r2) - u + h * np.arctan2(u, h)
+                    on_line = u * np.log(np.abs(u)) - u  # 0 * -inf at an end
                 return np.where(r2 == 0.0, 0.0, np.where(h == 0.0,
-                                np.where(u == 0.0, 0.0, u * np.log(np.abs(u)) - u), term))
+                                np.where(u == 0.0, 0.0, on_line), term))
             integral = F(u_hi) - F(u_lo)
             return self.weight / L * integral
         # d == 3: antiderivative of -1/sqrt(u^2+h^2); -inf on the segment up to rounding
@@ -472,8 +473,7 @@ class UniformBall:
         return self.weight * (1.5 / rho - 1.0 / upper)
 
     def potential(self, pts: np.ndarray, d: int) -> np.ndarray:
-        c = np.asarray(self.center)
-        q = _row_norms(pts - c)
+        q = _distances(pts, self.center)
         rho = self.radius
         if d == 2:
             with np.errstate(divide="ignore"):

@@ -20,6 +20,15 @@ closed-form potentials its components carry (Atom.potential,
 UniformSegment.potential, UniformArc.potential, UniformBall.potential in the
 measures module); each point's value depends on that point alone.
 
+Points are (n, d) arrays, row-major or column-major: the grid builders hand
+out column-major ones (np.empty((d, n)).T), so each coordinate is one
+contiguous column, and the kernels work in place on their own temporaries.
+DeltaSubharmonicFn.values_with_polar evaluates more than _BLOCK points _BLOCK
+rows at a time, so that a block's temporaries stay in cache.  Both are sound
+only because every potential and harmonic part acts node by node: a point's
+value is the same floats whatever the layout of its array and whatever
+other points share its call, and any new potential must keep that.
+
 Pointwise evaluation of U follows the extended-real conventions; the one
 undefined case (-inf) - (-inf) -- x in the polar set of both parts -- is
 reported as the marker value None, which the positive part maps to 0 (polar
@@ -30,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -57,6 +67,8 @@ __all__ = [
     "potential_values",
 ]
 
+_BLOCK = 8192  # rows per block of a large values_with_polar call
+
 
 @dataclass(frozen=True)
 class HarmonicPolynomial:
@@ -72,10 +84,14 @@ class HarmonicPolynomial:
         return 2
 
     def values(self, pts: np.ndarray) -> np.ndarray:
-        z = pts[:, 0] + 1j * pts[:, 1]
+        z = 1j * pts[:, 1]
+        z += pts[:, 0]
         acc = np.zeros_like(z)
         for c in reversed(self.coeffs):
-            acc = acc * z + c
+            # Horner: the product stays out of place, as numpy's in-place
+            # complex product rounds differently on one-element arrays
+            acc = acc * z
+            acc += c
         return acc.real
 
     def __add__(self, other: "HarmonicPolynomial") -> "HarmonicPolynomial":
@@ -107,9 +123,10 @@ class AffineHarmonic:
         # columns summed left to right, not by a BLAS product, so each
         # point's value is the same floats whatever shares its call
         g = self.gradient
-        total = self.constant + pts[:, 0] * g[0]
+        total = pts[:, 0] * g[0]
+        total += self.constant
         for k in range(1, len(g)):
-            total = total + pts[:, k] * g[k]
+            total += pts[:, k] * g[k]
         return total
 
     def __neg__(self) -> "AffineHarmonic":
@@ -148,7 +165,7 @@ def potential_values(measure: BorelMeasure, pts: np.ndarray, d: int) -> np.ndarr
     pts = np.asarray(pts, dtype=float)
     total = np.zeros(pts.shape[0])
     for comp in measure.components:
-        total = total + comp.potential(pts, d)
+        total += comp.potential(pts, d)
     return total
 
 
@@ -176,7 +193,7 @@ class SubharmonicFn:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         out = potential_values(self.riesz, pts, self.dim)
         if self.harmonic is not None:
-            out = out + self.harmonic.values(pts)
+            out += self.harmonic.values(pts)
         return out
 
     def value(self, x) -> float:
@@ -198,14 +215,31 @@ class DeltaSubharmonicFn:
     def dim(self) -> int:
         return self.u.dim
 
+    @cached_property
+    def _jordan(self):
+        """jordan_decomposition(self), computed on first use and then shared."""
+        return _jordan_parts(self)
+
     def values_with_polar(self, pts: np.ndarray):
-        """(U values, polar mask); entries under the mask are meaningless."""
+        """(U values, polar mask); entries under the mask are meaningless.
+        More than _BLOCK points are evaluated _BLOCK rows at a time."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        uv = self.u.values(pts)
+        n = pts.shape[0]
+        if n <= _BLOCK:
+            return self._block_values(pts)
+        vals, polar = np.empty(n), np.empty(n, dtype=bool)
+        for i in range(0, n, _BLOCK):
+            vals[i:i + _BLOCK], polar[i:i + _BLOCK] = self._block_values(pts[i:i + _BLOCK])
+        return vals, polar
+
+    def _block_values(self, pts: np.ndarray):
+        """values_with_polar of at most _BLOCK points."""
+        vals = self.u.values(pts)
         vv = self.v.values(pts)
-        polar = np.isneginf(uv) & np.isneginf(vv)
+        polar = np.isneginf(vals) & np.isneginf(vv)
         with np.errstate(invalid="ignore"):
-            vals = np.where(polar, np.nan, uv - vv)
+            vals -= vv
+        np.copyto(vals, np.nan, where=polar)
         return vals, polar
 
     def values(self, pts: np.ndarray) -> np.ndarray:
@@ -217,8 +251,9 @@ class DeltaSubharmonicFn:
         """U^+ with the polar marker mapped to 0."""
         vals, polar = self.values_with_polar(pts)
         with np.errstate(invalid="ignore"):
-            out = np.where(polar, 0.0, np.maximum(vals, 0.0))
-        return out
+            np.maximum(vals, 0.0, out=vals)
+        np.copyto(vals, 0.0, where=polar)
+        return vals
 
 
 def evaluate(U: DeltaSubharmonicFn, x) -> Optional[float]:
@@ -370,8 +405,13 @@ def jordan_decomposition(U: DeltaSubharmonicFn):
 
     Coincident atoms and identical continuous components cancel by weight;
     continuous components that overlap only partially cannot be decomposed
-    exactly and raise UnsupportedModelError.
+    exactly and raise UnsupportedModelError.  The pair is computed once per
+    U: every later call returns the same two measures.
     """
+    return U._jordan
+
+
+def _jordan_parts(U: DeltaSubharmonicFn):
     net: dict = {}  # the component at unit weight -> its net weight
     for sub, sign in ((U.u, 1.0), (U.v, -1.0)):
         for comp in sub.riesz.components:

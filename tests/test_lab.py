@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from deltasubh import characteristics, lab, measures
+from deltasubh import characteristics, lab, measures, potentials
 
 from deltasubh.characteristics import _sphere_mean
 from deltasubh.geometry import DimensionContext, kernel
@@ -510,6 +510,29 @@ def test_ball_integral_reuses_samples_bit_for_bit():
     assert (got.value, got.error_estimate) == (value, err)
     assert ref_nodes == 2_276_352  # levels 0-6 on three radial panels
     assert got.nodes_used == 1_244_160
+
+
+@pytest.mark.parametrize("d, blocks", [(2, (1, 7)), (3, (7,))])
+def test_ball_integral_does_not_depend_on_the_block_size(monkeypatch, d, blocks):
+    # values_with_polar evaluates _BLOCK rows at a time; a point's U^+ is the
+    # same floats in any block.  U > 0 on the ball, so the rule stops after
+    # two levels: 5,120 nodes in d = 2 and 245,760 in d = 3, where one row
+    # per block would take 20 s
+    if d == 2:
+        U = MeromorphicFn(((1.5 + 0.2j, 1),), ((-1.4 + 0j, 1),), 4.0).to_delta_subharmonic()
+        ball = UniformBall((0.1, 0.0), 0.5, 1.0)
+    else:
+        u = SubharmonicFn(3, AffineHarmonic(0.8, (0.1, -0.05, 0.2)),
+                          BorelMeasure((Atom((1.5, 0.3, -0.2), 0.6),), 3))
+        v = SubharmonicFn(3, None, BorelMeasure((Atom((-1.7, 0.2, 0.5), 0.4),), 3))
+        U, ball = DeltaSubharmonicFn(u, v), UniformBall((0.1, 0.0, 0.0), 0.5, 1.0)
+    want = lab._ball_integral(U, ball, 1e-6)
+    assert want.nodes_used == (5_120 if d == 2 else 245_760)
+    for block in blocks:
+        monkeypatch.setattr(potentials, "_BLOCK", block)
+        got = lab._ball_integral(U, ball, 1e-6)
+        assert (got.value, got.error_estimate, got.nodes_used) == \
+            (want.value, want.error_estimate, want.nodes_used), block
 
 
 # -- the per-point proof checks, kept as the bit-identity reference -----------

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from deltasubh import potentials
 from deltasubh.geometry import DimensionContext, _row_norms, kernel
 from deltasubh.measures import Atom, BorelMeasure, UniformArc, UniformBall, UniformSegment
 from deltasubh.potentials import (
@@ -391,3 +392,46 @@ def test_every_evaluator_is_node_by_node(d):
         if not np.array_equal(together, alone, equal_nan=True):
             differ.append(label)
     assert differ == []
+
+
+def _layout_model(d):
+    """A U whose parts carry every component kind of dimension d and both
+    harmonic kinds (d = 2), and more than _BLOCK points with polar ones (an
+    atom of both parts) and infinite ones (an atom of v alone)."""
+    rng = np.random.default_rng(20 + d)
+    a, b, c, p = (tuple(rng.uniform(-1.0, 1.0, d)) for _ in range(4))
+    u_comps = [Atom(p, 0.7), UniformSegment(a, b, 0.9), UniformBall(c, 0.6, 1.1)]
+    v_comps = [Atom(p, 0.4), Atom(a, 0.5), UniformBall(b, 0.3, 0.8)]
+    if d == 2:
+        u_comps.append(UniformArc(c, 0.8, -0.4, 2.3, 0.5))
+        v_comps.append(UniformArc(a, 0.5, 0.0, 2.0 * math.pi, 0.3))
+        hu, hv = HarmonicPolynomial((0.2, 1 - 0.5j, 0.3 + 0.1j)), AffineHarmonic(0.1, (0.4, -0.7))
+    else:
+        hu, hv = AffineHarmonic(0.3, tuple(rng.uniform(-2.0, 2.0, d))), None
+    U = DeltaSubharmonicFn(SubharmonicFn(d, hu, BorelMeasure(tuple(u_comps), d)),
+                           SubharmonicFn(d, hv, BorelMeasure(tuple(v_comps), d)))
+    pts = rng.uniform(-2.0, 2.0, (potentials._BLOCK + 500, d))
+    pts[::997] = p
+    pts[5::997] = a
+    return U, pts
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_values_with_polar_is_the_same_for_every_layout_and_block(d):
+    # column-major grids, blocked evaluation and in-place kernels are sound
+    # only if a point's value and polar flag do not depend on either
+    U, pts = _layout_model(d)
+    given = {"C": np.ascontiguousarray(pts), "F": np.asfortranarray(pts)}
+    vals, polar = U.values_with_polar(given["C"])
+    # polar at p; at a, u's segment is finite in d = 2 and -inf in d = 3
+    assert polar.sum() == (9 if d == 2 else 18)
+    assert np.isposinf(vals).sum() == (9 if d == 2 else 0)
+    f_vals, f_polar = U.values_with_polar(given["F"])
+    rows = [U.values_with_polar(x) for x in pts]
+    r_vals = np.concatenate([v for v, _ in rows])
+    r_polar = np.concatenate([m for _, m in rows])
+    for other_vals, other_polar in ((f_vals, f_polar), (r_vals, r_polar)):
+        assert np.array_equal(other_vals, vals, equal_nan=True)
+        assert np.array_equal(other_polar, polar)
+    for layout, arr in given.items():
+        assert np.array_equal(arr, pts), layout
