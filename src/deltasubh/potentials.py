@@ -22,7 +22,8 @@ measures module); each point's value depends on that point alone.
 
 Points are (n, d) arrays, row-major or column-major: the grid builders hand
 out column-major ones (np.empty((d, n)).T), so each coordinate is one
-contiguous column, and the kernels work in place on their own temporaries.
+contiguous column; distances are squared in place in one column-major
+temporary (geometry._distances), and sums accumulate in place.
 DeltaSubharmonicFn.values_with_polar evaluates more than _BLOCK points _BLOCK
 rows at a time, so that a block's temporaries stay in cache.  Both are sound
 only because every potential and harmonic part acts node by node: a point's
