@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import DimensionContext, _distances, _kernel_values, _row_norms
+from .geometry import DimensionContext, _distances, _kernel_values
 from .measures import (Atom, BorelMeasure, UniformArc, UniformSegment,
                        integrated_counting_result)
 from .potentials import (
@@ -125,7 +125,7 @@ def _identity_mean(split: _Split, r: float, dim: int, tol: float) -> QuadratureR
     """Mean over |x| = r of a split function: the rest by _sphere_mean, and
     each atom as w k(max(r, |p|)), Gauss's mean value of its kernel term."""
     res = _sphere_mean(split.rest, r, dim, tol)
-    terms = split.weights * _kernel_values(dim, np.maximum(r, _row_norms(split.points)))
+    terms = split.weights * _kernel_values(dim, np.maximum(r, _distances(split.points, 0.0)))
     return res + QuadratureResult(float(np.sum(terms)), _ROUNDING * float(np.sum(np.abs(terms))), 0)
 
 
@@ -154,7 +154,7 @@ class _Circle:
         of at most pi^2 / 6, plus the coordinates' rounding, scale / radius,
         times their slope |ln(D / F)| + 2 at each end, D its distance from p."""
         far = np.maximum(_distances(pts, self.center), self.radius)
-        scale = _row_norms(pts) + math.hypot(*self.center) + self.radius
+        scale = _distances(pts, 0.0) + math.hypot(*self.center) + self.radius
         ends = sum(np.abs(np.log(np.maximum(_distances(pts, self.at(np.array([t]))),
                                             _ROUNDING * scale) / far)) for t in (a, b))
         return (UniformArc(self.center, self.radius, a, b, b - a).potential(pts, d),
@@ -189,7 +189,7 @@ class _Line:
         6 |k| nearest p (d=3): 16 eps (2 + scale (...)) per unit of s."""
         rel = pts - self.start
         length = math.hypot(*self.step)
-        scale = _row_norms(rel) + (abs(a) + abs(b)) * length
+        scale = _distances(rel, 0.0) + (abs(a) + abs(b)) * length
         dist = [_distances(rel, np.multiply.outer(t, self.step))
                 for t in (np.full(len(rel), a), np.full(len(rel), b), self.feet(pts, a, b))]
         size = [np.abs(_kernel_values(d, np.maximum(D, _ROUNDING * scale))) for D in dist]

@@ -144,22 +144,12 @@ def kernel(ctx: DimensionContext, t: ArrayLike) -> ArrayLike:
     return out
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of an (n, d) array: the same floats as
-    np.linalg.norm(v, axis=1), summing the squared columns left to right,
-    without its slow reduction over 2 or 3 columns."""
-    sq = v * v
-    total = sq[:, 0]
-    for k in range(1, sq.shape[1]):
-        total = total + sq[:, k]
-    return np.sqrt(total)
-
-
 def _distances(pts: np.ndarray, p) -> np.ndarray:
-    """|x - p| at each row x of an (n, d) array: the floats of
-    _row_norms(pts - p), from one column-major buffer of pts - p squared in
-    place, so every step runs on contiguous columns whatever the layout of
-    pts."""
+    """|x - p| at each row x of an (n, d) array (p = 0.0 gives the row
+    norms): the same floats as np.linalg.norm(pts - p, axis=1), summing the
+    squared columns left to right without its slow reduction over 2 or 3
+    columns, from one column-major buffer of pts - p squared in place, so
+    every step runs on contiguous columns whatever the layout of pts."""
     v = np.subtract(pts, p, order="F")
     v *= v
     total = v[:, 0]

@@ -94,6 +94,10 @@ ALL_CHECKS = ("UR", "UR2", "UR2f", "UR2fr", "Ux", "U+B", "dBr")
 class Tolerances:
     mean: float = 1e-8   # absolute, circle/sphere means
 
+    def __post_init__(self):
+        if not 0.0 < self.mean < math.inf:  # False for NaN too
+            raise ValueError(f"tolerances.mean must be finite and > 0, got {self.mean!r}")
+
 
 @dataclass(frozen=True)
 class Scenario:

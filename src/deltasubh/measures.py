@@ -37,7 +37,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 from scipy.special import spence
 
-from .geometry import (DimensionContext, _distances, _kernel_values, _row_norms, ext_mul,
+from .geometry import (DimensionContext, _distances, _kernel_values, ext_mul,
                        kernel)
 from .quadrature import _ROUNDING, QuadratureResult, _gl_nodes, integrate_interval
 
@@ -214,11 +214,11 @@ class UniformSegment:
         L = self.length
         ehat = e / L
         w = pts - a
-        u0 = w[:, 0] * ehat[0]  # left to right, as _row_norms: node by node
+        u0 = w[:, 0] * ehat[0]  # left to right, as _distances: node by node
         for k in range(1, w.shape[1]):
             u0 = u0 + w[:, k] * ehat[k]
         perp = w - u0[:, None] * ehat
-        h = _row_norms(perp)
+        h = _distances(perp, 0.0)
         u_lo = -u0
         u_hi = L - u0
 
@@ -233,7 +233,7 @@ class UniformSegment:
             integral = F(u_hi) - F(u_lo)
             return self.weight / L * integral
         # d == 3: antiderivative of -1/sqrt(u^2+h^2); -inf on the segment up to rounding
-        near = _ROUNDING * (_row_norms(pts) + float(np.linalg.norm(a)) + L)
+        near = _ROUNDING * (_distances(pts, 0.0) + float(np.linalg.norm(a)) + L)
         on_axis = h <= near
         inside = on_axis & (u_lo <= near) & (u_hi >= -near)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -386,7 +386,7 @@ class UniformArc:
         if d != 2:
             raise UnsupportedModelError("arc charges are d=2 only")
         c = np.asarray(self.center)
-        q = _row_norms(pts - c)
+        q = _distances(pts, c)
         log_far = np.log(np.maximum(q, self.radius))
         if abs(self.width - TWO_PI) <= 1e-12:
             return self.weight * log_far

@@ -20,12 +20,12 @@ which return one result per row: each row doubles until it is stable, and
 keeps its value, estimate and nodes from the level where it stopped.
 
 integrate_interval (through _integrate_pieces, whose pieces carry their own
-tolerances) runs the adaptive rules of all its pieces in lockstep, as
-generators that ask for panels and are sent their sums: one call of f per
-round evaluates every panel any of them asks for.  Nothing is evaluated
-ahead of a stop rule, and sums are formed in the order of one panel per
-call and one piece after another, so the results equal that order's bit
-for bit when f acts node by node.  Values of +-inf at a node mean the node
+tolerances) refines all its pieces together, breadth-first over flat
+per-panel lists that name each panel's piece: one call of f per level
+evaluates the halves of every open panel.  Nothing is evaluated ahead of a
+stop rule, and sums are formed in the order of one panel per call and one
+piece after another, so the results equal that order's bit for bit when f
+acts node by node.  Values of +-inf at a node mean the node
 landed exactly on a polar point; the engine nudges such nodes by an
 ulp-scale offset and logs the event, per the polar set policy (any finite
 node set may be safely adjusted).
@@ -155,115 +155,80 @@ class _Budget:
             )
 
 
-def _adaptive(a, b, tol, scale, budget: _Budget):
-    """Adaptive GL15 bisection on a panel where f is smooth.
+def _integrate_pieces(f, pieces, scale: float) -> QuadratureResult:
+    """Sum of the integrals of f over the pieces (a, b, tol), each smooth for
+    f and integrated to its own tol by adaptive GL15 bisection; a piece no
+    wider than 1e-14 scale is dropped, as the resolution floor would drop it.
 
-    A generator: it yields the panels (lo, hi) of each refinement level, is
-    sent back their GL15 sums, and returns (value, error); _lockstep
-    evaluates them.  Breadth-first: one round asks for the half-panels of
-    every panel still open at a level.  A panel's coarse rule is its parent's
-    half-panel sum, and values and errors are summed bottom-up in the order
-    of the depth-first recursion, so the result is that recursion's bit for
-    bit, with a third fewer nodes.  A panel still above its tolerance at
-    width 1e-14 scale or depth 48 raises QuadratureBudgetError: f is not
-    integrable there, or not smooth enough to integrate."""
-    mid = 0.5 * (a + b)
-    coarse, left, right = yield np.array([a, a, mid]), np.array([b, mid, b])
-    # panel k spans [lo[k], hi[k]]; halves are numbered after their parent
-    lo, hi, coarse_of, tol_of = [a], [b], [coarse], [tol]
-    halves = {0: (left, right)}
-    value, error, split = {}, {}, {}
-    done = 0.0  # the accepted panels' sum, reported as the partial at the floor
-    level = [0]
-    depth = 0
+    Breadth-first over flat per-panel lists: the first level evaluates every
+    piece's coarse rule and both halves, each later level the halves of
+    every open panel, in one _gl_panels call (15 nodes a panel off the
+    budget).  A panel's coarse rule is its parent's half-panel sum, and
+    values and errors are summed bottom-up in reverse split order, then over
+    the pieces in order, so the result is the depth-first recursion's run
+    piece after piece, bit for bit, with a third fewer nodes.  A panel still
+    above its tolerance at width 1e-14 scale or depth 48 raises
+    QuadratureBudgetError: f is not integrable there, or not smooth enough
+    to integrate.  The pieces after a failing one stop, the ones before it
+    run to the end, and the first failing piece's error is raised."""
+    pieces = [p for p in pieces if p[1] - p[0] > 1e-14 * scale]
+    if not pieces:
+        return QuadratureResult(0.0, 0.0, 0)
+    budget = _Budget()
+    # panel k spans [lo[k], hi[k]] of piece owner[k]; halves are numbered after their parent
+    lo, hi, tol = (list(col) for col in zip(*pieces))
+    owner = list(range(len(pieces)))
+    coarse, value, error, split = [], {}, {}, {}
+    done = [0.0] * len(pieces)  # each piece's accepted sum, its partial at the floor
+    failed = None
+    level, depth = list(owner), 0
     while level:
-        if depth:
-            a_ = np.array([lo[k] for k in level])
-            b_ = np.array([hi[k] for k in level])
-            m_ = 0.5 * (a_ + b_)
-            sums = yield np.concatenate([a_, m_]), np.concatenate([m_, b_])
-            halves = {k: (sums[i], sums[i + len(level)]) for i, k in enumerate(level)}
+        a_ = np.array([lo[k] for k in level])
+        b_ = np.array([hi[k] for k in level])
+        m_ = 0.5 * (a_ + b_)
+        starts, stops = [a_, m_], [m_, b_]
+        if not depth:  # the pieces' coarse rules too
+            starts, stops = [a_] + starts, [b_] + stops
+        budget.spend(15 * len(level) * len(starts))
+        sums = _gl_panels(f, np.concatenate(starts), np.concatenate(stops), scale)
+        if not depth:
+            coarse, sums = sums[:len(level)], sums[len(level):]
         nxt = []
-        for k in level:
-            left, right = halves[k]
+        for i, k in enumerate(level):
+            left, right = sums[i], sums[i + len(level)]
             fine = left + right
-            err = abs(fine - coarse_of[k])
-            if err <= tol_of[k]:
+            err = abs(fine - coarse[k])
+            if err <= tol[k]:
                 budget.acc += fine
-                done += fine
+                done[owner[k]] += fine
                 value[k], error[k] = fine, err
                 continue
             if (hi[k] - lo[k]) <= 1e-14 * scale or depth >= 48:
-                raise QuadratureBudgetError(
+                failed = QuadratureBudgetError(
                     f"panel [{lo[k]!r}, {hi[k]!r}] at the resolution floor still "
-                    f"changes by {err:.3g} > {tol_of[k]:.3g}",
-                    QuadratureResult(done + fine, math.inf, budget.nodes))
+                    f"changes by {err:.3g} > {tol[k]:.3g}",
+                    QuadratureResult(done[owner[k]] + fine, math.inf, budget.nodes))
+                nxt = [j for j in nxt if owner[j] < owner[k]]
+                break
             mid = 0.5 * (lo[k] + hi[k])
             split[k] = (len(lo), len(lo) + 1)
             lo += [lo[k], mid]
             hi += [mid, hi[k]]
-            coarse_of += [left, right]
-            tol_of += [0.5 * tol_of[k]] * 2
+            tol += [0.5 * tol[k]] * 2
+            owner += [owner[k]] * 2
+            coarse += [left, right]
             nxt += split[k]
         level = nxt
         depth += 1
+    if failed is not None:
+        raise failed
     for k in sorted(split, reverse=True):
         l, r = split[k]
         value[k], error[k] = value[l] + value[r], error[l] + error[r]
-    return value[0], error[0]
-
-
-def _lockstep(f, gens: list, scale: float, budget: _Budget) -> list:
-    """Run the _adaptive generators gens together: each round
-    evaluates the panels of every open one in one _gl_panels call (15 nodes a
-    panel off the budget).  Returns their (value, error) results in order.
-
-    A generator that raises drops the ones after it; the ones before it run
-    to the end, and the error of the first failing one is raised, as when
-    they run one after another."""
-    results = [None] * len(gens)
-    asks: dict = {}  # open generator -> the panels (lo, hi) it asks for
-    failed = None    # (index, error) of the first generator that raised
-
-    def send(i, sums):
-        nonlocal failed
-        asks.pop(i, None)
-        try:
-            asks[i] = gens[i].send(sums)
-        except StopIteration as stop:
-            results[i] = stop.value
-        except QuadratureBudgetError as exc:
-            failed = (i, exc)
-            for j in [j for j in asks if j > i]:
-                del asks[j]
-
-    for i, gen in enumerate(gens):
-        asks[i] = next(gen)  # the first panels; no generator raises before them
-    while asks:
-        order = sorted(asks)
-        lo = np.concatenate([asks[i][0] for i in order])
-        hi = np.concatenate([asks[i][1] for i in order])
-        budget.spend(15 * lo.size)
-        sums = _gl_panels(f, lo, hi, scale)
-        ends = np.cumsum([asks[i][0].size for i in order]).tolist()
-        for i, start, end in zip(order, [0] + ends, ends):
-            if i in asks:  # not dropped by an earlier failure this round
-                send(i, sums[start:end])
-    if failed is not None:
-        raise failed[1]
-    return results
-
-
-def _integrate_pieces(f, pieces, scale: float) -> QuadratureResult:
-    """Sum of the integrals of f over the pieces (a, b, tol), each smooth for
-    f and integrated to its own tol, all in one _lockstep; a piece no wider
-    than 1e-14 scale is dropped, as the resolution floor would drop it."""
-    budget = _Budget()
-    gens = [_adaptive(a, b, tol, scale, budget) for a, b, tol in pieces if b - a > 1e-14 * scale]
     total = err = 0.0
-    for v, e in _lockstep(f, gens, scale, budget):  # summed in piece order
-        total += v
-        err += e
+    for k in range(len(pieces)):
+        total += value[k]
+        err += error[k]
     return QuadratureResult(total, max(err, _ROUNDING * abs(total)), budget.nodes)
 
 

@@ -228,7 +228,7 @@ def parse_scenario(data: Union[bytes, str, dict]) -> Scenario:
     try:
         tolerances = Tolerances(mean=float(tol_obj.get("mean", Tolerances.mean)))
     except (TypeError, ValueError):
-        _fail("TOLERANCES", f"tolerances.mean must be a number, got {tol_obj!r}")
+        _fail("TOLERANCES", f"tolerances.mean must be a finite number > 0, got {tol_obj!r}")
     return Scenario(
         scenario_id=str(obj.get("scenario_id", "scenario")),
         ctx=DimensionContext(dim),

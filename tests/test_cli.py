@@ -153,6 +153,8 @@ def test_verify_radii_order_exit_two(tmp_path):
     (lambda obj: dict(obj, measure={"components": [5]}), "MEASURE_SPEC"),
     (lambda obj: dict(obj, function="x"), "FUNCTION_SPEC"),
     (lambda obj: dict(obj, tolerances=5), "TOLERANCES"),
+    *(pytest.param(lambda obj, m=m: dict(obj, tolerances={"mean": m}), "TOLERANCES",
+                   id=f"mean={m}") for m in (-1, 0, math.nan, math.inf)),  # json's NaN, Infinity
     (lambda obj: dict(obj, function={"type": "delta_subharmonic",
                                      "u": {"charge": 5}, "v": {}}), "FUNCTION_SPEC"),
     (lambda obj: dict(obj, function={"type": "delta_subharmonic",
@@ -501,6 +503,12 @@ def test_unpinned_paths_and_tolerance_flags_stdout_is_pinned(tmp_path, capsys):
     assert got["C+ pin-2d mean"] != got["C+ pin-2d"]
     assert got["corpus tols"] != got["corpus"]
     assert got == PINNED_RUN_STDOUT
+
+
+def test_corpus_rejects_a_negative_mean_tolerance(capsys):
+    # an unusable tolerance is an input error, not a run to the node budget
+    assert main(["corpus", "--seed", "3", "--count", "1", "--tol-mean", "-1"]) == 2
+    assert "tolerances.mean must be finite and > 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flag", [

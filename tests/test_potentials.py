@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from deltasubh import potentials
-from deltasubh.geometry import DimensionContext, _row_norms, kernel
+from deltasubh.geometry import DimensionContext, _distances, kernel
 from deltasubh.measures import Atom, BorelMeasure, UniformArc, UniformBall, UniformSegment
 from deltasubh.potentials import (
     AffineHarmonic,
@@ -315,7 +315,7 @@ def test_row_norms_equal_linalg_norm_bit_for_bit(d):
     p = rng.uniform(-1.0, 1.0, d)
     pts = rng.uniform(-3.0, 3.0, (4096, d)) * 10.0 ** rng.integers(-4, 4, (4096, 1))
     pts[17] = p  # a point sitting on the atom
-    dist = _row_norms(pts - p)
+    dist = _distances(pts, p)
     assert np.array_equal(dist, np.linalg.norm(pts - p, axis=1))
     assert dist[17] == 0.0
     # the atom potential skips kernel's domain check but keeps its floats

@@ -504,6 +504,17 @@ def test_nudge_inside_a_batch_equals_depth_first(caplog):
     _assert_one_nudge(caplog)
 
 
+@pytest.mark.parametrize("pieces", [
+    [],                                                # a sign class with no pieces
+    [(0.0, 1e-15, 1e-8), (0.5, 0.5 + 5e-15, 1e-8)],  # all under the width floor
+])
+def test_no_pieces_to_integrate_call_no_integrand(pieces):
+    def f(t):
+        raise AssertionError("f called")
+
+    assert quadrature._integrate_pieces(f, pieces, 1.0) == quadrature.QuadratureResult(0.0, 0.0, 0)
+
+
 def test_first_failing_segment_in_order_raises():
     # -1/t on [-1, 0] reaches the width floor after 47 halvings; 1/t^2 on the
     # piece [0, 1e-6] after 27, as its floor is relative to all of [-1, 1].
