@@ -449,6 +449,13 @@ PIN_ARC = {
          "weight": 1.0}]},
     "radii": {"r": 1.5, "R": 3.5},
 }
+# PIN_2D's function integrated over a segment, a partial arc and a ball: no
+# atom in mu, so its UR row computes the U+ mu-integral of continuous charges
+# along the segment and the arc
+PIN_MIXED = dict(PIN_2D, scenario_id="pin-mixed", measure={"components": [
+    {"type": "segment", "endpoints": [[-1.0, -0.5], [0.7, 1.2]], "weight": 0.8},
+    {"type": "arc", "center": [0.2, 0.1], "radius": 0.7, "angles": [0.4, 2.9], "weight": 0.5},
+    {"type": "ball", "center": [-0.4, 0.9], "radius": 0.3, "weight": 0.6}]})
 # md5 of stdout per command line ({pin-3d}, {pin-arc}, ...: the scenario files).
 # These reach what neither the corpus nor the pins above do: the 3-d
 # Poisson-Jensen boundary mean and reflected potentials; the closed-form
@@ -473,6 +480,7 @@ PINNED_RUNS = {
     "corpus": "corpus --seed 3 --count 11",
     "corpus tols": "corpus --seed 3 --count 11 --tol-mean 1e-6",
     "verify pin-arc default": "verify {pin-arc}",
+    "verify pin-mixed": "verify {pin-mixed} --checks UR,UR2",
 }
 PINNED_RUN_STDOUT = {
     "verify pin-3d": "982db8a1e08f34d3be7f7243a683fd16",
@@ -486,12 +494,13 @@ PINNED_RUN_STDOUT = {
     "corpus": "3875c0f6733e29f033d991c647f8a775",
     "corpus tols": "a677712ce414a8f304c039d024ec8b4a",
     "verify pin-arc default": "213e6dfc9b2bb8ef1dba5409e9014251",
+    "verify pin-mixed": "123d5b28ef0a0cd869db220d94e234f6",
 }
 
 
 def test_unpinned_paths_and_tolerance_flags_stdout_is_pinned(tmp_path, capsys):
     paths = {}
-    for obj in (PIN_2D, PIN_DISK_UNION, PIN_3D, PIN_ARC):
+    for obj in (PIN_2D, PIN_DISK_UNION, PIN_3D, PIN_ARC, PIN_MIXED):
         paths[obj["scenario_id"]] = tmp_path / f"{obj['scenario_id']}.json"
         paths[obj["scenario_id"]].write_text(json.dumps(obj))
     got = {}
