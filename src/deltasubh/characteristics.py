@@ -17,12 +17,14 @@ of ln^+|f|, N(R,f) - N(r,f) = N_{charge^-}(r,R), and
 T(R,f) - N(r,f) = T_{log|f|}(r,R).
 
 Every charge atom's kernel term is taken in closed form (_split), so
-quadrature sees only the rest.  Along a path (here and in lab),
-_integral_by_sign integrates the rest over the pieces where the sign of U is
-constant, ended at Illinois roots (_sign_changes) so a kink of U^+ is a panel
-edge, in one lockstep per sign, and adds each atom's potential of the piece;
-a mean over a sphere (_identity_mean) takes each atom by Gauss's mean value
-theorem.  The remaining means are _sphere_mean.
+quadrature sees only the rest.  Along a path -- a segment or arc component
+of a measure (lab), or the circle |x| = r as a full arc (_circle) -- whose
+span, at, feet and kernel_integrals it reads, _integral_by_sign integrates
+the rest over the pieces where the sign of U is constant, ended at Illinois
+roots (_sign_changes) so a kink of U^+ is a panel edge, in one
+_integrate_pieces call per sign, and adds each atom's potential of the
+piece; a mean over a sphere (_identity_mean) takes each atom by Gauss's mean
+value theorem.  The remaining means are _sphere_mean.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .geometry import DimensionContext, _distances, _kernel_values
-from .measures import (Atom, BorelMeasure, UniformArc, UniformSegment,
-                       integrated_counting_result)
+from .measures import Atom, BorelMeasure, UniformArc, integrated_counting_result
 from .potentials import (
     DeltaSubharmonicFn,
     MeromorphicFn,
@@ -76,11 +77,17 @@ def _sphere_points(r: float, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return pts
 
 
+def _circle(r: float) -> UniformArc:
+    """The circle |x| = r as a path: the full arc of mass 2 pi."""
+    return UniformArc((0.0, 0.0), r, 0.0, TWO_PI, TWO_PI)
+
+
 def _on_sphere(values, r: float, dim: int):
     """The angle integrand of a points -> values function on the sphere
     |x| = r: g(theta) on the circle for d=2, g(theta, phi) for d=3."""
     if dim == 2:
-        return lambda theta: values(_Circle((0.0, 0.0), r).at(theta))
+        circle = _circle(r)
+        return lambda theta: values(circle.at(theta))
     if dim == 3:
         return lambda theta, phi: values(_sphere_points(r, theta, phi))
     raise ValueError(f"sphere quadrature supports d in (2, 3), got {dim}")
@@ -129,75 +136,6 @@ def _identity_mean(split: _Split, r: float, dim: int, tol: float) -> QuadratureR
     return res + QuadratureResult(float(np.sum(terms)), _ROUNDING * float(np.sum(np.abs(terms))), 0)
 
 
-@dataclass(frozen=True)
-class _Circle:
-    """The path x(t) = center + radius (cos t, sin t)."""
-
-    center: tuple
-    radius: float
-
-    def at(self, t):
-        (cx, cy), r, pts = self.center, self.radius, np.empty((2, np.size(t))).T
-        pts[:, 0], pts[:, 1] = cx + r * np.cos(t), cy + r * np.sin(t)
-        return pts
-
-    def feet(self, pts, lo: float, hi: float):
-        """The angles in [lo, hi] of the points about the center."""
-        c = self.center
-        ang = lo + np.mod(np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0]) - lo, TWO_PI)
-        return ang[ang <= hi]
-
-    def kernel_integrals(self, a: float, b: float, pts, d: int):
-        """integral_a^b k(|x(t) - p|) dt at each row p of pts, the potential at p
-        of the arc [a, b] of mass b - a, and its rounding: 16 eps times what it
-        subtracts, (b - a) ln F (F = max(|p - c|, radius)) and two dilogarithms
-        of at most pi^2 / 6, plus the coordinates' rounding, scale / radius,
-        times their slope |ln(D / F)| + 2 at each end, D its distance from p."""
-        far = np.maximum(_distances(pts, self.center), self.radius)
-        scale = _distances(pts, 0.0) + math.hypot(*self.center) + self.radius
-        ends = sum(np.abs(np.log(np.maximum(_distances(pts, self.at(np.array([t]))),
-                                            _ROUNDING * scale) / far)) for t in (a, b))
-        return (UniformArc(self.center, self.radius, a, b, b - a).potential(pts, d),
-                _ROUNDING * ((b - a) * np.abs(np.log(far)) + 4.0
-                             + scale / self.radius * (ends + 4.0)))
-
-
-@dataclass(frozen=True)
-class _Line:
-    """The path x(s) = start + s step (arrays)."""
-
-    start: np.ndarray
-    step: np.ndarray
-
-    def at(self, s):
-        pts = np.empty((self.step.size, np.size(s))).T
-        for k in range(self.step.size):
-            pts[:, k] = self.start[k] + s * self.step[k]
-        return pts
-
-    def feet(self, pts, lo: float, hi: float):
-        """The parameters of the points' projections, clipped to [lo, hi]."""
-        return np.clip((pts - self.start) @ self.step / (self.step @ self.step), lo, hi)
-
-    def kernel_integrals(self, a: float, b: float, pts, d: int):
-        """integral_a^b k(|x(s) - p|) ds at each row p of pts, the potential at p
-        of the segment [a, b] of mass b - a in the frame of start, and its
-        rounding.  It subtracts antiderivatives of |u| (|ln D| + 2) (d=2) or
-        |asinh(u / h)| + 1 (d=3) at the ends (u the offset from p's foot, D
-        the distance from p, h from the line), and the coordinates' rounding,
-        eps scale, moves it by that times |k(D)| at both ends plus pi (d=2) or
-        6 |k| nearest p (d=3): 16 eps (2 + scale (...)) per unit of s."""
-        rel = pts - self.start
-        length = math.hypot(*self.step)
-        scale = _distances(rel, 0.0) + (abs(a) + abs(b)) * length
-        dist = [_distances(rel, np.multiply.outer(t, self.step))
-                for t in (np.full(len(rel), a), np.full(len(rel), b), self.feet(pts, a, b))]
-        size = [np.abs(_kernel_values(d, np.maximum(D, _ROUNDING * scale))) for D in dist]
-        values = UniformSegment(tuple(a * self.step), tuple(b * self.step), b - a).potential(rel, d)
-        inner = 8.0 if d == 2 else 6.0 * size[2]
-        return values, _ROUNDING * (2.0 + scale * (size[0] + size[1] + inner)) / length
-
-
 def _sign_changes(evaluator, x, fx) -> list:
     """Where the class evaluator > 0 (which 0, NaN and -inf are all outside)
     flips between scan nodes x[i] < x[i + 1] of values fx: the midpoints of
@@ -226,9 +164,10 @@ def _sign_changes(evaluator, x, fx) -> list:
     return (0.5 * (lo + hi)).tolist()
 
 
-def _integral_by_sign(signed, pos: _Split, path, lo: float, hi: float, tol: float,
+def _integral_by_sign(signed, pos: _Split, path, tol: float,
                       neg: Optional[_Split] = None) -> QuadratureResult:
-    """Integral over [lo, hi] along path of pos where signed > 0 and of neg
+    """Integral over [lo, hi] = path.span along path (a segment or arc
+    component, or _circle) of pos where signed > 0 and of neg
     (0 if None) elsewhere, to the absolute tolerance tol; all three act on
     points.  Pieces end at the class flips _sign_changes finds on a closed
     2048-cell grid plus the feet of all atoms of pos and neg, so a window of
@@ -239,6 +178,7 @@ def _integral_by_sign(signed, pos: _Split, path, lo: float, hi: float, tol: floa
     [a, b] in closed form (path.kernel_integrals), whose rounding bound joins
     the estimate.  So quadrature sees only integrands smooth between piece
     ends."""
+    lo, hi = path.span
     feet = np.concatenate([path.feet(sp.points, lo, hi) for sp in (pos, neg) if sp is not None])
     x = np.union1d(lo + (hi - lo) * np.arange(2049) / 2048, feet)
     fx = np.asarray(signed(path.at(x)), dtype=float)
@@ -265,7 +205,7 @@ def _integral_by_sign(signed, pos: _Split, path, lo: float, hi: float, tol: floa
 def _circle_by_sign(signed, pos: _Split, r: float, tol: float,
                     neg: Optional[_Split] = None) -> QuadratureResult:
     """Mean over |x| = r of the integrand of _integral_by_sign."""
-    res = _integral_by_sign(signed, pos, _Circle((0.0, 0.0), r), 0.0, TWO_PI, tol * TWO_PI, neg)
+    res = _integral_by_sign(signed, pos, _circle(r), tol * TWO_PI, neg)
     return res.scaled(1.0 / TWO_PI)
 
 

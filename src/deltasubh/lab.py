@@ -34,9 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .characteristics import (
-    _Circle,
     _integral_by_sign,
-    _Line,
     _sphere_means,
     _split,
     nevanlinna_N,
@@ -240,26 +238,20 @@ def _ball_integral(U, comp: UniformBall, tol: float) -> QuadratureResult:
 def positive_part_integral(U: DeltaSubharmonicFn, mu: BorelMeasure,
                            tol: float = 1e-8) -> QuadratureResult:
     """integral of U^+ d mu: exact weighted point values on atoms, U over
-    its positive pieces along segments/arcs (_integral_by_sign), nested
-    product quadrature over balls."""
+    its positive pieces along segments and arcs, each its own path
+    (_integral_by_sign), nested product quadrature over balls."""
     total = QuadratureResult(0.0, 0.0, 0)
     for comp in mu.components:
         if isinstance(comp, Atom):
             total.value += comp.weight * positive_part(U, comp.point)
             total.nodes_used += 1
-        elif isinstance(comp, (UniformSegment, UniformArc)):
-            if isinstance(comp, UniformSegment):
-                a = np.asarray(comp.start)
-                path, lo, hi = _Line(a, np.asarray(comp.end) - a), 0.0, 1.0
-            else:
-                path, lo, hi = _Circle(comp.center, comp.radius), comp.angle_start, comp.angle_end
-            density = comp.weight / (hi - lo)
-            total = total + _integral_by_sign(U.values, _split(U), path, lo, hi,
-                                              tol / max(density, 1e-300)).scaled(density)
         elif isinstance(comp, UniformBall):
             total = total + _ball_integral(U, comp, tol)
         else:
-            raise ValueError(f"unknown measure component {type(comp).__name__}")
+            lo, hi = comp.span
+            density = comp.weight / (hi - lo)
+            total = total + _integral_by_sign(U.values, _split(U), comp,
+                                              tol / max(density, 1e-300)).scaled(density)
     return total
 
 

@@ -24,14 +24,18 @@ the kind: ball_mass (at one center or an (n, d) array of centers),
 breakpoint_radii, h_single, dini_single (closed-form
 integral_0^upper h_single(t) / t^{d-1} dt), outer_radius, translate,
 potential (closed-form kernel potential, per point) and distance_to
-(generator rejection).
+(generator rejection).  The 1-d carriers, segments and arcs, are paths for
+the by-sign integral of characteristics as well: span (the parameter
+interval, [0, 1] or the arc's angles), at (points at parameters), feet (the
+parameters of points' nearest points, within [lo, hi]) and kernel_integrals
+(integral_a^b k(|x(t) - p|) dt in closed form, with its rounding bound).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -180,16 +184,7 @@ class UniformSegment:
         return _float_or_array(out)
 
     def breakpoint_radii(self, y: Point) -> list:
-        a = np.asarray(self.start)
-        e = np.asarray(self.end) - a
-        w = np.asarray(y, dtype=float) - a
-        s_star = min(1.0, max(0.0, float(np.dot(e, w) / np.dot(e, e))))
-        closest = a + s_star * e
-        return [
-            float(np.linalg.norm(np.asarray(y, dtype=float) - closest)),
-            _dist(self.start, y),
-            _dist(self.end, y),
-        ]
+        return [self.distance_to(y), _dist(self.start, y), _dist(self.end, y)]
 
     def outer_radius(self) -> float:
         return max(math.hypot(*self.start), math.hypot(*self.end))
@@ -247,11 +242,45 @@ class UniformSegment:
         integral = np.where(inside, -np.inf, integral)
         return self.weight / L * integral
 
-    def distance_to(self, p: np.ndarray) -> float:
-        a = np.asarray(self.start)
-        e = np.asarray(self.end) - a
-        s = float(np.clip((p - a) @ e / (e @ e), 0.0, 1.0))
-        return float(np.linalg.norm(a + s * e - p))
+    def distance_to(self, p) -> float:
+        p = np.asarray(p, dtype=float)
+        return float(np.linalg.norm(self.at(self.feet(p[None, :], *self.span))[0] - p))
+
+    @property
+    def span(self) -> tuple:
+        return 0.0, 1.0
+
+    def at(self, s):
+        """The points x(s) = start + s (end - start), column-major (n, d)."""
+        step = np.subtract(self.end, self.start)
+        pts = np.empty((step.size, np.size(s))).T
+        for k in range(step.size):
+            pts[:, k] = self.start[k] + s * step[k]
+        return pts
+
+    def feet(self, pts, lo: float, hi: float):
+        """The parameters of the points' projections, clipped to [lo, hi]."""
+        step = np.subtract(self.end, self.start)
+        return np.clip((pts - self.start) @ step / (step @ step), lo, hi)
+
+    def kernel_integrals(self, a: float, b: float, pts, d: int):
+        """integral_a^b k(|x(s) - p|) ds at each row p of pts, the potential at p
+        of the segment [a, b] of mass b - a in the frame of start, and its
+        rounding.  It subtracts antiderivatives of |u| (|ln D| + 2) (d=2) or
+        |asinh(u / h)| + 1 (d=3) at the ends (u the offset from p's foot, D
+        the distance from p, h from the line), and the coordinates' rounding,
+        eps scale, moves it by that times |k(D)| at both ends plus pi (d=2) or
+        6 |k| nearest p (d=3): 16 eps (2 + scale (...)) per unit of s."""
+        rel = pts - self.start
+        step = np.subtract(self.end, self.start)
+        length = math.hypot(*step)
+        scale = _distances(rel, 0.0) + (abs(a) + abs(b)) * length
+        dist = [_distances(rel, np.multiply.outer(t, step))
+                for t in (np.full(len(rel), a), np.full(len(rel), b), self.feet(pts, a, b))]
+        size = [np.abs(_kernel_values(d, np.maximum(D, _ROUNDING * scale))) for D in dist]
+        values = UniformSegment(tuple(a * step), tuple(b * step), b - a).potential(rel, d)
+        inner = 8.0 if d == 2 else 6.0 * size[2]
+        return values, _ROUNDING * (2.0 + scale * (size[0] + size[1] + inner)) / length
 
     def translate(self, v) -> "UniformSegment":
         return UniformSegment(
@@ -298,10 +327,6 @@ class UniformArc:
     def width(self) -> float:
         return self.angle_end - self.angle_start
 
-    def point_at(self, theta):
-        cx, cy = self.center
-        return cx + self.radius * np.cos(theta), cy + self.radius * np.sin(theta)
-
     def ball_mass(self, y, t):
         y = np.asarray(y, dtype=float)
         q = _dist(self.center, y)
@@ -330,8 +355,8 @@ class UniformArc:
     def breakpoint_radii(self, y: Point) -> list:
         q = _dist(self.center, y)
         radii = [abs(q - self.radius), q + self.radius]
-        for ang in (self.angle_start, self.angle_end):
-            px, py = self.point_at(ang)
+        for ang in self.span:
+            px, py = self.at(ang)[0]
             radii.append(math.hypot(px - y[0], py - y[1]))
         return radii
 
@@ -343,8 +368,8 @@ class UniformArc:
         far = math.atan2(self.center[1], self.center[0])  # direction away from 0
         if self._angle_in_support(far):
             candidates.append(q + self.radius)
-        for ang in (self.angle_start, self.angle_end):
-            px, py = self.point_at(ang)
+        for ang in self.span:
+            px, py = self.at(ang)[0]
             candidates.append(math.hypot(px, py))
         return max(candidates)
 
@@ -404,6 +429,37 @@ class UniformArc:
         value, so it stays the circle distance."""
         q = float(np.linalg.norm(p - np.asarray(self.center)))
         return abs(q - self.radius)
+
+    @property
+    def span(self) -> tuple:
+        return self.angle_start, self.angle_end
+
+    def at(self, t):
+        """The points x(t) = center + radius (cos t, sin t), column-major (n, 2)."""
+        (cx, cy), r, pts = self.center, self.radius, np.empty((2, np.size(t))).T
+        pts[:, 0], pts[:, 1] = cx + r * np.cos(t), cy + r * np.sin(t)
+        return pts
+
+    def feet(self, pts, lo: float, hi: float):
+        """The angles in [lo, hi] of the points about the center."""
+        c = self.center
+        ang = lo + np.mod(np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0]) - lo, TWO_PI)
+        return ang[ang <= hi]
+
+    def kernel_integrals(self, a: float, b: float, pts, d: int):
+        """integral_a^b k(|x(t) - p|) dt at each row p of pts, the potential at p
+        of the arc [a, b] of mass b - a, and its rounding: 16 eps times what it
+        subtracts, (b - a) ln F (F = max(|p - c|, radius)) and two dilogarithms
+        of at most pi^2 / 6, plus the coordinates' rounding, scale / radius,
+        times their slope |ln(D / F)| + 2 at each end, D its distance from p."""
+        far = np.maximum(_distances(pts, self.center), self.radius)
+        scale = _distances(pts, 0.0) + math.hypot(*self.center) + self.radius
+        ends = sum(np.abs(np.log(np.maximum(_distances(pts, self.at(np.array([t]))),
+                                            _ROUNDING * scale) / far)) for t in (a, b))
+        piece = replace(self, angle_start=a, angle_end=b, weight=b - a)
+        return (piece.potential(pts, d),
+                _ROUNDING * ((b - a) * np.abs(np.log(far)) + 4.0
+                             + scale / self.radius * (ends + 4.0)))
 
     def translate(self, v) -> "UniformArc":
         return UniformArc(

@@ -32,8 +32,6 @@ import numpy as np
 import pytest
 
 from deltasubh.characteristics import (
-    _Circle,
-    _Line,
     _sign_changes,
     difference_characteristic,
     difference_characteristic_canonical,
@@ -282,13 +280,14 @@ def test_counting_function_of_continuous_charges():
 def _mp_kernel_integral(path, a, b, p, d):
     """integral_a^b k(|x(t) - p|) dt along path, split at p's foot."""
     with mp.workdps(30):
-        if isinstance(path, _Circle):
+        if isinstance(path, UniformArc):
             c, rho = [mp.mpf(x) for x in path.center], mp.mpf(path.radius)
             x = lambda t: [c[0] + rho * mp.cos(t), c[1] + rho * mp.sin(t)]
             foot = mp.atan2(mp.mpf(p[1]) - c[1], mp.mpf(p[0]) - c[0])
             feet = [foot + 2 * mp.pi * j for j in range(-2, 3)]
         else:
-            s0, st = [mp.mpf(v) for v in path.start], [mp.mpf(v) for v in path.step]
+            s0 = [mp.mpf(v) for v in path.start]
+            st = [mp.mpf(e) - v for e, v in zip(path.end, s0)]
             x = lambda t: [s0[i] + t * st[i] for i in range(d)]
             feet = [mp.fsum((mp.mpf(p[i]) - s0[i]) * st[i] for i in range(d))
                     / mp.fsum(v * v for v in st)]
@@ -307,8 +306,9 @@ def test_closed_form_kernel_integrals_within_their_rounding_bound():
     for step, a, length, along, normal in [((1.0, 0.5), 0.4, 1e-6, 700.0, 1e-3),
                                            ((0.3, 2.0), 0.2, 1e-4, -900.0, 0.5),
                                            ((1.0, 0.5), 0.4, 1e-3, 300.0, 2.0)]:
-        path = _Line(np.array([3.0, -2.0]), np.array(step))
-        p = path.start + along * path.step + normal * np.array([-step[1], step[0]])
+        path = UniformSegment((3.0, -2.0), (3.0 + step[0], -2.0 + step[1]), 1.0)
+        p = (np.array(path.start) + along * np.subtract(path.end, path.start)
+             + normal * np.array([-step[1], step[0]]))
         values, bound = path.kernel_integrals(a, a + length, p[None, :], 2)
         _assert_within(float(values[0]), float(bound[0]),
                        _mp_kernel_integral(path, a, a + length, p, 2))
@@ -320,21 +320,23 @@ def test_closed_form_kernel_integrals_within_their_rounding_bound():
         kind = rng.choice(["arc", 2, 3])
         if kind == "arc":
             d = 2
-            path = _Circle((rng.uniform(-2, 2), rng.uniform(-2, 2)), rng.uniform(0.1, 3))
+            center, radius = (rng.uniform(-2, 2), rng.uniform(-2, 2)), rng.uniform(0.1, 3)
             a = rng.uniform(-3, 3)
             b = a + rng.choice([1e-9, 1e-5, 1e-2, 0.5, 3.0, 2 * math.pi])
+            path = UniformArc(center, radius, a, b, 1.0)
             t = rng.uniform(a - 1, b + 1)
             q = path.radius + rng.choice([0.0, 1e-12, 1e-6, 1e-2, 1.0, 30.0]) * rng.choice([-1, 1])
             p = np.array([path.center[0] + q * math.cos(t), path.center[1] + q * math.sin(t)])
         else:
             d = kind
-            path = _Line(np.array([rng.uniform(-50, 50) for _ in range(d)]),
-                         np.array([rng.uniform(-3, 3) for _ in range(d)]))
+            start = np.array([rng.uniform(-50, 50) for _ in range(d)])
+            step = np.array([rng.uniform(-3, 3) for _ in range(d)])
+            path = UniformSegment(start, start + step, 1.0)
             a = rng.uniform(0.0, 0.9)
             b = a + rng.choice([1e-10, 1e-6, 1e-3, 0.1])
             normal = np.array([rng.gauss(0, 1) for _ in range(d)])
-            normal -= normal @ path.step / (path.step @ path.step) * path.step
-            p = (path.start + rng.uniform(a - 0.2, b + 0.2) * path.step
+            normal -= normal @ step / (step @ step) * step
+            p = (start + rng.uniform(a - 0.2, b + 0.2) * step
                  + rng.choice([1e-6, 1e-2, 1.0, 30.0, 1000.0]) * normal / np.linalg.norm(normal))
         values, bound = path.kernel_integrals(a, b, p[None, :], d)
         _assert_within(float(values[0]), float(bound[0]), _mp_kernel_integral(path, a, b, p, d))

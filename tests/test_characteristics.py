@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from deltasubh.characteristics import (
-    _Line,
     _sign_changes,
     difference_characteristic,
     difference_characteristic_canonical,
@@ -16,7 +15,7 @@ from deltasubh.characteristics import (
     sup_on_sphere,
 )
 from deltasubh.geometry import DimensionContext, kernel
-from deltasubh.measures import Atom, BorelMeasure, integrated_counting
+from deltasubh.measures import Atom, BorelMeasure, UniformSegment, integrated_counting
 from deltasubh.potentials import (
     AffineHarmonic,
     DeltaSubharmonicFn,
@@ -452,7 +451,7 @@ def test_batched_illinois_sign_changes_equal_scalar_bit_for_bit():
 
 def test_d3_line_kernel_integral_is_minus_inf_through_an_atom_on_the_piece():
     # the origin is on the slanted line at s = 0.5 only up to rounding
-    path = _Line(np.array([-0.5, 0.1, 0.0]), np.array([1.0, -0.2, 0.0]))
+    path = UniformSegment((-0.5, 0.1, 0.0), (0.5, -0.1, 0.0), 1.0)
     atoms = np.array([[0.0, 0.0, 0.0], [0.25, 0.05, 0.0]])
     for a, b in [(0.2, 0.8), (0.0, 0.5), (0.5, 0.9)]:
         values, _bound = path.kernel_integrals(a, b, atoms, 3)

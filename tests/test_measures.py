@@ -519,6 +519,34 @@ def test_segment_ball_mass_about_a_point_of_it(seg):
         assert seg.ball_mass(origin, t) == pytest.approx(exact, rel=1e-6)
 
 
+def test_segment_and_arc_paths_match_their_geometry():
+    # a segment's nearest point is found once, in feet: the first breakpoint
+    # radius about y is distance_to(y), and at(feet(y)) is no farther from y
+    # than the nearest of 4,097 points along the segment
+    rng = random.Random(11)
+    samples = np.linspace(0.0, 1.0, 4097)
+    for d in (2, 3):
+        for _ in range(40):
+            a = tuple(rng.uniform(-2, 2) for _ in range(d))
+            b = tuple(rng.uniform(-2, 2) for _ in range(d))
+            seg = UniformSegment(a, b, 1.0)
+            y = np.array([rng.uniform(-3, 3) for _ in range(d)])
+            assert seg.breakpoint_radii(tuple(y))[0] == seg.distance_to(y)
+            foot = seg.at(seg.feet(y[None, :], *seg.span))[0]
+            nearest = float(np.min(np.linalg.norm(seg.at(samples) - y, axis=1)))
+            assert np.linalg.norm(foot - y) <= nearest * (1.0 + 1e-12)
+    # an off-centre partial arc's path ends at its end angles
+    for _ in range(40):
+        center, radius = (rng.uniform(-2, 2), rng.uniform(-2, 2)), rng.uniform(0.1, 3.0)
+        lo = rng.uniform(-7.0, 7.0)
+        arc = UniformArc(center, radius, lo, lo + rng.uniform(1e-3, 6.0), 1.0)
+        ends = [[center[0] + radius * math.cos(t), center[1] + radius * math.sin(t)]
+                for t in arc.span]
+        scale = math.hypot(*center) + radius
+        np.testing.assert_allclose(arc.at(np.array(arc.span)), ends, rtol=0.0,
+                                   atol=4.0 * np.finfo(float).eps * scale)
+
+
 def test_integrated_counting_segment_quadrature_matches_oracle():
     seg = BorelMeasure((UniformSegment((-0.5, 0.0), (0.5, 0.0), 1.0),))
     res = integrated_counting_result(D2, seg, 0.25, 2.0)
