@@ -23,10 +23,8 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import os
 import sys
 from dataclasses import replace
-from functools import partial
 from typing import Optional, Sequence
 
 from .characteristics import (
@@ -43,7 +41,6 @@ from .lab import (
     CorpusConfig,
     Scenario,
     Tolerances,
-    _scenario_reports,
     run_checks,
     run_corpus,
 )
@@ -199,29 +196,20 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     checks = tuple(args.checks.split(",")) if args.checks else ("UR", "UR2", "UR2f", "UR2fr")
     families = tuple(args.families.split(",")) if args.families else None
     config = CorpusConfig(count=args.count, checks=checks,
                           tolerances=_tolerances(Tolerances(), args), timing=args.timing,
                           **({"families": families} if families else {}))
-    threads = int(os.environ.get("DELTASUBH_THREADS", "1"))
-    rows = _run_corpus_parallel(config, args.seed, threads)
+    rows = run_corpus(config, args.seed)
     _write_rows(rows, args.out)
     counts = _summarize(rows)
     print(f"corpus: seed={args.seed} scenarios={args.count} rows={len(rows)} "
           + " ".join(f"{k}={v}" for k, v in sorted(counts.items()) if v),
           file=sys.stderr)
     return _exit_code(counts, args.max_inconclusive)
-
-
-def _run_corpus_parallel(config: CorpusConfig, seed: int, threads: int):
-    """run_corpus over `threads` processes; map keeps the scenario order."""
-    if threads <= 1 or config.count < 2 * threads:
-        return run_corpus(config, seed)
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(partial(_scenario_reports, config, seed), range(config.count))
-        return [rep for part in parts for rep in part]
 
 
 def _cmd_report(args) -> int:

@@ -330,22 +330,25 @@ def test_main_entry_in_process(tmp_path, capsys):
     assert captured.out.startswith("t,h,flag")
 
 
-def test_env_thread_cap_preserves_output(tmp_path, monkeypatch):
-    import os
-    env = dict(os.environ, DELTASUBH_THREADS="2")
-    # the second run's checks are out of tag order: rows keep the scenario's
-    # check order, not a sorted one
-    for args in (["corpus", "--seed", "9", "--count", "8"],
-                 ["corpus", "--seed", "3", "--count", "4", "--checks", "UR2f,UR"]):
-        out1 = tmp_path / "serial.csv"
-        out2 = tmp_path / "parallel.csv"
-        proc1 = _run(args + ["--out", str(out1)])
-        assert proc1.returncode == 0
-        proc2 = subprocess.run(
-            [sys.executable, "-m", "deltasubh.cli"] + args + ["--out", str(out2)],
-            capture_output=True, text=True, env=env)
-        assert proc2.returncode == 0, proc2.stderr
-        assert out1.read_bytes() == out2.read_bytes()
+def test_corpus_rows_follow_the_checks_order(tmp_path):
+    # the checks are out of tag order: rows keep the scenario's check order,
+    # not a sorted one
+    out = tmp_path / "rows.csv"
+    proc = _run(["corpus", "--seed", "3", "--count", "4", "--checks", "UR2f,UR",
+                 "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[1] for row in rows] == ["UR2f", "UR"] * 4
+    assert [row[0] for row in rows[::2]] == [row[0] for row in rows[1::2]]
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_corpus_rejects_a_count_below_one(capsys, count):
+    # an empty run is an input error, not a clean header-only CSV
+    assert main(["corpus", "--seed", "1", "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--count must be >= 1, got {count}" in captured.err
 
 
 TWO_PI = 6.283185307179586
