@@ -36,10 +36,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-from scipy.special import spence
 
 from .geometry import (DimensionContext, _distances, _kernel_values, ext_mul,
                        kernel)
@@ -290,6 +290,41 @@ class UniformSegment:
         )
 
 
+def _even_bernoulli(n: int) -> list:
+    """B_2, B_4, ..., B_2n as exact fractions, from
+    sum_{k=0}^{m} C(m + 1, k) B_k = 0 (m >= 1)."""
+    b = [Fraction(1)]
+    for m in range(1, 2 * n + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b[2::2]
+
+
+# B_2k / (2k + 1)!, k = 1..12: the first term left out is below 5e-22 for |u| <= pi/3
+_LI2_SERIES = tuple(float(b / math.factorial(2 * k + 1))
+                    for k, b in enumerate(_even_bernoulli(12), start=1))
+
+
+def _li2(w):
+    """The dilogarithm Li2(w) = sum_{k>=1} w^k / k^2 at each entry of a complex
+    array with |w| <= 1 (up to rounding), to about 2 eps max(1, |Li2|).
+
+    Li2 = u - u^2/4 + sum_k B_2k / (2k + 1)! u^(2k + 1) with u = -ln(1 - w) for
+    Re w <= 1/2 ('t Hooft & Veltman, Nucl. Phys. B153, 1979), where |u| <= pi/3;
+    for Re w > 1/2 the series runs at 1 - w, and
+    Li2(w) = pi^2/6 - ln w ln(1 - w) - Li2(1 - w) (Lewin 1981), whose product
+    of logarithms is taken as 0 at w = 1."""
+    reflect = w.real > 0.5
+    v = np.where(reflect, 1.0 - w, w)
+    u = -np.log1p(-v)
+    u2 = u * u
+    poly = _LI2_SERIES[-1]
+    for c in _LI2_SERIES[-2::-1]:
+        poly = poly * u2 + c
+    series = u - 0.25 * u2 + u * u2 * poly
+    logs = np.log(np.where(reflect, w, 1.0)) * np.log(np.where(reflect & (v != 0.0), v, 1.0))
+    return np.where(reflect, math.pi ** 2 / 6.0 - logs - series, series)
+
+
 @dataclass(frozen=True)
 class UniformArc:
     """Uniform measure on a circular arc (d=2 only), parameterized by angle.
@@ -404,10 +439,10 @@ class UniformArc:
 
     def potential(self, pts: np.ndarray, d: int) -> np.ndarray:
         """weight * (ln max(q, rho) - s Im[Li2(b e^{i s a2}) - Li2(b e^{i s a1})] / W)
-        with z = x - center, q = |z|, W = a2 - a1, Li2(x) = spence(1 - x) and
-        (s, b) = (1, rho / z) for q >= rho, (-1, z / rho) inside (Lewin,
-        Polylogarithms and Associated Functions, 1981); the full circle keeps
-        the mean-value form weight * ln max(q, rho)."""
+        with z = x - center, q = |z|, W = a2 - a1, Li2 = _li2 at both ends in one
+        call, and (s, b) = (1, rho / z) for q >= rho, (-1, z / rho) inside
+        (Lewin, Polylogarithms and Associated Functions, 1981); the full circle
+        keeps the mean-value form weight * ln max(q, rho)."""
         if d != 2:
             raise UnsupportedModelError("arc charges are d=2 only")
         c = np.asarray(self.center)
@@ -419,8 +454,8 @@ class UniformArc:
         outside = q >= self.radius
         sign = np.where(outside, 1.0, -1.0)
         base = np.where(outside, self.radius / np.where(outside, z, 1.0), z / self.radius)
-        li2_end, li2_start = (spence(1.0 - base * np.exp(1j * sign * a))
-                              for a in (self.angle_end, self.angle_start))
+        ends = np.array([[self.angle_end], [self.angle_start]])
+        li2_end, li2_start = _li2(base * np.exp(1j * sign * ends))
         return self.weight * (log_far - sign * (li2_end - li2_start).imag / self.width)
 
     def distance_to(self, p: np.ndarray) -> float:

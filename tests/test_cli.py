@@ -409,7 +409,7 @@ PIN_3D = {
 PINNED_STDOUT = {
     ("pin-2d", "Tdiff"): "1357b95166377471859482b8a9ba8544",
     ("pin-2d", "TdiffC"): "dbb7ef866dd27bc0a0429a524ca574cc",
-    ("pin-2d", "C+"): "d7519b39daf23fa98922b174626c9d94",
+    ("pin-2d", "C+"): "d1400b5f61d73b6a9ddf036586e2d842",
     ("pin-2d", "M"): "64649216225916d627af82fbf7db2de5",
     ("pin-3d", "Tdiff"): "d722f1c0b200e3fd1dc24e8a5db1a816",
     ("pin-3d", "TdiffC"): "07ed9155d445b12325c2be489db90213",
@@ -487,16 +487,16 @@ PINNED_RUNS = {
 }
 PINNED_RUN_STDOUT = {
     "verify pin-3d": "982db8a1e08f34d3be7f7243a683fd16",
-    "verify pin-arc": "6f0f73c620f1988265987fdb639d33be",
-    "m pin-arc": "b455d4c13b95985c97e20abc5eff5187",
-    "C+ pin-arc": "6efbdecf51d007b5baa998e7f4629bb8",
+    "verify pin-arc": "e98522a6e851cda1dc4856bd3685e1c2",
+    "m pin-arc": "95051b5dfe0faea7033191ef933b5f95",
+    "C+ pin-arc": "e4d07a2b25f4b5b3320f86bf953f5dcd",
     "verify pin-disk-union": "c65473acfdaadd79d04ece7bf48f6eb1",
     "verify pin-disk-union mean": "7918a13f2d93006466659fb590e62843",
-    "C+ pin-2d": "d7519b39daf23fa98922b174626c9d94",
-    "C+ pin-2d mean": "b31dbb42deeac36fe04a31d9b1e5b011",
-    "corpus": "3875c0f6733e29f033d991c647f8a775",
-    "corpus tols": "a677712ce414a8f304c039d024ec8b4a",
-    "verify pin-arc default": "213e6dfc9b2bb8ef1dba5409e9014251",
+    "C+ pin-2d": "d1400b5f61d73b6a9ddf036586e2d842",
+    "C+ pin-2d mean": "e2d66d0b63f3d35deca75ec907190663",
+    "corpus": "9e712e3dd2c1f771512f6e6229e91653",
+    "corpus tols": "4c92b94f98a45906982585f3970c884e",
+    "verify pin-arc default": "f05bde3cf59a7ca3a254ce73c210e5f3",
     "verify pin-mixed": "123d5b28ef0a0cd869db220d94e234f6",
 }
 

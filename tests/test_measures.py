@@ -2,6 +2,7 @@ import math
 import random
 import subprocess
 import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -412,10 +413,68 @@ def test_open_modulus_bracket_narrows_its_beam(monkeypatch):
     assert seen[0] <= 300_000, seen[0]
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    code = "import sys, deltasubh; assert 'scipy.optimize' not in sys.modules"
+# ---------------------------------------------------------------------------
+# the dilogarithm of the arc potential
+
+
+def _li2_test_points():
+    rng = np.random.default_rng(23)
+    random_disk = np.sqrt(rng.random(600)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 600))
+    angles = np.linspace(-np.pi, np.pi, 25)
+    near_circle = [(1.0 - 10.0 ** -k) * np.exp(1j * a) for k in range(1, 16) for a in angles]
+    circle = np.exp(1j * np.linspace(-np.pi, np.pi, 241))
+    # rays toward w = 1 from every side within the disk
+    rays = [1.0 - 10.0 ** -k * np.exp(1j * a) for k in range(1, 16)
+            for a in np.linspace(-0.45 * np.pi, 0.45 * np.pi, 7)]
+    exact = [0.0, 1.0, -1.0, 0.5, complex(0.5, math.sqrt(3.0) / 2.0)]
+    return np.concatenate([random_disk, near_circle, circle, rays, exact])
+
+
+def test_li2_matches_mpmath_on_the_closed_unit_disk():
+    w = _li2_test_points()
+    with np.errstate(divide="raise", invalid="raise"):
+        got = measures._li2(w)
+    eps = np.finfo(float).eps
+    with mp.workdps(30):
+        for x, value in zip(w, got):
+            ref = mp.polylog(2, mp.mpc(x.real, x.imag))
+            assert abs(value - complex(ref)) <= 4.0 * eps * max(1.0, abs(ref)), x
+    assert measures._li2(np.array([1.0 + 0j]))[0] == math.pi ** 2 / 6.0
+    assert measures._li2(np.array([0j]))[0] == 0.0
+
+
+def test_arc_potential_at_its_endpoints_and_centre_matches_mpmath():
+    # on the arc's ends w = 1 exactly, where the reflection formula meets
+    # ln(1) * ln(0); the centre and two more points inside and outside.  The
+    # float end (cos 1, sin 1) lies off the arc by rounding, where the
+    # potential's slope is about |ln eps| = 36: hence 1e-14, not a few eps
+    arc = UniformArc((0.0, 0.0), 1.0, 0.0, 1.0, 1.0)
+    pts = np.array([[1.0, 0.0], [math.cos(1.0), math.sin(1.0)], [0.0, 0.0],
+                    [0.3, 0.4], [1.6, -0.7]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = arc.potential(pts, 2)
+    with mp.workdps(30):
+        for p, value in zip(pts, got):
+            z = mp.mpc(*p)
+            ang = float(mp.arg(z)) if z != 0 else 0.0
+            nodes = [0.0, ang, 1.0] if 0.0 < ang < 1.0 else [0.0, 1.0]
+            ref = mp.quad(lambda a: mp.log(abs(z - mp.expj(a))), nodes)
+            assert abs(value - float(ref)) <= 1e-14, p
+
+
+def test_import_and_an_arc_corpus_run_load_no_scipy():
+    code = ("import sys, deltasubh, deltasubh.cli; "
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+            "assert not loaded, loaded")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    # with scipy unimportable, an arc scenario still runs its checks
+    code = ("import sys; sys.modules['scipy'] = None; from deltasubh.cli import main; "
+            "sys.exit(main(['corpus', '--seed', '42', '--count', '1', '--families', 'ef_arc']))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "rows=4 pass=4" in proc.stderr, proc.stderr
 
 
 # ---------------------------------------------------------------------------
