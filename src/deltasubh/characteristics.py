@@ -22,8 +22,8 @@ of a measure (lab), or the circle |x| = r as a full arc (_circle) -- whose
 span, at, feet and kernel_integrals it reads, _integral_by_sign integrates
 the rest over the pieces where the sign of U is constant, ended at Illinois
 roots (_sign_changes) so a kink of U^+ is a panel edge, in one
-_integrate_pieces call per sign, and adds each atom's potential of the
-piece; a mean over a sphere (_identity_mean) takes each atom by Gauss's mean
+_integrate_pieces call per sign, and adds each atom's potential of every
+piece of that sign from one kernel_integrals call; a mean over a sphere (_identity_mean) takes each atom by Gauss's mean
 value theorem.  The remaining means are _sphere_mean.
 """
 
@@ -149,19 +149,27 @@ def _sign_changes(evaluator, x, fx) -> list:
     close = 4.0 * np.finfo(float).eps * np.maximum(np.maximum(-lo, hi), x[-1] - x[0])  # lo < hi
     older, old = np.full(i.size, np.inf), np.full(i.size, np.inf)  # widths 2 and 1 steps ago
     kept = np.zeros(i.size)  # the end the last step kept: 1 lo, 2 hi
-    while (k := np.flatnonzero(hi - lo > close)).size:
+    k = np.arange(i.size)  # the open brackets; a closed one never reopens
+    while (k := k[hi[k] - lo[k] > close[k]]).size:
         a, b, fa, fb = lo[k], hi[k], f_lo[k], f_hi[k]
+        width, inset = b - a, 0.5 * close[k]
         with np.errstate(all="ignore"):
-            t = a + (b - a) * (fa / (fa - fb))
-        secant = np.isfinite(fa) & np.isfinite(fb) & (a <= t) & (t <= b) & (b - a <= 0.5 * older[k])
-        t = np.clip(np.where(secant, t, 0.5 * (a + b)), a + 0.5 * close[k], b - 0.5 * close[k])
+            t = a + width * (fa / (fa - fb))
+        secant = np.isfinite(fa) & np.isfinite(fb) & (a <= t) & (t <= b) & (width <= 0.5 * older[k])
+        t = np.minimum(np.maximum(np.where(secant, t, 0.5 * (a + b)), a + inset), b - inset)
         ft = np.asarray(evaluator(t), dtype=float)
         keep_lo = (ft > 0.0) != lo_up[k]
         halve = np.where(kept[k] == 2 - keep_lo, 0.5, 1.0)  # Illinois: an end kept twice
         lo[k], hi[k] = np.where(keep_lo, a, t), np.where(keep_lo, t, b)
         f_lo[k], f_hi[k] = np.where(keep_lo, halve * fa, ft), np.where(keep_lo, ft, halve * fb)
-        kept[k], older[k], old[k] = 2 - keep_lo, old[k], b - a
+        kept[k], older[k], old[k] = 2 - keep_lo, old[k], width
     return (0.5 * (lo + hi)).tolist()
+
+
+def _cuts(a: float, b: float, n: int) -> list:
+    """np.linspace(a, b, n + 1).tolist() without numpy: i (b - a) / n + a, then b."""
+    step = (b - a) / n
+    return [i * step + a for i in range(n)] + [b]
 
 
 def _integral_by_sign(signed, pos: _Split, path, tol: float,
@@ -175,9 +183,10 @@ def _integral_by_sign(signed, pos: _Split, path, tol: float,
     each class goes to one _integrate_pieces call over its pieces, each cut
     into parts no wider than (hi - lo) / 8 and given tol times its share of
     [lo, hi], and each atom adds w integral_a^b k(|x(t) - p|) dt per piece
-    [a, b] in closed form (path.kernel_integrals), whose rounding bound joins
-    the estimate.  So quadrature sees only integrands smooth between piece
-    ends."""
+    [a, b] in closed form, whose rounding bound joins the estimate: one
+    path.kernel_integrals call per class gives them for all its pieces,
+    added piece by piece after its quadrature.  So quadrature sees only
+    integrands smooth between piece ends."""
     lo, hi = path.span
     feet = np.concatenate([path.feet(sp.points, lo, hi) for sp in (pos, neg) if sp is not None])
     x = np.union1d(lo + (hi - lo) * np.arange(2049) / 2048, feet)
@@ -190,15 +199,18 @@ def _integral_by_sign(signed, pos: _Split, path, tol: float,
     for sp, ends in ((pos, pieces[first::2]), (neg, pieces[1 - first::2])):
         if sp is None:
             continue
-        cuts = [np.linspace(a, b, math.ceil((b - a) / cap) + 1).tolist() for a, b in ends]
+        cuts = [_cuts(a, b, math.ceil((b - a) / cap)) for a, b in ends]
         parts = [(c, d, tol * (d - c) / (hi - lo)) for u in cuts for c, d in zip(u[:-1], u[1:])]
         total = total + _integrate_pieces(lambda t: sp.rest(path.at(t)), parts,
                                           max(abs(lo), abs(hi), hi - lo))
-        for a, b in ends if sp.weights.size else ():
-            values, rounding = path.kernel_integrals(a, b, sp.points, sp.points.shape[1])
-            value = float(np.sum(sp.weights * values))
+        if not (ends and sp.weights.size):
+            continue
+        values, rounding = path.kernel_integrals(ends, sp.points, sp.points.shape[1])
+        magnitudes = np.abs(sp.weights)
+        for row, bound in zip(values, rounding):
+            value = float(np.sum(sp.weights * row))
             total = total + QuadratureResult(
-                value, max(float(np.abs(sp.weights) @ rounding), _ROUNDING * abs(value)), 0)
+                value, max(float(magnitudes @ bound), _ROUNDING * abs(value)), 0)
     return total
 
 

@@ -27,8 +27,10 @@ potential (closed-form kernel potential, per point) and distance_to
 (generator rejection).  The 1-d carriers, segments and arcs, are paths for
 the by-sign integral of characteristics as well: span (the parameter
 interval, [0, 1] or the arc's angles), at (points at parameters), feet (the
-parameters of points' nearest points, within [lo, hi]) and kernel_integrals
-(integral_a^b k(|x(t) - p|) dt in closed form, with its rounding bound).
+parameters of points' nearest points, within [lo, hi]) and
+kernel_integrals(ends, pts, d) (integral_a^b k(|x(t) - p|) dt in closed form
+for every piece [a, b] of ends at every point p, with its rounding bound, as
+(pieces, points) arrays).
 """
 
 from __future__ import annotations
@@ -85,6 +87,15 @@ def _dist(p: Point, y):
     if np.ndim(y) == 2:
         return _distances(np.asarray(y, dtype=float), p)
     return math.dist(p, y)
+
+
+def _row_norms(v) -> np.ndarray:
+    """|v| over the last axis of an array of offsets: the floats of
+    _distances, squares summed left to right."""
+    total = v[..., 0] * v[..., 0]
+    for k in range(1, v.shape[-1]):
+        total = total + v[..., k] * v[..., k]
+    return np.sqrt(total)
 
 
 def _float_or_array(out):
@@ -263,22 +274,27 @@ class UniformSegment:
         step = np.subtract(self.end, self.start)
         return np.clip((pts - self.start) @ step / (step @ step), lo, hi)
 
-    def kernel_integrals(self, a: float, b: float, pts, d: int):
-        """integral_a^b k(|x(s) - p|) ds at each row p of pts, the potential at p
-        of the segment [a, b] of mass b - a in the frame of start, and its
-        rounding.  It subtracts antiderivatives of |u| (|ln D| + 2) (d=2) or
+    def kernel_integrals(self, ends, pts, d: int):
+        """integral_a^b k(|x(s) - p|) ds at each row p of pts for each piece
+        [a, b] of ends, as (pieces, points) arrays: the potential at p of the
+        segment [a, b] of mass b - a in the frame of start, and its rounding.
+        It subtracts antiderivatives of |u| (|ln D| + 2) (d=2) or
         |asinh(u / h)| + 1 (d=3) at the ends (u the offset from p's foot, D
         the distance from p, h from the line), and the coordinates' rounding,
         eps scale, moves it by that times |k(D)| at both ends plus pi (d=2) or
-        6 |k| nearest p (d=3): 16 eps (2 + scale (...)) per unit of s."""
+        6 |k| nearest p (d=3): 16 eps (2 + scale (...)) per unit of s.  The
+        points' offsets and feet are taken once; each piece's potential is
+        its own call."""
+        a, b = (np.array(col)[:, None] for col in zip(*ends))
         rel = pts - self.start
         step = np.subtract(self.end, self.start)
         length = math.hypot(*step)
-        scale = _distances(rel, 0.0) + (abs(a) + abs(b)) * length
-        dist = [_distances(rel, np.multiply.outer(t, step))
-                for t in (np.full(len(rel), a), np.full(len(rel), b), self.feet(pts, a, b))]
+        scale = _distances(rel, 0.0) + (np.abs(a) + np.abs(b)) * length
+        feet = np.clip(rel @ step / (step @ step), a, b)
+        dist = [_row_norms(rel - t * step) for t in (a[:, :, None], b[:, :, None], feet[:, :, None])]
         size = [np.abs(_kernel_values(d, np.maximum(D, _ROUNDING * scale))) for D in dist]
-        values = UniformSegment(tuple(a * step), tuple(b * step), b - a).potential(rel, d)
+        values = np.array([UniformSegment(tuple(lo * step), tuple(hi * step), hi - lo).potential(rel, d)
+                           for lo, hi in ends])
         inner = 8.0 if d == 2 else 6.0 * size[2]
         return values, _ROUNDING * (2.0 + scale * (size[0] + size[1] + inner)) / length
 
@@ -445,18 +461,21 @@ class UniformArc:
         keeps the mean-value form weight * ln max(q, rho)."""
         if d != 2:
             raise UnsupportedModelError("arc charges are d=2 only")
-        c = np.asarray(self.center)
-        q = _distances(pts, c)
+        q = _distances(pts, self.center)
         log_far = np.log(np.maximum(q, self.radius))
         if abs(self.width - TWO_PI) <= 1e-12:
             return self.weight * log_far
-        z = (pts[:, 0] - c[0]) + 1j * (pts[:, 1] - c[1])
-        outside = q >= self.radius
-        sign = np.where(outside, 1.0, -1.0)
-        base = np.where(outside, self.radius / np.where(outside, z, 1.0), z / self.radius)
+        sign, base = self._dilog_frame(pts, q)
         ends = np.array([[self.angle_end], [self.angle_start]])
         li2_end, li2_start = _li2(base * np.exp(1j * sign * ends))
         return self.weight * (log_far - sign * (li2_end - li2_start).imag / self.width)
+
+    def _dilog_frame(self, pts, q):
+        """(s, b) of potential at the points, q their distances from the center."""
+        z = (pts[:, 0] - self.center[0]) + 1j * (pts[:, 1] - self.center[1])
+        outside = q >= self.radius
+        return (np.where(outside, 1.0, -1.0),
+                np.where(outside, self.radius / np.where(outside, z, 1.0), z / self.radius))
 
     def distance_to(self, p: np.ndarray) -> float:
         """Distance from p to the full circle: a lower bound of the distance
@@ -481,20 +500,35 @@ class UniformArc:
         ang = lo + np.mod(np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0]) - lo, TWO_PI)
         return ang[ang <= hi]
 
-    def kernel_integrals(self, a: float, b: float, pts, d: int):
-        """integral_a^b k(|x(t) - p|) dt at each row p of pts, the potential at p
-        of the arc [a, b] of mass b - a, and its rounding: 16 eps times what it
-        subtracts, (b - a) ln F (F = max(|p - c|, radius)) and two dilogarithms
-        of at most pi^2 / 6, plus the coordinates' rounding, scale / radius,
-        times their slope |ln(D / F)| + 2 at each end, D its distance from p."""
-        far = np.maximum(_distances(pts, self.center), self.radius)
+    def kernel_integrals(self, ends, pts, d: int):
+        """integral_a^b k(|x(t) - p|) dt at each row p of pts for each piece
+        [a, b] of ends, as (pieces, points) arrays: the potential at p of the
+        arc [a, b] of mass b - a, by potential's dilogarithms at both ends of
+        every piece not the full circle in one _li2 call, and its rounding: 16
+        eps times what it subtracts, (b - a) ln F (F = max(|p - c|, radius))
+        and two dilogarithms of at most pi^2 / 6, plus the coordinates'
+        rounding, scale / radius, times their slope |ln(D / F)| + 2 at each
+        end, D its distance from p."""
+        if d != 2:
+            raise UnsupportedModelError("arc charges are d=2 only")
+        a, b = (np.array(col)[:, None] for col in zip(*ends))
+        width = b - a
+        q = _distances(pts, self.center)
+        far = np.maximum(q, self.radius)
+        log_far = np.log(far)
         scale = _distances(pts, 0.0) + math.hypot(*self.center) + self.radius
-        ends = sum(np.abs(np.log(np.maximum(_distances(pts, self.at(np.array([t]))),
-                                            _ROUNDING * scale) / far)) for t in (a, b))
-        piece = replace(self, angle_start=a, angle_end=b, weight=b - a)
-        return (piece.potential(pts, d),
-                _ROUNDING * ((b - a) * np.abs(np.log(far)) + 4.0
-                             + scale / self.radius * (ends + 4.0)))
+        tips = self.at(np.concatenate((a, b))[:, 0])
+        dist = np.sqrt((pts[:, 0] - tips[:, :1]) ** 2 + (pts[:, 1] - tips[:, 1:]) ** 2)
+        slope = np.abs(np.log(np.maximum(dist, _ROUNDING * scale) / far))
+        values = width * log_far  # the full circle's mean-value form
+        part = np.flatnonzero(np.abs(width[:, 0] - TWO_PI) > 1e-12)
+        if part.size:
+            sign, base = self._dilog_frame(pts, q)
+            li2 = _li2(base * np.exp(1j * sign * np.concatenate((b[part], a[part]))))
+            w = width[part]
+            values[part] = w * (log_far - sign * (li2[:part.size] - li2[part.size:]).imag / w)
+        return values, _ROUNDING * (width * np.abs(log_far) + 4.0
+                                    + scale / self.radius * (slope[:len(a)] + slope[len(a):] + 4.0))
 
     def translate(self, v) -> "UniformArc":
         return UniformArc(

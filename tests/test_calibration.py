@@ -309,8 +309,8 @@ def test_closed_form_kernel_integrals_within_their_rounding_bound():
         path = UniformSegment((3.0, -2.0), (3.0 + step[0], -2.0 + step[1]), 1.0)
         p = (np.array(path.start) + along * np.subtract(path.end, path.start)
              + normal * np.array([-step[1], step[0]]))
-        values, bound = path.kernel_integrals(a, a + length, p[None, :], 2)
-        _assert_within(float(values[0]), float(bound[0]),
+        values, bound = path.kernel_integrals([(a, a + length)], p[None, :], 2)
+        _assert_within(float(values[0, 0]), float(bound[0, 0]),
                        _mp_kernel_integral(path, a, a + length, p, 2))
     # then arcs of every width about atoms on, near and far from their
     # circle, and line pieces far from the origin, down to 1e-10 of the path
@@ -338,8 +338,8 @@ def test_closed_form_kernel_integrals_within_their_rounding_bound():
             normal -= normal @ step / (step @ step) * step
             p = (start + rng.uniform(a - 0.2, b + 0.2) * step
                  + rng.choice([1e-6, 1e-2, 1.0, 30.0, 1000.0]) * normal / np.linalg.norm(normal))
-        values, bound = path.kernel_integrals(a, b, p[None, :], d)
-        _assert_within(float(values[0]), float(bound[0]), _mp_kernel_integral(path, a, b, p, d))
+        values, bound = path.kernel_integrals([(a, b)], p[None, :], d)
+        _assert_within(float(values[0, 0]), float(bound[0, 0]), _mp_kernel_integral(path, a, b, p, d))
 
 
 _SPAN = (-1.0, 2.0)

@@ -453,8 +453,6 @@ def test_d3_line_kernel_integral_is_minus_inf_through_an_atom_on_the_piece():
     # the origin is on the slanted line at s = 0.5 only up to rounding
     path = UniformSegment((-0.5, 0.1, 0.0), (0.5, -0.1, 0.0), 1.0)
     atoms = np.array([[0.0, 0.0, 0.0], [0.25, 0.05, 0.0]])
-    for a, b in [(0.2, 0.8), (0.0, 0.5), (0.5, 0.9)]:
-        values, _bound = path.kernel_integrals(a, b, atoms, 3)
-        assert values[0] == -np.inf and np.isfinite(values[1])
-    values, _bound = path.kernel_integrals(0.6, 0.9, atoms, 3)
-    assert np.isfinite(values).all()
+    values, _bound = path.kernel_integrals([(0.2, 0.8), (0.0, 0.5), (0.5, 0.9), (0.6, 0.9)], atoms, 3)
+    assert (values[:3, 0] == -np.inf).all() and np.isfinite(values[:3, 1]).all()
+    assert np.isfinite(values[3]).all()
