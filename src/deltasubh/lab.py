@@ -381,6 +381,7 @@ class PointReport:
     skipped: list
     max_relative: float
     verdict: str
+    budget: float = 0.0      # the bound check's allowance for the worst slack
 
 
 def _finite_values(U: DeltaSubharmonicFn, sample_points: Sequence):
@@ -469,7 +470,9 @@ def verify_poisson_jensen(U: DeltaSubharmonicFn, R: float,
 def verify_pointwise_bound(U: DeltaSubharmonicFn, r: float, R: float,
                            sample_points: Sequence, tol: float = 1e-8) -> PointReport:
     """U^+(x) <= R^{d-2}(R+r)/(R-r)^{d-1} C_{U^+}(R)
-    + integral (k(R+r) - k(|y-x|)) d charge^-(y), at each x in B(r)."""
+    + integral (k(R+r) - k(|y-x|)) d charge^-(y), at each x in B(r).  The
+    verdict is _verdict of the worst slack against the budget, the
+    coefficient times C_{U^+}(R)'s error estimate."""
     if not 0.0 < r < R:
         raise ValueError(f"need 0 < r < R, got ({r}, {R})")
     d = U.dim
@@ -490,10 +493,9 @@ def verify_pointwise_bound(U: DeltaSubharmonicFn, r: float, R: float,
         slacks.append(slack)
         relative.append(slack / max(1.0, abs(rhs)))
     budget = coeff * c_plus.error_estimate
-    ok = all(sl >= -budget for sl in slacks)
     return PointReport(points, slacks, relative, skipped,
                        max((abs(v) for v in relative), default=0.0),
-                       PASS if ok else FAIL)
+                       _verdict(min(slacks, default=0.0), budget), budget)
 
 
 def verify_counting_lemma(delta: BorelMeasure, R_star: float, R: float,
@@ -707,7 +709,7 @@ def run_checks(s: Scenario, checks: Sequence[str], timing: bool = False) -> list
             pr = verify_pointwise_bound(s.U, s.r, s.R, pts, s.tolerances.mean)
             worst = min(pr.residuals, default=0.0)
             rep = VerificationReport(s.scenario_id, "U+B", -worst, 0.0, worst,
-                                     0.0, pr.verdict, {"skipped": len(pr.skipped)})
+                                     pr.budget, pr.verdict, {"skipped": len(pr.skipped)})
         elif tag == "dBr":
             _plus, minus = jordan_decomposition(s.U)
             rep = verify_counting_lemma(minus, s.r, s.R, s.ctx)

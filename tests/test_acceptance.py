@@ -320,8 +320,8 @@ def test_criterion_10_corpus_determinism(tmp_path):
         # the corpus bytes are frozen: a refactor must reproduce them exactly
         assert hashlib.md5(outs[0]).hexdigest() == "374225e6b679faa7ee3cd1ddab7b9b15"
         # so are the proof-ingredient checks (Ux, U+B, dBr) next to the UR family
-        for family, digest in (("atomic_mu", "86c80a5b98aa4c532bf6fe19979ee02d"),
-                               ("charges", "b952829521c7c03373777876ab31efd1")):
+        for family, digest in (("atomic_mu", "3bb74255b5f4314b8b3cd0700b233aaa"),
+                               ("charges", "3e2e052b66a75bcec56d0b53aa8beb76")):
             proc = subprocess.run(
                 [sys.executable, "-m", "deltasubh.cli", "corpus", "--families", family,
                  "--checks", "UR,UR2,UR2f,UR2fr,Ux,U+B,dBr", "--seed", "7", "--count", "12"],

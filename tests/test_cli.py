@@ -486,7 +486,7 @@ PINNED_RUNS = {
     "verify pin-mixed": "verify {pin-mixed} --checks UR,UR2",
 }
 PINNED_RUN_STDOUT = {
-    "verify pin-3d": "982db8a1e08f34d3be7f7243a683fd16",
+    "verify pin-3d": "d02d5ea71b638a28737a710bdf9a371c",
     "verify pin-arc": "e98522a6e851cda1dc4856bd3685e1c2",
     "m pin-arc": "95051b5dfe0faea7033191ef933b5f95",
     "C+ pin-arc": "e4d07a2b25f4b5b3320f86bf953f5dcd",

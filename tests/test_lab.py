@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -332,6 +333,27 @@ def test_pointwise_bound_random_scenarios():
         assert rep.verdict == "pass"
 
 
+def test_pointwise_bound_row_carries_its_budget_and_is_inconclusive_inside_it(monkeypatch):
+    # the U+B row's budget is coeff C_{U+}(R).error_estimate, and a worst
+    # slack inside it reads inconclusive, so noise cannot fake a pass
+    s = generate_scenario(42, 0, "charges")
+    (row,) = run_checks(s, ("U+B",))
+    c_plus = characteristics.spherical_mean(s.U, s.R, "positive", s.tolerances.mean)
+    coeff = s.R ** (s.ctx.d - 2) * (s.R + s.r) / (s.R - s.r) ** (s.ctx.d - 1)
+    assert row.error_budget == coeff * c_plus.error_estimate > 0.0
+    assert row.verdict == "pass"
+    spherical_mean = lab.spherical_mean
+
+    def loose(U, r, transform="identity", tol=1e-8):
+        rec = spherical_mean(U, r, transform, tol)
+        return dataclasses.replace(rec, error_estimate=2.0 * row.slack / coeff)
+
+    monkeypatch.setattr(lab, "spherical_mean", loose)
+    (inside,) = run_checks(s, ("U+B",))
+    assert inside.slack == row.slack < inside.error_budget
+    assert inside.verdict == "inconclusive"
+
+
 def test_counting_lemma_anchors_and_zero():
     delta = BorelMeasure((Atom((0.0, 0.0), 1.0),))
     rep = verify_counting_lemma(delta, 1.0, 2.0, D2)
@@ -614,7 +636,7 @@ def _ref_pointwise_bound(U, r, R, sample_points, tol):
     budget = coeff * c_plus.error_estimate
     return lab.PointReport(points, slacks, relative, skipped,
                            max((abs(v) for v in relative), default=0.0),
-                           "pass" if all(sl >= -budget for sl in slacks) else "fail")
+                           lab._verdict(min(slacks, default=0.0), budget), budget)
 
 
 def _proof_case(name):
