@@ -1,11 +1,14 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
+from deltasubh import characteristics
 from deltasubh.characteristics import (
     _sign_changes,
+    _split,
     difference_characteristic,
     difference_characteristic_canonical,
     nevanlinna_N,
@@ -14,8 +17,9 @@ from deltasubh.characteristics import (
     spherical_mean,
     sup_on_sphere,
 )
-from deltasubh.geometry import DimensionContext, kernel
-from deltasubh.measures import Atom, BorelMeasure, UniformSegment, integrated_counting
+from deltasubh.geometry import DimensionContext, _distances, _kernel_values, kernel
+from deltasubh.measures import (Atom, BorelMeasure, UniformArc, UniformSegment,
+                                integrated_counting)
 from deltasubh.potentials import (
     AffineHarmonic,
     DeltaSubharmonicFn,
@@ -456,3 +460,131 @@ def test_d3_line_kernel_integral_is_minus_inf_through_an_atom_on_the_piece():
     values, _bound = path.kernel_integrals([(0.2, 0.8), (0.0, 0.5), (0.5, 0.9), (0.6, 0.9)], atoms, 3)
     assert (values[:3, 0] == -np.inf).all() and np.isfinite(values[:3, 1]).all()
     assert np.isfinite(values[3]).all()
+
+
+def test_sign_changes_let_the_evaluators_warnings_through():
+    # np.errstate covers the secant formula only: a floating-point warning
+    # of the evaluator must still reach the caller (and fail CI under
+    # -W error::RuntimeWarning)
+    def smooth(th):
+        return np.sin(3.0 * th + 0.1) - 0.2
+
+    def evaluator(th):
+        np.log(np.zeros_like(th))  # divide by zero
+        return smooth(th)
+
+    x, fx = _scan(smooth)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning):
+            _sign_changes(evaluator, x, fx)
+
+
+# -- the closed forms of one sign class in one call ---------------------------
+# kernel_integrals takes every piece of a class at once; these one-piece
+# forms are what each of its rows must equal bit for bit.
+
+_ROUNDING = 16.0 * float(np.finfo(float).eps)
+
+
+def _ref_arc_kernel_integrals(arc, a, b, pts):
+    far = np.maximum(_distances(pts, arc.center), arc.radius)
+    scale = _distances(pts, 0.0) + math.hypot(*arc.center) + arc.radius
+    ends = sum(np.abs(np.log(np.maximum(_distances(pts, arc.at(np.array([t]))),
+                                        _ROUNDING * scale) / far)) for t in (a, b))
+    piece = UniformArc(arc.center, arc.radius, a, b, b - a)
+    return (piece.potential(pts, 2),
+            _ROUNDING * ((b - a) * np.abs(np.log(far)) + 4.0
+                         + scale / arc.radius * (ends + 4.0)))
+
+
+def _ref_segment_kernel_integrals(seg, a, b, pts, d):
+    rel = pts - seg.start
+    step = np.subtract(seg.end, seg.start)
+    length = math.hypot(*step)
+    scale = _distances(rel, 0.0) + (abs(a) + abs(b)) * length
+    feet = np.clip(rel @ step / (step @ step), a, b)
+    dist = [_distances(rel, np.multiply.outer(t, step))
+            for t in (np.full(len(rel), a), np.full(len(rel), b), feet)]
+    size = [np.abs(_kernel_values(d, np.maximum(D, _ROUNDING * scale))) for D in dist]
+    values = UniformSegment(tuple(a * step), tuple(b * step), b - a).potential(rel, d)
+    inner = 8.0 if d == 2 else 6.0 * size[2]
+    return values, _ROUNDING * (2.0 + scale * (size[0] + size[1] + inner)) / length
+
+
+def _assert_rows_equal_one_piece_calls(path, ends, pts, d, ref):
+    values, bound = path.kernel_integrals(ends, pts, d)
+    assert values.shape == bound.shape == (len(ends), len(pts))
+    for row, (a, b) in enumerate(ends):
+        want_values, want_bound = ref(a, b)
+        np.testing.assert_array_equal(values[row], want_values)
+        np.testing.assert_array_equal(bound[row], want_bound)
+
+
+def test_arc_kernel_integrals_of_many_pieces_equal_one_piece_calls_bit_for_bit():
+    rng = random.Random(11)
+    for _ in range(40):
+        arc = UniformArc((rng.uniform(-2, 2), rng.uniform(-2, 2)), rng.uniform(0.1, 3),
+                         -4.0, -4.0 + 2 * math.pi, 1.0)
+        lo = rng.uniform(-3, 3)
+        cuts = sorted(rng.uniform(lo, lo + rng.choice([1e-6, 0.5, 2 * math.pi]))
+                      for _ in range(rng.randint(2, 6)))
+        ends = list(zip(cuts[:-1], cuts[1:])) + [(lo, lo + 2 * math.pi)]  # a full circle
+        rng.shuffle(ends)
+        pts = [arc.center, tuple(arc.at(np.array([ends[0][1]]))[0])]  # centre, a piece end
+        for q in (arc.radius, arc.radius, 0.5 * arc.radius, arc.radius * (1 + 1e-9),
+                  2.0 * arc.radius, arc.radius + 30.0):  # on, inside, outside the circle
+            t = rng.uniform(-4, 4)
+            pts.append((arc.center[0] + q * math.cos(t), arc.center[1] + q * math.sin(t)))
+        pts = np.array(pts)
+        _assert_rows_equal_one_piece_calls(
+            arc, ends, pts, 2, lambda a, b: _ref_arc_kernel_integrals(arc, a, b, pts))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_segment_kernel_integrals_of_many_pieces_equal_one_piece_calls_bit_for_bit(d):
+    rng = random.Random(12 + d)
+    for _ in range(40):
+        start = np.array([rng.uniform(-5, 5) for _ in range(d)])
+        step = np.array([rng.uniform(-3, 3) for _ in range(d)])
+        seg = UniformSegment(start, start + step, 1.0)
+        cuts = sorted(rng.uniform(0.0, 1.0) for _ in range(rng.randint(2, 6)))
+        ends = list(zip(cuts[:-1], cuts[1:]))
+        normal = np.array([rng.gauss(0, 1) for _ in range(d)])
+        normal -= normal @ step / (step @ step) * step
+        normal /= np.linalg.norm(normal)
+        pts = [start + cuts[0] * step, start + cuts[-1] * step,  # at piece ends
+               start + rng.uniform(-0.5, 1.5) * step]           # on the line
+        pts += [start + rng.uniform(-0.3, 1.3) * step + off * normal
+                for off in (1e-6, 1e-2, 1.0, 30.0)]              # off it
+        pts = np.array(pts)
+        _assert_rows_equal_one_piece_calls(
+            seg, ends, pts, d, lambda a, b: _ref_segment_kernel_integrals(seg, a, b, pts, d))
+
+
+def test_one_kernel_integrals_call_per_sign_class_with_pieces(monkeypatch):
+    calls = []
+    kernel_integrals = UniformArc.kernel_integrals
+
+    def counted(self, ends, pts, d):
+        calls.append(list(ends))
+        return kernel_integrals(self, ends, pts, d)
+
+    monkeypatch.setattr(UniformArc, "kernel_integrals", counted)
+    f = _mero(zeros=[(0.5 + 0.2j, 1), (-1.1j, 2)], poles=[(0.9, 1)], unit=1.3)
+    U = f.to_delta_subharmonic()
+    split = _split(U)
+    characteristics._integral_by_sign(U.values, split, characteristics._circle(1.05),
+                                      1e-8, split)
+    # both classes have pieces: one call each, over all pieces of the class,
+    # and the two classes' pieces alternate around the circle
+    assert len(calls) == 2 and len(calls[0]) >= 2
+    pieces = sorted(calls[0] + calls[1])
+    assert pieces[0][0] == 0.0 and pieces[-1][1] == 2 * math.pi
+    assert all(p[1] == q[0] for p, q in zip(pieces, pieces[1:]))
+    assert calls[1] == [p for p in pieces if p not in calls[0]]
+    # U > 0 on all of |x| = 4: the other class has no piece and no call
+    calls.clear()
+    characteristics._integral_by_sign(U.values, split, characteristics._circle(4.0),
+                                      1e-8, split)
+    assert calls == [[(0.0, 2 * math.pi)]]
