@@ -23,8 +23,9 @@ span, at, feet and kernel_integrals it reads, _integral_by_sign integrates
 the rest over the pieces where the sign of U is constant, ended at Illinois
 roots (_sign_changes) so a kink of U^+ is a panel edge, in one
 _integrate_pieces call per sign, and adds each atom's potential of every
-piece of that sign from one kernel_integrals call; a mean over a sphere (_identity_mean) takes each atom by Gauss's mean
-value theorem.  The remaining means are _sphere_mean.
+piece of that sign from one kernel_integrals call; a mean over a sphere
+(_identity_mean) takes each atom by Gauss's mean value theorem.  The
+remaining means are _sphere_mean.
 """
 
 from __future__ import annotations

@@ -146,15 +146,16 @@ def kernel(ctx: DimensionContext, t: ArrayLike) -> ArrayLike:
 
 def _distances(pts: np.ndarray, p) -> np.ndarray:
     """|x - p| at each row x of an (n, d) array (p = 0.0 gives the row
-    norms): the same floats as np.linalg.norm(pts - p, axis=1), summing the
+    norms; a p of shape (m, 1, d) or (m, n, d) gives an (m, n) array):
+    the same floats as np.linalg.norm(pts - p, axis=-1), summing the
     squared columns left to right without its slow reduction over 2 or 3
     columns, from one column-major buffer of pts - p squared in place, so
     every step runs on contiguous columns whatever the layout of pts."""
     v = np.subtract(pts, p, order="F")
     v *= v
-    total = v[:, 0]
-    for k in range(1, v.shape[1]):
-        total = total + v[:, k]
+    total = v[..., 0]
+    for k in range(1, v.shape[-1]):
+        total = total + v[..., k]
     return np.sqrt(total)
 
 

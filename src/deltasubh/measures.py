@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -87,15 +87,6 @@ def _dist(p: Point, y):
     if np.ndim(y) == 2:
         return _distances(np.asarray(y, dtype=float), p)
     return math.dist(p, y)
-
-
-def _row_norms(v) -> np.ndarray:
-    """|v| over the last axis of an array of offsets: the floats of
-    _distances, squares summed left to right."""
-    total = v[..., 0] * v[..., 0]
-    for k in range(1, v.shape[-1]):
-        total = total + v[..., k] * v[..., k]
-    return np.sqrt(total)
 
 
 def _float_or_array(out):
@@ -291,10 +282,10 @@ class UniformSegment:
         length = math.hypot(*step)
         scale = _distances(rel, 0.0) + (np.abs(a) + np.abs(b)) * length
         feet = np.clip(rel @ step / (step @ step), a, b)
-        dist = [_row_norms(rel - t * step) for t in (a[:, :, None], b[:, :, None], feet[:, :, None])]
+        dist = [_distances(rel, t[:, :, None] * step) for t in (a, b, feet)]
         size = [np.abs(_kernel_values(d, np.maximum(D, _ROUNDING * scale))) for D in dist]
-        values = np.array([UniformSegment(tuple(lo * step), tuple(hi * step), hi - lo).potential(rel, d)
-                           for lo, hi in ends])
+        values = np.array([UniformSegment(tuple(s * step), tuple(t * step), t - s).potential(rel, d)
+                           for s, t in ends])
         inner = 8.0 if d == 2 else 6.0 * size[2]
         return values, _ROUNDING * (2.0 + scale * (size[0] + size[1] + inner)) / length
 
@@ -518,8 +509,8 @@ class UniformArc:
         log_far = np.log(far)
         scale = _distances(pts, 0.0) + math.hypot(*self.center) + self.radius
         tips = self.at(np.concatenate((a, b))[:, 0])
-        dist = np.sqrt((pts[:, 0] - tips[:, :1]) ** 2 + (pts[:, 1] - tips[:, 1:]) ** 2)
-        slope = np.abs(np.log(np.maximum(dist, _ROUNDING * scale) / far))
+        slope = np.abs(np.log(np.maximum(_distances(pts, tips[:, None, :]), _ROUNDING * scale)
+                              / far))
         values = width * log_far  # the full circle's mean-value form
         part = np.flatnonzero(np.abs(width[:, 0] - TWO_PI) > 1e-12)
         if part.size:
