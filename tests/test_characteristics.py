@@ -27,6 +27,7 @@ from deltasubh.potentials import (
     MeromorphicFn,
     SubharmonicFn,
 )
+from deltasubh.quadrature import _ROUNDING
 
 
 def _mero(zeros=(), poles=(), unit=1.0, exponent=()):
@@ -483,9 +484,6 @@ def test_sign_changes_let_the_evaluators_warnings_through():
 # -- the closed forms of one sign class in one call ---------------------------
 # kernel_integrals takes every piece of a class at once; these one-piece
 # forms are what each of its rows must equal bit for bit.
-
-_ROUNDING = 16.0 * float(np.finfo(float).eps)
-
 
 def _ref_arc_kernel_integrals(arc, a, b, pts):
     far = np.maximum(_distances(pts, arc.center), arc.radius)
