@@ -9,10 +9,10 @@ and the strictly increasing kernel
     k(t) = -t^{2-d}    (d > 2),      k(0) = -inf.
 
 Extended reals are plain IEEE floats with +-inf.  The helpers ext_add /
-ext_sub / ext_mul / ext_div implement the usual conventions, with 0 * inf = 0
-by default, and raise UndefinedOperationError for the genuinely undefined
-combinations (inf - inf, 0/0, inf/inf) instead of producing NaN, so a NaN can
-never silently fake a passing inequality.
+ext_sub / ext_mul / ext_div implement the usual conventions, with 0 * inf = 0,
+and raise UndefinedOperationError for the genuinely undefined combinations
+(inf - inf, 0/0, inf/inf) instead of producing NaN, so a NaN can never
+silently fake a passing inequality.
 """
 
 from __future__ import annotations
@@ -58,15 +58,10 @@ def ext_sub(x: float, y: float) -> float:
     return x - y
 
 
-def ext_mul(x: float, y: float, zero_times_inf: float = 0.0) -> float:
-    """x * y on the extended reals.
-
-    0 * (+-inf) evaluates to ``zero_times_inf`` (default 0.0); pass a different
-    value, e.g. math.nan or math.inf, where a call site needs to override the
-    convention.
-    """
+def ext_mul(x: float, y: float) -> float:
+    """x * y on the extended reals, with 0 * (+-inf) = 0."""
     if (x == 0.0 and math.isinf(y)) or (y == 0.0 and math.isinf(x)):
-        return zero_times_inf
+        return 0.0
     return x * y
 
 

@@ -321,19 +321,6 @@ class MeromorphicFn:
                 acc = acc - n * np.log(np.abs(z - b))
         return acc
 
-    def value(self, z: complex) -> complex:
-        out = self.unit_factor
-        if self.exponent:
-            p = 0j
-            for c in reversed(self.exponent):
-                p = p * z + c
-            out *= np.exp(p)
-        for a, m in self.zeros:
-            out *= (z - a) ** m
-        for b, n in self.poles:
-            out /= (z - b) ** n
-        return complex(out)
-
     def pole_count(self, r: float) -> int:
         """n(r, f): poles in the closed disk of radius r, with multiplicity."""
         return sum(n for b, n in self.poles if abs(b) <= r)
