@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import DimensionContext, _distances, _kernel_values
+from .geometry import DimensionContext, _distances, _dots, _kernel_values
 from .measures import Atom, BorelMeasure, UniformArc, integrated_counting_result
 from .potentials import (
     DeltaSubharmonicFn,
@@ -133,8 +133,9 @@ def _identity_mean(split: _Split, r: float, dim: int, tol: float) -> QuadratureR
     """Mean over |x| = r of a split function: the rest by _sphere_mean, and
     each atom as w k(max(r, |p|)), Gauss's mean value of its kernel term."""
     res = _sphere_mean(split.rest, r, dim, tol)
-    terms = split.weights * _kernel_values(dim, np.maximum(r, _distances(split.points, 0.0)))
-    return res + QuadratureResult(float(np.sum(terms)), _ROUNDING * float(np.sum(np.abs(terms))), 0)
+    k = _kernel_values(dim, np.maximum(r, _distances(split.points, 0.0)))
+    return res + QuadratureResult(float(_dots(split.weights, k)),
+                                  _ROUNDING * float(_dots(np.abs(split.weights), np.abs(k))), 0)
 
 
 def _sign_changes(evaluator, x, fx) -> list:
@@ -207,11 +208,9 @@ def _integral_by_sign(signed, pos: _Split, path, tol: float,
         if not (ends and sp.weights.size):
             continue
         values, rounding = path.kernel_integrals(ends, sp.points, sp.points.shape[1])
-        magnitudes = np.abs(sp.weights)
-        for row, bound in zip(values, rounding):
-            value = float(np.sum(sp.weights * row))
-            total = total + QuadratureResult(
-                value, max(float(magnitudes @ bound), _ROUNDING * abs(value)), 0)
+        bounds = _dots(rounding, np.abs(sp.weights)).tolist()
+        for value, bound in zip(_dots(values, sp.weights).tolist(), bounds):
+            total = total + QuadratureResult(value, max(bound, _ROUNDING * abs(value)), 0)
     return total
 
 

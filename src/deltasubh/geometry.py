@@ -13,6 +13,12 @@ ext_sub / ext_mul / ext_div implement the usual conventions, with 0 * inf = 0,
 and raise UndefinedOperationError for the genuinely undefined combinations
 (inf - inf, 0/0, inf/inf) instead of producing NaN, so a NaN can never
 silently fake a passing inequality.
+
+One summation rule holds in the whole package: every inner product is
+_dots and every Euclidean norm or distance is _distances, both adding their
+terms left to right.  No BLAS reduction is used, so a sum is the same
+floats whatever shares its call and whatever kernel the machine's BLAS
+picks (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 4).
 """
 
 from __future__ import annotations
@@ -139,13 +145,25 @@ def kernel(ctx: DimensionContext, t: ArrayLike) -> ArrayLike:
     return out
 
 
+def _dots(a, b):
+    """sum_k a[..., k] b[..., k] over the last axis, b broadcasting against
+    a, with the terms added left to right: a 1-d a gives a scalar, an (n, d)
+    one n sums.  Each sum is the same floats whatever shares its call."""
+    a, b = np.asarray(a), np.asarray(b)
+    if not a.shape[-1]:  # the empty sum
+        return np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1])
+    total = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        total = total + a[..., k] * b[..., k]
+    return total
+
+
 def _distances(pts: np.ndarray, p) -> np.ndarray:
     """|x - p| at each row x of an (n, d) array (p = 0.0 gives the row
-    norms; a p of shape (m, 1, d) or (m, n, d) gives an (m, n) array):
-    the same floats as np.linalg.norm(pts - p, axis=-1), summing the
-    squared columns left to right without its slow reduction over 2 or 3
-    columns, from one column-major buffer of pts - p squared in place, so
-    every step runs on contiguous columns whatever the layout of pts."""
+    norms; a p of shape (m, 1, d) or (m, n, d) gives an (m, n) array; a
+    1-d pts gives a scalar): np.sqrt(_dots(v, v)) for v = pts - p, from one
+    column-major buffer of v squared in place, so every step runs on
+    contiguous columns whatever the layout of pts."""
     v = np.subtract(pts, p, order="F")
     v *= v
     total = v[..., 0]

@@ -40,7 +40,7 @@ from .characteristics import (
     nevanlinna_N,
     spherical_mean,
 )
-from .geometry import DimensionContext, ext_mul, kernel
+from .geometry import DimensionContext, _distances, _dots, ext_mul, kernel
 from .measures import (
     Atom,
     BorelMeasure,
@@ -168,8 +168,7 @@ def _ball_integral(U, comp: UniformBall, tol: float) -> QuadratureResult:
     c = np.asarray(comp.center)
     rho = comp.radius
     dim = comp.dim
-    breaks = sorted({float(np.linalg.norm(p - c)) for p in _split(U).points
-                     if 0.0 < float(np.linalg.norm(p - c)) < rho})
+    breaks = sorted({q for q in _distances(_split(U).points, c).tolist() if 0.0 < q < rho})
     edges = [0.0] + breaks + [rho]
     u, uw = _gl_nodes(-1.0, 1.0, 48)  # polar rule in 3-d, the same at every level
 
@@ -219,10 +218,10 @@ def _ball_integral(U, comp: UniformBall, tol: float) -> QuadratureResult:
             kept[k] = vals
             if dim == 2:
                 shell = vals.mean(axis=1)
-                total += float(np.dot(qw, 2.0 * qs / (rho * rho) * shell))
+                total += float(_dots(qw, 2.0 * qs / (rho * rho) * shell))
             else:
-                shell = 0.5 * np.einsum("j,ij->i", uw, vals.mean(axis=2))
-                total += float(np.dot(qw, 3.0 * qs ** 2 / rho ** 3 * shell))
+                shell = 0.5 * _dots(vals.mean(axis=2), uw)
+                total += float(_dots(qw, 3.0 * qs ** 2 / rho ** 3 * shell))
         n_q_prev = n_q
         diff = math.inf if prev is None else abs(total - prev)
         prev = total
@@ -385,34 +384,24 @@ class PointReport:
 
 
 def _finite_values(U: DeltaSubharmonicFn, sample_points: Sequence):
-    """U at all sample points in one call: the kept points with their values
-    as ([x], [U(x)]), and the skipped ones (polar or non-finite) as tuples."""
-    xs = [np.asarray(raw, dtype=float) for raw in sample_points]
-    kept, values, skipped = [], [], []
-    if xs:
-        vals, polar = U.values_with_polar(np.array(xs))
-        for x, val, pol in zip(xs, vals.tolist(), polar.tolist()):
-            if pol or not math.isfinite(val):
-                skipped.append(tuple(x))
-            else:
-                kept.append(x)
-                values.append(val)
-    return kept, values, skipped
+    """U at all sample points in one call: the kept points (n, d) and their
+    values (n,), and the skipped ones (polar or non-finite) as tuples."""
+    X = np.array(sample_points, dtype=float).reshape(len(sample_points), U.dim)
+    vals, polar = U.values_with_polar(X)
+    keep = ~polar & np.isfinite(vals)
+    return X[keep], vals[keep], [tuple(x) for x in X[~keep].tolist()]
 
 
-def _reflected_potentials(nu: BorelMeasure, xs: list, R: float, d: int) -> list:
-    """integral of k(|R y/|y| - |y| x / R|) d nu(y) at each x of xs, via the
-    symmetry |R y/|y| - |y| x / R| = (|x|/R) |x* - y| with x* = R^2 x / |x|^2;
-    the potentials at all x* in one call."""
-    mass = nu.mass
-    qs = [float(np.linalg.norm(x)) for x in xs]
-    far = [i for i, q in enumerate(qs) if q != 0.0]
-    out = [mass * float(kernel(DimensionContext(d), R))] * len(xs)  # q == 0
-    if far:
-        x_star = np.array([(R * R / (qs[i] * qs[i])) * xs[i] for i in far])
-        for i, pot in zip(far, potential_values(nu, x_star, d).tolist()):
-            q = qs[i]
-            out[i] = mass * math.log(q / R) + pot if d == 2 else (R / q) * pot
+def _reflected_potentials(nu: BorelMeasure, X: np.ndarray, R: float, d: int) -> np.ndarray:
+    """integral of k(|R y/|y| - |y| x / R|) d nu(y) at each row x of X, via
+    the symmetry |R y/|y| - |y| x / R| = (|x|/R) |x* - y| with
+    x* = R^2 x / |x|^2; the potentials at all x* in one call."""
+    q = _distances(X, 0.0)
+    far = q != 0.0
+    out = np.full(len(X), nu.mass * float(kernel(DimensionContext(d), R)))  # q == 0
+    q = q[far]
+    pot = potential_values(nu, (R * R / (q * q))[:, None] * X[far], d)
+    out[far] = nu.mass * np.log(q / R) + pot if d == 2 else (R / q) * pot
     return out
 
 
@@ -431,40 +420,28 @@ def verify_poisson_jensen(U: DeltaSubharmonicFn, R: float,
     boundary mean: U is evaluated once per node set."""
     d = U.dim
     plus, minus = jordan_decomposition(U)
-    xs, lhs_values, skipped = _finite_values(U, sample_points)
-    green = [0.0] * len(xs)
-    boundary = []
-    if xs:
-        for nu, sign in ((plus, 1.0), (minus, -1.0)):
-            if nu.mass == 0.0:
-                continue
-            refl = _reflected_potentials(nu, xs, R, d)
-            direct = potential_values(nu, np.array(xs), d).tolist()
-            for i in range(len(xs)):
-                green[i] -= sign * (refl[i] - direct[i])
-        X = np.array(xs)
-        # the kernel's numerator at each point, as a column
-        num = np.array([[R * R - float(x @ x) if d == 2 else R * (R * R - float(x @ x))]
-                        for x in xs])
+    X, lhs, skipped = _finite_values(U, sample_points)
+    green = np.zeros(len(X))
+    for nu, sign in ((plus, 1.0), (minus, -1.0)):
+        if nu.mass != 0.0:
+            green -= sign * (_reflected_potentials(nu, X, R, d) - potential_values(nu, X, d))
+    # the kernel's numerator at each point, as a column
+    q2 = _dots(X, X)[:, None]
+    num = R * R - q2 if d == 2 else R * (R * R - q2)
 
-        def poisson(y):
-            dist2 = (y[:, 0] - X[:, :1]) ** 2
-            for k in range(1, d):
-                dist2 += (y[:, k] - X[:, k:k + 1]) ** 2
-            vals, polar = U.values_with_polar(y)
-            kern = num / dist2 if d == 2 else num / np.sqrt(dist2) ** 3
-            return np.where(polar, np.nan, kern * vals)
+    def poisson(y):
+        v = y - X[:, None, :]
+        dist2 = _dots(v, v)
+        vals, polar = U.values_with_polar(y)
+        kern = num / dist2 if d == 2 else num / np.sqrt(dist2) ** 3
+        return np.where(polar, np.nan, kern * vals)
 
-        boundary = _sphere_means(poisson, R, d, tol)
-    points, residuals, relative = [], [], []
-    for x, lhs, g, b in zip(xs, lhs_values, green, boundary):
-        res = lhs - (b.value + g)
-        points.append(tuple(x))
-        residuals.append(res)
-        relative.append(abs(res) / max(1.0, abs(lhs)))
-    max_rel = max(relative, default=0.0)
-    return PointReport(points, residuals, relative, skipped, max_rel,
-                       PASS if max_rel < 1e-6 else FAIL)
+    boundary = np.array([b.value for b in _sphere_means(poisson, R, d, tol)])
+    residuals = lhs - (boundary + green)
+    relative = np.abs(residuals) / np.maximum(1.0, np.abs(lhs))
+    max_rel = float(relative.max(initial=0.0))
+    return PointReport([tuple(x) for x in X.tolist()], residuals.tolist(), relative.tolist(),
+                       skipped, max_rel, PASS if max_rel < 1e-6 else FAIL)
 
 
 def verify_pointwise_bound(U: DeltaSubharmonicFn, r: float, R: float,
@@ -481,21 +458,15 @@ def verify_pointwise_bound(U: DeltaSubharmonicFn, r: float, R: float,
     c_plus = spherical_mean(U, R, "positive", tol)
     coeff = R ** (d - 2) * (R + r) / (R - r) ** (d - 1)
     k_Rr = float(kernel(ctx, R + r))
-    xs, lhs_values, skipped = _finite_values(U, sample_points)
-    pots = potential_values(minus, np.array(xs), d).tolist() if xs else []
-    points, slacks, relative = [], [], []
-    for x, lhs, pot in zip(xs, lhs_values, pots):
-        lhs_plus = max(lhs, 0.0)
-        charge_term = k_Rr * minus.mass - pot
-        rhs = coeff * c_plus.value + charge_term
-        slack = rhs - lhs_plus
-        points.append(tuple(x))
-        slacks.append(slack)
-        relative.append(slack / max(1.0, abs(rhs)))
+    X, lhs, skipped = _finite_values(U, sample_points)
+    rhs = coeff * c_plus.value + (k_Rr * minus.mass - potential_values(minus, X, d))
+    slacks = rhs - np.maximum(lhs, 0.0)
+    relative = slacks / np.maximum(1.0, np.abs(rhs))
     budget = coeff * c_plus.error_estimate
-    return PointReport(points, slacks, relative, skipped,
-                       max((abs(v) for v in relative), default=0.0),
-                       _verdict(min(slacks, default=0.0), budget), budget)
+    worst = float(slacks.min()) if len(X) else 0.0
+    return PointReport([tuple(x) for x in X.tolist()], slacks.tolist(), relative.tolist(),
+                       skipped, float(np.abs(relative).max(initial=0.0)),
+                       _verdict(worst, budget), budget)
 
 
 def verify_counting_lemma(delta: BorelMeasure, R_star: float, R: float,

@@ -43,7 +43,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .geometry import (DimensionContext, _distances, _kernel_values, ext_mul,
+from .geometry import (DimensionContext, _distances, _dots, _kernel_values, ext_mul,
                        kernel)
 from .quadrature import _ROUNDING, QuadratureResult, _gl_nodes, integrate_interval
 
@@ -134,7 +134,7 @@ class Atom:
         return self.weight * _kernel_values(d, _distances(pts, self.point))
 
     def distance_to(self, p: np.ndarray) -> float:
-        return float(np.linalg.norm(p - np.asarray(self.point)))
+        return float(_distances(p, self.point))
 
     def translate(self, v) -> "Atom":
         return Atom(tuple(p + dv for p, dv in zip(self.point, v)), self.weight)
@@ -171,13 +171,13 @@ class UniformSegment:
         a = np.asarray(self.start)
         e = np.asarray(self.end) - a
         w = np.asarray(y, dtype=float) - a
-        ee = float(np.dot(e, e))
-        dot = np.dot(w, e)
+        ee = float(_dots(e, e))
+        dot = _dots(w, e)
         # ee (t^2 - |w_perp|^2), not dot^2 - ee (|w|^2 - t^2): the latter
         # cancels for centers on or near the segment's line
         perp = w - np.multiply.outer(dot / ee, e)
         t_arr = np.asarray(t, dtype=float)
-        disc = ee * (t_arr * t_arr - (perp * perp).sum(axis=-1))
+        disc = ee * (t_arr * t_arr - _dots(perp, perp))
         safe = np.sqrt(np.maximum(disc, 0.0))
         s_lo = (dot - safe) / ee
         s_hi = (dot + safe) / ee
@@ -211,9 +211,7 @@ class UniformSegment:
         L = self.length
         ehat = e / L
         w = pts - a
-        u0 = w[:, 0] * ehat[0]  # left to right, as _distances: node by node
-        for k in range(1, w.shape[1]):
-            u0 = u0 + w[:, k] * ehat[k]
+        u0 = _dots(w, ehat)
         perp = w - u0[:, None] * ehat
         h = _distances(perp, 0.0)
         u_lo = -u0
@@ -230,7 +228,7 @@ class UniformSegment:
             integral = F(u_hi) - F(u_lo)
             return self.weight / L * integral
         # d == 3: antiderivative of -1/sqrt(u^2+h^2); -inf on the segment up to rounding
-        near = _ROUNDING * (_distances(pts, 0.0) + float(np.linalg.norm(a)) + L)
+        near = _ROUNDING * (_distances(pts, 0.0) + float(_distances(a, 0.0)) + L)
         on_axis = h <= near
         inside = on_axis & (u_lo <= near) & (u_hi >= -near)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -246,7 +244,7 @@ class UniformSegment:
 
     def distance_to(self, p) -> float:
         p = np.asarray(p, dtype=float)
-        return float(np.linalg.norm(self.at(self.feet(p[None, :], *self.span))[0] - p))
+        return float(_distances(self.at(self.feet(p[None, :], *self.span)), p)[0])
 
     @property
     def span(self) -> tuple:
@@ -263,7 +261,7 @@ class UniformSegment:
     def feet(self, pts, lo: float, hi: float):
         """The parameters of the points' projections, clipped to [lo, hi]."""
         step = np.subtract(self.end, self.start)
-        return np.clip((pts - self.start) @ step / (step @ step), lo, hi)
+        return np.clip(_dots(pts - self.start, step) / _dots(step, step), lo, hi)
 
     def kernel_integrals(self, ends, pts, d: int):
         """integral_a^b k(|x(s) - p|) ds at each row p of pts for each piece
@@ -281,7 +279,7 @@ class UniformSegment:
         step = np.subtract(self.end, self.start)
         length = math.hypot(*step)
         scale = _distances(rel, 0.0) + (np.abs(a) + np.abs(b)) * length
-        feet = np.clip(rel @ step / (step @ step), a, b)
+        feet = np.clip(_dots(rel, step) / _dots(step, step), a, b)
         dist = [_distances(rel, t[:, :, None] * step) for t in (a, b, feet)]
         size = [np.abs(_kernel_values(d, np.maximum(D, _ROUNDING * scale))) for D in dist]
         values = np.array([UniformSegment(tuple(s * step), tuple(t * step), t - s).potential(rel, d)
@@ -439,7 +437,7 @@ class UniformArc:
         t_star = self.radius * math.sin(theta_star)
         theta = theta_star if upper >= t_star else math.asin(upper / self.radius)
         phi, wts = _gl_nodes(0.0, theta, 16)
-        value = 2.0 * self.weight / self.width * float(np.dot(wts, phi / np.tan(phi)))
+        value = 2.0 * self.weight / self.width * float(_dots(wts, phi / np.tan(phi)))
         if upper > t_star:
             value += self.weight * math.log(upper / t_star)
         return value
@@ -472,8 +470,7 @@ class UniformArc:
         """Distance from p to the full circle: a lower bound of the distance
         to the arc.  The scenario generators reject points on exactly this
         value, so it stays the circle distance."""
-        q = float(np.linalg.norm(p - np.asarray(self.center)))
-        return abs(q - self.radius)
+        return abs(float(_distances(p, self.center)) - self.radius)
 
     @property
     def span(self) -> tuple:
@@ -604,8 +601,7 @@ class UniformBall:
         raise UnsupportedModelError(f"ball potentials support d in (2, 3), got {d}")
 
     def distance_to(self, p: np.ndarray) -> float:
-        q = float(np.linalg.norm(p - np.asarray(self.center)))
-        return max(0.0, q - self.radius)
+        return max(0.0, float(_distances(p, self.center)) - self.radius)
 
     def translate(self, v) -> "UniformBall":
         return UniformBall(
@@ -755,9 +751,9 @@ def _atomic_h_exact_2d(mu: BorelMeasure, t: float) -> float:
         if extra:
             cands.append(np.array(extra))
     centers = np.vstack(cands)
-    d2 = ((centers[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    covered = d2 <= (t + tol) ** 2
-    return float((covered * wts[None, :]).sum(axis=1).max())
+    v = centers[:, None, :] - pts[None, :, :]
+    covered = _dots(v, v) <= (t + tol) ** 2
+    return float(_dots(covered, wts).max())
 
 
 def modulus_of_continuity_exact(mu: BorelMeasure, t: float):

@@ -45,6 +45,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .geometry import _distances, _dots
 from .measures import (
     Atom,
     BorelMeasure,
@@ -359,7 +360,7 @@ def product(f: MeromorphicFn, g: MeromorphicFn) -> MeromorphicFn:
 def _cross_norm(a: np.ndarray, b: np.ndarray) -> float:
     if a.size == 2:
         return abs(float(a[0] * b[1] - a[1] * b[0]))
-    return float(np.linalg.norm(np.cross(a, b)))
+    return float(_distances(np.cross(a, b), 0.0))
 
 
 def _positively_overlapping(a, b) -> bool:
@@ -368,13 +369,13 @@ def _positively_overlapping(a, b) -> bool:
     if isinstance(a, UniformSegment) and isinstance(b, UniformSegment):
         pa, ea = np.asarray(a.start), np.asarray(a.end) - np.asarray(a.start)
         pb, eb = np.asarray(b.start), np.asarray(b.end) - np.asarray(b.start)
-        if _cross_norm(ea, eb) > 1e-12 * np.linalg.norm(ea) * np.linalg.norm(eb):
+        na, off = float(_distances(ea, 0.0)), pb - pa
+        if _cross_norm(ea, eb) > 1e-12 * na * float(_distances(eb, 0.0)):
             return False
-        off = pb - pa
-        if _cross_norm(ea, off) > 1e-12 * np.linalg.norm(ea) * max(1.0, float(np.linalg.norm(off))):
+        if _cross_norm(ea, off) > 1e-12 * na * max(1.0, float(_distances(off, 0.0))):
             return False
-        s0 = float(off @ ea / (ea @ ea))
-        s1 = float((off + eb) @ ea / (ea @ ea))
+        s0 = float(_dots(off, ea) / _dots(ea, ea))
+        s1 = float(_dots(off + eb, ea) / _dots(ea, ea))
         lo, hi = min(s0, s1), max(s0, s1)
         return min(hi, 1.0) - max(lo, 0.0) > 1e-12
     if isinstance(a, UniformArc) and isinstance(b, UniformArc):

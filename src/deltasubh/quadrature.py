@@ -45,6 +45,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .geometry import _dots
+
 logger = logging.getLogger(__name__)
 
 __all__ = [
@@ -126,9 +128,9 @@ def _nudge(f, x: np.ndarray, y: np.ndarray, scale: float) -> np.ndarray:
 def _gl_panels(f, lo: np.ndarray, hi: np.ndarray, scale: float) -> list:
     """GL15 sums over the panels [lo[i], hi[i]], all nodes in one call of f.
 
-    Each sum is formed exactly as for a lone panel, half * dot(w, y), and a
-    panel with a non-finite node is nudged on its own nodes, so for an f that
-    acts node by node every sum equals the one a call per panel gives."""
+    Each sum is half * _dots(y, w) over the panel's values y, and a panel
+    with a non-finite node is nudged on its own nodes, so for an f that acts
+    node by node every sum equals the one a call per panel gives."""
     x, w = _leggauss(15)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -136,7 +138,7 @@ def _gl_panels(f, lo: np.ndarray, hi: np.ndarray, scale: float) -> list:
     y = np.array(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
     for i in np.flatnonzero(~np.isfinite(y).all(axis=1)):
         y[i] = _nudge(f, nodes[i], y[i], scale)
-    return [h * float(np.dot(w, row)) for h, row in zip(half.tolist(), y)]
+    return (half * _dots(y, w)).tolist()
 
 
 class _Budget:
@@ -352,12 +354,11 @@ def _sphere_means_3d(G: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 )
             logger.debug("perturbed sphere nodes off a singular point")
         total += vals.shape[1]
-        rows = vals.reshape(-1, n, 2 * n).mean(axis=2)
+        means = (0.5 * _dots(vals.reshape(-1, n, 2 * n).mean(axis=2), w)).tolist()
         still = []
         for i in active:
-            mean = 0.5 * float(np.dot(w, rows[i]))
-            diff[i] = abs(mean - prev[i])  # inf at the first level
-            prev[i], nodes[i] = mean, total
+            diff[i] = abs(means[i] - prev[i])  # inf at the first level
+            prev[i], nodes[i] = means[i], total
             if not diff[i] <= tol:
                 still.append(i)
         active = still

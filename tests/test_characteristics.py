@@ -17,7 +17,7 @@ from deltasubh.characteristics import (
     spherical_mean,
     sup_on_sphere,
 )
-from deltasubh.geometry import DimensionContext, _distances, _kernel_values, kernel
+from deltasubh.geometry import DimensionContext, _distances, _dots, _kernel_values, kernel
 from deltasubh.measures import (Atom, BorelMeasure, UniformArc, UniformSegment,
                                 integrated_counting)
 from deltasubh.potentials import (
@@ -501,7 +501,7 @@ def _ref_segment_kernel_integrals(seg, a, b, pts, d):
     step = np.subtract(seg.end, seg.start)
     length = math.hypot(*step)
     scale = _distances(rel, 0.0) + (abs(a) + abs(b)) * length
-    feet = np.clip(rel @ step / (step @ step), a, b)
+    feet = np.clip(_dots(rel, step) / _dots(step, step), a, b)
     dist = [_distances(rel, np.multiply.outer(t, step))
             for t in (np.full(len(rel), a), np.full(len(rel), b), feet)]
     size = [np.abs(_kernel_values(d, np.maximum(D, _ROUNDING * scale))) for D in dist]

@@ -407,15 +407,15 @@ PIN_3D = {
 # charge potentials, canonical T_U, the 3-d sphere means and the modulus
 # bracket
 PINNED_STDOUT = {
-    ("pin-2d", "Tdiff"): "1357b95166377471859482b8a9ba8544",
+    ("pin-2d", "Tdiff"): "f705024c5ccb7dfe5d28dea56ea630a5",
     ("pin-2d", "TdiffC"): "dbb7ef866dd27bc0a0429a524ca574cc",
-    ("pin-2d", "C+"): "d1400b5f61d73b6a9ddf036586e2d842",
+    ("pin-2d", "C+"): "367e4b00f2c9781dcfce623efec3051f",
     ("pin-2d", "M"): "64649216225916d627af82fbf7db2de5",
-    ("pin-3d", "Tdiff"): "d722f1c0b200e3fd1dc24e8a5db1a816",
-    ("pin-3d", "TdiffC"): "07ed9155d445b12325c2be489db90213",
-    ("pin-3d", "C+"): "a4085361ed81bac1fe099ead2369a2d5",
+    ("pin-3d", "Tdiff"): "ce4b5197f132eb39dae4099f31f6a497",
+    ("pin-3d", "TdiffC"): "7cd38cfa9273a387f76f25e42458a04f",
+    ("pin-3d", "C+"): "a46ca64588f873a9ed31b4eebbcd386b",
     ("pin-3d", "M"): "5e5375ddb3d3886e44313a31b720b0cb",
-    ("pin-2d", "auto"): "7bfc7064fd39f6becf0332f5fca5e4e8",
+    ("pin-2d", "auto"): "2136ab7943e290cd363834a758523b48",
     ("pin-2d", "upper"): "391a7f6fb6b6f50f27e9471f4c6d5c0f",
     ("pin-disk-union", "auto"): "784a63b519b4bcd3002a3640151e47bf",
     ("pin-disk-union", "upper"): "82799362e8e1f316a1f9c4b003811cce",
@@ -486,18 +486,18 @@ PINNED_RUNS = {
     "verify pin-mixed": "verify {pin-mixed} --checks UR,UR2",
 }
 PINNED_RUN_STDOUT = {
-    "verify pin-3d": "d02d5ea71b638a28737a710bdf9a371c",
+    "verify pin-3d": "48775ff6632fa37723c9d0eb519ef536",
     "verify pin-arc": "e98522a6e851cda1dc4856bd3685e1c2",
     "m pin-arc": "95051b5dfe0faea7033191ef933b5f95",
-    "C+ pin-arc": "e4d07a2b25f4b5b3320f86bf953f5dcd",
-    "verify pin-disk-union": "c65473acfdaadd79d04ece7bf48f6eb1",
-    "verify pin-disk-union mean": "7918a13f2d93006466659fb590e62843",
-    "C+ pin-2d": "d1400b5f61d73b6a9ddf036586e2d842",
-    "C+ pin-2d mean": "e2d66d0b63f3d35deca75ec907190663",
-    "corpus": "9e712e3dd2c1f771512f6e6229e91653",
-    "corpus tols": "4c92b94f98a45906982585f3970c884e",
+    "C+ pin-arc": "432a5df18f2b2438dc8af1c5b56fb440",
+    "verify pin-disk-union": "f10e464121e465bf480e55d24c67d315",
+    "verify pin-disk-union mean": "20bd0947c5c0d6dce721122cece72aca",
+    "C+ pin-2d": "367e4b00f2c9781dcfce623efec3051f",
+    "C+ pin-2d mean": "b2388a4693b22b14b059967492f81d1c",
+    "corpus": "0e0cd77d7755007a0929f64df307de2f",
+    "corpus tols": "6a10836728523f5e6a285da8bc4af105",
     "verify pin-arc default": "f05bde3cf59a7ca3a254ce73c210e5f3",
-    "verify pin-mixed": "123d5b28ef0a0cd869db220d94e234f6",
+    "verify pin-mixed": "440a5563433c6ee749dd4a0414b24540",
 }
 
 

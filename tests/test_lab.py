@@ -11,7 +11,7 @@ import pytest
 from deltasubh import characteristics, lab, measures, potentials
 
 from deltasubh.characteristics import _sphere_mean
-from deltasubh.geometry import DimensionContext, kernel
+from deltasubh.geometry import DimensionContext, _distances, _dots, kernel
 from deltasubh.measures import (
     Atom,
     BorelMeasure,
@@ -488,8 +488,8 @@ def _ref_disk_integral(U, comp, tol):
     level evaluates the whole radius x angle grid afresh."""
     c = np.asarray(comp.center)
     rho = comp.radius
-    breaks = sorted({float(np.linalg.norm(p - c)) for p in lab._split(U).points
-                     if 0.0 < float(np.linalg.norm(p - c)) < rho})
+    breaks = sorted({float(_distances(p, c)) for p in lab._split(U).points
+                     if 0.0 < float(_distances(p, c)) < rho})
     edges = [0.0] + breaks + [rho]
     prev = None
     diff = math.inf
@@ -510,7 +510,7 @@ def _ref_disk_integral(U, comp, tol):
             vals = U.positive_values(pts).reshape(len(qs), n_a)
             vals = np.where(np.isfinite(vals), vals, 0.0)
             shell = vals.mean(axis=1)
-            total += float(np.dot(qw, 2.0 * qs / (rho * rho) * shell))
+            total += float(_dots(qw, 2.0 * qs / (rho * rho) * shell))
             nodes += pts.shape[0]
         if prev is not None:
             diff = abs(total - prev)
@@ -568,13 +568,13 @@ def _ref_reflected_potential(nu, x, R, d):
     mass = nu.mass
     if mass == 0.0:
         return 0.0
-    q = float(np.linalg.norm(x))
+    q = float(_distances(x, 0.0))
     if q == 0.0:
         return mass * float(kernel(DimensionContext(d), R))
     x_star = (R * R / (q * q)) * x
     pot = float(potential_values(nu, x_star[None, :], d)[0])
     if d == 2:
-        return mass * math.log(q / R) + pot
+        return mass * float(np.log(q / R)) + pot
     return (R / q) * pot
 
 
@@ -588,7 +588,7 @@ def _ref_poisson_jensen(U, R, sample_points, tol):
         if lhs is None or not math.isfinite(lhs):
             skipped.append(tuple(x))
             continue
-        q2 = float(x @ x)
+        q2 = float(_dots(x, x))
 
         def poisson(y):
             dist2 = ((y - x[None, :]) ** 2).sum(axis=1)
