@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from deltasubh.geometry import (
     Ball,
     DimensionContext,
     UndefinedOperationError,
+    _distances,
+    _dots,
     ext_add,
     ext_div,
     ext_mul,
@@ -127,3 +131,70 @@ def test_ball_conventions():
     assert not empty.contains((0.0, 0.0), closed=False)  # open one is empty
     with pytest.raises(ValueError):
         Ball((0.0, 0.0), -1.0)
+
+
+# ---------------------------------------------------------------------------
+# the summation rule: _dots and _distances add their terms left to right
+
+
+def _left_to_right(a, b) -> float:
+    total = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        total += x * y
+    return total
+
+
+@pytest.mark.parametrize("shape", [(7,), (2,), (300, 3), (300, 2), (5, 40, 3), (4, 6, 15)])
+def test_dots_equal_a_python_left_to_right_loop_bit_for_bit(shape):
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    b = rng.standard_normal(shape[-1:]) * 10.0 ** rng.integers(-8, 8, shape[-1:])
+    got = _dots(a, b)  # b broadcasts against a
+    assert np.shape(got) == shape[:-1]
+    rows = a.reshape(-1, shape[-1])
+    want = [_left_to_right(row.tolist(), b.tolist()) for row in rows]
+    assert np.reshape(got, -1).tolist() == want
+    full = rng.standard_normal(shape)  # and b of a's own shape
+    want = [_left_to_right(x.tolist(), y.tolist())
+            for x, y in zip(rows, full.reshape(-1, shape[-1]))]
+    assert np.reshape(_dots(a, full), -1).tolist() == want
+
+
+def test_dots_of_nothing_is_zero():
+    assert _dots(np.zeros(0), np.zeros(0)) == 0.0
+    assert _dots(np.zeros((3, 0)), np.zeros(0)).tolist() == [0.0] * 3
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_distances_are_the_root_of_dots(d):
+    rng = np.random.default_rng(40 + d)
+    pts = rng.uniform(-3.0, 3.0, (2049, d)) * 10.0 ** rng.integers(-6, 6, (2049, 1))
+    for p in (rng.uniform(-1.0, 1.0, d), 0.0, pts[:5, None, :]):
+        v = pts - p
+        assert np.array_equal(_distances(pts, p), np.sqrt(_dots(v, v)))
+    v = pts[3] - pts[7]
+    assert _distances(pts[3], pts[7]) == math.sqrt(_left_to_right(v.tolist(), v.tolist()))
+
+
+_BLAS_NAMES = {"dot", "einsum", "matmul", "inner", "vdot", "tensordot", "linalg"}
+
+
+def test_src_has_no_blas_reduction():
+    # every inner product is _dots and every norm _distances: no @, np.dot,
+    # np.einsum, np.matmul, np.inner, np.vdot, np.tensordot or np.linalg
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "deltasubh"
+    files = sorted(src.glob("*.py"))
+    assert len(files) >= 9
+    found = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{where} @")
+            elif (isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES
+                  and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                found.append(f"{where} np.{node.attr}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+                found += [f"{where} import {n}" for n in names if "linalg" in n]
+    assert found == []

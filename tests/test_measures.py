@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltasubh import measures
-from deltasubh.geometry import DimensionContext
+from deltasubh.geometry import DimensionContext, _distances
 from deltasubh.measures import (
     _modulus_bracket,
     Atom,
@@ -604,6 +604,47 @@ def test_segment_and_arc_paths_match_their_geometry():
         scale = math.hypot(*center) + radius
         np.testing.assert_allclose(arc.at(np.array(arc.span)), ends, rtol=0.0,
                                    atol=4.0 * np.finfo(float).eps * scale)
+
+
+def _components(d, rng):
+    """One component of every kind in dimension d, in general position."""
+    def pt():
+        return tuple(rng.uniform(-1.0, 1.0, d))
+
+    comps = [Atom(pt(), 0.7), UniformSegment(pt(), pt(), 0.9),
+             UniformBall(pt(), float(rng.uniform(0.2, 0.8)), 1.1)]
+    if d == 2:
+        comps.append(UniformArc(pt(), float(rng.uniform(0.2, 0.8)), -0.4, 2.5, 0.8))
+    return comps
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_ball_mass_of_many_centres_equals_one_centre_calls_bit_for_bit(d):
+    # the modulus bracket asks for mu(B_y(t)) at a beam of centres in one
+    # call; each centre's masses must not depend on the others.  A one-row
+    # array is one centre (a tuple centre takes math.dist instead of
+    # _distances, whose last bit may differ)
+    rng = np.random.default_rng(60 + d)
+    centres = rng.uniform(-1.5, 1.5, (64, d))
+    radii = np.sort(rng.uniform(0.0, 2.0, 200))[:, None]
+    for comp in _components(d, rng):
+        batch = comp.ball_mass(centres, radii)
+        assert batch.shape == (200, 64)
+        for i in range(64):
+            one = comp.ball_mass(centres[i:i + 1], radii)
+            assert np.array_equal(batch[:, i], one[:, 0]), (comp, i)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_segment_feet_and_distance_of_many_points_equal_one_point_calls(d):
+    rng = np.random.default_rng(70 + d)
+    for _ in range(30):
+        seg = UniformSegment(tuple(rng.uniform(-2, 2, d)), tuple(rng.uniform(-2, 2, d)), 1.0)
+        pts = rng.uniform(-3.0, 3.0, (37, d))
+        feet = seg.feet(pts, 0.0, 1.0)
+        assert [float(seg.feet(p[None, :], 0.0, 1.0)[0]) for p in pts] == feet.tolist()
+        dist = _distances(seg.at(feet), pts)
+        assert [seg.distance_to(p) for p in pts] == dist.tolist()
 
 
 def test_integrated_counting_segment_quadrature_matches_oracle():
