@@ -148,12 +148,18 @@ def kernel(ctx: DimensionContext, t: ArrayLike) -> ArrayLike:
 def _dots(a, b):
     """sum_k a[..., k] b[..., k] over the last axis, b broadcasting against
     a, with the terms added left to right: a 1-d a gives a scalar, an (n, d)
-    one n sums.  Each sum is the same floats whatever shares its call."""
+    one n sums.  Each sum is the same floats whatever shares its call.
+    Coordinates (2 or 3 terms) are added column by column over all rows; a
+    longer axis, a rule's weights, by np.cumsum, which also adds left to
+    right and takes one call whatever the length."""
     a, b = np.asarray(a), np.asarray(b)
-    if not a.shape[-1]:  # the empty sum
+    n = a.shape[-1]
+    if n > 3:
+        return np.cumsum(a * b, axis=-1)[..., -1]
+    if not n:  # the empty sum
         return np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1])
     total = a[..., 0] * b[..., 0]
-    for k in range(1, a.shape[-1]):
+    for k in range(1, n):
         total = total + a[..., k] * b[..., k]
     return total
 
