@@ -25,10 +25,13 @@ per-panel lists that name each panel's piece: one call of f per level
 evaluates the halves of every open panel.  Nothing is evaluated ahead of a
 stop rule, and sums are formed in the order of one panel per call and one
 piece after another, so the results equal that order's bit for bit when f
-acts node by node.  Values of +-inf at a node mean the node
-landed exactly on a polar point; the engine nudges such nodes by an
-ulp-scale offset and logs the event, per the polar set policy (any finite
-node set may be safely adjusted).
+acts node by node.  Every weighted sum of a rule (a GL panel, the polar
+rule of a sphere row) is geometry._dots, its terms added left to right, so
+it does not depend on the other panels or rows of its call, nor on BLAS.
+
+Values of +-inf at a node mean the node landed exactly on a polar point;
+the engine nudges such nodes by an ulp-scale offset and logs the event, per
+the polar set policy (any finite node set may be safely adjusted).
 
 Every accepted result carries error_estimate, a doubling-based heuristic
 bound: the change under one more refinement, and at least 16 eps |value|;
