@@ -175,7 +175,10 @@ def _integrate_pieces(f, pieces, scale: float) -> QuadratureResult:
     above its tolerance at width 1e-14 scale or depth 48 raises
     QuadratureBudgetError: f is not integrable there, or not smooth enough
     to integrate.  The pieces after a failing one stop, the ones before it
-    run to the end, and the first failing piece's error is raised."""
+    run to the end, and the first failing piece's error is raised.  Its
+    partial sum is the depth-first one only when the failing panel is its
+    piece's last: by a failure inside a piece, breadth-first has accepted
+    other panels of it than depth-first."""
     pieces = [p for p in pieces if p[1] - p[0] > 1e-14 * scale]
     if not pieces:
         return QuadratureResult(0.0, 0.0, 0)

@@ -517,15 +517,34 @@ def test_no_pieces_to_integrate_call_no_integrand(pieces):
 
 
 def test_first_failing_segment_in_order_raises():
-    # -1/t on [-1, 0] reaches the width floor after 47 halvings; 1/t^2 on the
-    # piece [0, 1e-6] after 27, as its floor is relative to all of [-1, 1].
-    # In lockstep the later piece fails first, yet the error raised is the
-    # first piece's, as when the pieces run one after another.  The first
-    # piece diverges, and its panels within 7e-8 of 0 have tolerances below
-    # one ulp of their sums, so the panel that fails is decided by the last
-    # bit of a sum; it lies inside the piece, where breadth-first refinement
-    # has accepted other panels than depth-first, so the partial sums differ
-    # (see _outcome).
+    # |t|^(-1/4) on [-1, 0] reaches the width floor after 47 halvings; 1/t^2
+    # on the piece [0, 1e-6] after 27, as its floor is relative to all of
+    # [-1, 1].  In lockstep the later piece fails first, yet the error raised
+    # is the first piece's, as when the pieces run one after another.  The
+    # panels [-2h, -h] accepted on the way to 0 change by rounding noise of
+    # order eps h^(3/4) against a tolerance of order 1e-8 h, so none of them
+    # fails above h = 1e-30: the piece fails at its last panel, with every
+    # other panel accepted, and the partial sums agree.
+    def f(t):
+        with np.errstate(divide="ignore"):
+            return np.where(t < 0.0, np.abs(t) ** -0.25, 1.0 / (t * t))
+
+    with pytest.raises(QuadratureBudgetError) as ref:
+        _reference_integral(f, -1.0, 1.0, [0.0, 1e-6], 1e-8)
+    with pytest.raises(QuadratureBudgetError) as got:
+        integrate_interval(f, -1.0, 1.0, [0.0, 1e-6], 1e-8)
+    assert str(ref.value).startswith("panel [-1.4210854715202004e-14, 0.0] at the resolution")
+    assert str(got.value) == str(ref.value)
+    assert got.value.partial.value == ref.value.partial.value
+
+
+def test_failure_inside_a_piece_raises_the_depth_first_panel():
+    # -1/t sums to the same ln 2 on every panel [-2h, -h], so those panels
+    # change by the same rounding noise at every depth while the tolerance
+    # halves: within 7e-8 of 0 the last bit of a sum decides whether a panel
+    # fails, and the one that does lies inside the piece.  Breadth-first has
+    # by then accepted other panels than depth-first, so only the panel and
+    # its change are compared, not the partial sum (see _outcome).
     def f(t):
         with np.errstate(divide="ignore"):
             return np.where(t < 0.0, -1.0 / t, 1.0 / (t * t))
