@@ -401,7 +401,10 @@ def _reflected_potentials(nu: BorelMeasure, X: np.ndarray, R: float, d: int) -> 
     out = np.full(len(X), nu.mass * float(kernel(DimensionContext(d), R)))  # q == 0
     q = q[far]
     pot = potential_values(nu, (R * R / (q * q))[:, None] * X[far], d)
-    out[far] = nu.mass * np.log(q / R) + pot if d == 2 else (R / q) * pot
+    if d == 2:  # libm's log, as numpy's own depends on the CPU's SIMD loops
+        out[far] = nu.mass * np.array([math.log(v) for v in (q / R).tolist()]) + pot
+    else:
+        out[far] = (R / q) * pot
     return out
 
 

@@ -574,7 +574,7 @@ def _ref_reflected_potential(nu, x, R, d):
     x_star = (R * R / (q * q)) * x
     pot = float(potential_values(nu, x_star[None, :], d)[0])
     if d == 2:
-        return mass * float(np.log(q / R)) + pot
+        return mass * math.log(q / R) + pot
     return (R / q) * pot
 
 
