@@ -443,28 +443,33 @@ class UniformArc:
         return value
 
     def potential(self, pts: np.ndarray, d: int) -> np.ndarray:
-        """weight * (ln max(q, rho) - s Im[Li2(b e^{i s a2}) - Li2(b e^{i s a1})] / W)
-        with z = x - center, q = |z|, W = a2 - a1, Li2 = _li2 at both ends in one
-        call, and (s, b) = (1, rho / z) for q >= rho, (-1, z / rho) inside
-        (Lewin, Polylogarithms and Associated Functions, 1981); the full circle
-        keeps the mean-value form weight * ln max(q, rho)."""
+        """weight times the mean kernel of the whole arc (_mean_kernels)."""
         if d != 2:
             raise UnsupportedModelError("arc charges are d=2 only")
         q = _distances(pts, self.center)
         log_far = np.log(np.maximum(q, self.radius))
-        if abs(self.width - TWO_PI) <= 1e-12:
-            return self.weight * log_far
-        sign, base = self._dilog_frame(pts, q)
-        ends = np.array([[self.angle_end], [self.angle_start]])
-        li2_end, li2_start = _li2(base * np.exp(1j * sign * ends))
-        return self.weight * (log_far - sign * (li2_end - li2_start).imag / self.width)
+        return self.weight * self._mean_kernels([self.span], pts, q, log_far)[0]
 
-    def _dilog_frame(self, pts, q):
-        """(s, b) of potential at the points, q their distances from the center."""
-        z = (pts[:, 0] - self.center[0]) + 1j * (pts[:, 1] - self.center[1])
-        outside = q >= self.radius
-        return (np.where(outside, 1.0, -1.0),
-                np.where(outside, self.radius / np.where(outside, z, 1.0), z / self.radius))
+    def _mean_kernels(self, ends, pts, q, log_far):
+        """The mean of ln|x(t) - p| over each piece [a, b] of ends at each row p
+        of pts, as a (pieces, points) array, q the points' distances from the
+        center and log_far ln max(q, rho): log_far - s Im[Li2(b e^{i s b}) -
+        Li2(b e^{i s a})] / (b - a) with z = p - center, Li2 = _li2 at both
+        ends of every piece in one call, and (s, b) = (1, rho / z) for q >= rho,
+        (-1, z / rho) inside (Lewin, Polylogarithms and Associated Functions,
+        1981); a full circle keeps the mean-value form log_far."""
+        a, b = (np.array(col)[:, None] for col in zip(*ends))
+        width = b - a
+        means = np.repeat(log_far[None, :], len(a), axis=0)
+        part = np.flatnonzero(np.abs(width[:, 0] - TWO_PI) > 1e-12)
+        if part.size:
+            z = (pts[:, 0] - self.center[0]) + 1j * (pts[:, 1] - self.center[1])
+            outside = q >= self.radius
+            sign = np.where(outside, 1.0, -1.0)
+            base = np.where(outside, self.radius / np.where(outside, z, 1.0), z / self.radius)
+            li2 = _li2(base * np.exp(1j * sign * np.concatenate((b[part], a[part]))))
+            means[part] = log_far - sign * (li2[:part.size] - li2[part.size:]).imag / width[part]
+        return means
 
     def distance_to(self, p: np.ndarray) -> float:
         """Distance from p to the full circle: a lower bound of the distance
@@ -491,8 +496,8 @@ class UniformArc:
     def kernel_integrals(self, ends, pts, d: int):
         """integral_a^b k(|x(t) - p|) dt at each row p of pts for each piece
         [a, b] of ends, as (pieces, points) arrays: the potential at p of the
-        arc [a, b] of mass b - a, by potential's dilogarithms at both ends of
-        every piece not the full circle in one _li2 call, and its rounding: 16
+        arc [a, b] of mass b - a, (b - a) times its _mean_kernels row, and
+        its rounding: 16
         eps times what it subtracts, (b - a) ln F (F = max(|p - c|, radius))
         and two dilogarithms of at most pi^2 / 6, plus the coordinates'
         rounding, scale / radius, times their slope |ln(D / F)| + 2 at each
@@ -508,13 +513,7 @@ class UniformArc:
         tips = self.at(np.concatenate((a, b))[:, 0])
         slope = np.abs(np.log(np.maximum(_distances(pts, tips[:, None, :]), _ROUNDING * scale)
                               / far))
-        values = width * log_far  # the full circle's mean-value form
-        part = np.flatnonzero(np.abs(width[:, 0] - TWO_PI) > 1e-12)
-        if part.size:
-            sign, base = self._dilog_frame(pts, q)
-            li2 = _li2(base * np.exp(1j * sign * np.concatenate((b[part], a[part]))))
-            w = width[part]
-            values[part] = w * (log_far - sign * (li2[:part.size] - li2[part.size:]).imag / w)
+        values = width * self._mean_kernels(ends, pts, q, log_far)
         return values, _ROUNDING * (width * np.abs(log_far) + 4.0
                                     + scale / self.radius * (slope[:len(a)] + slope[len(a):] + 4.0))
 
