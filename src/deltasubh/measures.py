@@ -709,7 +709,7 @@ class BorelMeasure:
 
 def radial_counting(mu: BorelMeasure, y, t):
     """mu(closed ball of radius t centered at y); exact per component."""
-    if np.isscalar(t) and t < 0:
+    if np.any(np.asarray(t, dtype=float) < 0):
         raise ValueError("radius t must be >= 0")
     return mu.radial_counting(y, t)
 

@@ -49,6 +49,16 @@ def test_radial_counting_atom_anchors():
     assert radial_counting(two, (0.5, 0.0), 0.4999999) == 0.0
 
 
+def test_radial_counting_rejects_a_negative_radius():
+    disk = BorelMeasure((UniformBall((0.0, 0.0), 1.0, 1.0),))
+    seg = BorelMeasure((UniformSegment((-1.0, 0.0), (1.0, 0.0), 1.0),))
+    for mu in (disk, seg):
+        with pytest.raises(ValueError):
+            radial_counting(mu, (0.0, 0.0), -0.5)
+        with pytest.raises(ValueError):
+            radial_counting(mu, (0.0, 0.0), np.array([-0.5, 0.5]))
+
+
 def test_radial_counting_segment_proportional():
     seg = BorelMeasure((UniformSegment((0.0, 0.0), (1.0, 0.0), 1.0),))
     assert radial_counting(seg, (0.0, 0.0), 0.25) == pytest.approx(0.25)
