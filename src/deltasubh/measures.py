@@ -985,13 +985,15 @@ class DiniLimitsReport:
     tail: tuple  # (t, h(t), h(t) * k(t)) for the smallest grid points
 
 
-def dini_limits_check(profile: ModulusProfile, ctx: DimensionContext,
-                      rel_tol: float = 1e-6) -> DiniLimitsReport:
+_LIMIT_TOL = 1e-6  # "-> 0" on the grid: at most this, relative to max(1, mass)
+
+
+def dini_limits_check(profile: ModulusProfile, ctx: DimensionContext) -> DiniLimitsReport:
     """Check on the profile grid that h(t) -> 0 and h(t) k(t) -> 0 as t -> 0."""
     t0 = profile.radii[0]
     h0 = profile.values[0]
     hk0 = ext_mul(h0, float(kernel(ctx, t0)))
-    thresh = rel_tol * max(1.0, profile.mass)
+    thresh = _LIMIT_TOL * max(1.0, profile.mass)
     tail = tuple(
         (t, h, ext_mul(h, float(kernel(ctx, t))))
         for t, h in list(zip(profile.radii, profile.values))[:5]
