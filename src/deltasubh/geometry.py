@@ -14,14 +14,14 @@ and raise UndefinedOperationError for the genuinely undefined combinations
 (inf - inf, 0/0, inf/inf) instead of producing NaN, so a NaN can never
 silently fake a passing inequality.
 
-Every inner product in the package is _dots and every distance over an
-array of points is _distances, both adding their terms left to right.  No
-BLAS reduction is used, so such a sum is the same floats whatever shares
-its call and whatever kernel the machine's BLAS picks (Higham, Accuracy and
-Stability of Numerical Algorithms, 2002, ch. 4).  Single distances and
-norms are still libm's math.dist and math.hypot (measures._dist for one
-point, the components' radii, the disk tests of potentials and lab), which
-need not give the same last bit as _distances.
+Every inner product in the package is _dots and every distance between two
+points is _distances, both adding their terms left to right.  No BLAS
+reduction is used, so such a sum is the same floats whatever shares its
+call and whatever kernel the machine's BLAS picks (Higham, Accuracy and
+Stability of Numerical Algorithms, 2002, ch. 4), and a distance is the same
+floats whether its point comes as a tuple or an array row.  The one
+exception is math.hypot(*p), the norm of a component's own stored point
+(its outer radius, the arc's rounding scale), computed that way only.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ class Ball:
             raise ValueError("ball radius must be >= 0")
 
     def contains(self, point: Sequence[float], closed: bool = True) -> bool:
-        dist = math.dist(self.center, tuple(point))
+        dist = float(_distances(point, self.center))
         if closed:
             return dist <= self.radius
         return self.radius > 0 and dist < self.radius

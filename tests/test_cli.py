@@ -407,7 +407,7 @@ PIN_3D = {
 # charge potentials, canonical T_U, the 3-d sphere means and the modulus
 # bracket
 PINNED_STDOUT = {
-    ("pin-2d", "Tdiff"): "f705024c5ccb7dfe5d28dea56ea630a5",
+    ("pin-2d", "Tdiff"): "c796ea395f25dfe8452a9ec839b5090a",
     ("pin-2d", "TdiffC"): "dbb7ef866dd27bc0a0429a524ca574cc",
     ("pin-2d", "C+"): "367e4b00f2c9781dcfce623efec3051f",
     ("pin-2d", "M"): "64649216225916d627af82fbf7db2de5",
@@ -416,7 +416,7 @@ PINNED_STDOUT = {
     ("pin-3d", "C+"): "a46ca64588f873a9ed31b4eebbcd386b",
     ("pin-3d", "M"): "5e5375ddb3d3886e44313a31b720b0cb",
     ("pin-2d", "auto"): "2136ab7943e290cd363834a758523b48",
-    ("pin-2d", "upper"): "391a7f6fb6b6f50f27e9471f4c6d5c0f",
+    ("pin-2d", "upper"): "7a6b9c72500d9afa0de435464b65d24d",
     ("pin-disk-union", "auto"): "784a63b519b4bcd3002a3640151e47bf",
     ("pin-disk-union", "upper"): "82799362e8e1f316a1f9c4b003811cce",
     ("pin-3d", "auto"): "0aa5323c64e6370ed1826528b369f604",
@@ -494,8 +494,8 @@ PINNED_RUN_STDOUT = {
     "verify pin-disk-union mean": "20bd0947c5c0d6dce721122cece72aca",
     "C+ pin-2d": "367e4b00f2c9781dcfce623efec3051f",
     "C+ pin-2d mean": "b2388a4693b22b14b059967492f81d1c",
-    "corpus": "0e0cd77d7755007a0929f64df307de2f",
-    "corpus tols": "6a10836728523f5e6a285da8bc4af105",
+    "corpus": "0487a5f7b4b2544cf14f1fa5636fa8bc",
+    "corpus tols": "09caea7fbe562e78c64cadba6ab07444",
     "verify pin-arc default": "f05bde3cf59a7ca3a254ce73c210e5f3",
     "verify pin-mixed": "440a5563433c6ee749dd4a0414b24540",
 }

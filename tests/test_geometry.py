@@ -179,22 +179,53 @@ def test_distances_are_the_root_of_dots(d):
 _BLAS_NAMES = {"dot", "einsum", "matmul", "inner", "vdot", "tensordot", "linalg"}
 
 
-def test_src_has_no_blas_reduction():
-    # every inner product is _dots and every norm _distances: no @, np.dot,
-    # np.einsum, np.matmul, np.inner, np.vdot, np.tensordot or np.linalg
+def _src_nodes():
+    """(file:line, node) for every AST node of the package's modules."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src" / "deltasubh"
     files = sorted(src.glob("*.py"))
     assert len(files) >= 9
-    found = []
     for path in files:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
-            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-                found.append(f"{where} @")
-            elif (isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES
-                  and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
-                found.append(f"{where} np.{node.attr}")
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
-                found += [f"{where} import {n}" for n in names if "linalg" in n]
+            yield f"{path.name}:{getattr(node, 'lineno', 0)}", node
+
+
+def _attribute_of(node, modules):
+    """node's attribute name when node is <module>.<name>, else None."""
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules):
+        return node.attr
+    return None
+
+
+def test_src_has_no_blas_reduction():
+    # every inner product is _dots and every norm _distances: no @, np.dot,
+    # np.einsum, np.matmul, np.inner, np.vdot, np.tensordot or np.linalg
+    found = []
+    for where, node in _src_nodes():
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{where} @")
+        elif _attribute_of(node, ("np", "numpy")) in _BLAS_NAMES:
+            found.append(f"{where} np.{node.attr}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+            found += [f"{where} import {n}" for n in names if "linalg" in n]
+    assert found == []
+
+
+def test_src_takes_every_distance_between_two_points_by_distances():
+    # no math.dist or np.hypot, and math.hypot only as math.hypot(*p), the
+    # norm of one stored point: every other distance is _distances, so no
+    # value depends on whether a point comes as a tuple or an array row
+    found, hypot_of_one_point = [], set()  # ast.walk yields a call before its function
+    for where, node in _src_nodes():
+        if (isinstance(node, ast.Call) and _attribute_of(node.func, ("math",)) == "hypot"
+                and len(node.args) == 1 and isinstance(node.args[0], ast.Starred)
+                and not node.keywords):
+            hypot_of_one_point.add(id(node.func))
+        name = _attribute_of(node, ("math", "np", "numpy"))
+        if name in ("dist", "hypot") and id(node) not in hypot_of_one_point:
+            found.append(f"{where} {node.value.id}.{name}")
+        elif isinstance(node, ast.ImportFrom) and node.module in ("math", "numpy"):
+            found += [f"{where} from {node.module} import {a.name}"
+                      for a in node.names if a.name in ("dist", "hypot")]
     assert found == []

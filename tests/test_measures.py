@@ -631,18 +631,22 @@ def _components(d, rng):
 @pytest.mark.parametrize("d", [2, 3])
 def test_ball_mass_of_many_centres_equals_one_centre_calls_bit_for_bit(d):
     # the modulus bracket asks for mu(B_y(t)) at a beam of centres in one
-    # call; each centre's masses must not depend on the others.  A one-row
-    # array is one centre (a tuple centre takes math.dist instead of
-    # _distances, whose last bit may differ)
+    # call; each centre's masses must not depend on the others, nor on
+    # whether the centre is a one-row array or a tuple.  So must the
+    # breakpoint radii, where the masses change form
     rng = np.random.default_rng(60 + d)
     centres = rng.uniform(-1.5, 1.5, (64, d))
     radii = np.sort(rng.uniform(0.0, 2.0, 200))[:, None]
     for comp in _components(d, rng):
         batch = comp.ball_mass(centres, radii)
+        breaks = np.array(comp.breakpoint_radii(centres))
         assert batch.shape == (200, 64)
         for i in range(64):
             one = comp.ball_mass(centres[i:i + 1], radii)
             assert np.array_equal(batch[:, i], one[:, 0]), (comp, i)
+            assert np.array_equal(comp.ball_mass(tuple(centres[i]), radii), one), (comp, i)
+            row = [float(b[0]) for b in comp.breakpoint_radii(centres[i:i + 1])]
+            assert comp.breakpoint_radii(tuple(centres[i])) == row == breaks[:, i].tolist()
 
 
 @pytest.mark.parametrize("d", [2, 3])
