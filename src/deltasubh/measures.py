@@ -443,9 +443,9 @@ class UniformArc:
     def _mean_kernels(self, ends, pts, q, log_far):
         """The mean of ln|x(t) - p| over each piece [a, b] of ends at each row p
         of pts, as a (pieces, points) array, q the points' distances from the
-        center and log_far ln max(q, rho): log_far - s Im[Li2(b e^{i s b}) -
-        Li2(b e^{i s a})] / (b - a) with z = p - center, Li2 = _li2 at both
-        ends of every piece in one call, and (s, b) = (1, rho / z) for q >= rho,
+        center and log_far ln max(q, rho): log_far - s Im[Li2(w e^{i s b}) -
+        Li2(w e^{i s a})] / (b - a) with z = p - center, Li2 = _li2 at both
+        ends of every piece in one call, and (s, w) = (1, rho / z) for q >= rho,
         (-1, z / rho) inside (Lewin, Polylogarithms and Associated Functions,
         1981); a full circle keeps the mean-value form log_far."""
         a, b = (np.array(col)[:, None] for col in zip(*ends))
@@ -487,11 +487,10 @@ class UniformArc:
         """integral_a^b k(|x(t) - p|) dt at each row p of pts for each piece
         [a, b] of ends, as (pieces, points) arrays: the potential at p of the
         arc [a, b] of mass b - a, (b - a) times its _mean_kernels row, and
-        its rounding: 16
-        eps times what it subtracts, (b - a) ln F (F = max(|p - c|, radius))
-        and two dilogarithms of at most pi^2 / 6, plus the coordinates'
-        rounding, scale / radius, times their slope |ln(D / F)| + 2 at each
-        end, D its distance from p."""
+        its rounding: 16 eps times what it subtracts, (b - a) ln F
+        (F = max(|p - c|, radius)) and two dilogarithms of at most pi^2 / 6,
+        plus the coordinates' rounding, scale / radius, times their slope
+        |ln(D / F)| + 2 at each end, D its distance from p."""
         if d != 2:
             raise UnsupportedModelError("arc charges are d=2 only")
         a, b = (np.array(col)[:, None] for col in zip(*ends))
