@@ -599,18 +599,23 @@ class UniformBall:
 
 
 def _lens_area_2d(t, rho, q):
-    """Area of intersection of disks of radii t (center distance q) and rho."""
+    """Area of intersection of disks of radii t (center distance q) and rho,
+    for scalar or broadcasting array inputs, which it leaves unchanged; its
+    own temporaries are clamped and filled in place."""
     t = np.asarray(t, dtype=float)
-    full_small = math.pi * t * t
-    full_rho = math.pi * rho * rho
+    q2, t2, rho2 = q * q, t * t, rho * rho
+    qpt, qmt = q + t, q - t
     with np.errstate(invalid="ignore", divide="ignore"):
-        a1 = np.arccos(np.clip((q * q + t * t - rho * rho) / (2.0 * q * t), -1.0, 1.0))
-        a2 = np.arccos(np.clip((q * q + rho * rho - t * t) / (2.0 * q * rho), -1.0, 1.0))
-        s = (-q + t + rho) * (q + t - rho) * (q - t + rho) * (q + t + rho)
-        lens = t * t * a1 + rho * rho * a2 - 0.5 * np.sqrt(np.maximum(s, 0.0))
-    out = np.where(t + rho <= q, 0.0,
-                   np.where(q + rho <= t, full_rho,
-                            np.where(q + t <= rho, full_small, lens)))
+        a1 = np.asarray((q2 + t2 - rho2) / (2.0 * q * t))
+        a2 = np.asarray((q2 + rho2 - t2) / (2.0 * q * rho))
+        # (-q + t + rho) (q + t - rho) (q - t + rho) (q + t + rho), the same floats
+        s = np.asarray((rho - qmt) * (qpt - rho) * (qmt + rho) * (qpt + rho))
+        for a in (a1, a2):
+            np.arccos(np.minimum(np.maximum(a, -1.0, out=a), 1.0, out=a), out=a)
+        out = np.asarray(t2 * a1 + rho2 * a2 - 0.5 * np.sqrt(np.maximum(s, 0.0, out=s), out=s))
+    np.copyto(out, math.pi * t * t, where=qpt <= rho)
+    np.copyto(out, math.pi * rho * rho, where=q + rho <= t)
+    np.copyto(out, 0.0, where=t + rho <= q)
     return out
 
 

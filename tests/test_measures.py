@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from deltasubh import measures
 from deltasubh.geometry import DimensionContext, _distances
 from deltasubh.measures import (
+    _lens_area_2d,
     _modulus_bracket,
     Atom,
     BorelMeasure,
@@ -421,6 +422,41 @@ def test_open_modulus_bracket_narrows_its_beam(monkeypatch):
     lower, upper = _modulus_bracket(OPEN_DISK_UNION, OPEN_DISK_UNION_T)
     assert upper > lower + 1e-12 * OPEN_DISK_UNION.mass
     assert seen[0] <= 300_000, seen[0]
+
+
+def _ref_lens_area_2d(t, rho, q):
+    """The lens area by nested np.where, as first written: the reference
+    that _lens_area_2d keeps bit for bit."""
+    t = np.asarray(t, dtype=float)
+    full_small = math.pi * t * t
+    full_rho = math.pi * rho * rho
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a1 = np.arccos(np.clip((q * q + t * t - rho * rho) / (2.0 * q * t), -1.0, 1.0))
+        a2 = np.arccos(np.clip((q * q + rho * rho - t * t) / (2.0 * q * rho), -1.0, 1.0))
+        s = (-q + t + rho) * (q + t - rho) * (q - t + rho) * (q + t + rho)
+        lens = t * t * a1 + rho * rho * a2 - 0.5 * np.sqrt(np.maximum(s, 0.0))
+    return np.where(t + rho <= q, 0.0,
+                    np.where(q + rho <= t, full_rho,
+                             np.where(q + t <= rho, full_small, lens)))
+
+
+def test_lens_area_equals_the_nested_where_expression_bit_for_bit():
+    # rho = 0.75 and t in {0, 0.25, 0.75, 1.25}: at q = 0, 0.5 and 1 and 2 the
+    # disks are concentric, tangent inside (q = rho - t, q = t - rho) or
+    # tangent outside (q = t + rho), all exactly in floats
+    rng = np.random.default_rng(29)
+    rho = 0.75
+    q = np.concatenate([[0.0, 0.5, 1.0, 2.0], rng.uniform(0.0, 2.5, 300)])
+    t = np.array([[0.0], [0.25], [0.75], [1.25], [0.4]])
+    assert np.array_equal(_lens_area_2d(t, rho, q), _ref_lens_area_2d(t, rho, q))
+    ball = UniformBall((0.0, 0.0), rho, 1.0)
+    for tk in t[:, 0]:
+        for qk in q[:8]:
+            one = _lens_area_2d(tk, rho, qk)
+            assert np.ndim(one) == 0 and one == _ref_lens_area_2d(tk, rho, qk), (tk, qk)
+            mass = ball.ball_mass((float(qk), 0.0), float(tk))
+            assert type(mass) is float
+            assert mass == ball.ball_mass(np.array([[qk, 0.0]]), float(tk))[0]
 
 
 # ---------------------------------------------------------------------------
