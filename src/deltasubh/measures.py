@@ -755,8 +755,8 @@ def modulus_of_continuity_exact(mu: BorelMeasure, t: float):
     Certifiable cases: the zero measure; a single primitive component (the
     sup is attained at the symmetric optimum); purely atomic measures in d=2.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not t >= 0:
+        raise ValueError(f"t must be >= 0, got {t!r}")
     if not mu.components:
         return 0.0
     if len(mu.components) == 1:
@@ -836,6 +836,8 @@ def _modulus(mu: BorelMeasure, t: float, method: str) -> tuple:
     branch-and-bound bracket, "exact" when the bracket closes to within
     its tolerance.  The one choice behind modulus_of_continuity,
     modulus_upper_bound and modulus_profile."""
+    if method not in ("auto", "upper"):
+        raise ValueError(f"method must be 'auto' or 'upper', got {method!r}")
     exact = modulus_of_continuity_exact(mu, t)
     if exact is not None:
         return exact, "exact"

@@ -459,6 +459,17 @@ def test_lens_area_equals_the_nested_where_expression_bit_for_bit():
             assert mass == ball.ball_mass(np.array([[qk, 0.0]]), float(tk))[0]
 
 
+def test_modulus_rejects_a_nan_radius_and_an_unknown_method():
+    # a nan radius gave h = 0 flagged exact, and an unknown method ran auto
+    mu = BorelMeasure((UniformBall((0.0, 0.0), 0.3, 1.0), UniformBall((0.8, 0.0), 0.2, 0.5)))
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        modulus_profile(mu, [math.nan])
+    with pytest.raises(ValueError, match="method"):
+        modulus_profile(mu, [0.2], "bogus")
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        modulus_upper_bound(mu, math.nan)
+
+
 # ---------------------------------------------------------------------------
 # the dilogarithm of the arc potential
 
