@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from dataclasses import replace
 from typing import Optional, Sequence
@@ -64,15 +65,23 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+_MAX_GRID_POINTS = 100_000
+
+
 def _parse_grid(spec: str) -> list:
-    """start:stop:step with inclusive stop when reachable within 1e-12."""
+    """start:stop:step with inclusive stop when reachable within 1e-12; finite
+    fields and at most _MAX_GRID_POINTS points, counted before the list."""
     try:
         start_s, stop_s, step_s = spec.split(":")
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError as exc:
         raise ValueError(f"bad grid {spec!r}; expected start:stop:step") from exc
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValueError(f"bad grid {spec!r}; start, stop and step must be finite")
     if step <= 0:
         raise ValueError("grid step must be > 0")
+    if (stop + 1e-12 - start) / step >= _MAX_GRID_POINTS:
+        raise ValueError(f"bad grid {spec!r}; more than {_MAX_GRID_POINTS} points")
     out = []
     k = 0
     while True:

@@ -122,6 +122,17 @@ def test_grid_parsing():
         _parse_grid("1:2:-0.5")
 
 
+@pytest.mark.parametrize("grid", ["nan:1:0.5", "0:inf:0.5", "0:1:nan", "0:nan:0.5",
+                                  "0:1:1e-300", "0:1:1e-5"])
+def test_grid_rejects_non_finite_fields_and_too_many_points(capsys, grid):
+    # each of these looped until killed while its list grew (or, at 1e-300,
+    # had no practical end); the point count is checked before the loop
+    with pytest.raises(ValueError, match="finite|points"):
+        _parse_grid(grid)
+    assert main(["modulus", str(GOLDEN), "--t-grid", grid]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_golden_exit_zero(tmp_path):
     out = tmp_path / "rows.csv"
     proc = _run(["verify", str(GOLDEN), "--out", str(out)])
