@@ -12,10 +12,12 @@ h_mu is exact for purely atomic measures in d=2 (the optimum is attained at
 an atom or at a center equidistant from two atoms, so O(n^2) candidates
 suffice) and for any single symmetric primitive; otherwise branch and bound
 over centers brackets it, and its lower end, a certified lower bound, is
-reported, flagged exact when the bracket closes to 1e-12 max(1, mass); the
-beam narrows once the bracket is open.  Subadditivity gives a
-flagged upper bound (h_{mu1+mu2} <= h_mu1 + h_mu2) which is what inequality
-verification feeds into a right-hand side.
+reported, flagged exact when the bracket closes to 1e-12 max(1, mass).  For
+unions of 2-d disks a cover of second order in the cell size lets it close
+at an interior maximum; for other measures the beam narrows once the
+bracket is open.  Subadditivity gives a flagged upper bound (h_{mu1+mu2} <=
+h_mu1 + h_mu2) which is what inequality verification feeds into a
+right-hand side.
 
 Closed balls throughout: mass sitting at distance exactly t from y counts.
 
@@ -29,7 +31,9 @@ characteristics as well: span (the parameter interval, [0, 1] or the arc's
 angles), at (points at parameters), feet (the parameters of points' nearest
 points, within [lo, hi]) and kernel_integrals(ends, pts, d) (integral_a^b
 k(|x(t) - p|) dt in closed form for every piece [a, b] of ends at every
-point p, with its rounding bound, as (pieces, points) arrays).
+point p, with its rounding bound, as (pieces, points) arrays).  Balls carry
+second_order (the gradient and a Hessian bound of y -> mu(B_y(t)) in d=2)
+for the modulus bracket; a kind without it keeps the first-order cover.
 """
 
 from __future__ import annotations
@@ -555,6 +559,44 @@ class UniformBall:
         q = _distances(y, self.center)
         return [_float_or_array(b) for b in (np.maximum(0.0, q - self.radius), q, q + self.radius)]
 
+    def second_order(self, y, t: float, delta: float):
+        """(g, L) for m(y) = mu(B_y(t)) at the centers y, an (n, 2) array: the
+        gradient g of m at each center and a bound L of the norm of its
+        Hessian on the ball of radius delta around it; None for d=3.  With
+        A(q) the lens area at center distance q, A'(q) = -sqrt(s) / q (minus
+        the chord) and A'' = -2 (t^2 + rho^2 - q^2) / sqrt(s) + sqrt(s) / q^2,
+        where s = -(q^2 - (t + rho)^2)(q^2 - (t - rho)^2) = (2 t rho)^2 -
+        (q^2 - t^2 - rho^2)^2 is a concave parabola in q^2; the Hessian norm
+        is max(|A''|, |A'| / q), bounded from the extremes of s on
+        [q - delta, q + delta].  L is inf (and g 0) unless that interval lies
+        inside (|t - rho|, t + rho) and above 0; outside it m is constant,
+        where the first-order cover is exact.  The interval and s are widened
+        by _ROUNDING against their rounding.  g and L broadcast against the
+        centers: they are (0, inf) when delta >= min(t, rho)."""
+        if self.dim != 2:
+            return None
+        rho = self.radius
+        if delta >= min(t, rho):  # wider than (|t - rho|, t + rho): no cell is smooth
+            return 0.0, math.inf
+        vertex, width = t * t + rho * rho, (2.0 * t * rho) ** 2
+        err = _ROUNDING * (t + rho) ** 4
+        q = _distances(y, self.center)
+        # q rounds on the scale |y| + |center| <= 2 |center| + t + rho + delta
+        # wherever the interval can lie inside (|t - rho|, t + rho)
+        wide = delta + _ROUNDING * (2.0 * self.outer_radius() + t + 2.0 * delta)
+        lo = q - wide
+        ul, uh, q2 = lo * lo, (q + wide) ** 2, q * q
+        dev = np.maximum(vertex - ul, uh - vertex)  # the largest |q^2 - vertex|
+        s_min = (width - err) - dev * dev
+        s_max = (width + err) - np.maximum(np.maximum(ul - vertex, vertex - uh), 0.0) ** 2
+        scale = self.weight / (math.pi * rho * rho)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            bound = scale * (2.0 * dev / np.sqrt(s_min) + np.sqrt(s_max) / ul)
+            slope = scale * np.sqrt(np.maximum(width - (q2 - vertex) ** 2, 0.0)) / q2
+        smooth = (lo > 0.0) & (s_min > 0.0)
+        g = np.where(smooth, slope, 0.0)[:, None] * np.subtract(self.center, y)
+        return g, np.where(smooth, bound, np.inf)
+
     def outer_radius(self) -> float:
         return math.hypot(*self.center) + self.radius
 
@@ -781,12 +823,18 @@ def _modulus_bracket(mu: BorelMeasure, t: float) -> tuple:
     the cube of half-side support_radius + t around 0.  A cell with center c
     and half-diagonal delta lies between mu(B_c(t)) and sum_i min(h_i(t),
     mu_i(B_c(t + delta))), as B_y(t) lies in B_c(t + delta) for every y in
-    it.  Cells within tol of the best lower bound are dropped, the rest
-    split in 2^d, down to 1e-13 of the root; past the beam only the live
-    cells with the largest upper + lower are split, the others keeping their
-    upper bounds.  The beam is _BEAM while the bracket can still close and
-    _BEAM // 16 once a discarded cover holds it open, where more levels
-    barely raise the lower end; that stays mu(B_c(t)) at a real center c."""
+    it.  That first-order cover overshoots by O(delta) at an interior
+    maximum, where the live cells then grow like 1/delta (the cluster
+    problem of Du and Kearfott, J. Global Optim. 5, 1994), so a cell it
+    leaves live takes the smaller of it and the second-order cover of
+    _second_order_cover, Taylor's bound at c, when every component has a
+    second-order term (2-d disks).  Cells within tol of the best lower
+    bound are dropped, the rest split in 2^d, down to 1e-13 of the root;
+    past the beam only the live cells with the largest upper + lower are
+    split, the others keeping their upper bounds.  The beam is _BEAM while
+    the bracket can still close and _BEAM // 16 once a discarded cover holds
+    it open, where more levels barely raise the lower end; that stays
+    mu(B_c(t)) at a real center c."""
     if not mu.components:
         return 0.0, 0.0
     comps, d = mu.components, mu.dim
@@ -797,13 +845,23 @@ def _modulus_bracket(mu: BorelMeasure, t: float) -> tuple:
     corners = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
     centers = np.zeros((1, d))
     best = upper = 0.0
+    taylor = True  # until a component turns out to have no second-order term
     while True:
-        radii = np.array([[t], [t + half * math.sqrt(d)]])  # t, then t + half-diagonal
+        delta = half * math.sqrt(d)  # the half-diagonal
+        radii = np.array([[t], [t + delta]])
         masses = np.array([c.ball_mass(centers, radii) for c in comps])
         lower = masses[:, 0].sum(axis=0)
         best = max(best, float(lower.max()))
-        cover = np.minimum(caps, masses[:, 1]).sum(axis=0)
+        first = np.minimum(caps, masses[:, 1])
+        cover = first.sum(axis=0)
         live = cover > best + tol
+        if taylor and live.any():
+            second = _second_order_cover(comps, centers[live], t, delta,
+                                         masses[:, 0, live], first[:, live], mu.mass)
+            taylor = second is not None
+            if taylor:
+                cover[live] = np.minimum(cover[live], second)
+                live = cover > best + tol
         upper = max(upper, float(cover[~live].max(initial=0.0)))
         centers, cover, lower = centers[live], cover[live], lower[live]
         if not len(centers) or half < smallest:
@@ -817,6 +875,30 @@ def _modulus_bracket(mu: BorelMeasure, t: float) -> tuple:
         centers = (centers[:, None, :] + half * corners).reshape(-1, d)
     upper = max(upper, float(cover.max(initial=0.0)), best)
     return min(best, mu.mass), min(upper, mu.mass)
+
+
+def _second_order_cover(comps, centers, t, delta, at_center, first, mass):
+    """Upper bound of mu(B_y(t)) over |y - c| <= delta at the centers c, or
+    None when a component has no second-order term (second_order), where a
+    first-order cover would stay:  sum m_i(c) + |sum grad m_i(c)| delta +
+    1/2 sum L_i delta^2 over the components with a finite L_i at c, plus the
+    first-order term first_i of the others.  at_center and first are
+    (components, centers) arrays.  Each |grad m_i| delta is at most 2 / pi of
+    the component's mass (a disk's chord is at most 2 min(t, rho), and delta
+    at most min(t, rho) where L_i is finite), so a relative _ROUNDING and
+    _ROUNDING times twice the mass widen the sum against the rounding of
+    what it adds to the masses m_i(c), which are the lower end's own."""
+    total = np.zeros(len(centers))
+    grad = np.zeros_like(centers)
+    for comp, m, f in zip(comps, at_center, first):
+        second_order = getattr(comp, "second_order", None)
+        term = second_order(centers, t, delta) if second_order else None
+        if term is None:
+            return None
+        g, bound = term
+        total += np.where(np.isfinite(bound), m + 0.5 * delta * delta * bound, f)
+        grad += g
+    return total * (1.0 + _ROUNDING) + _distances(grad, 0.0) * delta + 2.0 * _ROUNDING * mass
 
 
 def modulus_lower_bound(mu: BorelMeasure, t: float) -> float:

@@ -428,7 +428,7 @@ PINNED_STDOUT = {
     ("pin-3d", "M"): "5e5375ddb3d3886e44313a31b720b0cb",
     ("pin-2d", "auto"): "2136ab7943e290cd363834a758523b48",
     ("pin-2d", "upper"): "7a6b9c72500d9afa0de435464b65d24d",
-    ("pin-disk-union", "auto"): "784a63b519b4bcd3002a3640151e47bf",
+    ("pin-disk-union", "auto"): "13d165da5ff56cc538c94eb723fb8165",
     ("pin-disk-union", "upper"): "82799362e8e1f316a1f9c4b003811cce",
     ("pin-3d", "auto"): "0aa5323c64e6370ed1826528b369f604",
     ("pin-3d", "upper"): "dcb52053e83ec256dbb7dfd1959d862a",

@@ -14,6 +14,7 @@ from deltasubh.geometry import DimensionContext, _distances
 from deltasubh.measures import (
     _lens_area_2d,
     _modulus_bracket,
+    _second_order_cover,
     Atom,
     BorelMeasure,
     UniformArc,
@@ -367,8 +368,8 @@ def _grid_max(mu, t, n):
     return float(masses.max())
 
 
-# disk union of sweep seed 42, k 239: an open 2-d bracket whose beam
-# saturates (the cover bound overshoots by O(delta) at a smooth maximum)
+# disk union of sweep seed 42, k 239: open under the first-order cover
+# alone, whose beam saturates (it overshoots by O(delta) at a smooth maximum)
 OPEN_DISK_UNION = BorelMeasure((
     UniformBall((-0.2474110498153557, 0.1255547887375945), 0.1588984565844954,
                 0.9013514718826396),
@@ -377,6 +378,10 @@ OPEN_DISK_UNION = BorelMeasure((
     UniformBall((0.021338951871140783, -0.5453910081386381), 0.10212866814013223,
                 0.7100416173489872)))
 OPEN_DISK_UNION_T = 0.4608275374353696
+# the best ball straddles the two balls, and d=3 balls have no second-order
+# term, so the bracket stays open
+TWO_BALLS_3D = BorelMeasure((UniformBall((0.0, 0.0, 0.0), 0.4, 1.0),
+                             UniformBall((0.7, 0.1, 0.0), 0.3, 0.8)))
 
 PIN_3D_MEASURE = BorelMeasure((
     UniformBall((0.2, -0.3, 0.1), 0.6, 0.7),
@@ -389,11 +394,9 @@ PIN_3D_MEASURE = BorelMeasure((
     (BorelMeasure((UniformBall((0.5036, -0.8712), 0.1599, 0.8255),
                    UniformBall((1.0401, -0.0574), 0.0876, 0.9038),
                    UniformBall((-0.5419, 0.1612), 0.2988, 0.4945))), 0.69, 601),
-    # the first open 2-d case: a discarded cover holds the bracket open
+    # the first 2-d case the first-order cover left open
     (OPEN_DISK_UNION, OPEN_DISK_UNION_T, 601),
-    # the best ball straddles the two balls, so the bracket stays open
-    (BorelMeasure((UniformBall((0.0, 0.0, 0.0), 0.4, 1.0),
-                   UniformBall((0.7, 0.1, 0.0), 0.3, 0.8))), 0.45, 81),
+    (TWO_BALLS_3D, 0.45, 81),
     (PIN_3D_MEASURE, 0.1, 81),
     (PIN_3D_MEASURE, 0.5, 81),
     (PIN_3D_MEASURE, 0.9, 81),
@@ -408,9 +411,8 @@ def test_modulus_bracket_holds_the_grid_maximum(mu, t, n):
     assert modulus_profile(mu, [t]).flags == ("exact" if closed else "lower-bound",)
 
 
-def test_open_modulus_bracket_narrows_its_beam(monkeypatch):
-    # once a beam discard leaves the bracket open, the remaining levels split
-    # at most _BEAM // 16 cells: 1,529,307 centers with the full beam
+def _counting_ball_masses(monkeypatch):
+    """A list whose one entry counts the centers passed to UniformBall.ball_mass."""
     seen = [0]
     ball_mass = UniformBall.ball_mass
 
@@ -419,9 +421,59 @@ def test_open_modulus_bracket_narrows_its_beam(monkeypatch):
         return ball_mass(self, y, t)
 
     monkeypatch.setattr(UniformBall, "ball_mass", counting)
-    lower, upper = _modulus_bracket(OPEN_DISK_UNION, OPEN_DISK_UNION_T)
-    assert upper > lower + 1e-12 * OPEN_DISK_UNION.mass
+    return seen
+
+
+def test_open_modulus_bracket_narrows_its_beam(monkeypatch):
+    # once a beam discard leaves the bracket open, the remaining levels split
+    # at most _BEAM // 16 cells: 2,109,394 centers with the full beam
+    seen = _counting_ball_masses(monkeypatch)
+    lower, upper = _modulus_bracket(TWO_BALLS_3D, 0.45)
+    assert upper > lower + 1e-12 * TWO_BALLS_3D.mass
     assert seen[0] <= 300_000, seen[0]
+
+
+def test_second_order_cover_closes_the_open_disk_union(monkeypatch):
+    # the first-order cover alone leaves a gap of 8.6e-4 after 192,987
+    # centers; the second-order one closes the bracket in 3,591
+    seen = _counting_ball_masses(monkeypatch)
+    lower, upper = _modulus_bracket(OPEN_DISK_UNION, OPEN_DISK_UNION_T)
+    assert upper <= lower + 1e-12 * OPEN_DISK_UNION.mass
+    assert seen[0] <= 10_000, seen[0]
+    assert _grid_max(OPEN_DISK_UNION, OPEN_DISK_UNION_T, 301) <= upper
+
+
+def test_second_order_cover_bounds_every_mass_within_delta():
+    # the cover of a cell with center c and half-diagonal delta holds
+    # mu(B_y(t)) at every y with |y - c| <= delta, so at every y of the cell:
+    # random disk unions, centers and deltas, y on that circle and inside it
+    rng = np.random.default_rng(27)
+    angles = np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False)
+    circle = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    inside = circle * np.sqrt(rng.uniform(0.0, 1.0, (48, 1)))
+    tight = 0
+    for _ in range(30):
+        disks = tuple(UniformBall(tuple(rng.uniform(-1.0, 1.0, 2)), float(rng.uniform(0.1, 0.6)),
+                                  float(rng.uniform(0.3, 1.0)))
+                      for _ in range(int(rng.integers(1, 4))))
+        t = float(rng.uniform(0.05, 1.0))
+        delta = float(10.0 ** rng.uniform(-4.0, -1.0))
+        centers = rng.uniform(-1.5, 1.5, (200, 2))
+        at_center = np.array([c.ball_mass(centers, t) for c in disks])
+        first = np.array([np.minimum(c.h_single(t), c.ball_mass(centers, t + delta))
+                          for c in disks])
+        cover = _second_order_cover(disks, centers, t, delta, at_center, first,
+                                    sum(c.mass for c in disks))
+        tight += int((cover < first.sum(axis=0)).sum())
+        for offset in np.concatenate([circle, inside]) * delta:
+            masses = sum(c.ball_mass(centers + offset, t) for c in disks)
+            assert (masses <= cover).all(), (disks, t, delta, offset)
+    # the second-order cover is the smaller one at many of the cells
+    assert tight > 1000, tight
+    # a component without a second-order term keeps the first-order cover
+    mixed = disks + (Atom((0.0, 0.0), 1.0),)
+    assert _second_order_cover(mixed, centers, t, delta, np.vstack([at_center, at_center[:1]]),
+                               np.vstack([first, first[:1]]), 3.0) is None
 
 
 def _ref_lens_area_2d(t, rho, q):
