@@ -11,16 +11,9 @@ together with its planar and meromorphic specializations.
 """
 
 from .geometry import (
-    Ball,
     DimensionContext,
-    ExtendedReal,
-    UndefinedOperationError,
-    ext_add,
-    ext_div,
     ext_mul,
-    ext_sub,
     kernel,
-    kernel_inverse,
 )
 from .measures import (
     Atom,
@@ -35,11 +28,9 @@ from .measures import (
     dini_limits_check,
     integrated_counting,
     integrated_counting_result,
-    modulus_lower_bound,
     modulus_of_continuity,
     modulus_of_continuity_exact,
     modulus_profile,
-    modulus_upper_bound,
     radial_counting,
 )
 from .potentials import (
@@ -84,8 +75,6 @@ from .lab import (
     run_corpus,
     verify_counting_lemma,
     verify_main_theorem,
-    verify_planar_meromorphic,
-    verify_planar_meromorphic_simplified,
     verify_pointwise_bound,
     verify_poisson_jensen,
 )

@@ -1,4 +1,4 @@
-"""Dimension-dependent constants, the radial kernel, and extended-real arithmetic.
+"""Dimension-dependent constants, the radial kernel, and the one extended-real product.
 
 Everything downstream (potentials, counting functions, the main inequality)
 shares the same geometric data: the dimension d >= 2, the reduced dimension
@@ -8,11 +8,11 @@ and the strictly increasing kernel
     k(t) = ln t        (d = 2)
     k(t) = -t^{2-d}    (d > 2),      k(0) = -inf.
 
-Extended reals are plain IEEE floats with +-inf.  The helpers ext_add /
-ext_sub / ext_mul / ext_div implement the usual conventions, with 0 * inf = 0,
-and raise UndefinedOperationError for the genuinely undefined combinations
-(inf - inf, 0/0, inf/inf) instead of producing NaN, so a NaN can never
-silently fake a passing inequality.
+Extended reals are plain IEEE floats with +-inf.  ext_mul takes 0 * inf = 0,
+the convention of h(t) k(t) at t = 0 (measures.dini_limits_check) and of
+the counting lemma's right-hand side (lab.verify_counting_lemma).  A NaN cannot fake a passing inequality: every
+constructor of a measure component, function model and scenario rejects a
+non-finite number, and lab._verdict turns a NaN slack into "inconclusive".
 
 Every inner product in the package is _dots and every distance between two
 points is _distances, both adding their terms left to right.  No BLAS
@@ -28,43 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
-__all__ = [
-    "Ball",
-    "DimensionContext",
-    "ExtendedReal",
-    "UndefinedOperationError",
-    "ext_add",
-    "ext_div",
-    "ext_mul",
-    "ext_sub",
-    "kernel",
-    "kernel_inverse",
-]
-
-# Extended reals are ordinary floats; math.inf / -math.inf are first-class values.
-ExtendedReal = float
-
-
-class UndefinedOperationError(ArithmeticError):
-    """An extended-real operation with no defined value was attempted."""
-
-
-def ext_add(x: float, y: float) -> float:
-    """x + y on the extended reals; raises on (+inf) + (-inf)."""
-    if math.isinf(x) and math.isinf(y) and (x > 0) != (y > 0):
-        raise UndefinedOperationError("inf + (-inf) is undefined")
-    return x + y
-
-
-def ext_sub(x: float, y: float) -> float:
-    """x - y on the extended reals; raises on (+-inf) - (+-inf) with equal signs."""
-    if math.isinf(x) and math.isinf(y) and (x > 0) == (y > 0):
-        raise UndefinedOperationError("inf - inf is undefined")
-    return x - y
+__all__ = ["DimensionContext", "ext_mul", "kernel"]
 
 
 def ext_mul(x: float, y: float) -> float:
@@ -72,19 +40,6 @@ def ext_mul(x: float, y: float) -> float:
     if (x == 0.0 and math.isinf(y)) or (y == 0.0 and math.isinf(x)):
         return 0.0
     return x * y
-
-
-def ext_div(x: float, y: float) -> float:
-    """x / y on the extended reals; raises on 0/0 and inf/inf."""
-    if y == 0.0:
-        if x == 0.0:
-            raise UndefinedOperationError("0 / 0 is undefined")
-        return math.copysign(math.inf, x)
-    if math.isinf(y):
-        if math.isinf(x):
-            raise UndefinedOperationError("inf / inf is undefined")
-        return 0.0
-    return x / y
 
 
 @dataclass(frozen=True)
@@ -110,24 +65,6 @@ class DimensionContext:
     def sphere_area(self) -> float:
         """Surface area of the unit sphere in R^d: 2 pi^{d/2} / Gamma(d/2)."""
         return 2.0 * math.pi ** (self.d / 2.0) / math.gamma(self.d / 2.0)
-
-
-@dataclass(frozen=True)
-class Ball:
-    """A ball in R^d. With the open convention, radius 0 means the empty set."""
-
-    center: tuple
-    radius: float
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("ball radius must be >= 0")
-
-    def contains(self, point: Sequence[float], closed: bool = True) -> bool:
-        dist = float(_distances(point, self.center))
-        if closed:
-            return dist <= self.radius
-        return self.radius > 0 and dist < self.radius
 
 
 ArrayLike = Union[float, np.ndarray]
@@ -190,17 +127,3 @@ def _kernel_values(d: int, arr: np.ndarray) -> np.ndarray:
             return np.log(arr)
         return -arr ** float(2 - d)
 
-
-def kernel_inverse(ctx: DimensionContext, v: float) -> float:
-    """Inverse of the kernel: t with kernel(ctx, t) = v.
-
-    For d > 2 the kernel's supremum is 0 (as t -> inf), so v >= 0 is a domain
-    error there; v = -inf maps to 0 in every dimension.
-    """
-    if ctx.d == 2:
-        return math.exp(v) if v != math.inf else math.inf
-    if v >= 0:
-        raise ValueError(f"kernel range for d={ctx.d} is [-inf, 0); got {v}")
-    if v == -math.inf:
-        return 0.0
-    return (-1.0 / v) ** (1.0 / (ctx.d - 2))

@@ -72,8 +72,6 @@ __all__ = [
     "run_corpus",
     "verify_counting_lemma",
     "verify_main_theorem",
-    "verify_planar_meromorphic",
-    "verify_planar_meromorphic_simplified",
     "verify_pointwise_bound",
     "verify_poisson_jensen",
 ]
@@ -353,17 +351,6 @@ def _ur_report(tag: str, ing: _Ingredients) -> VerificationReport:
 def verify_main_theorem(s: Scenario) -> VerificationReport:
     """LHS = integral of U^+ d mu; RHS = A_d(r,R) T_U(r0, R) (M + Dini)."""
     return _ur_report("UR", _Ingredients(s))
-
-
-def verify_planar_meromorphic(s: Scenario) -> VerificationReport:
-    """d=2 meromorphic form: growth factor T(R, f) - N(r0 or r, f)."""
-    return _ur_report("UR2f", _Ingredients(s))
-
-
-def verify_planar_meromorphic_simplified(s: Scenario) -> VerificationReport:
-    """UR2fr: N(r, f) >= 0 dropped, growth factor T(R, f) alone; requires
-    r >= 1 or no pole at the origin."""
-    return _ur_report("UR2fr", _Ingredients(s))
 
 
 # ---------------------------------------------------------------------------

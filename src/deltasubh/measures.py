@@ -24,7 +24,7 @@ Closed balls throughout: mass sitting at distance exactly t from y counts.
 Each component kind carries its own behaviour, so callers never switch on
 the kind: ball_mass and breakpoint_radii (at one center or an (n, d) array
 of centers), h_single, dini_single (closed-form integral_0^upper h_single(t)
-/ t^{d-1} dt), outer_radius, translate, potential (closed-form kernel
+/ t^{d-1} dt), outer_radius, potential (closed-form kernel
 potential, per point) and distance_to (generator rejection).  The 1-d
 carriers, segments and arcs, are paths for the by-sign integral of
 characteristics as well: span (the parameter interval, [0, 1] or the arc's
@@ -64,11 +64,9 @@ __all__ = [
     "dini_limits_check",
     "integrated_counting",
     "integrated_counting_result",
-    "modulus_lower_bound",
     "modulus_of_continuity",
     "modulus_of_continuity_exact",
     "modulus_profile",
-    "modulus_upper_bound",
     "radial_counting",
 ]
 
@@ -131,9 +129,6 @@ class Atom:
 
     def distance_to(self, p: np.ndarray) -> float:
         return float(_distances(p, self.point))
-
-    def translate(self, v) -> "Atom":
-        return Atom(tuple(p + dv for p, dv in zip(self.point, v)), self.weight)
 
 
 @dataclass(frozen=True)
@@ -286,13 +281,6 @@ class UniformSegment:
                            for s, t in ends])
         inner = 8.0 if d == 2 else 6.0 * size[2]
         return values, _ROUNDING * (2.0 + scale * (size[0] + size[1] + inner)) / length
-
-    def translate(self, v) -> "UniformSegment":
-        return UniformSegment(
-            tuple(p + dv for p, dv in zip(self.start, v)),
-            tuple(p + dv for p, dv in zip(self.end, v)),
-            self.weight,
-        )
 
 
 def _even_bernoulli(n: int) -> list:
@@ -510,12 +498,6 @@ class UniformArc:
         return values, _ROUNDING * (width * np.abs(log_far) + 4.0
                                     + scale / self.radius * (slope[:len(a)] + slope[len(a):] + 4.0))
 
-    def translate(self, v) -> "UniformArc":
-        return UniformArc(
-            tuple(p + dv for p, dv in zip(self.center, v)),
-            self.radius, self.angle_start, self.angle_end, self.weight,
-        )
-
 
 @dataclass(frozen=True)
 class UniformBall:
@@ -633,12 +615,6 @@ class UniformBall:
     def distance_to(self, p: np.ndarray) -> float:
         return max(0.0, float(_distances(p, self.center)) - self.radius)
 
-    def translate(self, v) -> "UniformBall":
-        return UniformBall(
-            tuple(p + dv for p, dv in zip(self.center, v)),
-            self.radius, self.weight,
-        )
-
 
 def _lens_area_2d(t, rho, q):
     """Area of intersection of disks of radii t (center distance q) and rho,
@@ -733,15 +709,6 @@ class BorelMeasure:
             total = total + c.ball_mass(y, t)
         return total
 
-    def translate(self, v) -> "BorelMeasure":
-        return BorelMeasure(tuple(c.translate(v) for c in self.components), self.dim)
-
-    def __add__(self, other: "BorelMeasure") -> "BorelMeasure":
-        if self.components and other.components and self.dim != other.dim:
-            raise ValueError("cannot add measures of different dimensions")
-        return BorelMeasure(self.components + other.components,
-                            max(self.dim, other.dim))
-
 
 def radial_counting(mu: BorelMeasure, y, t):
     """mu(closed ball of radius t centered at y); exact per component."""
@@ -806,11 +773,6 @@ def modulus_of_continuity_exact(mu: BorelMeasure, t: float):
     if mu.is_atomic and mu.dim == 2:
         return _atomic_h_exact_2d(mu, t)
     return None
-
-
-def modulus_upper_bound(mu: BorelMeasure, t: float) -> float:
-    """Subadditive upper bound: sum of the exact single-component moduli."""
-    return _modulus(mu, t, "upper")[0]
 
 
 _BEAM = 4096  # most cells split per level, 1/16 of it once the bracket is open
@@ -901,11 +863,6 @@ def _second_order_cover(comps, centers, t, delta, at_center, first, mass):
     return total * (1.0 + _ROUNDING) + _distances(grad, 0.0) * delta + 2.0 * _ROUNDING * mass
 
 
-def modulus_lower_bound(mu: BorelMeasure, t: float) -> float:
-    """Certified lower bound of h_mu(t): the lower end of its bracket."""
-    return _modulus_bracket(mu, t)[0]
-
-
 def modulus_of_continuity(mu: BorelMeasure, t: float) -> float:
     """h_mu(t) = sup_y mu(B_y(t)): exact when certifiable, else a certified
     lower bound (see modulus_profile for the per-point exactness flag)."""
@@ -916,8 +873,8 @@ def _modulus(mu: BorelMeasure, t: float, method: str) -> tuple:
     """(h_mu(t), flag): the exact value where certifiable, else the
     subadditive upper bound (method "upper") or the lower end of the
     branch-and-bound bracket, "exact" when the bracket closes to within
-    its tolerance.  The one choice behind modulus_of_continuity,
-    modulus_upper_bound and modulus_profile."""
+    its tolerance.  The one choice behind modulus_of_continuity and
+    modulus_profile."""
     if method not in ("auto", "upper"):
         raise ValueError(f"method must be 'auto' or 'upper', got {method!r}")
     exact = modulus_of_continuity_exact(mu, t)

@@ -198,9 +198,6 @@ class SubharmonicFn:
             out += self.harmonic.values(pts)
         return out
 
-    def value(self, x) -> float:
-        return float(self.values(np.asarray(x, dtype=float)[None, :])[0])
-
 
 @dataclass(frozen=True)
 class DeltaSubharmonicFn:
@@ -335,22 +332,6 @@ class MeromorphicFn:
                           BorelMeasure(zero_atoms, 2))
         v = SubharmonicFn(2, None, BorelMeasure(pole_atoms, 2))
         return DeltaSubharmonicFn(u, v)
-
-
-def product(f: MeromorphicFn, g: MeromorphicFn) -> MeromorphicFn:
-    """f * g with zero/pole cancellation at coincident points."""
-    net: dict = {}
-    for a, m in f.zeros + g.zeros:
-        net[a] = net.get(a, 0) + m
-    for b, n in f.poles + g.poles:
-        net[b] = net.get(b, 0) - n
-    zeros = tuple((a, m) for a, m in sorted(net.items(), key=lambda kv: (kv[0].real, kv[0].imag)) if m > 0)
-    poles = tuple((b, -n) for b, n in sorted(net.items(), key=lambda kv: (kv[0].real, kv[0].imag)) if n < 0)
-    na = max(len(f.exponent), len(g.exponent))
-    ea = list(f.exponent) + [0j] * (na - len(f.exponent))
-    eb = list(g.exponent) + [0j] * (na - len(g.exponent))
-    return MeromorphicFn(zeros, poles, f.unit_factor * g.unit_factor,
-                         tuple(x + y for x, y in zip(ea, eb)))
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,7 @@ def test_spherical_mean_jensen_from_counting():
     U = DeltaSubharmonicFn(u, SubharmonicFn(2, None, BorelMeasure((), 2)))
     r = 2.5
     mean = spherical_mean(U, r).value
-    jensen = u.value((0.0, 0.0)) + integrated_counting(ctx, nu, 0.0, r)
+    jensen = u.values((0.0, 0.0))[0] + integrated_counting(ctx, nu, 0.0, r)
     assert mean == pytest.approx(jensen, abs=1e-8)
 
 
@@ -322,7 +322,7 @@ def test_cross_form_with_continuous_charges():
     assert a.value >= -a.error_estimate
     # Jensen route for C_U(R): mean = u(0) - v(0) + N_{plus}(0,R) - N_{minus}(0,R)
     ctx = DimensionContext(2)
-    jensen = (u.value((0.0, 0.0)) - v.value((0.0, 0.0))
+    jensen = (u.values((0.0, 0.0))[0] - v.values((0.0, 0.0))[0]
               + integrated_counting(ctx, u.riesz, 0.0, R)
               - integrated_counting(ctx, v.riesz, 0.0, R))
     assert spherical_mean(U, R, tol=1e-9).value == pytest.approx(jensen, abs=1e-6)

@@ -40,8 +40,6 @@ from deltasubh.lab import (
     run_corpus,
     verify_counting_lemma,
     verify_main_theorem,
-    verify_planar_meromorphic,
-    verify_planar_meromorphic_simplified,
     verify_pointwise_bound,
     verify_poisson_jensen,
 )
@@ -118,7 +116,7 @@ def test_vacuous_when_growth_infinite():
     s = _scenario(f, mu, 1.0, 2.0, r0=0.0)
     rep = verify_main_theorem(s)
     assert rep.verdict == "vacuous"
-    rep2 = verify_planar_meromorphic(s)
+    rep2, = run_checks(s, ("UR2f",))
     assert rep2.verdict == "vacuous"
 
 
@@ -161,7 +159,7 @@ def test_segment_through_pole_scenario():
     f = _mero(zeros=[(0j, 1)], poles=[(1 + 0j, 1)])
     mu = BorelMeasure((UniformSegment((0.0, 0.0), (2.0, 0.0), 1.0),))
     s = _scenario(f, mu, 2.0, 5.0)
-    rep = verify_planar_meromorphic(s)
+    rep, = run_checks(s, ("UR2f",))
     assert rep.verdict == "pass"
     assert rep.lhs == pytest.approx(1.5 * math.log(2.0), abs=1e-8)
     assert rep.slack > 0
@@ -186,8 +184,7 @@ def test_specialization_consistency_UR_vs_UR2f():
     tight = Tolerances(mean=1e-11)
     for index in range(6):
         s = generate_scenario(777, index, "segment", tight)
-        rep_main = verify_main_theorem(s)
-        rep_f = verify_planar_meromorphic(s)
+        rep_main, rep_f = run_checks(s, ("UR", "UR2f"))
         assert rep_main.verdict == "pass" and rep_f.verdict == "pass"
         assert abs(rep_main.rhs - rep_f.rhs) <= 1e-9 * max(1.0, abs(rep_main.rhs))
 
@@ -266,10 +263,10 @@ def test_ur2fr_requires_precondition():
     f = _mero(poles=[(0j, 1)])
     mu = BorelMeasure((UniformSegment((0.2, 0.0), (0.4, 0.0), 1.0),))
     s = _scenario(f, mu, 0.5, 2.0)  # r < 1 and pole at origin
-    rep = verify_planar_meromorphic_simplified(s)
+    rep, = run_checks(s, ("UR2fr",))
     assert rep.verdict == "precondition-failed"
     s_big = _scenario(f, mu, 1.0, 2.0)
-    rep_big = verify_planar_meromorphic_simplified(s_big)
+    rep_big, = run_checks(s_big, ("UR2fr",))
     assert rep_big.verdict == "pass"
 
 

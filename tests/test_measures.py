@@ -25,11 +25,9 @@ from deltasubh.measures import (
     dini_limits_check,
     integrated_counting,
     integrated_counting_result,
-    modulus_lower_bound,
     modulus_of_continuity,
     modulus_of_continuity_exact,
     modulus_profile,
-    modulus_upper_bound,
     radial_counting,
 )
 from deltasubh.quadrature import QuadratureBudgetError
@@ -304,16 +302,17 @@ def test_modulus_exact_values_match_search_lower_bound():
         for _ in range(5):
             t = rng.uniform(0.05, 1.2)
             exact = modulus_of_continuity_exact(mu, t)
-            lower = modulus_lower_bound(mu, t)
+            lower = _modulus_bracket(mu, t)[0]
             assert lower <= exact + 1e-9
             assert lower >= exact - 1e-6 * max(1.0, exact) - 1e-9
 
 
 def test_modulus_translation_invariance():
     rng = random.Random(19)
-    comps = (Atom((0.1, 0.2), 0.5), Atom((-0.3, 0.4), 1.5), Atom((0.2, -0.2), 0.7))
-    mu = BorelMeasure(comps)
-    shifted = mu.translate((3.7, -1.2))
+    points, weights = ((0.1, 0.2), (-0.3, 0.4), (0.2, -0.2)), (0.5, 1.5, 0.7)
+    mu = BorelMeasure(tuple(Atom(p, w) for p, w in zip(points, weights)))
+    shifted = BorelMeasure(tuple(Atom((x + 3.7, y - 1.2), w)
+                                 for (x, y), w in zip(points, weights)))
     for _ in range(10):
         t = rng.uniform(0.0, 1.0)
         assert modulus_of_continuity(mu, t) == pytest.approx(
@@ -323,8 +322,10 @@ def test_modulus_translation_invariance():
 def test_modulus_upper_bound_dominates():
     mu = BorelMeasure((UniformBall((0.0, 0.0), 0.5, 1.0),
                        UniformBall((1.5, 0.0), 0.5, 1.0)))
-    for t in (0.1, 0.3, 0.6, 1.0, 3.0):
-        assert modulus_upper_bound(mu, t) >= modulus_lower_bound(mu, t) - 1e-12
+    radii = (0.1, 0.3, 0.6, 1.0, 3.0)
+    upper = modulus_profile(mu, radii, "upper")
+    for t, bound in zip(radii, upper.values):
+        assert bound >= _modulus_bracket(mu, t)[0] - 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -519,7 +520,7 @@ def test_modulus_rejects_a_nan_radius_and_an_unknown_method():
     with pytest.raises(ValueError, match="method"):
         modulus_profile(mu, [0.2], "bogus")
     with pytest.raises(ValueError, match="t must be >= 0"):
-        modulus_upper_bound(mu, math.nan)
+        modulus_profile(mu, [math.nan], "upper")
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +777,7 @@ def test_integrated_counting_additivity_exact():
                                 rng.uniform(0.1, 1.0)) for _ in range(5)))
     b = BorelMeasure(tuple(Atom((rng.uniform(-2, 2), rng.uniform(-2, 2)),
                                 rng.uniform(0.1, 1.0)) for _ in range(4)))
-    lhs = integrated_counting(D2, a + b, 0.5, 3.0)
+    lhs = integrated_counting(D2, BorelMeasure(a.components + b.components), 0.5, 3.0)
     rhs = integrated_counting(D2, a, 0.5, 3.0) + integrated_counting(D2, b, 0.5, 3.0)
     assert lhs == pytest.approx(rhs, abs=1e-14)
 

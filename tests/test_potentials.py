@@ -19,7 +19,6 @@ from deltasubh.potentials import (
     jordan_decomposition,
     positive_part,
     potential_values,
-    product,
 )
 from deltasubh.quadrature import integrate_interval
 
@@ -131,7 +130,7 @@ def test_canonical_representation_examples():
     for _ in range(20):
         x = (rng.uniform(-2, 2), rng.uniform(-2, 2))
         orig = evaluate(U2, x)
-        canon = u_star.value(x) - v_star.value(x)
+        canon = float(u_star.values(x)[0] - v_star.values(x)[0])
         if orig is None or not math.isfinite(orig):
             continue
         assert canon == pytest.approx(orig, abs=1e-12)
@@ -143,33 +142,6 @@ def test_canonical_identity_when_already_canonical():
     u_star, v_star = canonical_representation(U, 2.0)
     assert u_star.riesz == U.u.riesz
     assert v_star.riesz == U.v.riesz
-
-
-def test_log_modulus_of_product_is_additive():
-    rng = random.Random(33)
-    f = _mero(zeros=[(0.3 + 0.1j, 1)], poles=[(-0.4 + 0.2j, 2)], unit=1.7,
-              exponent=(0.1 + 0j, 0.2 - 0.1j))
-    g = _mero(zeros=[(-0.2 - 0.5j, 2)], poles=[(0.6 + 0.6j, 1)], unit=0.5 + 0.5j)
-    fg = product(f, g)
-    for _ in range(25):
-        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        expected = f.log_abs(np.array([z]))[0] + g.log_abs(np.array([z]))[0]
-        got = fg.log_abs(np.array([z]))[0]
-        assert got == pytest.approx(expected, abs=1e-12)
-    # charges add too
-    Uf, Ug, Ufg = (h.to_delta_subharmonic() for h in (f, g, fg))
-    pf, mf = jordan_decomposition(Uf)
-    pg, mg = jordan_decomposition(Ug)
-    pfg, mfg = jordan_decomposition(Ufg)
-    assert pfg.mass == pytest.approx(pf.mass + pg.mass)
-    assert mfg.mass == pytest.approx(mf.mass + mg.mass)
-
-
-def test_product_cancels_common_points():
-    f = _mero(zeros=[(0.5 + 0j, 1)])
-    g = _mero(poles=[(0.5 + 0j, 1)])
-    fg = product(f, g)
-    assert fg.zeros == () and fg.poles == ()
 
 
 def test_meromorphic_validation():
