@@ -159,3 +159,39 @@ def test_src_takes_every_distance_between_two_points_by_distances():
             found += [f"{where} from {node.module} import {a.name}"
                       for a in node.names if a.name in ("dist", "hypot")]
     assert found == []
+
+
+# serialize_scenario is the scenario format's writer: nothing in the package
+# writes a scenario, but the round-trip tests check parse_scenario with it
+_EXPORTS_WITHOUT_A_CALLER = {"serialize_scenario"}
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # each name __init__ imports is used as code (a name or an attribute, not
+    # a string) in another module of the package, in bench/ or in demos/; a
+    # use inside the definition of another export that nothing uses does not
+    # count, so a group of helpers that only call each other shows up whole
+    root = pathlib.Path(__file__).resolve().parent.parent
+    init = root / "src" / "deltasubh" / "__init__.py"
+    exported = {a.asname or a.name: node.module
+                for node in ast.parse(init.read_text()).body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    paths = [p for p in (root / "src" / "deltasubh").glob("*.py") if p != init]
+    paths += sorted((root / "bench").glob("*.py")) + sorted((root / "demos").glob("*.py"))
+    uses = []  # (used name, the export whose definition holds the use, or None)
+    for path in paths:
+        for top in ast.parse(path.read_text(), str(path)).body:
+            name = getattr(top, "name", None)
+            owner = name if path.stem == exported.get(name) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    uses.append((node.id, owner))
+                elif isinstance(node, ast.Attribute):
+                    uses.append((node.attr, owner))
+    unused = set(exported) - _EXPORTS_WITHOUT_A_CALLER
+    while True:
+        used = {n for n, owner in uses if owner != n and owner not in unused}
+        if not unused & used:
+            break
+        unused -= used
+    assert not unused, f"exported, but only the tests call: {sorted(unused)}"
