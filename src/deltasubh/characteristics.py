@@ -275,8 +275,8 @@ def nevanlinna_N(f: MeromorphicFn, r: float) -> CharacteristicRecord:
 
     N(0, f) is 0 when f has no pole at the origin and -inf otherwise.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"r must be finite and >= 0, got {r!r}")
     n0 = sum(n for b, n in f.poles if b == 0)
     if r == 0.0:
         value = 0.0 if n0 == 0 else -math.inf

@@ -109,12 +109,16 @@ class Scenario:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if not 0.0 < self.r < self.R:
-            raise ValueError(f"need 0 < r < R, got ({self.r}, {self.R})")
+        if not 0.0 < self.r < self.R < math.inf:
+            raise ValueError(f"need 0 < r < R < inf, got ({self.r}, {self.R})")
         if self.r0 is not None and not 0.0 <= self.r0 <= self.r:
             raise ValueError("r0 must lie in [0, r]")
         if self.mu.support_radius > self.r * (1.0 + 1e-12):
             raise ValueError("measure support must lie in the closed ball B(r)")
+        if self.U.dim != self.ctx.d or (self.mu.components and self.mu.dim != self.ctx.d):
+            raise ValueError(f"U and mu must have the scenario's dimension {self.ctx.d}")
+        if self.f is not None and self.U != self.f.to_delta_subharmonic():
+            raise ValueError("U must be log|f| as f.to_delta_subharmonic() gives it")
 
 
 @dataclass

@@ -80,7 +80,16 @@ class UnsupportedModelError(ValueError):
 
 
 def _as_point(p) -> Point:
-    return tuple(float(c) for c in p)
+    point = tuple(float(c) for c in p)
+    if not all(map(math.isfinite, point)):
+        raise ValueError(f"point coordinates must be finite, got {point!r}")
+    return point
+
+
+def _check_positive(value: float, what: str):
+    """ValueError unless value is finite and > 0 (a NaN included)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{what} must be finite and > 0, got {value!r}")
 
 
 def _float_or_array(out):
@@ -95,8 +104,7 @@ class Atom:
 
     def __post_init__(self):
         object.__setattr__(self, "point", _as_point(self.point))
-        if not self.weight > 0:
-            raise ValueError("atom weight must be > 0")
+        _check_positive(self.weight, "atom weight")
 
     @property
     def dim(self) -> int:
@@ -140,8 +148,7 @@ class UniformSegment:
     def __post_init__(self):
         object.__setattr__(self, "start", _as_point(self.start))
         object.__setattr__(self, "end", _as_point(self.end))
-        if not self.weight > 0:
-            raise ValueError("segment weight must be > 0")
+        _check_positive(self.weight, "segment weight")
         if self.length == 0.0:
             raise ValueError("segment must have positive length")
 
@@ -336,10 +343,8 @@ class UniformArc:
         object.__setattr__(self, "center", _as_point(self.center))
         if len(self.center) != 2:
             raise ValueError("arc components are supported in dimension 2 only")
-        if not self.radius > 0:
-            raise ValueError("arc radius must be > 0")
-        if not self.weight > 0:
-            raise ValueError("arc weight must be > 0")
+        _check_positive(self.radius, "arc radius")
+        _check_positive(self.weight, "arc weight")
         if not 0.0 < self.width <= TWO_PI + 1e-12:
             raise ValueError("arc angular width must lie in (0, 2 pi]")
 
@@ -511,10 +516,8 @@ class UniformBall:
         object.__setattr__(self, "center", _as_point(self.center))
         if len(self.center) not in (2, 3):
             raise ValueError("ball components are supported in dimensions 2 and 3")
-        if not self.radius > 0:
-            raise ValueError("ball radius must be > 0")
-        if not self.weight > 0:
-            raise ValueError("ball weight must be > 0")
+        _check_positive(self.radius, "ball radius")
+        _check_positive(self.weight, "ball weight")
 
     @property
     def dim(self) -> int:
@@ -683,6 +686,8 @@ class BorelMeasure:
         elif self.dim == 0:
             object.__setattr__(self, "dim", 2)
         natural = max((c.outer_radius() for c in comps), default=0.0)
+        if not math.isfinite(self.support_radius):
+            raise ValueError(f"support_radius must be finite, got {self.support_radius!r}")
         if self.support_radius < 0:
             object.__setattr__(self, "support_radius", natural)
         elif self.support_radius + 1e-12 * max(1.0, natural) < natural:
@@ -712,7 +717,7 @@ class BorelMeasure:
 
 def radial_counting(mu: BorelMeasure, y, t):
     """mu(closed ball of radius t centered at y); exact per component."""
-    if np.any(np.asarray(t, dtype=float) < 0):
+    if not np.all(np.asarray(t, dtype=float) >= 0):  # False for NaN too
         raise ValueError("radius t must be >= 0")
     return mu.radial_counting(y, t)
 

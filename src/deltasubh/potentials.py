@@ -38,6 +38,7 @@ sets are mu-null for every Dini-admissible mu).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -80,6 +81,8 @@ class HarmonicPolynomial:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        if not all(map(cmath.isfinite, self.coeffs)):
+            raise ValueError(f"polynomial coefficients must be finite, got {self.coeffs!r}")
 
     @property
     def dim(self) -> int:
@@ -116,6 +119,9 @@ class AffineHarmonic:
     def __post_init__(self):
         object.__setattr__(self, "gradient", tuple(float(g) for g in self.gradient))
         object.__setattr__(self, "constant", float(self.constant))
+        if not all(map(math.isfinite, (self.constant,) + self.gradient)):
+            raise ValueError(f"affine coefficients must be finite, got {self.constant!r}, "
+                             f"{self.gradient!r}")
 
     @property
     def dim(self) -> int:
@@ -291,6 +297,9 @@ class MeromorphicFn:
         object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "unit_factor", complex(self.unit_factor))
         object.__setattr__(self, "exponent", tuple(complex(c) for c in self.exponent))
+        if not all(map(cmath.isfinite, [a for a, _ in zeros + poles]
+                       + [self.unit_factor, *self.exponent])):
+            raise ValueError("zeros, poles, unit factor and exponent must be finite")
         if self.unit_factor == 0:
             raise ValueError("unit factor must be nonzero")
         if any(m < 1 for _, m in zeros) or any(n < 1 for _, n in poles):

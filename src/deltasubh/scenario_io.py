@@ -30,12 +30,16 @@ Schema (version "1"):
 Unknown keys are ignored, among them the "dini" and "sup" tolerances of
 older files: the Dini integral is closed-form and takes none, and the sup on
 a sphere keeps its own refinement gap.  Validation failures raise
-ScenarioError with a distinct .code naming the offending constraint.
+ScenarioError with a distinct .code naming the offending constraint.  Every
+number must be finite: the constructors reject a NaN or an infinity, and
+their ValueError becomes the code of the part it sits in (MEASURE_SPEC,
+FUNCTION_SPEC; RADII_ORDER for r and R).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Union
 
 from .geometry import DimensionContext
@@ -174,7 +178,7 @@ def _function_from_json(obj: dict, dim: int):
             f = MeromorphicFn(zeros, poles, unit, exponent)
         except ScenarioError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
             _fail("FUNCTION_SPEC", str(exc))
         return f.to_delta_subharmonic(), f
     if kind == "delta_subharmonic":
@@ -210,8 +214,8 @@ def parse_scenario(data: Union[bytes, str, dict]) -> Scenario:
         R = float(radii["R"])
     except (KeyError, TypeError, ValueError):
         _fail("RADII_ORDER", "radii must provide numeric r and R")
-    if not 0.0 < r < R:
-        _fail("RADII_ORDER", f"need 0 < r < R, got r={r}, R={R}")
+    if not 0.0 < r < R < math.inf:
+        _fail("RADII_ORDER", f"need 0 < r < R < inf, got r={r}, R={R}")
     r0 = radii.get("r0")
     if r0 is not None:
         r0 = float(r0)

@@ -127,6 +127,14 @@ def test_nevanlinna_m_anchors():
     assert nevanlinna_m(g, 2.0).value == pytest.approx(oracle, abs=1e-7)
 
 
+def test_nevanlinna_N_rejects_a_nan_or_infinite_radius():
+    # both returned nan with error 0.0
+    f = MeromorphicFn(poles=((0.5 + 0j, 1),))
+    for r in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            nevanlinna_N(f, r)
+
+
 def test_nevanlinna_N_anchors():
     f = _mero(poles=[(0j, 1)])
     assert nevanlinna_N(f, math.e).value == pytest.approx(1.0)

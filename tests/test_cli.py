@@ -179,6 +179,62 @@ def test_malformed_scenario_json_exits_two(tmp_path, capsys, edit, code):
     assert f"error: {code}:" in capsys.readouterr().err
 
 
+def _every_number_kind():
+    """The golden scenario with a component of each kind, a pole and an
+    exponent: a place for every number a meromorphic scenario holds."""
+    obj = json.loads(GOLDEN.read_text())
+    obj["measure"]["components"] += [
+        {"type": "atom", "point": [0.5, 0.5], "weight": 1.0},
+        {"type": "segment", "endpoints": [[0.0, 0.0], [1.0, 0.0]], "weight": 1.0},
+        {"type": "ball", "center": [0.0, 0.5], "radius": 0.5, "weight": 1.0}]
+    obj["function"]["poles"] = [{"point": [1.0, 1.0], "multiplicity": 1}]
+    obj["function"]["exponent"] = [[0.0, 0.0], [0.1, 0.0]]
+    return obj
+
+
+_DELTA_SUBHARMONIC = {
+    "type": "delta_subharmonic",
+    "u": {"harmonic": {"poly": [[0.0, 0.0], [1.0, 0.0]]},
+          "charge": [{"type": "atom", "point": [0.5, 0.0], "weight": 1.0}]},
+    "v": {"harmonic": {"affine": {"constant": 0.0, "gradient": [1.0, 0.0]}}}}
+
+
+@pytest.mark.parametrize("path, value, code", [
+    (("measure", "components", 0, "center", 0), math.nan, "MEASURE_SPEC"),   # arc
+    (("measure", "components", 1, "point", 1), math.inf, "MEASURE_SPEC"),    # atom
+    (("measure", "components", 1, "weight"), math.inf, "MEASURE_SPEC"),
+    (("measure", "components", 2, "endpoints", 1, 0), math.nan, "MEASURE_SPEC"),
+    (("measure", "components", 3, "center", 0), math.nan, "MEASURE_SPEC"),   # ball
+    (("measure", "components", 3, "radius"), math.inf, "MEASURE_SPEC"),
+    (("function", "zeros", 0, "point", 0), math.nan, "FUNCTION_SPEC"),
+    (("function", "zeros", 0, "multiplicity"), math.inf, "FUNCTION_SPEC"),
+    (("function", "poles", 0, "point", 1), math.inf, "FUNCTION_SPEC"),
+    (("function", "unit_factor", 0), math.nan, "FUNCTION_SPEC"),
+    (("function", "exponent", 1, 1), math.inf, "FUNCTION_SPEC"),
+    (("function", "u", "harmonic", "poly", 1, 0), math.nan, "FUNCTION_SPEC"),
+    (("function", "v", "harmonic", "affine", "constant"), math.inf, "FUNCTION_SPEC"),
+    (("function", "v", "harmonic", "affine", "gradient", 1), math.nan, "FUNCTION_SPEC"),
+    (("function", "u", "charge", 0, "point", 0), math.nan, "MEASURE_SPEC"),
+    (("radii", "R"), math.inf, "RADII_ORDER"),
+], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_non_finite_scenario_numbers_exit_two(tmp_path, capsys, path, value, code):
+    # a NaN coordinate made U NaN everywhere, which printed pass on every row;
+    # an infinite R or weight printed precondition-failed with a NaN lhs
+    obj = _every_number_kind()
+    if path[1] in ("u", "v"):
+        obj["function"] = json.loads(json.dumps(_DELTA_SUBHARMONIC))
+    parse_scenario(obj)  # finite as it stands
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(obj))  # json writes NaN and Infinity
+    assert main(["verify", str(file)]) == 2
+    out, err = capsys.readouterr()
+    assert f"error: {code}:" in err and out == ""
+
+
 def test_missing_file_exit_two():
     proc = _run(["verify", "/nonexistent/file.json"])
     assert proc.returncode == 2

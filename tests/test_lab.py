@@ -480,6 +480,27 @@ def test_scenario_validation():
         Scenario("bad", D2, f.to_delta_subharmonic(), big, 1.0, 2.0, f=f)
 
 
+def test_scenario_rejects_a_context_of_another_dimension():
+    # its UR row printed rhs 195.87 pass, where the true scenario gives 50.78
+    s = generate_scenario(42, 2, "disk")
+    with pytest.raises(ValueError, match="dimension"):
+        dataclasses.replace(s, ctx=D3)
+
+
+def test_scenario_rejects_a_measure_of_another_dimension():
+    s = generate_scenario(42, 2, "disk")
+    with pytest.raises(ValueError, match="dimension"):
+        dataclasses.replace(s, mu=BorelMeasure((UniformBall((0.0, 0.0, 0.0), 0.3, 1.0),)))
+
+
+def test_scenario_rejects_an_f_that_U_is_not_log_of():
+    # UR2f and UR2fr took their lhs from one function and T(R, f) from the
+    # other, and the scenario did not survive its own round trip
+    s, other = generate_scenario(42, 5, "segment"), generate_scenario(42, 1, "segment")
+    with pytest.raises(ValueError, match="to_delta_subharmonic"):
+        dataclasses.replace(s, f=other.f)
+
+
 def _ref_disk_integral(U, comp, tol):
     """The disk branch of lab._ball_integral before it reused samples: every
     level evaluates the whole radius x angle grid afresh."""

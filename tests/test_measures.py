@@ -59,6 +59,38 @@ def test_radial_counting_rejects_a_negative_radius():
             radial_counting(mu, (0.0, 0.0), np.array([-0.5, 0.5]))
 
 
+def test_radial_counting_rejects_a_nan_radius():
+    # the guard was t < 0, which a nan radius passes to return nan
+    seg = BorelMeasure((UniformSegment((-1.0, 0.0), (1.0, 0.0), 1.0),))
+    for t in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ValueError):
+            radial_counting(seg, (0.0, 0.0), t)
+
+
+@pytest.mark.parametrize("make", [
+    lambda x: Atom((x, 0.0), 1.0),
+    lambda x: Atom((0.0, 0.0), x),
+    lambda x: UniformSegment((0.0, 0.0), (1.0, x), 1.0),
+    lambda x: UniformSegment((0.0, 0.0), (1.0, 0.0), x),
+    lambda x: UniformArc((0.0, x), 1.0, 0.0, 1.0, 1.0),
+    lambda x: UniformArc((0.0, 0.0), x, 0.0, 1.0, 1.0),
+    lambda x: UniformArc((0.0, 0.0), 1.0, 0.0, 1.0, x),
+    lambda x: UniformBall((x, 0.0), 1.0, 1.0),
+    lambda x: UniformBall((0.0, 0.0), x, 1.0),
+    lambda x: UniformBall((0.0, 0.0), 1.0, x),
+    lambda x: BorelMeasure((UniformBall((0.1, 0.0), 0.3, 1.0),
+                            UniformBall((-0.4, 0.0), 0.2, 0.5)), 2, support_radius=x),
+], ids=["atom-point", "atom-weight", "segment-end", "segment-weight", "arc-center",
+        "arc-radius", "arc-weight", "ball-center", "ball-radius", "ball-weight",
+        "support-radius"])
+def test_measures_reject_non_finite_numbers(make):
+    # a nan support radius gave h_mu(0.2) = 0.4444 flagged exact, not 0.5
+    make(1.0)  # finite, accepted
+    for x in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            make(x)
+
+
 def test_radial_counting_segment_proportional():
     seg = BorelMeasure((UniformSegment((0.0, 0.0), (1.0, 0.0), 1.0),))
     assert radial_counting(seg, (0.0, 0.0), 0.25) == pytest.approx(0.25)

@@ -144,6 +144,24 @@ def test_canonical_identity_when_already_canonical():
     assert v_star.riesz == U.v.riesz
 
 
+@pytest.mark.parametrize("make", [
+    lambda x: _mero(zeros=[(complex(x, 0.1), 1)]),
+    lambda x: _mero(poles=[(complex(0.1, x), 1)]),
+    lambda x: _mero(unit=complex(x, 0.0)),
+    lambda x: _mero(exponent=(0j, complex(0.0, x))),
+    lambda x: HarmonicPolynomial((0j, complex(x, 0.0))),
+    lambda x: AffineHarmonic(x, (1.0, 0.0)),
+    lambda x: AffineHarmonic(0.0, (1.0, x)),
+], ids=["zero", "pole", "unit-factor", "exponent", "poly", "affine-constant",
+        "affine-gradient"])
+def test_function_models_reject_non_finite_numbers(make):
+    # a nan zero made U nan everywhere, and every check printed pass
+    make(1.0)  # finite, accepted
+    for x in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            make(x)
+
+
 def test_meromorphic_validation():
     with pytest.raises(ValueError):
         _mero(unit=0.0)
