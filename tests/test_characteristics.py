@@ -127,14 +127,6 @@ def test_nevanlinna_m_anchors():
     assert nevanlinna_m(g, 2.0).value == pytest.approx(oracle, abs=1e-7)
 
 
-def test_nevanlinna_N_rejects_a_nan_or_infinite_radius():
-    # both returned nan with error 0.0
-    f = MeromorphicFn(poles=((0.5 + 0j, 1),))
-    for r in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            nevanlinna_N(f, r)
-
-
 def test_nevanlinna_N_anchors():
     f = _mero(poles=[(0j, 1)])
     assert nevanlinna_N(f, math.e).value == pytest.approx(1.0)
@@ -309,6 +301,9 @@ def test_domain_errors():
         spherical_mean(U, -1.0)
     with pytest.raises(ValueError):
         spherical_mean(U, 1.0, "bogus")
+    for r in (-1.0, math.nan, math.inf):  # a nan or infinite r would give N = nan
+        with pytest.raises(ValueError):
+            nevanlinna_N(f, r)
 
 
 def test_cross_form_with_continuous_charges():

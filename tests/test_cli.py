@@ -218,8 +218,8 @@ _DELTA_SUBHARMONIC = {
     (("radii", "R"), math.inf, "RADII_ORDER"),
 ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else str(v))
 def test_non_finite_scenario_numbers_exit_two(tmp_path, capsys, path, value, code):
-    # a NaN coordinate made U NaN everywhere, which printed pass on every row;
-    # an infinite R or weight printed precondition-failed with a NaN lhs
+    # a NaN coordinate makes U NaN everywhere, where each row would print pass,
+    # and an infinite R or weight a NaN lhs
     obj = _every_number_kind()
     if path[1] in ("u", "v"):
         obj["function"] = json.loads(json.dumps(_DELTA_SUBHARMONIC))

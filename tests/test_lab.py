@@ -481,7 +481,7 @@ def test_scenario_validation():
 
 
 def test_scenario_rejects_a_context_of_another_dimension():
-    # its UR row printed rhs 195.87 pass, where the true scenario gives 50.78
+    # its UR row would print rhs 195.87 pass, where the true scenario gives 50.78
     s = generate_scenario(42, 2, "disk")
     with pytest.raises(ValueError, match="dimension"):
         dataclasses.replace(s, ctx=D3)
@@ -494,8 +494,8 @@ def test_scenario_rejects_a_measure_of_another_dimension():
 
 
 def test_scenario_rejects_an_f_that_U_is_not_log_of():
-    # UR2f and UR2fr took their lhs from one function and T(R, f) from the
-    # other, and the scenario did not survive its own round trip
+    # UR2f and UR2fr would take their lhs from one function and T(R, f) from
+    # the other, and the scenario would not survive its own round trip
     s, other = generate_scenario(42, 5, "segment"), generate_scenario(42, 1, "segment")
     with pytest.raises(ValueError, match="to_delta_subharmonic"):
         dataclasses.replace(s, f=other.f)

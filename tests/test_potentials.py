@@ -155,7 +155,7 @@ def test_canonical_identity_when_already_canonical():
 ], ids=["zero", "pole", "unit-factor", "exponent", "poly", "affine-constant",
         "affine-gradient"])
 def test_function_models_reject_non_finite_numbers(make):
-    # a nan zero made U nan everywhere, and every check printed pass
+    # a nan zero makes U nan everywhere, where each check would print pass
     make(1.0)  # finite, accepted
     for x in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
