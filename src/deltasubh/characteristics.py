@@ -31,6 +31,7 @@ remaining means are _sphere_mean.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
@@ -60,6 +61,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+_CLOSE = 4.0 * sys.float_info.epsilon  # a closed bracket's width per unit of scale
 
 @dataclass(frozen=True)
 class CharacteristicRecord:
@@ -142,30 +144,46 @@ def _sign_changes(evaluator, x, fx) -> list:
     """Where the class evaluator > 0 (which 0, NaN and -inf are all outside)
     flips between scan nodes x[i] < x[i + 1] of values fx: the midpoints of
     the brackets once no wider than 4 eps max(|lo|, |hi|, span).  Each step
-    is one evaluator call at the Illinois points (Dowell & Jarratt 1971) of
-    the open brackets, kept at least half that width inside; a bracket
-    bisects where an end is not finite or it has not halved in two steps."""
+    is one evaluator call, on one array, at the Illinois points (Dowell &
+    Jarratt 1971) of the open brackets, kept at least half that width
+    inside; a bracket bisects where an end is not finite, the secant's
+    denominator is 0 (a subnormal end halved to 0) or it has not halved in
+    two steps.  A bracket's state is Python floats, one list entry each:
+    arrays of a few brackets cost more per step than the arithmetic."""
     up = fx > 0.0
     i = np.flatnonzero(up[:-1] != up[1:])
-    lo, hi, f_lo, f_hi, lo_up = x[i], x[i + 1], fx[i], fx[i + 1], up[i]
-    close = 4.0 * np.finfo(float).eps * np.maximum(np.maximum(-lo, hi), x[-1] - x[0])  # lo < hi
-    older, old = np.full(i.size, np.inf), np.full(i.size, np.inf)  # widths 2 and 1 steps ago
-    kept = np.zeros(i.size)  # the end the last step kept: 1 lo, 2 hi
-    k = np.arange(i.size)  # the open brackets; a closed one never reopens
-    while (k := k[hi[k] - lo[k] > close[k]]).size:
-        a, b, fa, fb = lo[k], hi[k], f_lo[k], f_hi[k]
-        width, inset = b - a, 0.5 * close[k]
-        with np.errstate(all="ignore"):
-            t = a + width * (fa / (fa - fb))
-        secant = np.isfinite(fa) & np.isfinite(fb) & (a <= t) & (t <= b) & (width <= 0.5 * older[k])
-        t = np.minimum(np.maximum(np.where(secant, t, 0.5 * (a + b)), a + inset), b - inset)
-        ft = np.asarray(evaluator(t), dtype=float)
-        keep_lo = (ft > 0.0) != lo_up[k]
-        halve = np.where(kept[k] == 2 - keep_lo, 0.5, 1.0)  # Illinois: an end kept twice
-        lo[k], hi[k] = np.where(keep_lo, a, t), np.where(keep_lo, t, b)
-        f_lo[k], f_hi[k] = np.where(keep_lo, halve * fa, ft), np.where(keep_lo, ft, halve * fb)
-        kept[k], older[k], old[k] = 2 - keep_lo, old[k], width
-    return (0.5 * (lo + hi)).tolist()
+    lo, hi, f_lo, f_hi = x[i].tolist(), x[i + 1].tolist(), fx[i].tolist(), fx[i + 1].tolist()
+    lo_up = up[i].tolist()
+    span = float(x[-1] - x[0])
+    close = [_CLOSE * max(-a, b, span) for a, b in zip(lo, hi)]  # a < b: max(|a|, |b|)
+    older, old = [math.inf] * i.size, [math.inf] * i.size  # widths 2 and 1 steps ago
+    kept = [0] * i.size  # the end the last step kept: 1 lo, 2 hi
+    k = [j for j in range(i.size) if hi[j] - lo[j] > close[j]]  # open; none reopens
+    while k:
+        steps, widths = [], []
+        for j in k:
+            a, b, fa, fb = lo[j], hi[j], f_lo[j], f_hi[j]
+            width, inset = b - a, 0.5 * close[j]
+            t = 0.5 * (a + b)
+            if (math.isfinite(fa) and math.isfinite(fb) and fa - fb != 0.0
+                    and width <= 0.5 * older[j]):
+                secant = a + width * (fa / (fa - fb))
+                t = secant if a <= secant <= b else t
+            steps.append(min(max(t, a + inset), b - inset))
+            widths.append(width)
+        ft = np.asarray(evaluator(np.array(steps)), dtype=float).tolist()
+        for j, t, f, width in zip(k, steps, ft, widths):
+            if (f > 0.0) != lo_up[j]:  # lo kept, t is the new hi
+                if kept[j] == 1:  # Illinois: an end kept twice
+                    f_lo[j] = 0.5 * f_lo[j]
+                hi[j], f_hi[j], kept[j] = t, f, 1
+            else:
+                if kept[j] == 2:
+                    f_hi[j] = 0.5 * f_hi[j]
+                lo[j], f_lo[j], kept[j] = t, f, 2
+            older[j], old[j] = old[j], width
+        k = [j for j in k if hi[j] - lo[j] > close[j]]
+    return [0.5 * (a + b) for a, b in zip(lo, hi)]
 
 
 def _cuts(a: float, b: float, n: int) -> list:

@@ -387,7 +387,7 @@ def _ref_sign_changes(evaluator, x, fx):
         kept, n = 0, 0
         while hi - lo > close:
             t = 0.5 * (lo + hi)
-            if (math.isfinite(f_lo) and math.isfinite(f_hi)
+            if (math.isfinite(f_lo) and math.isfinite(f_hi) and f_lo - f_hi != 0.0
                     and hi - lo <= 0.5 * older):
                 secant = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
                 t = secant if lo <= secant <= hi else t
@@ -457,6 +457,75 @@ def test_batched_illinois_sign_changes_equal_scalar_bit_for_bit():
     assert _sign_changes(log_abs, x, fx) == _ref_sign_changes(log_abs, x, fx)[0]
 
 
+def _assert_sign_changes_equal_ref(evaluator, x, fx) -> list:
+    """_sign_changes, which must raise and warn nothing of its own, equals
+    _ref_sign_changes bit for bit: the same edges, from the same points."""
+    points = []
+
+    def recorded(t):
+        points.append(np.array(t, dtype=float))
+        return evaluator(t)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _sign_changes(recorded, x, fx)
+    got_points = sorted(np.concatenate(points).tolist()) if points else []
+    points.clear()
+    ref, _steps = _ref_sign_changes(recorded, x, fx)
+    assert got == ref
+    assert got_points == sorted(np.concatenate(points).tolist())
+    return got
+
+
+def test_sign_changes_past_non_finite_ends_equal_scalar_bit_for_bit():
+    # -inf (a scan node on a pole of log|f|), +inf and NaN at the lo end of
+    # one bracket and the hi end of another each: the bracket bisects until
+    # a step replaces that end, then converges on the smooth root
+    n = 2048
+    theta = 2.0 * math.pi * np.arange(n + 1) / n
+
+    def smooth(th):
+        return np.sin(3.0 * th + 0.1) - 0.2
+
+    f0 = smooth(theta)
+    i = np.flatnonzero((f0[:-1] > 0) != (f0[1:] > 0))
+    assert i.size == 6 and not f0[0] > 0  # the classes of lo alternate: out, in, out, ...
+    # -inf and NaN are outside the class, +inf inside: the lo ends of
+    # brackets 0, 1, 2 and the hi ends of 3, 4, 5
+    ends = {theta[i[0]]: -np.inf, theta[i[1]]: np.inf, theta[i[2]]: np.nan,
+            theta[i[3] + 1]: -np.inf, theta[i[4] + 1]: np.inf, theta[i[5] + 1]: np.nan}
+
+    def evaluator(th):
+        out = smooth(th)
+        for node, value in ends.items():
+            out = np.where(th == node, value, out)
+        return out
+
+    x, fx = _scan(evaluator, n)
+    assert (~np.isfinite(fx)).sum() == 6
+    got = _assert_sign_changes_equal_ref(evaluator, x, fx)
+    assert len(got) == 6
+    roots = _sign_changes(smooth, x, f0)
+    assert all(abs(a - b) <= 8.0 * np.finfo(float).eps * 2.0 * math.pi for a, b in zip(got, roots))
+
+
+def test_sign_changes_bisect_where_illinois_halves_an_end_to_zero():
+    # the least subnormal left of c, 0 from c on: each secant lands on hi,
+    # so lo is kept twice and halved to 0, and then fa - fb = 0 - 0 gives
+    # no secant; the bracket bisects on to c
+    tiny = math.ulp(0.0)
+    assert 0.5 * tiny == 0.0
+    c = 2.0 * math.pi * 700.3 / 2048
+
+    def evaluator(th):
+        return np.where(th < c, tiny, 0.0)
+
+    x, fx = _scan(evaluator)
+    got = _assert_sign_changes_equal_ref(evaluator, x, fx)
+    assert len(got) == 1
+    assert abs(got[0] - c) <= 4.0 * np.finfo(float).eps * 2.0 * math.pi
+
+
 def test_d3_line_kernel_integral_is_minus_inf_through_an_atom_on_the_piece():
     # the origin is on the slanted line at s = 0.5 only up to rounding
     path = UniformSegment((-0.5, 0.1, 0.0), (0.5, -0.1, 0.0), 1.0)
@@ -467,8 +536,8 @@ def test_d3_line_kernel_integral_is_minus_inf_through_an_atom_on_the_piece():
 
 
 def test_sign_changes_let_the_evaluators_warnings_through():
-    # np.errstate covers the secant formula only: a floating-point warning
-    # of the evaluator must still reach the caller (and fail CI under
+    # the refinement silences nothing: a floating-point warning of the
+    # evaluator must still reach the caller (and fail CI under
     # -W error::RuntimeWarning)
     def smooth(th):
         return np.sin(3.0 * th + 0.1) - 0.2
