@@ -117,8 +117,8 @@ class Scenario:
             raise ValueError("measure support must lie in the closed ball B(r)")
         if self.U.dim != self.ctx.d or (self.mu.components and self.mu.dim != self.ctx.d):
             raise ValueError(f"U and mu must have the scenario's dimension {self.ctx.d}")
-        if self.f is not None and self.U != self.f.to_delta_subharmonic():
-            raise ValueError("U must be log|f| as f.to_delta_subharmonic() gives it")
+        if self.f is not None and self.U is not self.f.to_delta_subharmonic():
+            raise ValueError("U must be log|f|, the model f.to_delta_subharmonic() returns")
 
 
 @dataclass

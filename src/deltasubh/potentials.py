@@ -333,6 +333,12 @@ class MeromorphicFn:
         return sum(n for b, n in self.poles if abs(b) <= r)
 
     def to_delta_subharmonic(self) -> DeltaSubharmonicFn:
+        """log|f| as u - v: the same model on every call for one f."""
+        return self._log_abs_model
+
+    @cached_property
+    def _log_abs_model(self) -> DeltaSubharmonicFn:
+        """to_delta_subharmonic(), built on first use and then shared."""
         zero_atoms = tuple(Atom((a.real, a.imag), float(m)) for a, m in self.zeros)
         pole_atoms = tuple(Atom((b.real, b.imag), float(n)) for b, n in self.poles)
         coeffs = list(self.exponent) if self.exponent else [0j]

@@ -497,8 +497,21 @@ def test_scenario_rejects_an_f_that_U_is_not_log_of():
     # UR2f and UR2fr would take their lhs from one function and T(R, f) from
     # the other, and the scenario would not survive its own round trip
     s, other = generate_scenario(42, 5, "segment"), generate_scenario(42, 1, "segment")
-    with pytest.raises(ValueError, match="to_delta_subharmonic"):
-        dataclasses.replace(s, f=other.f)
+    # another f, a U of another f, and log|1/f|
+    for change in ({"f": other.f}, {"U": other.U}, {"U": DeltaSubharmonicFn(s.U.v, s.U.u)}):
+        with pytest.raises(ValueError, match="to_delta_subharmonic"):
+            dataclasses.replace(s, **change)
+
+
+def test_scenario_shares_the_log_abs_model_of_its_f(monkeypatch):
+    # one model of log|f| per f: the scenario's U is it, and rebuilding the
+    # scenario (the CLI's tolerance override) builds no other
+    s = generate_scenario(42, 5, "segment")
+    assert s.U is s.f.to_delta_subharmonic()
+    built = []
+    monkeypatch.setattr(DeltaSubharmonicFn, "__post_init__", lambda self: built.append(self))
+    t = dataclasses.replace(s, tolerances=Tolerances(mean=1e-6))
+    assert t.U is s.U and built == []
 
 
 def _ref_disk_integral(U, comp, tol):
