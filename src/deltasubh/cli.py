@@ -93,6 +93,18 @@ def _parse_grid(spec: str) -> list:
     return out
 
 
+def _fraction(text: str) -> float:
+    """--max-inconclusive: a finite fraction in [0, 1].  A NaN would make the
+    gate's comparison False and so switch it off."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value <= 1.0:  # False for NaN too
+        raise argparse.ArgumentTypeError(f"must be a fraction in [0, 1], got {text!r}")
+    return value
+
+
 def _load_scenario(path: str) -> Scenario:
     with open(path, "rb") as fh:
         return parse_scenario(fh.read())
@@ -255,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-mean", type=float, default=None,
                        help="override the circle/sphere mean tolerance")
         if verdicts:
-            p.add_argument("--max-inconclusive", type=float, default=0.02,
+            p.add_argument("--max-inconclusive", type=_fraction, default=0.02,
                            help="inconclusive fraction tolerated before exit 1")
 
     p_char = sub.add_parser("characteristic", help="characteristic records over a radius grid")
@@ -295,7 +307,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="merge report CSVs and print counts")
     p_rep.add_argument("files", nargs="+")
-    p_rep.add_argument("--max-inconclusive", type=float, default=0.02)
+    p_rep.add_argument("--max-inconclusive", type=_fraction, default=0.02,
+                       help="inconclusive fraction tolerated before exit 1")
     p_rep.set_defaults(func=_cmd_report)
     return parser
 

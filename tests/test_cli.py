@@ -590,6 +590,19 @@ def test_corpus_rejects_a_negative_mean_tolerance(capsys):
     assert "tolerances.mean must be finite and > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "corpus", "report"])
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-0.1", "1.5"])
+def test_max_inconclusive_must_be_a_fraction(capsys, command, threshold):
+    # nan would switch the gate off: 5 > nan * judged is False, so every row
+    # inconclusive would still exit 0
+    argv = {"verify": [str(GOLDEN)], "corpus": ["--seed", "3", "--count", "1"],
+            "report": [str(GOLDEN)]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, "--max-inconclusive", threshold])
+    assert exc.value.code == 2
+    assert f"must be a fraction in [0, 1], got '{threshold}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, flag", [
     pytest.param("characteristic", "--tol-dini", id="--tol-dini"),
     pytest.param("characteristic", "--max-inconclusive", id="--max-inconclusive"),
