@@ -9,7 +9,6 @@ of its forms, checking each step against a closed form.
 import math
 
 from deltasubh import (
-    DimensionContext,
     MeromorphicFn,
     difference_characteristic,
     difference_characteristic_canonical,
@@ -20,15 +19,13 @@ from deltasubh import (
     spherical_mean,
     sup_on_sphere,
 )
-
-d2 = DimensionContext(2)
-d3 = DimensionContext(3)
+from deltasubh.geometry import _d_hat
 
 print("== dimension constants ==")
-for ctx in (d2, d3):
-    print(f"  d={ctx.d}: d_hat={ctx.d_hat}, sphere_area={ctx.sphere_area:.6f}")
-print(f"  kernel d=2: k(1)={kernel(d2, 1.0)}, k(e)={kernel(d2, math.e):.6f}")
-print(f"  kernel d=3: k(2)={kernel(d3, 2.0)}, k(0)={kernel(d3, 0.0)}")
+for d in (2, 3):
+    print(f"  d={d}: d_hat={_d_hat(d)}")
+print(f"  kernel d=2: k(1)={kernel(2, 1.0)}, k(e)={kernel(2, math.e):.6f}")
+print(f"  kernel d=3: k(2)={kernel(3, 2.0)}, k(0)={kernel(3, 0.0)}")
 
 print("\n== circle means and Jensen's closed form ==")
 # mean of ln|z - a| over |z| = r equals ln max(r, |a|)

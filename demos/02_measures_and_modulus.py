@@ -10,20 +10,16 @@ import math
 from deltasubh import (
     Atom,
     BorelMeasure,
-    DimensionContext,
     UniformArc,
     UniformBall,
     UniformSegment,
-    dini_integral,
+    dini_integral_result,
     dini_limits_check,
-    integrated_counting,
+    integrated_counting_result,
     modulus_of_continuity,
     modulus_profile,
     radial_counting,
 )
-
-d2 = DimensionContext(2)
-d3 = DimensionContext(3)
 
 print("== radial counting on primitives ==")
 seg = BorelMeasure((UniformSegment((0.0, 0.0), (1.0, 0.0), 1.0),))
@@ -51,27 +47,28 @@ for t, h, flag in zip(prof.radii, prof.values, prof.flags):
 
 print("\n== integrated counting function N_mu(r, R) ==")
 atom = BorelMeasure((Atom((0.0, 0.0), 1.0),))
-print(f"  unit atom at 0, d=2, N(1, e) = {integrated_counting(d2, atom, 1.0, math.e):.10f}")
+N = integrated_counting_result(atom, 1.0, math.e).value
+print(f"  unit atom at 0, d=2, N(1, e) = {N:.10f}")
 atom3 = BorelMeasure((Atom((0.0, 0.0, 0.0), 1.0),))
-print(f"  unit atom at 0, d=3, N(1, 2) = {integrated_counting(d3, atom3, 1.0, 2.0):.10f}")
-print(f"  unit atom at 0, d=2, N(0, 1) = {integrated_counting(d2, atom, 0.0, 1.0)}"
+print(f"  unit atom at 0, d=3, N(1, 2) = {integrated_counting_result(atom3, 1.0, 2.0).value:.10f}")
+print(f"  unit atom at 0, d=2, N(0, 1) = {integrated_counting_result(atom, 0.0, 1.0).value}"
       "  (mass at the center diverges)")
 
 print("\n== Dini integrals: the admissibility gate ==")
 cases = [
-    ("segment (d=2)", d2, seg),
-    ("atom (d=2)", d2, atom),
-    ("solid ball (d=3)", d3, BorelMeasure((UniformBall((0, 0, 0), 1.0, 1.0),))),
-    ("segment (d=3)", d3, BorelMeasure((UniformSegment((0, 0, 0), (1, 0, 0), 1.0),))),
+    ("segment (d=2)", seg),
+    ("atom (d=2)", atom),
+    ("solid ball (d=3)", BorelMeasure((UniformBall((0, 0, 0), 1.0, 1.0),))),
+    ("segment (d=3)", BorelMeasure((UniformSegment((0, 0, 0), (1, 0, 0), 1.0),))),
 ]
-for name, ctx, mu in cases:
-    val = dini_integral(ctx, mu, 1.0)
+for name, mu in cases:
+    val = dini_integral_result(mu, 1.0).value
     verdict = "admissible" if math.isfinite(val) else "DIVERGES"
     print(f"  {name:<16} integral_0^1 h/t^(d-1) dt = {val!s:<22} {verdict}")
 
 print("\n== tail limits h(t) -> 0 and h(t) k(t) -> 0 ==")
 grid = [2.0 ** (-k) for k in range(40, 0, -1)]
 for name, mu in (("segment", seg), ("atom", atom)):
-    rep = dini_limits_check(modulus_profile(mu, grid), d2)
+    rep = dini_limits_check(modulus_profile(mu, grid), 2)
     print(f"  {name}: h({rep.t_min:.1e}) = {rep.h_at_min:.3e}, "
           f"h*k = {rep.hk_at_min:.3e}, h->0: {rep.h_to_zero}, hk->0: {rep.hk_to_zero}")

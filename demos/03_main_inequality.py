@@ -14,7 +14,6 @@ from collections import Counter
 from deltasubh import (
     BorelMeasure,
     CorpusConfig,
-    DimensionContext,
     MeromorphicFn,
     Scenario,
     UniformArc,
@@ -26,14 +25,13 @@ from deltasubh import (
 )
 
 print("== the constant A_d(r, R) ==")
-d2, d3 = DimensionContext(2), DimensionContext(3)
-print(f"  A_2(1, 3) = {constant_A(d2, 1, 3)}   (exact anchor: 4)")
-print(f"  A_2(1, 2) = {constant_A(d2, 1, 2)}   A_3(1, 2) = {constant_A(d3, 1, 2)}")
+print(f"  A_2(1, 3) = {constant_A(2, 1, 3)}   (exact anchor: 4)")
+print(f"  A_2(1, 2) = {constant_A(2, 1, 2)}   A_3(1, 2) = {constant_A(3, 1, 2)}")
 
 print("\n== golden scenario: f(z) = z, unit full-circle measure on |z| = 2 ==")
 f = MeromorphicFn(zeros=((0j, 1),))
 mu = BorelMeasure((UniformArc((0.0, 0.0), 2.0, 0.0, 2 * math.pi, 1.0),))
-s = Scenario("golden", d2, f.to_delta_subharmonic(), mu, 2.0, 4.0, f=f, r0=0.0)
+s = Scenario("golden", f.to_delta_subharmonic(), mu, 2.0, 4.0, f=f, r0=0.0)
 rep = verify_main_theorem(s)
 print(f"  LHS = {rep.lhs:.10f}  (Jensen: ln 2 = {math.log(2):.10f})")
 print(f"  RHS = {rep.rhs:.10f}  = A * T * (M + Dini) = "

@@ -9,7 +9,6 @@ import random
 from deltasubh import (
     Atom,
     BorelMeasure,
-    DimensionContext,
     MeromorphicFn,
     verify_counting_lemma,
     verify_pointwise_bound,
@@ -17,7 +16,6 @@ from deltasubh import (
 )
 
 rng = random.Random(404)
-d2, d3 = DimensionContext(2), DimensionContext(3)
 
 print("== Poisson-Jensen identity, d=2 ==")
 f = MeromorphicFn(zeros=((0.5 + 0.2j, 1),), poles=((-0.6 + 0.4j, 2),),
@@ -39,20 +37,18 @@ print(f"  worst slack over sample points = {min(bound.residuals):.6f}  "
       f"[{bound.verdict}]")
 
 print("\n== counting-measure lemma ==")
-anchor = verify_counting_lemma(BorelMeasure((Atom((0.0, 0.0), 1.0),)), 1.0, 2.0, d2)
+anchor = verify_counting_lemma(BorelMeasure((Atom((0.0, 0.0), 1.0),)), 1.0, 2.0)
 print(f"  d=2 anchor: {anchor.lhs} <= {anchor.rhs:.6f} "
       f"(2 ln 2 = {2 * math.log(2):.6f})  [{anchor.verdict}]")
-anchor3 = verify_counting_lemma(BorelMeasure((Atom((0.0, 0.0, 0.0), 1.0),), 3),
-                                1.0, 2.0, d3)
+anchor3 = verify_counting_lemma(BorelMeasure((Atom((0.0, 0.0, 0.0), 1.0),), 3), 1.0, 2.0)
 print(f"  d=3 anchor: {anchor3.lhs} <= {anchor3.rhs}  [{anchor3.verdict}]")
 for trial in range(5):
     d = rng.choice([2, 3])
-    ctx = DimensionContext(d)
     R = rng.uniform(1.0, 4.0)
     R_star = R * rng.uniform(0.2, 0.9)
     atoms = tuple(Atom(tuple(rng.uniform(-R, R) for _ in range(d)),
                        rng.uniform(0.1, 2.0))
                   for _ in range(rng.randint(1, 6)))
-    rep = verify_counting_lemma(BorelMeasure(atoms, d), R_star, R, ctx)
+    rep = verify_counting_lemma(BorelMeasure(atoms, d), R_star, R)
     print(f"  random d={d}: charge(B({R_star:.2f})) = {rep.lhs:.4f} "
           f"<= {rep.rhs:.4f}  [{rep.verdict}]")

@@ -10,11 +10,7 @@ measures, and numerical verification of the integral inequality
 together with its planar and meromorphic specializations.
 """
 
-from .geometry import (
-    DimensionContext,
-    ext_mul,
-    kernel,
-)
+from .geometry import ext_mul, kernel
 from .measures import (
     Atom,
     BorelMeasure,
@@ -23,10 +19,8 @@ from .measures import (
     UniformArc,
     UniformBall,
     UniformSegment,
-    dini_integral,
     dini_integral_result,
     dini_limits_check,
-    integrated_counting,
     integrated_counting_result,
     modulus_of_continuity,
     modulus_of_continuity_exact,
@@ -41,9 +35,7 @@ from .potentials import (
     SubharmonicFn,
     UnsupportedModelError,
     canonical_representation,
-    evaluate,
     jordan_decomposition,
-    positive_part,
 )
 from .quadrature import (
     QuadratureBudgetError,

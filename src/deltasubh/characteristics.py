@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import DimensionContext, _distances, _dots, _kernel_values
+from .geometry import _distances, _dots, _kernel_values
 from .measures import Atom, BorelMeasure, UniformArc, integrated_counting_result
 from .potentials import (
     DeltaSubharmonicFn,
@@ -225,7 +225,7 @@ def _integral_by_sign(signed, pos: _Split, path, tol: float,
                                           max(abs(lo), abs(hi), hi - lo))
         if not (ends and sp.weights.size):
             continue
-        values, rounding = path.kernel_integrals(ends, sp.points, sp.points.shape[1])
+        values, rounding = path.kernel_integrals(ends, sp.points)
         bounds = _dots(rounding, np.abs(sp.weights)).tolist()
         for value, bound in zip(_dots(values, sp.weights).tolist(), bounds):
             total = total + QuadratureResult(value, max(bound, _ROUNDING * abs(value)), 0)
@@ -324,10 +324,9 @@ def difference_characteristic(U: DeltaSubharmonicFn, r: float, R: float,
     and the negative charge loads the origin."""
     if not 0.0 <= r < R:
         raise ValueError(f"need 0 <= r < R, got ({r}, {R})")
-    ctx = DimensionContext(U.dim)
     _plus, minus = jordan_decomposition(U)
     c_plus = spherical_mean(U, R, "positive", tol)
-    n_minus = integrated_counting_result(ctx, minus, r, R)
+    n_minus = integrated_counting_result(minus, r, R)
     return CharacteristicRecord(
         "T_difference", r, c_plus.value + n_minus.value,
         c_plus.error_estimate + n_minus.error_estimate, R=R,

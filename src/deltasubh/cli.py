@@ -70,7 +70,9 @@ _MAX_GRID_POINTS = 100_000
 
 def _parse_grid(spec: str) -> list:
     """start:stop:step with inclusive stop when reachable within 1e-12; finite
-    fields and at most _MAX_GRID_POINTS points, counted before the list."""
+    fields and at most _MAX_GRID_POINTS points, counted before the list, and
+    at least one point, each above the one before: a step that does not move
+    start + k step in floating point would otherwise repeat it forever."""
     try:
         start_s, stop_s, step_s = spec.split(":")
         start, stop, step = float(start_s), float(stop_s), float(step_s)
@@ -88,8 +90,12 @@ def _parse_grid(spec: str) -> list:
         val = start + k * step
         if val > stop + 1e-12:
             break
+        if out and min(val, stop) <= out[-1]:
+            raise ValueError(f"bad grid {spec!r}; its points do not strictly increase")
         out.append(min(val, stop))
         k += 1
+    if not out:
+        raise ValueError(f"bad grid {spec!r}; it has no point")
     return out
 
 

@@ -1,9 +1,9 @@
-"""Dimension-dependent constants, the radial kernel, and the one extended-real product.
+"""The radial kernel, the reduced dimension, and the one extended-real product.
 
-Everything downstream (potentials, counting functions, the main inequality)
-shares the same geometric data: the dimension d >= 2, the reduced dimension
-d_hat = max(1, d-2), the unit-sphere area s_{d-1} = 2 pi^{d/2} / Gamma(d/2),
-and the strictly increasing kernel
+The dimension d >= 2 belongs to the objects that carry it (a measure, its
+components, a function model); where a formula takes a bare d, it is
+checked once here (_check_dimension).  The reduced dimension is d_hat =
+max(1, d-2) (_d_hat), and the strictly increasing kernel is
 
     k(t) = ln t        (d = 2)
     k(t) = -t^{2-d}    (d > 2),      k(0) = -inf.
@@ -27,12 +27,11 @@ exception is math.hypot(*p), the norm of a component's own stored point
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-__all__ = ["DimensionContext", "ext_mul", "kernel"]
+__all__ = ["ext_mul", "kernel"]
 
 
 def ext_mul(x: float, y: float) -> float:
@@ -42,35 +41,22 @@ def ext_mul(x: float, y: float) -> float:
     return x * y
 
 
-@dataclass(frozen=True)
-class DimensionContext:
-    """Euclidean dimension d >= 2 plus the derived constants used everywhere.
+def _check_dimension(d) -> int:
+    """d, or ValueError unless the dimension d is an integer >= 2."""
+    if not isinstance(d, int) or d < 2:
+        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
+    return d
 
-    d in {2, 3} is the fully supported (tested) range; larger d is accepted at
-    the formula level but sphere quadrature refuses it.
-    """
 
-    d: int
-
-    def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {self.d!r}")
-
-    @property
-    def d_hat(self) -> int:
-        """max(1, d-2) = 1 + (d-3)^+."""
-        return max(1, self.d - 2)
-
-    @property
-    def sphere_area(self) -> float:
-        """Surface area of the unit sphere in R^d: 2 pi^{d/2} / Gamma(d/2)."""
-        return 2.0 * math.pi ** (self.d / 2.0) / math.gamma(self.d / 2.0)
+def _d_hat(d: int) -> int:
+    """The reduced dimension d_hat = max(1, d-2) = 1 + (d-3)^+."""
+    return max(1, _check_dimension(d) - 2)
 
 
 ArrayLike = Union[float, np.ndarray]
 
 
-def kernel(ctx: DimensionContext, t: ArrayLike) -> ArrayLike:
+def kernel(d: int, t: ArrayLike) -> ArrayLike:
     """The radial kernel k_{d-2}: ln t for d=2, -t^{2-d} for d>2, k(0) = -inf.
 
     Accepts a scalar or an ndarray of radii t >= 0; negative t is a domain
@@ -79,7 +65,7 @@ def kernel(ctx: DimensionContext, t: ArrayLike) -> ArrayLike:
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0):
         raise ValueError("kernel argument must be >= 0")
-    out = _kernel_values(ctx.d, arr)
+    out = _kernel_values(_check_dimension(d), arr)
     if np.isscalar(t) or arr.ndim == 0:
         return float(out)
     return out

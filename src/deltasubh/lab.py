@@ -40,7 +40,7 @@ from .characteristics import (
     nevanlinna_N,
     spherical_mean,
 )
-from .geometry import DimensionContext, _distances, _dots, ext_mul, kernel
+from .geometry import _check_dimension, _d_hat, _distances, _dots, ext_mul, kernel
 from .measures import (
     Atom,
     BorelMeasure,
@@ -54,7 +54,6 @@ from .potentials import (
     DeltaSubharmonicFn,
     MeromorphicFn,
     jordan_decomposition,
-    positive_part,
     potential_values,
 )
 from .quadrature import _ROUNDING, QuadratureResult, _gl_nodes
@@ -98,7 +97,6 @@ class Tolerances:
 @dataclass(frozen=True)
 class Scenario:
     scenario_id: str
-    ctx: DimensionContext
     U: DeltaSubharmonicFn
     mu: BorelMeasure
     r: float
@@ -115,8 +113,8 @@ class Scenario:
             raise ValueError("r0 must lie in [0, r]")
         if self.mu.support_radius > self.r * (1.0 + 1e-12):
             raise ValueError("measure support must lie in the closed ball B(r)")
-        if self.U.dim != self.ctx.d or (self.mu.components and self.mu.dim != self.ctx.d):
-            raise ValueError(f"U and mu must have the scenario's dimension {self.ctx.d}")
+        if self.mu.components and self.mu.dim != self.U.dim:
+            raise ValueError(f"mu must have U's dimension {self.U.dim}, got {self.mu.dim}")
         if self.f is not None and self.U is not self.f.to_delta_subharmonic():
             raise ValueError("U must be log|f|, the model f.to_delta_subharmonic() returns")
 
@@ -135,12 +133,12 @@ class VerificationReport:
     note: str = ""
 
 
-def constant_A(ctx: DimensionContext, r: float, R: float) -> float:
+def constant_A(d: int, r: float, R: float) -> float:
     """A_d(r, R) = 2 ((R+r)/(R-r))^{d-1} max(1, (R-r)^{d-2});
     reduces to 2 (R+r)/(R-r) for d=2."""
+    _check_dimension(d)
     if not 0.0 < r < R:
         raise ValueError(f"need 0 < r < R, got ({r}, {R})")
-    d = ctx.d
     return 2.0 * ((R + r) / (R - r)) ** (d - 1) * max(1.0, (R - r) ** (d - 2))
 
 
@@ -238,13 +236,17 @@ def _ball_integral(U, comp: UniformBall, tol: float) -> QuadratureResult:
 
 def positive_part_integral(U: DeltaSubharmonicFn, mu: BorelMeasure,
                            tol: float = 1e-8) -> QuadratureResult:
-    """integral of U^+ d mu: exact weighted point values on atoms, U over
-    its positive pieces along segments and arcs, each its own path
-    (_integral_by_sign), nested product quadrature over balls."""
+    """integral of U^+ d mu: exact weighted point values on atoms, U^+ at
+    all of them from one call, U over its positive pieces along segments and
+    arcs, each its own path (_integral_by_sign), nested product quadrature
+    over balls; the terms are added in component order."""
     total = QuadratureResult(0.0, 0.0, 0)
+    atoms = mu.atoms
+    at_atoms = iter(U.positive_values(np.array([a.point for a in atoms])).tolist()
+                    if atoms else ())
     for comp in mu.components:
         if isinstance(comp, Atom):
-            total.value += comp.weight * positive_part(U, comp.point)
+            total.value += comp.weight * next(at_atoms)
             total.nodes_used += 1
         elif isinstance(comp, UniformBall):
             total = total + _ball_integral(U, comp, tol)
@@ -272,7 +274,7 @@ class _Ingredients:
     @cached_property
     def dini(self) -> QuadratureResult:
         s = self.s
-        return dini_integral_result(s.ctx, s.mu, s.R + s.r)
+        return dini_integral_result(s.mu, s.R + s.r)
 
     @cached_property
     def lhs(self) -> QuadratureResult:
@@ -289,7 +291,7 @@ class _Ingredients:
         """T_U(r0 or r, R) = C_{U^+}(R) + N_{charge^-}(r0 or r, R)."""
         s = self.s
         _plus, minus = jordan_decomposition(s.U)
-        N = integrated_counting_result(s.ctx, minus, self.r_growth, s.R)
+        N = integrated_counting_result(minus, self.r_growth, s.R)
         return (self.C_plus.value + N.value,
                 self.C_plus.error_estimate + N.error_estimate)
 
@@ -314,11 +316,10 @@ _GROWTH = {"UR": "T_U", "UR2": "T_U", "UR2f": "T_f_minus_N", "UR2fr": "T_f"}
 
 def _ur_report(tag: str, ing: _Ingredients) -> VerificationReport:
     """lhs = integral of U^+ d mu, rhs = A * growth * (M + dini) with the
-    extended-real conventions and the tag's preconditions."""
+    extended-real conventions and the tag's preconditions; the tag applies
+    to s (_applicable_checks)."""
     s = ing.s
     meromorphic = tag in ("UR2f", "UR2fr")
-    if meromorphic and (s.ctx.d != 2 or s.f is None):
-        raise ValueError(f"{tag} requires a d=2 meromorphic scenario")
     if tag == "UR2fr" and s.r < 1.0 and s.f.pole_count(0.0) > 0:
         return VerificationReport(s.scenario_id, tag, math.nan, math.nan,
                                   math.nan, 0.0, PRECONDITION_FAILED,
@@ -332,7 +333,7 @@ def _ur_report(tag: str, ing: _Ingredients) -> VerificationReport:
                                   note="Dini integral diverges")
     lhs = ing.lhs
     growth, growth_err = getattr(ing, _GROWTH[tag])
-    A = constant_A(s.ctx, s.r, s.R)
+    A = constant_A(s.U.dim, s.r, s.R)
     M = s.mu.mass
     components = {"A": A, "T": growth, "M": M, "dini": dini.value}
     factor = M + dini.value
@@ -383,16 +384,16 @@ def _finite_values(U: DeltaSubharmonicFn, sample_points: Sequence):
     return X[keep], vals[keep], [tuple(x) for x in X[~keep].tolist()]
 
 
-def _reflected_potentials(nu: BorelMeasure, X: np.ndarray, R: float, d: int) -> np.ndarray:
+def _reflected_potentials(nu: BorelMeasure, X: np.ndarray, R: float) -> np.ndarray:
     """integral of k(|R y/|y| - |y| x / R|) d nu(y) at each row x of X, via
     the symmetry |R y/|y| - |y| x / R| = (|x|/R) |x* - y| with
     x* = R^2 x / |x|^2; the potentials at all x* in one call."""
     q = _distances(X, 0.0)
     far = q != 0.0
-    out = np.full(len(X), nu.mass * float(kernel(DimensionContext(d), R)))  # q == 0
+    out = np.full(len(X), nu.mass * float(kernel(nu.dim, R)))  # q == 0
     q = q[far]
-    pot = potential_values(nu, (R * R / (q * q))[:, None] * X[far], d)
-    if d == 2:  # libm's log, as numpy's own depends on the CPU's SIMD loops
+    pot = potential_values(nu, (R * R / (q * q))[:, None] * X[far])
+    if nu.dim == 2:  # libm's log, as numpy's own depends on the CPU's SIMD loops
         out[far] = nu.mass * np.array([math.log(v) for v in (q / R).tolist()]) + pot
     else:
         out[far] = (R / q) * pot
@@ -418,7 +419,7 @@ def verify_poisson_jensen(U: DeltaSubharmonicFn, R: float,
     green = np.zeros(len(X))
     for nu, sign in ((plus, 1.0), (minus, -1.0)):
         if nu.mass != 0.0:
-            green -= sign * (_reflected_potentials(nu, X, R, d) - potential_values(nu, X, d))
+            green -= sign * (_reflected_potentials(nu, X, R) - potential_values(nu, X))
     # the kernel's numerator at each point, as a column
     q2 = _dots(X, X)[:, None]
     num = R * R - q2 if d == 2 else R * (R * R - q2)
@@ -447,13 +448,12 @@ def verify_pointwise_bound(U: DeltaSubharmonicFn, r: float, R: float,
     if not 0.0 < r < R:
         raise ValueError(f"need 0 < r < R, got ({r}, {R})")
     d = U.dim
-    ctx = DimensionContext(d)
     _plus, minus = jordan_decomposition(U)
     c_plus = spherical_mean(U, R, "positive", tol)
     coeff = R ** (d - 2) * (R + r) / (R - r) ** (d - 1)
-    k_Rr = float(kernel(ctx, R + r))
+    k_Rr = float(kernel(d, R + r))
     X, lhs, skipped = _finite_values(U, sample_points)
-    rhs = coeff * c_plus.value + (k_Rr * minus.mass - potential_values(minus, X, d))
+    rhs = coeff * c_plus.value + (k_Rr * minus.mass - potential_values(minus, X))
     slacks = rhs - np.maximum(lhs, 0.0)
     relative = slacks / np.maximum(1.0, np.abs(rhs))
     budget = coeff * c_plus.error_estimate
@@ -463,14 +463,14 @@ def verify_pointwise_bound(U: DeltaSubharmonicFn, r: float, R: float,
                        _verdict(worst, budget), budget)
 
 
-def verify_counting_lemma(delta: BorelMeasure, R_star: float, R: float,
-                          ctx: DimensionContext) -> VerificationReport:
-    """delta^rad(R*) <= R^{d-1} / (d_hat (R - R*)) * N_delta(R*, R)."""
+def verify_counting_lemma(delta: BorelMeasure, R_star: float, R: float) -> VerificationReport:
+    """delta^rad(R*) <= R^{d-1} / (d_hat (R - R*)) * N_delta(R*, R), d = delta.dim."""
     if not 0.0 < R_star < R:
         raise ValueError(f"need 0 < R_star < R, got ({R_star}, {R})")
-    lhs = float(delta.radial_counting((0.0,) * ctx.d, R_star))
-    n = integrated_counting_result(ctx, delta, R_star, R)
-    coeff = R ** (ctx.d - 1) / (ctx.d_hat * (R - R_star))
+    d = delta.dim
+    lhs = float(delta.radial_counting((0.0,) * d, R_star))
+    n = integrated_counting_result(delta, R_star, R)
+    coeff = R ** (d - 1) / (_d_hat(d) * (R - R_star))
     rhs = ext_mul(coeff, n.value)
     slack = rhs - lhs
     budget = coeff * n.error_estimate
@@ -630,7 +630,6 @@ def generate_scenario(seed: int, index: int, family: str,
         r0 = 0.5 * r
     return Scenario(
         scenario_id=f"s{index:04d}-{family}",
-        ctx=DimensionContext(2),
         U=U, mu=mu, r=r, R=R, f=f, r0=r0,
         tolerances=tolerances, seed=seed,
     )
@@ -639,7 +638,7 @@ def generate_scenario(seed: int, index: int, family: str,
 def _applicable_checks(s: Scenario, checks: Sequence[str]) -> list:
     out = []
     for tag in checks:
-        if tag in ("UR2", "UR2f", "UR2fr") and (s.ctx.d != 2 or
+        if tag in ("UR2", "UR2f", "UR2fr") and (s.U.dim != 2 or
                                                 (tag != "UR2" and s.f is None)):
             continue
         out.append(tag)
@@ -664,20 +663,20 @@ def run_checks(s: Scenario, checks: Sequence[str], timing: bool = False) -> list
         if tag in _GROWTH:
             rep = _ur_report(tag, ingredients)
         elif tag == "Ux":
-            pts = [_point_in_ball(rng, s.r, s.ctx.d) for _ in range(_POINT_COUNT)]
+            pts = [_point_in_ball(rng, s.r, s.U.dim) for _ in range(_POINT_COUNT)]
             pr = verify_poisson_jensen(s.U, s.R, pts, s.tolerances.mean)
             rep = VerificationReport(s.scenario_id, "Ux", pr.max_relative, 1e-6,
                                      1e-6 - pr.max_relative, 0.0, pr.verdict,
                                      {"skipped": len(pr.skipped)})
         elif tag == "U+B":
-            pts = [_point_in_ball(rng, s.r, s.ctx.d) for _ in range(_POINT_COUNT)]
+            pts = [_point_in_ball(rng, s.r, s.U.dim) for _ in range(_POINT_COUNT)]
             pr = verify_pointwise_bound(s.U, s.r, s.R, pts, s.tolerances.mean)
             worst = min(pr.residuals, default=0.0)
             rep = VerificationReport(s.scenario_id, "U+B", -worst, 0.0, worst,
                                      pr.budget, pr.verdict, {"skipped": len(pr.skipped)})
         elif tag == "dBr":
             _plus, minus = jordan_decomposition(s.U)
-            rep = verify_counting_lemma(minus, s.r, s.R, s.ctx)
+            rep = verify_counting_lemma(minus, s.r, s.R)
             rep.scenario_id = s.scenario_id
         else:
             raise ValueError(f"unknown check tag {tag!r}")

@@ -25,11 +25,13 @@ Each component kind carries its own behaviour, so callers never switch on
 the kind: ball_mass and breakpoint_radii (at one center or an (n, d) array
 of centers), h_single, dini_single (closed-form integral_0^upper h_single(t)
 / t^{d-1} dt), outer_radius, potential (closed-form kernel
-potential, per point) and distance_to (generator rejection).  The 1-d
+potential, per point) and distance_to (generator rejection).  The dimension
+d of these formulas is the component's dim, the length of its points, which
+its measure shares: no method takes d as an argument.  The 1-d
 carriers, segments and arcs, are paths for the by-sign integral of
 characteristics as well: span (the parameter interval, [0, 1] or the arc's
 angles), at (points at parameters), feet (the parameters of points' nearest
-points, within [lo, hi]) and kernel_integrals(ends, pts, d) (integral_a^b
+points, within [lo, hi]) and kernel_integrals(ends, pts) (integral_a^b
 k(|x(t) - p|) dt in closed form for every piece [a, b] of ends at every
 point p, with its rounding bound, as (pieces, points) arrays).  Balls carry
 second_order (the gradient and a Hessian bound of y -> mu(B_y(t)) in d=2)
@@ -46,8 +48,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .geometry import (DimensionContext, _distances, _dots, _kernel_values, ext_mul,
-                       kernel)
+from .geometry import _d_hat, _distances, _dots, _kernel_values, ext_mul, kernel
 from .quadrature import _ROUNDING, QuadratureResult, _gl_nodes, integrate_interval
 
 __all__ = [
@@ -59,10 +60,8 @@ __all__ = [
     "UniformBall",
     "UniformSegment",
     "UnsupportedModelError",
-    "dini_integral",
     "dini_integral_result",
     "dini_limits_check",
-    "integrated_counting",
     "integrated_counting_result",
     "modulus_of_continuity",
     "modulus_of_continuity_exact",
@@ -129,11 +128,11 @@ class Atom:
         out = np.full_like(t_arr, self.weight)
         return _float_or_array(out)
 
-    def dini_single(self, upper: float, d: int) -> float:
+    def dini_single(self, upper: float) -> float:
         return math.inf  # h = weight near 0
 
-    def potential(self, pts: np.ndarray, d: int) -> np.ndarray:
-        return self.weight * _kernel_values(d, _distances(pts, self.point))
+    def potential(self, pts: np.ndarray) -> np.ndarray:
+        return self.weight * _kernel_values(self.dim, _distances(pts, self.point))
 
     def distance_to(self, p: np.ndarray) -> float:
         return float(_distances(p, self.point))
@@ -195,16 +194,16 @@ class UniformSegment:
         out = self.weight * (np.minimum(2.0 * np.asarray(t, dtype=float), L) / L)  # <= weight
         return _float_or_array(out)
 
-    def dini_single(self, upper: float, d: int) -> float:
+    def dini_single(self, upper: float) -> float:
         """h = weight * t / (L/2) up to L/2, weight after; h / t^2 ~ 1/t in d=3."""
-        if d != 2:
+        if self.dim != 2:
             return math.inf
         half = 0.5 * self.length
         if upper <= half:
             return self.weight * upper / half
         return self.weight * (1.0 + math.log(upper / half))
 
-    def potential(self, pts: np.ndarray, d: int) -> np.ndarray:
+    def potential(self, pts: np.ndarray) -> np.ndarray:
         a = np.asarray(self.start)
         e = np.asarray(self.end) - a
         L = self.length
@@ -216,7 +215,7 @@ class UniformSegment:
         u_lo = -u0
         u_hi = L - u0
 
-        if d == 2:
+        if self.dim == 2:
             def F(u):
                 r2 = u * u + h * h
                 with np.errstate(divide="ignore", invalid="ignore"):
@@ -265,7 +264,7 @@ class UniformSegment:
         step = np.subtract(self.end, self.start)
         return np.clip(_dots(pts - self.start, step) / _dots(step, step), lo, hi)
 
-    def kernel_integrals(self, ends, pts, d: int):
+    def kernel_integrals(self, ends, pts):
         """integral_a^b k(|x(s) - p|) ds at each row p of pts for each piece
         [a, b] of ends, as (pieces, points) arrays: the potential at p of the
         segment [a, b] of mass b - a in the frame of start, and its rounding.
@@ -283,10 +282,11 @@ class UniformSegment:
         scale = _distances(rel, 0.0) + (np.abs(a) + np.abs(b)) * length
         feet = np.clip(_dots(rel, step) / _dots(step, step), a, b)
         dist = [_distances(rel, t[:, :, None] * step) for t in (a, b, feet)]
-        size = [np.abs(_kernel_values(d, np.maximum(D, _ROUNDING * scale))) for D in dist]
-        values = np.array([UniformSegment(tuple(s * step), tuple(t * step), t - s).potential(rel, d)
+        size = [np.abs(_kernel_values(self.dim, np.maximum(D, _ROUNDING * scale)))
+                for D in dist]
+        values = np.array([UniformSegment(tuple(s * step), tuple(t * step), t - s).potential(rel)
                            for s, t in ends])
-        inner = 8.0 if d == 2 else 6.0 * size[2]
+        inner = 8.0 if self.dim == 2 else 6.0 * size[2]
         return values, _ROUNDING * (2.0 + scale * (size[0] + size[1] + inner)) / length
 
 
@@ -414,7 +414,7 @@ class UniformArc:
         )
         return _float_or_array(out)
 
-    def dini_single(self, upper: float, d: int) -> float:
+    def dini_single(self, upper: float) -> float:
         """With t = rho sin(phi), h = (2 weight / W) phi up to t* = rho sin(theta*),
         theta* = min(W/2, pi/2), and h = weight above t* (for W > pi, h jumps
         to weight at t* = rho); h dt / t = h cot(phi) dphi, and GL16 gives
@@ -429,10 +429,8 @@ class UniformArc:
             value += self.weight * math.log(upper / t_star)
         return value
 
-    def potential(self, pts: np.ndarray, d: int) -> np.ndarray:
+    def potential(self, pts: np.ndarray) -> np.ndarray:
         """weight times the mean kernel of the whole arc (_mean_kernels)."""
-        if d != 2:
-            raise UnsupportedModelError("arc charges are d=2 only")
         q = _distances(pts, self.center)
         log_far = np.log(np.maximum(q, self.radius))
         return self.weight * self._mean_kernels([self.span], pts, q, log_far)[0]
@@ -480,7 +478,7 @@ class UniformArc:
         ang = lo + np.mod(np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0]) - lo, TWO_PI)
         return ang[ang <= hi]
 
-    def kernel_integrals(self, ends, pts, d: int):
+    def kernel_integrals(self, ends, pts):
         """integral_a^b k(|x(t) - p|) dt at each row p of pts for each piece
         [a, b] of ends, as (pieces, points) arrays: the potential at p of the
         arc [a, b] of mass b - a, (b - a) times its _mean_kernels row, and
@@ -488,8 +486,6 @@ class UniformArc:
         (F = max(|p - c|, radius)) and two dilogarithms of at most pi^2 / 6,
         plus the coordinates' rounding, scale / radius, times their slope
         |ln(D / F)| + 2 at each end, D its distance from p."""
-        if d != 2:
-            raise UnsupportedModelError("arc charges are d=2 only")
         a, b = (np.array(col)[:, None] for col in zip(*ends))
         width = b - a
         q = _distances(pts, self.center)
@@ -591,29 +587,27 @@ class UniformBall:
         out = self.weight * ratio ** self.dim
         return _float_or_array(out)
 
-    def dini_single(self, upper: float, d: int) -> float:
+    def dini_single(self, upper: float) -> float:
         """h / t^{d-1} = weight * t / rho^d up to rho, weight / t^{d-1} after."""
         rho = self.radius
         if upper <= rho:
-            return self.weight * upper * upper / (2.0 * rho ** d)
-        if d == 2:
+            return self.weight * upper * upper / (2.0 * rho ** self.dim)
+        if self.dim == 2:
             return self.weight * (0.5 + math.log(upper / rho))
         return self.weight * (1.5 / rho - 1.0 / upper)
 
-    def potential(self, pts: np.ndarray, d: int) -> np.ndarray:
+    def potential(self, pts: np.ndarray) -> np.ndarray:
         q = _distances(pts, self.center)
         rho = self.radius
-        if d == 2:
+        if self.dim == 2:
             with np.errstate(divide="ignore"):
                 outside = np.log(np.maximum(q, rho))
             inside = math.log(rho) - 0.5 + q * q / (2.0 * rho * rho)
             return self.weight * np.where(q >= rho, outside, inside)
-        if d == 3:
-            with np.errstate(divide="ignore"):
-                outside = -1.0 / np.maximum(q, rho)
-            inside = -(3.0 * rho * rho - q * q) / (2.0 * rho ** 3)
-            return self.weight * np.where(q >= rho, outside, inside)
-        raise UnsupportedModelError(f"ball potentials support d in (2, 3), got {d}")
+        with np.errstate(divide="ignore"):
+            outside = -1.0 / np.maximum(q, rho)
+        inside = -(3.0 * rho * rho - q * q) / (2.0 * rho ** 3)
+        return self.weight * np.where(q >= rho, outside, inside)
 
     def distance_to(self, p: np.ndarray) -> float:
         return max(0.0, float(_distances(p, self.center)) - self.radius)
@@ -931,22 +925,20 @@ def modulus_profile(mu: BorelMeasure, radii: Sequence[float],
 _COUNTING_TOL = 1e-10
 
 
-def _exact_atomic_counting(ctx: DimensionContext, atoms: Iterable[Atom],
-                           r: float, R: float) -> float:
+def _exact_atomic_counting(d: int, atoms: Iterable[Atom], r: float, R: float) -> float:
     total = 0.0
-    kR = kernel(ctx, R)
+    kR = kernel(d, R)
     for a in atoms:
         ti = a.outer_radius()  # |a.point|
         if ti >= R:
             continue
         lo = max(ti, r)
-        total += a.weight * (kR - kernel(ctx, lo))  # +inf when r=ti=0
+        total += a.weight * (kR - kernel(d, lo))  # +inf when r=ti=0
     return total
 
 
-def integrated_counting_result(ctx: DimensionContext, mu: BorelMeasure,
-                               r: float, R: float) -> QuadratureResult:
-    """N_mu(r, R) = d_hat * integral_r^R mu(B_0(t)) / t^{d-1} dt.
+def integrated_counting_result(mu: BorelMeasure, r: float, R: float) -> QuadratureResult:
+    """N_mu(r, R) = d_hat * integral_r^R mu(B_0(t)) / t^{d-1} dt, d = mu.dim.
 
     Exact (piecewise kernel differences) for the atoms; one adaptive
     quadrature over [r, R], with the breakpoint radii as piece ends, for the
@@ -956,9 +948,10 @@ def integrated_counting_result(ctx: DimensionContext, mu: BorelMeasure,
     """
     if not 0.0 <= r < R:
         raise ValueError(f"need 0 <= r < R, got ({r}, {R})")
-    origin = (0.0,) * ctx.d
+    d = mu.dim
+    origin = (0.0,) * d
     cont = [c for c in mu.components if not isinstance(c, Atom)]
-    value = _exact_atomic_counting(ctx, mu.atoms, r, R)
+    value = _exact_atomic_counting(d, mu.atoms, r, R)
     if not cont:
         return QuadratureResult(value, 0.0, 0)
     # dini_single is +inf for a carrier of dimension at most d - 2 (a segment
@@ -967,11 +960,11 @@ def integrated_counting_result(ctx: DimensionContext, mu: BorelMeasure,
     # That one fact decides both divergences: the protocol needs no new member.
     # A float segment through the origin misses it by rounding; 1e-14 R is
     # the width below which integrate_interval drops a panel anyway.
-    if r == 0.0 and any(math.isinf(c.dini_single(R, ctx.d))
-                        and c.distance_to(np.zeros(ctx.d)) <= 1e-14 * R for c in cont):
+    if r == 0.0 and any(math.isinf(c.dini_single(R))
+                        and c.distance_to(np.zeros(d)) <= 1e-14 * R for c in cont):
         return QuadratureResult(math.inf, 0.0, 0)
-    d_hat = float(ctx.d_hat)
-    power = ctx.d - 1
+    d_hat = float(_d_hat(d))
+    power = d - 1
 
     def integrand(t):
         m = np.zeros_like(t)
@@ -984,33 +977,23 @@ def integrated_counting_result(ctx: DimensionContext, mu: BorelMeasure,
     return QuadratureResult(value + res.value, res.error_estimate, res.nodes_used)
 
 
-def integrated_counting(ctx: DimensionContext, mu: BorelMeasure,
-                        r: float, R: float) -> float:
-    return integrated_counting_result(ctx, mu, r, R).value
-
-
 # ---------------------------------------------------------------------------
 # Dini integral of h_mu
 
 
-def dini_integral_result(ctx: DimensionContext, mu: BorelMeasure,
-                         upper: float) -> QuadratureResult:
-    """integral_0^upper h(t) / t^{d-1} dt for h the sum of the components'
-    h_single: h_mu itself for one component, else its subadditive upper
+def dini_integral_result(mu: BorelMeasure, upper: float) -> QuadratureResult:
+    """integral_0^upper h(t) / t^{d-1} dt, d = mu.dim, for h the sum of the
+    components' h_single: h_mu itself for one component, else its subadditive upper
     bound (each h_single is at most its weight, so the sum never exceeds
     the mass).  The sum of the closed-form dini_single values; the error
     estimate is a rounding bound and no node is spent.  +inf, the divergence
     verdict, exactly when an atom is present or a segment in d=3."""
     if not upper > 0:
         raise ValueError("upper must be > 0")
-    total = math.fsum(c.dini_single(upper, ctx.d) for c in mu.components)
+    total = math.fsum(c.dini_single(upper) for c in mu.components)
     if math.isinf(total):
         return QuadratureResult(math.inf, 0.0, 0)
     return QuadratureResult(total, _ROUNDING * total, 0)
-
-
-def dini_integral(ctx: DimensionContext, mu: BorelMeasure, upper: float) -> float:
-    return dini_integral_result(ctx, mu, upper).value
 
 
 @dataclass(frozen=True)
@@ -1028,14 +1011,14 @@ class DiniLimitsReport:
 _LIMIT_TOL = 1e-6  # "-> 0" on the grid: at most this, relative to max(1, mass)
 
 
-def dini_limits_check(profile: ModulusProfile, ctx: DimensionContext) -> DiniLimitsReport:
+def dini_limits_check(profile: ModulusProfile, d: int) -> DiniLimitsReport:
     """Check on the profile grid that h(t) -> 0 and h(t) k(t) -> 0 as t -> 0."""
     t0 = profile.radii[0]
     h0 = profile.values[0]
-    hk0 = ext_mul(h0, float(kernel(ctx, t0)))
+    hk0 = ext_mul(h0, float(kernel(d, t0)))
     thresh = _LIMIT_TOL * max(1.0, profile.mass)
     tail = tuple(
-        (t, h, ext_mul(h, float(kernel(ctx, t))))
+        (t, h, ext_mul(h, float(kernel(d, t))))
         for t, h in list(zip(profile.radii, profile.values))[:5]
     )
     return DiniLimitsReport(

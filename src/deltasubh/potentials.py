@@ -18,7 +18,8 @@ log|f| = ln|c| + Re p + sum m_i ln|z-a_i| - sum n_j ln|z-b_j|.
 The kernel potential of a measure is the sum, in component order, of the
 closed-form potentials its components carry (Atom.potential,
 UniformSegment.potential, UniformArc.potential, UniformBall.potential in the
-measures module); each point's value depends on that point alone.
+measures module), each in its own dimension; each point's value depends on
+that point alone.
 
 Points are (n, d) arrays, row-major or column-major: the grid builders hand
 out column-major ones (np.empty((d, n)).T), so each coordinate is one
@@ -32,8 +33,8 @@ other points share its call, and any new potential must keep that.
 
 Pointwise evaluation of U follows the extended-real conventions; the one
 undefined case (-inf) - (-inf) -- x in the polar set of both parts -- is
-reported as the marker value None, which the positive part maps to 0 (polar
-sets are mu-null for every Dini-admissible mu).
+reported by values_with_polar's polar mask, which positive_values maps to 0
+(polar sets are mu-null for every Dini-admissible mu).
 """
 
 from __future__ import annotations
@@ -64,9 +65,7 @@ __all__ = [
     "SubharmonicFn",
     "UnsupportedModelError",
     "canonical_representation",
-    "evaluate",
     "jordan_decomposition",
-    "positive_part",
     "potential_values",
 ]
 
@@ -168,12 +167,13 @@ def _combine_harmonics(a: Optional[HarmonicPart], b: Optional[HarmonicPart],
     raise UnsupportedModelError("cannot combine harmonic parts of different kinds")
 
 
-def potential_values(measure: BorelMeasure, pts: np.ndarray, d: int) -> np.ndarray:
-    """Kernel potential integral k(|x - y|) d nu(y) at each row of pts."""
+def potential_values(measure: BorelMeasure, pts: np.ndarray) -> np.ndarray:
+    """Kernel potential integral k(|x - y|) d nu(y) at each row of pts, in
+    the measure's dimension."""
     pts = np.asarray(pts, dtype=float)
     total = np.zeros(pts.shape[0])
     for comp in measure.components:
-        total += comp.potential(pts, d)
+        total += comp.potential(pts)
     return total
 
 
@@ -199,7 +199,7 @@ class SubharmonicFn:
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = potential_values(self.riesz, pts, self.dim)
+        out = potential_values(self.riesz, pts)
         if self.harmonic is not None:
             out += self.harmonic.values(pts)
         return out
@@ -259,22 +259,6 @@ class DeltaSubharmonicFn:
             np.maximum(vals, 0.0, out=vals)
         np.copyto(vals, 0.0, where=polar)
         return vals
-
-
-def evaluate(U: DeltaSubharmonicFn, x) -> Optional[float]:
-    """u(x) - v(x); None is the polar marker (both parts are -inf there)."""
-    vals, polar = U.values_with_polar(np.asarray(x, dtype=float)[None, :])
-    if bool(polar[0]):
-        return None
-    return float(vals[0])
-
-
-def positive_part(U: DeltaSubharmonicFn, x) -> float:
-    """max(U(x), 0) with the polar marker mapped to 0."""
-    val = evaluate(U, x)
-    if val is None:
-        return 0.0
-    return max(val, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ import json
 import math
 from typing import Union
 
-from .geometry import DimensionContext
 from .lab import Scenario, Tolerances
 from .measures import Atom, BorelMeasure, UniformArc, UniformBall, UniformSegment
 from .potentials import (
@@ -235,7 +234,6 @@ def parse_scenario(data: Union[bytes, str, dict]) -> Scenario:
         _fail("TOLERANCES", f"tolerances.mean must be a finite number > 0, got {tol_obj!r}")
     return Scenario(
         scenario_id=str(obj.get("scenario_id", "scenario")),
-        ctx=DimensionContext(dim),
         U=U, mu=mu, r=r, R=R, f=f, r0=r0,
         tolerances=tolerances,
         seed=obj.get("seed"),
@@ -268,7 +266,7 @@ def serialize_scenario(s: Scenario) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "scenario_id": s.scenario_id,
-        "dimension": s.ctx.d,
+        "dimension": s.U.dim,
         "function": function,
         "measure": {"components": [_component_to_json(c) for c in s.mu.components]},
         "radii": radii,

@@ -39,7 +39,6 @@ from deltasubh.characteristics import (
     nevanlinna_T,
     spherical_mean,
 )
-from deltasubh.geometry import DimensionContext
 from deltasubh.lab import generate_scenario, positive_part_integral
 from deltasubh.measures import (Atom, BorelMeasure, UniformArc, UniformBall, UniformSegment,
                                 integrated_counting_result)
@@ -254,7 +253,7 @@ def test_counting_function_of_continuous_charges():
     s = parse_scenario(PIN_2D)
     _plus, minus = jordan_decomposition(s.U)
     r, R = 1.5, 4.0
-    res = integrated_counting_result(DimensionContext(2), minus, r, R)
+    res = integrated_counting_result(minus, r, R)
     with mp.workdps(30):
         breaks = {mp.mpf(r), mp.mpf(R)}
         for comp in minus.components:
@@ -309,7 +308,7 @@ def test_closed_form_kernel_integrals_within_their_rounding_bound():
         path = UniformSegment((3.0, -2.0), (3.0 + step[0], -2.0 + step[1]), 1.0)
         p = (np.array(path.start) + along * np.subtract(path.end, path.start)
              + normal * np.array([-step[1], step[0]]))
-        values, bound = path.kernel_integrals([(a, a + length)], p[None, :], 2)
+        values, bound = path.kernel_integrals([(a, a + length)], p[None, :])
         _assert_within(float(values[0, 0]), float(bound[0, 0]),
                        _mp_kernel_integral(path, a, a + length, p, 2))
     # then arcs of every width about atoms on, near and far from their
@@ -338,7 +337,7 @@ def test_closed_form_kernel_integrals_within_their_rounding_bound():
             normal -= normal @ step / (step @ step) * step
             p = (start + rng.uniform(a - 0.2, b + 0.2) * step
                  + rng.choice([1e-6, 1e-2, 1.0, 30.0, 1000.0]) * normal / np.linalg.norm(normal))
-        values, bound = path.kernel_integrals([(a, b)], p[None, :], d)
+        values, bound = path.kernel_integrals([(a, b)], p[None, :])
         _assert_within(float(values[0, 0]), float(bound[0, 0]), _mp_kernel_integral(path, a, b, p, d))
 
 

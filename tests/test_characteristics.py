@@ -17,9 +17,9 @@ from deltasubh.characteristics import (
     spherical_mean,
     sup_on_sphere,
 )
-from deltasubh.geometry import DimensionContext, _distances, _dots, _kernel_values, kernel
+from deltasubh.geometry import _d_hat, _distances, _dots, _kernel_values, kernel
 from deltasubh.measures import (Atom, BorelMeasure, UniformArc, UniformSegment,
-                                integrated_counting)
+                                integrated_counting_result)
 from deltasubh.potentials import (
     AffineHarmonic,
     DeltaSubharmonicFn,
@@ -80,7 +80,6 @@ def test_spherical_mean_jensen_closed_form():
 def test_spherical_mean_jensen_from_counting():
     # C_u(r) = u(0) + N_nu(0, r) for potentials: the Jensen route
     rng = random.Random(42)
-    ctx = DimensionContext(2)
     atoms = tuple(Atom((rng.uniform(-1, 1), rng.uniform(-1, 1)),
                        rng.uniform(0.3, 1.0)) for _ in range(4))
     nu = BorelMeasure(atoms)
@@ -88,12 +87,11 @@ def test_spherical_mean_jensen_from_counting():
     U = DeltaSubharmonicFn(u, SubharmonicFn(2, None, BorelMeasure((), 2)))
     r = 2.5
     mean = spherical_mean(U, r).value
-    jensen = u.values((0.0, 0.0))[0] + integrated_counting(ctx, nu, 0.0, r)
+    jensen = u.values((0.0, 0.0))[0] + integrated_counting_result(nu, 0.0, r).value
     assert mean == pytest.approx(jensen, abs=1e-8)
 
 
 def test_spherical_mean_3d_newtonian():
-    ctx = DimensionContext(3)
     atom = Atom((0.4, 0.0, 0.3), 1.0)
     u = SubharmonicFn(3, None, BorelMeasure((atom,), 3))
     U = DeltaSubharmonicFn(u, SubharmonicFn(3, None, BorelMeasure((), 3)))
@@ -133,10 +131,9 @@ def test_nevanlinna_N_anchors():
     g = _mero(poles=[(1 + 0j, 1)])
     assert nevanlinna_N(g, 2.0).value == pytest.approx(math.log(2.0))
     # cross-check against integrated counting of the pole measure
-    ctx = DimensionContext(2)
     pole_measure = BorelMeasure((Atom((1.0, 0.0), 1.0),))
     assert nevanlinna_N(g, 2.0).value == pytest.approx(
-        integrated_counting(ctx, pole_measure, 0.0, 2.0), abs=1e-14)
+        integrated_counting_result(pole_measure, 0.0, 2.0).value, abs=1e-14)
     entire = _mero(zeros=[(0.5 + 0j, 1)])
     assert nevanlinna_N(entire, 3.0).value == 0.0
     assert nevanlinna_N(f, 0.0).value == -math.inf
@@ -192,11 +189,10 @@ def test_bridge_identities_random_rational():
         c_val = spherical_mean(U, R, "positive", tol=1e-10).value
         assert m_val == pytest.approx(c_val, abs=1e-8)
         # N(R, f) - N(r, f) = N_{charge^-}(r, R)
-        ctx = DimensionContext(2)
         pole_measure = BorelMeasure(
             tuple(Atom((b.real, b.imag), float(n)) for b, n in f.poles), 2)
         lhs = nevanlinna_N(f, R).value - nevanlinna_N(f, r).value
-        rhs = integrated_counting(ctx, pole_measure, r, R)
+        rhs = integrated_counting_result(pole_measure, r, R).value
         assert lhs == pytest.approx(rhs, abs=1e-12)
         # T(R, f) - N(r, f) = T_U(r, R)
         bridge_lhs = nevanlinna_T(f, R, tol=1e-10).value - nevanlinna_N(f, r).value
@@ -224,12 +220,11 @@ def test_bridge_sup_and_T_forms():
         assert sup_rec.value >= dense - 1e-7  # a refined lower bound of the sup
         # T(R,f) - T(r,f) = C_{U^+}(R) - C_{U^+}(r) + N_{charge^-}(r, R)
         lhs = nevanlinna_T(f, R, tol=1e-10).value - nevanlinna_T(f, r, tol=1e-10).value
-        ctx = DimensionContext(2)
         pole_measure = BorelMeasure(
             tuple(Atom((b.real, b.imag), float(n)) for b, n in f.poles), 2)
         rhs = (spherical_mean(U, R, "positive", tol=1e-10).value
                - spherical_mean(U, r, "positive", tol=1e-10).value
-               + integrated_counting(ctx, pole_measure, r, R))
+               + integrated_counting_result(pole_measure, r, R).value)
         assert lhs == pytest.approx(rhs, abs=1e-7)
 
 
@@ -249,7 +244,6 @@ def test_cross_form_oracle_random_rational():
 def test_poisson_jensen_privalov_consistency():
     # C_{v*}(R) - C_{v*}(r) = N_{charge_v}(r, R) for the potential model
     rng = random.Random(45)
-    ctx = DimensionContext(2)
     for _ in range(8):
         atoms = tuple(Atom((rng.uniform(-1, 1), rng.uniform(-1, 1)),
                            rng.uniform(0.2, 1.5)) for _ in range(3))
@@ -260,7 +254,7 @@ def test_poisson_jensen_privalov_consistency():
         R = rng.uniform(2.5, 4.0)
         lhs = (spherical_mean(V, R, tol=1e-10).value
                - spherical_mean(V, r, tol=1e-10).value)
-        rhs = integrated_counting(ctx, nu, r, R)
+        rhs = integrated_counting_result(nu, r, R).value
         assert lhs == pytest.approx(rhs, abs=1e-7)
 
 
@@ -324,17 +318,15 @@ def test_cross_form_with_continuous_charges():
     assert a.value == pytest.approx(b.value, abs=1e-6)
     assert a.value >= -a.error_estimate
     # Jensen route for C_U(R): mean = u(0) - v(0) + N_{plus}(0,R) - N_{minus}(0,R)
-    ctx = DimensionContext(2)
     jensen = (u.values((0.0, 0.0))[0] - v.values((0.0, 0.0))[0]
-              + integrated_counting(ctx, u.riesz, 0.0, R)
-              - integrated_counting(ctx, v.riesz, 0.0, R))
+              + integrated_counting_result(u.riesz, 0.0, R).value
+              - integrated_counting_result(v.riesz, 0.0, R).value)
     assert spherical_mean(U, R, tol=1e-9).value == pytest.approx(jensen, abs=1e-6)
 
 
 def test_higher_dimensions_accepted_but_quadrature_refuses():
     # formula-level support for d > 3; sphere quadrature refuses it
-    ctx5 = DimensionContext(5)
-    assert ctx5.d_hat == 3
+    assert _d_hat(5) == 3
     u = SubharmonicFn(5, AffineHarmonic(0.1, (0.0,) * 5),
                       BorelMeasure((Atom((0.2, 0.0, 0.0, 0.0, 0.0), 1.0),), 5))
     U = DeltaSubharmonicFn(u, SubharmonicFn(5, None, BorelMeasure((), 5)))
@@ -348,7 +340,6 @@ def test_proposition_proT_monotone_convex_grids():
     # increasing and convex against k(R) in the second argument; decreasing
     # and concave against k(r) in the first
     rng = random.Random(46)
-    ctx = DimensionContext(2)
     for _ in range(5):
         f = _random_rational(rng)
         U = f.to_delta_subharmonic()
@@ -356,7 +347,7 @@ def test_proposition_proT_monotone_convex_grids():
         Rs = np.linspace(1.2, 3.0, 12)
         vals = [difference_characteristic(U, r, float(R), tol=1e-10).value
                 for R in Rs]
-        ks = [float(kernel(ctx, float(R))) for R in Rs]
+        ks = [float(kernel(2, float(R))) for R in Rs]
         assert all(b >= a - 1e-7 for a, b in zip(vals, vals[1:]))
         slopes = [(v2 - v1) / (k2 - k1)
                   for v1, v2, k1, k2 in zip(vals, vals[1:], ks, ks[1:])]
@@ -364,7 +355,7 @@ def test_proposition_proT_monotone_convex_grids():
         rs = np.linspace(0.2, 1.0, 12)
         vals_r = [difference_characteristic(U, float(rr), 3.5, tol=1e-10).value
                   for rr in rs]
-        ks_r = [float(kernel(ctx, float(rr))) for rr in rs]
+        ks_r = [float(kernel(2, float(rr))) for rr in rs]
         assert all(b <= a + 1e-7 for a, b in zip(vals_r, vals_r[1:]))
         slopes_r = [(v2 - v1) / (k2 - k1)
                     for v1, v2, k1, k2 in zip(vals_r, vals_r[1:], ks_r, ks_r[1:])]
@@ -530,7 +521,7 @@ def test_d3_line_kernel_integral_is_minus_inf_through_an_atom_on_the_piece():
     # the origin is on the slanted line at s = 0.5 only up to rounding
     path = UniformSegment((-0.5, 0.1, 0.0), (0.5, -0.1, 0.0), 1.0)
     atoms = np.array([[0.0, 0.0, 0.0], [0.25, 0.05, 0.0]])
-    values, _bound = path.kernel_integrals([(0.2, 0.8), (0.0, 0.5), (0.5, 0.9), (0.6, 0.9)], atoms, 3)
+    values, _bound = path.kernel_integrals([(0.2, 0.8), (0.0, 0.5), (0.5, 0.9), (0.6, 0.9)], atoms)
     assert (values[:3, 0] == -np.inf).all() and np.isfinite(values[:3, 1]).all()
     assert np.isfinite(values[3]).all()
 
@@ -563,12 +554,12 @@ def _ref_arc_kernel_integrals(arc, a, b, pts):
     ends = sum(np.abs(np.log(np.maximum(_distances(pts, arc.at(np.array([t]))),
                                         _ROUNDING * scale) / far)) for t in (a, b))
     piece = UniformArc(arc.center, arc.radius, a, b, b - a)
-    return (piece.potential(pts, 2),
+    return (piece.potential(pts),
             _ROUNDING * ((b - a) * np.abs(np.log(far)) + 4.0
                          + scale / arc.radius * (ends + 4.0)))
 
 
-def _ref_segment_kernel_integrals(seg, a, b, pts, d):
+def _ref_segment_kernel_integrals(seg, a, b, pts):
     rel = pts - seg.start
     step = np.subtract(seg.end, seg.start)
     length = float(_distances(seg.start, seg.end))
@@ -576,14 +567,14 @@ def _ref_segment_kernel_integrals(seg, a, b, pts, d):
     feet = np.clip(_dots(rel, step) / _dots(step, step), a, b)
     dist = [_distances(rel, np.multiply.outer(t, step))
             for t in (np.full(len(rel), a), np.full(len(rel), b), feet)]
-    size = [np.abs(_kernel_values(d, np.maximum(D, _ROUNDING * scale))) for D in dist]
-    values = UniformSegment(tuple(a * step), tuple(b * step), b - a).potential(rel, d)
-    inner = 8.0 if d == 2 else 6.0 * size[2]
+    size = [np.abs(_kernel_values(seg.dim, np.maximum(D, _ROUNDING * scale))) for D in dist]
+    values = UniformSegment(tuple(a * step), tuple(b * step), b - a).potential(rel)
+    inner = 8.0 if seg.dim == 2 else 6.0 * size[2]
     return values, _ROUNDING * (2.0 + scale * (size[0] + size[1] + inner)) / length
 
 
-def _assert_rows_equal_one_piece_calls(path, ends, pts, d, ref):
-    values, bound = path.kernel_integrals(ends, pts, d)
+def _assert_rows_equal_one_piece_calls(path, ends, pts, ref):
+    values, bound = path.kernel_integrals(ends, pts)
     assert values.shape == bound.shape == (len(ends), len(pts))
     for row, (a, b) in enumerate(ends):
         want_values, want_bound = ref(a, b)
@@ -608,7 +599,7 @@ def test_arc_kernel_integrals_of_many_pieces_equal_one_piece_calls_bit_for_bit()
             pts.append((arc.center[0] + q * math.cos(t), arc.center[1] + q * math.sin(t)))
         pts = np.array(pts)
         _assert_rows_equal_one_piece_calls(
-            arc, ends, pts, 2, lambda a, b: _ref_arc_kernel_integrals(arc, a, b, pts))
+            arc, ends, pts, lambda a, b: _ref_arc_kernel_integrals(arc, a, b, pts))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -629,16 +620,16 @@ def test_segment_kernel_integrals_of_many_pieces_equal_one_piece_calls_bit_for_b
                 for off in (1e-6, 1e-2, 1.0, 30.0)]              # off it
         pts = np.array(pts)
         _assert_rows_equal_one_piece_calls(
-            seg, ends, pts, d, lambda a, b: _ref_segment_kernel_integrals(seg, a, b, pts, d))
+            seg, ends, pts, lambda a, b: _ref_segment_kernel_integrals(seg, a, b, pts))
 
 
 def test_one_kernel_integrals_call_per_sign_class_with_pieces(monkeypatch):
     calls = []
     kernel_integrals = UniformArc.kernel_integrals
 
-    def counted(self, ends, pts, d):
+    def counted(self, ends, pts):
         calls.append(list(ends))
-        return kernel_integrals(self, ends, pts, d)
+        return kernel_integrals(self, ends, pts)
 
     monkeypatch.setattr(UniformArc, "kernel_integrals", counted)
     f = _mero(zeros=[(0.5 + 0.2j, 1), (-1.1j, 2)], poles=[(0.9, 1)], unit=1.3)

@@ -5,44 +5,42 @@ import pathlib
 import numpy as np
 import pytest
 
-from deltasubh.geometry import DimensionContext, _distances, _dots, ext_mul, kernel
+from deltasubh.geometry import _d_hat, _distances, _dots, ext_mul, kernel
+from deltasubh.lab import constant_A
+from deltasubh.measures import BorelMeasure, dini_limits_check, modulus_profile
 
 INF = math.inf
 
 
 def test_dimension_constants_closed_forms():
-    # d_hat = max(1, d-2) and s_{d-1} = 2 pi^{d/2} / Gamma(d/2)
-    expected_area = {2: 2 * math.pi, 3: 4 * math.pi,
-                     4: 2 * math.pi ** 2, 5: 8 * math.pi ** 2 / 3}
-    for d, area in expected_area.items():
-        ctx = DimensionContext(d)
-        assert ctx.d_hat == max(1, d - 2)
-        assert ctx.d_hat == 1 + max(0, d - 3)
-        assert ctx.sphere_area == pytest.approx(area, rel=1e-14)
+    # d_hat = max(1, d-2) = 1 + (d-3)^+
+    for d in (2, 3, 4, 5):
+        assert _d_hat(d) == max(1, d - 2)
+        assert _d_hat(d) == 1 + max(0, d - 3)
 
 
 def test_dimension_validation():
-    with pytest.raises(ValueError):
-        DimensionContext(1)
-    with pytest.raises(ValueError):
-        DimensionContext(0)
+    # every formula that takes a bare d checks it is an integer >= 2
+    profile = modulus_profile(BorelMeasure(()), [0.5])
+    for d in (1, 0, 2.0, "2"):
+        for formula in (lambda: _d_hat(d), lambda: kernel(d, 1.0),
+                        lambda: constant_A(d, 1.0, 2.0), lambda: dini_limits_check(profile, d)):
+            with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+                formula()
 
 
 def test_kernel_anchor_values():
-    d2 = DimensionContext(2)
-    d3 = DimensionContext(3)
-    assert kernel(d2, 1.0) == 0.0
-    assert kernel(d3, 2.0) == -0.5
-    assert kernel(d2, 0.0) == -INF
-    assert kernel(d3, 0.0) == -INF
+    assert kernel(2, 1.0) == 0.0
+    assert kernel(3, 2.0) == -0.5
+    assert kernel(2, 0.0) == -INF
+    assert kernel(3, 0.0) == -INF
     with pytest.raises(ValueError):
-        kernel(d2, -0.1)
+        kernel(2, -0.1)
 
 
 def test_kernel_vectorized():
-    d2 = DimensionContext(2)
     t = np.array([0.0, 1.0, math.e])
-    out = kernel(d2, t)
+    out = kernel(2, t)
     assert out[0] == -INF
     assert out[1] == 0.0
     assert out[2] == pytest.approx(1.0)
@@ -50,9 +48,8 @@ def test_kernel_vectorized():
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_kernel_strictly_increasing(d):
-    ctx = DimensionContext(d)
     ts = np.linspace(0.0, 9.0, 400)
-    vals = kernel(ctx, ts)
+    vals = kernel(d, ts)
     assert np.all(np.diff(vals) > 0)
 
 

@@ -11,7 +11,7 @@ import pytest
 from deltasubh import characteristics, lab, measures, potentials
 
 from deltasubh.characteristics import _sphere_mean
-from deltasubh.geometry import DimensionContext, _distances, _dots, kernel
+from deltasubh.geometry import _distances, _dots, kernel
 from deltasubh.measures import (
     Atom,
     BorelMeasure,
@@ -24,7 +24,6 @@ from deltasubh.potentials import (
     DeltaSubharmonicFn,
     MeromorphicFn,
     SubharmonicFn,
-    evaluate,
     jordan_decomposition,
     potential_values,
 )
@@ -44,25 +43,21 @@ from deltasubh.lab import (
     verify_poisson_jensen,
 )
 
-D2 = DimensionContext(2)
-D3 = DimensionContext(3)
-
-
 def _mero(zeros=(), poles=(), unit=1.0, exponent=()):
     return MeromorphicFn(tuple(zeros), tuple(poles), unit, tuple(exponent))
 
 
 def _scenario(f, mu, r, R, r0=None, tols=Tolerances()):
-    return Scenario("test", DimensionContext(mu.dim or 2), f.to_delta_subharmonic(),
-                    mu, r, R, f=f, r0=r0, tolerances=tols, seed=1)
+    return Scenario("test", f.to_delta_subharmonic(), mu, r, R, f=f, r0=r0,
+                    tolerances=tols, seed=1)
 
 
 def test_constant_A_anchors():
-    assert constant_A(D2, 1.0, 3.0) == 4.0
-    assert constant_A(D2, 1.0, 2.0) == 6.0
-    assert constant_A(D3, 1.0, 2.0) == 18.0
+    assert constant_A(2, 1.0, 3.0) == 4.0
+    assert constant_A(2, 1.0, 2.0) == 6.0
+    assert constant_A(3, 1.0, 2.0) == 18.0
     with pytest.raises(ValueError):
-        constant_A(D2, 2.0, 1.0)
+        constant_A(2, 2.0, 1.0)
 
 
 def test_golden_scenario_f_z_circle_measure():
@@ -133,6 +128,37 @@ def test_lhs_segment_integral_oracle():
     vals = U.positive_values(pts)
     oracle = seg.weight * float(np.trapezoid(vals, s))
     assert res.value == pytest.approx(oracle, abs=5e-7)
+
+
+def test_positive_part_integral_takes_every_atom_from_one_call(monkeypatch):
+    # U^+ at all atoms of mu comes from one positive_values call, and each
+    # w U^+ is added in component order, so the sum is the one-atom-at-a-time
+    # loop's, bit for bit; the atom on f's zero adds (-inf)^+ = 0
+    f = _mero(zeros=[(0.3 + 0.2j, 1)], poles=[(-0.5 + 0j, 1)], unit=2.0)
+    U = f.to_delta_subharmonic()
+    seg = UniformSegment((-0.9, -0.4), (0.8, 0.5), 0.7)
+    first, *rest = (Atom((0.6, -0.3), 0.4), Atom((0.3, 0.2), 0.9), Atom((-0.2, 0.7), 0.3))
+    mu = BorelMeasure((first, seg, *rest))
+    along = positive_part_integral(U, BorelMeasure((seg,)), 1e-9).value
+    calls = []
+    positive_values = DeltaSubharmonicFn.positive_values
+
+    def counted(self, pts):
+        calls.append(len(pts))
+        return positive_values(self, pts)
+
+    monkeypatch.setattr(DeltaSubharmonicFn, "positive_values", counted)
+    got = positive_part_integral(U, mu, 1e-9)
+    assert calls == [3]
+
+    def plus(atom):
+        vals, polar = U.values_with_polar(np.array([atom.point]))
+        return 0.0 if polar[0] else max(float(vals[0]), 0.0)
+
+    want = 0.0 + first.weight * plus(first) + along
+    for atom in rest:
+        want += atom.weight * plus(atom)
+    assert plus(rest[0]) == 0.0 and got.value == want
 
 
 def test_lhs_disk_integral_oracle():
@@ -336,7 +362,7 @@ def test_pointwise_bound_row_carries_its_budget_and_is_inconclusive_inside_it(mo
     s = generate_scenario(42, 0, "charges")
     (row,) = run_checks(s, ("U+B",))
     c_plus = characteristics.spherical_mean(s.U, s.R, "positive", s.tolerances.mean)
-    coeff = s.R ** (s.ctx.d - 2) * (s.R + s.r) / (s.R - s.r) ** (s.ctx.d - 1)
+    coeff = s.R ** (s.U.dim - 2) * (s.R + s.r) / (s.R - s.r) ** (s.U.dim - 1)
     assert row.error_budget == coeff * c_plus.error_estimate > 0.0
     assert row.verdict == "pass"
     spherical_mean = lab.spherical_mean
@@ -353,31 +379,30 @@ def test_pointwise_bound_row_carries_its_budget_and_is_inconclusive_inside_it(mo
 
 def test_counting_lemma_anchors_and_zero():
     delta = BorelMeasure((Atom((0.0, 0.0), 1.0),))
-    rep = verify_counting_lemma(delta, 1.0, 2.0, D2)
+    rep = verify_counting_lemma(delta, 1.0, 2.0)
     assert rep.lhs == 1.0
     assert rep.rhs == pytest.approx(2.0 * math.log(2.0))
     assert rep.verdict == "pass"
-    rep0 = verify_counting_lemma(BorelMeasure((), 2), 1.0, 2.0, D2)
+    rep0 = verify_counting_lemma(BorelMeasure((), 2), 1.0, 2.0)
     assert rep0.lhs == 0.0 and rep0.rhs == 0.0 and rep0.verdict == "pass"
     delta3 = BorelMeasure((Atom((0.0, 0.0, 0.0), 1.0),), 3)
-    rep3 = verify_counting_lemma(delta3, 1.0, 2.0, D3)
+    rep3 = verify_counting_lemma(delta3, 1.0, 2.0)
     assert rep3.rhs == pytest.approx(2.0)
     with pytest.raises(ValueError):
-        verify_counting_lemma(delta, 2.0, 1.0, D2)
+        verify_counting_lemma(delta, 2.0, 1.0)
 
 
 def test_counting_lemma_random_atomic():
     rng = random.Random(54)
     for _ in range(60):
         d = rng.choice([2, 3])
-        ctx = DimensionContext(d)
         R = rng.uniform(1.0, 4.0)
         R_star = R * rng.uniform(0.2, 0.9)
         atoms = tuple(
             Atom(tuple(rng.uniform(-R, R) for _ in range(d)), rng.uniform(0.1, 2.0))
             for _ in range(rng.randint(1, 6)))
         delta = BorelMeasure(atoms, d)
-        rep = verify_counting_lemma(delta, R_star, R, ctx)
+        rep = verify_counting_lemma(delta, R_star, R)
         assert rep.slack >= -rep.error_budget
 
 
@@ -413,7 +438,7 @@ def test_d3_ball_scenario_main_theorem():
     v = SubharmonicFn(3, None, BorelMeasure((Atom((-0.7, 0.2, 0.5), 0.4),), 3))
     U = DeltaSubharmonicFn(u, v)
     mu = BorelMeasure((UniformBall((0.1, 0.0, 0.0), 0.5, 1.0),), 3)
-    s = Scenario("d3", D3, U, mu, 1.0, 2.2, tolerances=Tolerances(mean=1e-7))
+    s = Scenario("d3", U, mu, 1.0, 2.2, tolerances=Tolerances(mean=1e-7))
     rep = verify_main_theorem(s)
     assert rep.verdict == "pass"
     assert rep.components["A"] == pytest.approx(
@@ -451,17 +476,16 @@ def test_pointwise_bound_integrates_below_main_rhs():
         rep = verify_main_theorem(s)
         assert rep.verdict == "pass"
         R_star = 0.5 * (s.R + s.r)
-        d = s.ctx.d
+        d = s.U.dim
         coeff = R_star ** (d - 2) * (R_star + s.r) / (R_star - s.r) ** (d - 1)
         from deltasubh.characteristics import spherical_mean
         from deltasubh.potentials import jordan_decomposition
         _plus, minus = jordan_decomposition(s.U)
         c_plus = spherical_mean(s.U, R_star, "positive", tol=1e-9)
-        k_sum = float(kernel(s.ctx, R_star + s.r))
+        k_sum = float(kernel(d, R_star + s.r))
         charge_term = 0.0
         for atom in minus.atoms:
-            pot = float(potential_values(
-                s.mu, np.asarray(atom.point, dtype=float)[None, :], d)[0])
+            pot = float(potential_values(s.mu, np.asarray(atom.point, dtype=float)[None, :])[0])
             charge_term += atom.weight * (k_sum * s.mu.mass - pot)
         integrated_bound = coeff * c_plus.value * s.mu.mass + charge_term
         assert rep.lhs <= integrated_bound + 1e-6
@@ -472,19 +496,12 @@ def test_scenario_validation():
     f = _mero(zeros=[(0j, 1)])
     mu = BorelMeasure((Atom((0.5, 0.0), 1.0),))
     with pytest.raises(ValueError):
-        Scenario("bad", D2, f.to_delta_subharmonic(), mu, 2.0, 1.0, f=f)
+        Scenario("bad", f.to_delta_subharmonic(), mu, 2.0, 1.0, f=f)
     with pytest.raises(ValueError):
-        Scenario("bad", D2, f.to_delta_subharmonic(), mu, 1.0, 2.0, f=f, r0=1.5)
+        Scenario("bad", f.to_delta_subharmonic(), mu, 1.0, 2.0, f=f, r0=1.5)
     big = BorelMeasure((Atom((5.0, 0.0), 1.0),))
     with pytest.raises(ValueError):
-        Scenario("bad", D2, f.to_delta_subharmonic(), big, 1.0, 2.0, f=f)
-
-
-def test_scenario_rejects_a_context_of_another_dimension():
-    # its UR row would print rhs 195.87 pass, where the true scenario gives 50.78
-    s = generate_scenario(42, 2, "disk")
-    with pytest.raises(ValueError, match="dimension"):
-        dataclasses.replace(s, ctx=D3)
+        Scenario("bad", f.to_delta_subharmonic(), big, 1.0, 2.0, f=f)
 
 
 def test_scenario_rejects_a_measure_of_another_dimension():
@@ -595,15 +612,21 @@ def test_ball_integral_does_not_depend_on_the_block_size(monkeypatch, d, blocks)
 # replaced, which they must equal in every PointReport field.
 
 
+def _value_at(U, x):
+    """U at the one point x, or None where values_with_polar marks it polar."""
+    vals, polar = U.values_with_polar(x[None, :])
+    return None if polar[0] else float(vals[0])
+
+
 def _ref_reflected_potential(nu, x, R, d):
     mass = nu.mass
     if mass == 0.0:
         return 0.0
     q = float(_distances(x, 0.0))
     if q == 0.0:
-        return mass * float(kernel(DimensionContext(d), R))
+        return mass * float(kernel(d, R))
     x_star = (R * R / (q * q)) * x
-    pot = float(potential_values(nu, x_star[None, :], d)[0])
+    pot = float(potential_values(nu, x_star[None, :])[0])
     if d == 2:
         return mass * math.log(q / R) + pot
     return (R / q) * pot
@@ -615,7 +638,7 @@ def _ref_poisson_jensen(U, R, sample_points, tol):
     plus, minus = jordan_decomposition(U)
     for raw in sample_points:
         x = np.asarray(raw, dtype=float)
-        lhs = evaluate(U, x)
+        lhs = _value_at(U, x)
         if lhs is None or not math.isfinite(lhs):
             skipped.append(tuple(x))
             continue
@@ -634,7 +657,7 @@ def _ref_poisson_jensen(U, R, sample_points, tol):
             if nu.mass == 0.0:
                 continue
             refl = _ref_reflected_potential(nu, x, R, d)
-            direct = float(potential_values(nu, x[None, :], d)[0])
+            direct = float(potential_values(nu, x[None, :])[0])
             green -= sign * (refl - direct)
         res = lhs - (boundary.value + green)
         points.append(tuple(x))
@@ -650,15 +673,15 @@ def _ref_pointwise_bound(U, r, R, sample_points, tol):
     _plus, minus = jordan_decomposition(U)
     c_plus = lab.spherical_mean(U, R, "positive", tol)
     coeff = R ** (d - 2) * (R + r) / (R - r) ** (d - 1)
-    k_Rr = float(kernel(DimensionContext(d), R + r))
+    k_Rr = float(kernel(d, R + r))
     points, slacks, relative, skipped = [], [], [], []
     for raw in sample_points:
         x = np.asarray(raw, dtype=float)
-        lhs = evaluate(U, x)
+        lhs = _value_at(U, x)
         if lhs is None or not math.isfinite(lhs):
             skipped.append(tuple(x))
             continue
-        charge_term = k_Rr * minus.mass - float(potential_values(minus, x[None, :], d)[0])
+        charge_term = k_Rr * minus.mass - float(potential_values(minus, x[None, :])[0])
         rhs = coeff * c_plus.value + charge_term
         slack = rhs - max(lhs, 0.0)
         points.append(tuple(x))
@@ -679,8 +702,8 @@ def _proof_case(name):
         from test_cli import PIN_3D
         s = parse_scenario(json.dumps(PIN_3D).encode())
     rng = random.Random(f"points:{name}")
-    pts = [lab._point_in_ball(rng, s.r, s.ctx.d) for _ in range(18)]
-    pts += [(0.0,) * s.ctx.d, s.U.u.riesz.atoms[0].point]
+    pts = [lab._point_in_ball(rng, s.r, s.U.dim) for _ in range(18)]
+    pts += [(0.0,) * s.U.dim, s.U.u.riesz.atoms[0].point]
     return s.U, s.r, s.R, pts
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltasubh import measures
-from deltasubh.geometry import DimensionContext, _distances
+from deltasubh.geometry import _distances
 from deltasubh.measures import (
     _lens_area_2d,
     _modulus_bracket,
@@ -20,10 +20,8 @@ from deltasubh.measures import (
     UniformArc,
     UniformBall,
     UniformSegment,
-    dini_integral,
     dini_integral_result,
     dini_limits_check,
-    integrated_counting,
     integrated_counting_result,
     modulus_of_continuity,
     modulus_of_continuity_exact,
@@ -31,10 +29,6 @@ from deltasubh.measures import (
     radial_counting,
 )
 from deltasubh.quadrature import QuadratureBudgetError
-
-D2 = DimensionContext(2)
-D3 = DimensionContext(3)
-
 
 # ---------------------------------------------------------------------------
 # radial counting: anchors and closed forms against independent oracles
@@ -588,7 +582,7 @@ def test_arc_potential_at_its_endpoints_and_centre_matches_mpmath():
                     [0.3, 0.4], [1.6, -0.7]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = arc.potential(pts, 2)
+        got = arc.potential(pts)
     with mp.workdps(30):
         for p, value in zip(pts, got):
             z = mp.mpc(*p)
@@ -618,23 +612,23 @@ def test_import_and_an_arc_corpus_run_load_no_scipy():
 
 def test_integrated_counting_anchors():
     one_atom = BorelMeasure((Atom((0.0, 0.0), 1.0),))
-    assert integrated_counting(D2, one_atom, 1.0, math.e) == pytest.approx(1.0)
+    assert integrated_counting_result(one_atom, 1.0, math.e).value == pytest.approx(1.0)
     off = BorelMeasure((Atom((0.5, 0.0), 1.0),))
-    assert integrated_counting(D2, off, 1.0, 2.0) == pytest.approx(math.log(2.0))
+    assert integrated_counting_result(off, 1.0, 2.0).value == pytest.approx(math.log(2.0))
     atom3 = BorelMeasure((Atom((0.0, 0.0, 0.0), 1.0),))
-    assert integrated_counting(D3, atom3, 1.0, 2.0) == pytest.approx(0.5)
+    assert integrated_counting_result(atom3, 1.0, 2.0).value == pytest.approx(0.5)
 
 
 def test_integrated_counting_r_zero_divergence():
     atom_at_0 = BorelMeasure((Atom((0.0, 0.0), 1.0),))
-    assert integrated_counting(D2, atom_at_0, 0.0, 1.0) == math.inf
+    assert integrated_counting_result(atom_at_0, 0.0, 1.0).value == math.inf
     # segment through the center: integrable in d=2
     seg = BorelMeasure((UniformSegment((-0.5, 0.0), (0.5, 0.0), 1.0),))
-    val = integrated_counting(D2, seg, 0.0, 1.0)
+    val = integrated_counting_result(seg, 0.0, 1.0).value
     assert math.isfinite(val)
     # same geometry in d=3 diverges (integrand ~ c/t)
     seg3 = BorelMeasure((UniformSegment((-0.5, 0.0, 0.0), (0.5, 0.0, 0.0), 1.0),))
-    assert integrated_counting(D3, seg3, 0.0, 1.0) == math.inf
+    assert integrated_counting_result(seg3, 0.0, 1.0).value == math.inf
 
 
 def test_integrated_counting_segments_through_the_origin_d2():
@@ -645,7 +639,7 @@ def test_integrated_counting_segments_through_the_origin_d2():
         u = (math.cos(theta), math.sin(theta))
         a, b = rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)
         seg = UniformSegment((-a * u[0], -a * u[1]), (b * u[0], b * u[1]), 1.0)
-        value = integrated_counting(D2, BorelMeasure((seg,)), 0.0, 2.0)
+        value = integrated_counting_result(BorelMeasure((seg,)), 0.0, 2.0).value
         exact = (a + a * math.log(2.0 / a) + b + b * math.log(2.0 / b)) / (a + b)
         assert math.isfinite(value)
         assert abs(value - exact) <= 1e-10
@@ -658,7 +652,7 @@ def test_integrated_counting_circles_through_the_origin_d2():
         rho, ang = rng.uniform(0.1, 1.0), rng.uniform(0.0, 2.0 * math.pi)
         circle = UniformArc((rho * math.cos(ang), rho * math.sin(ang)), rho,
                             0.0, 2.0 * math.pi, 1.0)
-        value = integrated_counting(D2, BorelMeasure((circle,)), 0.0, 2.0)
+        value = integrated_counting_result(BorelMeasure((circle,)), 0.0, 2.0).value
         assert abs(value - math.log(2.0 / rho)) <= 1e-10
 
 
@@ -681,7 +675,7 @@ def test_integrated_counting_d3_segment_through_the_origin_spends_no_node(monkey
         a, b = rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)
         segments.append(UniformSegment(tuple(-a * u), tuple(b * u), 1.0))
     for seg in segments:
-        res = integrated_counting_result(D3, BorelMeasure((seg,)), 0.0, 2.0)
+        res = integrated_counting_result(BorelMeasure((seg,)), 0.0, 2.0)
         assert res.value == math.inf and res.nodes_used == 0
     assert calls == []
 
@@ -695,7 +689,7 @@ def test_integrated_counting_d3_segment_near_the_origin_is_finite():
     # N_mu(0, 2) = ln((1 + T) / delta) - 1/2, about ln(1 / delta)
     delta = 1e-10
     seg = UniformSegment((-1.0, delta, 0.0), (1.0, delta, 0.0), 1.0)
-    res = integrated_counting_result(D3, BorelMeasure((seg,)), 0.0, 2.0)
+    res = integrated_counting_result(BorelMeasure((seg,)), 0.0, 2.0)
     exact = math.log((1.0 + math.sqrt(1.0 + delta * delta)) / delta) - 0.5
     assert abs(res.value - exact) <= max(res.error_estimate, 1e-12 * exact)
 
@@ -788,7 +782,7 @@ def test_segment_feet_and_distance_of_many_points_equal_one_point_calls(d):
 
 def test_integrated_counting_segment_quadrature_matches_oracle():
     seg = BorelMeasure((UniformSegment((-0.5, 0.0), (0.5, 0.0), 1.0),))
-    res = integrated_counting_result(D2, seg, 0.25, 2.0)
+    res = integrated_counting_result(seg, 0.25, 2.0)
     # oracle: fine composite trapezoid on the closed-form counting function
     ts = np.linspace(0.25, 2.0, 400_001)
     vals = seg.radial_counting((0.0, 0.0), ts) / ts
@@ -802,8 +796,12 @@ def test_integrated_counting_additivity_exact():
                                 rng.uniform(0.1, 1.0)) for _ in range(5)))
     b = BorelMeasure(tuple(Atom((rng.uniform(-2, 2), rng.uniform(-2, 2)),
                                 rng.uniform(0.1, 1.0)) for _ in range(4)))
-    lhs = integrated_counting(D2, BorelMeasure(a.components + b.components), 0.5, 3.0)
-    rhs = integrated_counting(D2, a, 0.5, 3.0) + integrated_counting(D2, b, 0.5, 3.0)
+
+    def N(mu, r, R):
+        return integrated_counting_result(mu, r, R).value
+
+    lhs = N(BorelMeasure(a.components + b.components), 0.5, 3.0)
+    rhs = N(a, 0.5, 3.0) + N(b, 0.5, 3.0)
     assert lhs == pytest.approx(rhs, abs=1e-14)
 
 
@@ -812,8 +810,9 @@ def test_integrated_counting_splitting():
                        UniformSegment((-0.5, -0.2), (0.8, 0.4), 1.0),
                        UniformBall((0.1, 0.3), 0.4, 0.8)))
     r, s, R = 0.2, 0.9, 2.7
-    full = integrated_counting(D2, mu, r, R)
-    split = integrated_counting(D2, mu, r, s) + integrated_counting(D2, mu, s, R)
+    full = integrated_counting_result(mu, r, R).value
+    split = (integrated_counting_result(mu, r, s).value
+             + integrated_counting_result(mu, s, R).value)
     assert abs(full - split) <= 1e-10 * max(1.0, abs(full))
 
 
@@ -921,7 +920,7 @@ DINI_CASES = [
 
 @pytest.mark.parametrize("mu, d, upper", DINI_CASES)
 def test_dini_within_its_estimate_of_a_30_digit_reference(mu, d, upper):
-    res = dini_integral_result(DimensionContext(d), mu, upper)
+    res = dini_integral_result(mu, upper)
     assert res.nodes_used == 0
     ref = _mp_dini(mu, upper, d)
     if ref == mp.inf:
@@ -932,30 +931,30 @@ def test_dini_within_its_estimate_of_a_30_digit_reference(mu, d, upper):
 
 def test_dini_atom_diverges():
     mu = BorelMeasure((Atom((0.7, 0.2), 1.0),))
-    assert dini_integral(D2, mu, 1.0) == math.inf
+    assert dini_integral_result(mu, 1.0).value == math.inf
 
 
 def test_dini_segment3_diverges():
     mu = BorelMeasure((UniformSegment((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 1.0),))
-    assert dini_integral(D3, mu, 1.0) == math.inf
+    assert dini_integral_result(mu, 1.0).value == math.inf
 
 
 def test_dini_zero_measure():
-    assert dini_integral(D2, BorelMeasure(()), 1.0) == 0.0
+    assert dini_integral_result(BorelMeasure(()), 1.0).value == 0.0
 
 
 def test_dini_limits_check_cases():
     grid = [2.0 ** (-k) for k in range(30, 0, -1)]
     seg = BorelMeasure((UniformSegment((0.0, 0.0), (1.0, 0.0), 1.0),))
-    rep = dini_limits_check(modulus_profile(seg, grid), D2)
+    rep = dini_limits_check(modulus_profile(seg, grid), 2)
     assert rep.h_to_zero and rep.hk_to_zero
 
     atom = BorelMeasure((Atom((0.0, 0.0), 1.0),))
-    rep_atom = dini_limits_check(modulus_profile(atom, grid), D2)
+    rep_atom = dini_limits_check(modulus_profile(atom, grid), 2)
     assert not rep_atom.h_to_zero  # h is identically the weight near 0
 
     zero = BorelMeasure(())
-    rep_zero = dini_limits_check(modulus_profile(zero, grid), D2)
+    rep_zero = dini_limits_check(modulus_profile(zero, grid), 2)
     assert rep_zero.h_at_min == 0.0 and rep_zero.hk_at_min == 0.0
     assert rep_zero.h_to_zero and rep_zero.hk_to_zero
 

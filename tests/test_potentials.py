@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from deltasubh import potentials
-from deltasubh.geometry import DimensionContext, _distances, kernel
+from deltasubh.geometry import _distances, kernel
 from deltasubh.measures import Atom, BorelMeasure, UniformArc, UniformBall, UniformSegment
 from deltasubh.potentials import (
     AffineHarmonic,
@@ -15,9 +15,7 @@ from deltasubh.potentials import (
     SubharmonicFn,
     UnsupportedModelError,
     canonical_representation,
-    evaluate,
     jordan_decomposition,
-    positive_part,
     potential_values,
 )
 from deltasubh.quadrature import integrate_interval
@@ -29,11 +27,11 @@ def _mero(zeros=(), poles=(), unit=1.0, exponent=()):
 
 def test_evaluate_anchors():
     f = _mero(zeros=[(0j, 1)])          # f(z) = z
-    U = f.to_delta_subharmonic()
-    assert evaluate(U, (2.0, 0.0)) == pytest.approx(math.log(2.0))
+    vals, polar = f.to_delta_subharmonic().values_with_polar(np.array([[2.0, 0.0]]))
+    assert vals[0] == pytest.approx(math.log(2.0)) and not polar[0]
     g = _mero(poles=[(0j, 1)])          # f(z) = 1/z
-    V = g.to_delta_subharmonic()
-    assert evaluate(V, (0.0, 0.0)) == math.inf
+    vals, polar = g.to_delta_subharmonic().values_with_polar(np.array([[0.0, 0.0]]))
+    assert vals[0] == math.inf and not polar[0]
 
 
 def test_evaluate_polar_marker_and_cancellation():
@@ -45,8 +43,10 @@ def test_evaluate_polar_marker_and_cancellation():
     v = g.to_delta_subharmonic().v
     U = DeltaSubharmonicFn(SubharmonicFn(2, None, u.riesz),
                            SubharmonicFn(2, None, v.riesz))
-    assert evaluate(U, (1.0, 0.0)) is None
-    assert evaluate(U, (0.3, -0.8)) == pytest.approx(0.0, abs=1e-14)
+    vals, polar = U.values_with_polar(np.array([[1.0, 0.0], [0.3, -0.8]]))
+    assert polar.tolist() == [True, False]
+    assert math.isnan(vals[0])  # U.values marks a polar point NaN
+    assert vals[1] == pytest.approx(0.0, abs=1e-14)
     plus, minus = jordan_decomposition(U)
     assert plus.mass == 0.0 and minus.mass == 0.0
 
@@ -54,9 +54,13 @@ def test_evaluate_polar_marker_and_cancellation():
 def test_positive_part_anchors():
     f = _mero(zeros=[(0j, 1)])
     U = f.to_delta_subharmonic()
-    assert positive_part(U, (0.5, 0.0)) == 0.0
-    assert positive_part(U, (math.e, 0.0)) == pytest.approx(1.0)
-    assert positive_part(U, (0.0, 0.0)) == 0.0  # (-inf)^+ = 0
+    plus = U.positive_values(np.array([[0.5, 0.0], [math.e, 0.0], [0.0, 0.0]]))
+    assert plus[0] == 0.0
+    assert plus[1] == pytest.approx(1.0)
+    assert plus[2] == 0.0  # (-inf)^+ = 0
+    # the polar marker maps to 0 as well
+    u = SubharmonicFn(2, None, BorelMeasure((Atom((1.0, 0.0), 1.0),)))
+    assert DeltaSubharmonicFn(u, u).positive_values(np.array([[1.0, 0.0]]))[0] == 0.0
 
 
 def test_jordan_decomposition_examples():
@@ -127,13 +131,11 @@ def test_canonical_representation_examples():
     U2 = DeltaSubharmonicFn(u, v)
     u_star, v_star = canonical_representation(U2, 2.0)
     rng = random.Random(32)
-    for _ in range(20):
-        x = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-        orig = evaluate(U2, x)
-        canon = float(u_star.values(x)[0] - v_star.values(x)[0])
-        if orig is None or not math.isfinite(orig):
-            continue
-        assert canon == pytest.approx(orig, abs=1e-12)
+    X = np.array([(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(20)])
+    orig, polar = U2.values_with_polar(X)
+    canon = u_star.values(X) - v_star.values(X)
+    keep = ~polar & np.isfinite(orig)
+    assert canon[keep] == pytest.approx(orig[keep], abs=1e-12)
 
 
 def test_canonical_identity_when_already_canonical():
@@ -195,7 +197,7 @@ def test_segment_potential_matches_quadrature():
                         np.asarray(b) - np.asarray(a))[None, :]
                     return -1.0 / np.linalg.norm(pts - x[0], axis=1)
             oracle = comp.weight * integrate_interval(integrand, 0.0, 1.0, (), 1e-11).value
-            got = float(potential_values(mu, x, d)[0])
+            got = float(potential_values(mu, x)[0])
             assert got == pytest.approx(oracle, abs=1e-9)
 
 
@@ -204,10 +206,10 @@ def test_full_circle_potential_mean_value():
     mu = BorelMeasure((comp,))
     inside = np.array([[0.4, -0.1]])
     outside = np.array([[2.0, 1.0]])
-    assert potential_values(mu, inside, 2)[0] == pytest.approx(
+    assert potential_values(mu, inside)[0] == pytest.approx(
         1.3 * math.log(0.7), abs=1e-12)
     q = np.linalg.norm(outside[0] - np.array([0.3, -0.2]))
-    assert potential_values(mu, outside, 2)[0] == pytest.approx(
+    assert potential_values(mu, outside)[0] == pytest.approx(
         1.3 * math.log(q), abs=1e-12)
 
 
@@ -222,14 +224,14 @@ def test_partial_arc_potential_matches_quadrature():
 
     oracle = 2.0 / comp.width * integrate_interval(
         integrand, 0.3, 2.1, (), 1e-11).value
-    assert potential_values(mu, x, 2)[0] == pytest.approx(oracle, abs=1e-9)
+    assert potential_values(mu, x)[0] == pytest.approx(oracle, abs=1e-9)
 
 
 def test_ball_potential_closed_forms():
     # d=2 disk: W ln q outside, W (ln rho - 1/2 + q^2/(2 rho^2)) inside
     disk = BorelMeasure((UniformBall((0.0, 0.0), 1.0, 1.0),))
     pts = np.array([[2.0, 0.0], [0.5, 0.0], [0.0, 0.0], [1.0, 0.0]])
-    vals = potential_values(disk, pts, 2)
+    vals = potential_values(disk, pts)
     assert vals[0] == pytest.approx(math.log(2.0))
     assert vals[1] == pytest.approx(-0.5 + 0.125)
     assert vals[2] == pytest.approx(-0.5)
@@ -237,7 +239,7 @@ def test_ball_potential_closed_forms():
     # d=3 ball: -W/q outside, -W (3 rho^2 - q^2)/(2 rho^3) inside
     ball = BorelMeasure((UniformBall((0.0, 0.0, 0.0), 1.0, 1.0),))
     pts3 = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
-    vals3 = potential_values(ball, pts3, 3)
+    vals3 = potential_values(ball, pts3)
     assert vals3[0] == pytest.approx(-0.5)
     assert vals3[1] == pytest.approx(-1.5)
     assert vals3[2] == pytest.approx(-(3.0 - 0.25) / 2.0)
@@ -250,7 +252,7 @@ def test_disk_potential_laplacian_is_density():
     h = 1e-4
     x0 = np.array([0.2, -0.1])
     stencil = np.array([x0, x0 + [h, 0], x0 - [h, 0], x0 + [0, h], x0 - [0, h]])
-    v = potential_values(disk, stencil, 2)
+    v = potential_values(disk, stencil)
     lap = (v[1] + v[2] + v[3] + v[4] - 4 * v[0]) / (h * h)
     density = 1.0 / math.pi  # weight / (pi rho^2)
     assert lap == pytest.approx(2.0 * math.pi * density, rel=1e-4)
@@ -259,10 +261,10 @@ def test_disk_potential_laplacian_is_density():
 def test_segment_potential_on_segment_d2_finite_d3_minus_inf():
     seg2 = BorelMeasure((UniformSegment((-1.0, 0.0), (1.0, 0.0), 1.0),))
     on = np.array([[0.2, 0.0]])
-    assert math.isfinite(potential_values(seg2, on, 2)[0])
+    assert math.isfinite(potential_values(seg2, on)[0])
     seg3 = BorelMeasure((UniformSegment((-1.0, 0.0, 0.0), (1.0, 0.0, 0.0), 1.0),), 3)
     on3 = np.array([[0.2, 0.0, 0.0]])
-    assert potential_values(seg3, on3, 3)[0] == -math.inf
+    assert potential_values(seg3, on3)[0] == -math.inf
 
 
 def test_segment_potential_d3_is_minus_inf_on_a_slanted_segment():
@@ -270,9 +272,9 @@ def test_segment_potential_d3_is_minus_inf_on_a_slanted_segment():
     # rounds to ~1e-17, not 0: -inf up to rounding, finite just off it
     seg = UniformSegment((-0.5, 0.1, 0.0), (0.5, -0.1, 0.0), 1.0)
     on = np.array([[0.0, 0.0, 0.0], [0.5, -0.1, 0.0], [-0.25, 0.05, 0.0]])
-    assert (seg.potential(on, 3) == -np.inf).all()
+    assert (seg.potential(on) == -np.inf).all()
     off = np.array([[0.0, 0.0, 1e-9], [0.6, -0.12, 0.0]])
-    assert np.isfinite(seg.potential(off, 3)).all()
+    assert np.isfinite(seg.potential(off)).all()
 
 
 def test_representation_equivalence_shared_harmonic():
@@ -285,12 +287,11 @@ def test_representation_equivalence_shared_harmonic():
     v_shift = SubharmonicFn(2, h, base_v.riesz)
     U = DeltaSubharmonicFn(base_u, base_v)
     U_shift = DeltaSubharmonicFn(u_shift, v_shift)
-    for _ in range(20):
-        x = (rng.uniform(-1, 1), rng.uniform(-1, 1))
-        a, b = evaluate(U, x), evaluate(U_shift, x)
-        if a is None or not math.isfinite(a):
-            continue
-        assert b == pytest.approx(a, abs=1e-12)
+    X = np.array([(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(20)])
+    a, polar = U.values_with_polar(X)
+    b = U_shift.values(X)
+    keep = ~polar & np.isfinite(a)
+    assert b[keep] == pytest.approx(a[keep], abs=1e-12)
 
 
 def test_affine_harmonic_d3():
@@ -310,8 +311,8 @@ def test_row_norms_equal_linalg_norm_bit_for_bit(d):
     assert dist[17] == 0.0
     # the atom potential skips kernel's domain check but keeps its floats
     atom = Atom(tuple(p), 0.7)
-    got = potential_values(BorelMeasure((atom,), d), pts, d)
-    want = 0.7 * kernel(DimensionContext(d), np.linalg.norm(pts - p, axis=1))
+    got = potential_values(BorelMeasure((atom,), d), pts)
+    want = 0.7 * kernel(d, np.linalg.norm(pts - p, axis=1))
     assert np.array_equal(got, want)
     assert got[17] == -np.inf
 
@@ -320,8 +321,8 @@ def test_partial_arc_potential_of_a_point_is_independent_of_its_batch():
     arc = BorelMeasure((UniformArc((0.0, 0.0), 1.0, 0.2, 2.0, 1.0),))
     far = np.array([[3.0, 0.5]])
     near = (1.0 + 1e-6) * np.array([[math.cos(1.0), math.sin(1.0)]])
-    alone = potential_values(arc, far, 2)
-    together = potential_values(arc, np.vstack([far, near]), 2)
+    alone = potential_values(arc, far)
+    together = potential_values(arc, np.vstack([far, near]))
     assert alone[0] == together[0]
 
 
@@ -338,7 +339,7 @@ def test_partial_arc_potential_matches_mpmath(angles):
 
     # far, near the arc, on the arc, an endpoint, the centre
     pts = np.array([[3.0, 0.5], at(1.01 * rho, mid), at(rho, mid), at(rho, a1), c])
-    got = potential_values(BorelMeasure((comp,)), pts, 2)
+    got = potential_values(BorelMeasure((comp,)), pts)
     with mp.workdps(30):
         for p, value in zip(pts, got):
             z = mp.mpc(*(p - c))
@@ -359,7 +360,7 @@ def _batch_evaluators(d):
     if d == 2:
         comps += [("full arc", UniformArc(c, 0.8, 0.0, 2.0 * math.pi, 0.5)),
                   ("partial arc", UniformArc(c, 0.8, -0.4, 2.3, 0.5))]
-    out = [(name, lambda pts, comp=comp: comp.potential(pts, d)) for name, comp in comps]
+    out = [(name, comp.potential) for name, comp in comps]
     out.append(("affine", AffineHarmonic(0.3, tuple(rng.uniform(-2.0, 2.0, d))).values))
     if d == 2:
         out.append(("polynomial", HarmonicPolynomial((0.2, 1 - 0.5j, 0.3 + 0.1j)).values))
