@@ -30,7 +30,7 @@ print(f"  A_2(1, 2) = {constant_A(2, 1, 2)}   A_3(1, 2) = {constant_A(3, 1, 2)}"
 
 print("\n== golden scenario: f(z) = z, unit full-circle measure on |z| = 2 ==")
 f = MeromorphicFn(zeros=((0j, 1),))
-mu = BorelMeasure((UniformArc((0.0, 0.0), 2.0, 0.0, 2 * math.pi, 1.0),))
+mu = BorelMeasure((UniformArc((0.0, 0.0), 2.0, 0.0, 2 * math.pi, 1.0),), 2)
 s = Scenario("golden", f.to_delta_subharmonic(), mu, 2.0, 4.0, f=f, r0=0.0)
 rep = verify_main_theorem(s)
 print(f"  LHS = {rep.lhs:.10f}  (Jensen: ln 2 = {math.log(2):.10f})")

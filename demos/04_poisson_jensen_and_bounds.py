@@ -37,7 +37,7 @@ print(f"  worst slack over sample points = {min(bound.residuals):.6f}  "
       f"[{bound.verdict}]")
 
 print("\n== counting-measure lemma ==")
-anchor = verify_counting_lemma(BorelMeasure((Atom((0.0, 0.0), 1.0),)), 1.0, 2.0)
+anchor = verify_counting_lemma(BorelMeasure((Atom((0.0, 0.0), 1.0),), 2), 1.0, 2.0)
 print(f"  d=2 anchor: {anchor.lhs} <= {anchor.rhs:.6f} "
       f"(2 ln 2 = {2 * math.log(2):.6f})  [{anchor.verdict}]")
 anchor3 = verify_counting_lemma(BorelMeasure((Atom((0.0, 0.0, 0.0), 1.0),), 3), 1.0, 2.0)

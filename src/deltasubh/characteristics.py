@@ -339,7 +339,7 @@ def difference_characteristic_canonical(U: DeltaSubharmonicFn, r: float, R: floa
     representation; agrees with difference_characteristic on the model family."""
     if not 0.0 < r < R:
         raise ValueError(f"need 0 < r < R, got ({r}, {R})")
-    u_star, v_star = canonical_representation(U, R)
+    u_star, v_star = canonical_representation(U)
     if U.dim == 2:  # u* where u* > v*, v* elsewhere
         sup_mean = _circle_by_sign(lambda pts: u_star.values(pts) - v_star.values(pts),
                                    _split(u_star), R, tol, _split(v_star))

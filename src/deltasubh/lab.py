@@ -49,6 +49,7 @@ from .measures import (
     UniformSegment,
     dini_integral_result,
     integrated_counting_result,
+    radial_counting,
 )
 from .potentials import (
     DeltaSubharmonicFn,
@@ -113,7 +114,7 @@ class Scenario:
             raise ValueError("r0 must lie in [0, r]")
         if self.mu.support_radius > self.r * (1.0 + 1e-12):
             raise ValueError("measure support must lie in the closed ball B(r)")
-        if self.mu.components and self.mu.dim != self.U.dim:
+        if self.mu.dim != self.U.dim:
             raise ValueError(f"mu must have U's dimension {self.U.dim}, got {self.mu.dim}")
         if self.f is not None and self.U is not self.f.to_delta_subharmonic():
             raise ValueError("U must be log|f|, the model f.to_delta_subharmonic() returns")
@@ -468,7 +469,7 @@ def verify_counting_lemma(delta: BorelMeasure, R_star: float, R: float) -> Verif
     if not 0.0 < R_star < R:
         raise ValueError(f"need 0 < R_star < R, got ({R_star}, {R})")
     d = delta.dim
-    lhs = float(delta.radial_counting((0.0,) * d, R_star))
+    lhs = float(radial_counting(delta, (0.0,) * d, R_star))
     n = integrated_counting_result(delta, R_star, R)
     coeff = R ** (d - 1) / (_d_hat(d) * (R - R_star))
     rhs = ext_mul(coeff, n.value)
@@ -511,7 +512,7 @@ def _random_measure(rng: random.Random, family: str, r: float) -> BorelMeasure:
         rho = r * rng.uniform(0.55, 1.0)
         width = rng.uniform(0.3, 2.0 * math.pi)
         start = rng.uniform(0.0, 2.0 * math.pi)
-        return BorelMeasure((UniformArc((0.0, 0.0), rho, start, start + width, width),))
+        return BorelMeasure((UniformArc((0.0, 0.0), rho, start, start + width, width),), 2)
     if family == "segment":
         while True:
             ang1, ang2 = rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)
@@ -519,13 +520,13 @@ def _random_measure(rng: random.Random, family: str, r: float) -> BorelMeasure:
             a = (q1 * math.cos(ang1), q1 * math.sin(ang1))
             b = (q2 * math.cos(ang2), q2 * math.sin(ang2))
             if _distances(a, b) >= 0.2 * r:
-                return BorelMeasure((UniformSegment(a, b, rng.uniform(0.5, 2.0)),))
+                return BorelMeasure((UniformSegment(a, b, rng.uniform(0.5, 2.0)),), 2)
     if family == "disk":
         qc = rng.uniform(0.0, 0.6 * r)
         ang = rng.uniform(0, 2 * math.pi)
         center = (qc * math.cos(ang), qc * math.sin(ang))
         rho = rng.uniform(0.2, 0.9) * (r - qc)
-        return BorelMeasure((UniformBall(center, rho, rng.uniform(0.5, 2.0)),))
+        return BorelMeasure((UniformBall(center, rho, rng.uniform(0.5, 2.0)),), 2)
     if family == "disk_union":
         disks: list = []
         attempts = 0
@@ -540,7 +541,7 @@ def _random_measure(rng: random.Random, family: str, r: float) -> BorelMeasure:
                 continue
             if all(_distances(center, d.center) > rho + d.radius + 0.05 * r for d in disks):
                 disks.append(UniformBall(center, rho, rng.uniform(0.3, 1.0)))
-        return BorelMeasure(tuple(disks))
+        return BorelMeasure(tuple(disks), 2)
     raise ValueError(f"unknown scenario family {family!r}")
 
 
@@ -591,8 +592,8 @@ def _random_charge_pair(rng: random.Random, R: float, mu: BorelMeasure,
     harmonic = HarmonicPolynomial((complex(rng.uniform(-0.5, 0.5)),
                                    complex(rng.uniform(-0.3, 0.3) / R,
                                            rng.uniform(-0.3, 0.3) / R)))
-    u = SubharmonicFn(2, harmonic, BorelMeasure(draw_atoms(rng.randint(1, 3)), 2))
-    v = SubharmonicFn(2, None, BorelMeasure(draw_atoms(rng.randint(0, 3)), 2))
+    u = SubharmonicFn(harmonic, BorelMeasure(draw_atoms(rng.randint(1, 3)), 2))
+    v = SubharmonicFn(None, BorelMeasure(draw_atoms(rng.randint(0, 3)), 2))
     return DeltaSubharmonicFn(u, v)
 
 
@@ -618,7 +619,7 @@ def generate_scenario(seed: int, index: int, family: str,
         mu = BorelMeasure(tuple(
             Atom((rng.uniform(-0.6, 0.6) * r, rng.uniform(-0.6, 0.6) * r),
                  rng.uniform(0.2, 1.0))
-            for _ in range(rng.randint(1, 5))))
+            for _ in range(rng.randint(1, 5))), 2)
         f = _random_rational(rng, R, mu, margin=0.05 * r)
         U = f.to_delta_subharmonic()
     else:

@@ -26,8 +26,10 @@ the kind: ball_mass and breakpoint_radii (at one center or an (n, d) array
 of centers), h_single, dini_single (closed-form integral_0^upper h_single(t)
 / t^{d-1} dt), outer_radius, potential (closed-form kernel
 potential, per point) and distance_to (generator rejection).  The dimension
-d of these formulas is the component's dim, the length of its points, which
-its measure shares: no method takes d as an argument.  The 1-d
+d of these formulas is the component's dim, the length of its points.  A
+measure states its d once, BorelMeasure(components, dim), even when it has
+no component, and rejects a component of another d; nothing infers or
+defaults it, and no method takes d as an argument.  The 1-d
 carriers, segments and arcs, are paths for the by-sign integral of
 characteristics as well: span (the parameter interval, [0, 1] or the arc's
 angles), at (points at parameters), feet (the parameters of points' nearest
@@ -48,7 +50,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .geometry import _d_hat, _distances, _dots, _kernel_values, ext_mul, kernel
+from .geometry import _check_dimension, _d_hat, _distances, _dots, _kernel_values, ext_mul, kernel
 from .quadrature import _ROUNDING, QuadratureResult, _gl_nodes, integrate_interval
 
 __all__ = [
@@ -655,37 +657,26 @@ Component = Union[Atom, UniformSegment, UniformArc, UniformBall]
 
 @dataclass(frozen=True)
 class BorelMeasure:
-    """A finite positive Borel measure given as a tuple of primitive components.
+    """A finite positive Borel measure on R^dim given as a tuple of primitive
+    components, each of dimension dim.
 
-    support_radius is an r with support contained in the closed ball B(0, r);
-    by default the smallest such r computed from the components.
+    support_radius, computed from the components, is the smallest r with the
+    support contained in the closed ball B(0, r).
     """
 
     components: tuple
-    dim: int = 0
-    support_radius: float = field(default=-1.0)
+    dim: int
+    support_radius: float = field(init=False)
 
     def __post_init__(self):
         comps = tuple(self.components)
         object.__setattr__(self, "components", comps)
-        if comps:
-            dims = {c.dim for c in comps}
-            if len(dims) > 1:
-                raise ValueError(f"mixed component dimensions: {sorted(dims)}")
-            inferred = dims.pop()
-            if self.dim == 0:
-                object.__setattr__(self, "dim", inferred)
-            elif self.dim != inferred:
-                raise ValueError("declared dim does not match components")
-        elif self.dim == 0:
-            object.__setattr__(self, "dim", 2)
-        natural = max((c.outer_radius() for c in comps), default=0.0)
-        if not math.isfinite(self.support_radius):
-            raise ValueError(f"support_radius must be finite, got {self.support_radius!r}")
-        if self.support_radius < 0:
-            object.__setattr__(self, "support_radius", natural)
-        elif self.support_radius + 1e-12 * max(1.0, natural) < natural:
-            raise ValueError("declared support_radius does not contain the support")
+        _check_dimension(self.dim)
+        if any(c.dim != self.dim for c in comps):
+            raise ValueError(f"every component must have the measure's dimension {self.dim}, "
+                             f"got {sorted({c.dim for c in comps})}")
+        object.__setattr__(self, "support_radius",
+                           max((c.outer_radius() for c in comps), default=0.0))
 
     @property
     def mass(self) -> float:
@@ -699,21 +690,18 @@ class BorelMeasure:
     def atoms(self) -> list:
         return [c for c in self.components if isinstance(c, Atom)]
 
-    def radial_counting(self, y, t):
-        y = _as_point(y)
-        if not self.components:
-            return 0.0 if np.isscalar(t) else np.zeros_like(np.asarray(t, dtype=float))
-        total = self.components[0].ball_mass(y, t)
-        for c in self.components[1:]:
-            total = total + c.ball_mass(y, t)
-        return total
-
 
 def radial_counting(mu: BorelMeasure, y, t):
     """mu(closed ball of radius t centered at y); exact per component."""
     if not np.all(np.asarray(t, dtype=float) >= 0):  # False for NaN too
         raise ValueError("radius t must be >= 0")
-    return mu.radial_counting(y, t)
+    y = _as_point(y)
+    if not mu.components:
+        return 0.0 if np.isscalar(t) else np.zeros_like(np.asarray(t, dtype=float))
+    total = mu.components[0].ball_mass(y, t)
+    for c in mu.components[1:]:
+        total = total + c.ball_mass(y, t)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -890,12 +878,13 @@ def _modulus(mu: BorelMeasure, t: float, method: str) -> tuple:
 class ModulusProfile:
     """h_mu sampled on an increasing grid, with a per-point exactness flag:
     "exact", "lower-bound" (branch and bound left a gap) or "upper-bound"
-    (subadditivity)."""
+    (subadditivity), and mu's mass and dimension."""
 
     radii: tuple
     values: tuple
     flags: tuple
     mass: float
+    dim: int
 
     def __post_init__(self):
         if len(self.radii) != len(self.values) or len(self.radii) != len(self.flags):
@@ -915,7 +904,7 @@ def modulus_profile(mu: BorelMeasure, radii: Sequence[float],
     radii = tuple(float(t) for t in radii)
     pairs = [_modulus(mu, t, method) for t in radii]
     return ModulusProfile(radii, tuple(v for v, _ in pairs),
-                          tuple(flag for _, flag in pairs), mu.mass)
+                          tuple(flag for _, flag in pairs), mu.mass, mu.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -1011,8 +1000,10 @@ class DiniLimitsReport:
 _LIMIT_TOL = 1e-6  # "-> 0" on the grid: at most this, relative to max(1, mass)
 
 
-def dini_limits_check(profile: ModulusProfile, d: int) -> DiniLimitsReport:
-    """Check on the profile grid that h(t) -> 0 and h(t) k(t) -> 0 as t -> 0."""
+def dini_limits_check(profile: ModulusProfile) -> DiniLimitsReport:
+    """Check on the profile grid that h(t) -> 0 and h(t) k(t) -> 0 as t -> 0,
+    k the kernel in the profile's dimension."""
+    d = profile.dim
     t0 = profile.radii[0]
     h0 = profile.values[0]
     hk0 = ext_mul(h0, float(kernel(d, t0)))

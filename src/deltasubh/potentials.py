@@ -1,15 +1,17 @@
 """Explicitly parameterized subharmonic and delta-subharmonic functions.
 
 A subharmonic model is a harmonic part (the real part of a complex polynomial
-for d=2, an affine function for d=3) plus the kernel potential of a positive
-measure from the measures module,
+for d=2, an affine function for d>=3: one kind per dimension) plus the kernel
+potential of a positive measure from the measures module,
 
     u(x) = harmonic(x) + integral k(|x - y|) d nu(y),
 
 so its Riesz measure equals nu by construction and never has to be extracted
-by distributional differentiation.  A delta-subharmonic function is a pair
-U = u - v; its Riesz charge is nu_u - nu_v, and the Jordan parts are obtained
-by cancelling coincident atoms / identical continuous components.
+by distributional differentiation.  The model's dimension is nu's:
+SubharmonicFn(harmonic, riesz) takes no d of its own.  A delta-subharmonic
+function is a pair U = u - v; its Riesz charge is nu_u - nu_v, and the Jordan
+parts are obtained by cancelling coincident atoms / identical continuous
+components.
 
 The logarithm of the modulus of a rational-type meromorphic function
 f = c e^{p} prod (z-a_i)^{m_i} / prod (z-b_j)^{n_j} is the d=2 bridge case:
@@ -110,7 +112,8 @@ class HarmonicPolynomial:
 
 @dataclass(frozen=True)
 class AffineHarmonic:
-    """constant + gradient . x (harmonic in every dimension)."""
+    """constant + gradient . x in d >= 3; in d = 2 the same function is
+    HarmonicPolynomial((constant, g0 - i g1))."""
 
     constant: float
     gradient: tuple
@@ -121,6 +124,9 @@ class AffineHarmonic:
         if not all(map(math.isfinite, (self.constant,) + self.gradient)):
             raise ValueError(f"affine coefficients must be finite, got {self.constant!r}, "
                              f"{self.gradient!r}")
+        if len(self.gradient) < 3:
+            raise ValueError("affine harmonic parts need d >= 3; in d = 2 use "
+                             "HarmonicPolynomial((constant, g0 - i g1))")
 
     @property
     def dim(self) -> int:
@@ -136,6 +142,10 @@ class AffineHarmonic:
             total += pts[:, k] * g[k]
         return total
 
+    def __add__(self, other: "AffineHarmonic") -> "AffineHarmonic":
+        return AffineHarmonic(self.constant + other.constant,
+                              tuple(x + y for x, y in zip(self.gradient, other.gradient)))
+
     def __neg__(self) -> "AffineHarmonic":
         return AffineHarmonic(-self.constant, tuple(-g for g in self.gradient))
 
@@ -143,28 +153,12 @@ class AffineHarmonic:
 HarmonicPart = Union[HarmonicPolynomial, AffineHarmonic]
 
 
-def _combine_harmonics(a: Optional[HarmonicPart], b: Optional[HarmonicPart],
-                       dim: int) -> Optional[HarmonicPart]:
-    """a - b promoted to a common representation."""
-    def promote(h):
-        if h is None:
-            return None
-        if dim == 2 and isinstance(h, AffineHarmonic):
-            g = h.gradient
-            return HarmonicPolynomial((complex(h.constant), complex(g[0], -g[1])))
-        return h
-
-    pa, pb = promote(a), promote(b)
-    if pa is None:
-        return -pb if pb is not None else None
-    if pb is None:
-        return pa
-    if isinstance(pa, HarmonicPolynomial) and isinstance(pb, HarmonicPolynomial):
-        return pa + (-pb)
-    if isinstance(pa, AffineHarmonic) and isinstance(pb, AffineHarmonic):
-        return AffineHarmonic(pa.constant - pb.constant,
-                              tuple(x - y for x, y in zip(pa.gradient, pb.gradient)))
-    raise UnsupportedModelError("cannot combine harmonic parts of different kinds")
+def _combine_harmonics(a: Optional[HarmonicPart],
+                       b: Optional[HarmonicPart]) -> Optional[HarmonicPart]:
+    """a - b of two harmonic parts of one kind, None standing for 0."""
+    if b is None:
+        return a
+    return -b if a is None else a + (-b)
 
 
 def potential_values(measure: BorelMeasure, pts: np.ndarray) -> np.ndarray:
@@ -183,19 +177,20 @@ def potential_values(measure: BorelMeasure, pts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubharmonicFn:
-    """harmonic part + kernel potential of a positive measure (its Riesz mass)."""
+    """harmonic part + kernel potential of a positive measure (its Riesz mass),
+    in the measure's dimension."""
 
-    dim: int
     harmonic: Optional[HarmonicPart]
     riesz: BorelMeasure
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("dimension must be >= 2")
         if self.harmonic is not None and self.harmonic.dim != self.dim:
-            raise ValueError("harmonic part dimension mismatch")
-        if self.riesz.components and self.riesz.dim != self.dim:
-            raise ValueError("Riesz measure dimension mismatch")
+            raise ValueError(f"harmonic part has dimension {self.harmonic.dim}, "
+                             f"its Riesz measure {self.dim}")
+
+    @property
+    def dim(self) -> int:
+        return self.riesz.dim
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -327,9 +322,8 @@ class MeromorphicFn:
         pole_atoms = tuple(Atom((b.real, b.imag), float(n)) for b, n in self.poles)
         coeffs = list(self.exponent) if self.exponent else [0j]
         coeffs[0] = coeffs[0] + math.log(abs(self.unit_factor))
-        u = SubharmonicFn(2, HarmonicPolynomial(tuple(coeffs)),
-                          BorelMeasure(zero_atoms, 2))
-        v = SubharmonicFn(2, None, BorelMeasure(pole_atoms, 2))
+        u = SubharmonicFn(HarmonicPolynomial(tuple(coeffs)), BorelMeasure(zero_atoms, 2))
+        v = SubharmonicFn(None, BorelMeasure(pole_atoms, 2))
         return DeltaSubharmonicFn(u, v)
 
 
@@ -402,13 +396,9 @@ def _jordan_parts(U: DeltaSubharmonicFn):
     return BorelMeasure(tuple(pos), dim), BorelMeasure(tuple(neg), dim)
 
 
-def canonical_representation(U: DeltaSubharmonicFn, R: float):
+def canonical_representation(U: DeltaSubharmonicFn):
     """(u*, v*) with Riesz measures charge^+ / charge^- and u* - v* = U off
     polar sets; the shared harmonic remainder goes to u*."""
-    if not R > 0:
-        raise ValueError("R must be > 0")
     plus, minus = jordan_decomposition(U)
-    harmonic = _combine_harmonics(U.u.harmonic, U.v.harmonic, U.dim)
-    u_star = SubharmonicFn(U.dim, harmonic, plus)
-    v_star = SubharmonicFn(U.dim, None, minus)
-    return u_star, v_star
+    harmonic = _combine_harmonics(U.u.harmonic, U.v.harmonic)
+    return SubharmonicFn(harmonic, plus), SubharmonicFn(None, minus)

@@ -27,13 +27,15 @@ Schema (version "1"):
       "scenario_id": "golden"
     }
 
-Unknown keys are ignored, among them the "dini" and "sup" tolerances of
-older files: the Dini integral is closed-form and takes none, and the sup on
-a sphere keeps its own refinement gap.  Validation failures raise
-ScenarioError with a distinct .code naming the offending constraint.  Every
-number must be finite: the constructors reject a NaN or an infinity, and
-their ValueError becomes the code of the part it sits in (MEASURE_SPEC,
-FUNCTION_SPEC; RADII_ORDER for r and R).
+A d=2 "affine" part is read as the polynomial c + (g0 - i g1) z, the one
+harmonic kind of d=2, and written back as "poly".  Unknown keys are ignored,
+among them the "dini" and "sup" tolerances of older files: the Dini integral
+is closed-form and takes none, and the sup on a sphere keeps its own
+refinement gap.  Validation failures raise ScenarioError with a distinct
+.code naming the offending constraint.  Every number must be finite: the
+constructors reject a NaN or an infinity, and their ValueError becomes the
+code of the part it sits in (MEASURE_SPEC, FUNCTION_SPEC; RADII_ORDER for r
+and R).
 """
 
 from __future__ import annotations
@@ -140,8 +142,11 @@ def _harmonic_from_json(obj, dim: int):
         return HarmonicPolynomial(tuple(_complex_from(c) for c in poly))
     if "affine" in obj:
         aff = obj["affine"]
-        return AffineHarmonic(float(aff["constant"]),
-                              tuple(float(g) for g in aff["gradient"]))
+        constant, gradient = float(aff["constant"]), tuple(float(g) for g in aff["gradient"])
+        if dim == 2:  # c + g0 x + g1 y = Re(c + (g0 - i g1) z)
+            g0, g1 = gradient
+            return HarmonicPolynomial((constant, complex(g0, -g1)))
+        return AffineHarmonic(constant, gradient)
     _fail("FUNCTION_SPEC", f"unknown harmonic part {obj!r}")
 
 
@@ -157,8 +162,7 @@ def _subharmonic_from_json(obj: dict, dim: int) -> SubharmonicFn:
     charge = _typed(obj, dict, "FUNCTION_SPEC", "u and v").get("charge", [])
     comps = tuple(_component_from_json(c, dim)
                   for c in _typed(charge, list, "FUNCTION_SPEC", "charge"))
-    return SubharmonicFn(dim, _harmonic_from_json(obj.get("harmonic"), dim),
-                         BorelMeasure(comps, dim))
+    return SubharmonicFn(_harmonic_from_json(obj.get("harmonic"), dim), BorelMeasure(comps, dim))
 
 
 def _function_from_json(obj: dict, dim: int):

@@ -220,7 +220,7 @@ def test_criterion_5_modulus_oracle():
                             for _ in range(n)])
             wts = np.array([rng.uniform(0.2, 1.0) for _ in range(n)])
             mu = BorelMeasure(tuple(Atom(tuple(p), float(w))
-                                    for p, w in zip(pts, wts)))
+                                    for p, w in zip(pts, wts)), 2)
             for _ in range(20):
                 t = rng.uniform(0.02, 0.2)
                 exact = modulus_of_continuity(mu, t)
@@ -271,7 +271,7 @@ def test_criterion_7_poisson_jensen_residual():
 def test_criterion_8_counting_lemma():
     with _Criterion(8, "charge(B(R*)) <= R^{d-1}/(d_hat (R-R*)) N(R*,R)", 5):
         anchor = verify_counting_lemma(
-            BorelMeasure((Atom((0.0, 0.0), 1.0),)), 1.0, 2.0)
+            BorelMeasure((Atom((0.0, 0.0), 1.0),), 2), 1.0, 2.0)
         assert anchor.lhs == 1.0
         assert anchor.rhs == pytest.approx(2.0 * math.log(2.0), abs=1e-14)
         assert anchor.verdict == "pass"

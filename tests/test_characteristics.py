@@ -82,9 +82,9 @@ def test_spherical_mean_jensen_from_counting():
     rng = random.Random(42)
     atoms = tuple(Atom((rng.uniform(-1, 1), rng.uniform(-1, 1)),
                        rng.uniform(0.3, 1.0)) for _ in range(4))
-    nu = BorelMeasure(atoms)
-    u = SubharmonicFn(2, None, nu)
-    U = DeltaSubharmonicFn(u, SubharmonicFn(2, None, BorelMeasure((), 2)))
+    nu = BorelMeasure(atoms, 2)
+    u = SubharmonicFn(None, nu)
+    U = DeltaSubharmonicFn(u, SubharmonicFn(None, BorelMeasure((), 2)))
     r = 2.5
     mean = spherical_mean(U, r).value
     jensen = u.values((0.0, 0.0))[0] + integrated_counting_result(nu, 0.0, r).value
@@ -93,8 +93,8 @@ def test_spherical_mean_jensen_from_counting():
 
 def test_spherical_mean_3d_newtonian():
     atom = Atom((0.4, 0.0, 0.3), 1.0)
-    u = SubharmonicFn(3, None, BorelMeasure((atom,), 3))
-    U = DeltaSubharmonicFn(u, SubharmonicFn(3, None, BorelMeasure((), 3)))
+    u = SubharmonicFn(None, BorelMeasure((atom,), 3))
+    U = DeltaSubharmonicFn(u, SubharmonicFn(None, BorelMeasure((), 3)))
     r = 2.0
     # Newtonian mean value: mean of k(|x-a|) = k(max(r, |a|)) = -1/r here
     assert spherical_mean(U, r).value == pytest.approx(-1.0 / r, abs=1e-8)
@@ -131,7 +131,7 @@ def test_nevanlinna_N_anchors():
     g = _mero(poles=[(1 + 0j, 1)])
     assert nevanlinna_N(g, 2.0).value == pytest.approx(math.log(2.0))
     # cross-check against integrated counting of the pole measure
-    pole_measure = BorelMeasure((Atom((1.0, 0.0), 1.0),))
+    pole_measure = BorelMeasure((Atom((1.0, 0.0), 1.0),), 2)
     assert nevanlinna_N(g, 2.0).value == pytest.approx(
         integrated_counting_result(pole_measure, 0.0, 2.0).value, abs=1e-14)
     entire = _mero(zeros=[(0.5 + 0j, 1)])
@@ -247,9 +247,9 @@ def test_poisson_jensen_privalov_consistency():
     for _ in range(8):
         atoms = tuple(Atom((rng.uniform(-1, 1), rng.uniform(-1, 1)),
                            rng.uniform(0.2, 1.5)) for _ in range(3))
-        nu = BorelMeasure(atoms)
-        v = SubharmonicFn(2, None, nu)
-        V = DeltaSubharmonicFn(v, SubharmonicFn(2, None, BorelMeasure((), 2)))
+        nu = BorelMeasure(atoms, 2)
+        v = SubharmonicFn(None, nu)
+        V = DeltaSubharmonicFn(v, SubharmonicFn(None, BorelMeasure((), 2)))
         r = rng.uniform(1.6, 2.0)
         R = rng.uniform(2.5, 4.0)
         lhs = (spherical_mean(V, R, tol=1e-10).value
@@ -271,9 +271,9 @@ def test_canonical_with_harmonic_negative_part():
 
 
 def test_difference_characteristic_3d():
-    u = SubharmonicFn(3, AffineHarmonic(0.4, (0.1, 0.0, -0.05)),
+    u = SubharmonicFn(AffineHarmonic(0.4, (0.1, 0.0, -0.05)),
                       BorelMeasure((Atom((0.3, 0.2, -0.1), 0.8),), 3))
-    v = SubharmonicFn(3, None, BorelMeasure((Atom((-0.5, 0.1, 0.4), 0.6),), 3))
+    v = SubharmonicFn(None, BorelMeasure((Atom((-0.5, 0.1, 0.4), 0.6),), 3))
     U = DeltaSubharmonicFn(u, v)
     r, R = 1.0, 2.0
     a = difference_characteristic(U, r, R, tol=1e-9)
@@ -306,11 +306,11 @@ def test_cross_form_with_continuous_charges():
     # function and the potential closed forms inside both T_U computations
     from deltasubh.measures import UniformArc, UniformSegment
 
-    u = SubharmonicFn(2, HarmonicPolynomial((0.2 + 0j,)), BorelMeasure((
-        UniformArc((0.1, 0.0), 0.6, 0.0, 2 * math.pi, 1.2),)))
-    v = SubharmonicFn(2, None, BorelMeasure((
+    u = SubharmonicFn(HarmonicPolynomial((0.2 + 0j,)), BorelMeasure((
+        UniformArc((0.1, 0.0), 0.6, 0.0, 2 * math.pi, 1.2),), 2))
+    v = SubharmonicFn(None, BorelMeasure((
         Atom((-0.8, 0.4), 0.7),
-        UniformSegment((0.2, -0.9), (0.7, -0.4), 0.5),)))
+        UniformSegment((0.2, -0.9), (0.7, -0.4), 0.5),), 2))
     U = DeltaSubharmonicFn(u, v)
     r, R = 1.4, 3.0
     a = difference_characteristic(U, r, R, tol=1e-9)
@@ -327,9 +327,9 @@ def test_cross_form_with_continuous_charges():
 def test_higher_dimensions_accepted_but_quadrature_refuses():
     # formula-level support for d > 3; sphere quadrature refuses it
     assert _d_hat(5) == 3
-    u = SubharmonicFn(5, AffineHarmonic(0.1, (0.0,) * 5),
+    u = SubharmonicFn(AffineHarmonic(0.1, (0.0,) * 5),
                       BorelMeasure((Atom((0.2, 0.0, 0.0, 0.0, 0.0), 1.0),), 5))
-    U = DeltaSubharmonicFn(u, SubharmonicFn(5, None, BorelMeasure((), 5)))
+    U = DeltaSubharmonicFn(u, SubharmonicFn(None, BorelMeasure((), 5)))
     with pytest.raises(ValueError):
         spherical_mean(U, 1.0)
     with pytest.raises(ValueError):

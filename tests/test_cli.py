@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from deltasubh.cli import _parse_grid, main
-from deltasubh.lab import Tolerances, generate_scenario
+from deltasubh.lab import DEFAULT_FAMILIES, Scenario, Tolerances, generate_scenario
+from deltasubh.measures import Atom, BorelMeasure
+from deltasubh.potentials import (
+    AffineHarmonic,
+    DeltaSubharmonicFn,
+    HarmonicPolynomial,
+    SubharmonicFn,
+)
 from deltasubh.scenario_io import ScenarioError, parse_scenario, serialize_scenario
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -75,11 +82,23 @@ def test_parse_error_codes():
     assert err.value.code == "DIMENSION"
 
 
-def test_round_trip_scenarios():
-    s = parse_scenario(GOLDEN.read_bytes())
+def _zero_measure_d3() -> Scenario:
+    """A d=3 scenario whose mu is the zero measure, which states its d."""
+    u = SubharmonicFn(AffineHarmonic(0.5, (0.1, 0.0, -0.2)),
+                      BorelMeasure((Atom((0.3, 0.1, 0.2), 1.0),), 3))
+    U = DeltaSubharmonicFn(u, SubharmonicFn(None, BorelMeasure((), 3)))
+    return Scenario("e", U, BorelMeasure((), 3), 1.0, 2.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: parse_scenario(GOLDEN.read_bytes()),
+    *(lambda family=family: generate_scenario(5, 3, family, Tolerances(mean=1e-9))
+      for family in (*DEFAULT_FAMILIES, "charges", "atomic_mu")),
+    _zero_measure_d3,
+], ids=["golden", *DEFAULT_FAMILIES, "charges", "atomic_mu", "zero-mu-d3"])
+def test_round_trip_scenarios(make):
+    s = make()
     assert parse_scenario(serialize_scenario(s)) == s
-    generated = generate_scenario(5, 3, "disk", Tolerances(mean=1e-9))
-    assert parse_scenario(serialize_scenario(generated)) == generated
 
 
 def test_parse_ignores_the_dropped_dini_tolerance():
@@ -251,6 +270,22 @@ def test_non_finite_scenario_numbers_exit_two(tmp_path, capsys, path, value, cod
     assert main(["verify", str(file)]) == 2
     out, err = capsys.readouterr()
     assert f"error: {code}:" in err and out == ""
+
+
+def test_a_d2_affine_part_reads_as_a_polynomial():
+    # d=2 has one harmonic kind: c + g0 x + g1 y is Re(c + (g0 - i g1) z)
+    obj = _every_number_kind()
+    obj["function"] = json.loads(json.dumps(_DELTA_SUBHARMONIC))
+    obj["function"]["v"]["harmonic"]["affine"] = {"constant": 0.3, "gradient": [1.0, -0.5]}
+    s = parse_scenario(obj)
+    assert s.U.v.harmonic == HarmonicPolynomial((0.3, 1.0 + 0.5j))
+    pts = np.array([[0.2, -0.7], [1.5, 0.4]])
+    assert s.U.v.harmonic.values(pts) == pytest.approx(0.3 + pts[:, 0] - 0.5 * pts[:, 1])
+    assert parse_scenario(serialize_scenario(s)) == s
+    obj["function"]["v"]["harmonic"]["affine"]["gradient"] = [1.0, -0.5, 0.0]
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(obj)
+    assert err.value.code == "FUNCTION_SPEC"
 
 
 def test_missing_file_exit_two():

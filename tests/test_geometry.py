@@ -7,7 +7,7 @@ import pytest
 
 from deltasubh.geometry import _d_hat, _distances, _dots, ext_mul, kernel
 from deltasubh.lab import constant_A
-from deltasubh.measures import BorelMeasure, dini_limits_check, modulus_profile
+from deltasubh.measures import BorelMeasure
 
 INF = math.inf
 
@@ -20,11 +20,10 @@ def test_dimension_constants_closed_forms():
 
 
 def test_dimension_validation():
-    # every formula that takes a bare d checks it is an integer >= 2
-    profile = modulus_profile(BorelMeasure(()), [0.5])
+    # every formula or constructor that takes a bare d checks it is an integer >= 2
     for d in (1, 0, 2.0, "2"):
         for formula in (lambda: _d_hat(d), lambda: kernel(d, 1.0),
-                        lambda: constant_A(d, 1.0, 2.0), lambda: dini_limits_check(profile, d)):
+                        lambda: constant_A(d, 1.0, 2.0), lambda: BorelMeasure((), d)):
             with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
                 formula()
 

@@ -64,7 +64,7 @@ def test_golden_scenario_f_z_circle_measure():
     # f(z) = z, mu = unit arclength-normalized full circle on |z| = 2,
     # (r, R) = (2, 4), r0 = 0: LHS = ln 2 by Jensen on ln^+
     f = _mero(zeros=[(0j, 1)])
-    mu = BorelMeasure((UniformArc((0.0, 0.0), 2.0, 0.0, 2 * math.pi, 1.0),))
+    mu = BorelMeasure((UniformArc((0.0, 0.0), 2.0, 0.0, 2 * math.pi, 1.0),), 2)
     s = _scenario(f, mu, 2.0, 4.0, r0=0.0)
     rep = verify_main_theorem(s)
     assert rep.verdict == "pass"
@@ -78,7 +78,7 @@ def test_golden_scenario_f_z_circle_measure():
 def test_negative_function_gives_zero_lhs():
     # |f| = |z|/10 <= 1 on the support: U^+ = 0 there, RHS >= 0
     f = _mero(zeros=[(0j, 1)], unit=0.1)
-    mu = BorelMeasure((UniformSegment((-0.5, 0.0), (0.5, 0.0), 1.0),))
+    mu = BorelMeasure((UniformSegment((-0.5, 0.0), (0.5, 0.0), 1.0),), 2)
     s = _scenario(f, mu, 1.0, 3.0)
     rep = verify_main_theorem(s)
     assert rep.lhs == pytest.approx(0.0, abs=1e-10)
@@ -97,7 +97,7 @@ def test_zero_measure_passes_with_zero_rhs():
 
 def test_atomic_measure_precondition_failed():
     f = _mero(zeros=[(0j, 1)])
-    mu = BorelMeasure((Atom((0.5, 0.0), 1.0),))
+    mu = BorelMeasure((Atom((0.5, 0.0), 1.0),), 2)
     s = _scenario(f, mu, 1.0, 2.0)
     rep = verify_main_theorem(s)
     assert rep.verdict == "precondition-failed"
@@ -107,7 +107,7 @@ def test_atomic_measure_precondition_failed():
 def test_vacuous_when_growth_infinite():
     # pole at the origin and r0 = 0: T_U(0, R) = +inf, mu nonzero
     f = _mero(poles=[(0j, 1)])
-    mu = BorelMeasure((UniformSegment((0.3, 0.0), (0.9, 0.0), 1.0),))
+    mu = BorelMeasure((UniformSegment((0.3, 0.0), (0.9, 0.0), 1.0),), 2)
     s = _scenario(f, mu, 1.0, 2.0, r0=0.0)
     rep = verify_main_theorem(s)
     assert rep.verdict == "vacuous"
@@ -120,7 +120,7 @@ def test_lhs_segment_integral_oracle():
     f = _mero(zeros=[(0.2 + 0.4j, 1)], poles=[(-0.8 + 0.1j, 1)], unit=2.0)
     U = f.to_delta_subharmonic()
     seg = UniformSegment((-0.6, -0.2), (0.7, 0.5), 1.3)
-    mu = BorelMeasure((seg,))
+    mu = BorelMeasure((seg,), 2)
     res = positive_part_integral(U, mu, tol=1e-9)
     s = np.linspace(0.0, 1.0, 2_000_001)
     pts = np.asarray(seg.start)[None, :] + s[:, None] * (
@@ -138,8 +138,8 @@ def test_positive_part_integral_takes_every_atom_from_one_call(monkeypatch):
     U = f.to_delta_subharmonic()
     seg = UniformSegment((-0.9, -0.4), (0.8, 0.5), 0.7)
     first, *rest = (Atom((0.6, -0.3), 0.4), Atom((0.3, 0.2), 0.9), Atom((-0.2, 0.7), 0.3))
-    mu = BorelMeasure((first, seg, *rest))
-    along = positive_part_integral(U, BorelMeasure((seg,)), 1e-9).value
+    mu = BorelMeasure((first, seg, *rest), 2)
+    along = positive_part_integral(U, BorelMeasure((seg,), 2), 1e-9).value
     calls = []
     positive_values = DeltaSubharmonicFn.positive_values
 
@@ -165,7 +165,7 @@ def test_lhs_disk_integral_oracle():
     f = _mero(zeros=[(1.2 + 0.3j, 1)], poles=[(0.1 - 1.1j, 1)], unit=1.5)
     U = f.to_delta_subharmonic()
     disk = UniformBall((0.1, 0.0), 0.6, 2.0)
-    mu = BorelMeasure((disk,))
+    mu = BorelMeasure((disk,), 2)
     res = positive_part_integral(U, mu, tol=1e-8)
     n = 1500
     qs = (np.arange(n) + 0.5) / n * disk.radius
@@ -183,7 +183,7 @@ def test_segment_through_pole_scenario():
     # passes through the pole at 1), (r, R) = (2, 5).  Closed-form LHS:
     # (1/2) int_0^2 ln^+ (x/|x-1|) dx = 1.5 ln 2.
     f = _mero(zeros=[(0j, 1)], poles=[(1 + 0j, 1)])
-    mu = BorelMeasure((UniformSegment((0.0, 0.0), (2.0, 0.0), 1.0),))
+    mu = BorelMeasure((UniformSegment((0.0, 0.0), (2.0, 0.0), 1.0),), 2)
     s = _scenario(f, mu, 2.0, 5.0)
     rep, = run_checks(s, ("UR2f",))
     assert rep.verdict == "pass"
@@ -197,7 +197,7 @@ def test_segment_through_pole_scenario():
 def test_constant_function_small_modulus():
     # |c| <= 1: ln^+|c| = 0 everywhere, LHS = 0
     f = _mero(unit=0.7)
-    mu = BorelMeasure((UniformBall((0.0, 0.0), 0.5, 1.0),))
+    mu = BorelMeasure((UniformBall((0.0, 0.0), 0.5, 1.0),), 2)
     s = _scenario(f, mu, 1.0, 2.0)
     rep = verify_main_theorem(s)
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
@@ -275,7 +275,7 @@ def test_r0_replacement_monotone_rhs():
     # RHS never decreases when r is replaced by a smaller r0 (T_U decreasing
     # in its first argument)
     f = _mero(zeros=[(0.4 + 0.2j, 1)], poles=[(1.2 - 0.5j, 1)])
-    mu = BorelMeasure((UniformSegment((-0.4, 0.1), (0.5, 0.3), 1.0),))
+    mu = BorelMeasure((UniformSegment((-0.4, 0.1), (0.5, 0.3), 1.0),), 2)
     rhs_values = []
     for r0 in (1.0, 0.7, 0.4, 0.1, 0.0):
         s = _scenario(f, mu, 1.0, 2.5, r0=r0)
@@ -287,7 +287,7 @@ def test_r0_replacement_monotone_rhs():
 
 def test_ur2fr_requires_precondition():
     f = _mero(poles=[(0j, 1)])
-    mu = BorelMeasure((UniformSegment((0.2, 0.0), (0.4, 0.0), 1.0),))
+    mu = BorelMeasure((UniformSegment((0.2, 0.0), (0.4, 0.0), 1.0),), 2)
     s = _scenario(f, mu, 0.5, 2.0)  # r < 1 and pole at origin
     rep, = run_checks(s, ("UR2fr",))
     assert rep.verdict == "precondition-failed"
@@ -378,7 +378,7 @@ def test_pointwise_bound_row_carries_its_budget_and_is_inconclusive_inside_it(mo
 
 
 def test_counting_lemma_anchors_and_zero():
-    delta = BorelMeasure((Atom((0.0, 0.0), 1.0),))
+    delta = BorelMeasure((Atom((0.0, 0.0), 1.0),), 2)
     rep = verify_counting_lemma(delta, 1.0, 2.0)
     assert rep.lhs == 1.0
     assert rep.rhs == pytest.approx(2.0 * math.log(2.0))
@@ -433,9 +433,9 @@ def test_corpus_determinism_in_memory():
 
 def test_d3_ball_scenario_main_theorem():
     # d=3: affine harmonic + atomic charges, ball measure
-    u = SubharmonicFn(3, AffineHarmonic(0.8, (0.1, -0.05, 0.2)),
+    u = SubharmonicFn(AffineHarmonic(0.8, (0.1, -0.05, 0.2)),
                       BorelMeasure((Atom((0.5, 0.3, -0.2), 0.6),), 3))
-    v = SubharmonicFn(3, None, BorelMeasure((Atom((-0.7, 0.2, 0.5), 0.4),), 3))
+    v = SubharmonicFn(None, BorelMeasure((Atom((-0.7, 0.2, 0.5), 0.4),), 3))
     U = DeltaSubharmonicFn(u, v)
     mu = BorelMeasure((UniformBall((0.1, 0.0, 0.0), 0.5, 1.0),), 3)
     s = Scenario("d3", U, mu, 1.0, 2.2, tolerances=Tolerances(mean=1e-7))
@@ -494,12 +494,12 @@ def test_pointwise_bound_integrates_below_main_rhs():
 
 def test_scenario_validation():
     f = _mero(zeros=[(0j, 1)])
-    mu = BorelMeasure((Atom((0.5, 0.0), 1.0),))
+    mu = BorelMeasure((Atom((0.5, 0.0), 1.0),), 2)
     with pytest.raises(ValueError):
         Scenario("bad", f.to_delta_subharmonic(), mu, 2.0, 1.0, f=f)
     with pytest.raises(ValueError):
         Scenario("bad", f.to_delta_subharmonic(), mu, 1.0, 2.0, f=f, r0=1.5)
-    big = BorelMeasure((Atom((5.0, 0.0), 1.0),))
+    big = BorelMeasure((Atom((5.0, 0.0), 1.0),), 2)
     with pytest.raises(ValueError):
         Scenario("bad", f.to_delta_subharmonic(), big, 1.0, 2.0, f=f)
 
@@ -507,7 +507,15 @@ def test_scenario_validation():
 def test_scenario_rejects_a_measure_of_another_dimension():
     s = generate_scenario(42, 2, "disk")
     with pytest.raises(ValueError, match="dimension"):
-        dataclasses.replace(s, mu=BorelMeasure((UniformBall((0.0, 0.0, 0.0), 0.3, 1.0),)))
+        dataclasses.replace(s, mu=BorelMeasure((UniformBall((0.0, 0.0, 0.0), 0.3, 1.0),), 3))
+    # the zero measure states its dimension too
+    with pytest.raises(ValueError, match="dimension 2, got 3"):
+        dataclasses.replace(s, mu=BorelMeasure((), 3))
+    U3 = DeltaSubharmonicFn(SubharmonicFn(None, BorelMeasure((Atom((0.3, 0.1, 0.2), 1.0),), 3)),
+                            SubharmonicFn(None, BorelMeasure((), 3)))
+    Scenario("e", U3, BorelMeasure((), 3), 1.0, 2.0)
+    with pytest.raises(ValueError, match="dimension 3, got 2"):
+        Scenario("e", U3, BorelMeasure((), 2), 1.0, 2.0)
 
 
 def test_scenario_rejects_an_f_that_U_is_not_log_of():
@@ -592,9 +600,9 @@ def test_ball_integral_does_not_depend_on_the_block_size(monkeypatch, d, blocks)
         U = MeromorphicFn(((1.5 + 0.2j, 1),), ((-1.4 + 0j, 1),), 4.0).to_delta_subharmonic()
         ball = UniformBall((0.1, 0.0), 0.5, 1.0)
     else:
-        u = SubharmonicFn(3, AffineHarmonic(0.8, (0.1, -0.05, 0.2)),
+        u = SubharmonicFn(AffineHarmonic(0.8, (0.1, -0.05, 0.2)),
                           BorelMeasure((Atom((1.5, 0.3, -0.2), 0.6),), 3))
-        v = SubharmonicFn(3, None, BorelMeasure((Atom((-1.7, 0.2, 0.5), 0.4),), 3))
+        v = SubharmonicFn(None, BorelMeasure((Atom((-1.7, 0.2, 0.5), 0.4),), 3))
         U, ball = DeltaSubharmonicFn(u, v), UniformBall((0.1, 0.0, 0.0), 0.5, 1.0)
     want = lab._ball_integral(U, ball, 1e-6)
     assert want.nodes_used == (5_120 if d == 2 else 245_760)

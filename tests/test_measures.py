@@ -35,17 +35,17 @@ from deltasubh.quadrature import QuadratureBudgetError
 
 
 def test_radial_counting_atom_anchors():
-    mu = BorelMeasure((Atom((0.0, 0.0), 1.0),))
+    mu = BorelMeasure((Atom((0.0, 0.0), 1.0),), 2)
     assert radial_counting(mu, (0.0, 0.0), 0.0) == 1.0  # closed ball holds its center
-    two = BorelMeasure((Atom((0.0, 0.0), 1.0), Atom((1.0, 0.0), 1.0)))
+    two = BorelMeasure((Atom((0.0, 0.0), 1.0), Atom((1.0, 0.0), 1.0)), 2)
     # both atoms at distance exactly 0.5 from (0.5, 0): closed balls include them
     assert radial_counting(two, (0.5, 0.0), 0.5) == 2.0
     assert radial_counting(two, (0.5, 0.0), 0.4999999) == 0.0
 
 
 def test_radial_counting_rejects_a_negative_radius():
-    disk = BorelMeasure((UniformBall((0.0, 0.0), 1.0, 1.0),))
-    seg = BorelMeasure((UniformSegment((-1.0, 0.0), (1.0, 0.0), 1.0),))
+    disk = BorelMeasure((UniformBall((0.0, 0.0), 1.0, 1.0),), 2)
+    seg = BorelMeasure((UniformSegment((-1.0, 0.0), (1.0, 0.0), 1.0),), 2)
     # a guard of t < 0 alone would let a nan radius through, to return nan
     for mu in (disk, seg):
         for t in (-0.5, np.array([-0.5, 0.5]), math.nan, np.array([0.5, math.nan])):
@@ -64,14 +64,9 @@ def test_radial_counting_rejects_a_negative_radius():
     lambda x: UniformBall((x, 0.0), 1.0, 1.0),
     lambda x: UniformBall((0.0, 0.0), x, 1.0),
     lambda x: UniformBall((0.0, 0.0), 1.0, x),
-    lambda x: BorelMeasure((UniformBall((0.1, 0.0), 0.3, 1.0),
-                            UniformBall((-0.4, 0.0), 0.2, 0.5)), 2, support_radius=x),
 ], ids=["atom-point", "atom-weight", "segment-end", "segment-weight", "arc-center",
-        "arc-radius", "arc-weight", "ball-center", "ball-radius", "ball-weight",
-        "support-radius"])
+        "arc-radius", "arc-weight", "ball-center", "ball-radius", "ball-weight"])
 def test_measures_reject_non_finite_numbers(make):
-    # with a nan support radius the bracket's root cell is nan: h_mu(0.2) of
-    # the two disks would read 0.4444 flagged exact, where it is 0.5
     make(1.0)  # finite, accepted
     for x in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
@@ -79,7 +74,7 @@ def test_measures_reject_non_finite_numbers(make):
 
 
 def test_radial_counting_segment_proportional():
-    seg = BorelMeasure((UniformSegment((0.0, 0.0), (1.0, 0.0), 1.0),))
+    seg = BorelMeasure((UniformSegment((0.0, 0.0), (1.0, 0.0), 1.0),), 2)
     assert radial_counting(seg, (0.0, 0.0), 0.25) == pytest.approx(0.25)
     assert radial_counting(seg, (0.5, 0.0), 0.25) == pytest.approx(0.5)
     assert radial_counting(seg, (0.5, 0.0), 2.0) == pytest.approx(1.0)
@@ -211,7 +206,7 @@ def test_radial_counting_monotone_right_continuous():
         UniformSegment((-0.5, 0.0), (0.5, 0.3), 1.1),
         UniformArc((0.0, 0.0), 0.8, 0.5, 3.5, 0.9),
         UniformBall((0.2, 0.2), 0.4, 1.3),
-    ))
+    ), 2)
     y = (0.1, 0.05)
     ts = np.sort(np.array([rng.uniform(0, 2.5) for _ in range(200)]))
     vals = radial_counting(mu, y, ts)
@@ -229,7 +224,7 @@ def test_radial_counting_monotone_right_continuous():
 
 
 def test_modulus_two_atoms_anchors():
-    mu = BorelMeasure((Atom((0.0, 0.0), 1.0), Atom((1.0, 0.0), 1.0)))
+    mu = BorelMeasure((Atom((0.0, 0.0), 1.0), Atom((1.0, 0.0), 1.0)), 2)
     # no disk of radius 0.4 covers both; the midpoint covers both at 0.5
     assert modulus_of_continuity(mu, 0.4) == pytest.approx(1.0)
     assert modulus_of_continuity(mu, 0.5) == pytest.approx(2.0)
@@ -240,7 +235,7 @@ def test_modulus_saturation():
     rng = random.Random(16)
     comps = tuple(Atom((rng.uniform(-1, 1), rng.uniform(-1, 1)),
                        rng.uniform(0.1, 1.0)) for _ in range(6))
-    mu = BorelMeasure(comps)
+    mu = BorelMeasure(comps, 2)
     big = 2.0 * mu.support_radius
     assert modulus_of_continuity(mu, big) == pytest.approx(mu.mass)
 
@@ -274,7 +269,7 @@ def test_modulus_atomic_exact_vs_brute_force():
         n = rng.randint(2, 8)
         comps = tuple(Atom((rng.uniform(0, 0.4), rng.uniform(0, 0.4)),
                            rng.uniform(0.2, 1.0)) for _ in range(n))
-        mu = BorelMeasure(comps)
+        mu = BorelMeasure(comps, 2)
         t = rng.uniform(0.03, 0.25)
         exact = modulus_of_continuity(mu, t)
         brute = _brute_force_h_2d(mu, t)
@@ -293,19 +288,19 @@ def test_segment_modulus_never_exceeds_its_weight():
 
 def test_modulus_single_components_exact():
     # segment: h(t) = W min(2t, L) / L
-    seg = BorelMeasure((UniformSegment((0.0, 0.0), (2.0, 0.0), 3.0),))
+    seg = BorelMeasure((UniformSegment((0.0, 0.0), (2.0, 0.0), 3.0),), 2)
     assert modulus_of_continuity(seg, 0.5) == pytest.approx(3.0 * 1.0 / 2.0)
     assert modulus_of_continuity(seg, 2.0) == pytest.approx(3.0)
     # full circle: h(t) = W arcsin(t/rho) / pi for t < rho, W at t >= rho
-    circ = BorelMeasure((UniformArc((0.0, 0.0), 1.0, 0.0, 2 * math.pi, 2.0),))
+    circ = BorelMeasure((UniformArc((0.0, 0.0), 1.0, 0.0, 2 * math.pi, 2.0),), 2)
     assert modulus_of_continuity(circ, 0.5) == pytest.approx(
         2.0 * 2.0 * math.asin(0.5) / (2 * math.pi))
     assert modulus_of_continuity(circ, 1.0) == pytest.approx(2.0)
     # disk: h(t) = W (t/rho)^2
-    disk = BorelMeasure((UniformBall((0.0, 0.0), 2.0, 5.0),))
+    disk = BorelMeasure((UniformBall((0.0, 0.0), 2.0, 5.0),), 2)
     assert modulus_of_continuity(disk, 1.0) == pytest.approx(5.0 * 0.25)
     # 3-d ball: h(t) = W (t/rho)^3
-    ball = BorelMeasure((UniformBall((0.0, 0.0, 0.0), 2.0, 5.0),))
+    ball = BorelMeasure((UniformBall((0.0, 0.0, 0.0), 2.0, 5.0),), 3)
     assert modulus_of_continuity(ball, 1.0) == pytest.approx(5.0 * 0.125)
 
 
@@ -317,7 +312,7 @@ def test_modulus_exact_values_match_search_lower_bound():
         (UniformArc((0.1, -0.2), 0.9, 0.3, 2.1, 2.0),),
         (UniformBall((0.2, 0.0), 0.6, 1.0),),
     ]:
-        mu = BorelMeasure(comps)
+        mu = BorelMeasure(comps, 2)
         for _ in range(5):
             t = rng.uniform(0.05, 1.2)
             exact = modulus_of_continuity_exact(mu, t)
@@ -329,9 +324,9 @@ def test_modulus_exact_values_match_search_lower_bound():
 def test_modulus_translation_invariance():
     rng = random.Random(19)
     points, weights = ((0.1, 0.2), (-0.3, 0.4), (0.2, -0.2)), (0.5, 1.5, 0.7)
-    mu = BorelMeasure(tuple(Atom(p, w) for p, w in zip(points, weights)))
+    mu = BorelMeasure(tuple(Atom(p, w) for p, w in zip(points, weights)), 2)
     shifted = BorelMeasure(tuple(Atom((x + 3.7, y - 1.2), w)
-                                 for (x, y), w in zip(points, weights)))
+                                 for (x, y), w in zip(points, weights)), 2)
     for _ in range(10):
         t = rng.uniform(0.0, 1.0)
         assert modulus_of_continuity(mu, t) == pytest.approx(
@@ -340,7 +335,7 @@ def test_modulus_translation_invariance():
 
 def test_modulus_upper_bound_dominates():
     mu = BorelMeasure((UniformBall((0.0, 0.0), 0.5, 1.0),
-                       UniformBall((1.5, 0.0), 0.5, 1.0)))
+                       UniformBall((1.5, 0.0), 0.5, 1.0)), 2)
     radii = (0.1, 0.3, 0.6, 1.0, 3.0)
     upper = modulus_profile(mu, radii, "upper")
     for t, bound in zip(radii, upper.values):
@@ -351,20 +346,20 @@ def test_modulus_upper_bound_dominates():
 @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
 def test_modulus_monotone_property(t1, t2):
     mu = BorelMeasure((Atom((0.0, 0.0), 1.0), Atom((0.6, 0.1), 0.5),
-                       Atom((0.2, 0.5), 0.25)))
+                       Atom((0.2, 0.5), 0.25)), 2)
     lo, hi = min(t1, t2), max(t1, t2)
     assert modulus_of_continuity(mu, lo) <= modulus_of_continuity(mu, hi) + 1e-12
 
 
 def test_modulus_profile_flags_and_bounds():
-    mu = BorelMeasure((UniformSegment((0.0, 0.0), (1.0, 0.0), 1.0),))
+    mu = BorelMeasure((UniformSegment((0.0, 0.0), (1.0, 0.0), 1.0),), 2)
     grid = [0.1, 0.2, 0.4, 0.8, 1.6]
     prof = modulus_profile(mu, grid)
     assert all(flag == "exact" for flag in prof.flags)
     assert all(v <= prof.mass + 1e-12 for v in prof.values)
     assert all(b >= a for a, b in zip(prof.values, prof.values[1:]))
     mixed = BorelMeasure((UniformBall((0.0, 0.0), 0.3, 1.0),
-                          UniformBall((0.8, 0.0), 0.2, 0.5)))
+                          UniformBall((0.8, 0.0), 0.2, 0.5)), 2)
     prof_up = modulus_profile(mixed, grid, method="upper")
     assert "upper-bound" in prof_up.flags
     prof_lo = modulus_profile(mixed, grid)
@@ -396,24 +391,24 @@ OPEN_DISK_UNION = BorelMeasure((
     UniformBall((0.2366174293171714, 0.12705869771565573), 0.24798861235982123,
                 0.8503140488211554),
     UniformBall((0.021338951871140783, -0.5453910081386381), 0.10212866814013223,
-                0.7100416173489872)))
+                0.7100416173489872)), 2)
 OPEN_DISK_UNION_T = 0.4608275374353696
 # the best ball straddles the two balls, and d=3 balls have no second-order
 # term, so the bracket stays open
 TWO_BALLS_3D = BorelMeasure((UniformBall((0.0, 0.0, 0.0), 0.4, 1.0),
-                             UniformBall((0.7, 0.1, 0.0), 0.3, 0.8)))
+                             UniformBall((0.7, 0.1, 0.0), 0.3, 0.8)), 3)
 
 PIN_3D_MEASURE = BorelMeasure((
     UniformBall((0.2, -0.3, 0.1), 0.6, 0.7),
     UniformSegment((-0.8, 0.2, 0.0), (0.3, 0.9, -0.5), 0.5),
-    Atom((0.5, 0.5, 0.5), 0.2)))
+    Atom((0.5, 0.5, 0.5), 0.2)), 3)
 
 
 @pytest.mark.parametrize("mu, t, n", [
     # disk union of sweep seed 13, k 55: the best ball holds two whole disks
     (BorelMeasure((UniformBall((0.5036, -0.8712), 0.1599, 0.8255),
                    UniformBall((1.0401, -0.0574), 0.0876, 0.9038),
-                   UniformBall((-0.5419, 0.1612), 0.2988, 0.4945))), 0.69, 601),
+                   UniformBall((-0.5419, 0.1612), 0.2988, 0.4945)), 2), 0.69, 601),
     # the first 2-d case the first-order cover left open
     (OPEN_DISK_UNION, OPEN_DISK_UNION_T, 601),
     (TWO_BALLS_3D, 0.45, 81),
@@ -533,7 +528,7 @@ def test_lens_area_equals_the_nested_where_expression_bit_for_bit():
 
 def test_modulus_rejects_a_nan_radius_and_an_unknown_method():
     # a nan radius gave h = 0 flagged exact, and an unknown method ran auto
-    mu = BorelMeasure((UniformBall((0.0, 0.0), 0.3, 1.0), UniformBall((0.8, 0.0), 0.2, 0.5)))
+    mu = BorelMeasure((UniformBall((0.0, 0.0), 0.3, 1.0), UniformBall((0.8, 0.0), 0.2, 0.5)), 2)
     with pytest.raises(ValueError, match="t must be >= 0"):
         modulus_profile(mu, [math.nan])
     with pytest.raises(ValueError, match="method"):
@@ -611,23 +606,23 @@ def test_import_and_an_arc_corpus_run_load_no_scipy():
 
 
 def test_integrated_counting_anchors():
-    one_atom = BorelMeasure((Atom((0.0, 0.0), 1.0),))
+    one_atom = BorelMeasure((Atom((0.0, 0.0), 1.0),), 2)
     assert integrated_counting_result(one_atom, 1.0, math.e).value == pytest.approx(1.0)
-    off = BorelMeasure((Atom((0.5, 0.0), 1.0),))
+    off = BorelMeasure((Atom((0.5, 0.0), 1.0),), 2)
     assert integrated_counting_result(off, 1.0, 2.0).value == pytest.approx(math.log(2.0))
-    atom3 = BorelMeasure((Atom((0.0, 0.0, 0.0), 1.0),))
+    atom3 = BorelMeasure((Atom((0.0, 0.0, 0.0), 1.0),), 3)
     assert integrated_counting_result(atom3, 1.0, 2.0).value == pytest.approx(0.5)
 
 
 def test_integrated_counting_r_zero_divergence():
-    atom_at_0 = BorelMeasure((Atom((0.0, 0.0), 1.0),))
+    atom_at_0 = BorelMeasure((Atom((0.0, 0.0), 1.0),), 2)
     assert integrated_counting_result(atom_at_0, 0.0, 1.0).value == math.inf
     # segment through the center: integrable in d=2
-    seg = BorelMeasure((UniformSegment((-0.5, 0.0), (0.5, 0.0), 1.0),))
+    seg = BorelMeasure((UniformSegment((-0.5, 0.0), (0.5, 0.0), 1.0),), 2)
     val = integrated_counting_result(seg, 0.0, 1.0).value
     assert math.isfinite(val)
     # same geometry in d=3 diverges (integrand ~ c/t)
-    seg3 = BorelMeasure((UniformSegment((-0.5, 0.0, 0.0), (0.5, 0.0, 0.0), 1.0),))
+    seg3 = BorelMeasure((UniformSegment((-0.5, 0.0, 0.0), (0.5, 0.0, 0.0), 1.0),), 3)
     assert integrated_counting_result(seg3, 0.0, 1.0).value == math.inf
 
 
@@ -639,7 +634,7 @@ def test_integrated_counting_segments_through_the_origin_d2():
         u = (math.cos(theta), math.sin(theta))
         a, b = rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)
         seg = UniformSegment((-a * u[0], -a * u[1]), (b * u[0], b * u[1]), 1.0)
-        value = integrated_counting_result(BorelMeasure((seg,)), 0.0, 2.0).value
+        value = integrated_counting_result(BorelMeasure((seg,), 2), 0.0, 2.0).value
         exact = (a + a * math.log(2.0 / a) + b + b * math.log(2.0 / b)) / (a + b)
         assert math.isfinite(value)
         assert abs(value - exact) <= 1e-10
@@ -652,7 +647,7 @@ def test_integrated_counting_circles_through_the_origin_d2():
         rho, ang = rng.uniform(0.1, 1.0), rng.uniform(0.0, 2.0 * math.pi)
         circle = UniformArc((rho * math.cos(ang), rho * math.sin(ang)), rho,
                             0.0, 2.0 * math.pi, 1.0)
-        value = integrated_counting_result(BorelMeasure((circle,)), 0.0, 2.0).value
+        value = integrated_counting_result(BorelMeasure((circle,), 2), 0.0, 2.0).value
         assert abs(value - math.log(2.0 / rho)) <= 1e-10
 
 
@@ -675,7 +670,7 @@ def test_integrated_counting_d3_segment_through_the_origin_spends_no_node(monkey
         a, b = rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)
         segments.append(UniformSegment(tuple(-a * u), tuple(b * u), 1.0))
     for seg in segments:
-        res = integrated_counting_result(BorelMeasure((seg,)), 0.0, 2.0)
+        res = integrated_counting_result(BorelMeasure((seg,), 3), 0.0, 2.0)
         assert res.value == math.inf and res.nodes_used == 0
     assert calls == []
 
@@ -689,7 +684,7 @@ def test_integrated_counting_d3_segment_near_the_origin_is_finite():
     # N_mu(0, 2) = ln((1 + T) / delta) - 1/2, about ln(1 / delta)
     delta = 1e-10
     seg = UniformSegment((-1.0, delta, 0.0), (1.0, delta, 0.0), 1.0)
-    res = integrated_counting_result(BorelMeasure((seg,)), 0.0, 2.0)
+    res = integrated_counting_result(BorelMeasure((seg,), 3), 0.0, 2.0)
     exact = math.log((1.0 + math.sqrt(1.0 + delta * delta)) / delta) - 0.5
     assert abs(res.value - exact) <= max(res.error_estimate, 1e-12 * exact)
 
@@ -781,11 +776,11 @@ def test_segment_feet_and_distance_of_many_points_equal_one_point_calls(d):
 
 
 def test_integrated_counting_segment_quadrature_matches_oracle():
-    seg = BorelMeasure((UniformSegment((-0.5, 0.0), (0.5, 0.0), 1.0),))
+    seg = BorelMeasure((UniformSegment((-0.5, 0.0), (0.5, 0.0), 1.0),), 2)
     res = integrated_counting_result(seg, 0.25, 2.0)
     # oracle: fine composite trapezoid on the closed-form counting function
     ts = np.linspace(0.25, 2.0, 400_001)
-    vals = seg.radial_counting((0.0, 0.0), ts) / ts
+    vals = radial_counting(seg, (0.0, 0.0), ts) / ts
     oracle = float(np.trapezoid(vals, ts))
     assert res.value == pytest.approx(oracle, abs=5e-8)
 
@@ -793,14 +788,14 @@ def test_integrated_counting_segment_quadrature_matches_oracle():
 def test_integrated_counting_additivity_exact():
     rng = random.Random(21)
     a = BorelMeasure(tuple(Atom((rng.uniform(-2, 2), rng.uniform(-2, 2)),
-                                rng.uniform(0.1, 1.0)) for _ in range(5)))
+                                rng.uniform(0.1, 1.0)) for _ in range(5)), 2)
     b = BorelMeasure(tuple(Atom((rng.uniform(-2, 2), rng.uniform(-2, 2)),
-                                rng.uniform(0.1, 1.0)) for _ in range(4)))
+                                rng.uniform(0.1, 1.0)) for _ in range(4)), 2)
 
     def N(mu, r, R):
         return integrated_counting_result(mu, r, R).value
 
-    lhs = N(BorelMeasure(a.components + b.components), 0.5, 3.0)
+    lhs = N(BorelMeasure(a.components + b.components, 2), 0.5, 3.0)
     rhs = N(a, 0.5, 3.0) + N(b, 0.5, 3.0)
     assert lhs == pytest.approx(rhs, abs=1e-14)
 
@@ -808,7 +803,7 @@ def test_integrated_counting_additivity_exact():
 def test_integrated_counting_splitting():
     mu = BorelMeasure((Atom((0.3, 0.1), 0.5),
                        UniformSegment((-0.5, -0.2), (0.8, 0.4), 1.0),
-                       UniformBall((0.1, 0.3), 0.4, 0.8)))
+                       UniformBall((0.1, 0.3), 0.4, 0.8)), 2)
     r, s, R = 0.2, 0.9, 2.7
     full = integrated_counting_result(mu, r, R).value
     split = (integrated_counting_result(mu, r, s).value
@@ -866,7 +861,7 @@ def _arc_cases():
     rho, w = 0.9, 1.3
     for label, W in (("narrow", 1.0), ("half", math.pi), ("wide", 4.0),
                      ("full", 2.0 * math.pi)):
-        mu = BorelMeasure((UniformArc((0.1, -0.2), rho, -0.5, -0.5 + W, w),))
+        mu = BorelMeasure((UniformArc((0.1, -0.2), rho, -0.5, -0.5 + W, w),), 2)
         t_star = rho * math.sin(min(W / 2.0, math.pi / 2.0))
         uppers = {"tiny": 1e-8 * rho, "below": 0.5 * t_star, "at-tstar": t_star,
                   "above": 1.7 * rho}
@@ -884,36 +879,36 @@ def _ef_arc_s0116():
 
 
 DINI_CASES = [
-    pytest.param(BorelMeasure((Atom((0.7, 0.2), 1.0),)), 2, 1.0, id="atom-d2"),
-    pytest.param(BorelMeasure((Atom((0.1, 0.2, -0.3), 0.4),)), 3, 1.0, id="atom-d3"),
-    pytest.param(BorelMeasure((UniformSegment((0.0, 0.0), (0.8, 0.0), 1.5),)), 2, 0.3,
+    pytest.param(BorelMeasure((Atom((0.7, 0.2), 1.0),), 2), 2, 1.0, id="atom-d2"),
+    pytest.param(BorelMeasure((Atom((0.1, 0.2, -0.3), 0.4),), 3), 3, 1.0, id="atom-d3"),
+    pytest.param(BorelMeasure((UniformSegment((0.0, 0.0), (0.8, 0.0), 1.5),), 2), 2, 0.3,
                  id="segment-d2-below"),
-    pytest.param(BorelMeasure((UniformSegment((0.0, 0.0), (0.8, 0.0), 1.5),)), 2, 2.0,
+    pytest.param(BorelMeasure((UniformSegment((0.0, 0.0), (0.8, 0.0), 1.5),), 2), 2, 2.0,
                  id="segment-d2"),
-    pytest.param(BorelMeasure((UniformSegment((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 1.0),)),
+    pytest.param(BorelMeasure((UniformSegment((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 1.0),), 3),
                  3, 1.0, id="segment-d3"),
-    pytest.param(BorelMeasure((UniformBall((0.2, 0.1), 0.7, 0.6),)), 2, 0.5,
+    pytest.param(BorelMeasure((UniformBall((0.2, 0.1), 0.7, 0.6),), 2), 2, 0.5,
                  id="ball-d2-below"),
-    pytest.param(BorelMeasure((UniformBall((0.2, 0.1), 0.7, 0.6),)), 2, 3.1,
+    pytest.param(BorelMeasure((UniformBall((0.2, 0.1), 0.7, 0.6),), 2), 2, 3.1,
                  id="ball-d2"),
-    pytest.param(BorelMeasure((UniformBall((0.0, 0.0, 0.0), 1.0, 1.0),)), 3, 2.0,
+    pytest.param(BorelMeasure((UniformBall((0.0, 0.0, 0.0), 1.0, 1.0),), 3), 3, 2.0,
                  id="ball-d3"),
-    pytest.param(BorelMeasure((UniformBall((0.0, 0.3, 0.0), 0.8, 1.7),)), 3, 0.25,
+    pytest.param(BorelMeasure((UniformBall((0.0, 0.3, 0.0), 0.8, 1.7),), 3), 3, 0.25,
                  id="ball-d3-below"),
     *_arc_cases(),
     pytest.param(BorelMeasure((UniformBall((0.3, 0.2), 0.4, 0.5),
                                UniformBall((-0.5, 0.1), 0.25, 1.1),
-                               UniformBall((0.0, -0.6), 0.6, 0.3))), 2, 0.5,
+                               UniformBall((0.0, -0.6), 0.6, 0.3)), 2), 2, 0.5,
                  id="disk_union"),
     pytest.param(BorelMeasure((UniformBall((0.3, 0.2, 0.0), 0.4, 0.5),
-                               UniformBall((-0.5, 0.1, 0.2), 1.25, 1.1))), 3, 0.9,
+                               UniformBall((-0.5, 0.1, 0.2), 1.25, 1.1)), 3), 3, 0.9,
                  id="ball-union-d3"),
     pytest.param(BorelMeasure((UniformSegment((-0.4, 0.0), (0.4, 0.3), 0.7),
                                UniformArc((0.0, 0.0), 1.0, 0.5, 4.2, 0.9),
-                               UniformBall((0.2, -0.3), 0.3, 0.4))), 2, 1.4,
+                               UniformBall((0.2, -0.3), 0.3, 0.4)), 2), 2, 1.4,
                  id="mixed-d2"),
     pytest.param(BorelMeasure((UniformBall((0.0, 0.0), 0.5, 1.0),
-                               Atom((0.1, 0.1), 0.2))), 2, 2.0, id="ball-and-atom"),
+                               Atom((0.1, 0.1), 0.2)), 2), 2, 2.0, id="ball-and-atom"),
     _ef_arc_s0116(),
 ]
 
@@ -930,33 +925,38 @@ def test_dini_within_its_estimate_of_a_30_digit_reference(mu, d, upper):
 
 
 def test_dini_atom_diverges():
-    mu = BorelMeasure((Atom((0.7, 0.2), 1.0),))
+    mu = BorelMeasure((Atom((0.7, 0.2), 1.0),), 2)
     assert dini_integral_result(mu, 1.0).value == math.inf
 
 
 def test_dini_segment3_diverges():
-    mu = BorelMeasure((UniformSegment((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 1.0),))
+    mu = BorelMeasure((UniformSegment((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 1.0),), 3)
     assert dini_integral_result(mu, 1.0).value == math.inf
 
 
 def test_dini_zero_measure():
-    assert dini_integral_result(BorelMeasure(()), 1.0).value == 0.0
+    assert dini_integral_result(BorelMeasure((), 2), 1.0).value == 0.0
 
 
 def test_dini_limits_check_cases():
     grid = [2.0 ** (-k) for k in range(30, 0, -1)]
-    seg = BorelMeasure((UniformSegment((0.0, 0.0), (1.0, 0.0), 1.0),))
-    rep = dini_limits_check(modulus_profile(seg, grid), 2)
+    seg = BorelMeasure((UniformSegment((0.0, 0.0), (1.0, 0.0), 1.0),), 2)
+    rep = dini_limits_check(modulus_profile(seg, grid))
     assert rep.h_to_zero and rep.hk_to_zero
 
-    atom = BorelMeasure((Atom((0.0, 0.0), 1.0),))
-    rep_atom = dini_limits_check(modulus_profile(atom, grid), 2)
+    atom = BorelMeasure((Atom((0.0, 0.0), 1.0),), 2)
+    rep_atom = dini_limits_check(modulus_profile(atom, grid))
     assert not rep_atom.h_to_zero  # h is identically the weight near 0
 
-    zero = BorelMeasure(())
-    rep_zero = dini_limits_check(modulus_profile(zero, grid), 2)
+    zero = BorelMeasure((), 2)
+    rep_zero = dini_limits_check(modulus_profile(zero, grid))
     assert rep_zero.h_at_min == 0.0 and rep_zero.hk_at_min == 0.0
     assert rep_zero.h_to_zero and rep_zero.hk_to_zero
+
+    # the kernel is the profile's own: h k = t^3 (-1 / t) for a d=3 unit ball
+    ball = BorelMeasure((UniformBall((0.0, 0.0, 0.0), 1.0, 1.0),), 3)
+    rep_ball = dini_limits_check(modulus_profile(ball, grid))
+    assert rep_ball.hk_at_min == pytest.approx(-grid[0] ** 2, rel=1e-12)
 
 
 def test_measure_validation():
@@ -967,6 +967,4 @@ def test_measure_validation():
     with pytest.raises(ValueError):
         UniformArc((0.0, 0.0, 0.0), 1.0, 0.0, 1.0, 1.0)  # d=3 arc
     with pytest.raises(ValueError):
-        BorelMeasure((Atom((0.0, 0.0), 1.0), Atom((0.0, 0.0, 0.0), 1.0)))
-    with pytest.raises(ValueError):
-        BorelMeasure((Atom((3.0, 0.0), 1.0),), support_radius=1.0)
+        BorelMeasure((Atom((0.0, 0.0), 1.0), Atom((0.0, 0.0, 0.0), 1.0)), 2)

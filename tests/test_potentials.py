@@ -41,8 +41,8 @@ def test_evaluate_polar_marker_and_cancellation():
     g = _mero(poles=[(1 + 0j, 1)])
     u = f.to_delta_subharmonic().u
     v = g.to_delta_subharmonic().v
-    U = DeltaSubharmonicFn(SubharmonicFn(2, None, u.riesz),
-                           SubharmonicFn(2, None, v.riesz))
+    U = DeltaSubharmonicFn(SubharmonicFn(None, u.riesz),
+                           SubharmonicFn(None, v.riesz))
     vals, polar = U.values_with_polar(np.array([[1.0, 0.0], [0.3, -0.8]]))
     assert polar.tolist() == [True, False]
     assert math.isnan(vals[0])  # U.values marks a polar point NaN
@@ -59,7 +59,7 @@ def test_positive_part_anchors():
     assert plus[1] == pytest.approx(1.0)
     assert plus[2] == 0.0  # (-inf)^+ = 0
     # the polar marker maps to 0 as well
-    u = SubharmonicFn(2, None, BorelMeasure((Atom((1.0, 0.0), 1.0),)))
+    u = SubharmonicFn(None, BorelMeasure((Atom((1.0, 0.0), 1.0),), 2))
     assert DeltaSubharmonicFn(u, u).positive_values(np.array([[1.0, 0.0]]))[0] == 0.0
 
 
@@ -70,8 +70,8 @@ def test_jordan_decomposition_examples():
     assert [(a.point, a.weight) for a in minus.atoms] == [((1.0, 0.0), 1.0)]
 
     # atom cancellation: 2 delta_0 minus delta_0
-    u = SubharmonicFn(2, None, BorelMeasure((Atom((0.0, 0.0), 2.0),)))
-    v = SubharmonicFn(2, None, BorelMeasure((Atom((0.0, 0.0), 1.0),)))
+    u = SubharmonicFn(None, BorelMeasure((Atom((0.0, 0.0), 2.0),), 2))
+    v = SubharmonicFn(None, BorelMeasure((Atom((0.0, 0.0), 1.0),), 2))
     plus, minus = jordan_decomposition(DeltaSubharmonicFn(u, v))
     assert [(a.point, a.weight) for a in plus.atoms] == [((0.0, 0.0), 1.0)]
     assert minus.mass == 0.0
@@ -99,19 +99,19 @@ def test_jordan_supports_disjoint():
 def test_jordan_identical_continuous_cancel_and_partial_overlap_raises():
     seg = UniformSegment((0.0, 0.0), (1.0, 0.0), 1.0)
     seg_heavier = UniformSegment((0.0, 0.0), (1.0, 0.0), 1.5)
-    u = SubharmonicFn(2, None, BorelMeasure((seg_heavier,)))
-    v = SubharmonicFn(2, None, BorelMeasure((seg,)))
+    u = SubharmonicFn(None, BorelMeasure((seg_heavier,), 2))
+    v = SubharmonicFn(None, BorelMeasure((seg,), 2))
     plus, minus = jordan_decomposition(DeltaSubharmonicFn(u, v))
     assert plus.mass == pytest.approx(0.5)
     assert minus.mass == 0.0
 
     overlapping = UniformSegment((0.5, 0.0), (1.5, 0.0), 1.0)
-    v2 = SubharmonicFn(2, None, BorelMeasure((overlapping,)))
+    v2 = SubharmonicFn(None, BorelMeasure((overlapping,), 2))
     with pytest.raises(UnsupportedModelError):
         jordan_decomposition(DeltaSubharmonicFn(u, v2))
     # disjoint continuous components on both sides are fine
     far = UniformSegment((0.0, 2.0), (1.0, 2.0), 1.0)
-    v3 = SubharmonicFn(2, None, BorelMeasure((far,)))
+    v3 = SubharmonicFn(None, BorelMeasure((far,), 2))
     plus, minus = jordan_decomposition(DeltaSubharmonicFn(u, v3))
     assert plus.mass == pytest.approx(1.5) and minus.mass == pytest.approx(1.0)
 
@@ -119,17 +119,17 @@ def test_jordan_identical_continuous_cancel_and_partial_overlap_raises():
 def test_canonical_representation_examples():
     f = _mero(zeros=[(0j, 1)], poles=[(1 + 0j, 1)])
     U = f.to_delta_subharmonic()
-    u_star, v_star = canonical_representation(U, 3.0)
+    u_star, v_star = canonical_representation(U)
     assert [(a.point, a.weight) for a in u_star.riesz.atoms] == [((0.0, 0.0), 1.0)]
     assert [(a.point, a.weight) for a in v_star.riesz.atoms] == [((1.0, 0.0), 1.0)]
     assert v_star.harmonic is None
 
     # U = (log|z| + Re z) - log|z-1|: harmonic remainder goes to u*
-    u = SubharmonicFn(2, HarmonicPolynomial((0j, 1 + 0j)),
-                      BorelMeasure((Atom((0.0, 0.0), 1.0),)))
-    v = SubharmonicFn(2, None, BorelMeasure((Atom((1.0, 0.0), 1.0),)))
+    u = SubharmonicFn(HarmonicPolynomial((0j, 1 + 0j)),
+                      BorelMeasure((Atom((0.0, 0.0), 1.0),), 2))
+    v = SubharmonicFn(None, BorelMeasure((Atom((1.0, 0.0), 1.0),), 2))
     U2 = DeltaSubharmonicFn(u, v)
-    u_star, v_star = canonical_representation(U2, 2.0)
+    u_star, v_star = canonical_representation(U2)
     rng = random.Random(32)
     X = np.array([(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(20)])
     orig, polar = U2.values_with_polar(X)
@@ -141,7 +141,7 @@ def test_canonical_representation_examples():
 def test_canonical_identity_when_already_canonical():
     f = _mero(zeros=[(0.5 + 0j, 1)], poles=[(-0.5 + 0j, 1)])
     U = f.to_delta_subharmonic()
-    u_star, v_star = canonical_representation(U, 2.0)
+    u_star, v_star = canonical_representation(U)
     assert u_star.riesz == U.u.riesz
     assert v_star.riesz == U.v.riesz
 
@@ -152,8 +152,8 @@ def test_canonical_identity_when_already_canonical():
     lambda x: _mero(unit=complex(x, 0.0)),
     lambda x: _mero(exponent=(0j, complex(0.0, x))),
     lambda x: HarmonicPolynomial((0j, complex(x, 0.0))),
-    lambda x: AffineHarmonic(x, (1.0, 0.0)),
-    lambda x: AffineHarmonic(0.0, (1.0, x)),
+    lambda x: AffineHarmonic(x, (1.0, 0.0, 0.0)),
+    lambda x: AffineHarmonic(0.0, (1.0, x, 0.0)),
 ], ids=["zero", "pole", "unit-factor", "exponent", "poly", "affine-constant",
         "affine-gradient"])
 def test_function_models_reject_non_finite_numbers(make):
@@ -203,7 +203,7 @@ def test_segment_potential_matches_quadrature():
 
 def test_full_circle_potential_mean_value():
     comp = UniformArc((0.3, -0.2), 0.7, 0.0, 2 * math.pi, 1.3)
-    mu = BorelMeasure((comp,))
+    mu = BorelMeasure((comp,), 2)
     inside = np.array([[0.4, -0.1]])
     outside = np.array([[2.0, 1.0]])
     assert potential_values(mu, inside)[0] == pytest.approx(
@@ -215,7 +215,7 @@ def test_full_circle_potential_mean_value():
 
 def test_partial_arc_potential_matches_quadrature():
     comp = UniformArc((0.0, 0.0), 1.0, 0.3, 2.1, 2.0)
-    mu = BorelMeasure((comp,))
+    mu = BorelMeasure((comp,), 2)
     x = np.array([[0.4, -0.7]])
 
     def integrand(theta):
@@ -229,7 +229,7 @@ def test_partial_arc_potential_matches_quadrature():
 
 def test_ball_potential_closed_forms():
     # d=2 disk: W ln q outside, W (ln rho - 1/2 + q^2/(2 rho^2)) inside
-    disk = BorelMeasure((UniformBall((0.0, 0.0), 1.0, 1.0),))
+    disk = BorelMeasure((UniformBall((0.0, 0.0), 1.0, 1.0),), 2)
     pts = np.array([[2.0, 0.0], [0.5, 0.0], [0.0, 0.0], [1.0, 0.0]])
     vals = potential_values(disk, pts)
     assert vals[0] == pytest.approx(math.log(2.0))
@@ -237,7 +237,7 @@ def test_ball_potential_closed_forms():
     assert vals[2] == pytest.approx(-0.5)
     assert vals[3] == pytest.approx(0.0, abs=1e-14)
     # d=3 ball: -W/q outside, -W (3 rho^2 - q^2)/(2 rho^3) inside
-    ball = BorelMeasure((UniformBall((0.0, 0.0, 0.0), 1.0, 1.0),))
+    ball = BorelMeasure((UniformBall((0.0, 0.0, 0.0), 1.0, 1.0),), 3)
     pts3 = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
     vals3 = potential_values(ball, pts3)
     assert vals3[0] == pytest.approx(-0.5)
@@ -248,7 +248,7 @@ def test_ball_potential_closed_forms():
 def test_disk_potential_laplacian_is_density():
     # numerical Laplacian of the d=2 disk potential inside equals
     # 2 pi * density (Riesz normalization 1/(2 pi) Laplacian = density)
-    disk = BorelMeasure((UniformBall((0.0, 0.0), 1.0, 1.0),))
+    disk = BorelMeasure((UniformBall((0.0, 0.0), 1.0, 1.0),), 2)
     h = 1e-4
     x0 = np.array([0.2, -0.1])
     stencil = np.array([x0, x0 + [h, 0], x0 - [h, 0], x0 + [0, h], x0 - [0, h]])
@@ -259,7 +259,7 @@ def test_disk_potential_laplacian_is_density():
 
 
 def test_segment_potential_on_segment_d2_finite_d3_minus_inf():
-    seg2 = BorelMeasure((UniformSegment((-1.0, 0.0), (1.0, 0.0), 1.0),))
+    seg2 = BorelMeasure((UniformSegment((-1.0, 0.0), (1.0, 0.0), 1.0),), 2)
     on = np.array([[0.2, 0.0]])
     assert math.isfinite(potential_values(seg2, on)[0])
     seg3 = BorelMeasure((UniformSegment((-1.0, 0.0, 0.0), (1.0, 0.0, 0.0), 1.0),), 3)
@@ -280,11 +280,11 @@ def test_segment_potential_d3_is_minus_inf_on_a_slanted_segment():
 def test_representation_equivalence_shared_harmonic():
     # (u + h) - (v + h) evaluates identically to u - v off polar sets
     rng = random.Random(35)
-    base_u = SubharmonicFn(2, None, BorelMeasure((Atom((0.2, 0.1), 1.0),)))
-    base_v = SubharmonicFn(2, None, BorelMeasure((Atom((-0.4, 0.3), 0.5),)))
+    base_u = SubharmonicFn(None, BorelMeasure((Atom((0.2, 0.1), 1.0),), 2))
+    base_v = SubharmonicFn(None, BorelMeasure((Atom((-0.4, 0.3), 0.5),), 2))
     h = HarmonicPolynomial((0.3 + 0j, 0.2 - 0.1j, 0.05j))
-    u_shift = SubharmonicFn(2, h, base_u.riesz)
-    v_shift = SubharmonicFn(2, h, base_v.riesz)
+    u_shift = SubharmonicFn(h, base_u.riesz)
+    v_shift = SubharmonicFn(h, base_v.riesz)
     U = DeltaSubharmonicFn(base_u, base_v)
     U_shift = DeltaSubharmonicFn(u_shift, v_shift)
     X = np.array([(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(20)])
@@ -298,6 +298,30 @@ def test_affine_harmonic_d3():
     aff = AffineHarmonic(1.0, (0.5, -0.25, 2.0))
     pts = np.array([[1.0, 2.0, 0.5]])
     assert aff.values(pts)[0] == pytest.approx(1.0 + 0.5 - 0.5 + 1.0)
+
+
+def test_one_harmonic_kind_per_dimension():
+    # a d=2 harmonic part is a polynomial, so a - b never mixes kinds
+    with pytest.raises(ValueError, match="HarmonicPolynomial"):
+        AffineHarmonic(1.0, (0.5, -0.25))
+    a, b = AffineHarmonic(1.0, (0.5, -0.25, 2.0)), AffineHarmonic(0.25, (0.5, 1.0, -3.0))
+    assert a + b == AffineHarmonic(1.25, (1.0, 0.75, -1.0))
+    assert potentials._combine_harmonics(a, b) == AffineHarmonic(0.75, (0.0, -1.25, 5.0))
+    assert potentials._combine_harmonics(None, b) == -b
+    assert potentials._combine_harmonics(a, None) is a
+    assert potentials._combine_harmonics(None, None) is None
+
+
+def test_subharmonic_dimension_is_its_riesz_measures():
+    # the zero measure states its dimension too: a model of another one is rejected
+    assert SubharmonicFn(None, BorelMeasure((), 3)).dim == 3
+    with pytest.raises(ValueError, match="dimension"):
+        SubharmonicFn(AffineHarmonic(0.0, (1.0, 0.0, 0.0)), BorelMeasure((), 2))
+    with pytest.raises(ValueError, match="dimension"):
+        SubharmonicFn(HarmonicPolynomial((1.0,)), BorelMeasure((), 3))
+    u3 = SubharmonicFn(None, BorelMeasure((Atom((0.1, 0.2, 0.3), 1.0),), 3))
+    with pytest.raises(ValueError, match="dimension"):
+        DeltaSubharmonicFn(u3, SubharmonicFn(None, BorelMeasure((), 2)))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -318,7 +342,7 @@ def test_row_norms_equal_linalg_norm_bit_for_bit(d):
 
 
 def test_partial_arc_potential_of_a_point_is_independent_of_its_batch():
-    arc = BorelMeasure((UniformArc((0.0, 0.0), 1.0, 0.2, 2.0, 1.0),))
+    arc = BorelMeasure((UniformArc((0.0, 0.0), 1.0, 0.2, 2.0, 1.0),), 2)
     far = np.array([[3.0, 0.5]])
     near = (1.0 + 1e-6) * np.array([[math.cos(1.0), math.sin(1.0)]])
     alone = potential_values(arc, far)
@@ -339,7 +363,7 @@ def test_partial_arc_potential_matches_mpmath(angles):
 
     # far, near the arc, on the arc, an endpoint, the centre
     pts = np.array([[3.0, 0.5], at(1.01 * rho, mid), at(rho, mid), at(rho, a1), c])
-    got = potential_values(BorelMeasure((comp,)), pts)
+    got = potential_values(BorelMeasure((comp,), 2), pts)
     with mp.workdps(30):
         for p, value in zip(pts, got):
             z = mp.mpc(*(p - c))
@@ -361,8 +385,9 @@ def _batch_evaluators(d):
         comps += [("full arc", UniformArc(c, 0.8, 0.0, 2.0 * math.pi, 0.5)),
                   ("partial arc", UniformArc(c, 0.8, -0.4, 2.3, 0.5))]
     out = [(name, comp.potential) for name, comp in comps]
-    out.append(("affine", AffineHarmonic(0.3, tuple(rng.uniform(-2.0, 2.0, d))).values))
-    if d == 2:
+    if d == 3:
+        out.append(("affine", AffineHarmonic(0.3, tuple(rng.uniform(-2.0, 2.0, d))).values))
+    else:
         out.append(("polynomial", HarmonicPolynomial((0.2, 1 - 0.5j, 0.3 + 0.1j)).values))
         f = _mero(zeros=[(0.4 + 0.1j, 2)], poles=[(-0.3 + 0.6j, 1)], unit=1.5,
                   exponent=(0.1, 0.2 - 0.3j))
@@ -386,8 +411,8 @@ def test_every_evaluator_is_node_by_node(d):
 
 
 def _layout_model(d):
-    """A U whose parts carry every component kind of dimension d and both
-    harmonic kinds (d = 2), and more than _BLOCK points with polar ones (an
+    """A U whose parts carry every component kind of dimension d and a
+    harmonic part on both sides (d = 2), and more than _BLOCK points with polar ones (an
     atom of both parts) and infinite ones (an atom of v alone)."""
     rng = np.random.default_rng(20 + d)
     a, b, c, p = (tuple(rng.uniform(-1.0, 1.0, d)) for _ in range(4))
@@ -396,11 +421,12 @@ def _layout_model(d):
     if d == 2:
         u_comps.append(UniformArc(c, 0.8, -0.4, 2.3, 0.5))
         v_comps.append(UniformArc(a, 0.5, 0.0, 2.0 * math.pi, 0.3))
-        hu, hv = HarmonicPolynomial((0.2, 1 - 0.5j, 0.3 + 0.1j)), AffineHarmonic(0.1, (0.4, -0.7))
+        hu = HarmonicPolynomial((0.2, 1 - 0.5j, 0.3 + 0.1j))
+        hv = HarmonicPolynomial((0.1, 0.4 + 0.7j))
     else:
         hu, hv = AffineHarmonic(0.3, tuple(rng.uniform(-2.0, 2.0, d))), None
-    U = DeltaSubharmonicFn(SubharmonicFn(d, hu, BorelMeasure(tuple(u_comps), d)),
-                           SubharmonicFn(d, hv, BorelMeasure(tuple(v_comps), d)))
+    U = DeltaSubharmonicFn(SubharmonicFn(hu, BorelMeasure(tuple(u_comps), d)),
+                           SubharmonicFn(hv, BorelMeasure(tuple(v_comps), d)))
     pts = rng.uniform(-2.0, 2.0, (potentials._BLOCK + 500, d))
     pts[::997] = p
     pts[5::997] = a
