@@ -23,7 +23,6 @@ from .measures import (
     dini_limits_check,
     integrated_counting_result,
     modulus_of_continuity,
-    modulus_of_continuity_exact,
     modulus_profile,
     radial_counting,
 )

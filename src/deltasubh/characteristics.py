@@ -70,7 +70,6 @@ class CharacteristicRecord:
     value: float
     error_estimate: float
     R: Optional[float] = None
-    transform: str = "identity"
 
 
 def _sphere_points(r: float, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -253,8 +252,7 @@ def spherical_mean(U: DeltaSubharmonicFn, r: float, transform: str = "identity",
         res = _circle_by_sign(U.values, _split(U), r, tol)
     else:
         res = _sphere_mean(U.positive_values, r, U.dim, tol)
-    return CharacteristicRecord("C_mean", r, res.value, res.error_estimate,
-                                transform=transform)
+    return CharacteristicRecord("C_mean", r, res.value, res.error_estimate)
 
 
 def sup_on_sphere(U: DeltaSubharmonicFn, r: float) -> CharacteristicRecord:

@@ -39,6 +39,8 @@ from .characteristics import (
 )
 from .lab import (
     ALL_CHECKS,
+    DEFAULT_CHECKS,
+    VERDICTS,
     CorpusConfig,
     Scenario,
     Tolerances,
@@ -144,12 +146,10 @@ def _write_rows(rows, out_path: Optional[str]) -> str:
     return text
 
 
-def _summarize(rows) -> dict:
-    counts = {"pass": 0, "fail": 0, "inconclusive": 0, "vacuous": 0,
-              "precondition-failed": 0}
-    for rep in rows:
-        verdict = rep.verdict if not isinstance(rep, dict) else rep["verdict"]
-        counts[verdict] = counts.get(verdict, 0) + 1
+def _summarize(verdicts) -> dict:
+    counts = dict.fromkeys(VERDICTS, 0)
+    for verdict in verdicts:
+        counts[verdict] += 1
     return counts
 
 
@@ -212,10 +212,10 @@ def _cmd_modulus(args) -> int:
 
 def _cmd_verify(args) -> int:
     s = _apply_tol_overrides(_load_scenario(args.scenario), args)
-    checks = tuple(args.checks.split(",")) if args.checks else ("UR", "UR2", "UR2f", "UR2fr")
+    checks = tuple(args.checks.split(",")) if args.checks else DEFAULT_CHECKS
     rows = run_checks(s, checks, timing=args.timing)
     _write_rows(rows, args.out)
-    counts = _summarize(rows)
+    counts = _summarize(rep.verdict for rep in rows)
     print(f"verify: {len(rows)} checks "
           + " ".join(f"{k}={v}" for k, v in sorted(counts.items()) if v),
           file=sys.stderr)
@@ -225,14 +225,14 @@ def _cmd_verify(args) -> int:
 def _cmd_corpus(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
-    checks = tuple(args.checks.split(",")) if args.checks else ("UR", "UR2", "UR2f", "UR2fr")
+    checks = tuple(args.checks.split(",")) if args.checks else DEFAULT_CHECKS
     families = tuple(args.families.split(",")) if args.families else None
     config = CorpusConfig(count=args.count, checks=checks,
                           tolerances=_tolerances(Tolerances(), args), timing=args.timing,
                           **({"families": families} if families else {}))
     rows = run_corpus(config, args.seed)
     _write_rows(rows, args.out)
-    counts = _summarize(rows)
+    counts = _summarize(rep.verdict for rep in rows)
     print(f"corpus: seed={args.seed} scenarios={args.count} rows={len(rows)} "
           + " ".join(f"{k}={v}" for k, v in sorted(counts.items()) if v),
           file=sys.stderr)
@@ -240,20 +240,22 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    rows = []
+    verdicts = []
     for path in args.files:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames != list(CSV_COLUMNS):
                 raise ScenarioError("REPORT_SCHEMA",
                                     f"{path}: unexpected columns {reader.fieldnames}")
-            rows.extend(reader)
-    rows.sort(key=lambda row: (row["scenario_id"], row["inequality_tag"]))
-    counts = _summarize(rows)
-    total = len(rows)
-    print(f"rows={total}")
-    for key in ("pass", "fail", "inconclusive", "vacuous", "precondition-failed"):
-        print(f"{key}={counts.get(key, 0)}")
+            for row in reader:
+                if row["verdict"] not in VERDICTS:
+                    raise ScenarioError("REPORT_SCHEMA", f"{path}: row {reader.line_num} "
+                                        f"has unknown verdict {row['verdict']!r}")
+                verdicts.append(row["verdict"])
+    counts = _summarize(verdicts)
+    print(f"rows={len(verdicts)}")
+    for key in VERDICTS:
+        print(f"{key}={counts[key]}")
     return _exit_code(counts, args.max_inconclusive)
 
 

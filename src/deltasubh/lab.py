@@ -81,9 +81,11 @@ FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 VACUOUS = "vacuous"
 PRECONDITION_FAILED = "precondition-failed"
+VERDICTS = (PASS, FAIL, INCONCLUSIVE, VACUOUS, PRECONDITION_FAILED)
 
 DEFAULT_FAMILIES = ("ef_arc", "segment", "disk", "disk_union")
-ALL_CHECKS = ("UR", "UR2", "UR2f", "UR2fr", "Ux", "U+B", "dBr")
+DEFAULT_CHECKS = ("UR", "UR2", "UR2f", "UR2fr")
+ALL_CHECKS = DEFAULT_CHECKS + ("Ux", "U+B", "dBr")
 
 
 @dataclass(frozen=True)
@@ -369,7 +371,6 @@ class PointReport:
 
     points: list
     residuals: list          # lhs - rhs (identity) or rhs - lhs (bound slack)
-    relative: list
     skipped: list
     max_relative: float
     verdict: str
@@ -436,8 +437,8 @@ def verify_poisson_jensen(U: DeltaSubharmonicFn, R: float,
     residuals = lhs - (boundary + green)
     relative = np.abs(residuals) / np.maximum(1.0, np.abs(lhs))
     max_rel = float(relative.max(initial=0.0))
-    return PointReport([tuple(x) for x in X.tolist()], residuals.tolist(), relative.tolist(),
-                       skipped, max_rel, PASS if max_rel < 1e-6 else FAIL)
+    return PointReport([tuple(x) for x in X.tolist()], residuals.tolist(), skipped,
+                       max_rel, PASS if max_rel < 1e-6 else FAIL)
 
 
 def verify_pointwise_bound(U: DeltaSubharmonicFn, r: float, R: float,
@@ -459,9 +460,8 @@ def verify_pointwise_bound(U: DeltaSubharmonicFn, r: float, R: float,
     relative = slacks / np.maximum(1.0, np.abs(rhs))
     budget = coeff * c_plus.error_estimate
     worst = float(slacks.min()) if len(X) else 0.0
-    return PointReport([tuple(x) for x in X.tolist()], slacks.tolist(), relative.tolist(),
-                       skipped, float(np.abs(relative).max(initial=0.0)),
-                       _verdict(worst, budget), budget)
+    return PointReport([tuple(x) for x in X.tolist()], slacks.tolist(), skipped,
+                       float(np.abs(relative).max(initial=0.0)), _verdict(worst, budget), budget)
 
 
 def verify_counting_lemma(delta: BorelMeasure, R_star: float, R: float) -> VerificationReport:
@@ -698,7 +698,7 @@ def _point_in_ball(rng: random.Random, r: float, d: int):
 class CorpusConfig:
     count: int = 200
     families: tuple = DEFAULT_FAMILIES
-    checks: tuple = ("UR", "UR2", "UR2f", "UR2fr")
+    checks: tuple = DEFAULT_CHECKS
     tolerances: Tolerances = Tolerances()
     timing: bool = False
 

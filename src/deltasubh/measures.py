@@ -1,8 +1,9 @@
 """Finitely-described positive Borel measures on a closed ball.
 
-A measure is a finite sum of primitive components -- atoms, uniform segments,
-uniform circular arcs (d=2), uniform solid balls -- chosen so that every
-ball-mass query mu(closed ball B_y(t)) has a closed form.  That exactness is
+A measure is a finite sum of primitive components -- atoms (any d), uniform
+segments and uniform solid balls (d=2, 3), uniform circular arcs (d=2), each
+of mass its weight -- chosen so that every ball-mass query
+mu(closed ball B_y(t)) has a closed form.  That exactness is
 what makes the radial counting function, the integrated counting function
 N_mu(r, R) and the modulus of continuity h_mu certifiable:
 
@@ -46,7 +47,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -66,7 +67,6 @@ __all__ = [
     "dini_limits_check",
     "integrated_counting_result",
     "modulus_of_continuity",
-    "modulus_of_continuity_exact",
     "modulus_profile",
     "radial_counting",
 ]
@@ -111,10 +111,6 @@ class Atom:
     def dim(self) -> int:
         return len(self.point)
 
-    @property
-    def mass(self) -> float:
-        return self.weight
-
     def ball_mass(self, y, t):
         out = np.where(_distances(y, self.point) <= np.asarray(t, dtype=float), self.weight, 0.0)
         return _float_or_array(out)
@@ -149,6 +145,8 @@ class UniformSegment:
     def __post_init__(self):
         object.__setattr__(self, "start", _as_point(self.start))
         object.__setattr__(self, "end", _as_point(self.end))
+        if len(self.start) not in (2, 3):
+            raise ValueError("segment components are supported in dimensions 2 and 3")
         _check_positive(self.weight, "segment weight")
         if self.length == 0.0:
             raise ValueError("segment must have positive length")
@@ -156,10 +154,6 @@ class UniformSegment:
     @property
     def dim(self) -> int:
         return len(self.start)
-
-    @property
-    def mass(self) -> float:
-        return self.weight
 
     @property
     def length(self) -> float:
@@ -355,10 +349,6 @@ class UniformArc:
         return 2
 
     @property
-    def mass(self) -> float:
-        return self.weight
-
-    @property
     def width(self) -> float:
         return self.angle_end - self.angle_start
 
@@ -521,10 +511,6 @@ class UniformBall:
     def dim(self) -> int:
         return len(self.center)
 
-    @property
-    def mass(self) -> float:
-        return self.weight
-
     def ball_mass(self, y, t):
         q = _distances(y, self.center)
         rho = self.radius
@@ -652,9 +638,6 @@ def _lens_volume_3d(t, rho, q):
     return out
 
 
-Component = Union[Atom, UniformSegment, UniformArc, UniformBall]
-
-
 @dataclass(frozen=True)
 class BorelMeasure:
     """A finite positive Borel measure on R^dim given as a tuple of primitive
@@ -680,7 +663,7 @@ class BorelMeasure:
 
     @property
     def mass(self) -> float:
-        return sum(c.mass for c in self.components)
+        return sum(c.weight for c in self.components)
 
     @property
     def is_atomic(self) -> bool:
@@ -743,23 +726,6 @@ def _atomic_h_exact_2d(mu: BorelMeasure, t: float) -> float:
     v = centers[:, None, :] - pts[None, :, :]
     covered = _dots(v, v) <= (t + tol) ** 2
     return float(_dots(covered, wts).max())
-
-
-def modulus_of_continuity_exact(mu: BorelMeasure, t: float):
-    """Exact h_mu(t) when certifiable, else None.
-
-    Certifiable cases: the zero measure; a single primitive component (the
-    sup is attained at the symmetric optimum); purely atomic measures in d=2.
-    """
-    if not t >= 0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
-    if not mu.components:
-        return 0.0
-    if len(mu.components) == 1:
-        return float(mu.components[0].h_single(t))
-    if mu.is_atomic and mu.dim == 2:
-        return _atomic_h_exact_2d(mu, t)
-    return None
 
 
 _BEAM = 4096  # most cells split per level, 1/16 of it once the bracket is open
@@ -857,16 +823,22 @@ def modulus_of_continuity(mu: BorelMeasure, t: float) -> float:
 
 
 def _modulus(mu: BorelMeasure, t: float, method: str) -> tuple:
-    """(h_mu(t), flag): the exact value where certifiable, else the
-    subadditive upper bound (method "upper") or the lower end of the
-    branch-and-bound bracket, "exact" when the bracket closes to within
-    its tolerance.  The one choice behind modulus_of_continuity and
+    """(h_mu(t), flag): the exact value where certifiable (the zero measure;
+    one component, whose sup is attained at the symmetric optimum; atoms in
+    d=2), else the subadditive upper bound (method "upper") or the lower end
+    of the branch-and-bound bracket, "exact" when the bracket closes to
+    within its tolerance.  The one choice behind modulus_of_continuity and
     modulus_profile."""
     if method not in ("auto", "upper"):
         raise ValueError(f"method must be 'auto' or 'upper', got {method!r}")
-    exact = modulus_of_continuity_exact(mu, t)
-    if exact is not None:
-        return exact, "exact"
+    if not t >= 0:
+        raise ValueError(f"t must be >= 0, got {t!r}")
+    if not mu.components:
+        return 0.0, "exact"
+    if len(mu.components) == 1:
+        return float(mu.components[0].h_single(t)), "exact"
+    if mu.is_atomic and mu.dim == 2:
+        return _atomic_h_exact_2d(mu, t), "exact"
     if method == "upper":
         return float(sum(c.h_single(t) for c in mu.components)), "upper-bound"
     lower, upper = _modulus_bracket(mu, t)
@@ -994,7 +966,6 @@ class DiniLimitsReport:
     hk_at_min: float
     h_to_zero: bool
     hk_to_zero: bool
-    tail: tuple  # (t, h(t), h(t) * k(t)) for the smallest grid points
 
 
 _LIMIT_TOL = 1e-6  # "-> 0" on the grid: at most this, relative to max(1, mass)
@@ -1008,15 +979,10 @@ def dini_limits_check(profile: ModulusProfile) -> DiniLimitsReport:
     h0 = profile.values[0]
     hk0 = ext_mul(h0, float(kernel(d, t0)))
     thresh = _LIMIT_TOL * max(1.0, profile.mass)
-    tail = tuple(
-        (t, h, ext_mul(h, float(kernel(d, t))))
-        for t, h in list(zip(profile.radii, profile.values))[:5]
-    )
     return DiniLimitsReport(
         t_min=t0,
         h_at_min=h0,
         hk_at_min=hk0,
         h_to_zero=bool(h0 <= thresh),
         hk_to_zero=bool(abs(hk0) <= thresh),
-        tail=tail,
     )

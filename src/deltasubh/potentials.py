@@ -260,6 +260,13 @@ class DeltaSubharmonicFn:
 # meromorphic bridge
 
 
+def _multiplicity(m) -> int:
+    """m as an int; a bool or a non-integral m, which int() reads or truncates, raises."""
+    if isinstance(m, bool) or int(m) != m:
+        raise ValueError(f"multiplicities must be integers, got {m!r}")
+    return int(m)
+
+
 @dataclass(frozen=True)
 class MeromorphicFn:
     """f = unit_factor * e^{p} * prod (z - a_i)^{m_i} / prod (z - b_j)^{n_j}."""
@@ -270,8 +277,8 @@ class MeromorphicFn:
     exponent: tuple = ()
 
     def __post_init__(self):
-        zeros = tuple((complex(a), int(m)) for a, m in self.zeros)
-        poles = tuple((complex(b), int(n)) for b, n in self.poles)
+        zeros = tuple((complex(a), _multiplicity(m)) for a, m in self.zeros)
+        poles = tuple((complex(b), _multiplicity(n)) for b, n in self.poles)
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "unit_factor", complex(self.unit_factor))

@@ -34,8 +34,10 @@ the engine nudges such nodes by an ulp-scale offset and logs the event, per
 the polar set policy (any finite node set may be safely adjusted).
 
 Every accepted result carries error_estimate, a doubling-based heuristic
-bound: the change under one more refinement, and at least 16 eps |value|;
-a panel still above its tolerance at the resolution floor raises.
+bound: the change under one more refinement, and at least 16 eps |value|.
+A run that does not converge (a panel still above its tolerance at the
+resolution floor, the node budget spent, a non-finite integrand after the
+nudge) raises QuadratureBudgetError, whose message is all it carries.
 """
 
 from __future__ import annotations
@@ -87,11 +89,8 @@ class QuadratureResult:
 
 
 class QuadratureBudgetError(RuntimeError):
-    """Node budget exhausted before convergence; carries the partial result."""
-
-    def __init__(self, message: str, partial: QuadratureResult):
-        super().__init__(message)
-        self.partial = partial
+    """The integral did not converge: node budget, resolution floor or a
+    non-finite integrand; the message says which."""
 
 
 @lru_cache(maxsize=32)
@@ -123,9 +122,7 @@ def _nudge(f, x: np.ndarray, y: np.ndarray, scale: float) -> np.ndarray:
             logger.debug("perturbed %d quadrature nodes off a singular point", n_bad)
             return y
     raise QuadratureBudgetError(
-        "integrand is non-finite at nudged nodes; a non-integrable singularity?",
-        QuadratureResult(math.nan, math.inf, int(x.size)),
-    )
+        "integrand is non-finite at nudged nodes; a non-integrable singularity?")
 
 
 def _gl_panels(f, lo: np.ndarray, hi: np.ndarray, scale: float) -> list:
@@ -144,22 +141,6 @@ def _gl_panels(f, lo: np.ndarray, hi: np.ndarray, scale: float) -> list:
     return (half * _dots(y, w)).tolist()
 
 
-class _Budget:
-    __slots__ = ("nodes", "acc")
-
-    def __init__(self):
-        self.nodes = 0
-        self.acc = 0.0  # running total, reported as the partial on blow-up
-
-    def spend(self, n: int):
-        self.nodes += n
-        if self.nodes > _MAX_NODES:
-            raise QuadratureBudgetError(
-                f"node budget {_MAX_NODES} exhausted",
-                QuadratureResult(self.acc, math.inf, self.nodes),
-            )
-
-
 def _integrate_pieces(f, pieces, scale: float) -> QuadratureResult:
     """Sum of the integrals of f over the pieces (a, b, tol), each smooth for
     f and integrated to its own tol by adaptive GL15 bisection; a piece no
@@ -175,19 +156,15 @@ def _integrate_pieces(f, pieces, scale: float) -> QuadratureResult:
     above its tolerance at width 1e-14 scale or depth 48 raises
     QuadratureBudgetError: f is not integrable there, or not smooth enough
     to integrate.  The pieces after a failing one stop, the ones before it
-    run to the end, and the first failing piece's error is raised.  Its
-    partial sum is the depth-first one only when the failing panel is its
-    piece's last: by a failure inside a piece, breadth-first has accepted
-    other panels of it than depth-first."""
+    run to the end, and the first failing piece's error is raised."""
     pieces = [p for p in pieces if p[1] - p[0] > 1e-14 * scale]
     if not pieces:
         return QuadratureResult(0.0, 0.0, 0)
-    budget = _Budget()
+    nodes = 0
     # panel k spans [lo[k], hi[k]] of piece owner[k]; halves are numbered after their parent
     lo, hi, tol = (list(col) for col in zip(*pieces))
     owner = list(range(len(pieces)))
     coarse, value, error, split = [], {}, {}, {}
-    done = [0.0] * len(pieces)  # each piece's accepted sum, its partial at the floor
     failed = None
     level, depth = list(owner), 0
     while level:
@@ -197,7 +174,9 @@ def _integrate_pieces(f, pieces, scale: float) -> QuadratureResult:
         starts, stops = [a_, m_], [m_, b_]
         if not depth:  # the pieces' coarse rules too
             starts, stops = [a_] + starts, [b_] + stops
-        budget.spend(15 * len(level) * len(starts))
+        nodes += 15 * len(level) * len(starts)
+        if nodes > _MAX_NODES:
+            raise QuadratureBudgetError(f"node budget {_MAX_NODES} exhausted")
         sums = _gl_panels(f, np.concatenate(starts), np.concatenate(stops), scale)
         if not depth:
             coarse, sums = sums[:len(level)], sums[len(level):]
@@ -207,15 +186,12 @@ def _integrate_pieces(f, pieces, scale: float) -> QuadratureResult:
             fine = left + right
             err = abs(fine - coarse[k])
             if err <= tol[k]:
-                budget.acc += fine
-                done[owner[k]] += fine
                 value[k], error[k] = fine, err
                 continue
             if (hi[k] - lo[k]) <= 1e-14 * scale or depth >= 48:
                 failed = QuadratureBudgetError(
                     f"panel [{lo[k]!r}, {hi[k]!r}] at the resolution floor still "
-                    f"changes by {err:.3g} > {tol[k]:.3g}",
-                    QuadratureResult(done[owner[k]] + fine, math.inf, budget.nodes))
+                    f"changes by {err:.3g} > {tol[k]:.3g}")
                 nxt = [j for j in nxt if owner[j] < owner[k]]
                 break
             mid = 0.5 * (lo[k] + hi[k])
@@ -237,7 +213,7 @@ def _integrate_pieces(f, pieces, scale: float) -> QuadratureResult:
     for k in range(len(pieces)):
         total += value[k]
         err += error[k]
-    return QuadratureResult(total, max(err, _ROUNDING * abs(total)), budget.nodes)
+    return QuadratureResult(total, max(err, _ROUNDING * abs(total)), nodes)
 
 
 def integrate_interval(
@@ -251,7 +227,7 @@ def integrate_interval(
 
     f must be vectorized and smooth on each piece (a kink or jump belongs at
     a piece end), which gets an equal share of tol.  Non-convergence, as at
-    a singular point, raises QuadratureBudgetError carrying a partial value.
+    a singular point, raises QuadratureBudgetError.
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
@@ -297,10 +273,7 @@ def _circle_means(G: Callable[[np.ndarray], np.ndarray], tol: float = 1e-8) -> l
     total = n
     while active:
         if n >= _MAX_TRAP:
-            raise QuadratureBudgetError(
-                "periodic trapezoid did not converge",
-                QuadratureResult(mean[active[0]], math.inf, nodes[active[0]]),
-            )
+            raise QuadratureBudgetError("periodic trapezoid did not converge")
         new = TWO_PI * (np.arange(n) + 0.5) / n
         half = _trapezoid_rows(G, new, active).mean(axis=1).tolist()
         total += n
@@ -354,10 +327,7 @@ def _sphere_means_3d(G: Callable[[np.ndarray, np.ndarray], np.ndarray],
             theta2 = np.arccos(np.clip(U.ravel() + 1e-12, -1.0, 1.0))
             vals = np.where(bad, np.asarray(G(theta2, PHI.ravel() + 1e-12), dtype=float), vals)
             if not np.isfinite(vals).all():
-                raise QuadratureBudgetError(
-                    "sphere integrand non-finite at nudged nodes",
-                    QuadratureResult(math.nan, math.inf, total),
-                )
+                raise QuadratureBudgetError("sphere integrand non-finite at nudged nodes")
             logger.debug("perturbed sphere nodes off a singular point")
         total += vals.shape[1]
         means = (0.5 * _dots(vals.reshape(-1, n, 2 * n).mean(axis=2), w)).tolist()

@@ -172,9 +172,9 @@ def _function_from_json(obj: dict, dim: int):
         if dim != 2:
             _fail("FUNCTION_SPEC", "meromorphic functions require dimension 2")
         try:
-            zeros = tuple((_complex_from(z["point"]), int(z.get("multiplicity", 1)))
+            zeros = tuple((_complex_from(z["point"]), z.get("multiplicity", 1))
                           for z in obj.get("zeros", []))
-            poles = tuple((_complex_from(p["point"]), int(p.get("multiplicity", 1)))
+            poles = tuple((_complex_from(p["point"]), p.get("multiplicity", 1))
                           for p in obj.get("poles", []))
             unit = _complex_from(obj.get("unit_factor", 1.0))
             exponent = tuple(_complex_from(c) for c in obj.get("exponent", []))

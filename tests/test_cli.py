@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deltasubh.cli import _parse_grid, main
+from deltasubh.cli import CSV_COLUMNS, _parse_grid, main
 from deltasubh.lab import DEFAULT_FAMILIES, Scenario, Tolerances, generate_scenario
 from deltasubh.measures import Atom, BorelMeasure
 from deltasubh.potentials import (
@@ -207,6 +207,15 @@ def test_verify_radii_order_exit_two(tmp_path):
                                      "u": {"charge": 5}, "v": {}}), "FUNCTION_SPEC"),
     (lambda obj: dict(obj, function={"type": "delta_subharmonic",
                                      "u": {"harmonic": {"poly": 5}}, "v": {}}), "FUNCTION_SPEC"),
+    # int() would truncate 1.9 to 1 and read "3" as 3
+    *(pytest.param(lambda obj, m=m: dict(obj, function=dict(
+        obj["function"], zeros=[{"point": [0.0, 0.0], "multiplicity": m}])), "FUNCTION_SPEC",
+        id=f"multiplicity={m!r}") for m in (1.9, "3", True)),
+    # a segment has closed forms in d = 2 and 3 only; an atom takes any d
+    pytest.param(lambda obj: dict(obj, dimension=4, function={
+        "type": "delta_subharmonic", "u": {}, "v": {}}, measure={"components": [
+            {"type": "segment", "endpoints": [[0, 0, 0, 0], [1, 0, 0, 0]], "weight": 1.0}]}),
+        "MEASURE_SPEC", id="segment-in-d=4"),
 ])
 def test_malformed_scenario_json_exits_two(tmp_path, capsys, edit, code):
     # exit 1 is the fail verdict; a file of the wrong shape is an input error
@@ -440,6 +449,17 @@ def test_report_merges_and_counts(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "rows=12" in proc.stdout
     assert "fail=0" in proc.stdout
+
+
+def test_report_rejects_an_unknown_verdict(tmp_path, capsys):
+    # "FAIL" is not "fail": counting it nowhere would print fail=0 and exit 0
+    path = tmp_path / "rows.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n"
+                    + "s0,UR,1,2,1,0,pass,0\ns1,UR,1,2,1,0,FAIL,0\ns2,UR,1,2,1,0,bogus,0\n")
+    assert main(["report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: REPORT_SCHEMA: {path}: row 3 has unknown verdict 'FAIL'" in captured.err
 
 
 def test_main_entry_in_process(tmp_path, capsys):

@@ -191,3 +191,38 @@ def test_every_export_has_a_caller_outside_the_tests():
             break
         unused -= used
     assert not unused, f"exported, but only the tests call: {sorted(unused)}"
+
+
+# VerificationReport.note says why a row is precondition-failed or vacuous;
+# nothing prints it yet, and the per-row trace of ROADMAP item 1 is to carry it
+_FIELDS_WITHOUT_A_READER = {"VerificationReport.note"}
+
+
+def _is_dataclass(node) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        getattr(getattr(d, "func", d), "id", None) == "dataclass" for d in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read_outside_its_class():
+    # each field of a dataclass of the package is read as an attribute, or by
+    # a getattr string, in src/, bench/ or demos/ outside its own class body:
+    # a field only its constructor and the tests touch is computed for no one
+    root = pathlib.Path(__file__).resolve().parent.parent
+    src = sorted((root / "src" / "deltasubh").glob("*.py"))
+    paths = src + sorted((root / "bench").glob("*.py")) + sorted((root / "demos").glob("*.py"))
+    fields, reads = set(), set()  # (class, field); (field, the class holding the read)
+    for path in paths:
+        for top in ast.parse(path.read_text(), str(path)).body:
+            owner = top.name if isinstance(top, ast.ClassDef) else None
+            if path in src and _is_dataclass(top):
+                fields |= {(owner, s.target.id) for s in top.body
+                           if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)}
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    reads.add((node.attr, owner))
+                elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+                      and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+                    reads.add((node.args[1].value, owner))
+    unread = {f"{cls}.{name}" for cls, name in fields
+              if not any(attr == name and where != cls for attr, where in reads)}
+    assert unread == _FIELDS_WITHOUT_A_READER, f"fields no caller reads: {sorted(unread)}"

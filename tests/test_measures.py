@@ -13,6 +13,7 @@ from deltasubh import measures
 from deltasubh.geometry import _distances
 from deltasubh.measures import (
     _lens_area_2d,
+    _modulus,
     _modulus_bracket,
     _second_order_cover,
     Atom,
@@ -24,7 +25,6 @@ from deltasubh.measures import (
     dini_limits_check,
     integrated_counting_result,
     modulus_of_continuity,
-    modulus_of_continuity_exact,
     modulus_profile,
     radial_counting,
 )
@@ -228,7 +228,7 @@ def test_modulus_two_atoms_anchors():
     # no disk of radius 0.4 covers both; the midpoint covers both at 0.5
     assert modulus_of_continuity(mu, 0.4) == pytest.approx(1.0)
     assert modulus_of_continuity(mu, 0.5) == pytest.approx(2.0)
-    assert modulus_of_continuity_exact(mu, 0.4) == pytest.approx(1.0)
+    assert _modulus(mu, 0.4, "auto") == (pytest.approx(1.0), "exact")
 
 
 def test_modulus_saturation():
@@ -315,7 +315,8 @@ def test_modulus_exact_values_match_search_lower_bound():
         mu = BorelMeasure(comps, 2)
         for _ in range(5):
             t = rng.uniform(0.05, 1.2)
-            exact = modulus_of_continuity_exact(mu, t)
+            exact, flag = _modulus(mu, t, "auto")
+            assert flag == "exact"
             lower = _modulus_bracket(mu, t)[0]
             assert lower <= exact + 1e-9
             assert lower >= exact - 1e-6 * max(1.0, exact) - 1e-9
@@ -478,7 +479,7 @@ def test_second_order_cover_bounds_every_mass_within_delta():
         first = np.array([np.minimum(c.h_single(t), c.ball_mass(centers, t + delta))
                           for c in disks])
         cover = _second_order_cover(disks, centers, t, delta, at_center, first,
-                                    sum(c.mass for c in disks))
+                                    sum(c.weight for c in disks))
         tight += int((cover < first.sum(axis=0)).sum())
         for offset in np.concatenate([circle, inside]) * delta:
             masses = sum(c.ball_mass(centers + offset, t) for c in disks)
@@ -957,6 +958,16 @@ def test_dini_limits_check_cases():
     ball = BorelMeasure((UniformBall((0.0, 0.0, 0.0), 1.0, 1.0),), 3)
     rep_ball = dini_limits_check(modulus_profile(ball, grid))
     assert rep_ball.hk_at_min == pytest.approx(-grid[0] ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_segments_are_2_or_3_dimensional(d):
+    # the potential has antiderivatives for d = 2 and 3 only: at (0.5, 0.3,
+    # 0, 0) the d = 3 one gives -2.5676, the d = 4 kernel's integral -6.8692
+    start, end = (0.0,) * d, (1.0,) + (0.0,) * (d - 1)
+    with pytest.raises(ValueError, match="dimensions 2 and 3"):
+        UniformSegment(start, end, 1.0)
+    assert BorelMeasure((Atom(end, 1.0),), d).mass == 1.0
 
 
 def test_measure_validation():

@@ -173,6 +173,11 @@ def test_meromorphic_validation():
         _mero(exponent=(1, 1, 1, 1, 1, 1))  # degree 5 > 4
     with pytest.raises(ValueError):
         _mero(zeros=[(0j, 0)])
+    for m in (1.9, "3", True):  # int() would truncate 1.9 and read "3" and True
+        for kw in ("zeros", "poles"):
+            with pytest.raises(ValueError, match="multiplicities must be integers"):
+                _mero(**{kw: [(0j, m)]})
+    assert _mero(zeros=[(0j, 2.0)]).zeros == ((0j, 2),)
 
 
 def test_segment_potential_matches_quadrature():

@@ -36,15 +36,13 @@ def test_doubling_stability():
     (0.0, 1e-10),  # at an end of [0, 1]
     (0.5, 1e-8),   # at a piece end inside it
 ])
-def test_budget_error_carries_partial(s, tol):
+def test_a_non_integrable_piece_end_raises(s, tol):
     def nasty(t):
         with np.errstate(divide="ignore"):
             return 1.0 / np.abs(t - s)  # non-integrable at s
 
-    with pytest.raises(QuadratureBudgetError) as err:
+    with pytest.raises(QuadratureBudgetError):
         integrate_interval(nasty, 0.0, 1.0, [s], tol=tol)
-    assert err.value.partial is not None
-    assert math.isfinite(err.value.partial.value)
 
 
 def test_a_non_integrable_singular_point_raises_at_the_floor():
@@ -337,7 +335,7 @@ def _ref_eval_safe(f, x, scale):
         bad = ~np.isfinite(y)
         if not bad.any():
             return y
-    raise QuadratureBudgetError("non-finite at nudged nodes", None)
+    raise QuadratureBudgetError("non-finite at nudged nodes")
 
 
 def _ref_gl_panel(f, a, b, scale, n=15):
@@ -348,8 +346,19 @@ def _ref_gl_panel(f, a, b, scale, n=15):
     return half * float(_dots(y, w))
 
 
-def _ref_adaptive(f, a, b, tol, scale, budget, done, coarse=None, depth=0):
-    """done: [the accepted panels' sum], the partial at the floor."""
+class _RefNodes:
+    """The reference's node count, against the engine's budget."""
+
+    def __init__(self):
+        self.nodes = 0
+
+    def spend(self, n):
+        self.nodes += n
+        if self.nodes > quadrature._MAX_NODES:
+            raise QuadratureBudgetError(f"node budget {quadrature._MAX_NODES} exhausted")
+
+
+def _ref_adaptive(f, a, b, tol, scale, budget, coarse=None, depth=0):
     if coarse is None:
         budget.spend(15)
         coarse = _ref_gl_panel(f, a, b, scale)
@@ -359,27 +368,25 @@ def _ref_adaptive(f, a, b, tol, scale, budget, done, coarse=None, depth=0):
     fine = left + right
     err = abs(fine - coarse)
     if err <= tol:
-        done[0] += fine
         return fine, err
     if (b - a) <= 1e-14 * scale or depth >= 48:
         raise QuadratureBudgetError(
-            f"panel [{a!r}, {b!r}] at the resolution floor still changes by {err:.3g} > {tol:.3g}",
-            quadrature.QuadratureResult(done[0] + fine, math.inf, budget.nodes))
-    lv, le = _ref_adaptive(f, a, mid, 0.5 * tol, scale, budget, done, left, depth + 1)
-    rv, re_ = _ref_adaptive(f, mid, b, 0.5 * tol, scale, budget, done, right, depth + 1)
+            f"panel [{a!r}, {b!r}] at the resolution floor still changes by {err:.3g} > {tol:.3g}")
+    lv, le = _ref_adaptive(f, a, mid, 0.5 * tol, scale, budget, left, depth + 1)
+    rv, re_ = _ref_adaptive(f, mid, b, 0.5 * tol, scale, budget, right, depth + 1)
     return lv + rv, le + re_
 
 
 def _reference_integral(f, a, b, ends=(), tol=1e-8):
     scale = max(abs(a), abs(b), b - a)
     pts = sorted({a, b} | {float(s) for s in ends if a < s < b})
-    budget = quadrature._Budget()
+    budget = _RefNodes()
     total = 0.0
     err = 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
         if hi - lo <= 1e-14 * scale:
             continue
-        v, e = _ref_adaptive(f, lo, hi, tol / (len(pts) - 1), scale, budget, [0.0])
+        v, e = _ref_adaptive(f, lo, hi, tol / (len(pts) - 1), scale, budget)
         total += v
         err += e
     err = max(err, 16.0 * np.finfo(float).eps * abs(total))  # the rounding floor
@@ -388,8 +395,7 @@ def _reference_integral(f, a, b, ends=(), tol=1e-8):
 
 def _outcome(run):
     """(value, error estimate, nodes), or the error raised: which panel
-    failed, by how much.  Its partial sum is not compared, as breadth-first
-    refinement has accepted other panels than depth-first by then."""
+    failed, by how much."""
     try:
         res = run()
     except QuadratureBudgetError as exc:
@@ -524,7 +530,7 @@ def test_first_failing_segment_in_order_raises():
     # panels [-2h, -h] accepted on the way to 0 change by rounding noise of
     # order eps h^(3/4) against a tolerance of order 1e-8 h, so none of them
     # fails above h = 1e-30: the piece fails at its last panel, with every
-    # other panel accepted, and the partial sums agree.
+    # other panel accepted.
     def f(t):
         with np.errstate(divide="ignore"):
             return np.where(t < 0.0, np.abs(t) ** -0.25, 1.0 / (t * t))
@@ -535,16 +541,22 @@ def test_first_failing_segment_in_order_raises():
         integrate_interval(f, -1.0, 1.0, [0.0, 1e-6], 1e-8)
     assert str(ref.value).startswith("panel [-1.4210854715202004e-14, 0.0] at the resolution")
     assert str(got.value) == str(ref.value)
-    assert got.value.partial.value == ref.value.partial.value
+
+
+def test_node_budget_raises_the_depth_first_message(monkeypatch):
+    # below the nodes _peaked takes, both orders stop on the budget, not on a panel
+    full = integrate_interval(_peaked, 0.0, 1.0, (), 1e-7)
+    monkeypatch.setattr(quadrature, "_MAX_NODES", full.nodes_used // 2)
+    ref = _outcome(lambda: _reference_integral(_peaked, 0.0, 1.0, (), 1e-7))
+    got = _outcome(lambda: integrate_interval(_peaked, 0.0, 1.0, (), 1e-7))
+    assert got == ref == f"node budget {full.nodes_used // 2} exhausted"
 
 
 def test_failure_inside_a_piece_raises_the_depth_first_panel():
     # -1/t sums to the same ln 2 on every panel [-2h, -h], so those panels
     # change by the same rounding noise at every depth while the tolerance
     # halves: within 7e-8 of 0 the last bit of a sum decides whether a panel
-    # fails, and the one that does lies inside the piece.  Breadth-first has
-    # by then accepted other panels than depth-first, so only the panel and
-    # its change are compared, not the partial sum (see _outcome).
+    # fails, and the one that does lies inside the piece, in both orders.
     def f(t):
         with np.errstate(divide="ignore"):
             return np.where(t < 0.0, -1.0 / t, 1.0 / (t * t))
@@ -556,4 +568,3 @@ def test_failure_inside_a_piece_raises_the_depth_first_panel():
     assert str(ref.value).startswith(
         "panel [-4.2542069422779605e-08, -4.254205521192489e-08] at the resolution")
     assert str(got.value) == str(ref.value)
-    assert got.value.partial.error_estimate == ref.value.partial.error_estimate == math.inf
