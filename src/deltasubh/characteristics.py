@@ -18,14 +18,15 @@ T(R,f) - N(r,f) = T_{log|f|}(r,R).
 
 Every charge atom's kernel term is taken in closed form (_split), so
 quadrature sees only the rest.  Along a path -- a segment or arc component
-of a measure (lab), or the circle |x| = r as a full arc (_circle) -- whose
-span, at, feet and kernel_integrals it reads, _integral_by_sign integrates
-the rest over the pieces where the sign of U is constant, ended at Illinois
-roots (_sign_changes) so a kink of U^+ is a panel edge, in one
+of a measure (lab), or the circle |x| = r as a full arc of mass 1 (_circle)
+-- whose span, at, feet and kernel_integrals it reads, _integral_by_sign
+integrates the rest over the pieces where the sign of U is constant, ended
+at Illinois roots (_sign_changes) so a kink of U^+ is a panel edge, in one
 _integrate_pieces call per sign, and adds each atom's potential of every
-piece of that sign from one kernel_integrals call; a mean over a sphere
-(_identity_mean) takes each atom by Gauss's mean value theorem.  The
-remaining means are _sphere_mean.
+piece of that sign from one kernel_integrals call; _path_integral takes it
+against the path's uniform measure, so C_{U^+}(r) and lab's integral of U^+
+d mu are one rule.  A mean over a sphere (_identity_mean) takes each atom by
+Gauss's mean value theorem.  The remaining means are _sphere_mean.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .potentials import (
     canonical_representation,
     jordan_decomposition,
 )
-from .quadrature import (_ROUNDING, QuadratureResult, _circle_means, _integrate_pieces,
+from .quadrature import (_ROUNDING, TWO_PI, QuadratureResult, _circle_means, _integrate_pieces,
                          _sphere_means_3d, circle_mean, sphere_mean_3d, sphere_sup)
 
 __all__ = [
@@ -60,7 +61,6 @@ __all__ = [
     "sup_on_sphere",
 ]
 
-TWO_PI = 2.0 * math.pi
 _CLOSE = 4.0 * sys.float_info.epsilon  # a closed bracket's width per unit of scale
 
 @dataclass(frozen=True)
@@ -80,8 +80,8 @@ def _sphere_points(r: float, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def _circle(r: float) -> UniformArc:
-    """The circle |x| = r as a path: the full arc of mass 2 pi."""
-    return UniformArc((0.0, 0.0), r, 0.0, TWO_PI, TWO_PI)
+    """The circle |x| = r as a path: the full arc, its probability measure."""
+    return UniformArc((0.0, 0.0), r, 0.0, TWO_PI, 1.0)
 
 
 def _on_sphere(values, r: float, dim: int):
@@ -231,11 +231,13 @@ def _integral_by_sign(signed, pos: _Split, path, tol: float,
     return total
 
 
-def _circle_by_sign(signed, pos: _Split, r: float, tol: float,
-                    neg: Optional[_Split] = None) -> QuadratureResult:
-    """Mean over |x| = r of the integrand of _integral_by_sign."""
-    res = _integral_by_sign(signed, pos, _circle(r), tol * TWO_PI, neg)
-    return res.scaled(1.0 / TWO_PI)
+def _path_integral(signed, pos: _Split, path, tol: float,
+                   neg: Optional[_Split] = None) -> QuadratureResult:
+    """Integral of the integrand of _integral_by_sign against the uniform
+    measure of mass path.weight on path, to the absolute tolerance tol."""
+    lo, hi = path.span
+    density = path.weight / (hi - lo)
+    return _integral_by_sign(signed, pos, path, tol / max(density, 1e-300), neg).scaled(density)
 
 
 def spherical_mean(U: DeltaSubharmonicFn, r: float, transform: str = "identity",
@@ -249,7 +251,7 @@ def spherical_mean(U: DeltaSubharmonicFn, r: float, transform: str = "identity",
     if transform == "identity":
         res = _identity_mean(_split(U), r, U.dim, tol)
     elif U.dim == 2:
-        res = _circle_by_sign(U.values, _split(U), r, tol)
+        res = _path_integral(U.values, _split(U), _circle(r), tol)
     else:
         res = _sphere_mean(U.positive_values, r, U.dim, tol)
     return CharacteristicRecord("C_mean", r, res.value, res.error_estimate)
@@ -282,7 +284,7 @@ def nevanlinna_m(f: MeromorphicFn, r: float, tol: float = 1e-8) -> Characteristi
     split = _Split(on_points(replace(f, zeros=(), poles=()).log_abs),
                    np.array([(a.real, a.imag) for a, _ in atoms], dtype=float).reshape(-1, 2),
                    np.array([m for _, m in atoms], dtype=float))
-    res = _circle_by_sign(on_points(f.log_abs), split, r, tol)
+    res = _path_integral(on_points(f.log_abs), split, _circle(r), tol)
     return CharacteristicRecord("m_classical", r, res.value, res.error_estimate)
 
 
@@ -339,8 +341,8 @@ def difference_characteristic_canonical(U: DeltaSubharmonicFn, r: float, R: floa
         raise ValueError(f"need 0 < r < R, got ({r}, {R})")
     u_star, v_star = canonical_representation(U)
     if U.dim == 2:  # u* where u* > v*, v* elsewhere
-        sup_mean = _circle_by_sign(lambda pts: u_star.values(pts) - v_star.values(pts),
-                                   _split(u_star), R, tol, _split(v_star))
+        sup_mean = _path_integral(lambda pts: u_star.values(pts) - v_star.values(pts),
+                                  _split(u_star), _circle(R), tol, _split(v_star))
     else:
         sup_mean = _sphere_mean(lambda pts: np.maximum(u_star.values(pts), v_star.values(pts)),
                                 R, U.dim, tol)

@@ -40,6 +40,7 @@ from .characteristics import (
 from .lab import (
     ALL_CHECKS,
     DEFAULT_CHECKS,
+    FAMILIES,
     VERDICTS,
     CorpusConfig,
     Scenario,
@@ -59,11 +60,7 @@ EXIT_FAIL = 1
 EXIT_IO = 2
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, int):
-        return str(x)
+def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
@@ -162,31 +159,27 @@ def _exit_code(counts: dict, max_inconclusive: float) -> int:
     return EXIT_OK
 
 
+# --kind -> the record at (scenario s, radius r, upper radius R, mean tolerance tol)
+_KINDS = {
+    "m": lambda s, r, R, tol: nevanlinna_m(_scenario_f(s), r, tol),
+    "N": lambda s, r, R, tol: nevanlinna_N(_scenario_f(s), r),
+    "T": lambda s, r, R, tol: nevanlinna_T(_scenario_f(s), r, tol),
+    "C": lambda s, r, R, tol: spherical_mean(s.U, r, "identity", tol),
+    "C+": lambda s, r, R, tol: spherical_mean(s.U, r, "positive", tol),
+    "M": lambda s, r, R, tol: sup_on_sphere(s.U, r),
+    "Tdiff": lambda s, r, R, tol: difference_characteristic(s.U, r, R, tol),
+    "TdiffC": lambda s, r, R, tol: difference_characteristic_canonical(s.U, r, R, tol),
+}
+
+
 def _cmd_characteristic(args) -> int:
     s = _apply_tol_overrides(_load_scenario(args.scenario), args)
-    radii = _parse_grid(args.r_grid)
     R = s.R if args.R is None else args.R
+    kind = _KINDS[args.kind]
+    records = [kind(s, r, R, s.tolerances.mean) for r in _parse_grid(args.r_grid)]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["kind", "r", "R", "value", "error_estimate"])
-    for r in radii:
-        if args.kind == "m":
-            rec = nevanlinna_m(_scenario_f(s), r, s.tolerances.mean)
-        elif args.kind == "N":
-            rec = nevanlinna_N(_scenario_f(s), r)
-        elif args.kind == "T":
-            rec = nevanlinna_T(_scenario_f(s), r, s.tolerances.mean)
-        elif args.kind == "C":
-            rec = spherical_mean(s.U, r, "identity", s.tolerances.mean)
-        elif args.kind == "C+":
-            rec = spherical_mean(s.U, r, "positive", s.tolerances.mean)
-        elif args.kind == "M":
-            rec = sup_on_sphere(s.U, r)
-        elif args.kind == "Tdiff":
-            rec = difference_characteristic(s.U, r, R, s.tolerances.mean)
-        elif args.kind == "TdiffC":
-            rec = difference_characteristic_canonical(s.U, r, R, s.tolerances.mean)
-        else:
-            raise ValueError(f"unknown kind {args.kind!r}")
+    for rec in records:
         writer.writerow([rec.kind, _fmt(rec.r), _fmt(rec.R) if rec.R else "",
                          _fmt(rec.value), _fmt(rec.error_estimate)])
     return EXIT_OK
@@ -210,16 +203,21 @@ def _cmd_modulus(args) -> int:
     return EXIT_OK
 
 
+def _emit(rows, args, summary: str) -> int:
+    """Write the rows' CSV, print summary and the verdict counts, and return
+    the exit code: the tail of verify and corpus."""
+    _write_rows(rows, args.out)
+    counts = _summarize(rep.verdict for rep in rows)
+    print(f"{summary} " + " ".join(f"{k}={v}" for k, v in sorted(counts.items()) if v),
+          file=sys.stderr)
+    return _exit_code(counts, args.max_inconclusive)
+
+
 def _cmd_verify(args) -> int:
     s = _apply_tol_overrides(_load_scenario(args.scenario), args)
     checks = tuple(args.checks.split(",")) if args.checks else DEFAULT_CHECKS
     rows = run_checks(s, checks, timing=args.timing)
-    _write_rows(rows, args.out)
-    counts = _summarize(rep.verdict for rep in rows)
-    print(f"verify: {len(rows)} checks "
-          + " ".join(f"{k}={v}" for k, v in sorted(counts.items()) if v),
-          file=sys.stderr)
-    return _exit_code(counts, args.max_inconclusive)
+    return _emit(rows, args, f"verify: {len(rows)} checks")
 
 
 def _cmd_corpus(args) -> int:
@@ -231,12 +229,7 @@ def _cmd_corpus(args) -> int:
                           tolerances=_tolerances(Tolerances(), args), timing=args.timing,
                           **({"families": families} if families else {}))
     rows = run_corpus(config, args.seed)
-    _write_rows(rows, args.out)
-    counts = _summarize(rep.verdict for rep in rows)
-    print(f"corpus: seed={args.seed} scenarios={args.count} rows={len(rows)} "
-          + " ".join(f"{k}={v}" for k, v in sorted(counts.items()) if v),
-          file=sys.stderr)
-    return _exit_code(counts, args.max_inconclusive)
+    return _emit(rows, args, f"corpus: seed={args.seed} scenarios={args.count} rows={len(rows)}")
 
 
 def _cmd_report(args) -> int:
@@ -280,8 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_char = sub.add_parser("characteristic", help="characteristic records over a radius grid")
     common(p_char, verdicts=False)
-    p_char.add_argument("--kind", default="T",
-                        choices=["m", "N", "T", "C", "C+", "M", "Tdiff", "TdiffC"])
+    p_char.add_argument("--kind", default="T", choices=list(_KINDS))
     p_char.add_argument("--r-grid", required=True, help="start:stop:step")
     p_char.add_argument("--R", type=float, default=None,
                         help="upper radius for Tdiff kinds (default: scenario R)")
@@ -308,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cor.add_argument("--count", type=int, default=200)
     p_cor.add_argument("--checks", default=None)
     p_cor.add_argument("--families", default=None,
-                       help="comma list: ef_arc,segment,disk,disk_union")
+                       help=f"comma list from {','.join(FAMILIES)}")
     p_cor.add_argument("--out", default=None)
     p_cor.add_argument("--timing", action="store_true")
     p_cor.set_defaults(func=_cmd_corpus)

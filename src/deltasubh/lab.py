@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .characteristics import (
-    _integral_by_sign,
+    _path_integral,
     _sphere_means,
     _split,
     nevanlinna_N,
@@ -84,8 +84,16 @@ PRECONDITION_FAILED = "precondition-failed"
 VERDICTS = (PASS, FAIL, INCONCLUSIVE, VACUOUS, PRECONDITION_FAILED)
 
 DEFAULT_FAMILIES = ("ef_arc", "segment", "disk", "disk_union")
+FAMILIES = DEFAULT_FAMILIES + ("charges", "atomic_mu")
 DEFAULT_CHECKS = ("UR", "UR2", "UR2f", "UR2fr")
 ALL_CHECKS = DEFAULT_CHECKS + ("Ux", "U+B", "dBr")
+
+
+def _check_known(names: Sequence[str], known: tuple, what: str):
+    """ValueError naming the first of names that known does not hold."""
+    for name in names:
+        if name not in known:
+            raise ValueError(f"unknown {what} {name!r}")
 
 
 @dataclass(frozen=True)
@@ -197,12 +205,10 @@ def _ball_integral(U, comp: UniformBall, tol: float) -> QuadratureResult:
 
     prev = None
     nodes = 0
-    n_r, n_a = 8, 128
     kept: dict = {}  # radial panel -> its samples at the previous level
-    n_q_prev = None
-    for _level in range(7):
-        n_q = min(n_r, 48)
-        reuse = n_q == n_q_prev
+    for level in range(7):
+        n_q, n_a = min(8 << level, 48), 128 << level
+        reuse = level >= 4  # n_q reached 48 a level ago
         angles = 2.0 * math.pi * np.arange(n_a) / n_a
         total = 0.0
         for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
@@ -225,13 +231,10 @@ def _ball_integral(U, comp: UniformBall, tol: float) -> QuadratureResult:
             else:
                 shell = 0.5 * _dots(vals.mean(axis=2), uw)
                 total += float(_dots(qw, 3.0 * qs ** 2 / rho ** 3 * shell))
-        n_q_prev = n_q
         diff = math.inf if prev is None else abs(total - prev)
         prev = total
         if diff <= tol / max(comp.weight, 1e-300):
             break
-        n_r *= 2
-        n_a *= 2
     # converged, or the last change when the levels run out
     return QuadratureResult(comp.weight * prev, comp.weight * max(diff, _ROUNDING * abs(prev)),
                             nodes)
@@ -241,8 +244,9 @@ def positive_part_integral(U: DeltaSubharmonicFn, mu: BorelMeasure,
                            tol: float = 1e-8) -> QuadratureResult:
     """integral of U^+ d mu: exact weighted point values on atoms, U^+ at
     all of them from one call, U over its positive pieces along segments and
-    arcs, each its own path (_integral_by_sign), nested product quadrature
-    over balls; the terms are added in component order."""
+    arcs against each one's uniform measure (_path_integral, the rule of
+    C_{U^+}), nested product quadrature over balls; the terms are added in
+    component order."""
     total = QuadratureResult(0.0, 0.0, 0)
     atoms = mu.atoms
     at_atoms = iter(U.positive_values(np.array([a.point for a in atoms])).tolist()
@@ -254,10 +258,7 @@ def positive_part_integral(U: DeltaSubharmonicFn, mu: BorelMeasure,
         elif isinstance(comp, UniformBall):
             total = total + _ball_integral(U, comp, tol)
         else:
-            lo, hi = comp.span
-            density = comp.weight / (hi - lo)
-            total = total + _integral_by_sign(U.values, _split(U), comp,
-                                              tol / max(density, 1e-300)).scaled(density)
+            total = total + _path_integral(U.values, _split(U), comp, tol)
     return total
 
 
@@ -527,22 +528,21 @@ def _random_measure(rng: random.Random, family: str, r: float) -> BorelMeasure:
         center = (qc * math.cos(ang), qc * math.sin(ang))
         rho = rng.uniform(0.2, 0.9) * (r - qc)
         return BorelMeasure((UniformBall(center, rho, rng.uniform(0.5, 2.0)),), 2)
-    if family == "disk_union":
-        disks: list = []
-        attempts = 0
-        want = rng.randint(2, 3)
-        while len(disks) < want and attempts < 200:
-            attempts += 1
-            qc = rng.uniform(0.0, 0.7 * r)
-            ang = rng.uniform(0, 2 * math.pi)
-            center = (qc * math.cos(ang), qc * math.sin(ang))
-            rho = rng.uniform(0.1, 0.5) * (r - qc)
-            if rho <= 0:
-                continue
-            if all(_distances(center, d.center) > rho + d.radius + 0.05 * r for d in disks):
-                disks.append(UniformBall(center, rho, rng.uniform(0.3, 1.0)))
-        return BorelMeasure(tuple(disks), 2)
-    raise ValueError(f"unknown scenario family {family!r}")
+    # disk_union
+    disks: list = []
+    attempts = 0
+    want = rng.randint(2, 3)
+    while len(disks) < want and attempts < 200:
+        attempts += 1
+        qc = rng.uniform(0.0, 0.7 * r)
+        ang = rng.uniform(0, 2 * math.pi)
+        center = (qc * math.cos(ang), qc * math.sin(ang))
+        rho = rng.uniform(0.1, 0.5) * (r - qc)
+        if rho <= 0:
+            continue
+        if all(_distances(center, d.center) > rho + d.radius + 0.05 * r for d in disks):
+            disks.append(UniformBall(center, rho, rng.uniform(0.3, 1.0)))
+    return BorelMeasure(tuple(disks), 2)
 
 
 def _random_rational(rng: random.Random, R: float, mu: BorelMeasure,
@@ -607,6 +607,7 @@ def generate_scenario(seed: int, index: int, family: str,
     non-meromorphic, UR/UR2 checks only) and "atomic_mu" (purely atomic
     measure, exercising the expected Dini precondition failure).
     """
+    _check_known((family,), FAMILIES, "scenario family")
     rng = _rng_for(seed, index, family)
     r = rng.uniform(0.8, 2.0)
     R = r * rng.uniform(1.8, 3.0)
@@ -656,6 +657,7 @@ def run_checks(s: Scenario, checks: Sequence[str], timing: bool = False) -> list
     mu-integral of U^+ and C_{U^+}(R) are each computed once, inside the
     first row that needs them, so that row's wall_time_ms includes it.
     """
+    _check_known(checks, ALL_CHECKS, "check tag")
     reports = []
     rng = random.Random(f"points:{s.seed}:{s.scenario_id}")
     ingredients = _Ingredients(s)
@@ -675,12 +677,10 @@ def run_checks(s: Scenario, checks: Sequence[str], timing: bool = False) -> list
             worst = min(pr.residuals, default=0.0)
             rep = VerificationReport(s.scenario_id, "U+B", -worst, 0.0, worst,
                                      pr.budget, pr.verdict, {"skipped": len(pr.skipped)})
-        elif tag == "dBr":
+        else:  # dBr
             _plus, minus = jordan_decomposition(s.U)
             rep = verify_counting_lemma(minus, s.r, s.R)
             rep.scenario_id = s.scenario_id
-        else:
-            raise ValueError(f"unknown check tag {tag!r}")
         if timing:
             rep.wall_time_ms = int(round(1000.0 * (time.perf_counter() - start)))
         reports.append(rep)
@@ -701,6 +701,10 @@ class CorpusConfig:
     checks: tuple = DEFAULT_CHECKS
     tolerances: Tolerances = Tolerances()
     timing: bool = False
+
+    def __post_init__(self):
+        _check_known(self.families, FAMILIES, "scenario family")
+        _check_known(self.checks, ALL_CHECKS, "check tag")
 
 
 def _scenario_reports(config: CorpusConfig, seed: int, index: int) -> list:

@@ -52,7 +52,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .geometry import _check_dimension, _d_hat, _distances, _dots, _kernel_values, ext_mul, kernel
-from .quadrature import _ROUNDING, QuadratureResult, _gl_nodes, integrate_interval
+from .quadrature import _ROUNDING, TWO_PI, QuadratureResult, _gl_nodes, integrate_interval
 
 __all__ = [
     "Atom",
@@ -70,8 +70,6 @@ __all__ = [
     "modulus_profile",
     "radial_counting",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 Point = tuple  # tuple of d floats
 
@@ -276,8 +274,7 @@ class UniformSegment:
         step = np.subtract(self.end, self.start)
         length = self.length
         scale = _distances(rel, 0.0) + (np.abs(a) + np.abs(b)) * length
-        feet = np.clip(_dots(rel, step) / _dots(step, step), a, b)
-        dist = [_distances(rel, t[:, :, None] * step) for t in (a, b, feet)]
+        dist = [_distances(rel, t[:, :, None] * step) for t in (a, b, self.feet(pts, a, b))]
         size = [np.abs(_kernel_values(self.dim, np.maximum(D, _ROUNDING * scale)))
                 for D in dist]
         values = np.array([UniformSegment(tuple(s * step), tuple(t * step), t - s).potential(rel)
@@ -699,29 +696,19 @@ def _atomic_h_exact_2d(mu: BorelMeasure, t: float) -> float:
     keys = sorted(merged)
     pts = np.array(keys, dtype=float).reshape(len(keys), -1)
     wts = np.array([merged[k] for k in keys], dtype=float)
-    n = len(pts)
     scale = max(1.0, float(np.max(np.abs(pts))), t)
     tol = 1e-12 * scale
     cands = [pts]
-    if t > 0:
-        extra = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                delta = pts[j] - pts[i]
-                q = float(_distances(pts[j], pts[i]))
-                if q > 2.0 * t + tol or q == 0.0:
-                    continue
-                mid = 0.5 * (pts[i] + pts[j])
-                off2 = t * t - 0.25 * q * q
-                if off2 <= 0.0:
-                    extra.append(mid)
-                    continue
-                perp = np.array([-delta[1], delta[0]]) / q
-                h = math.sqrt(off2)
-                extra.append(mid + h * perp)
-                extra.append(mid - h * perp)
-        if extra:
-            cands.append(np.array(extra))
+    if t > 0:  # each pair at most 2t apart: its midpoint, or both centres at distance t
+        i, j = np.triu_indices(len(pts), 1)
+        q = _distances(pts[j], pts[i])
+        near = (q <= 2.0 * t + tol) & (q != 0.0)
+        a, b, q = pts[i[near]], pts[j[near]], q[near]
+        mid, off2 = 0.5 * (a + b), t * t - 0.25 * q * q
+        two = off2 > 0.0
+        normal = (b - a)[two][:, ::-1] * (-1.0, 1.0) / q[two][:, None]
+        offset = np.sqrt(off2[two])[:, None] * normal
+        cands += [mid[~two], mid[two] + offset, mid[two] - offset]
     centers = np.vstack(cands)
     v = centers[:, None, :] - pts[None, :, :]
     covered = _dots(v, v) <= (t + tol) ** 2
@@ -926,12 +913,10 @@ def integrated_counting_result(mu: BorelMeasure, r: float, R: float) -> Quadratu
         return QuadratureResult(math.inf, 0.0, 0)
     d_hat = float(_d_hat(d))
     power = d - 1
+    rest = BorelMeasure(tuple(cont), d)
 
     def integrand(t):
-        m = np.zeros_like(t)
-        for c in cont:
-            m = m + c.ball_mass(origin, t)
-        return d_hat * m / t ** power
+        return d_hat * radial_counting(rest, origin, t) / t ** power
 
     breakpoints = [b for c in cont for b in c.breakpoint_radii(origin) if r < b < R]
     res = integrate_interval(integrand, r, R, breakpoints, _COUNTING_TOL)

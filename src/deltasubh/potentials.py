@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Union
@@ -261,9 +262,10 @@ class DeltaSubharmonicFn:
 
 
 def _multiplicity(m) -> int:
-    """m as an int; a bool or a non-integral m, which int() reads or truncates, raises."""
-    if isinstance(m, bool) or int(m) != m:
-        raise ValueError(f"multiplicities must be integers, got {m!r}")
+    """m as an int; a bool or a non-integral m, which int() reads or truncates,
+    raises, and so does one too large for a float, an atom's weight."""
+    if isinstance(m, bool) or int(m) != m or abs(m) > sys.float_info.max:
+        raise ValueError(f"multiplicities must be integers that fit a float, got {m!r}")
     return int(m)
 
 

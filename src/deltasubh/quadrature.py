@@ -30,8 +30,9 @@ rule of a sphere row) is geometry._dots, its terms added left to right, so
 it does not depend on the other panels or rows of its call, nor on BLAS.
 
 Values of +-inf at a node mean the node landed exactly on a polar point;
-the engine nudges such nodes by an ulp-scale offset and logs the event, per
-the polar set policy (any finite node set may be safely adjusted).
+every engine nudges such nodes through _nudge, by an ulp-scale offset, and
+logs the event, per the polar set policy (any finite node set may be safely
+adjusted); the 3-d sphere rule moves cos(theta) and keeps phi.
 
 Every accepted result carries error_estimate, a doubling-based heuristic
 bound: the change under one more refinement, and at least 16 eps |value|.
@@ -246,10 +247,10 @@ def _settle(y: np.ndarray, active) -> np.ndarray:
     return np.where(np.isfinite(y) | keep, y, 0.0)
 
 
-def _trapezoid_rows(G, theta: np.ndarray, active) -> np.ndarray:
-    """G(theta) (m, n), the non-finite entries of its active rows nudged."""
-    y = np.asarray(G(theta), dtype=float)
-    return y if np.isfinite(y).all() else _nudge(G, theta, _settle(y, active), TWO_PI)
+def _rows(G, x: np.ndarray, active, scale: float) -> np.ndarray:
+    """G(x) (m, n), the non-finite entries of its active rows nudged."""
+    y = np.asarray(G(x), dtype=float)
+    return y if np.isfinite(y).all() else _nudge(G, x, _settle(y, active), scale)
 
 
 def _results(mean: list, diff: list, nodes: list) -> list:
@@ -266,7 +267,7 @@ def _circle_means(G: Callable[[np.ndarray], np.ndarray], tol: float = 1e-8) -> l
     on its own, and keeps its mean, change and nodes from that level."""
     n = 64
     theta = TWO_PI * np.arange(n) / n
-    mean = _trapezoid_rows(G, theta, slice(None)).mean(axis=1).tolist()
+    mean = _rows(G, theta, slice(None), TWO_PI).mean(axis=1).tolist()
     m = len(mean)
     diff, hits, nodes = [0.0] * m, [0] * m, [n] * m
     active = list(range(m))
@@ -275,7 +276,7 @@ def _circle_means(G: Callable[[np.ndarray], np.ndarray], tol: float = 1e-8) -> l
         if n >= _MAX_TRAP:
             raise QuadratureBudgetError("periodic trapezoid did not converge")
         new = TWO_PI * (np.arange(n) + 0.5) / n
-        half = _trapezoid_rows(G, new, active).mean(axis=1).tolist()
+        half = _rows(G, new, active, TWO_PI).mean(axis=1).tolist()
         total += n
         n *= 2
         still = []
@@ -309,26 +310,19 @@ def _sphere_means_3d(G: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
     Product rule: Gauss-Legendre in cos(theta) x trapezoid in phi, doubled
     until a row's mean is stable to tol; a row still changing when the
-    levels run out reports its last change.
+    levels run out reports its last change.  A non-finite node is nudged in
+    cos(theta), its phi held fixed.
     """
-    active = None
+    active = slice(None)
     total = 0
     for n in (8, 16, 32, 64, 128, 256, 512, 1024):
         u, w = _leggauss(n)
         phi = TWO_PI * np.arange(2 * n) / (2 * n)
-        U, PHI = np.meshgrid(u, phi, indexing="ij")
-        vals = np.asarray(G(np.arccos(U.ravel()), PHI.ravel()), dtype=float)
-        if active is None:
+        cos, phis = (grid.ravel() for grid in np.meshgrid(u, phi, indexing="ij"))
+        vals = _rows(lambda c: G(np.arccos(c), phis), cos, active, 1.0)
+        if total == 0:
             m = len(vals)
             active, prev, diff, nodes = list(range(m)), [math.inf] * m, [math.inf] * m, [0] * m
-        if not np.isfinite(vals).all():
-            vals = _settle(vals, active)
-            bad = ~np.isfinite(vals)
-            theta2 = np.arccos(np.clip(U.ravel() + 1e-12, -1.0, 1.0))
-            vals = np.where(bad, np.asarray(G(theta2, PHI.ravel() + 1e-12), dtype=float), vals)
-            if not np.isfinite(vals).all():
-                raise QuadratureBudgetError("sphere integrand non-finite at nudged nodes")
-            logger.debug("perturbed sphere nodes off a singular point")
         total += vals.shape[1]
         means = (0.5 * _dots(vals.reshape(-1, n, 2 * n).mean(axis=2), w)).tolist()
         still = []

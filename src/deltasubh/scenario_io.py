@@ -32,16 +32,17 @@ harmonic kind of d=2, and written back as "poly".  Unknown keys are ignored,
 among them the "dini" and "sup" tolerances of older files: the Dini integral
 is closed-form and takes none, and the sup on a sphere keeps its own
 refinement gap.  Validation failures raise ScenarioError with a distinct
-.code naming the offending constraint.  Every number must be finite: the
-constructors reject a NaN or an infinity, and their ValueError becomes the
-code of the part it sits in (MEASURE_SPEC, FUNCTION_SPEC; RADII_ORDER for r
-and R).
+.code naming the offending constraint.  Every number is read by _number: a
+finite JSON int or float, not a bool or a string, else the code of the part
+it sits in (RADII_ORDER for r, R and r0, MEASURE_SPEC, FUNCTION_SPEC,
+TOLERANCES); a multiplicity is an integer that fits a float (MeromorphicFn).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Union
 
 from .lab import Scenario, Tolerances
@@ -76,26 +77,37 @@ def _typed(value, kind: type, code: str, what: str):
     return value
 
 
+def _number(value, code: str, what: str) -> float:
+    """value as a float if it is a finite JSON number, not a bool; else a
+    ScenarioError with code.  An int beyond the largest float is not finite."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):  # False for NaN too
+        _fail(code, f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _point(value, code: str, what: str) -> tuple:
+    return tuple(_number(c, code, what) for c in _typed(value, list, code, what))
+
+
 def _component_from_json(obj: dict, dim: int):
     kind = _typed(obj, dict, "MEASURE_SPEC", "a measure component").get("type")
-    try:
-        weight = float(obj["weight"])
-    except (KeyError, TypeError, ValueError):
-        _fail("MEASURE_SPEC", f"component missing numeric weight: {obj!r}")
+    weight = _number(obj.get("weight"), "MEASURE_SPEC", f"the weight of {obj!r}")
     if weight <= 0:
         _fail("NEGATIVE_WEIGHT", f"component weight must be > 0, got {weight}")
     try:
         if kind == "atom":
-            comp = Atom(tuple(obj["point"]), weight)
+            comp = Atom(_point(obj["point"], "MEASURE_SPEC", "point"), weight)
         elif kind == "segment":
-            a, b = obj["endpoints"]
-            comp = UniformSegment(tuple(a), tuple(b), weight)
+            a, b = (_point(p, "MEASURE_SPEC", "endpoint") for p in obj["endpoints"])
+            comp = UniformSegment(a, b, weight)
         elif kind == "arc":
-            a0, a1 = obj["angles"]
-            comp = UniformArc(tuple(obj["center"]), float(obj["radius"]),
-                              float(a0), float(a1), weight)
+            a0, a1 = (_number(a, "MEASURE_SPEC", "angle") for a in obj["angles"])
+            comp = UniformArc(_point(obj["center"], "MEASURE_SPEC", "center"),
+                              _number(obj["radius"], "MEASURE_SPEC", "radius"), a0, a1, weight)
         elif kind == "ball":
-            comp = UniformBall(tuple(obj["center"]), float(obj["radius"]), weight)
+            comp = UniformBall(_point(obj["center"], "MEASURE_SPEC", "center"),
+                               _number(obj["radius"], "MEASURE_SPEC", "radius"), weight)
         else:
             _fail("MEASURE_SPEC", f"unknown component type {kind!r}")
     except ScenarioError:
@@ -123,9 +135,11 @@ def _component_to_json(comp) -> dict:
 
 
 def _complex_from(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    return complex(float(v[0]), float(v[1]))
+    """A number or a pair [re, im] of a function's part, as a complex."""
+    if isinstance(v, list):
+        re, im = (_number(x, "FUNCTION_SPEC", "a complex part") for x in v)
+        return complex(re, im)
+    return complex(_number(v, "FUNCTION_SPEC", "a complex number"))
 
 
 def _complex_to(c: complex) -> list:
@@ -142,7 +156,8 @@ def _harmonic_from_json(obj, dim: int):
         return HarmonicPolynomial(tuple(_complex_from(c) for c in poly))
     if "affine" in obj:
         aff = obj["affine"]
-        constant, gradient = float(aff["constant"]), tuple(float(g) for g in aff["gradient"])
+        constant = _number(aff["constant"], "FUNCTION_SPEC", "constant")
+        gradient = _point(aff["gradient"], "FUNCTION_SPEC", "gradient")
         if dim == 2:  # c + g0 x + g1 y = Re(c + (g0 - i g1) z)
             g0, g1 = gradient
             return HarmonicPolynomial((constant, complex(g0, -g1)))
@@ -168,31 +183,24 @@ def _subharmonic_from_json(obj: dict, dim: int) -> SubharmonicFn:
 def _function_from_json(obj: dict, dim: int):
     """-> (DeltaSubharmonicFn, MeromorphicFn | None)"""
     kind = _typed(obj, dict, "FUNCTION_SPEC", "function").get("type")
-    if kind == "meromorphic":
-        if dim != 2:
-            _fail("FUNCTION_SPEC", "meromorphic functions require dimension 2")
-        try:
+    try:
+        if kind == "meromorphic":
+            if dim != 2:
+                _fail("FUNCTION_SPEC", "meromorphic functions require dimension 2")
             zeros = tuple((_complex_from(z["point"]), z.get("multiplicity", 1))
                           for z in obj.get("zeros", []))
             poles = tuple((_complex_from(p["point"]), p.get("multiplicity", 1))
                           for p in obj.get("poles", []))
-            unit = _complex_from(obj.get("unit_factor", 1.0))
-            exponent = tuple(_complex_from(c) for c in obj.get("exponent", []))
-            f = MeromorphicFn(zeros, poles, unit, exponent)
-        except ScenarioError:
-            raise
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
-            _fail("FUNCTION_SPEC", str(exc))
-        return f.to_delta_subharmonic(), f
-    if kind == "delta_subharmonic":
-        try:
+            f = MeromorphicFn(zeros, poles, _complex_from(obj.get("unit_factor", 1.0)),
+                              tuple(_complex_from(c) for c in obj.get("exponent", [])))
+            return f.to_delta_subharmonic(), f
+        if kind == "delta_subharmonic":
             u = _subharmonic_from_json(obj["u"], dim)
-            v = _subharmonic_from_json(obj["v"], dim)
-        except ScenarioError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            _fail("FUNCTION_SPEC", str(exc))
-        return DeltaSubharmonicFn(u, v), None
+            return DeltaSubharmonicFn(u, _subharmonic_from_json(obj["v"], dim)), None
+    except ScenarioError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+        _fail("FUNCTION_SPEC", str(exc))
     _fail("FUNCTION_SPEC", f"unknown function type {kind!r}")
 
 
@@ -212,16 +220,12 @@ def parse_scenario(data: Union[bytes, str, dict]) -> Scenario:
     if not isinstance(dim, int) or dim < 2:
         _fail("DIMENSION", f"dimension must be an integer >= 2, got {dim!r}")
     radii = _typed(obj.get("radii") or {}, dict, "RADII_ORDER", "radii")
-    try:
-        r = float(radii["r"])
-        R = float(radii["R"])
-    except (KeyError, TypeError, ValueError):
-        _fail("RADII_ORDER", "radii must provide numeric r and R")
+    r, R = (_number(radii.get(k), "RADII_ORDER", f"radii.{k}") for k in ("r", "R"))
     if not 0.0 < r < R < math.inf:
         _fail("RADII_ORDER", f"need 0 < r < R < inf, got r={r}, R={R}")
     r0 = radii.get("r0")
     if r0 is not None:
-        r0 = float(r0)
+        r0 = _number(r0, "RADII_ORDER", "radii.r0")
         if not 0.0 <= r0 <= r:
             _fail("RADII_ORDER", f"r0 must lie in [0, r], got {r0}")
     measure_obj = _typed(obj.get("measure") or {}, dict, "MEASURE_SPEC", "measure")
@@ -232,10 +236,11 @@ def parse_scenario(data: Union[bytes, str, dict]) -> Scenario:
               f"measure support radius {mu.support_radius} exceeds r={r}")
     U, f = _function_from_json(obj.get("function") or {}, dim)
     tol_obj = _typed(obj.get("tolerances") or {}, dict, "TOLERANCES", "tolerances")
+    mean = _number(tol_obj.get("mean", Tolerances.mean), "TOLERANCES", "tolerances.mean")
     try:
-        tolerances = Tolerances(mean=float(tol_obj.get("mean", Tolerances.mean)))
-    except (TypeError, ValueError):
-        _fail("TOLERANCES", f"tolerances.mean must be a finite number > 0, got {tol_obj!r}")
+        tolerances = Tolerances(mean=mean)
+    except ValueError as exc:
+        _fail("TOLERANCES", str(exc))
     return Scenario(
         scenario_id=str(obj.get("scenario_id", "scenario")),
         U=U, mu=mu, r=r, R=R, f=f, r0=r0,

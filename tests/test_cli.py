@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from deltasubh import lab
 from deltasubh.cli import CSV_COLUMNS, _parse_grid, main
 from deltasubh.lab import DEFAULT_FAMILIES, Scenario, Tolerances, generate_scenario
 from deltasubh.measures import Atom, BorelMeasure
@@ -196,6 +197,17 @@ def test_verify_radii_order_exit_two(tmp_path):
     assert "RADII_ORDER" in proc.stderr
 
 
+def _set(path, value):
+    """An edit of a scenario object that sets its entry at path to value."""
+    def edit(obj):
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return obj
+    return edit
+
+
 @pytest.mark.parametrize("edit, code", [
     (lambda obj: [], "SCHEMA_VERSION"),
     (lambda obj: dict(obj, measure={"components": [5]}), "MEASURE_SPEC"),
@@ -216,6 +228,22 @@ def test_verify_radii_order_exit_two(tmp_path):
         "type": "delta_subharmonic", "u": {}, "v": {}}, measure={"components": [
             {"type": "segment", "endpoints": [[0, 0, 0, 0], [1, 0, 0, 0]], "weight": 1.0}]}),
         "MEASURE_SPEC", id="segment-in-d=4"),
+    # a number is a JSON number, not a string or a bool that float() reads
+    *(pytest.param(_set(path, value), code, id=f"{'.'.join(map(str, path))}={value!r}")
+      for path, value, code in [
+          (("measure", "components", 0, "weight"), "0.5", "MEASURE_SPEC"),
+          (("measure", "components", 0, "weight"), True, "MEASURE_SPEC"),
+          (("measure", "components", 0, "radius"), True, "MEASURE_SPEC"),
+          (("radii", "r"), "2", "RADII_ORDER"),
+          (("radii", "r0"), True, "RADII_ORDER"),
+          (("radii", "r0"), "x", "RADII_ORDER"),
+          (("tolerances",), {"mean": True}, "TOLERANCES"),
+          (("function", "unit_factor"), True, "FUNCTION_SPEC"),
+          (("function", "zeros", 0, "point"), [True, False], "FUNCTION_SPEC"),
+      ]),
+    # an integer beyond the largest float: an atom weight float() overflows
+    pytest.param(_set(("function", "zeros", 0, "multiplicity"), 10 ** 400), "FUNCTION_SPEC",
+                 id="multiplicity=10**400"),
 ])
 def test_malformed_scenario_json_exits_two(tmp_path, capsys, edit, code):
     # exit 1 is the fail verdict; a file of the wrong shape is an input error
@@ -361,7 +389,28 @@ def test_characteristic_upper_radius_zero_is_rejected(capsys, kind):
     out = capsys.readouterr()
     assert code == 2
     assert "r < R" in out.err
-    assert out.out.count("\n") == 1  # the header only
+    assert out.out == ""  # every record is built before the header is written
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["corpus", "--seed", "1", "--count", "1", "--families", "ef_arc,bogus"],
+     "unknown scenario family 'bogus'"),
+    (["verify", "{golden}", "--checks", "UR,bogus"], "unknown check tag 'bogus'"),
+    (["characteristic", "{pin_2d}", "--kind", "m", "--r-grid", "1:2:0.5"], "FUNCTION_SPEC"),
+], ids=["family", "check", "kind-m-without-f"])
+def test_inputs_are_checked_before_any_work(tmp_path, capsys, monkeypatch, argv, message):
+    # corpus exited 0 on an unused unknown family, verify ran UR before
+    # rejecting a tag, and characteristic wrote its header before the error
+    def no_row(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(lab, "_ur_report", no_row)
+    pin = tmp_path / "pin-2d.json"
+    pin.write_text(json.dumps(PIN_2D))
+    assert main([a.format(golden=GOLDEN, pin_2d=pin) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
 
 
 def test_verify_delta_subharmonic_scenario(tmp_path):

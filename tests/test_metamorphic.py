@@ -1,0 +1,72 @@
+"""Metamorphic relations: what a change of the scenario must leave as it is,
+checked with no reference value.
+
+A rotation about the origin turns U and mu together, and the sphere measure
+sigma_R is rotation invariant, so the integral of U^+ d mu, C_{U^+}(R) and
+the UR verdict stay the same.  Each pair of values must agree within the sum
+of their error estimates.  Arcs and segments go through one by-sign path
+integral (characteristics._path_integral), so this tests it on both sides of
+the inequality; ball components have their own rule and are left out here.
+"""
+
+import cmath
+import dataclasses
+
+import pytest
+
+from deltasubh.characteristics import spherical_mean
+from deltasubh.lab import generate_scenario, positive_part_integral, verify_main_theorem
+from deltasubh.measures import Atom, BorelMeasure, UniformArc, UniformBall, UniformSegment
+from deltasubh.potentials import MeromorphicFn
+
+SEED = 42
+ANGLES = (0.7, 2.1)
+CASES = [(family, k) for family in ("ef_arc", "segment") for k in range(0, 200, 8)]
+
+
+def _turn(p: tuple, alpha: float) -> tuple:
+    z = complex(*p) * cmath.exp(1j * alpha)
+    return z.real, z.imag
+
+
+def _rotated_component(c, alpha: float):
+    if isinstance(c, Atom):
+        return Atom(_turn(c.point, alpha), c.weight)
+    if isinstance(c, UniformSegment):
+        return UniformSegment(_turn(c.start, alpha), _turn(c.end, alpha), c.weight)
+    if isinstance(c, UniformArc):
+        return UniformArc(_turn(c.center, alpha), c.radius, c.angle_start + alpha,
+                          c.angle_end + alpha, c.weight)
+    return UniformBall(_turn(c.center, alpha), c.radius, c.weight)
+
+
+def _rotated(s, alpha: float):
+    """s turned about the origin by alpha: f(z) becomes f(e^{-i alpha} z),
+    whose zeros and poles turn by alpha and whose exponent coefficient c_k
+    becomes c_k e^{-i k alpha}.  The unit factor only gains a unimodular
+    constant, which |f| does not see, so it stays."""
+    f = s.f
+    g = MeromorphicFn(tuple((a * cmath.exp(1j * alpha), m) for a, m in f.zeros),
+                      tuple((b * cmath.exp(1j * alpha), n) for b, n in f.poles),
+                      f.unit_factor,
+                      tuple(c * cmath.exp(-1j * k * alpha) for k, c in enumerate(f.exponent)))
+    mu = BorelMeasure(tuple(_rotated_component(c, alpha) for c in s.mu.components), s.mu.dim)
+    return dataclasses.replace(s, U=g.to_delta_subharmonic(), mu=mu, f=g)
+
+
+def _invariants(s) -> tuple:
+    """(integral of U^+ d mu, C_{U^+}(R), the UR verdict)."""
+    tol = s.tolerances.mean
+    return (positive_part_integral(s.U, s.mu, tol), spherical_mean(s.U, s.R, "positive", tol),
+            verify_main_theorem(s).verdict)
+
+
+@pytest.mark.parametrize("family, k", CASES, ids=[f"s{k:04d}-{f}" for f, k in CASES])
+def test_rotation_about_the_origin_keeps_both_sides(family, k):
+    s = generate_scenario(SEED, k, family)
+    lhs, c_plus, verdict = _invariants(s)
+    for alpha in ANGLES:
+        lhs_r, c_plus_r, verdict_r = _invariants(_rotated(s, alpha))
+        for a, b in ((lhs, lhs_r), (c_plus, c_plus_r)):
+            assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate, alpha
+        assert verdict_r == verdict, alpha

@@ -240,7 +240,7 @@ def test_batched_sphere_nudges_a_column_non_finite_in_one_row_only(caplog):
     assert got[0].value == pytest.approx(1.0 / 3.0, abs=1e-12)
     nudges = [rec.getMessage() for rec in caplog.records
               if rec.getMessage().startswith("perturbed")]
-    assert nudges == ["perturbed sphere nodes off a singular point"] * 2
+    assert nudges == ["perturbed 1 quadrature nodes off a singular point"] * 2
 
 
 @pytest.mark.parametrize("batched, one_row, g", [
