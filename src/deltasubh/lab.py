@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import potentials
 from .characteristics import (
     _path_integral,
     _sphere_means,
@@ -173,63 +174,67 @@ def _ball_integral(U, comp: UniformBall, tol: float) -> QuadratureResult:
     doubled together until the value is stable.  The U^+ kink curves limit
     angular convergence to O(n^-2), which the doubling estimate reflects.
 
+    Each level walks its grid in row blocks.  A row is one circle of angles:
+    a radial node in 2-d, a (radius, cos theta) pair of the polar rule in
+    3-d.  A block holds as many rows as fit in potentials._BLOCK new points
+    (at least one), and each row is summed as soon as its samples are in.
     Once the radial rule stops changing (it is capped at 48 nodes), a
     doubling evaluates only the new odd angles: 2 pi (2j) / 2n is exactly
-    2 pi j / n, so the even ones are the previous level's samples."""
+    2 pi j / n, so the even ones are the previous level's samples, the only
+    ones a level keeps, and only if a level can follow it."""
     c = np.asarray(comp.center)
     rho = comp.radius
     dim = comp.dim
     breaks = sorted({q for q in _distances(_split(U).points, c).tolist() if 0.0 < q < rho})
     edges = [0.0] + breaks + [rho]
     u, uw = _gl_nodes(-1.0, 1.0, 48)  # polar rule in 3-d, the same at every level
-
-    def samples(qs, angles):
-        """U^+ on the grid qs x angles (x u in 3-d), angles on the last axis;
-        cos and sin are taken once per angle.  The points are column-major:
-        each coordinate is filled in place as one contiguous block."""
-        if dim == 2:
-            shape, q_xy = (qs.size, angles.size), qs[:, None]
-        else:
-            shape = (qs.size, u.size, angles.size)
-            q_xy = (qs[:, None] * np.sqrt(np.maximum(0.0, 1.0 - u ** 2)))[:, :, None]
-        coords = np.empty((dim,) + shape)
-        np.multiply(q_xy, np.cos(angles), out=coords[0])
-        np.multiply(q_xy, np.sin(angles), out=coords[1])
-        if dim == 3:
-            coords[2] = (qs[:, None] * u)[:, :, None]
-        for k in range(dim):
-            coords[k] += c[k]
-        vals = U.positive_values(coords.reshape(dim, -1).T).reshape(shape)
-        np.copyto(vals, 0.0, where=~np.isfinite(vals))  # measure-zero nodes
-        return vals
+    sin_u = np.sqrt(np.maximum(0.0, 1.0 - u ** 2))
 
     prev = None
     nodes = 0
-    kept: dict = {}  # radial panel -> its samples at the previous level
+    kept: dict = {}  # radial panel -> its rows at the previous level
     for level in range(7):
         n_q, n_a = min(8 << level, 48), 128 << level
         reuse = level >= 4  # n_q reached 48 a level ago
         angles = 2.0 * math.pi * np.arange(n_a) / n_a
+        new = angles[1::2] if reuse else angles
+        cos, sin = np.cos(new), np.sin(new)
+        step = max(1, potentials._BLOCK // new.size)
         total = 0.0
         for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
             if hi - lo <= 1e-15 * rho:
                 continue
             qs, qw = _gl_nodes(lo, hi, n_q)
-            if reuse:
-                odd = samples(qs, angles[1::2])
-                vals = np.empty(odd.shape[:-1] + (n_a,))
-                vals[..., 0::2] = kept[k]
-                vals[..., 1::2] = odd
-                nodes += odd.size
-            else:
-                vals = samples(qs, angles)
+            # per row: the radius in the plane of the angles and, in 3-d, the height
+            rows = [qs] if dim == 2 else [(qs[:, None] * sin_u).ravel(), (qs[:, None] * u).ravel()]
+            means = np.empty(rows[0].size)
+            store = np.empty((means.size, n_a)) if 3 <= level < 6 else None  # level + 1 reuses it
+            for b in (slice(i, i + step) for i in range(0, means.size, step)):
+                r_xy = rows[0][b, None]
+                coords = np.empty((dim, r_xy.size, new.size))  # column-major points
+                np.multiply(r_xy, cos, out=coords[0])
+                np.multiply(r_xy, sin, out=coords[1])
+                if dim == 3:
+                    coords[2] = rows[1][b, None]
+                for j in range(dim):
+                    coords[j] += c[j]
+                vals = U.positive_values(coords.reshape(dim, -1).T).reshape(r_xy.size, -1)
+                np.copyto(vals, 0.0, where=~np.isfinite(vals))  # measure-zero nodes
                 nodes += vals.size
-            kept[k] = vals
+                if reuse:
+                    block = np.empty((r_xy.size, n_a)) if store is None else store[b]
+                    block[:, 0::2] = kept[k][b]
+                    block[:, 1::2] = vals
+                    vals = block
+                elif store is not None:
+                    store[b] = vals
+                np.add.reduce(vals, axis=1, out=means[b])  # the sum np.mean takes
+            means /= n_a
+            kept[k] = store
             if dim == 2:
-                shell = vals.mean(axis=1)
-                total += float(_dots(qw, 2.0 * qs / (rho * rho) * shell))
+                total += float(_dots(qw, 2.0 * qs / (rho * rho) * means))
             else:
-                shell = 0.5 * _dots(vals.mean(axis=2), uw)
+                shell = 0.5 * _dots(means.reshape(n_q, -1), uw)
                 total += float(_dots(qw, 3.0 * qs ** 2 / rho ** 3 * shell))
         diff = math.inf if prev is None else abs(total - prev)
         prev = total
@@ -245,7 +250,8 @@ def positive_part_integral(U: DeltaSubharmonicFn, mu: BorelMeasure,
     """integral of U^+ d mu: exact weighted point values on atoms, U^+ at
     all of them from one call, U over its positive pieces along segments and
     arcs against each one's uniform measure (_path_integral, the rule of
-    C_{U^+}), nested product quadrature over balls; the terms are added in
+    C_{U^+}), nested product quadrature over balls, walked in row blocks of
+    at most potentials._BLOCK points (_ball_integral); the terms are added in
     component order."""
     total = QuadratureResult(0.0, 0.0, 0)
     atoms = mu.atoms
@@ -703,6 +709,8 @@ class CorpusConfig:
     timing: bool = False
 
     def __post_init__(self):
+        if not self.families:
+            raise ValueError("a corpus needs at least one scenario family")
         _check_known(self.families, FAMILIES, "scenario family")
         _check_known(self.checks, ALL_CHECKS, "check tag")
 

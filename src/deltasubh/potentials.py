@@ -28,7 +28,9 @@ out column-major ones (np.empty((d, n)).T), so each coordinate is one
 contiguous column; distances are squared in place in one column-major
 temporary (geometry._distances), and sums accumulate in place.
 DeltaSubharmonicFn.values_with_polar evaluates more than _BLOCK points _BLOCK
-rows at a time, so that a block's temporaries stay in cache.  Both are sound
+rows at a time, so that a block's temporaries stay in cache, and the ball
+rule (lab._ball_integral) asks for at most _BLOCK points a call, read at call
+time, unless one circle of its grid holds more.  Both are sound
 only because every potential and harmonic part acts node by node: a point's
 value is the same floats whatever the layout of its array and whatever
 other points share its call, and any new potential must keep that.

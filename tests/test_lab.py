@@ -3,6 +3,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -467,6 +468,12 @@ def test_empty_corpus():
     assert run_corpus(CorpusConfig(count=0), seed=1) == []
 
 
+def test_corpus_config_rejects_an_empty_family_list():
+    # run_corpus picks family index % len(families): no families, no corpus
+    with pytest.raises(ValueError, match="at least one scenario family"):
+        CorpusConfig(families=())
+
+
 def test_pointwise_bound_integrates_below_main_rhs():
     # integrating the pointwise bound at R* = (R+r)/2 over an atom-free mu
     # stays below the main theorem's RHS (the proof's chain of relaxations)
@@ -593,12 +600,41 @@ def test_ball_integral_reuses_samples_bit_for_bit():
     assert got.nodes_used == 1_244_160
 
 
+def test_ball_integral_keeps_only_the_previous_levels_rows():
+    # the case above runs to level 6, which reads the level-5 rows of its
+    # three panels: 3 x 48 x 4,096 x 8 B = 4.7 MB.  Level 5 holds those and
+    # one panel's level-4 rows (0.8 MB) at its peak, and a block of at most
+    # _BLOCK points adds well under 1 MB
+    U = MeromorphicFn(((0.3 + 0.1j, 1),), ((-0.2 + 0j, 1),), 1.4).to_delta_subharmonic()
+    disk = UniformBall((0.1, 0.0), 0.8, 1.0)
+    lab._ball_integral(U, disk, 1e-7)  # first-use caches are not the rule's
+    tracemalloc.start()
+    try:
+        got = lab._ball_integral(U, disk, 1e-7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.nodes_used == 1_244_160
+    assert peak < 8e6
+
+
+def _assert_block_size_free(monkeypatch, U, ball, tol, nodes, blocks):
+    want = lab._ball_integral(U, ball, tol)
+    assert want.nodes_used == nodes
+    for block in blocks:
+        monkeypatch.setattr(potentials, "_BLOCK", block)
+        got = lab._ball_integral(U, ball, tol)
+        assert (got.value, got.error_estimate, got.nodes_used) == \
+            (want.value, want.error_estimate, want.nodes_used), block
+
+
 @pytest.mark.parametrize("d, blocks", [(2, (1, 7)), (3, (7,))])
 def test_ball_integral_does_not_depend_on_the_block_size(monkeypatch, d, blocks):
-    # values_with_polar evaluates _BLOCK rows at a time; a point's U^+ is the
-    # same floats in any block.  U > 0 on the ball, so the rule stops after
-    # two levels: 5,120 nodes in d = 2 and 245,760 in d = 3, where one row
-    # per block would take 20 s
+    # a block of rows holds at most _BLOCK points and at least one row, and a
+    # point's U^+ is the same floats in any block: _BLOCK = 1 and 7 give
+    # one-row blocks, which values_with_polar splits again.  U > 0 on the
+    # ball, so the rule stops after two levels: 5,120 nodes in d = 2 and
+    # 245,760 in d = 3, where one point per block would take 20 s
     if d == 2:
         U = MeromorphicFn(((1.5 + 0.2j, 1),), ((-1.4 + 0j, 1),), 4.0).to_delta_subharmonic()
         ball = UniformBall((0.1, 0.0), 0.5, 1.0)
@@ -607,13 +643,16 @@ def test_ball_integral_does_not_depend_on_the_block_size(monkeypatch, d, blocks)
                           BorelMeasure((Atom((1.5, 0.3, -0.2), 0.6),), 3))
         v = SubharmonicFn(None, BorelMeasure((Atom((-1.7, 0.2, 0.5), 0.4),), 3))
         U, ball = DeltaSubharmonicFn(u, v), UniformBall((0.1, 0.0, 0.0), 0.5, 1.0)
-    want = lab._ball_integral(U, ball, 1e-6)
-    assert want.nodes_used == (5_120 if d == 2 else 245_760)
-    for block in blocks:
-        monkeypatch.setattr(potentials, "_BLOCK", block)
-        got = lab._ball_integral(U, ball, 1e-6)
-        assert (got.value, got.error_estimate, got.nodes_used) == \
-            (want.value, want.error_estimate, want.nodes_used), block
+    _assert_block_size_free(monkeypatch, U, ball, 1e-6, 5_120 if d == 2 else 245_760, blocks)
+
+
+def test_ball_integral_reuse_level_does_not_depend_on_the_block_size(monkeypatch):
+    # U^+ kinks across the disk, so the rule runs to level 4, whose even
+    # angles are level 3's rows: one-row blocks at _BLOCK = 7, and at 5,200
+    # blocks of five rows at levels 3 and 4, the last of three
+    U = MeromorphicFn(((0.9 + 0.1j, 1),), ((-0.9 + 0j, 1),), 1.0).to_delta_subharmonic()
+    _assert_block_size_free(monkeypatch, U, UniformBall((0.0, 0.0), 0.5, 1.0), 3e-7, 119_808,
+                            (7, 5200))
 
 
 # -- the per-point proof checks, kept as the bit-identity reference -----------
