@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .geometry import _distances, _dots, _kernel_values
-from .measures import Atom, BorelMeasure, UniformArc, integrated_counting_result
+from .measures import UniformArc, integrated_counting_result
 from .potentials import (
     DeltaSubharmonicFn,
     MeromorphicFn,
@@ -122,9 +122,7 @@ def _split(F) -> _Split:
     those of v at -w, split into its atoms and the rest."""
     parts = [(F, 1.0)] if isinstance(F, SubharmonicFn) else [(F.u, 1.0), (F.v, -1.0)]
     atoms = [(a.point, sign * a.weight) for sub, sign in parts for a in sub.riesz.atoms]
-    bare = [replace(sub, riesz=BorelMeasure(tuple(c for c in sub.riesz.components
-                                                  if not isinstance(c, Atom)), F.dim))
-            for sub, _sign in parts]
+    bare = [replace(sub, riesz=sub.riesz.continuous) for sub, _sign in parts]
     rest = bare[0] if len(bare) == 1 else DeltaSubharmonicFn(*bare)
     return _Split(rest.values, np.array([p for p, _ in atoms], dtype=float).reshape(-1, F.dim),
                   np.array([w for _, w in atoms], dtype=float))

@@ -54,7 +54,9 @@ from .measures import (
 )
 from .potentials import (
     DeltaSubharmonicFn,
+    HarmonicPolynomial,
     MeromorphicFn,
+    SubharmonicFn,
     jordan_decomposition,
     potential_values,
 )
@@ -336,7 +338,7 @@ def _ur_report(tag: str, ing: _Ingredients) -> VerificationReport:
                                   note="needs r >= 1 or f(0) finite")
     dini = ing.dini
     if math.isinf(dini.value):
-        got = ing.lhs.value if s.mu.is_atomic and not meromorphic else math.nan
+        got = ing.lhs.value if not s.mu.continuous.components and not meromorphic else math.nan
         return VerificationReport(s.scenario_id, tag, got, math.inf,
                                   math.inf, 0.0, PRECONDITION_FAILED,
                                   {"dini": math.inf},
@@ -544,8 +546,6 @@ def _random_measure(rng: random.Random, family: str, r: float) -> BorelMeasure:
         ang = rng.uniform(0, 2 * math.pi)
         center = (qc * math.cos(ang), qc * math.sin(ang))
         rho = rng.uniform(0.1, 0.5) * (r - qc)
-        if rho <= 0:
-            continue
         if all(_distances(center, d.center) > rho + d.radius + 0.05 * r for d in disks):
             disks.append(UniformBall(center, rho, rng.uniform(0.3, 1.0)))
     return BorelMeasure(tuple(disks), 2)
@@ -586,8 +586,6 @@ def _random_charge_pair(rng: random.Random, R: float, mu: BorelMeasure,
                         margin: float):
     """Random atomic Riesz charges (plus a small harmonic part) clear of the
     support of mu: a non-meromorphic delta-subharmonic scenario family."""
-    from .potentials import HarmonicPolynomial, SubharmonicFn
-
     def draw_atoms(count):
         atoms = []
         for _ in range(count):

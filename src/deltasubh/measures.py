@@ -23,14 +23,20 @@ right-hand side.
 Closed balls throughout: mass sitting at distance exactly t from y counts.
 
 Each component kind carries its own behaviour, so callers never switch on
-the kind: ball_mass and breakpoint_radii (at one center or an (n, d) array
-of centers), h_single, dini_single (closed-form integral_0^upper h_single(t)
-/ t^{d-1} dt), outer_radius, potential (closed-form kernel
-potential, per point) and distance_to (generator rejection).  The dimension
-d of these formulas is the component's dim, the length of its points.  A
-measure states its d once, BorelMeasure(components, dim), even when it has
-no component, and rejects a component of another d; nothing infers or
-defaults it, and no method takes d as an argument.  The 1-d
+the kind, and each method has one call shape: ball_mass (at one center or
+an (n, d) array of centers; always an array, radial_counting gives a float
+for a scalar radius), h_single (a float at a float t), dini_single
+(closed-form integral_0^upper h_single(t) / t^{d-1} dt), outer_radius,
+potential (closed-form kernel potential, per point), distance_to (from one
+point) and overlaps (whether a component of the same kind shares carrier
+mass with it, which the Jordan decomposition asks; atoms never do, as
+coincident atoms cancel by weight).  The continuous kinds carry
+breakpoint_radii(), where mu_i(B_0(t)) changes form in t: the piece ends of
+N_mu's quadrature, which takes atoms in closed form.  BorelMeasure.continuous
+is the measure without its atoms.  The dimension d of these formulas is the
+component's dim, the length of its points.  A measure states its d once,
+BorelMeasure(components, dim), even when it has no component, and rejects a
+component of another d; nothing infers or defaults it.  The 1-d
 carriers, segments and arcs, are paths for the by-sign integral of
 characteristics as well: span (the parameter interval, [0, 1] or the arc's
 angles), at (points at parameters), feet (the parameters of points' nearest
@@ -91,9 +97,11 @@ def _check_positive(value: float, what: str):
         raise ValueError(f"{what} must be finite and > 0, got {value!r}")
 
 
-def _float_or_array(out):
-    """out as a float when it holds one value (one center, a scalar radius)."""
-    return float(out) if np.ndim(out) == 0 else out
+def _cross_norm(a: np.ndarray, b: np.ndarray) -> float:
+    """|a x b| of two vectors in d = 2 or 3."""
+    if a.size == 2:
+        return abs(float(a[0] * b[1] - a[1] * b[0]))
+    return float(_distances(np.cross(a, b), 0.0))
 
 
 @dataclass(frozen=True)
@@ -109,20 +117,14 @@ class Atom:
     def dim(self) -> int:
         return len(self.point)
 
-    def ball_mass(self, y, t):
-        out = np.where(_distances(y, self.point) <= np.asarray(t, dtype=float), self.weight, 0.0)
-        return _float_or_array(out)
-
-    def breakpoint_radii(self, y) -> list:
-        return [_float_or_array(_distances(y, self.point))]
+    def ball_mass(self, y, t) -> np.ndarray:
+        return np.where(_distances(y, self.point) <= np.asarray(t, dtype=float), self.weight, 0.0)
 
     def outer_radius(self) -> float:
         return math.hypot(*self.point)
 
-    def h_single(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        out = np.full_like(t_arr, self.weight)
-        return _float_or_array(out)
+    def h_single(self, t: float) -> float:
+        return float(self.weight)
 
     def dini_single(self, upper: float) -> float:
         return math.inf  # h = weight near 0
@@ -132,6 +134,9 @@ class Atom:
 
     def distance_to(self, p: np.ndarray) -> float:
         return float(_distances(p, self.point))
+
+    def overlaps(self, other: "Atom") -> bool:
+        return False  # a point carries no shared mass; coincident atoms cancel by weight
 
 
 @dataclass(frozen=True)
@@ -157,7 +162,7 @@ class UniformSegment:
     def length(self) -> float:
         return float(_distances(self.start, self.end))
 
-    def ball_mass(self, y, t):
+    def ball_mass(self, y, t) -> np.ndarray:
         # parameter fraction of {s in [0,1] : |start + s (end-start) - y| <= t}
         a = np.asarray(self.start)
         e = np.asarray(self.end) - a
@@ -173,20 +178,19 @@ class UniformSegment:
         s_lo = (dot - safe) / ee
         s_hi = (dot + safe) / ee
         frac = np.maximum(0.0, np.minimum(s_hi, 1.0) - np.maximum(s_lo, 0.0))
-        out = np.where(disc >= 0.0, self.weight * frac, 0.0)
-        return _float_or_array(out)
+        return np.where(disc >= 0.0, self.weight * frac, 0.0)
 
-    def breakpoint_radii(self, y) -> list:
-        return [self.distance_to(y)] + [_float_or_array(_distances(y, p))
-                                        for p in (self.start, self.end)]
+    def breakpoint_radii(self) -> list:
+        origin = np.zeros(self.dim)
+        return [self.distance_to(origin)] + [float(_distances(origin, p))
+                                             for p in (self.start, self.end)]
 
     def outer_radius(self) -> float:
         return max(math.hypot(*self.start), math.hypot(*self.end))
 
-    def h_single(self, t):
-        L = self.length
-        out = self.weight * (np.minimum(2.0 * np.asarray(t, dtype=float), L) / L)  # <= weight
-        return _float_or_array(out)
+    def h_single(self, t: float) -> float:
+        L = self.length  # h <= weight
+        return float(self.weight * (np.minimum(2.0 * np.asarray(t, dtype=float), L) / L))
 
     def dini_single(self, upper: float) -> float:
         """h = weight * t / (L/2) up to L/2, weight after; h / t^2 ~ 1/t in d=3."""
@@ -234,12 +238,21 @@ class UniformSegment:
         integral = np.where(inside, -np.inf, integral)
         return self.weight / L * integral
 
-    def distance_to(self, p):
-        """The distance from p to the segment: a float for one point, an
-        array for an (n, d) array of points."""
+    def distance_to(self, p) -> float:
+        """The distance from the point p to the segment."""
         p = np.asarray(p, dtype=float)
-        foot = self.at(self.feet(np.atleast_2d(p), *self.span)).reshape(p.shape)
-        return _float_or_array(_distances(foot, p))
+        foot = self.at(self.feet(p[None, :], *self.span))[0]
+        return float(_distances(foot, p))
+
+    def overlaps(self, other: "UniformSegment") -> bool:
+        """Whether the segments are collinear and share a piece (to 1e-12)."""
+        ea, eb = np.subtract(self.end, self.start), np.subtract(other.end, other.start)
+        off, na = np.subtract(other.start, self.start), self.length
+        if (_cross_norm(ea, eb) > 1e-12 * na * other.length
+                or _cross_norm(ea, off) > 1e-12 * na * max(1.0, float(_distances(off, 0.0)))):
+            return False
+        s0, s1 = (float(_dots(v, ea) / _dots(ea, ea)) for v in (off, off + eb))
+        return min(max(s0, s1), 1.0) - max(min(s0, s1), 0.0) > 1e-12
 
     @property
     def span(self) -> tuple:
@@ -349,7 +362,7 @@ class UniformArc:
     def width(self) -> float:
         return self.angle_end - self.angle_start
 
-    def ball_mass(self, y, t):
+    def ball_mass(self, y, t) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         q = _distances(y, self.center)
         t_arr = np.asarray(t, dtype=float)
@@ -368,14 +381,13 @@ class UniformArc:
         inter = sum(np.maximum(0.0, np.minimum(half, w - c) + np.minimum(half, c))
                     for c in (c0 - TWO_PI, c0, c0 + TWO_PI))
         inter = np.where(s2 >= 1.0, w, np.where(s2 <= 0.0, 0.0, inter))
-        out = np.where(q < 1e-15 * max(1.0, self.radius),  # y at the center
-                       np.where(t_arr >= self.radius, self.weight, 0.0), self.weight * inter / w)
-        return _float_or_array(out)
+        return np.where(q < 1e-15 * max(1.0, self.radius),  # y at the center
+                        np.where(t_arr >= self.radius, self.weight, 0.0), self.weight * inter / w)
 
-    def breakpoint_radii(self, y) -> list:
-        q = _distances(y, self.center)
-        ends = [_distances(y, tip) for tip in self.at(np.array(self.span))]
-        return [_float_or_array(b) for b in (np.abs(q - self.radius), q + self.radius, *ends)]
+    def breakpoint_radii(self) -> list:
+        q = float(_distances(self.center, 0.0))
+        ends = [float(_distances(tip, 0.0)) for tip in self.at(np.array(self.span))]
+        return [abs(q - self.radius), q + self.radius, *ends]
 
     def outer_radius(self) -> float:
         q = math.hypot(*self.center)
@@ -392,16 +404,11 @@ class UniformArc:
     def _angle_in_support(self, ang: float) -> bool:
         return (ang - self.angle_start) % TWO_PI <= self.width + 1e-12
 
-    def h_single(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        ratio = np.clip(t_arr / self.radius, 0.0, 1.0)
-        ang = 2.0 * np.arcsin(ratio)
-        out = np.where(
-            t_arr >= self.radius,
-            self.weight,
-            self.weight * np.minimum(ang, self.width) / self.width,
-        )
-        return _float_or_array(out)
+    def h_single(self, t: float) -> float:
+        if t >= self.radius:
+            return float(self.weight)
+        ang = 2.0 * np.arcsin(np.clip(np.asarray(t, dtype=float) / self.radius, 0.0, 1.0))
+        return float(self.weight * np.minimum(ang, self.width) / self.width)
 
     def dini_single(self, upper: float) -> float:
         """With t = rho sin(phi), h = (2 weight / W) phi up to t* = rho sin(theta*),
@@ -450,6 +457,14 @@ class UniformArc:
         to the arc.  The scenario generators reject points on exactly this
         value, so it stays the circle distance."""
         return abs(float(_distances(p, self.center)) - self.radius)
+
+    def overlaps(self, other: "UniformArc") -> bool:
+        """Whether the arcs lie on one circle and share an arc (to 1e-12)."""
+        tol = 1e-12 * max(1.0, self.radius)
+        if _distances(self.center, other.center) > tol or abs(self.radius - other.radius) > tol:
+            return False
+        rel = (other.angle_start - self.angle_start) % (2.0 * math.pi)
+        return rel < self.width - 1e-12 or rel + other.width > 2.0 * math.pi + 1e-12
 
     @property
     def span(self) -> tuple:
@@ -508,7 +523,7 @@ class UniformBall:
     def dim(self) -> int:
         return len(self.center)
 
-    def ball_mass(self, y, t):
+    def ball_mass(self, y, t) -> np.ndarray:
         q = _distances(y, self.center)
         rho = self.radius
         t_arr = np.asarray(t, dtype=float)
@@ -518,12 +533,11 @@ class UniformBall:
         else:
             inter = _lens_volume_3d(t_arr, rho, q)
             frac = inter / (4.0 / 3.0 * math.pi * rho ** 3)
-        out = self.weight * frac
-        return _float_or_array(out)
+        return np.asarray(self.weight * frac)
 
-    def breakpoint_radii(self, y) -> list:
-        q = _distances(y, self.center)
-        return [_float_or_array(b) for b in (np.maximum(0.0, q - self.radius), q, q + self.radius)]
+    def breakpoint_radii(self) -> list:
+        q = float(_distances(self.center, 0.0))
+        return [max(0.0, q - self.radius), q, q + self.radius]
 
     def second_order(self, y, t: float, delta: float):
         """(g, L) for m(y) = mu(B_y(t)) at the centers y, an (n, 2) array: the
@@ -566,11 +580,9 @@ class UniformBall:
     def outer_radius(self) -> float:
         return math.hypot(*self.center) + self.radius
 
-    def h_single(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        ratio = np.clip(t_arr / self.radius, 0.0, 1.0)
-        out = self.weight * ratio ** self.dim
-        return _float_or_array(out)
+    def h_single(self, t: float) -> float:
+        ratio = np.clip(np.asarray(t, dtype=float) / self.radius, 0.0, 1.0)
+        return float(self.weight * ratio ** self.dim)
 
     def dini_single(self, upper: float) -> float:
         """h / t^{d-1} = weight * t / rho^d up to rho, weight / t^{d-1} after."""
@@ -596,6 +608,10 @@ class UniformBall:
 
     def distance_to(self, p: np.ndarray) -> float:
         return max(0.0, float(_distances(p, self.center)) - self.radius)
+
+    def overlaps(self, other: "UniformBall") -> bool:
+        """Whether the centers are closer than the sum of the radii (to 1e-12)."""
+        return bool(_distances(self.center, other.center) < self.radius + other.radius - 1e-12)
 
 
 def _lens_area_2d(t, rho, q):
@@ -663,25 +679,26 @@ class BorelMeasure:
         return sum(c.weight for c in self.components)
 
     @property
-    def is_atomic(self) -> bool:
-        return all(isinstance(c, Atom) for c in self.components)
-
-    @property
     def atoms(self) -> list:
         return [c for c in self.components if isinstance(c, Atom)]
 
+    @property
+    def continuous(self) -> "BorelMeasure":
+        """The measure without its atoms."""
+        return BorelMeasure(tuple(c for c in self.components if not isinstance(c, Atom)), self.dim)
+
 
 def radial_counting(mu: BorelMeasure, y, t):
-    """mu(closed ball of radius t centered at y); exact per component."""
-    if not np.all(np.asarray(t, dtype=float) >= 0):  # False for NaN too
+    """mu(closed ball of radius t centered at the point y); exact per
+    component.  A float for a scalar t, else an array of t's shape."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(t >= 0):  # False for NaN too
         raise ValueError("radius t must be >= 0")
     y = _as_point(y)
-    if not mu.components:
-        return 0.0 if np.isscalar(t) else np.zeros_like(np.asarray(t, dtype=float))
-    total = mu.components[0].ball_mass(y, t)
+    total = mu.components[0].ball_mass(y, t) if mu.components else np.zeros_like(t)
     for c in mu.components[1:]:
         total = total + c.ball_mass(y, t)
-    return total
+    return float(total) if total.ndim == 0 else total
 
 
 # ---------------------------------------------------------------------------
@@ -737,10 +754,8 @@ def _modulus_bracket(mu: BorelMeasure, t: float) -> tuple:
     the bracket can still close and _BEAM // 16 once a discarded cover holds
     it open, where more levels barely raise the lower end; that stays
     mu(B_c(t)) at a real center c."""
-    if not mu.components:
-        return 0.0, 0.0
     comps, d = mu.components, mu.dim
-    caps = np.array([[float(c.h_single(t))] for c in comps])
+    caps = np.array([[c.h_single(t)] for c in comps])
     tol = _BRACKET_TOL * max(1.0, mu.mass)
     half = mu.support_radius + t
     smallest = 1e-13 * half
@@ -823,11 +838,11 @@ def _modulus(mu: BorelMeasure, t: float, method: str) -> tuple:
     if not mu.components:
         return 0.0, "exact"
     if len(mu.components) == 1:
-        return float(mu.components[0].h_single(t)), "exact"
-    if mu.is_atomic and mu.dim == 2:
+        return mu.components[0].h_single(t), "exact"
+    if not mu.continuous.components and mu.dim == 2:
         return _atomic_h_exact_2d(mu, t), "exact"
     if method == "upper":
-        return float(sum(c.h_single(t) for c in mu.components)), "upper-bound"
+        return sum(c.h_single(t) for c in mu.components), "upper-bound"
     lower, upper = _modulus_bracket(mu, t)
     closed = upper <= lower + _BRACKET_TOL * max(1.0, mu.mass)
     return lower, "exact" if closed else "lower-bound"
@@ -898,9 +913,9 @@ def integrated_counting_result(mu: BorelMeasure, r: float, R: float) -> Quadratu
         raise ValueError(f"need 0 <= r < R, got ({r}, {R})")
     d = mu.dim
     origin = (0.0,) * d
-    cont = [c for c in mu.components if not isinstance(c, Atom)]
+    rest = mu.continuous
     value = _exact_atomic_counting(d, mu.atoms, r, R)
-    if not cont:
+    if not rest.components:
         return QuadratureResult(value, 0.0, 0)
     # dini_single is +inf for a carrier of dimension at most d - 2 (a segment
     # in d = 3): its mass near any of its points grows like t^{d-2} or
@@ -909,16 +924,15 @@ def integrated_counting_result(mu: BorelMeasure, r: float, R: float) -> Quadratu
     # A float segment through the origin misses it by rounding; 1e-14 R is
     # the width below which integrate_interval drops a panel anyway.
     if r == 0.0 and any(math.isinf(c.dini_single(R))
-                        and c.distance_to(np.zeros(d)) <= 1e-14 * R for c in cont):
+                        and c.distance_to(origin) <= 1e-14 * R for c in rest.components):
         return QuadratureResult(math.inf, 0.0, 0)
     d_hat = float(_d_hat(d))
     power = d - 1
-    rest = BorelMeasure(tuple(cont), d)
 
     def integrand(t):
         return d_hat * radial_counting(rest, origin, t) / t ** power
 
-    breakpoints = [b for c in cont for b in c.breakpoint_radii(origin) if r < b < R]
+    breakpoints = [b for c in rest.components for b in c.breakpoint_radii() if r < b < R]
     res = integrate_interval(integrand, r, R, breakpoints, _COUNTING_TOL)
     return QuadratureResult(value + res.value, res.error_estimate, res.nodes_used)
 

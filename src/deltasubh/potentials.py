@@ -11,7 +11,10 @@ by distributional differentiation.  The model's dimension is nu's:
 SubharmonicFn(harmonic, riesz) takes no d of its own.  A delta-subharmonic
 function is a pair U = u - v; its Riesz charge is nu_u - nu_v, and the Jordan
 parts are obtained by cancelling coincident atoms / identical continuous
-components.
+components.  Whether a positive and a negative component left over share
+carrier mass, which no exact decomposition survives, is asked of their
+kind (overlaps in the measures module); the carriers of two different kinds
+meet in a set of measure zero.
 
 The logarithm of the modulus of a rational-type meromorphic function
 f = c e^{p} prod (z-a_i)^{m_i} / prod (z-b_j)^{n_j} is the d=2 bridge case:
@@ -52,15 +55,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .geometry import _distances, _dots
-from .measures import (
-    Atom,
-    BorelMeasure,
-    UniformArc,
-    UniformBall,
-    UniformSegment,
-    UnsupportedModelError,
-)
+from .measures import Atom, BorelMeasure, UnsupportedModelError
 
 __all__ = [
     "AffineHarmonic",
@@ -342,38 +337,6 @@ class MeromorphicFn:
 # Jordan decomposition and canonical representation
 
 
-def _cross_norm(a: np.ndarray, b: np.ndarray) -> float:
-    if a.size == 2:
-        return abs(float(a[0] * b[1] - a[1] * b[0]))
-    return float(_distances(np.cross(a, b), 0.0))
-
-
-def _positively_overlapping(a, b) -> bool:
-    """Whether two continuous components share carrier mass (same Hausdorff
-    dimension on an overlapping carrier); measure-zero contact is fine."""
-    if isinstance(a, UniformSegment) and isinstance(b, UniformSegment):
-        pa, ea = np.asarray(a.start), np.asarray(a.end) - np.asarray(a.start)
-        pb, eb = np.asarray(b.start), np.asarray(b.end) - np.asarray(b.start)
-        na, off = float(_distances(ea, 0.0)), pb - pa
-        if _cross_norm(ea, eb) > 1e-12 * na * float(_distances(eb, 0.0)):
-            return False
-        if _cross_norm(ea, off) > 1e-12 * na * max(1.0, float(_distances(off, 0.0))):
-            return False
-        s0 = float(_dots(off, ea) / _dots(ea, ea))
-        s1 = float(_dots(off + eb, ea) / _dots(ea, ea))
-        lo, hi = min(s0, s1), max(s0, s1)
-        return min(hi, 1.0) - max(lo, 0.0) > 1e-12
-    if isinstance(a, UniformArc) and isinstance(b, UniformArc):
-        if _distances(a.center, b.center) > 1e-12 * max(1.0, a.radius) or \
-                abs(a.radius - b.radius) > 1e-12 * max(1.0, a.radius):
-            return False
-        rel = (b.angle_start - a.angle_start) % (2.0 * math.pi)
-        return rel < a.width - 1e-12 or rel + b.width > 2.0 * math.pi + 1e-12
-    if isinstance(a, UniformBall) and isinstance(b, UniformBall):
-        return bool(_distances(a.center, b.center) < a.radius + b.radius - 1e-12)
-    return False  # different carriers intersect in measure zero
-
-
 def jordan_decomposition(U: DeltaSubharmonicFn):
     """(charge^+, charge^-) with mutually singular supports.
 
@@ -397,12 +360,11 @@ def _jordan_parts(U: DeltaSubharmonicFn):
             pos.append(replace(key, weight=w))
         elif w < -1e-300:
             neg.append(replace(key, weight=-w))
-    for p in pos:
-        for q in neg:
-            if _positively_overlapping(p, q):
-                raise UnsupportedModelError(
-                    "continuous charge components overlap partially; "
-                    "exact Jordan decomposition is unavailable")
+    # carriers of different kinds meet in measure zero; one kind asks its own
+    if any(type(p) is type(q) and p.overlaps(q) for p in pos for q in neg):
+        raise UnsupportedModelError(
+            "continuous charge components overlap partially; "
+            "exact Jordan decomposition is unavailable")
     dim = U.dim
     return BorelMeasure(tuple(pos), dim), BorelMeasure(tuple(neg), dim)
 

@@ -26,6 +26,7 @@ from deltasubh.potentials import (
     HarmonicPolynomial,
     MeromorphicFn,
     SubharmonicFn,
+    canonical_representation,
 )
 from deltasubh.quadrature import _ROUNDING
 
@@ -268,6 +269,28 @@ def test_canonical_with_harmonic_negative_part():
     c_plus = spherical_mean(U, R, "positive", tol=1e-10)
     assert rec_def.value == pytest.approx(c_plus.value, abs=1e-10)
     assert rec_can.value == pytest.approx(c_plus.value, abs=5e-8)
+
+
+def test_cross_form_with_harmonic_parts_on_both_sides_2d():
+    # u and v each carry a harmonic polynomial, of different degrees: u*
+    # takes h_u + (-h_v), padded to the longer one, v* none, and the two
+    # forms of T_U still agree
+    h_u = HarmonicPolynomial((0.3 + 0j, 0.2 - 0.1j))
+    h_v = HarmonicPolynomial((0.1 + 0j, 0.05j, -0.04 + 0.02j))
+    u = SubharmonicFn(h_u, BorelMeasure((Atom((0.4, -0.2), 0.9),), 2))
+    v = SubharmonicFn(h_v, BorelMeasure((Atom((-0.3, 0.5), 0.6),), 2))
+    U = DeltaSubharmonicFn(u, v)
+    u_star, v_star = canonical_representation(U)
+    assert u_star.harmonic == HarmonicPolynomial(
+        (0.3 - 0.1, (0.2 - 0.1j) - 0.05j, 0j - (-0.04 + 0.02j)))
+    assert v_star.harmonic is None
+    pts = np.array([[0.7, 0.1], [-1.2, 0.9], [0.0, -1.5]])
+    np.testing.assert_allclose(u_star.values(pts) - v_star.values(pts), U.values(pts),
+                               rtol=0.0, atol=1e-14)
+    r, R = 0.9, 2.0
+    a = difference_characteristic(U, r, R, tol=1e-10)
+    b = difference_characteristic_canonical(U, r, R, tol=1e-10)
+    assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
 
 
 def test_difference_characteristic_3d():

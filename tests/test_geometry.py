@@ -193,6 +193,28 @@ def test_every_export_has_a_caller_outside_the_tests():
     assert not unused, f"exported, but only the tests call: {sorted(unused)}"
 
 
+def test_every_module_level_import_is_used_by_its_module():
+    # a name a module of the package imports at module level is read as
+    # code in that module, or listed in its __all__ (a re-export); a stale
+    # import left behind when its last use moves away fails here.  __init__
+    # imports only the package's exports, which the test above checks
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "deltasubh"
+    unused = []
+    for path in sorted(set(src.glob("*.py")) - {src / "__init__.py"}):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = [(a.asname or a.name).split(".")[0] for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for a in node.names]
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                used |= {e.value for e in node.value.elts}
+        unused += [f"{path.name}: {name}" for name in imported if name not in used]
+    assert unused == [], f"imported at module level, never used: {unused}"
+
+
 # VerificationReport.note says why a row is precondition-failed or vacuous;
 # nothing prints it yet, and the per-row trace of ROADMAP item 1 is to carry it
 _FIELDS_WITHOUT_A_READER = {"VerificationReport.note"}

@@ -360,6 +360,26 @@ def test_pointwise_bound_random_scenarios():
         assert rep.verdict == "pass"
 
 
+@pytest.mark.parametrize("scale, verdict", [(2.0, "fail"), (math.nan, "inconclusive")],
+                         ids=["twice-the-rhs", "nan"])
+def test_a_mutated_left_side_reads_fail_or_inconclusive(monkeypatch, scale, verdict):
+    # a negative control: the UR row of s0001-segment passes, and a left side
+    # scaled to twice its right side is a counterexample past the budget,
+    # while a NaN one (slack and budget NaN) proves nothing either way
+    s = generate_scenario(42, 1, "segment")
+    (row,) = run_checks(s, ("UR",))
+    assert row.verdict == "pass" and 0.0 < row.lhs < row.rhs
+    integral = lab.positive_part_integral
+    factor = scale * row.rhs / row.lhs
+    monkeypatch.setattr(lab, "positive_part_integral",
+                        lambda U, mu, tol: integral(U, mu, tol).scaled(factor))
+    (mutated,) = run_checks(s, ("UR",))
+    assert mutated.rhs == row.rhs
+    assert mutated.verdict == verdict
+    if verdict == "fail":
+        assert mutated.slack == pytest.approx(-row.rhs) and -mutated.slack > mutated.error_budget
+
+
 def test_pointwise_bound_row_carries_its_budget_and_is_inconclusive_inside_it(monkeypatch):
     # the U+B row's budget is coeff C_{U+}(R).error_estimate, and a worst
     # slack inside it reads inconclusive, so noise cannot fake a pass

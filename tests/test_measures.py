@@ -518,11 +518,13 @@ def test_lens_area_equals_the_nested_where_expression_bit_for_bit():
     t = np.array([[0.0], [0.25], [0.75], [1.25], [0.4]])
     assert np.array_equal(_lens_area_2d(t, rho, q), _ref_lens_area_2d(t, rho, q))
     ball = UniformBall((0.0, 0.0), rho, 1.0)
+    disk = BorelMeasure((ball,), 2)
     for tk in t[:, 0]:
         for qk in q[:8]:
             one = _lens_area_2d(tk, rho, qk)
             assert np.ndim(one) == 0 and one == _ref_lens_area_2d(tk, rho, qk), (tk, qk)
-            mass = ball.ball_mass((float(qk), 0.0), float(tk))
+            # ball_mass always gives an array; radial_counting a float for one radius
+            mass = radial_counting(disk, (float(qk), 0.0), float(tk))
             assert type(mass) is float
             assert mass == ball.ball_mass(np.array([[qk, 0.0]]), float(tk))[0]
 
@@ -705,8 +707,8 @@ def test_segment_ball_mass_about_a_point_of_it(seg):
 
 def test_segment_and_arc_paths_match_their_geometry():
     # a segment's nearest point is found once, in feet: the first breakpoint
-    # radius about y is distance_to(y), and at(feet(y)) is no farther from y
-    # than the nearest of 4,097 points along the segment
+    # radius, about the origin, is distance_to(origin), and at(feet(y)) is no
+    # farther from y than the nearest of 4,097 points along the segment
     rng = random.Random(11)
     samples = np.linspace(0.0, 1.0, 4097)
     for d in (2, 3):
@@ -715,7 +717,7 @@ def test_segment_and_arc_paths_match_their_geometry():
             b = tuple(rng.uniform(-2, 2) for _ in range(d))
             seg = UniformSegment(a, b, 1.0)
             y = np.array([rng.uniform(-3, 3) for _ in range(d)])
-            assert seg.breakpoint_radii(tuple(y))[0] == seg.distance_to(y)
+            assert seg.breakpoint_radii()[0] == seg.distance_to(np.zeros(d))
             foot = seg.at(seg.feet(y[None, :], *seg.span))[0]
             nearest = float(np.min(np.linalg.norm(seg.at(samples) - y, axis=1)))
             assert np.linalg.norm(foot - y) <= nearest * (1.0 + 1e-12)
@@ -747,21 +749,31 @@ def _components(d, rng):
 def test_ball_mass_of_many_centres_equals_one_centre_calls_bit_for_bit(d):
     # the modulus bracket asks for mu(B_y(t)) at a beam of centres in one
     # call; each centre's masses must not depend on the others, nor on
-    # whether the centre is a one-row array or a tuple.  So must the
-    # breakpoint radii, where the masses change form
+    # whether the centre is a one-row array or a tuple, nor on whether
+    # radial_counting asks.  About the origin, where N_mu reads them, the
+    # breakpoint radii bracket the change of form: no mass below the first,
+    # all of it past the last
     rng = np.random.default_rng(60 + d)
     centres = rng.uniform(-1.5, 1.5, (64, d))
     radii = np.sort(rng.uniform(0.0, 2.0, 200))[:, None]
+    origin = (0.0,) * d
     for comp in _components(d, rng):
+        alone = BorelMeasure((comp,), d)
         batch = comp.ball_mass(centres, radii)
-        breaks = np.array(comp.breakpoint_radii(centres))
         assert batch.shape == (200, 64)
         for i in range(64):
             one = comp.ball_mass(centres[i:i + 1], radii)
             assert np.array_equal(batch[:, i], one[:, 0]), (comp, i)
             assert np.array_equal(comp.ball_mass(tuple(centres[i]), radii), one), (comp, i)
-            row = [float(b[0]) for b in comp.breakpoint_radii(centres[i:i + 1])]
-            assert comp.breakpoint_radii(tuple(centres[i])) == row == breaks[:, i].tolist()
+            assert np.array_equal(radial_counting(alone, centres[i], radii[:, 0]), one[:, 0])
+        if isinstance(comp, Atom):  # N_mu takes atoms in closed form
+            continue
+        breaks = comp.breakpoint_radii()
+        assert all(type(b) is float for b in breaks), comp
+        lo, hi = min(breaks), max(breaks)
+        assert lo == 0.0 or radial_counting(alone, origin, lo * (1.0 - 1e-9)) == 0.0, comp
+        assert radial_counting(alone, origin, hi * (1.0 + 1e-9)) == pytest.approx(comp.weight,
+                                                                                  rel=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -116,6 +116,51 @@ def test_jordan_identical_continuous_cancel_and_partial_overlap_raises():
     assert plus.mass == pytest.approx(1.5) and minus.mass == pytest.approx(1.0)
 
 
+def _jordan_of(pos, neg):
+    """jordan_decomposition of the potential of pos minus that of neg."""
+    d = pos.dim
+    return jordan_decomposition(DeltaSubharmonicFn(SubharmonicFn(None, BorelMeasure((pos,), d)),
+                                                   SubharmonicFn(None, BorelMeasure((neg,), d))))
+
+
+def test_jordan_asks_arcs_whether_they_share_an_arc():
+    c, rho = (0.2, -0.1), 0.7
+    arc = UniformArc(c, rho, 0.5, 2.0, 1.0)
+    wraps = UniformArc(c, rho, 5.5, 7.0, 1.0)  # past 2 pi, over [0, 0.717]
+    shared = [UniformArc(c, rho, 1.5, 3.0, 1.0),   # starts inside arc
+              UniformArc(c, rho, 3.0, 7.0, 1.0),   # wraps round onto arc's start
+              UniformArc(c, rho, -1.0, 0.6, 1.0)]  # ends inside arc
+    apart = [UniformArc(c, rho, 2.5, 4.0, 1.0),    # disjoint on the same circle
+             UniformArc(c, rho, 2.0, 3.0, 1.0),    # meets arc at its end only
+             UniformArc(c, 0.9, 0.5, 2.0, 1.0),    # concentric, another radius
+             UniformArc((0.3, -0.1), rho, 0.5, 2.0, 1.0)]
+    for other in shared:
+        assert arc.overlaps(other) and other.overlaps(arc), other
+        with pytest.raises(UnsupportedModelError):
+            _jordan_of(arc, other)
+    for other in apart:
+        assert not arc.overlaps(other) and not other.overlaps(arc), other
+        plus, minus = _jordan_of(arc, other)
+        assert (plus.mass, minus.mass) == (1.0, 1.0)
+    # an arc that wraps past 2 pi shares the start of one that does not
+    assert wraps.overlaps(UniformArc(c, rho, 0.2, 0.6, 1.0))
+    assert not wraps.overlaps(UniformArc(c, rho, 0.8, 5.4, 1.0))
+
+
+def test_jordan_asks_3d_segments_whether_they_share_a_piece():
+    seg = UniformSegment((0.0, 0.0, 0.0), (1.0, 2.0, -1.0), 1.0)
+    on_line = UniformSegment((0.5, 1.0, -0.5), (1.5, 3.0, -1.5), 1.0)
+    with pytest.raises(UnsupportedModelError):
+        _jordan_of(seg, on_line)
+    apart = [UniformSegment((1.5, 3.0, -1.5), (2.0, 4.0, -2.0), 1.0),  # same line, beyond
+             UniformSegment((0.0, 0.0, 0.5), (1.0, 2.0, -0.5), 1.0),   # parallel, offset
+             UniformSegment((0.5, 1.0, -0.5), (1.5, 1.0, 0.5), 1.0)]   # crosses it at a point
+    for other in apart:
+        assert not seg.overlaps(other), other
+        plus, minus = _jordan_of(seg, other)
+        assert (plus.mass, minus.mass) == (1.0, 1.0)
+
+
 def test_canonical_representation_examples():
     f = _mero(zeros=[(0j, 1)], poles=[(1 + 0j, 1)])
     U = f.to_delta_subharmonic()

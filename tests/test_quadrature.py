@@ -72,6 +72,24 @@ def test_nudge_log_counts_only_the_non_finite_nodes(caplog):
     assert nudges == ["perturbed 1 quadrature nodes off a singular point"]
 
 
+def test_nudge_gives_up_where_the_moved_nodes_stay_non_finite():
+    # NaN everywhere: no offset of the nodes finds a finite value
+    def f(t):
+        return np.full(np.shape(t), np.nan)
+
+    with pytest.raises(QuadratureBudgetError, match="non-finite at nudged nodes"):
+        integrate_interval(f, 0.0, 1.0, (), tol=1e-8)
+
+
+def test_circle_mean_of_a_jump_raises_at_the_trapezoid_cap():
+    # theta itself on [0, 2 pi): one jump, at 0, where the trapezoid's error
+    # is pi / n and halves with each doubling, so it never settles below
+    # tol before _MAX_TRAP nodes.  An indicator of an arc does not serve: two
+    # levels can count the same nodes inside it and agree exactly
+    with pytest.raises(QuadratureBudgetError, match="periodic trapezoid did not converge"):
+        circle_mean(lambda theta: theta, tol=1e-12)
+
+
 def test_circle_mean_constant():
     res = circle_mean(lambda th: np.full_like(th, 2.5), tol=1e-12)
     assert res.value == pytest.approx(2.5, abs=1e-13)
