@@ -293,7 +293,7 @@ def nevanlinna_N(f: MeromorphicFn, r: float) -> CharacteristicRecord:
     """
     if not 0.0 <= r < math.inf:
         raise ValueError(f"r must be finite and >= 0, got {r!r}")
-    n0 = sum(n for b, n in f.poles if b == 0)
+    n0 = f.pole_count(0.0)
     if r == 0.0:
         value = 0.0 if n0 == 0 else -math.inf
         return CharacteristicRecord("N_classical", r, value, 0.0)

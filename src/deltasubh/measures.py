@@ -44,7 +44,8 @@ points, within [lo, hi]) and kernel_integrals(ends, pts) (integral_a^b
 k(|x(t) - p|) dt in closed form for every piece [a, b] of ends at every
 point p, with its rounding bound, as (pieces, points) arrays).  Balls carry
 second_order (the gradient and a Hessian bound of y -> mu(B_y(t)) in d=2)
-for the modulus bracket; a kind without it keeps the first-order cover.
+for the modulus bracket, which decides once per call, from d and the kinds,
+whether its second-order cover applies: in d=2 with every component a ball.
 """
 
 from __future__ import annotations
@@ -542,7 +543,7 @@ class UniformBall:
     def second_order(self, y, t: float, delta: float):
         """(g, L) for m(y) = mu(B_y(t)) at the centers y, an (n, 2) array: the
         gradient g of m at each center and a bound L of the norm of its
-        Hessian on the ball of radius delta around it; None for d=3.  With
+        Hessian on the ball of radius delta around it (a disk: d=2).  With
         A(q) the lens area at center distance q, A'(q) = -sqrt(s) / q (minus
         the chord) and A'' = -2 (t^2 + rho^2 - q^2) / sqrt(s) + sqrt(s) / q^2,
         where s = -(q^2 - (t + rho)^2)(q^2 - (t - rho)^2) = (2 t rho)^2 -
@@ -553,8 +554,6 @@ class UniformBall:
         where the first-order cover is exact.  The interval and s are widened
         by _ROUNDING against their rounding.  g and L broadcast against the
         centers: they are (0, inf) when delta >= min(t, rho)."""
-        if self.dim != 2:
-            return None
         rho = self.radius
         if delta >= min(t, rho):  # wider than (|t - rho|, t + rho): no cell is smooth
             return 0.0, math.inf
@@ -746,14 +745,14 @@ def _modulus_bracket(mu: BorelMeasure, t: float) -> tuple:
     maximum, where the live cells then grow like 1/delta (the cluster
     problem of Du and Kearfott, J. Global Optim. 5, 1994), so a cell it
     leaves live takes the smaller of it and the second-order cover of
-    _second_order_cover, Taylor's bound at c, when every component has a
-    second-order term (2-d disks).  Cells within tol of the best lower
-    bound are dropped, the rest split in 2^d, down to 1e-13 of the root;
-    past the beam only the live cells with the largest upper + lower are
-    split, the others keeping their upper bounds.  The beam is _BEAM while
-    the bracket can still close and _BEAM // 16 once a discarded cover holds
-    it open, where more levels barely raise the lower end; that stays
-    mu(B_c(t)) at a real center c."""
+    _second_order_cover, Taylor's bound at c, when d=2 and every component
+    has a second-order term (disks), decided once per call.  Cells within
+    tol of the best lower bound are dropped, the rest split in 2^d, down to
+    1e-13 of the root; past the beam only the live cells with the largest
+    upper + lower are split, the others keeping their upper bounds.  The
+    beam is _BEAM while the bracket can still close and _BEAM // 16 once a
+    discarded cover holds it open, where more levels barely raise the lower
+    end; that stays mu(B_c(t)) at a real center c."""
     comps, d = mu.components, mu.dim
     caps = np.array([[c.h_single(t)] for c in comps])
     tol = _BRACKET_TOL * max(1.0, mu.mass)
@@ -762,7 +761,7 @@ def _modulus_bracket(mu: BorelMeasure, t: float) -> tuple:
     corners = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
     centers = np.zeros((1, d))
     best = upper = 0.0
-    taylor = True  # until a component turns out to have no second-order term
+    taylor = d == 2 and all(hasattr(c, "second_order") for c in comps)
     while True:
         delta = half * math.sqrt(d)  # the half-diagonal
         radii = np.array([[t], [t + delta]])
@@ -773,12 +772,9 @@ def _modulus_bracket(mu: BorelMeasure, t: float) -> tuple:
         cover = first.sum(axis=0)
         live = cover > best + tol
         if taylor and live.any():
-            second = _second_order_cover(comps, centers[live], t, delta,
-                                         masses[:, 0, live], first[:, live], mu.mass)
-            taylor = second is not None
-            if taylor:
-                cover[live] = np.minimum(cover[live], second)
-                live = cover > best + tol
+            cover[live] = np.minimum(cover[live], _second_order_cover(
+                comps, centers[live], t, delta, masses[:, 0, live], first[:, live], mu.mass))
+            live = cover > best + tol
         upper = max(upper, float(cover[~live].max(initial=0.0)))
         centers, cover, lower = centers[live], cover[live], lower[live]
         if not len(centers) or half < smallest:
@@ -795,11 +791,10 @@ def _modulus_bracket(mu: BorelMeasure, t: float) -> tuple:
 
 
 def _second_order_cover(comps, centers, t, delta, at_center, first, mass):
-    """Upper bound of mu(B_y(t)) over |y - c| <= delta at the centers c, or
-    None when a component has no second-order term (second_order), where a
-    first-order cover would stay:  sum m_i(c) + |sum grad m_i(c)| delta +
-    1/2 sum L_i delta^2 over the components with a finite L_i at c, plus the
-    first-order term first_i of the others.  at_center and first are
+    """Upper bound of mu(B_y(t)) over |y - c| <= delta at the centers c, for a
+    2-d mu of components with second_order:  sum m_i(c) + |sum grad m_i(c)|
+    delta + 1/2 sum L_i delta^2 over the components with a finite L_i at c,
+    plus the first-order term first_i of the others.  at_center and first are
     (components, centers) arrays.  Each |grad m_i| delta is at most 2 / pi of
     the component's mass (a disk's chord is at most 2 min(t, rho), and delta
     at most min(t, rho) where L_i is finite), so a relative _ROUNDING and
@@ -808,11 +803,7 @@ def _second_order_cover(comps, centers, t, delta, at_center, first, mass):
     total = np.zeros(len(centers))
     grad = np.zeros_like(centers)
     for comp, m, f in zip(comps, at_center, first):
-        second_order = getattr(comp, "second_order", None)
-        term = second_order(centers, t, delta) if second_order else None
-        if term is None:
-            return None
-        g, bound = term
+        g, bound = comp.second_order(centers, t, delta)
         total += np.where(np.isfinite(bound), m + 0.5 * delta * delta * bound, f)
         grad += g
     return total * (1.0 + _ROUNDING) + _distances(grad, 0.0) * delta + 2.0 * _ROUNDING * mass

@@ -8,9 +8,10 @@ Four entry points:
   trapezoid with Richardson-style doubling;
 * sphere_mean_3d -- product Gauss-Legendre (polar) x trapezoid (azimuth)
   mean over the unit 2-sphere with doubling;
-* sphere_sup -- dense-grid maximum plus golden-section refinement around
-  the top grid nodes; returns a lower bound of the sup whose refinement gap
-  is below the requested tolerance.
+* sphere_sup -- one dense scan of the sphere and one golden-section
+  refinement around the top 8 scan nodes, the dimension choosing only the
+  grid, the candidate rule and the passes; returns a lower bound of the sup
+  whose refinement gap is below the requested tolerance.
 
 All integrands are VECTORIZED callables: f(ndarray) -> ndarray (for
 sphere_mean_3d, f(theta_array, phi_array) -> array).  circle_mean and
@@ -372,61 +373,47 @@ def _golden_max(h, lo: float, hi: float, value_tol: float) -> tuple:
     return best
 
 
-def sphere_sup(
-    g,
-    refinement_tol: float = 1e-7,
-    dim: int = 2,
-) -> float:
+def sphere_sup(g, refinement_tol: float = 1e-7, *, dim: int) -> float:
     """Lower bound of sup over the unit sphere, refined near the top candidates.
 
-    dim=2: g(theta_array) -> array, dense scan of 4096 angles then golden-
-    section refinement around the top 8 local maxima.  dim=3: g(theta, phi)
-    vectorized, ~10^4 product nodes, then around each of the top 8 golden-
-    section steps along theta, then phi, then theta again.
+    One scan and one refinement: g is vectorized, g(theta) for dim=2 and
+    g(theta, phi) for dim=3.  The dimension picks the scan grid (4096 angles;
+    80 x 128 product nodes), the candidates (the top 8 nodes, in dim=2 more
+    than 2 angles apart) and the golden-section passes from each candidate
+    (along theta; along theta, phi, theta), each over +-2 grid steps.
     """
     if dim == 2:
-        n = 4096
-        theta = TWO_PI * np.arange(n) / n
-        vals = np.asarray(g(theta), dtype=float)
-        vals = np.where(np.isfinite(vals), vals, -np.inf)
-        order = np.argsort(vals)[::-1]
-        best = float(vals[order[0]])
-        picked: list[int] = []
-        for idx in order:
-            if len(picked) >= 8:
-                break
-            if all(min(abs(idx - j), n - abs(idx - j)) > 2 for j in picked):
-                picked.append(int(idx))
-        h = 2.0 * TWO_PI / n
-        for idx in picked:
-            t0 = theta[idx]
-
-            def scalar(t):
-                v = float(np.asarray(g(np.array([t])), dtype=float)[0])
-                return v if math.isfinite(v) else -math.inf
-
-            best = max(best, _golden_max(scalar, t0 - h, t0 + h, refinement_tol / 8.0)[0])
-        return best
-    if dim == 3:
+        n, sep = 4096, 2
+        grid = (TWO_PI * np.arange(n) / n,)
+        steps, passes = (2.0 * TWO_PI / n,), (0,)
+    elif dim == 3:
         n_th, n_ph = 80, 128
         th = math.pi * (np.arange(n_th) + 0.5) / n_th
         ph = TWO_PI * np.arange(n_ph) / n_ph
-        TH, PH = np.meshgrid(th, ph, indexing="ij")
-        vals = np.asarray(g(TH.ravel(), PH.ravel()), dtype=float)
-        vals = np.where(np.isfinite(vals), vals, -np.inf)
-        flat_order = np.argsort(vals)[::-1][:8]
-        best = float(vals[flat_order[0]])
+        grid = tuple(c.ravel() for c in np.meshgrid(th, ph, indexing="ij"))
+        n, sep = n_th * n_ph, 0  # any two distinct nodes
+        steps, passes = (2.0 * math.pi / n_th, 2.0 * TWO_PI / n_ph), (0, 1, 0)
+    else:
+        raise ValueError(f"sphere_sup supports dim 2 or 3, got {dim}")
+    vals = np.asarray(g(*grid), dtype=float)
+    vals = np.where(np.isfinite(vals), vals, -np.inf)
+    order = np.argsort(vals)[::-1]
+    best = float(vals[order[0]])
+    picked: list[int] = []
+    for idx in order:
+        if len(picked) >= 8:
+            break
+        if all(min(abs(idx - j), n - abs(idx - j)) > sep for j in picked):
+            picked.append(int(idx))
 
-        def at(theta, phi):
-            v = float(np.asarray(g(np.array([theta]), np.array([phi])), dtype=float)[0])
-            return v if math.isfinite(v) else -math.inf
+    def at(x):
+        v = float(np.asarray(g(*(np.array([c]) for c in x)), dtype=float)[0])
+        return v if math.isfinite(v) else -math.inf
 
-        h_th, h_ph, gap = 2.0 * math.pi / n_th, 2.0 * TWO_PI / n_ph, refinement_tol / 8.0
-        for idx in flat_order:
-            theta, phi = TH.ravel()[idx], PH.ravel()[idx]
-            v1, theta = _golden_max(lambda x: at(x, phi), theta - h_th, theta + h_th, gap)
-            v2, phi = _golden_max(lambda x: at(theta, x), phi - h_ph, phi + h_ph, gap)
-            v3, theta = _golden_max(lambda x: at(x, phi), theta - h_th, theta + h_th, gap)
-            best = max(best, v1, v2, v3)
-        return best
-    raise ValueError(f"sphere_sup supports dim 2 or 3, got {dim}")
+    for idx in picked:
+        x = [c[idx] for c in grid]
+        for k in passes:
+            v, x[k] = _golden_max(lambda s: at(x[:k] + [s] + x[k + 1:]),
+                                  x[k] - steps[k], x[k] + steps[k], refinement_tol / 8.0)
+            best = max(best, v)
+    return best

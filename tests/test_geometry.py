@@ -248,3 +248,35 @@ def test_every_dataclass_field_is_read_outside_its_class():
     unread = {f"{cls}.{name}" for cls, name in fields
               if not any(attr == name and where != cls for attr, where in reads)}
     assert unread == _FIELDS_WITHOUT_A_READER, f"fields no caller reads: {sorted(unread)}"
+
+
+def test_no_dimension_parameter_has_a_default():
+    # the dimension is stated by the caller or read from the object that
+    # carries it: no function or lambda of the package defaults a d or a dim
+    found = []
+    for where, node in _src_nodes():
+        if isinstance(node, ast.arguments):
+            positional = node.posonlyargs + node.args
+            defaulted = positional[len(positional) - len(node.defaults):]
+            defaulted += [a for a, v in zip(node.kwonlyargs, node.kw_defaults) if v is not None]
+            found += [f"{where.split(':')[0]}:{a.lineno} {a.arg}"
+                      for a in defaulted if a.arg in ("d", "dim")]
+    assert found == []
+
+
+def test_pass_and_fail_are_decided_only_by_the_verdict_rule():
+    # every row's verdict comes from lab._verdict: the names PASS and FAIL
+    # are read only there and in the VERDICTS tuple, so no check writes its
+    # own pass/fail rule (one that would print fail for a NaN slack)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "deltasubh"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            targets = [getattr(t, "id", None) for t in getattr(top, "targets", ())]
+            if path.name == "lab.py" and (getattr(top, "name", None) == "_verdict"
+                                          or targets == ["VERDICTS"]):
+                continue
+            found += [f"{path.name}:{node.lineno} {node.id}" for node in ast.walk(top)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                      and node.id in ("PASS", "FAIL")]
+    assert found == []

@@ -380,6 +380,23 @@ def test_a_mutated_left_side_reads_fail_or_inconclusive(monkeypatch, scale, verd
         assert mutated.slack == pytest.approx(-row.rhs) and -mutated.slack > mutated.error_budget
 
 
+def test_a_nan_poisson_jensen_residual_reads_inconclusive(monkeypatch):
+    # the Ux row's verdict is _verdict's, like every other row's: NaN
+    # boundary means prove nothing either way, so the row must not read fail
+    s = generate_scenario(42, 0, "charges")
+    (row,) = run_checks(s, ("Ux",))
+    assert row.verdict == "pass" and row.lhs < row.rhs == 1e-6
+    sphere_means = lab._sphere_means
+
+    def nan_means(*args):
+        return [dataclasses.replace(b, value=math.nan) for b in sphere_means(*args)]
+
+    monkeypatch.setattr(lab, "_sphere_means", nan_means)
+    (mutated,) = run_checks(s, ("Ux",))
+    assert math.isnan(mutated.lhs) and math.isnan(mutated.slack)
+    assert mutated.verdict == "inconclusive"
+
+
 def test_pointwise_bound_row_carries_its_budget_and_is_inconclusive_inside_it(monkeypatch):
     # the U+B row's budget is coeff C_{U+}(R).error_estimate, and a worst
     # slack inside it reads inconclusive, so noise cannot fake a pass

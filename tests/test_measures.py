@@ -486,10 +486,22 @@ def test_second_order_cover_bounds_every_mass_within_delta():
             assert (masses <= cover).all(), (disks, t, delta, offset)
     # the second-order cover is the smaller one at many of the cells
     assert tight > 1000, tight
-    # a component without a second-order term keeps the first-order cover
-    mixed = disks + (Atom((0.0, 0.0), 1.0),)
-    assert _second_order_cover(mixed, centers, t, delta, np.vstack([at_center, at_center[:1]]),
-                               np.vstack([first, first[:1]]), 3.0) is None
+
+
+def test_second_order_cover_is_asked_only_in_d2_when_every_component_has_it(monkeypatch):
+    # a component without a second-order term (an atom) or a d=3 ball keeps
+    # the bracket on the first-order cover at every level: decided once per
+    # call from d and the kinds, so _second_order_cover is never called
+    def refuse(*args):
+        raise AssertionError("second-order cover asked")
+
+    monkeypatch.setattr(measures, "_second_order_cover", refuse)
+    disk_and_atom = BorelMeasure((UniformBall((0.0, 0.0), 0.5, 1.0), Atom((0.6, 0.1), 0.7)), 2)
+    for mu, t in ((disk_and_atom, 0.3), (TWO_BALLS_3D, 0.45)):
+        lower, upper = _modulus_bracket(mu, t)
+        assert lower <= upper
+    with pytest.raises(AssertionError, match="second-order cover asked"):
+        _modulus_bracket(OPEN_DISK_UNION, OPEN_DISK_UNION_T)
 
 
 def _ref_lens_area_2d(t, rho, q):

@@ -3,8 +3,10 @@ checked with no reference value.
 
 A rotation about the origin turns U and mu together, and the sphere measure
 sigma_R is rotation invariant, so the integral of U^+ d mu, C_{U^+}(R) and
-the UR verdict stay the same.  Each pair of values must agree within the sum
-of their error estimates.  Arcs and segments go through one by-sign path
+the UR verdict stay the same.  Halving splits each segment at its midpoint
+and each arc at its mid-angle into two halves of half the weight, which
+leaves mu, and so the integral of U^+ d mu, as it is.  Each pair of values
+must agree within the sum of their error estimates.  Arcs and segments go through one by-sign path
 integral (characteristics._path_integral), so this tests it on both sides of
 the inequality; ball components have their own rule and are left out here.
 """
@@ -70,3 +72,27 @@ def test_rotation_about_the_origin_keeps_both_sides(family, k):
         for a, b in ((lhs, lhs_r), (c_plus, c_plus_r)):
             assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate, alpha
         assert verdict_r == verdict, alpha
+
+
+def _halves(c) -> tuple:
+    """c as two components of half its weight: a segment cut at its
+    midpoint, an arc at its mid-angle; any other kind as it is."""
+    if isinstance(c, UniformSegment):
+        mid = tuple(0.5 * (a + b) for a, b in zip(c.start, c.end))
+        return (UniformSegment(c.start, mid, 0.5 * c.weight),
+                UniformSegment(mid, c.end, 0.5 * c.weight))
+    if isinstance(c, UniformArc):
+        mid = 0.5 * (c.angle_start + c.angle_end)
+        return (UniformArc(c.center, c.radius, c.angle_start, mid, 0.5 * c.weight),
+                UniformArc(c.center, c.radius, mid, c.angle_end, 0.5 * c.weight))
+    return (c,)
+
+
+@pytest.mark.parametrize("family, k", CASES, ids=[f"s{k:04d}-{f}" for f, k in CASES])
+def test_halving_each_path_keeps_the_integral_of_the_positive_part(family, k):
+    s = generate_scenario(SEED, k, family)
+    halved = BorelMeasure(tuple(h for c in s.mu.components for h in _halves(c)), s.mu.dim)
+    assert len(halved.components) > len(s.mu.components)
+    tol = s.tolerances.mean
+    whole, split = positive_part_integral(s.U, s.mu, tol), positive_part_integral(s.U, halved, tol)
+    assert abs(whole.value - split.value) <= whole.error_estimate + split.error_estimate

@@ -90,6 +90,19 @@ def test_circle_mean_of_a_jump_raises_at_the_trapezoid_cap():
         circle_mean(lambda theta: theta, tol=1e-12)
 
 
+@pytest.mark.xfail(strict=True,
+                   reason="known defect (ROADMAP item 12): two doubling levels count the same "
+                          "nodes inside the arc, so the stop rule sees a change of 0")
+def test_circle_mean_of_an_arc_indicator_raises_or_meets_its_estimate():
+    # the indicator of theta < 1 has mean 1 / (2 pi); today circle_mean
+    # returns 0.16015625 with an estimate of 5.7e-16
+    try:
+        res = circle_mean(lambda theta: (theta < 1.0).astype(float), 1e-12)
+    except QuadratureBudgetError:
+        return
+    assert abs(res.value - 1.0 / (2.0 * math.pi)) <= res.error_estimate
+
+
 def test_circle_mean_constant():
     res = circle_mean(lambda th: np.full_like(th, 2.5), tol=1e-12)
     assert res.value == pytest.approx(2.5, abs=1e-13)
