@@ -19,14 +19,14 @@ T(R,f) - N(r,f) = T_{log|f|}(r,R).
 Every charge atom's kernel term is taken in closed form (_split), so
 quadrature sees only the rest.  Along a path -- a segment or arc component
 of a measure (lab), or the circle |x| = r as a full arc of mass 1 (_circle)
--- whose span, at, feet and kernel_integrals it reads, _integral_by_sign
-integrates the rest over the pieces where the sign of U is constant, ended
-at Illinois roots (_sign_changes) so a kink of U^+ is a panel edge, in one
-_integrate_pieces call per sign, and adds each atom's potential of every
-piece of that sign from one kernel_integrals call; _path_integral takes it
-against the path's uniform measure, so C_{U^+}(r) and lab's integral of U^+
-d mu are one rule.  A mean over a sphere (_identity_mean) takes each atom by
-Gauss's mean value theorem.  The remaining means are _sphere_mean.
+-- whose span, at, feet and kernel_integrals it reads, _path_integral
+integrates the rest against the path's uniform measure over the pieces where
+the sign of U is constant, ended at Illinois roots (_sign_changes) so a kink
+of U^+ is a panel edge, in one _integrate_pieces call per sign, and adds each
+atom's potential of every piece of that sign from one kernel_integrals call;
+so C_{U^+}(r) and lab's integral of U^+ d mu are one rule.  A mean over a
+sphere (_identity_mean) takes each atom by Gauss's mean value theorem.  The
+remaining means are _sphere_mean.
 """
 
 from __future__ import annotations
@@ -189,22 +189,25 @@ def _cuts(a: float, b: float, n: int) -> list:
     return [i * step + a for i in range(n)] + [b]
 
 
-def _integral_by_sign(signed, pos: _Split, path, tol: float,
-                      neg: Optional[_Split] = None) -> QuadratureResult:
-    """Integral over [lo, hi] = path.span along path (a segment or arc
-    component, or _circle) of pos where signed > 0 and of neg
+def _path_integral(signed, pos: _Split, path, tol: float,
+                   neg: Optional[_Split] = None) -> QuadratureResult:
+    """Integral against the uniform measure of mass path.weight on path (a
+    segment or arc component, or _circle) of pos where signed > 0 and of neg
     (0 if None) elsewhere, to the absolute tolerance tol; all three act on
-    points.  Pieces end at the class flips _sign_changes finds on a closed
-    2048-cell grid plus the feet of all atoms of pos and neg, so a window of
-    one class about an atom narrower than a cell is not lost.  The rest of
-    each class goes to one _integrate_pieces call over its pieces, each cut
-    into parts no wider than (hi - lo) / 8 and given tol times its share of
-    [lo, hi], and each atom adds w integral_a^b k(|x(t) - p|) dt per piece
-    [a, b] in closed form, whose rounding bound joins the estimate: one
-    path.kernel_integrals call per class gives them for all its pieces,
-    added piece by piece after its quadrature.  So quadrature sees only
-    integrands smooth between piece ends."""
+    points.  It integrates in dt over [lo, hi] = path.span to tol over the
+    density, and scales by the density last.  Pieces end at the class flips
+    _sign_changes finds on a closed 2048-cell grid plus the feet of all atoms
+    of pos and neg, so a window of one class about an atom narrower than a
+    cell is not lost.  The rest of each class goes to one _integrate_pieces
+    call over its pieces, each cut into parts no wider than (hi - lo) / 8 and
+    given tol times its share of [lo, hi], and each atom adds
+    w integral_a^b k(|x(t) - p|) dt per piece [a, b] in closed form, whose
+    rounding bound joins the estimate: one path.kernel_integrals call per
+    class gives them for all its pieces, added piece by piece after its
+    quadrature.  So quadrature sees only integrands smooth between piece ends."""
     lo, hi = path.span
+    density = path.weight / (hi - lo)
+    tol = tol / max(density, 1e-300)
     feet = np.concatenate([path.feet(sp.points, lo, hi) for sp in (pos, neg) if sp is not None])
     x = np.union1d(lo + (hi - lo) * np.arange(2049) / 2048, feet)
     fx = np.asarray(signed(path.at(x)), dtype=float)
@@ -226,16 +229,7 @@ def _integral_by_sign(signed, pos: _Split, path, tol: float,
         bounds = _dots(rounding, np.abs(sp.weights)).tolist()
         for value, bound in zip(_dots(values, sp.weights).tolist(), bounds):
             total = total + QuadratureResult(value, max(bound, _ROUNDING * abs(value)), 0)
-    return total
-
-
-def _path_integral(signed, pos: _Split, path, tol: float,
-                   neg: Optional[_Split] = None) -> QuadratureResult:
-    """Integral of the integrand of _integral_by_sign against the uniform
-    measure of mass path.weight on path, to the absolute tolerance tol."""
-    lo, hi = path.span
-    density = path.weight / (hi - lo)
-    return _integral_by_sign(signed, pos, path, tol / max(density, 1e-300), neg).scaled(density)
+    return total.scaled(density)
 
 
 def spherical_mean(U: DeltaSubharmonicFn, r: float, transform: str = "identity",

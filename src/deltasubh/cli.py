@@ -40,6 +40,7 @@ from .characteristics import (
 from .lab import (
     ALL_CHECKS,
     DEFAULT_CHECKS,
+    DEFAULT_FAMILIES,
     FAMILIES,
     VERDICTS,
     CorpusConfig,
@@ -124,17 +125,19 @@ def _apply_tol_overrides(s: Scenario, args) -> Scenario:
     return replace(s, tolerances=_tolerances(s.tolerances, args))
 
 
-def _write_rows(rows, out_path: Optional[str]) -> str:
+def _table(header, rows) -> str:
+    """The CSV text of header and rows, each line ended by a newline."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for rep in rows:
-        writer.writerow([
-            rep.scenario_id, rep.inequality, _fmt(rep.lhs), _fmt(rep.rhs),
-            _fmt(rep.slack), _fmt(rep.error_budget), rep.verdict,
-            rep.wall_time_ms,
-        ])
-    text = buf.getvalue()
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _write_rows(rows, out_path: Optional[str]) -> str:
+    text = _table(CSV_COLUMNS, ([rep.scenario_id, rep.inequality, _fmt(rep.lhs), _fmt(rep.rhs),
+                                 _fmt(rep.slack), _fmt(rep.error_budget), rep.verdict,
+                                 rep.wall_time_ms] for rep in rows))
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -177,11 +180,9 @@ def _cmd_characteristic(args) -> int:
     R = s.R if args.R is None else args.R
     kind = _KINDS[args.kind]
     records = [kind(s, r, R, s.tolerances.mean) for r in _parse_grid(args.r_grid)]
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["kind", "r", "R", "value", "error_estimate"])
-    for rec in records:
-        writer.writerow([rec.kind, _fmt(rec.r), _fmt(rec.R) if rec.R else "",
-                         _fmt(rec.value), _fmt(rec.error_estimate)])
+    sys.stdout.write(_table(("kind", "r", "R", "value", "error_estimate"),
+                            ([rec.kind, _fmt(rec.r), _fmt(rec.R) if rec.R else "",
+                              _fmt(rec.value), _fmt(rec.error_estimate)] for rec in records)))
     return EXIT_OK
 
 
@@ -194,12 +195,9 @@ def _scenario_f(s: Scenario):
 
 def _cmd_modulus(args) -> int:
     s = _load_scenario(args.scenario)
-    grid = _parse_grid(args.t_grid)
-    profile = modulus_profile(s.mu, grid, method=args.method)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["t", "h", "flag"])
-    for t, h, flag in zip(profile.radii, profile.values, profile.flags):
-        writer.writerow([_fmt(t), _fmt(h), flag])
+    profile = modulus_profile(s.mu, _parse_grid(args.t_grid), method=args.method)
+    rows = zip(profile.radii, profile.values, profile.flags)
+    sys.stdout.write(_table(("t", "h", "flag"), ([_fmt(t), _fmt(h), flag] for t, h, flag in rows)))
     return EXIT_OK
 
 
@@ -215,19 +213,15 @@ def _emit(rows, args, summary: str) -> int:
 
 def _cmd_verify(args) -> int:
     s = _apply_tol_overrides(_load_scenario(args.scenario), args)
-    checks = tuple(args.checks.split(",")) if args.checks else DEFAULT_CHECKS
-    rows = run_checks(s, checks, timing=args.timing)
+    rows = run_checks(s, args.checks, timing=args.timing)
     return _emit(rows, args, f"verify: {len(rows)} checks")
 
 
 def _cmd_corpus(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
-    checks = tuple(args.checks.split(",")) if args.checks else DEFAULT_CHECKS
-    families = tuple(args.families.split(",")) if args.families else None
-    config = CorpusConfig(count=args.count, checks=checks,
-                          tolerances=_tolerances(Tolerances(), args), timing=args.timing,
-                          **({"families": families} if families else {}))
+    config = CorpusConfig(count=args.count, families=args.families, checks=args.checks,
+                          tolerances=_tolerances(Tolerances(), args), timing=args.timing)
     rows = run_corpus(config, args.seed)
     return _emit(rows, args, f"corpus: seed={args.seed} scenarios={args.count} rows={len(rows)}")
 
@@ -252,6 +246,11 @@ def _cmd_report(args) -> int:
     return _exit_code(counts, args.max_inconclusive)
 
 
+def _names(text: str) -> tuple:
+    """A comma list as a tuple; '' gives ('',), which no check tag or family matches."""
+    return tuple(text.split(","))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deltasubh-lab",
@@ -260,62 +259,53 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True, verdicts=True):
-        """The scenario and --tol-mean; the exit threshold only for the
-        subcommands that print verdicts."""
-        if scenario:
-            p.add_argument("scenario", help="scenario JSON file")
-        p.add_argument("--tol-mean", type=float, default=None,
-                       help="override the circle/sphere mean tolerance")
-        if verdicts:
-            p.add_argument("--max-inconclusive", type=_fraction, default=0.02,
-                           help="inconclusive fraction tolerated before exit 1")
+    # parent parsers: each subcommand takes the flags it reads
+    scenario, tol, verdicts, rows = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    scenario.add_argument("scenario", help="scenario JSON file")
+    tol.add_argument("--tol-mean", type=float, default=None,
+                     help="override the circle/sphere mean tolerance")
+    verdicts.add_argument("--max-inconclusive", type=_fraction, default=0.02,
+                          help="inconclusive fraction tolerated before exit 1")
+    rows.add_argument("--checks", type=_names, default=DEFAULT_CHECKS,
+                      help=f"comma list from {','.join(ALL_CHECKS)}")
+    rows.add_argument("--out", default=None, help="write CSV here instead of stdout")
+    rows.add_argument("--timing", action="store_true",
+                      help="record wall_time_ms (breaks byte determinism)")
 
-    p_char = sub.add_parser("characteristic", help="characteristic records over a radius grid")
-    common(p_char, verdicts=False)
+    p_char = sub.add_parser("characteristic", parents=[scenario, tol],
+                            help="characteristic records over a radius grid")
     p_char.add_argument("--kind", default="T", choices=list(_KINDS))
     p_char.add_argument("--r-grid", required=True, help="start:stop:step")
     p_char.add_argument("--R", type=float, default=None,
                         help="upper radius for Tdiff kinds (default: scenario R)")
     p_char.set_defaults(func=_cmd_characteristic)
 
-    p_mod = sub.add_parser("modulus", help="modulus-of-continuity profile")
-    p_mod.add_argument("scenario")
+    p_mod = sub.add_parser("modulus", parents=[scenario], help="modulus-of-continuity profile")
     p_mod.add_argument("--t-grid", required=True, help="start:stop:step")
     p_mod.add_argument("--method", default="auto", choices=["auto", "upper"])
     p_mod.set_defaults(func=_cmd_modulus)
 
-    p_ver = sub.add_parser("verify", help="run inequality checks on one scenario")
-    common(p_ver)
-    p_ver.add_argument("--checks", default=None,
-                       help=f"comma list from {','.join(ALL_CHECKS)}")
-    p_ver.add_argument("--out", default=None, help="write CSV here instead of stdout")
-    p_ver.add_argument("--timing", action="store_true",
-                       help="record wall_time_ms (breaks byte determinism)")
+    p_ver = sub.add_parser("verify", parents=[scenario, tol, verdicts, rows],
+                           help="run inequality checks on one scenario")
     p_ver.set_defaults(func=_cmd_verify)
 
-    p_cor = sub.add_parser("corpus", help="seeded deterministic scenario batch")
-    common(p_cor, scenario=False)
+    p_cor = sub.add_parser("corpus", parents=[tol, verdicts, rows],
+                           help="seeded deterministic scenario batch")
     p_cor.add_argument("--seed", type=int, required=True)
     p_cor.add_argument("--count", type=int, default=200)
-    p_cor.add_argument("--checks", default=None)
-    p_cor.add_argument("--families", default=None,
+    p_cor.add_argument("--families", type=_names, default=DEFAULT_FAMILIES,
                        help=f"comma list from {','.join(FAMILIES)}")
-    p_cor.add_argument("--out", default=None)
-    p_cor.add_argument("--timing", action="store_true")
     p_cor.set_defaults(func=_cmd_corpus)
 
-    p_rep = sub.add_parser("report", help="merge report CSVs and print counts")
+    p_rep = sub.add_parser("report", parents=[verdicts],
+                           help="merge report CSVs and print counts")
     p_rep.add_argument("files", nargs="+")
-    p_rep.add_argument("--max-inconclusive", type=_fraction, default=0.02,
-                       help="inconclusive fraction tolerated before exit 1")
     p_rep.set_defaults(func=_cmd_report)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ScenarioError, OSError, ValueError) as exc:

@@ -658,8 +658,7 @@ def test_one_kernel_integrals_call_per_sign_class_with_pieces(monkeypatch):
     f = _mero(zeros=[(0.5 + 0.2j, 1), (-1.1j, 2)], poles=[(0.9, 1)], unit=1.3)
     U = f.to_delta_subharmonic()
     split = _split(U)
-    characteristics._integral_by_sign(U.values, split, characteristics._circle(1.05),
-                                      1e-8, split)
+    characteristics._path_integral(U.values, split, characteristics._circle(1.05), 1e-8, split)
     # both classes have pieces: one call each, over all pieces of the class,
     # and the two classes' pieces alternate around the circle
     assert len(calls) == 2 and len(calls[0]) >= 2
@@ -669,6 +668,5 @@ def test_one_kernel_integrals_call_per_sign_class_with_pieces(monkeypatch):
     assert calls[1] == [p for p in pieces if p not in calls[0]]
     # U > 0 on all of |x| = 4: the other class has no piece and no call
     calls.clear()
-    characteristics._integral_by_sign(U.values, split, characteristics._circle(4.0),
-                                      1e-8, split)
+    characteristics._path_integral(U.values, split, characteristics._circle(4.0), 1e-8, split)
     assert calls == [[(0.0, 2 * math.pi)]]

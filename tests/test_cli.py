@@ -1,14 +1,16 @@
+import ast
 import hashlib
 import json
 import math
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from deltasubh import lab
+from deltasubh import cli, lab
 from deltasubh.cli import CSV_COLUMNS, _parse_grid, main
 from deltasubh.lab import DEFAULT_FAMILIES, Scenario, Tolerances, generate_scenario
 from deltasubh.measures import Atom, BorelMeasure
@@ -397,10 +399,13 @@ def test_characteristic_upper_radius_zero_is_rejected(capsys, kind):
      "unknown scenario family 'bogus'"),
     (["verify", "{golden}", "--checks", "UR,bogus"], "unknown check tag 'bogus'"),
     (["characteristic", "{pin_2d}", "--kind", "m", "--r-grid", "1:2:0.5"], "FUNCTION_SPEC"),
-], ids=["family", "check", "kind-m-without-f"])
+    (["corpus", "--seed", "1", "--count", "1", "--families", ""], "unknown scenario family ''"),
+    (["corpus", "--seed", "1", "--count", "1", "--checks", ""], "unknown check tag ''"),
+], ids=["family", "check", "kind-m-without-f", "empty-families", "empty-checks"])
 def test_inputs_are_checked_before_any_work(tmp_path, capsys, monkeypatch, argv, message):
     # corpus exited 0 on an unused unknown family, verify ran UR before
-    # rejecting a tag, and characteristic wrote its header before the error
+    # rejecting a tag, characteristic wrote its header before the error, and
+    # an empty --families or --checks ran the defaults
     def no_row(*args):
         raise AssertionError("a row was computed")
 
@@ -411,6 +416,18 @@ def test_inputs_are_checked_before_any_work(tmp_path, capsys, monkeypatch, argv,
     out, err = capsys.readouterr()
     assert out == ""
     assert message in err
+
+
+def test_each_option_of_the_parser_is_defined_once():
+    # every subcommand takes shared flags from one parent parser, so a help
+    # text, type or default cannot differ between two copies of a flag
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    names = [arg.value for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "add_argument"
+             for arg in node.args if isinstance(arg, ast.Constant)]
+    assert "--checks" in names
+    assert [n for n, count in Counter(names).items() if count > 1] == []
 
 
 def test_verify_delta_subharmonic_scenario(tmp_path):

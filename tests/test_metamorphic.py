@@ -5,10 +5,14 @@ A rotation about the origin turns U and mu together, and the sphere measure
 sigma_R is rotation invariant, so the integral of U^+ d mu, C_{U^+}(R) and
 the UR verdict stay the same.  Halving splits each segment at its midpoint
 and each arc at its mid-angle into two halves of half the weight, which
-leaves mu, and so the integral of U^+ d mu, as it is.  Each pair of values
-must agree within the sum of their error estimates.  Arcs and segments go through one by-sign path
-integral (characteristics._path_integral), so this tests it on both sides of
-the inequality; ball components have their own rule and are left out here.
+leaves mu, and so the integral of U^+ d mu, as it is.  Scaling by lambda
+takes f(z) to f(z / lambda) and mu to its image under x -> lambda x, with
+r, R and r0 times lambda; the integral of U^+ d mu, C_{U^+}(R), T_U, the
+Dini integral to R + r, A_d(r, R) and so the UR right side and verdict stay.
+Each pair of values must agree within the sum of their error estimates.
+Arcs and segments go through one by-sign path integral
+(characteristics._path_integral), so this tests it on both sides of the
+inequality; ball components have their own rule and are left out here.
 """
 
 import cmath
@@ -57,21 +61,63 @@ def _rotated(s, alpha: float):
 
 
 def _invariants(s) -> tuple:
-    """(integral of U^+ d mu, C_{U^+}(R), the UR verdict)."""
+    """(integral of U^+ d mu, C_{U^+}(R), the UR report)."""
     tol = s.tolerances.mean
     return (positive_part_integral(s.U, s.mu, tol), spherical_mean(s.U, s.R, "positive", tol),
-            verify_main_theorem(s).verdict)
+            verify_main_theorem(s))
 
 
 @pytest.mark.parametrize("family, k", CASES, ids=[f"s{k:04d}-{f}" for f, k in CASES])
 def test_rotation_about_the_origin_keeps_both_sides(family, k):
     s = generate_scenario(SEED, k, family)
-    lhs, c_plus, verdict = _invariants(s)
+    lhs, c_plus, report = _invariants(s)
     for alpha in ANGLES:
-        lhs_r, c_plus_r, verdict_r = _invariants(_rotated(s, alpha))
+        lhs_r, c_plus_r, report_r = _invariants(_rotated(s, alpha))
         for a, b in ((lhs, lhs_r), (c_plus, c_plus_r)):
             assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate, alpha
-        assert verdict_r == verdict, alpha
+        assert report_r.verdict == report.verdict, alpha
+
+
+def _scaled_component(c, lam: float):
+    if isinstance(c, Atom):
+        return Atom(tuple(lam * x for x in c.point), c.weight)
+    if isinstance(c, UniformSegment):
+        return UniformSegment(tuple(lam * x for x in c.start), tuple(lam * x for x in c.end),
+                              c.weight)
+    if isinstance(c, UniformArc):
+        return UniformArc(tuple(lam * x for x in c.center), lam * c.radius, c.angle_start,
+                          c.angle_end, c.weight)
+    return UniformBall(tuple(lam * x for x in c.center), lam * c.radius, c.weight)
+
+
+def _scaled(s, lam: float):
+    """s scaled by lam about the origin: f(z) becomes f(z / lam), whose zeros
+    and poles are lam times f's, whose unit factor gains lam^(sum n - sum m)
+    over the pole orders n and zero orders m, and whose exponent coefficient
+    c_k becomes c_k / lam^k; mu, r, R and r0 are lam times s's."""
+    f = s.f
+    g = MeromorphicFn(tuple((lam * a, m) for a, m in f.zeros),
+                      tuple((lam * b, n) for b, n in f.poles),
+                      f.unit_factor * lam ** (sum(n for _, n in f.poles)
+                                              - sum(m for _, m in f.zeros)),
+                      tuple(c / lam ** k for k, c in enumerate(f.exponent)))
+    mu = BorelMeasure(tuple(_scaled_component(c, lam) for c in s.mu.components), s.mu.dim)
+    return dataclasses.replace(s, U=g.to_delta_subharmonic(), mu=mu, f=g, r=lam * s.r,
+                               R=lam * s.R, r0=None if s.r0 is None else lam * s.r0)
+
+
+@pytest.mark.parametrize("family, k", CASES, ids=[f"s{k:04d}-{f}" for f, k in CASES])
+def test_scaling_by_two_keeps_both_sides(family, k):
+    s = generate_scenario(SEED, k, family)
+    lhs, c_plus, report = _invariants(s)
+    lhs_s, c_plus_s, report_s = _invariants(_scaled(s, 2.0))
+    for a, b in ((lhs, lhs_s), (c_plus, c_plus_s)):
+        assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
+    # the report's budget less the left side's estimate is the right side's
+    rhs_err, rhs_err_s = (rep.error_budget - est.error_estimate
+                          for rep, est in ((report, lhs), (report_s, lhs_s)))
+    assert abs(report.rhs - report_s.rhs) <= rhs_err + rhs_err_s
+    assert report_s.verdict == report.verdict
 
 
 def _halves(c) -> tuple:
