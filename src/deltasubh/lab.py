@@ -21,6 +21,11 @@ combined error budget, a negative slack beyond the budget is "fail" (a
 genuine counterexample, i.e. an implementation bug), anything inside the
 budget or NaN is "inconclusive", an infinite right-hand side is "vacuous",
 and a divergent Dini integral is "precondition-failed".
+
+Scenario states the theorem's hypotheses once, each as a ScenarioError (a
+ValueError with a .code) that the JSON reader passes on: 0 < r < R < inf and
+r0 in [0, r] (RADII_ORDER), mu carried by B(r) (SUPPORT_OUTSIDE_BALL), an int
+seed (SEED); Tolerances needs a finite mean > 0 (TOLERANCES).
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ __all__ = [
     "CorpusConfig",
     "PointReport",
     "Scenario",
+    "ScenarioError",
     "Tolerances",
     "VerificationReport",
     "constant_A",
@@ -101,13 +107,20 @@ def _check_known(names: Sequence[str], known: tuple, what: str):
             raise ValueError(f"unknown {what} {name!r}")
 
 
+class ScenarioError(ValueError):
+    def __init__(self, code: str, message: str):
+        super().__init__(f"{code}: {message}")
+        self.code = code
+
+
 @dataclass(frozen=True)
 class Tolerances:
     mean: float = 1e-8   # absolute, circle/sphere means
 
     def __post_init__(self):
         if not 0.0 < self.mean < math.inf:  # False for NaN too
-            raise ValueError(f"tolerances.mean must be finite and > 0, got {self.mean!r}")
+            raise ScenarioError("TOLERANCES",
+                                f"tolerances.mean must be finite and > 0, got {self.mean!r}")
 
 
 @dataclass(frozen=True)
@@ -124,11 +137,14 @@ class Scenario:
 
     def __post_init__(self):
         if not 0.0 < self.r < self.R < math.inf:
-            raise ValueError(f"need 0 < r < R < inf, got ({self.r}, {self.R})")
+            raise ScenarioError("RADII_ORDER", f"need 0 < r < R < inf, got r={self.r}, R={self.R}")
         if self.r0 is not None and not 0.0 <= self.r0 <= self.r:
-            raise ValueError("r0 must lie in [0, r]")
+            raise ScenarioError("RADII_ORDER", f"r0 must lie in [0, r], got {self.r0}")
         if self.mu.support_radius > self.r * (1.0 + 1e-12):
-            raise ValueError("measure support must lie in the closed ball B(r)")
+            raise ScenarioError("SUPPORT_OUTSIDE_BALL", f"measure support radius "
+                                f"{self.mu.support_radius} exceeds r={self.r}")
+        if self.seed is not None and type(self.seed) is not int:  # a bool is no seed
+            raise ScenarioError("SEED", f"seed must be an integer or null, got {self.seed!r}")
         if self.mu.dim != self.U.dim:
             raise ValueError(f"mu must have U's dimension {self.U.dim}, got {self.mu.dim}")
         if self.f is not None and self.U is not self.f.to_delta_subharmonic():

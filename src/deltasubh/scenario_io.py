@@ -31,21 +31,22 @@ A d=2 "affine" part is read as the polynomial c + (g0 - i g1) z, the one
 harmonic kind of d=2, and written back as "poly".  Unknown keys are ignored,
 among them the "dini" and "sup" tolerances of older files: the Dini integral
 is closed-form and takes none, and the sup on a sphere keeps its own
-refinement gap.  Validation failures raise ScenarioError with a distinct
-.code naming the offending constraint.  Every number is read by _number: a
-finite JSON int or float, not a bool or a string, else the code of the part
-it sits in (RADII_ORDER for r, R and r0, MEASURE_SPEC, FUNCTION_SPEC,
-TOLERANCES); a multiplicity is an integer that fits a float (MeromorphicFn).
+refinement gap.  Failures raise ScenarioError, whose .code names the rule.
+This module reads: JSON types, and every number by _number (a finite JSON
+int or float, not a bool or a string, else the code of the part it sits in:
+RADII_ORDER for r, R and r0, MEASURE_SPEC, FUNCTION_SPEC, TOLERANCES).  The
+scenario's hypotheses (radii, support, seed, tolerance) are Scenario's and
+Tolerances' rules (lab), which raise their own codes; a component's or a
+model's ValueError reads as MEASURE_SPEC or FUNCTION_SPEC.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import sys
 from typing import Union
 
-from .lab import Scenario, Tolerances
+from .lab import Scenario, ScenarioError, Tolerances
 from .measures import Atom, BorelMeasure, UniformArc, UniformBall, UniformSegment
 from .potentials import (
     AffineHarmonic,
@@ -58,12 +59,6 @@ from .potentials import (
 __all__ = ["ScenarioError", "parse_scenario", "serialize_scenario"]
 
 SCHEMA_VERSION = "1"
-
-
-class ScenarioError(ValueError):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
 
 
 def _fail(code: str, message: str):
@@ -150,8 +145,6 @@ def _harmonic_from_json(obj, dim: int):
     if obj is None:
         return None
     if "poly" in _typed(obj, dict, "FUNCTION_SPEC", "a harmonic part"):
-        if dim != 2:
-            _fail("FUNCTION_SPEC", "polynomial harmonic parts are d=2 only")
         poly = _typed(obj["poly"], list, "FUNCTION_SPEC", "poly")
         return HarmonicPolynomial(tuple(_complex_from(c) for c in poly))
     if "affine" in obj:
@@ -221,32 +214,15 @@ def parse_scenario(data: Union[bytes, str, dict]) -> Scenario:
         _fail("DIMENSION", f"dimension must be an integer >= 2, got {dim!r}")
     radii = _typed(obj.get("radii") or {}, dict, "RADII_ORDER", "radii")
     r, R = (_number(radii.get(k), "RADII_ORDER", f"radii.{k}") for k in ("r", "R"))
-    if not 0.0 < r < R < math.inf:
-        _fail("RADII_ORDER", f"need 0 < r < R < inf, got r={r}, R={R}")
-    r0 = radii.get("r0")
-    if r0 is not None:
-        r0 = _number(r0, "RADII_ORDER", "radii.r0")
-        if not 0.0 <= r0 <= r:
-            _fail("RADII_ORDER", f"r0 must lie in [0, r], got {r0}")
+    r0 = None if radii.get("r0") is None else _number(radii["r0"], "RADII_ORDER", "radii.r0")
     measure_obj = _typed(obj.get("measure") or {}, dict, "MEASURE_SPEC", "measure")
     components = _typed(measure_obj.get("components", []), list, "MEASURE_SPEC", "components")
     mu = BorelMeasure(tuple(_component_from_json(c, dim) for c in components), dim)
-    if mu.support_radius > r * (1.0 + 1e-12):
-        _fail("SUPPORT_OUTSIDE_BALL",
-              f"measure support radius {mu.support_radius} exceeds r={r}")
     U, f = _function_from_json(obj.get("function") or {}, dim)
     tol_obj = _typed(obj.get("tolerances") or {}, dict, "TOLERANCES", "tolerances")
     mean = _number(tol_obj.get("mean", Tolerances.mean), "TOLERANCES", "tolerances.mean")
-    try:
-        tolerances = Tolerances(mean=mean)
-    except ValueError as exc:
-        _fail("TOLERANCES", str(exc))
-    return Scenario(
-        scenario_id=str(obj.get("scenario_id", "scenario")),
-        U=U, mu=mu, r=r, R=R, f=f, r0=r0,
-        tolerances=tolerances,
-        seed=obj.get("seed"),
-    )
+    return Scenario(str(obj.get("scenario_id", "scenario")), U, mu, r, R, f=f, r0=r0,
+                    tolerances=Tolerances(mean=mean), seed=obj.get("seed"))
 
 
 def serialize_scenario(s: Scenario) -> dict:

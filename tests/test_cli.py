@@ -246,6 +246,10 @@ def _set(path, value):
     # an integer beyond the largest float: an atom weight float() overflows
     pytest.param(_set(("function", "zeros", 0, "multiplicity"), 10 ** 400), "FUNCTION_SPEC",
                  id="multiplicity=10**400"),
+    # the seed names the Ux and U+B sample points: 1, 1.0 and true drew
+    # three different point sets, and [1] made the scenario unhashable
+    *(pytest.param(_set(("seed",), seed), "SEED", id=f"seed={seed!r}")
+      for seed in (1.0, True, [1])),
 ])
 def test_malformed_scenario_json_exits_two(tmp_path, capsys, edit, code):
     # exit 1 is the fail verdict; a file of the wrong shape is an input error
