@@ -218,8 +218,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    if args.count < 1:
-        raise ValueError(f"--count must be >= 1, got {args.count}")
     config = CorpusConfig(count=args.count, families=args.families, checks=args.checks,
                           tolerances=_tolerances(Tolerances(), args), timing=args.timing)
     rows = run_corpus(config, args.seed)
@@ -308,7 +306,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except QuadratureBudgetError as exc:

@@ -2,7 +2,9 @@
 
 The dimension d >= 2 belongs to the objects that carry it (a measure, its
 components, a function model); where a formula takes a bare d, it is
-checked once here (_check_dimension).  The reduced dimension is d_hat =
+checked once here (_check_dimension), as a DIMENSION ScenarioError: the
+coded ValueError lives in this bottom module, so each constructor that states
+a hypothesis raises its own code.  The reduced dimension is d_hat =
 max(1, d-2) (_d_hat), and the strictly increasing kernel is
 
     k(t) = ln t        (d = 2)
@@ -31,7 +33,7 @@ from typing import Union
 
 import numpy as np
 
-__all__ = ["ext_mul", "kernel"]
+__all__ = ["ScenarioError", "ext_mul", "kernel"]
 
 
 def ext_mul(x: float, y: float) -> float:
@@ -41,10 +43,16 @@ def ext_mul(x: float, y: float) -> float:
     return x * y
 
 
+class ScenarioError(ValueError):
+    def __init__(self, code: str, message: str):
+        super().__init__(f"{code}: {message}")
+        self.code = code
+
+
 def _check_dimension(d) -> int:
-    """d, or ValueError unless the dimension d is an integer >= 2."""
+    """d, or a DIMENSION ScenarioError unless d is an integer >= 2."""
     if not isinstance(d, int) or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
+        raise ScenarioError("DIMENSION", f"dimension must be an integer >= 2, got {d!r}")
     return d
 
 

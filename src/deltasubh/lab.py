@@ -22,10 +22,11 @@ genuine counterexample, i.e. an implementation bug), anything inside the
 budget or NaN is "inconclusive", an infinite right-hand side is "vacuous",
 and a divergent Dini integral is "precondition-failed".
 
-Scenario states the theorem's hypotheses once, each as a ScenarioError (a
-ValueError with a .code) that the JSON reader passes on: 0 < r < R < inf and
-r0 in [0, r] (RADII_ORDER), mu carried by B(r) (SUPPORT_OUTSIDE_BALL), an int
-seed (SEED); Tolerances needs a finite mean > 0 (TOLERANCES).
+Scenario states the theorem's hypotheses once, each as a ScenarioError
+(geometry's coded ValueError) that the JSON reader passes on: 0 < r < R <
+inf and r0 in [0, r] (RADII_ORDER), mu carried by B(r) and of U's dimension
+(SUPPORT_OUTSIDE_BALL, DIMENSION), an int seed (SEED); Tolerances needs a
+finite mean > 0 (TOLERANCES), and each measure kind a weight > 0 (NEGATIVE_WEIGHT).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .characteristics import (
     nevanlinna_N,
     spherical_mean,
 )
-from .geometry import _check_dimension, _d_hat, _distances, _dots, ext_mul, kernel
+from .geometry import ScenarioError, _check_dimension, _d_hat, _distances, _dots, ext_mul, kernel
 from .measures import (
     Atom,
     BorelMeasure,
@@ -107,12 +108,6 @@ def _check_known(names: Sequence[str], known: tuple, what: str):
             raise ValueError(f"unknown {what} {name!r}")
 
 
-class ScenarioError(ValueError):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
-
-
 @dataclass(frozen=True)
 class Tolerances:
     mean: float = 1e-8   # absolute, circle/sphere means
@@ -146,7 +141,8 @@ class Scenario:
         if self.seed is not None and type(self.seed) is not int:  # a bool is no seed
             raise ScenarioError("SEED", f"seed must be an integer or null, got {self.seed!r}")
         if self.mu.dim != self.U.dim:
-            raise ValueError(f"mu must have U's dimension {self.U.dim}, got {self.mu.dim}")
+            raise ScenarioError("DIMENSION", f"mu must have U's dimension {self.U.dim}, "
+                                f"got {self.mu.dim}")
         if self.f is not None and self.U is not self.f.to_delta_subharmonic():
             raise ValueError("U must be log|f|, the model f.to_delta_subharmonic() returns")
 
@@ -725,6 +721,8 @@ class CorpusConfig:
     timing: bool = False
 
     def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"corpus --count must be >= 1, got {self.count}")
         if not self.families:
             raise ValueError("a corpus needs at least one scenario family")
         _check_known(self.families, FAMILIES, "scenario family")

@@ -36,7 +36,8 @@ N_mu's quadrature, which takes atoms in closed form.  BorelMeasure.continuous
 is the measure without its atoms.  The dimension d of these formulas is the
 component's dim, the length of its points.  A measure states its d once,
 BorelMeasure(components, dim), even when it has no component, and rejects a
-component of another d; nothing infers or defaults it.  The 1-d
+component of another d (DIMENSION); nothing infers or defaults it.  A weight
+<= 0 is a NEGATIVE_WEIGHT (geometry's coded ScenarioError).  The 1-d
 carriers, segments and arcs, are paths for the by-sign integral of
 characteristics as well: span (the parameter interval, [0, 1] or the arc's
 angles), at (points at parameters), feet (the parameters of points' nearest
@@ -58,7 +59,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import _check_dimension, _d_hat, _distances, _dots, _kernel_values, ext_mul, kernel
+from .geometry import (ScenarioError, _check_dimension, _d_hat, _distances, _dots,
+                       _kernel_values, ext_mul, kernel)
 from .quadrature import _ROUNDING, TWO_PI, QuadratureResult, _gl_nodes, integrate_interval
 
 __all__ = [
@@ -69,7 +71,6 @@ __all__ = [
     "UniformArc",
     "UniformBall",
     "UniformSegment",
-    "UnsupportedModelError",
     "dini_integral_result",
     "dini_limits_check",
     "integrated_counting_result",
@@ -79,10 +80,6 @@ __all__ = [
 ]
 
 Point = tuple  # tuple of d floats
-
-
-class UnsupportedModelError(ValueError):
-    """The charge configuration falls outside the exactly-decomposable family."""
 
 
 def _as_point(p) -> Point:
@@ -96,6 +93,13 @@ def _check_positive(value: float, what: str):
     """ValueError unless value is finite and > 0 (a NaN included)."""
     if not 0.0 < value < math.inf:
         raise ValueError(f"{what} must be finite and > 0, got {value!r}")
+
+
+def _check_weight(weight: float, what: str):
+    """NEGATIVE_WEIGHT for a finite weight <= 0, a ValueError for a non-finite one."""
+    if -math.inf < weight <= 0.0:
+        raise ScenarioError("NEGATIVE_WEIGHT", f"{what} must be > 0, got {weight!r}")
+    _check_positive(weight, what)
 
 
 def _cross_norm(a: np.ndarray, b: np.ndarray) -> float:
@@ -112,7 +116,7 @@ class Atom:
 
     def __post_init__(self):
         object.__setattr__(self, "point", _as_point(self.point))
-        _check_positive(self.weight, "atom weight")
+        _check_weight(self.weight, "atom weight")
 
     @property
     def dim(self) -> int:
@@ -151,7 +155,7 @@ class UniformSegment:
         object.__setattr__(self, "end", _as_point(self.end))
         if len(self.start) not in (2, 3):
             raise ValueError("segment components are supported in dimensions 2 and 3")
-        _check_positive(self.weight, "segment weight")
+        _check_weight(self.weight, "segment weight")
         if self.length == 0.0:
             raise ValueError("segment must have positive length")
 
@@ -351,7 +355,7 @@ class UniformArc:
         if len(self.center) != 2:
             raise ValueError("arc components are supported in dimension 2 only")
         _check_positive(self.radius, "arc radius")
-        _check_positive(self.weight, "arc weight")
+        _check_weight(self.weight, "arc weight")
         if not 0.0 < self.width <= TWO_PI + 1e-12:
             raise ValueError("arc angular width must lie in (0, 2 pi]")
 
@@ -518,7 +522,7 @@ class UniformBall:
         if len(self.center) not in (2, 3):
             raise ValueError("ball components are supported in dimensions 2 and 3")
         _check_positive(self.radius, "ball radius")
-        _check_positive(self.weight, "ball weight")
+        _check_weight(self.weight, "ball weight")
 
     @property
     def dim(self) -> int:
@@ -668,8 +672,8 @@ class BorelMeasure:
         object.__setattr__(self, "components", comps)
         _check_dimension(self.dim)
         if any(c.dim != self.dim for c in comps):
-            raise ValueError(f"every component must have the measure's dimension {self.dim}, "
-                             f"got {sorted({c.dim for c in comps})}")
+            raise ScenarioError("DIMENSION", f"every component must have the measure's "
+                                f"dimension {self.dim}, got {sorted({c.dim for c in comps})}")
         object.__setattr__(self, "support_radius",
                            max((c.outer_radius() for c in comps), default=0.0))
 

@@ -55,7 +55,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .measures import Atom, BorelMeasure, UnsupportedModelError
+from .measures import Atom, BorelMeasure
 
 __all__ = [
     "AffineHarmonic",
@@ -70,6 +70,10 @@ __all__ = [
 ]
 
 _BLOCK = 8192  # rows per block of a large values_with_polar call
+
+
+class UnsupportedModelError(ValueError):
+    """The charge configuration falls outside the exactly-decomposable family."""
 
 
 @dataclass(frozen=True)

@@ -32,12 +32,12 @@ harmonic kind of d=2, and written back as "poly".  Unknown keys are ignored,
 among them the "dini" and "sup" tolerances of older files: the Dini integral
 is closed-form and takes none, and the sup on a sphere keeps its own
 refinement gap.  Failures raise ScenarioError, whose .code names the rule.
-This module reads: JSON types, and every number by _number (a finite JSON
-int or float, not a bool or a string, else the code of the part it sits in:
-RADII_ORDER for r, R and r0, MEASURE_SPEC, FUNCTION_SPEC, TOLERANCES).  The
-scenario's hypotheses (radii, support, seed, tolerance) are Scenario's and
-Tolerances' rules (lab), which raise their own codes; a component's or a
-model's ValueError reads as MEASURE_SPEC or FUNCTION_SPEC.
+This module reads JSON types and numbers only, each number by _number (a
+finite JSON int or float, not a bool or a string, else the code of the part
+it sits in: RADII_ORDER for r, R and r0, MEASURE_SPEC, FUNCTION_SPEC,
+TOLERANCES).  Every rule on the values read is the constructor's that takes
+them, which raises its own code; any other ValueError of a component or a
+model reads as MEASURE_SPEC or FUNCTION_SPEC.
 """
 
 from __future__ import annotations
@@ -61,14 +61,11 @@ __all__ = ["ScenarioError", "parse_scenario", "serialize_scenario"]
 SCHEMA_VERSION = "1"
 
 
-def _fail(code: str, message: str):
-    raise ScenarioError(code, message)
-
-
 def _typed(value, kind: type, code: str, what: str):
     """value if it is a JSON object (kind dict) or array (list), else a ScenarioError."""
     if not isinstance(value, kind):
-        _fail(code, f"{what} must be a JSON {'object' if kind is dict else 'array'}: {value!r}")
+        raise ScenarioError(code, f"{what} must be a JSON "
+                                  f"{'object' if kind is dict else 'array'}: {value!r}")
     return value
 
 
@@ -77,7 +74,7 @@ def _number(value, code: str, what: str) -> float:
     ScenarioError with code.  An int beyond the largest float is not finite."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not abs(value) <= sys.float_info.max):  # False for NaN too
-        _fail(code, f"{what} must be a finite number, got {value!r}")
+        raise ScenarioError(code, f"{what} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -85,11 +82,9 @@ def _point(value, code: str, what: str) -> tuple:
     return tuple(_number(c, code, what) for c in _typed(value, list, code, what))
 
 
-def _component_from_json(obj: dict, dim: int):
+def _component_from_json(obj: dict):
     kind = _typed(obj, dict, "MEASURE_SPEC", "a measure component").get("type")
     weight = _number(obj.get("weight"), "MEASURE_SPEC", f"the weight of {obj!r}")
-    if weight <= 0:
-        _fail("NEGATIVE_WEIGHT", f"component weight must be > 0, got {weight}")
     try:
         if kind == "atom":
             comp = Atom(_point(obj["point"], "MEASURE_SPEC", "point"), weight)
@@ -104,13 +99,11 @@ def _component_from_json(obj: dict, dim: int):
             comp = UniformBall(_point(obj["center"], "MEASURE_SPEC", "center"),
                                _number(obj["radius"], "MEASURE_SPEC", "radius"), weight)
         else:
-            _fail("MEASURE_SPEC", f"unknown component type {kind!r}")
+            raise ScenarioError("MEASURE_SPEC", f"unknown component type {kind!r}")
     except ScenarioError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
-        _fail("MEASURE_SPEC", f"bad {kind} component: {exc}")
-    if comp.dim != dim:
-        _fail("DIMENSION", f"{kind} component has dimension {comp.dim}, not {dim}")
+        raise ScenarioError("MEASURE_SPEC", f"bad {kind} component: {exc}")
     return comp
 
 
@@ -155,7 +148,7 @@ def _harmonic_from_json(obj, dim: int):
             g0, g1 = gradient
             return HarmonicPolynomial((constant, complex(g0, -g1)))
         return AffineHarmonic(constant, gradient)
-    _fail("FUNCTION_SPEC", f"unknown harmonic part {obj!r}")
+    raise ScenarioError("FUNCTION_SPEC", f"unknown harmonic part {obj!r}")
 
 
 def _harmonic_to_json(h):
@@ -168,8 +161,7 @@ def _harmonic_to_json(h):
 
 def _subharmonic_from_json(obj: dict, dim: int) -> SubharmonicFn:
     charge = _typed(obj, dict, "FUNCTION_SPEC", "u and v").get("charge", [])
-    comps = tuple(_component_from_json(c, dim)
-                  for c in _typed(charge, list, "FUNCTION_SPEC", "charge"))
+    comps = tuple(map(_component_from_json, _typed(charge, list, "FUNCTION_SPEC", "charge")))
     return SubharmonicFn(_harmonic_from_json(obj.get("harmonic"), dim), BorelMeasure(comps, dim))
 
 
@@ -178,8 +170,6 @@ def _function_from_json(obj: dict, dim: int):
     kind = _typed(obj, dict, "FUNCTION_SPEC", "function").get("type")
     try:
         if kind == "meromorphic":
-            if dim != 2:
-                _fail("FUNCTION_SPEC", "meromorphic functions require dimension 2")
             zeros = tuple((_complex_from(z["point"]), z.get("multiplicity", 1))
                           for z in obj.get("zeros", []))
             poles = tuple((_complex_from(p["point"]), p.get("multiplicity", 1))
@@ -193,8 +183,8 @@ def _function_from_json(obj: dict, dim: int):
     except ScenarioError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
-        _fail("FUNCTION_SPEC", str(exc))
-    _fail("FUNCTION_SPEC", f"unknown function type {kind!r}")
+        raise ScenarioError("FUNCTION_SPEC", str(exc))
+    raise ScenarioError("FUNCTION_SPEC", f"unknown function type {kind!r}")
 
 
 def parse_scenario(data: Union[bytes, str, dict]) -> Scenario:
@@ -208,16 +198,14 @@ def parse_scenario(data: Union[bytes, str, dict]) -> Scenario:
         obj = data
     version = _typed(obj, dict, "SCHEMA_VERSION", "a scenario").get("schema_version")
     if version != SCHEMA_VERSION:
-        _fail("SCHEMA_VERSION", f"unknown schema_version {version!r}")
+        raise ScenarioError("SCHEMA_VERSION", f"unknown schema_version {version!r}")
     dim = obj.get("dimension")
-    if not isinstance(dim, int) or dim < 2:
-        _fail("DIMENSION", f"dimension must be an integer >= 2, got {dim!r}")
     radii = _typed(obj.get("radii") or {}, dict, "RADII_ORDER", "radii")
     r, R = (_number(radii.get(k), "RADII_ORDER", f"radii.{k}") for k in ("r", "R"))
     r0 = None if radii.get("r0") is None else _number(radii["r0"], "RADII_ORDER", "radii.r0")
     measure_obj = _typed(obj.get("measure") or {}, dict, "MEASURE_SPEC", "measure")
     components = _typed(measure_obj.get("components", []), list, "MEASURE_SPEC", "components")
-    mu = BorelMeasure(tuple(_component_from_json(c, dim) for c in components), dim)
+    mu = BorelMeasure(tuple(map(_component_from_json, components)), dim)
     U, f = _function_from_json(obj.get("function") or {}, dim)
     tol_obj = _typed(obj.get("tolerances") or {}, dict, "TOLERANCES", "tolerances")
     mean = _number(tol_obj.get("mean", Tolerances.mean), "TOLERANCES", "tolerances.mean")

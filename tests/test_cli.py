@@ -230,6 +230,18 @@ def _set(path, value):
         "type": "delta_subharmonic", "u": {}, "v": {}}, measure={"components": [
             {"type": "segment", "endpoints": [[0, 0, 0, 0], [1, 0, 0, 0]], "weight": 1.0}]}),
         "MEASURE_SPEC", id="segment-in-d=4"),
+    # d >= 2 is checked with the measure, by the one bare-d check
+    *(pytest.param(_set(("dimension",), d), "DIMENSION", id=f"dimension={d!r}")
+      for d in (None, "2", 2.0)),
+    # log|f| is 2-d: a meromorphic f with a 3-d mu breaks Scenario's mu-vs-U rule
+    pytest.param(lambda obj: dict(obj, dimension=3, measure={"components": [
+        {"type": "atom", "point": [0.5, 0.0, 0.0], "weight": 1.0}]}),
+        "DIMENSION", id="meromorphic-in-d=3"),
+    # a charge component holds the weight rule of a mu component
+    pytest.param(lambda obj: dict(obj, function={
+        "type": "delta_subharmonic", "v": {},
+        "u": {"charge": [{"type": "atom", "point": [0.5, 0.0], "weight": 0}]}}),
+        "NEGATIVE_WEIGHT", id="u-charge-weight=0"),
     # a number is a JSON number, not a string or a bool that float() reads
     *(pytest.param(_set(path, value), code, id=f"{'.'.join(map(str, path))}={value!r}")
       for path, value, code in [

@@ -5,9 +5,10 @@ import pathlib
 import numpy as np
 import pytest
 
-from deltasubh.geometry import _d_hat, _distances, _dots, ext_mul, kernel
-from deltasubh.lab import constant_A
-from deltasubh.measures import BorelMeasure
+from deltasubh.geometry import ScenarioError, _d_hat, _distances, _dots, ext_mul, kernel
+from deltasubh.lab import Scenario, constant_A
+from deltasubh.measures import Atom, BorelMeasure, UniformArc, UniformBall, UniformSegment
+from deltasubh.potentials import MeromorphicFn
 
 INF = math.inf
 
@@ -26,6 +27,43 @@ def test_dimension_validation():
                         lambda: constant_A(d, 1.0, 2.0), lambda: BorelMeasure((), d)):
             with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
                 formula()
+
+
+_KINDS = {
+    "atom": lambda w: Atom((0.0, 0.0), w),
+    "segment": lambda w: UniformSegment((0.0, 0.0), (1.0, 0.0), w),
+    "arc": lambda w: UniformArc((0.0, 0.0), 1.0, 0.0, 1.0, w),
+    "ball": lambda w: UniformBall((0.0, 0.0), 0.5, w),
+}
+
+
+def _meromorphic_f_with_a_3d_mu():
+    f = MeromorphicFn(((0j, 1),))
+    return Scenario("m", f.to_delta_subharmonic(), BorelMeasure((Atom((0.1, 0.0, 0.0), 1.0),), 3),
+                    1.0, 2.0, f=f)
+
+
+@pytest.mark.parametrize("build, code", [
+    *(pytest.param(lambda make=make, w=w: make(w), "NEGATIVE_WEIGHT", id=f"{kind}-weight={w}")
+      for kind, make in _KINDS.items() for w in (0.0, -1.0)),
+    pytest.param(lambda: BorelMeasure((Atom((0.0, 0.0, 0.0), 1.0),), 2), "DIMENSION",
+                 id="3d-atom-in-d=2"),
+    pytest.param(lambda: BorelMeasure((), 1), "DIMENSION", id="measure-d=1"),
+    pytest.param(lambda: kernel(1, 1.0), "DIMENSION", id="kernel-d=1"),
+    pytest.param(_meromorphic_f_with_a_3d_mu, "DIMENSION", id="meromorphic-f-3d-mu"),
+    # a non-finite weight is no sign rule: the JSON reader calls it MEASURE_SPEC
+    *(pytest.param(lambda make=make, w=w: make(w), None, id=f"{kind}-weight={w}")
+      for kind, make in _KINDS.items() for w in (math.nan, math.inf, -math.inf)),
+])
+def test_python_callers_get_the_codes_a_file_gets(build, code):
+    # each rule's constructor raises its code, so a Python caller and a
+    # scenario file see the same one
+    with pytest.raises(ValueError) as err:
+        build()
+    if code is None:
+        assert not isinstance(err.value, ScenarioError)
+    else:
+        assert isinstance(err.value, ScenarioError) and err.value.code == code
 
 
 def test_kernel_anchor_values():

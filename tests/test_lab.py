@@ -502,8 +502,11 @@ def test_atomic_mu_family_all_precondition_failed():
     assert all(r.verdict == "precondition-failed" for r in reports)
 
 
-def test_empty_corpus():
-    assert run_corpus(CorpusConfig(count=0), seed=1) == []
+def test_corpus_config_rejects_a_count_below_one():
+    # an empty corpus is an input error, not an empty list of rows
+    for count in (0, -1):
+        with pytest.raises(ValueError, match=f"--count must be >= 1, got {count}"):
+            CorpusConfig(count=count)
 
 
 def test_corpus_config_rejects_an_empty_family_list():
