@@ -8,12 +8,13 @@ meromorphic specializations, the Poisson-Jensen identity, the pointwise
 bound behind the proof, and the counting-measure lemma.  A seeded corpus
 driver generates deterministic scenario batches.
 
-The four UR-family tags (UR, UR2, UR2f, UR2fr) share one left side, one
-Dini factor and one A_d and differ only in the growth factor: T_U(r0, R),
-T(R, f) - N(r0, f) or T(R, f).  They are assembled by one function from one
-per-scenario ingredient set whose members (the Dini integral, the
-mu-integral of U^+ and C_{U^+}(R)) are each computed on first use; every
-growth factor adds a counting term to the one C_{U^+}(R).
+Each check tag is one entry of one table (_CHECKS): the scenarios it applies
+to and how its row is built.  The four UR-family tags (UR, UR2, UR2f, UR2fr)
+share one left side, one Dini factor and one A_d and differ only in the
+growth factor: T_U(r0, R), T(R, f) - N(r0, f) or T(R, f).  One function
+assembles them from one per-scenario ingredient set whose members (the Dini
+integral, the mu-integral of U^+ and C_{U^+}(R)) are each computed on first
+use; every growth factor adds a counting term to the one C_{U^+}(R).
 
 Verdict semantics, one rule (_verdict) for every row, Ux included, are
 honest about quadrature error: "pass" requires the slack to clear the
@@ -22,11 +23,8 @@ genuine counterexample, i.e. an implementation bug), anything inside the
 budget or NaN is "inconclusive", an infinite right-hand side is "vacuous",
 and a divergent Dini integral is "precondition-failed".
 
-Scenario states the theorem's hypotheses once, each as a ScenarioError
-(geometry's coded ValueError) that the JSON reader passes on: 0 < r < R <
-inf and r0 in [0, r] (RADII_ORDER), mu carried by B(r) and of U's dimension
-(SUPPORT_OUTSIDE_BALL, DIMENSION), an int seed (SEED); Tolerances needs a
-finite mean > 0 (TOLERANCES), and each measure kind a weight > 0 (NEGATIVE_WEIGHT).
+Scenario and Tolerances state the theorem's hypotheses once, each as a
+ScenarioError (geometry's coded ValueError) that the JSON reader passes on.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -96,8 +95,6 @@ VERDICTS = (PASS, FAIL, INCONCLUSIVE, VACUOUS, PRECONDITION_FAILED)
 
 DEFAULT_FAMILIES = ("ef_arc", "segment", "disk", "disk_union")
 FAMILIES = DEFAULT_FAMILIES + ("charges", "atomic_mu")
-DEFAULT_CHECKS = ("UR", "UR2", "UR2f", "UR2fr")
-ALL_CHECKS = DEFAULT_CHECKS + ("Ux", "U+B", "dBr")
 _UX_MAX_RELATIVE = 1e-6  # the largest relative Poisson-Jensen residual that passes
 
 
@@ -290,12 +287,16 @@ def positive_part_integral(U: DeltaSubharmonicFn, mu: BorelMeasure,
 
 class _Ingredients:
     """The UR-family ingredients of one scenario, each computed on first use
-    and then shared by every tag that needs it; growth factors are
-    (value, error) pairs."""
+    and then shared by every tag that needs it (growth factors are (value,
+    error) pairs), and the seeded stream of the proof rows' sample points."""
 
     def __init__(self, s: Scenario):
         self.s = s
         self.r_growth = s.r0 if s.r0 is not None else s.r
+        self._rng = random.Random(f"points:{s.seed}:{s.scenario_id}")
+
+    def sample_points(self) -> list:  # the stream's next 20 random points of B(0, r)
+        return [_point_in_ball(self._rng, self.s.r, self.s.U.dim) for _ in range(20)]
 
     @cached_property
     def dini(self) -> QuadratureResult:
@@ -336,29 +337,23 @@ class _Ingredients:
         return T - N.value, T_err + N.error_estimate
 
 
-# the growth factor of each UR-family tag; A_d already is the d=2 form of UR2
-_GROWTH = {"UR": "T_U", "UR2": "T_U", "UR2f": "T_f_minus_N", "UR2fr": "T_f"}
-
-
 def _ur_report(tag: str, ing: _Ingredients) -> VerificationReport:
     """lhs = integral of U^+ d mu, rhs = A * growth * (M + dini) with the
-    extended-real conventions and the tag's preconditions; the tag applies
-    to s (_applicable_checks)."""
+    extended-real conventions, for the growth factor and preconditions of
+    the tag's _CHECKS entry; run_checks skips a tag that does not apply."""
     s = ing.s
-    meromorphic = tag in ("UR2f", "UR2fr")
-    if tag == "UR2fr" and s.r < 1.0 and s.f.pole_count(0.0) > 0:
+    check = _CHECKS[tag]
+    if check.hypothesis is not None and (note := check.hypothesis(s)):
         return VerificationReport(s.scenario_id, tag, math.nan, math.nan,
-                                  math.nan, 0.0, PRECONDITION_FAILED,
-                                  note="needs r >= 1 or f(0) finite")
+                                  math.nan, 0.0, PRECONDITION_FAILED, note=note)
     dini = ing.dini
     if math.isinf(dini.value):
-        got = ing.lhs.value if not s.mu.continuous.components and not meromorphic else math.nan
-        return VerificationReport(s.scenario_id, tag, got, math.inf,
-                                  math.inf, 0.0, PRECONDITION_FAILED,
-                                  {"dini": math.inf},
+        got = ing.lhs.value if not s.mu.continuous.components and not check.needs_f else math.nan
+        return VerificationReport(s.scenario_id, tag, got, math.inf, math.inf, 0.0,
+                                  PRECONDITION_FAILED, {"dini": math.inf},
                                   note="Dini integral diverges")
     lhs = ing.lhs
-    growth, growth_err = getattr(ing, _GROWTH[tag])
+    growth, growth_err = getattr(ing, check.growth)
     A = constant_A(s.U.dim, s.r, s.R)
     M = s.mu.mass
     components = {"A": A, "T": growth, "M": M, "dini": dini.value}
@@ -380,12 +375,12 @@ def _ur_report(tag: str, ing: _Ingredients) -> VerificationReport:
 
 
 def verify_main_theorem(s: Scenario) -> VerificationReport:
-    """LHS = integral of U^+ d mu; RHS = A_d(r,R) T_U(r0, R) (M + Dini)."""
-    return _ur_report("UR", _Ingredients(s))
+    """The UR row, DEFAULT_CHECKS[0]: integral of U^+ d mu <= A_d T_U(r0, R) (M + Dini)."""
+    return _ur_report(DEFAULT_CHECKS[0], _Ingredients(s))
 
 
 # ---------------------------------------------------------------------------
-# proof-ingredient checks
+# proof-ingredient checks, and the table of every check tag
 
 
 @dataclass
@@ -397,6 +392,7 @@ class PointReport:
     skipped: list
     max_relative: float
     verdict: str
+    slack: float             # the one the verdict judged, NaN if any residual is
     budget: float = 0.0      # the bound check's allowance for the worst slack
 
 
@@ -460,8 +456,9 @@ def verify_poisson_jensen(U: DeltaSubharmonicFn, R: float,
     residuals = lhs - (boundary + green)
     relative = np.abs(residuals) / np.maximum(1.0, np.abs(lhs))
     max_rel = float(relative.max(initial=0.0))
+    slack = _UX_MAX_RELATIVE - max_rel
     return PointReport([tuple(x) for x in X.tolist()], residuals.tolist(), skipped,
-                       max_rel, _verdict(_UX_MAX_RELATIVE - max_rel, 0.0))
+                       max_rel, _verdict(slack, 0.0), slack)
 
 
 def verify_pointwise_bound(U: DeltaSubharmonicFn, r: float, R: float,
@@ -484,11 +481,13 @@ def verify_pointwise_bound(U: DeltaSubharmonicFn, r: float, R: float,
     budget = coeff * c_plus.error_estimate
     worst = float(slacks.min()) if len(X) else 0.0
     return PointReport([tuple(x) for x in X.tolist()], slacks.tolist(), skipped,
-                       float(np.abs(relative).max(initial=0.0)), _verdict(worst, budget), budget)
+                       float(np.abs(relative).max(initial=0.0)), _verdict(worst, budget),
+                       worst, budget)
 
 
 def verify_counting_lemma(delta: BorelMeasure, R_star: float, R: float) -> VerificationReport:
-    """delta^rad(R*) <= R^{d-1} / (d_hat (R - R*)) * N_delta(R*, R), d = delta.dim."""
+    """delta^rad(R*) <= R^{d-1} / (d_hat (R - R*)) * N_delta(R*, R), d = delta.dim;
+    the report leaves the scenario and the tag to the dBr row of run_checks."""
     if not 0.0 < R_star < R:
         raise ValueError(f"need 0 < R_star < R, got ({R_star}, {R})")
     d = delta.dim
@@ -500,23 +499,53 @@ def verify_counting_lemma(delta: BorelMeasure, R_star: float, R: float) -> Verif
     budget = coeff * n.error_estimate
     if lhs != 0.0 or rhs != 0.0:
         budget += 4e-16 * (abs(lhs) + abs(rhs))  # rounding allowance on ties
-    return VerificationReport("", "dBr", lhs, rhs, slack, budget,
+    return VerificationReport("", "", lhs, rhs, slack, budget,
                               _verdict(slack, budget),
                               {"N": n.value, "coeff": coeff})
 
 
+def _poisson_jensen_row(tag: str, ing: _Ingredients) -> VerificationReport:
+    s = ing.s
+    pr = verify_poisson_jensen(s.U, s.R, ing.sample_points(), s.tolerances.mean)
+    return VerificationReport(s.scenario_id, tag, pr.max_relative, _UX_MAX_RELATIVE,
+                              pr.slack, 0.0, pr.verdict, {"skipped": len(pr.skipped)})
+
+
+def _pointwise_bound_row(tag: str, ing: _Ingredients) -> VerificationReport:
+    s = ing.s
+    pr = verify_pointwise_bound(s.U, s.r, s.R, ing.sample_points(), s.tolerances.mean)
+    return VerificationReport(s.scenario_id, tag, -pr.slack, 0.0, pr.slack,
+                              pr.budget, pr.verdict, {"skipped": len(pr.skipped)})
+
+
+def _counting_lemma_row(tag: str, ing: _Ingredients) -> VerificationReport:
+    s = ing.s
+    _plus, minus = jordan_decomposition(s.U)
+    rep = verify_counting_lemma(minus, s.r, s.R)  # delta = charge^-, R* = r
+    rep.scenario_id, rep.inequality = s.scenario_id, tag
+    return rep
+
+
+# Each check tag once: d = 2 only; needs a meromorphic f; row(tag, ingredients)
+# builds its row; a UR-family row (_ur_report) reads the _Ingredients growth
+# factor and the tag's own hypothesis, s -> the note of its failure or ''.
+_Check = namedtuple("_Check", "planar needs_f row growth hypothesis")
+_CHECKS = {
+    "UR": _Check(False, False, _ur_report, "T_U", None),
+    "UR2": _Check(True, False, _ur_report, "T_U", None),  # A_d is already its d = 2 form
+    "UR2f": _Check(True, True, _ur_report, "T_f_minus_N", None),
+    "UR2fr": _Check(True, True, _ur_report, "T_f", lambda s: "needs r >= 1 or f(0) finite"
+                    if s.r < 1.0 and s.f.pole_count(0.0) > 0 else ""),
+    "Ux": _Check(False, False, _poisson_jensen_row, "", None),
+    "U+B": _Check(False, False, _pointwise_bound_row, "", None),
+    "dBr": _Check(False, False, _counting_lemma_row, "", None),
+}
+ALL_CHECKS = tuple(_CHECKS)
+DEFAULT_CHECKS = tuple(tag for tag, check in _CHECKS.items() if check.growth)  # the UR family
+
+
 # ---------------------------------------------------------------------------
 # scenario generation and the corpus driver
-
-
-def _rng_for(seed: int, index: int, family: str) -> random.Random:
-    return random.Random(f"{seed}:{index}:{family}")
-
-
-def _min_dist_to_measure(z: complex, mu: BorelMeasure) -> float:
-    """Distance from a d=2 point to the support of mu (for rejection)."""
-    p = np.array([z.real, z.imag])
-    return min((c.distance_to(p) for c in mu.components), default=math.inf)
 
 
 def _clear_point(rng: random.Random, R: float, mu: BorelMeasure,
@@ -526,7 +555,9 @@ def _clear_point(rng: random.Random, R: float, mu: BorelMeasure,
     charge atoms."""
     while True:
         z = complex(*_point_in_ball(rng, 0.8 * R, 2))
-        if abs(z) >= 0.05 and _min_dist_to_measure(z, mu) >= margin:
+        p = np.array([z.real, z.imag])
+        if abs(z) >= 0.05 and min((c.distance_to(p) for c in mu.components),
+                                  default=math.inf) >= margin:
             return z
 
 
@@ -626,7 +657,7 @@ def generate_scenario(seed: int, index: int, family: str,
     measure, exercising the expected Dini precondition failure).
     """
     _check_known((family,), FAMILIES, "scenario family")
-    rng = _rng_for(seed, index, family)
+    rng = random.Random(f"{seed}:{index}:{family}")
     r = rng.uniform(0.8, 2.0)
     R = r * rng.uniform(1.8, 3.0)
     if family == "charges":
@@ -655,21 +686,8 @@ def generate_scenario(seed: int, index: int, family: str,
     )
 
 
-def _applicable_checks(s: Scenario, checks: Sequence[str]) -> list:
-    out = []
-    for tag in checks:
-        if tag in ("UR2", "UR2f", "UR2fr") and (s.U.dim != 2 or
-                                                (tag != "UR2" and s.f is None)):
-            continue
-        out.append(tag)
-    return out
-
-
-_POINT_COUNT = 20  # random points of B(0, r) per Ux and U+B check
-
-
 def run_checks(s: Scenario, checks: Sequence[str], timing: bool = False) -> list:
-    """Evaluate the requested inequality tags on one scenario.
+    """Evaluate the requested check tags that apply to one scenario (_CHECKS).
 
     The UR-family tags share one ingredient set: the Dini integral, the
     mu-integral of U^+ and C_{U^+}(R) are each computed once, inside the
@@ -677,28 +695,13 @@ def run_checks(s: Scenario, checks: Sequence[str], timing: bool = False) -> list
     """
     _check_known(checks, ALL_CHECKS, "check tag")
     reports = []
-    rng = random.Random(f"points:{s.seed}:{s.scenario_id}")
     ingredients = _Ingredients(s)
-    for tag in _applicable_checks(s, checks):
+    for tag in checks:
+        check = _CHECKS[tag]
+        if check.planar and s.U.dim != 2 or check.needs_f and s.f is None:
+            continue
         start = time.perf_counter()
-        if tag in _GROWTH:
-            rep = _ur_report(tag, ingredients)
-        elif tag == "Ux":
-            pts = [_point_in_ball(rng, s.r, s.U.dim) for _ in range(_POINT_COUNT)]
-            pr = verify_poisson_jensen(s.U, s.R, pts, s.tolerances.mean)
-            rep = VerificationReport(s.scenario_id, "Ux", pr.max_relative, _UX_MAX_RELATIVE,
-                                     _UX_MAX_RELATIVE - pr.max_relative, 0.0, pr.verdict,
-                                     {"skipped": len(pr.skipped)})
-        elif tag == "U+B":
-            pts = [_point_in_ball(rng, s.r, s.U.dim) for _ in range(_POINT_COUNT)]
-            pr = verify_pointwise_bound(s.U, s.r, s.R, pts, s.tolerances.mean)
-            worst = min(pr.residuals, default=0.0)
-            rep = VerificationReport(s.scenario_id, "U+B", -worst, 0.0, worst,
-                                     pr.budget, pr.verdict, {"skipped": len(pr.skipped)})
-        else:  # dBr
-            _plus, minus = jordan_decomposition(s.U)
-            rep = verify_counting_lemma(minus, s.r, s.R)
-            rep.scenario_id = s.scenario_id
+        rep = check.row(tag, ingredients)
         if timing:
             rep.wall_time_ms = int(round(1000.0 * (time.perf_counter() - start)))
         reports.append(rep)
@@ -729,13 +732,9 @@ class CorpusConfig:
         _check_known(self.checks, ALL_CHECKS, "check tag")
 
 
-def _scenario_reports(config: CorpusConfig, seed: int, index: int) -> list:
-    family = config.families[index % len(config.families)]
-    s = generate_scenario(seed, index, family, config.tolerances)
-    return run_checks(s, config.checks, timing=config.timing)
-
-
 def run_corpus(config: CorpusConfig, seed: int) -> list:
     """Deterministic scenario batch; reports in scenario-index order."""
-    return [rep for index in range(config.count)
-            for rep in _scenario_reports(config, seed, index)]
+    families = config.families
+    scenarios = (generate_scenario(seed, index, families[index % len(families)],
+                                   config.tolerances) for index in range(config.count))
+    return [rep for s in scenarios for rep in run_checks(s, config.checks, timing=config.timing)]

@@ -61,7 +61,8 @@ import numpy as np
 
 from .geometry import (ScenarioError, _check_dimension, _d_hat, _distances, _dots,
                        _kernel_values, ext_mul, kernel)
-from .quadrature import _ROUNDING, TWO_PI, QuadratureResult, _gl_nodes, integrate_interval
+from .quadrature import (_RESOLUTION, _ROUNDING, TWO_PI, QuadratureResult, _gl_nodes,
+                         integrate_interval)
 
 __all__ = [
     "Atom",
@@ -156,8 +157,10 @@ class UniformSegment:
         if len(self.start) not in (2, 3):
             raise ValueError("segment components are supported in dimensions 2 and 3")
         _check_weight(self.weight, "segment weight")
-        if self.length == 0.0:
-            raise ValueError("segment must have positive length")
+        with np.errstate(over="ignore"):  # a length beyond the float range reads inf
+            length = self.length
+        if not 0.0 < length < math.inf:
+            raise ValueError(f"segment length must be finite and > 0, got {length!r}")
 
     @property
     def dim(self) -> int:
@@ -901,7 +904,7 @@ def integrated_counting_result(mu: BorelMeasure, r: float, R: float) -> Quadratu
     Exact (piecewise kernel differences) for the atoms; one adaptive
     quadrature over [r, R], with the breakpoint radii as piece ends, for the
     continuous components.  +inf when the integral diverges at r = 0: an atom at the
-    origin, or a continuous component within 1e-14 R of the origin whose
+    origin, or a continuous component within _RESOLUTION R of the origin whose
     closed-form Dini integral is +inf.
     """
     if not 0.0 <= r < R:
@@ -916,10 +919,10 @@ def integrated_counting_result(mu: BorelMeasure, r: float, R: float) -> Quadratu
     # in d = 3): its mass near any of its points grows like t^{d-2} or
     # slower, so mass / t^{d-1} is not integrable at a point of it either.
     # That one fact decides both divergences: the protocol needs no new member.
-    # A float segment through the origin misses it by rounding; 1e-14 R is
-    # the width below which integrate_interval drops a panel anyway.
+    # A float segment through the origin misses it by rounding; _RESOLUTION R
+    # is the width below which integrate_interval drops a panel anyway.
     if r == 0.0 and any(math.isinf(c.dini_single(R))
-                        and c.distance_to(origin) <= 1e-14 * R for c in rest.components):
+                        and c.distance_to(origin) <= _RESOLUTION * R for c in rest.components):
         return QuadratureResult(math.inf, 0.0, 0)
     d_hat = float(_d_hat(d))
     power = d - 1

@@ -71,6 +71,7 @@ TWO_PI = 2.0 * math.pi
 _MAX_NODES = 2_000_000
 _MAX_TRAP = 2 ** 18
 _ROUNDING = 16.0 * float(np.finfo(float).eps)  # error estimates are >= _ROUNDING * |value|
+_RESOLUTION = 1e-14  # relative panel width below which _integrate_pieces refines no further
 
 
 @dataclass
@@ -146,7 +147,7 @@ def _gl_panels(f, lo: np.ndarray, hi: np.ndarray, scale: float) -> list:
 def _integrate_pieces(f, pieces, scale: float) -> QuadratureResult:
     """Sum of the integrals of f over the pieces (a, b, tol), each smooth for
     f and integrated to its own tol by adaptive GL15 bisection; a piece no
-    wider than 1e-14 scale is dropped, as the resolution floor would drop it.
+    wider than _RESOLUTION scale is dropped, as the resolution floor would drop it.
 
     Breadth-first over flat per-panel lists: the first level evaluates every
     piece's coarse rule and both halves, each later level the halves of
@@ -155,11 +156,11 @@ def _integrate_pieces(f, pieces, scale: float) -> QuadratureResult:
     values and errors are summed bottom-up in reverse split order, then over
     the pieces in order, so the result is the depth-first recursion's run
     piece after piece, bit for bit, with a third fewer nodes.  A panel still
-    above its tolerance at width 1e-14 scale or depth 48 raises
+    above its tolerance at width _RESOLUTION scale or depth 48 raises
     QuadratureBudgetError: f is not integrable there, or not smooth enough
     to integrate.  The pieces after a failing one stop, the ones before it
     run to the end, and the first failing piece's error is raised."""
-    pieces = [p for p in pieces if p[1] - p[0] > 1e-14 * scale]
+    pieces = [p for p in pieces if p[1] - p[0] > _RESOLUTION * scale]
     if not pieces:
         return QuadratureResult(0.0, 0.0, 0)
     nodes = 0
@@ -190,7 +191,7 @@ def _integrate_pieces(f, pieces, scale: float) -> QuadratureResult:
             if err <= tol[k]:
                 value[k], error[k] = fine, err
                 continue
-            if (hi[k] - lo[k]) <= 1e-14 * scale or depth >= 48:
+            if (hi[k] - lo[k]) <= _RESOLUTION * scale or depth >= 48:
                 failed = QuadratureBudgetError(
                     f"panel [{lo[k]!r}, {hi[k]!r}] at the resolution floor still "
                     f"changes by {err:.3g} > {tol[k]:.3g}")

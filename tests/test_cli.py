@@ -262,6 +262,18 @@ def _set(path, value):
     # three different point sets, and [1] made the scenario unhashable
     *(pytest.param(_set(("seed",), seed), "SEED", id=f"seed={seed!r}")
       for seed in (1.0, True, [1])),
+    # a segment whose length overflows a float: numpy's overflow warning, and
+    # inside a ball that large, rows of NaN, in place of the constructor's rule
+    *(pytest.param(lambda obj, r=r: dict(obj, radii=dict(obj["radii"], r=r, R=2 * r), measure={
+        "components": [{"type": "segment", "endpoints": [[0, 0], [0, 1e300]], "weight": 1.0}]}),
+        "MEASURE_SPEC", id=f"segment-length-1e300-r={r}",
+        marks=pytest.mark.filterwarnings("error::RuntimeWarning")) for r in (2.0, 1e301)),
+    pytest.param(_set(("measure", "components", 0, "type"), "blob"), "MEASURE_SPEC",
+                 id="component-type-blob"),
+    pytest.param(lambda obj: dict(obj, function={
+        "type": "delta_subharmonic", "u": {"harmonic": {"sine": [1.0]}}, "v": {}}),
+        "FUNCTION_SPEC", id="harmonic-part-sine"),
+    pytest.param(_set(("function", "type"), "entire"), "FUNCTION_SPEC", id="function-type-entire"),
 ])
 def test_malformed_scenario_json_exits_two(tmp_path, capsys, edit, code):
     # exit 1 is the fail verdict; a file of the wrong shape is an input error
@@ -425,7 +437,8 @@ def test_inputs_are_checked_before_any_work(tmp_path, capsys, monkeypatch, argv,
     def no_row(*args):
         raise AssertionError("a row was computed")
 
-    monkeypatch.setattr(lab, "_ur_report", no_row)
+    monkeypatch.setattr(lab, "_CHECKS", {tag: check._replace(row=no_row)
+                                         for tag, check in lab._CHECKS.items()})
     pin = tmp_path / "pin-2d.json"
     pin.write_text(json.dumps(PIN_2D))
     assert main([a.format(golden=GOLDEN, pin_2d=pin) for a in argv]) == 2

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -5,6 +6,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from deltasubh.potentials import (
     jordan_decomposition,
     potential_values,
 )
-from deltasubh.quadrature import QuadratureBudgetError
+from deltasubh.quadrature import QuadratureBudgetError, integrate_interval
 from deltasubh.scenario_io import parse_scenario
 from deltasubh.lab import (
     CorpusConfig,
@@ -419,6 +421,82 @@ def test_pointwise_bound_row_carries_its_budget_and_is_inconclusive_inside_it(mo
     assert inside.verdict == "inconclusive"
 
 
+def test_proof_rows_print_the_slack_their_verdict_judged(monkeypatch):
+    # the Ux and U+B rows print the slack their verifier handed to _verdict;
+    # U+B once took it again with Python's min, which passes over a NaN, and
+    # printed a finite worst slack next to an inconclusive verdict
+    s = generate_scenario(7, 0, "charges")
+    judged = []
+    verdict = lab._verdict
+    monkeypatch.setattr(lab, "_verdict",
+                        lambda slack, budget: judged.append(slack) or verdict(slack, budget))
+    rows = run_checks(s, ("Ux", "U+B"))
+    assert [row.verdict for row in rows] == ["pass", "pass"]
+    assert [repr(row.slack) for row in rows] == [repr(x) for x in judged]
+    values = lab.potential_values
+
+    def nan_at_one_point(nu, X):
+        out = np.array(values(nu, X), dtype=float)
+        out[-1] = math.nan  # not the first: Python's min keeps a leading NaN
+        return out
+
+    monkeypatch.setattr(lab, "potential_values", nan_at_one_point)
+    judged.clear()
+    ux, bound = run_checks(s, ("Ux", "U+B"))
+    assert repr(ux.slack) == repr(judged[0])
+    assert math.isnan(bound.slack) and math.isnan(bound.lhs) and math.isnan(judged[1])
+    assert bound.verdict == "inconclusive"
+
+
+def test_each_check_tag_is_stated_once_as_a_key_of_the_table():
+    # a tag's facts (where it applies, how its row is built) live in one
+    # table, lab._CHECKS: no comparison in lab tests a tag, and a tag literal
+    # appears nowhere else
+    tree = ast.parse(Path(lab.__file__).read_text(encoding="utf-8"))
+    tags = set(lab.ALL_CHECKS)
+
+    def is_tag(node):
+        if isinstance(node, (ast.Tuple, ast.Set, ast.List)):
+            return bool(node.elts) and all(is_tag(e) for e in node.elts)
+        return isinstance(node, ast.Constant) and node.value in tags
+
+    compared = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                and any(map(is_tag, [node.left, *node.comparators]))]
+    assert compared == []
+    tables = [node for node in ast.walk(tree)
+              if isinstance(node, ast.Dict) and any(map(is_tag, filter(None, node.keys)))]
+    assert len(tables) == 1
+    assert [key.value for key in tables[0].keys] == list(lab.ALL_CHECKS)
+    keys = set(map(id, tables[0].keys))
+    elsewhere = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and node.value in tags and id(node) not in keys]
+    assert elsewhere == []
+
+
+def _charges_U():
+    return generate_scenario(42, 0, "charges").U
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: UniformArc((0.0, 0.0), 1.0, 0.0, 7.0, 1.0), "angular width"),
+    (lambda: UniformBall((0.0, 0.0, 0.0, 0.0), 1.0, 1.0), "dimensions 2 and 3"),
+    (lambda: measures.ModulusProfile((0.1, 0.2), (1.0,), (True, True), 1.0, 2), "equal length"),
+    (lambda: measures.ModulusProfile((0.2, 0.1), (1.0, 1.0), (True, True), 1.0, 2),
+     "strictly increasing"),
+    (lambda: measures.integrated_counting_result(
+        BorelMeasure((Atom((0.5, 0.0), 1.0),), 2), 2.0, 2.0), "r < R"),
+    (lambda: measures.dini_integral_result(
+        BorelMeasure((Atom((0.5, 0.0), 1.0),), 2), 0.0), "upper must be > 0"),
+    (lambda: integrate_interval(np.sin, 1.0, 1.0), "a < b"),
+    (lambda: characteristics.sup_on_sphere(_charges_U(), 0.0), "r must be > 0"),
+    (lambda: verify_pointwise_bound(_charges_U(), 2.0, 2.0, [(0.0, 0.0)]), "r < R"),
+], ids=["arc-width-7", "ball-in-d=4", "profile-lengths", "profile-order",
+        "counting-r=R", "dini-upper=0", "interval-a=b", "sup-r=0", "bound-r=R"])
+def test_out_of_range_inputs_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_counting_lemma_anchors_and_zero():
     delta = BorelMeasure((Atom((0.0, 0.0), 1.0),), 2)
     rep = verify_counting_lemma(delta, 1.0, 2.0)
@@ -771,7 +849,7 @@ def _ref_poisson_jensen(U, R, sample_points, tol):
         relative.append(abs(res) / max(1.0, abs(lhs)))
     max_rel = max(relative, default=0.0)
     return lab.PointReport(points, residuals, skipped, max_rel,
-                           "pass" if max_rel < 1e-6 else "fail")
+                           "pass" if max_rel < 1e-6 else "fail", 1e-6 - max_rel)
 
 
 def _ref_pointwise_bound(U, r, R, sample_points, tol):
@@ -794,9 +872,10 @@ def _ref_pointwise_bound(U, r, R, sample_points, tol):
         slacks.append(slack)
         relative.append(slack / max(1.0, abs(rhs)))
     budget = coeff * c_plus.error_estimate
+    worst = min(slacks, default=0.0)
     return lab.PointReport(points, slacks, skipped,
                            max((abs(v) for v in relative), default=0.0),
-                           lab._verdict(min(slacks, default=0.0), budget), budget)
+                           lab._verdict(worst, budget), worst, budget)
 
 
 def _proof_case(name):
