@@ -104,20 +104,27 @@ def _distances(pts: np.ndarray, p) -> np.ndarray:
     """|x - p| at each row x of an (n, d) array (p = 0.0 gives the row
     norms; a p of shape (m, 1, d) or (m, n, d) gives an (m, n) array; a
     1-d pts gives a scalar): np.sqrt(_dots(v, v)) for v = pts - p, from one
-    column-major buffer of v squared in place, so every step runs on
-    contiguous columns whatever the layout of pts."""
+    column-major buffer of v squared in place, its columns added into the
+    first, so every step runs on contiguous columns whatever the layout of
+    pts and only the root is a second array."""
     v = np.subtract(pts, p, order="F")
     v *= v
     total = v[..., 0]
     for k in range(1, v.shape[-1]):
-        total = total + v[..., k]
+        total += v[..., k]
     return np.sqrt(total)
 
 
 def _kernel_values(d: int, arr: np.ndarray) -> np.ndarray:
     """kernel on an array of radii already known to be >= 0 (distances)."""
-    with np.errstate(divide="ignore"):
-        if d == 2:
-            return np.log(arr)
-        return -arr ** float(2 - d)
+    return _kernel_in_place(d, np.array(arr, dtype=float))
 
+
+def _kernel_in_place(d: int, arr: np.ndarray) -> np.ndarray:
+    """_kernel_values written over arr, an ndarray of float radii >= 0: the
+    same floats, as numpy's log and power take the same loop in place."""
+    with np.errstate(divide="ignore"):  # k(0) = -inf
+        if d == 2:
+            return np.log(arr, out=arr)
+        arr **= float(2 - d)  # -1.0 is numpy's exact reciprocal, as in arr ** -1.0
+    return np.negative(arr, out=arr)

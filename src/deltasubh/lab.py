@@ -232,7 +232,8 @@ def _ball_integral(U, comp: UniformBall, tol: float) -> QuadratureResult:
                 for j in range(dim):
                     coords[j] += c[j]
                 vals = U.positive_values(coords.reshape(dim, -1).T).reshape(r_xy.size, -1)
-                np.copyto(vals, 0.0, where=~np.isfinite(vals))  # measure-zero nodes
+                if not vals.max() < np.inf:  # NaN or +inf at a measure-zero node
+                    np.copyto(vals, 0.0, where=~np.isfinite(vals))
                 nodes += vals.size
                 if reuse:
                     block = np.empty((r_xy.size, n_a)) if store is None else store[b]

@@ -60,7 +60,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .geometry import (ScenarioError, _check_dimension, _d_hat, _distances, _dots,
-                       _kernel_values, ext_mul, kernel)
+                       _kernel_in_place, _kernel_values, ext_mul, kernel)
 from .quadrature import (_RESOLUTION, _ROUNDING, TWO_PI, QuadratureResult, _gl_nodes,
                          integrate_interval)
 
@@ -136,7 +136,12 @@ class Atom:
         return math.inf  # h = weight near 0
 
     def potential(self, pts: np.ndarray) -> np.ndarray:
-        return self.weight * _kernel_values(self.dim, _distances(pts, self.point))
+        """weight k(|x - point|) at each row x of an (n, d) pts, the kernel
+        and the weight taken in place on the distances."""
+        values = _kernel_in_place(self.dim, _distances(pts, self.point))
+        if self.weight != 1.0:  # 1.0 * x is x
+            values *= self.weight
+        return values
 
     def distance_to(self, p: np.ndarray) -> float:
         return float(_distances(p, self.point))

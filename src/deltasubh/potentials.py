@@ -28,11 +28,23 @@ that point alone.
 
 Points are (n, d) arrays, row-major or column-major: the grid builders hand
 out column-major ones (np.empty((d, n)).T), so each coordinate is one
-contiguous column; distances are squared in place in one column-major
-temporary (geometry._distances), and sums accumulate in place.
-DeltaSubharmonicFn.values_with_polar evaluates more than _BLOCK points _BLOCK
-rows at a time, so that a block's temporaries stay in cache, and the ball
-rule (lab._ball_integral) asks for at most _BLOCK points a call, read at call
+contiguous column.  U is evaluated in place wherever that keeps the floats:
+each of u and v is one array, into which its potential's terms are added in
+component order and then its harmonic part.  An atom's term costs one
+column-major buffer (geometry._distances: each coordinate's difference
+squared in place, the columns added into the first) and its root, which
+takes the kernel, and the weight when it is not 1, in place
+(Atom.potential).  Only the atom's k(0) = -inf and the polar
+(-inf) - (-inf) are kept from warning; any other warning reaches the caller.
+The polar mask is (u == -inf) & (v == -inf), taken in place; Horner's rule
+(_horner) starts from the leading coefficient, and a constant polynomial
+builds no complex z; log_abs takes each zero and pole through one complex
+and one real buffer.  Each step keeps the one-point formula's operations
+and their order, so every value is the same floats as a one-point call (a
+test compares them bit for bit).
+values_with_polar evaluates more than _BLOCK points _BLOCK rows at a time,
+so that a block's buffers stay in cache, and the ball rule
+(lab._ball_integral) asks for at most _BLOCK points a call, read at call
 time, unless one circle of its grid holds more.  Both are sound
 only because every potential and harmonic part acts node by node: a point's
 value is the same floats whatever the layout of its array and whatever
@@ -76,6 +88,29 @@ class UnsupportedModelError(ValueError):
     """The charge configuration falls outside the exactly-decomposable family."""
 
 
+def _negative_zero(c: complex) -> bool:
+    """Whether the real or the imaginary part of c is -0.0."""
+    return any(x == 0.0 and math.copysign(1.0, x) < 0.0 for x in (c.real, c.imag))
+
+
+def _horner(coeffs: tuple, z: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] z^k at each finite z, by Horner's rule from the
+    leading coefficient: the same floats as from 0, since the first step
+    0 z + c is c, unless a part of c is -0.0, whose sign of zero the signs
+    of z then pick, so such a c starts from 0, as does the empty sum."""
+    if coeffs and not _negative_zero(coeffs[-1]):
+        low, top = coeffs[:-1], coeffs[-1]
+    else:
+        low, top = coeffs, 0j
+    acc = np.full(z.shape, top, dtype=complex)
+    for c in reversed(low):
+        # the product stays out of place, as numpy's in-place complex
+        # product rounds differently on one-element arrays
+        acc = acc * z
+        acc += c
+    return acc
+
+
 @dataclass(frozen=True)
 class HarmonicPolynomial:
     """Re p(z) for a complex polynomial p, coefficients low-to-high (d=2)."""
@@ -92,15 +127,11 @@ class HarmonicPolynomial:
         return 2
 
     def values(self, pts: np.ndarray) -> np.ndarray:
+        if len(self.coeffs) == 1 and not _negative_zero(self.coeffs[0]):
+            return np.full(pts.shape[0], self.coeffs[0].real)  # _horner's c, without z
         z = 1j * pts[:, 1]
         z += pts[:, 0]
-        acc = np.zeros_like(z)
-        for c in reversed(self.coeffs):
-            # Horner: the product stays out of place, as numpy's in-place
-            # complex product rounds differently on one-element arrays
-            acc = acc * z
-            acc += c
-        return acc.real
+        return _horner(self.coeffs, z).real
 
     def __add__(self, other: "HarmonicPolynomial") -> "HarmonicPolynomial":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -195,7 +226,10 @@ class SubharmonicFn:
         return self.riesz.dim
 
     def values(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return self._values(np.atleast_2d(np.asarray(pts, dtype=float)))
+
+    def _values(self, pts: np.ndarray) -> np.ndarray:
+        """values at the rows of a 2-d float array."""
         out = potential_values(self.riesz, pts)
         if self.harmonic is not None:
             out += self.harmonic.values(pts)
@@ -235,11 +269,12 @@ class DeltaSubharmonicFn:
         return vals, polar
 
     def _block_values(self, pts: np.ndarray):
-        """values_with_polar of at most _BLOCK points."""
-        vals = self.u.values(pts)
-        vv = self.v.values(pts)
-        polar = np.isneginf(vals) & np.isneginf(vv)
-        with np.errstate(invalid="ignore"):
+        """values_with_polar of at most _BLOCK rows of a 2-d float array."""
+        vals = self.u._values(pts)
+        vv = self.v._values(pts)
+        polar = vals == -np.inf
+        polar &= vv == -np.inf
+        with np.errstate(invalid="ignore"):  # (-inf) - (-inf) at a polar point
             vals -= vv
         np.copyto(vals, np.nan, where=polar)
         return vals, polar
@@ -305,16 +340,19 @@ class MeromorphicFn:
         z = np.asarray(z, dtype=complex)
         acc = np.zeros(z.shape, dtype=float)
         if self.exponent:
-            p = np.zeros_like(z)
-            for c in reversed(self.exponent):
-                p = p * z + c
-            acc = acc + p.real
-        acc = acc + math.log(abs(self.unit_factor))
+            acc += _horner(self.exponent, z).real
+        acc += math.log(abs(self.unit_factor))
+        diff, term = np.empty_like(z), np.empty(z.shape)
+
+        def log_term(a, m):  # m ln|z - a| in the two buffers
+            np.log(np.abs(np.subtract(z, a, out=diff), out=term), out=term)
+            return term if m == 1 else np.multiply(term, m, out=term)  # 1 * x is x
+
         with np.errstate(divide="ignore"):
             for a, m in self.zeros:
-                acc = acc + m * np.log(np.abs(z - a))
+                acc += log_term(a, m)
             for b, n in self.poles:
-                acc = acc - n * np.log(np.abs(z - b))
+                acc -= log_term(b, n)
         return acc
 
     def pole_count(self, r: float) -> int:

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import random
 
 import numpy as np
@@ -502,3 +504,161 @@ def test_values_with_polar_is_the_same_for_every_layout_and_block(d):
         assert np.array_equal(other_polar, polar)
     for layout, arr in given.items():
         assert np.array_equal(arr, pts), layout
+
+
+# The one-point formulas of the evaluator, spelled out as a reference: each
+# atom's distance and term on their own arrays, added into zeros in
+# component order, the np.isneginf polar rule, Horner from zero, and log|f|
+# one factor at a time.
+
+def _reference_potential(measure, pts):
+    total = np.zeros(len(pts))
+    for comp in measure.components:
+        if isinstance(comp, Atom):
+            diff = pts - np.asarray(comp.point)
+            square = diff[:, 0] * diff[:, 0]
+            for k in range(1, comp.dim):
+                square = square + diff[:, k] * diff[:, k]
+            dist = np.sqrt(square)
+            with np.errstate(divide="ignore"):
+                k = np.log(dist) if comp.dim == 2 else -dist ** float(2 - comp.dim)
+            total += comp.weight * k
+        else:
+            total += comp.potential(pts)
+    return total
+
+
+def _reference_harmonic(harmonic, pts):
+    if isinstance(harmonic, AffineHarmonic):
+        total = pts[:, 0] * harmonic.gradient[0]
+        total += harmonic.constant
+        for k in range(1, len(harmonic.gradient)):
+            total += pts[:, k] * harmonic.gradient[k]
+        return total
+    z = 1j * pts[:, 1]
+    z += pts[:, 0]
+    acc = np.zeros_like(z)
+    for c in reversed(harmonic.coeffs):
+        acc = acc * z
+        acc += c
+    return acc.real
+
+
+def _reference_values(sub, pts):
+    out = _reference_potential(sub.riesz, pts)
+    if sub.harmonic is not None:
+        out += _reference_harmonic(sub.harmonic, pts)
+    return out
+
+
+def _reference_values_with_polar(U, pts):
+    vals, vv = _reference_values(U.u, pts), _reference_values(U.v, pts)
+    polar = np.isneginf(vals) & np.isneginf(vv)
+    with np.errstate(invalid="ignore"):
+        vals -= vv
+    vals[polar] = np.nan
+    return vals, polar
+
+
+def _reference_log_abs(f, z):
+    acc = np.zeros(z.shape)
+    if f.exponent:
+        p = np.zeros_like(z)
+        for c in reversed(f.exponent):
+            p = p * z + c
+        acc = acc + p.real
+    acc = acc + math.log(abs(f.unit_factor))
+    with np.errstate(divide="ignore"):
+        for a, m in f.zeros:
+            acc = acc + m * np.log(np.abs(z - a))
+        for b, n in f.poles:
+            acc = acc - n * np.log(np.abs(z - b))
+    return acc
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+def _reference_sample(d):
+    """(U, harmonic parts, f, points): every kind interleaved, weights 1
+    and not 1, and special points first (on the atom u and v share, so
+    polar; on an atom of u alone; on one of v alone; on a ball's rim; on a
+    zero and on a pole of f), then random ones, 8193 rows in all."""
+    rng = np.random.default_rng(40 + d)
+    p, q, r, a, b = (tuple(rng.uniform(-1.0, 1.0, d)) for _ in range(5))
+    centre = (0.25, -0.5) + (0.125,) * (d - 2)
+    rim = (0.75, -0.5) + (0.125,) * (d - 2)  # |rim - centre| = 0.5 exactly
+    u_comps = [Atom(p, 1.0), UniformBall(centre, 0.5, 0.7), Atom(q, 1.3),
+               UniformSegment(a, b, 1.0)]
+    v_comps = [Atom(r, 0.6), Atom(p, 1.0), UniformBall(b, 0.3, 1.0)]
+    if d == 2:
+        u_comps.append(UniformArc(r, 0.8, -0.4, 2.3, 0.5))
+        v_comps.append(UniformArc(a, 0.5, 0.0, 2.0 * math.pi, 1.0))
+        harmonics = [HarmonicPolynomial((0.0,)), HarmonicPolynomial((-0.0,)),
+                     HarmonicPolynomial(()),
+                     HarmonicPolynomial((0.3 - 0.2j,)),
+                     HarmonicPolynomial((0.2, 1 - 0.5j, 0.3 + 0.1j)),
+                     HarmonicPolynomial((0.2, complex(-0.0, -0.0))),
+                     HarmonicPolynomial((0.2, 0.5j, complex(-0.0, 1.0)))]
+    else:
+        grad = tuple(rng.uniform(-2.0, 2.0, d))
+        harmonics = [AffineHarmonic(0.0, grad), AffineHarmonic(-0.0, grad),
+                     AffineHarmonic(0.3, grad)]
+    u = SubharmonicFn(harmonics[-1], BorelMeasure(tuple(u_comps), d))
+    v = SubharmonicFn(harmonics[1], BorelMeasure(tuple(v_comps), d))
+    f = _mero(zeros=[(complex(*p[:2]), 2), (0.3 - 0.1j, 1)],
+              poles=[(complex(*q[:2]), 2), (-0.5 + 0.5j, 1)],
+              unit=1.5, exponent=(0.1, 0.2 - 0.3j, complex(-0.0, 0.5)))
+    special = np.array([p, q, r, rim, (0.3, -0.1) + (0.0,) * (d - 2),
+                        (-0.5, 0.5) + (0.0,) * (d - 2)])
+    pts = np.vstack([special, rng.uniform(-2.0, 2.0, (8193 - len(special), d))])
+    return DeltaSubharmonicFn(u, v), harmonics, f, pts
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_evaluation_is_bitwise_the_one_point_formulas(d):
+    # every evaluator gives the same floats as the reference formulas above,
+    # signed zeros included, for one point, two, a scan's 2049 and more
+    # than _BLOCK, so no in-place kernel may change a value
+    U, harmonics, f, pts = _reference_sample(d)
+    assert len(pts) > potentials._BLOCK
+    cases = [pts[i:i + 1] for i in range(6)] + [pts[:2], pts[:2049], pts]
+    for x in cases:
+        want, want_polar = _reference_values_with_polar(U, x)
+        vals, polar = U.values_with_polar(x)
+        assert np.array_equal(_bits(vals), _bits(want)) and np.array_equal(polar, want_polar)
+        plus = np.maximum(want, 0.0)
+        plus[want_polar] = 0.0
+        assert np.array_equal(_bits(U.positive_values(x)), _bits(plus))
+        for sub in (U.u, U.v):
+            assert np.array_equal(_bits(potential_values(sub.riesz, x)),
+                                  _bits(_reference_potential(sub.riesz, x)))
+        for h in harmonics:
+            assert np.array_equal(_bits(h.values(x)), _bits(_reference_harmonic(h, x)))
+        if d == 2:
+            z = x[:, 0] + 1j * x[:, 1]
+            assert np.array_equal(_bits(f.log_abs(z)), _bits(_reference_log_abs(f, z)))
+    assert polar[0] and not polar[1:].any() and vals[1] == -np.inf and vals[2] == np.inf
+
+
+_COMPONENT_KINDS = {"Atom", "UniformSegment", "UniformArc", "UniformBall"}
+
+
+@pytest.mark.parametrize("module", ["potentials.py", "characteristics.py"])
+def test_no_isinstance_on_a_component_kind(module):
+    # a rule about a kind lives on the kind, in measures: these modules ask
+    # a component (potential, overlaps, continuous, ...) and never switch on
+    # its class.  lab's ball rule still switches on atoms and balls in
+    # positive_part_integral, so lab is not checked here.
+    path = pathlib.Path(potentials.__file__).with_name(module)
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            classes = node.args[1]
+            for c in classes.elts if isinstance(classes, ast.Tuple) else [classes]:
+                name = c.id if isinstance(c, ast.Name) else getattr(c, "attr", None)
+                if name in _COMPONENT_KINDS:
+                    found.append(f"{module}:{node.lineno} {name}")
+    assert found == []
