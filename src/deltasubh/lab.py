@@ -14,14 +14,16 @@ share one left side, one Dini factor and one A_d and differ only in the
 growth factor: T_U(r0, R), T(R, f) - N(r0, f) or T(R, f).  One function
 assembles them from one per-scenario ingredient set whose members (the Dini
 integral, the mu-integral of U^+ and C_{U^+}(R)) are each computed on first
-use; every growth factor adds a counting term to the one C_{U^+}(R).
+use; every growth factor adds a counting term to the one C_{U^+}(R), which
+the U+B row's pointwise bound reads too.
 
 Verdict semantics, one rule (_verdict) for every row, Ux included, are
 honest about quadrature error: "pass" requires the slack to clear the
 combined error budget, a negative slack beyond the budget is "fail" (a
 genuine counterexample, i.e. an implementation bug), anything inside the
 budget or NaN is "inconclusive", an infinite right-hand side is "vacuous",
-and a divergent Dini integral is "precondition-failed".
+and a divergent Dini integral is "precondition-failed" (lhs: the exact
+integral of U^+ d mu when mu is purely atomic, else NaN).
 
 Scenario and Tolerances state the theorem's hypotheses once, each as a
 ScenarioError (geometry's coded ValueError) that the JSON reader passes on.
@@ -41,6 +43,7 @@ import numpy as np
 
 from . import potentials
 from .characteristics import (
+    CharacteristicRecord,
     _path_integral,
     _sphere_means,
     _split,
@@ -287,9 +290,9 @@ def positive_part_integral(U: DeltaSubharmonicFn, mu: BorelMeasure,
 
 
 class _Ingredients:
-    """The UR-family ingredients of one scenario, each computed on first use
-    and then shared by every tag that needs it (growth factors are (value,
-    error) pairs), and the seeded stream of the proof rows' sample points."""
+    """The ingredients of one scenario's rows, each computed on first use and
+    then shared by every tag that needs it (growth factors are (value, error)
+    pairs), and the seeded stream of the proof rows' sample points."""
 
     def __init__(self, s: Scenario):
         self.s = s
@@ -301,34 +304,30 @@ class _Ingredients:
 
     @cached_property
     def dini(self) -> QuadratureResult:
-        s = self.s
-        return dini_integral_result(s.mu, s.R + s.r)
+        return dini_integral_result(self.s.mu, self.s.R + self.s.r)
 
     @cached_property
     def lhs(self) -> QuadratureResult:
         return positive_part_integral(self.s.U, self.s.mu, self.s.tolerances.mean)
 
     @cached_property
-    def C_plus(self):
-        """C_{U^+}(R), which is m(R, f) when U = log|f|."""
-        s = self.s
-        return spherical_mean(s.U, s.R, "positive", s.tolerances.mean)
+    def C_plus(self) -> CharacteristicRecord:
+        """C_{U^+}(R), m(R, f) when U = log|f|; every growth factor and U+B read it."""
+        return spherical_mean(self.s.U, self.s.R, "positive", self.s.tolerances.mean)
+
+    def _add_C_plus(self, N) -> tuple:  # C_{U^+}(R) plus a counting term, as (value, error)
+        return self.C_plus.value + N.value, self.C_plus.error_estimate + N.error_estimate
 
     @cached_property
     def T_U(self) -> tuple:
         """T_U(r0 or r, R) = C_{U^+}(R) + N_{charge^-}(r0 or r, R)."""
-        s = self.s
-        _plus, minus = jordan_decomposition(s.U)
-        N = integrated_counting_result(minus, self.r_growth, s.R)
-        return (self.C_plus.value + N.value,
-                self.C_plus.error_estimate + N.error_estimate)
+        _plus, minus = jordan_decomposition(self.s.U)
+        return self._add_C_plus(integrated_counting_result(minus, self.r_growth, self.s.R))
 
     @cached_property
     def T_f(self) -> tuple:
         """T(R, f) = C_{U^+}(R) + N(R, f)."""
-        N = nevanlinna_N(self.s.f, self.s.R)
-        return (self.C_plus.value + N.value,
-                self.C_plus.error_estimate + N.error_estimate)
+        return self._add_C_plus(nevanlinna_N(self.s.f, self.s.R))
 
     @property
     def T_f_minus_N(self) -> tuple:
@@ -349,7 +348,7 @@ def _ur_report(tag: str, ing: _Ingredients) -> VerificationReport:
                                   math.nan, 0.0, PRECONDITION_FAILED, note=note)
     dini = ing.dini
     if math.isinf(dini.value):
-        got = ing.lhs.value if not s.mu.continuous.components and not check.needs_f else math.nan
+        got = math.nan if s.mu.continuous.components else ing.lhs.value
         return VerificationReport(s.scenario_id, tag, got, math.inf, math.inf, 0.0,
                                   PRECONDITION_FAILED, {"dini": math.inf},
                                   note="Dini integral diverges")
@@ -462,17 +461,16 @@ def verify_poisson_jensen(U: DeltaSubharmonicFn, R: float,
                        max_rel, _verdict(slack, 0.0), slack)
 
 
-def verify_pointwise_bound(U: DeltaSubharmonicFn, r: float, R: float,
-                           sample_points: Sequence, tol: float = 1e-8) -> PointReport:
+def verify_pointwise_bound(U: DeltaSubharmonicFn, r: float, c_plus: CharacteristicRecord,
+                           sample_points: Sequence) -> PointReport:
     """U^+(x) <= R^{d-2}(R+r)/(R-r)^{d-1} C_{U^+}(R)
-    + integral (k(R+r) - k(|y-x|)) d charge^-(y), at each x in B(r).  The
-    verdict is _verdict of the worst slack against the budget, the
-    coefficient times C_{U^+}(R)'s error estimate."""
-    if not 0.0 < r < R:
+    + integral (k(R+r) - k(|y-x|)) d charge^-(y), at each x in B(r), with
+    c_plus = spherical_mean(U, R, "positive", tol) and R its radius; the
+    verdict judges the worst slack against coeff * c_plus.error_estimate."""
+    if not 0.0 < r < (R := c_plus.r):
         raise ValueError(f"need 0 < r < R, got ({r}, {R})")
     d = U.dim
     _plus, minus = jordan_decomposition(U)
-    c_plus = spherical_mean(U, R, "positive", tol)
     coeff = R ** (d - 2) * (R + r) / (R - r) ** (d - 1)
     k_Rr = float(kernel(d, R + r))
     X, lhs, skipped = _finite_values(U, sample_points)
@@ -514,7 +512,7 @@ def _poisson_jensen_row(tag: str, ing: _Ingredients) -> VerificationReport:
 
 def _pointwise_bound_row(tag: str, ing: _Ingredients) -> VerificationReport:
     s = ing.s
-    pr = verify_pointwise_bound(s.U, s.r, s.R, ing.sample_points(), s.tolerances.mean)
+    pr = verify_pointwise_bound(s.U, s.r, ing.C_plus, ing.sample_points())
     return VerificationReport(s.scenario_id, tag, -pr.slack, 0.0, pr.slack,
                               pr.budget, pr.verdict, {"skipped": len(pr.skipped)})
 
@@ -690,9 +688,9 @@ def generate_scenario(seed: int, index: int, family: str,
 def run_checks(s: Scenario, checks: Sequence[str], timing: bool = False) -> list:
     """Evaluate the requested check tags that apply to one scenario (_CHECKS).
 
-    The UR-family tags share one ingredient set: the Dini integral, the
-    mu-integral of U^+ and C_{U^+}(R) are each computed once, inside the
-    first row that needs them, so that row's wall_time_ms includes it.
+    The rows share one ingredient set: the Dini integral, the mu-integral
+    of U^+ and C_{U^+}(R) are each computed once, inside the first row that
+    needs them, so that row's wall_time_ms includes it.
     """
     _check_known(checks, ALL_CHECKS, "check tag")
     reports = []

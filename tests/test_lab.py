@@ -13,7 +13,7 @@ import pytest
 
 from deltasubh import characteristics, lab, measures, potentials
 
-from deltasubh.characteristics import _sphere_mean
+from deltasubh.characteristics import _sphere_mean, spherical_mean
 from deltasubh.geometry import _distances, _dots, kernel
 from deltasubh.measures import (
     Atom,
@@ -106,6 +106,22 @@ def test_atomic_measure_precondition_failed():
     rep = verify_main_theorem(s)
     assert rep.verdict == "precondition-failed"
     assert math.isinf(rep.rhs)
+    # every UR-family row of a divergent Dini integral prints one lhs: the
+    # exact integral of U^+ d mu for a purely atomic mu, NaN once mu has a
+    # continuous part
+    g = _mero(zeros=[(0j, 1)], poles=[(-0.4 + 0.3j, 1)], unit=4.0)
+    atoms = (Atom((0.5, 0.0), 1.0), Atom((-0.2, 0.6), 0.5))
+    atomic = _scenario(g, BorelMeasure(atoms, 2), 1.0, 2.0)
+    exact = positive_part_integral(atomic.U, atomic.mu).value
+    rows = run_checks(atomic, UR_FAMILY)
+    assert [rep.inequality for rep in rows] == list(UR_FAMILY)
+    assert exact > 0.0 and [rep.lhs for rep in rows] == [exact] * 4
+    disk = UniformBall((0.3, -0.4), 0.3, 1.0)
+    mixed = _scenario(g, BorelMeasure(atoms + (disk,), 2), 1.0, 2.0)
+    rows = run_checks(mixed, UR_FAMILY)
+    assert [rep.inequality for rep in rows] == list(UR_FAMILY)
+    assert all(math.isnan(rep.lhs) for rep in rows)
+    assert {rep.verdict for rep in rows} == {"precondition-failed"}
 
 
 def test_vacuous_when_growth_infinite():
@@ -248,6 +264,32 @@ def test_ur_family_computes_each_ingredient_once(monkeypatch):
                      "spherical_mean": 1}
 
 
+def test_proof_and_ur_rows_share_one_positive_sphere_mean(monkeypatch):
+    # C_{U^+}(R) is computed once per scenario (_Ingredients.C_plus), and the
+    # U+B row is verify_pointwise_bound on the record the UR rows read
+    calls = []
+    original = lab.spherical_mean
+
+    def counted(U, r, transform="identity", tol=1e-8):
+        calls.append((U, r, transform, original(U, r, transform, tol)))
+        return calls[-1][3]
+
+    for module in (lab, characteristics):
+        monkeypatch.setattr(module, "spherical_mean", counted)
+    for k in range(12):
+        s = generate_scenario(7, k, "charges")
+        calls.clear()
+        rows = {rep.inequality: rep for rep in run_checks(s, ("UR", "UR2", "Ux", "U+B", "dBr"))}
+        assert [(U is s.U, r, transform) for U, r, transform, _ in calls] == \
+            [(True, s.R, "positive")]
+        stream = lab._Ingredients(s)
+        stream.sample_points()  # the Ux row's points come first
+        pr = verify_pointwise_bound(s.U, s.r, calls[0][3], stream.sample_points())
+        row = rows["U+B"]
+        assert (row.lhs, row.slack, row.error_budget, row.verdict) == \
+            (-pr.slack, pr.slack, pr.budget, pr.verdict), s.scenario_id
+
+
 def test_shared_circle_mean_agrees_with_nevanlinna_T():
     # m(R, f) stays the oracle of the T(R, f) built from C_{U^+}(R)
     for index in range(8):
@@ -328,22 +370,23 @@ def test_poisson_jensen_with_charges_and_skip():
 def test_pointwise_bound_examples():
     f = _mero(poles=[(1 + 0j, 1)])
     U = f.to_delta_subharmonic()
-    rep = verify_pointwise_bound(U, 0.5, 2.0, [(0.0, 0.0)], tol=1e-9)
+    rep = verify_pointwise_bound(U, 0.5, spherical_mean(U, 2.0, "positive", 1e-9), [(0.0, 0.0)])
     assert rep.verdict == "pass"
     assert rep.residuals[0] > 0  # positive slack
     # U <= 0 at x: LHS = 0 <= RHS
     g = _mero(zeros=[(0j, 1)], unit=0.05)
-    rep2 = verify_pointwise_bound(g.to_delta_subharmonic(), 0.5, 2.0,
-                                  [(0.25, 0.1)], tol=1e-9)
+    V = g.to_delta_subharmonic()
+    rep2 = verify_pointwise_bound(V, 0.5, spherical_mean(V, 2.0, "positive", 1e-9), [(0.25, 0.1)])
     assert rep2.verdict == "pass"
 
 
 def test_pointwise_bound_max_relative_is_relative():
     # slack / max(1, |rhs|) per point, as in the Poisson-Jensen report
     f = _mero(zeros=[(0.5 + 0.2j, 1)], poles=[(-0.6 + 0.4j, 2)], unit=1.3)
-    rep = verify_pointwise_bound(f.to_delta_subharmonic(), 1.2, 2.5,
-                                 [(0.1, 0.2), (0.9, -0.3), (-0.2, -0.7)], tol=1e-9)
-    lhs = np.maximum(f.to_delta_subharmonic().values(np.array(rep.points)), 0.0)
+    U = f.to_delta_subharmonic()
+    rep = verify_pointwise_bound(U, 1.2, spherical_mean(U, 2.5, "positive", 1e-9),
+                                 [(0.1, 0.2), (0.9, -0.3), (-0.2, -0.7)])
+    lhs = np.maximum(U.values(np.array(rep.points)), 0.0)
     rhs = np.array(rep.residuals) + lhs
     relative = np.abs(rep.residuals) / np.maximum(1.0, np.abs(rhs))
     assert rep.max_relative == pytest.approx(relative.max(), rel=1e-12)
@@ -359,7 +402,7 @@ def test_pointwise_bound_random_scenarios():
             p = (rng.uniform(-s.r, s.r), rng.uniform(-s.r, s.r))
             if p[0] ** 2 + p[1] ** 2 <= s.r ** 2:
                 pts.append(p)
-        rep = verify_pointwise_bound(s.U, s.r, s.R, pts, tol=1e-9)
+        rep = verify_pointwise_bound(s.U, s.r, spherical_mean(s.U, s.R, "positive", 1e-9), pts)
         assert rep.verdict == "pass"
 
 
@@ -489,7 +532,9 @@ def _charges_U():
         BorelMeasure((Atom((0.5, 0.0), 1.0),), 2), 0.0), "upper must be > 0"),
     (lambda: integrate_interval(np.sin, 1.0, 1.0), "a < b"),
     (lambda: characteristics.sup_on_sphere(_charges_U(), 0.0), "r must be > 0"),
-    (lambda: verify_pointwise_bound(_charges_U(), 2.0, 2.0, [(0.0, 0.0)]), "r < R"),
+    (lambda: verify_pointwise_bound(_charges_U(), 2.0,
+                                    spherical_mean(_charges_U(), 2.0, "positive", 1e-8),
+                                    [(0.0, 0.0)]), "r < R"),
 ], ids=["arc-width-7", "ball-in-d=4", "profile-lengths", "profile-order",
         "counting-r=R", "dini-upper=0", "interval-a=b", "sup-r=0", "bound-r=R"])
 def test_out_of_range_inputs_are_rejected(call, message):
@@ -899,7 +944,7 @@ def test_batched_proof_checks_equal_per_point_loops(name):
     assert got == _ref_poisson_jensen(U, R, pts, 1e-8)
     assert got.points[-1] == (0.0,) * U.dim
     assert got.skipped == [tuple(float(c) for c in pts[-1])]
-    bound = verify_pointwise_bound(U, r, R, pts, 1e-8)
+    bound = verify_pointwise_bound(U, r, spherical_mean(U, R, "positive", 1e-8), pts)
     assert bound == _ref_pointwise_bound(U, r, R, pts, 1e-8)
     assert bound.skipped == got.skipped
 
