@@ -304,7 +304,8 @@ class _Ingredients:
 
     @cached_property
     def dini(self) -> QuadratureResult:
-        return dini_integral_result(self.s.mu, self.s.R + self.s.r)
+        s = self.s
+        return dini_integral_result(s.mu, s.R + s.r)
 
     @cached_property
     def lhs(self) -> QuadratureResult:
@@ -312,22 +313,25 @@ class _Ingredients:
 
     @cached_property
     def C_plus(self) -> CharacteristicRecord:
-        """C_{U^+}(R), m(R, f) when U = log|f|; every growth factor and U+B read it."""
-        return spherical_mean(self.s.U, self.s.R, "positive", self.s.tolerances.mean)
-
-    def _add_C_plus(self, N) -> tuple:  # C_{U^+}(R) plus a counting term, as (value, error)
-        return self.C_plus.value + N.value, self.C_plus.error_estimate + N.error_estimate
+        """C_{U^+}(R), m(R, f) when U = log|f|; growth factors and U+B read it."""
+        s = self.s
+        return spherical_mean(s.U, s.R, "positive", s.tolerances.mean)
 
     @cached_property
     def T_U(self) -> tuple:
         """T_U(r0 or r, R) = C_{U^+}(R) + N_{charge^-}(r0 or r, R)."""
-        _plus, minus = jordan_decomposition(self.s.U)
-        return self._add_C_plus(integrated_counting_result(minus, self.r_growth, self.s.R))
+        s = self.s
+        _plus, minus = jordan_decomposition(s.U)
+        N = integrated_counting_result(minus, self.r_growth, s.R)
+        return (self.C_plus.value + N.value,
+                self.C_plus.error_estimate + N.error_estimate)
 
     @cached_property
     def T_f(self) -> tuple:
         """T(R, f) = C_{U^+}(R) + N(R, f)."""
-        return self._add_C_plus(nevanlinna_N(self.s.f, self.s.R))
+        N = nevanlinna_N(self.s.f, self.s.R)
+        return (self.C_plus.value + N.value,
+                self.C_plus.error_estimate + N.error_estimate)
 
     @property
     def T_f_minus_N(self) -> tuple:
@@ -464,9 +468,14 @@ def verify_poisson_jensen(U: DeltaSubharmonicFn, R: float,
 def verify_pointwise_bound(U: DeltaSubharmonicFn, r: float, c_plus: CharacteristicRecord,
                            sample_points: Sequence) -> PointReport:
     """U^+(x) <= R^{d-2}(R+r)/(R-r)^{d-1} C_{U^+}(R)
-    + integral (k(R+r) - k(|y-x|)) d charge^-(y), at each x in B(r), with
-    c_plus = spherical_mean(U, R, "positive", tol) and R its radius; the
-    verdict judges the worst slack against coeff * c_plus.error_estimate."""
+    + integral (k(R+r) - k(|y-x|)) d charge^-(y), at each x in B(r).  c_plus,
+    the C_{U^+}(R) record of spherical_mean(U, R, "positive", tol) or
+    nevanlinna_m, gives R and the budget coeff * c_plus.error_estimate; a
+    record of another kind or one below -error_estimate (an identity mean)
+    is rejected."""
+    if (c_plus.kind not in ("C_mean", "m_classical") or c_plus.R is not None
+            or c_plus.value < -c_plus.error_estimate):
+        raise ValueError(f"c_plus must be a C_{{U^+}}(R) >= 0 record, got {c_plus}")
     if not 0.0 < r < (R := c_plus.r):
         raise ValueError(f"need 0 < r < R, got ({r}, {R})")
     d = U.dim

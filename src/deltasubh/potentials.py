@@ -128,7 +128,7 @@ class HarmonicPolynomial:
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         if len(self.coeffs) == 1 and not _negative_zero(self.coeffs[0]):
-            # _horner's c, no z: 3.8 against 25 us at 8,192 points (2-core x86-64)
+            # _horner's c without building z: bench/run.py corpus wall_s about 2 % lower
             return np.full(pts.shape[0], self.coeffs[0].real)
         z = 1j * pts[:, 1]
         z += pts[:, 0]

@@ -520,6 +520,11 @@ def _charges_U():
     return generate_scenario(42, 0, "charges").U
 
 
+def _identity_mean_bound():
+    s = generate_scenario(7, 5, "charges")  # its identity mean at R is negative, -0.65
+    return verify_pointwise_bound(s.U, s.r, spherical_mean(s.U, s.R), [(0.0, 0.0)])
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: UniformArc((0.0, 0.0), 1.0, 0.0, 7.0, 1.0), "angular width"),
     (lambda: UniformBall((0.0, 0.0, 0.0, 0.0), 1.0, 1.0), "dimensions 2 and 3"),
@@ -535,8 +540,10 @@ def _charges_U():
     (lambda: verify_pointwise_bound(_charges_U(), 2.0,
                                     spherical_mean(_charges_U(), 2.0, "positive", 1e-8),
                                     [(0.0, 0.0)]), "r < R"),
+    (_identity_mean_bound, "must be a C_"),
 ], ids=["arc-width-7", "ball-in-d=4", "profile-lengths", "profile-order",
-        "counting-r=R", "dini-upper=0", "interval-a=b", "sup-r=0", "bound-r=R"])
+        "counting-r=R", "dini-upper=0", "interval-a=b", "sup-r=0", "bound-r=R",
+        "bound-identity-mean"])
 def test_out_of_range_inputs_are_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
