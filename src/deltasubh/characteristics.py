@@ -24,7 +24,9 @@ integrates the rest against the path's uniform measure over the pieces where
 the sign of U is constant, ended at Illinois roots (_sign_changes) so a kink
 of U^+ is a panel edge, in one _integrate_pieces call per sign, and adds each
 atom's potential of every piece of that sign from one kernel_integrals call;
-so C_{U^+}(r) and lab's integral of U^+ d mu are one rule.  A mean over a
+so C_{U^+}(r) and lab's integral of U^+ d mu are one rule.  The piece ends
+come from _path_edges, whose roots on a planar ball's rim are also where
+lab's Green rule starts the arcs of {U = 0} it traces.  A mean over a
 sphere (_identity_mean) takes each atom by Gauss's mean value theorem.  The
 remaining means are _sphere_mean.
 """
@@ -189,16 +191,28 @@ def _cuts(a: float, b: float, n: int) -> list:
     return [i * step + a for i in range(n)] + [b]
 
 
+def _path_edges(signed, path, splits) -> tuple:
+    """(edges, up): the ends of path.span with, between them, the flips of
+    the class signed > 0 that _sign_changes finds on a closed 2048-cell grid
+    plus the feet of the atoms of each split (so a window of one class
+    about an atom narrower than a cell is not lost); and whether the first
+    piece is in the class."""
+    lo, hi = path.span
+    feet = np.concatenate([path.feet(sp.points, lo, hi) for sp in splits])
+    x = np.union1d(lo + (hi - lo) * np.arange(2049) / 2048, feet)
+    fx = np.asarray(signed(path.at(x)), dtype=float)
+    return [lo] + _sign_changes(lambda t: signed(path.at(t)), x, fx) + [hi], bool(fx[0] > 0.0)
+
+
 def _path_integral(signed, pos: _Split, path, tol: float,
-                   neg: Optional[_Split] = None) -> QuadratureResult:
+                   neg: Optional[_Split] = None, edges: Optional[tuple] = None) -> QuadratureResult:
     """Integral against the uniform measure of mass path.weight on path (a
     segment or arc component, or _circle) of pos where signed > 0 and of neg
     (0 if None) elsewhere, to the absolute tolerance tol; all three act on
     points.  It integrates in dt over [lo, hi] = path.span to tol over the
-    density, and scales by the density last.  Pieces end at the class flips
-    _sign_changes finds on a closed 2048-cell grid plus the feet of all atoms
-    of pos and neg, so a window of one class about an atom narrower than a
-    cell is not lost.  The rest of each class goes to one _integrate_pieces
+    density, and scales by the density last.  Pieces end at _path_edges,
+    unless the caller hands them in as edges (its result for these
+    arguments).  The rest of each class goes to one _integrate_pieces
     call over its pieces, each cut into parts no wider than (hi - lo) / 8 and
     given tol times its share of [lo, hi], and each atom adds
     w integral_a^b k(|x(t) - p|) dt per piece [a, b] in closed form, whose
@@ -208,14 +222,11 @@ def _path_integral(signed, pos: _Split, path, tol: float,
     lo, hi = path.span
     density = path.weight / (hi - lo)
     tol = tol / max(density, 1e-300)
-    feet = np.concatenate([path.feet(sp.points, lo, hi) for sp in (pos, neg) if sp is not None])
-    x = np.union1d(lo + (hi - lo) * np.arange(2049) / 2048, feet)
-    fx = np.asarray(signed(path.at(x)), dtype=float)
-    edges = [lo] + _sign_changes(lambda t: signed(path.at(t)), x, fx) + [hi]
+    breaks, up = edges or _path_edges(signed, path, [sp for sp in (pos, neg) if sp is not None])
     cap = (hi - lo) / 8.0
     total = QuadratureResult(0.0, 0.0, 0)
-    pieces = list(zip(edges[:-1], edges[1:]))  # the classes alternate
-    first = 0 if fx[0] > 0.0 else 1
+    pieces = list(zip(breaks[:-1], breaks[1:]))  # the classes alternate
+    first = 0 if up else 1
     for sp, ends in ((pos, pieces[first::2]), (neg, pieces[1 - first::2])):
         if sp is None:
             continue

@@ -31,6 +31,7 @@ ScenarioError (geometry's coded ValueError) that the JSON reader passes on.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 import time
@@ -44,6 +45,7 @@ import numpy as np
 from . import potentials
 from .characteristics import (
     CharacteristicRecord,
+    _path_edges,
     _path_integral,
     _sphere_means,
     _split,
@@ -69,7 +71,7 @@ from .potentials import (
     jordan_decomposition,
     potential_values,
 )
-from .quadrature import _ROUNDING, QuadratureResult, _gl_nodes
+from .quadrature import _ROUNDING, TWO_PI, QuadratureResult, _gl_nodes
 
 __all__ = [
     "CorpusConfig",
@@ -185,10 +187,13 @@ def _verdict(slack: float, budget: float) -> str:
 
 
 def _ball_integral(U, comp: UniformBall, tol: float) -> QuadratureResult:
-    """Tensor-product rule over the solid ball: composite Gauss-Legendre in
-    the radius (panels split at charge-atom distances) x equispaced angles,
+    """Tensor-product rule over the solid ball, for the balls Green's rule
+    (_green_ball_integral) does not take: composite Gauss-Legendre in the
+    radius (panels split at charge-atom distances) x equispaced angles,
     doubled together until the value is stable.  The U^+ kink curves limit
-    angular convergence to O(n^-2), which the doubling estimate reflects.
+    angular convergence to O(n^-2), which the doubling estimate reflects; a
+    shell tangent to {U = 0} limits the radial rule, which the estimate
+    does not see, and at its level cap the rule returns its last change.
 
     Each level walks its grid in row blocks.  A row is one circle of angles:
     a radial node in 2-d, a (radius, cos theta) pair of the polar rule in
@@ -262,14 +267,237 @@ def _ball_integral(U, comp: UniformBall, tol: float) -> QuadratureResult:
                             nodes)
 
 
+class _Germ:
+    """g, analytic on a closed disc B(c, rho) clear of the charge of an
+    atomic d = 2 U, with Re g = U there: p(z), the harmonic polynomials of u
+    less v's, plus sum_j w_j [ln|c - p_j| + Log((z - p_j) / (c - p_j))] over
+    the atoms p_j of signed weight w_j.  Each ratio has a positive real part
+    on the disc, so this branch of Log is continuous there and V = Im g is
+    single-valued.  value and slope (g') take a complex scalar, for the
+    continuation; values and slopes an array, for the Newton pass."""
+
+    def __init__(self, U: DeltaSubharmonicFn, split, c: complex):
+        harmonic = potentials._combine_harmonics(U.u.harmonic, U.v.harmonic)
+        self.coeffs = () if harmonic is None else harmonic.coeffs
+        self.dcoeffs = tuple(k * a for k, a in enumerate(self.coeffs))[1:]
+        self.p = split.points[:, 0] + 1j * split.points[:, 1]
+        self.w = split.weights
+        self.d = c - self.p
+        self.L = np.log(np.abs(self.d))
+        self.terms = list(zip(self.p.tolist(), self.w.tolist(), self.d.tolist(), self.L.tolist()))
+
+    def value(self, z: complex) -> complex:
+        acc = 0j
+        for a in reversed(self.coeffs):
+            acc = acc * z + a
+        for p, w, d, L in self.terms:
+            acc += w * (L + cmath.log((z - p) / d))
+        return acc
+
+    def slope(self, z: complex) -> complex:
+        acc = 0j
+        for a in reversed(self.dcoeffs):
+            acc = acc * z + a
+        for p, w, _d, _L in self.terms:
+            acc += w / (z - p)
+        return acc
+
+    def values(self, Z: np.ndarray) -> np.ndarray:
+        return potentials._horner(self.coeffs, Z) + _dots(
+            np.log((Z[:, None] - self.p) / self.d) + self.L, self.w)
+
+    def slopes(self, Z: np.ndarray) -> np.ndarray:
+        return potentials._horner(self.dcoeffs, Z) + _dots(1.0 / (Z[:, None] - self.p), self.w)
+
+
+def _correct(germ: _Germ, z: complex, V: float, rho: float) -> Optional[complex]:
+    """Newton on g(z) = iV from z: the root once a step is below 1e-12 rho,
+    or None after 8 steps."""
+    for _ in range(8):
+        step = (germ.value(z) - 1j * V) / germ.slope(z)
+        z -= step
+        if abs(step) <= 1e-12 * rho:
+            return z
+    return None
+
+
+def _follow(germ: _Germ, zr: list, Vr: list, k: int, free: set, c: complex,
+            rho: float) -> Optional[tuple]:
+    """The arc of {U = 0} that enters B(c, rho) at the rim root zr[k], traced
+    by predictor-corrector continuation in V = Im g: an Euler step along
+    dz/dV = i / g' of arc length ds, which starts at rho / 8, doubles after a
+    step the corrector barely moved (to at most rho / 4), halves where
+    Newton (_correct) fails or moves the point by more than ds / 4, and
+    stays below half the distance to the nearest atom.  At the first point
+    outside, the arc leaves at the free root whose V lies in the last step
+    and which Newton from the last inside point reaches to 1e-8 rho.
+    Returns (that root's index, [(V, z, dz/dV)] from zr[k] to it), or None."""
+    z, V = zr[k], Vr[k]
+    dz = 1j / germ.slope(z)
+    s = -1.0 if (dz * (z - c).conjugate()).real > 0.0 else 1.0  # V's way in
+    pts = [(V, z, dz)]
+    ds = rho / 8.0
+    for _ in range(400):
+        ds = min(ds, 0.5 * min((abs(z - p) for p, *_ in germ.terms), default=math.inf))
+        h = s * ds / abs(dz)
+        Vn, zp = V + h, z + h * dz
+        zn = _correct(germ, zp, Vn, rho)
+        if zn is None or abs(zn - zp) > 0.25 * ds:
+            ds *= 0.5
+            if ds < 1e-9 * rho:
+                return None
+            continue
+        if abs(zn - c) > rho:
+            slack = 1e-6 * abs(h)
+            out = sorted((j for j in free if s * (Vr[j] - V) > 0.0 and s * (Vr[j] - Vn) <= slack),
+                         key=lambda j: abs(zr[j] - zn))
+            for j in out:
+                zb = _correct(germ, z + (Vr[j] - V) * dz, Vr[j], rho)
+                if zb is not None and abs(zb - zr[j]) <= 1e-8 * rho:
+                    return j, pts + [(Vr[j], zr[j], 1j / germ.slope(zr[j]))]
+            return None
+        if abs(zn - zp) < 0.05 * ds:
+            ds = min(2.0 * ds, 0.25 * rho)
+        z, V, dz = zn, Vn, 1j / germ.slope(zn)
+        pts.append((V, z, dz))
+    return None
+
+
+def _zero_arcs(germ: _Germ, roots: np.ndarray, c: complex, rho: float) -> Optional[list]:
+    """The arcs of {U = 0} in B(c, rho) between the rim roots (complex),
+    each traced once from its first free root and paired with the root
+    where it leaves (_follow); None where a trace or a pairing fails."""
+    zr, Vr = roots.tolist(), germ.values(roots).imag.tolist()
+    free = set(range(len(zr)))
+    arcs = []
+    for k in range(len(zr)):
+        if k in free:
+            free.discard(k)
+            end = _follow(germ, zr, Vr, k, free, c, rho)
+            if end is None:
+                return None
+            free.discard(end[0])
+            arcs.append(end[1])
+    return arcs
+
+
+def _arc_sum(germ: _Germ, arcs: list, c: complex, rho: float, n: int) -> Optional[tuple]:
+    """(sum over the arcs of integral w(z(V)) dV, w = (|z - c|^2 - rho^2) / 4,
+    by n GL nodes in V between each arc's end roots, its rounding bound):
+    each node's z starts at the cubic Hermite interpolant of its arc's
+    traced points and solves g(z) = iV in one Newton pass over all nodes,
+    until every step is below 1e-12 rho.  None where Newton does not settle
+    in 12 steps, or puts a node outside the disc or 0.1 rho from its start."""
+    X, W, Z0 = [], [], []
+    for pts in arcs:
+        V, z, dz = (np.array(col) for col in zip(*pts))
+        if V[-1] < V[0]:
+            V, z, dz = V[::-1], z[::-1], dz[::-1]
+        x, wts = _gl_nodes(V[0], V[-1], n)
+        i = np.clip(np.searchsorted(V, x) - 1, 0, V.size - 2)
+        h = V[i + 1] - V[i]
+        t = (x - V[i]) / h
+        Z0.append((1.0 + 2.0 * t) * (1.0 - t) ** 2 * z[i] + t * (1.0 - t) ** 2 * h * dz[i]
+                  + t * t * (3.0 - 2.0 * t) * z[i + 1] + t * t * (t - 1.0) * h * dz[i + 1])
+        X.append(x)
+        W.append(wts)
+    start = np.concatenate(Z0)
+    target = 1j * np.concatenate(X)
+    Z = start
+    for _ in range(12):
+        step = (germ.values(Z) - target) / germ.slopes(Z)
+        Z = Z - step
+        last = float(np.max(np.abs(step)))
+        if last <= 1e-12 * rho:
+            break
+    else:
+        return None
+    q = np.abs(Z - c)
+    if not (np.all(q < rho) and np.all(np.abs(Z - start) <= 0.1 * rho)):
+        return None
+    w = 0.25 * (q - rho) * (q + rho)
+    sums, size, span, at = 0.0, 0.0, 0.0, 0
+    for x, wts in zip(X, W):
+        part = w[at:at + x.size]
+        sums += float(_dots(wts, part))
+        size += float(_dots(wts, np.abs(part)))
+        span += float(np.sum(wts))
+        at += x.size
+    # |dw/dz| <= rho / 2 in the disc, times the last Newton step over each V range
+    return sums, _ROUNDING * size + 0.5 * rho * last * span
+
+
+def _green_ball_integral(U, comp: UniformBall, tol: float) -> Optional[QuadratureResult]:
+    """The integral of U^+ over a d = 2 ball B(c, rho) of comp by Green's
+    second identity, where every charge of U is an atom outside the closed
+    ball, so U = Re g there (_Germ); None elsewhere, and wherever a step
+    fails or the estimate misses tol.  With w = (|x - c|^2 - rho^2) / 4,
+    which is 0 on the rim and has Laplacian 1,
+
+        integral over B and U > 0 of U dA
+            = (rho / 2) integral over the rim of U^+ ds
+              + sum over the arcs of {U = 0} in B of integral w(z(V)) dV,
+
+    as |grad U| ds = |dV| along {U = 0}.  The rim term is the by-sign path
+    integral (_path_integral) over the rim as a full arc of mass
+    comp.weight, given tol / 2, whose sign changes (_path_edges) are the
+    arcs' ends: without one, the integral is 0 where U <= 0 on the rim (the
+    maximum principle) and comp.weight U(c) where U > 0 (the mean value).
+    Otherwise each arc is traced (_zero_arcs) and integrated by GL in V
+    (_arc_sum) with n = 8, 16, ..., 128 until the rim's estimate, the change
+    from n / 2 to n and the rounding meet tol."""
+    if comp.dim != 2 or U.u.riesz.continuous.components or U.v.riesz.continuous.components:
+        return None
+    split = _split(U)
+    rho = comp.radius
+    if not np.all(_distances(split.points, np.asarray(comp.center)) > rho):
+        return None
+    rim = UniformArc(comp.center, rho, 0.0, TWO_PI, comp.weight)
+    edges = _path_edges(U.values, rim, [split])
+    c = complex(*comp.center)
+    germ = _Germ(U, split, c)
+    if len(edges[0]) == 2:  # no sign change on the rim
+        if not edges[1]:
+            return QuadratureResult(0.0, 0.0, 0)
+        value = comp.weight * germ.value(c).real
+        scale = (abs(value) + comp.weight * float(_dots(np.abs(germ.w), np.abs(germ.L)))
+                 + comp.weight * sum(abs(a) * abs(c) ** k for k, a in enumerate(germ.coeffs)))
+        return QuadratureResult(value, _ROUNDING * scale, 1)
+    if len(edges[0]) % 2:  # an odd number of sign changes on a closed curve
+        return None
+    rim_part = _path_integral(U.values, split, rim, 0.5 * tol, edges=edges)
+    at = rim.at(np.array(edges[0][1:-1]))
+    arcs = _zero_arcs(germ, at[:, 0] + 1j * at[:, 1], c, rho)
+    if arcs is None:
+        return None
+    density = comp.weight / (math.pi * rho * rho)
+    nodes = len(arcs) * (8 + 16)
+    prev = _arc_sum(germ, arcs, c, rho, 8)
+    for n in (16, 32, 64, 128):
+        cur = _arc_sum(germ, arcs, c, rho, n)
+        if prev is None or cur is None:
+            return None
+        err = rim_part.error_estimate + density * (abs(cur[0] - prev[0]) + cur[1])
+        if err <= tol:
+            return QuadratureResult(rim_part.value + density * cur[0], err,
+                                    rim_part.nodes_used + nodes)
+        prev = cur
+        nodes += len(arcs) * 2 * n
+    return None
+
+
 def positive_part_integral(U: DeltaSubharmonicFn, mu: BorelMeasure,
                            tol: float = 1e-8) -> QuadratureResult:
     """integral of U^+ d mu: exact weighted point values on atoms, U^+ at
     all of them from one call, U over its positive pieces along segments and
     arcs against each one's uniform measure (_path_integral, the rule of
-    C_{U^+}), nested product quadrature over balls, walked in row blocks of
-    at most potentials._BLOCK points (_ball_integral); the terms are added in
-    component order."""
+    C_{U^+}), and balls by Green's rule (_green_ball_integral): the same
+    path integral on the rim plus the traced arcs of {U = 0}, for a d = 2
+    ball where every charge of U is an atom outside the closed ball.  A
+    ball the rule does not take (d = 3, continuous charges, an atom in the
+    closed ball) or on which it fails (a trace, a pairing of rim roots, a
+    Newton pass or tol missed) goes to the product grid (_ball_integral).
+    The terms are added in component order."""
     total = QuadratureResult(0.0, 0.0, 0)
     atoms = mu.atoms
     at_atoms = iter(U.positive_values(np.array([a.point for a in atoms])).tolist()
@@ -279,7 +507,8 @@ def positive_part_integral(U: DeltaSubharmonicFn, mu: BorelMeasure,
             total.value += comp.weight * next(at_atoms)
             total.nodes_used += 1
         elif isinstance(comp, UniformBall):
-            total = total + _ball_integral(U, comp, tol)
+            green = _green_ball_integral(U, comp, tol)
+            total = total + (_ball_integral(U, comp, tol) if green is None else green)
         else:
             total = total + _path_integral(U.values, _split(U), comp, tol)
     return total

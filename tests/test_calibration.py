@@ -20,7 +20,9 @@ off) and s0184 canonical T_U, and N_{charge^-}(1.5, 4) of PIN_2D, whose
 continuous charges need mpmath ball-lens and segment-chord masses.  And the
 closed-form kernel integrals that replaced those cells, whose rounding bound
 must hold where their terms cancel, as on a piece far shorter than its
-distance from the atom.
+distance from the atom.  And the 14 corpus disks whose integral of U^+ the
+product grid once missed by more than its estimate, against pinned shell
+references computed offline with scipy (_DISK_REFERENCES says how).
 """
 
 import cmath
@@ -167,6 +169,46 @@ def test_segment_integral_of_the_positive_part_within_its_estimate(seed, index):
     (comp,) = s.mu.components
     res = positive_part_integral(s.U, s.mu, s.tolerances.mean)
     _assert_within(res.value, res.error_estimate, _mp_segment_plus(s.f, comp))
+
+
+# The integral of U^+ d mu over the one disk of these seed-42 scenarios,
+# which the product grid missed by 11 to 89,000 times its estimate: value
+# and error bound of a shell reference computed offline with scipy.  It is
+# weight times quad in the shell radius q, at epsabs = epsrel = 1e-13, of
+# (2 q / rho^2) times the by-sign mean of U^+ on the circle |x - c| = q
+# (characteristics._path_integral at tol 1e-14, its sign scan refined from
+# 2,048 to 65,536 cells), with quad's breakpoints at the radii where the
+# circles' root count changes (each the tangency radius of a circle and
+# {U = 0}, from a 400-radius scan and 60 bisections).  Both refinements
+# matter: without them a window of U > 0 narrower than a scan cell, or a
+# lobe of {U > 0} that only circles near the rim meet, is lost.
+_DISK_REFERENCES = {
+    6: (0.045482641022061315, 1.9e-14),
+    30: (1.5548958156703385, 1.3e-14),
+    38: (0.10408810436649145, 7.6e-14),
+    46: (0.13373982551991667, 3.9e-14),
+    54: (0.18252402256799305, 3.9e-14),
+    70: (0.695497705812103, 7.9e-16),
+    82: (1.269923201278402, 1.5e-14),
+    114: (0.2130441144676693, 1.6e-14),
+    134: (0.1960372924592843, 8.2e-14),
+    154: (0.044130239948375505, 2.9e-15),
+    158: (0.05581073349285673, 4.3e-15),
+    170: (1.2220876597007413, 1.7e-14),
+    174: (0.4939082489262549, 4.0e-15),
+    198: (1.2150673296625074, 1.6e-13),
+}
+
+
+@pytest.mark.parametrize("index", sorted(_DISK_REFERENCES))
+def test_disk_integral_of_the_positive_part_within_its_estimate(index):
+    # Green's rule (lab._green_ball_integral) takes each of these disks and
+    # meets tol; s0154 is the disk where the grid ends at its level cap
+    s = generate_scenario(42, index, "disk")
+    ref, ref_error = _DISK_REFERENCES[index]
+    res = positive_part_integral(s.U, s.mu, s.tolerances.mean)
+    assert res.error_estimate <= s.tolerances.mean
+    assert abs(res.value - ref) <= res.error_estimate + ref_error, (res.value, ref)
 
 
 def test_difference_characteristic_both_forms_within_their_estimates():

@@ -46,6 +46,7 @@ from deltasubh.lab import (
     verify_pointwise_bound,
     verify_poisson_jensen,
 )
+from test_cli import PIN_3D, PIN_DISK_UNION
 
 def _mero(zeros=(), poles=(), unit=1.0, exponent=()):
     return MeromorphicFn(tuple(zeros), tuple(poles), unit, tuple(exponent))
@@ -827,18 +828,90 @@ def test_ball_integral_reuse_level_does_not_depend_on_the_block_size(monkeypatch
 
 
 @pytest.mark.xfail(strict=True,
-                   reason="known defect (ROADMAP item 12): the ball rule returns its last "
-                          "change at its level cap, neither raising nor meeting tol")
+                   reason="known defect (ROADMAP item 12): the product grid, the ball rule's "
+                          "fallback, returns its last change at its level cap, neither raising "
+                          "nor meeting tol")
 def test_ball_rule_at_its_level_cap_raises_or_meets_its_tolerance():
-    # s0154-disk of seed 42 is one ball; today all 7 levels (414,720 nodes)
-    # end at an estimate of 2.44e-8 against tol 1e-8, and the call returns it
+    # s0154-disk of seed 42 is one ball; on it all 7 levels of the product
+    # grid (414,720 nodes) end at an estimate of 2.44e-8 against tol 1e-8,
+    # and the call returns it.  positive_part_integral takes Green's rule
+    # there (test_green_rule_takes_every_corpus_ball), but the grid remains
+    # for the balls the rule does not take
     s = generate_scenario(42, 154, "disk")
     tol = s.tolerances.mean
     try:
-        res = positive_part_integral(s.U, s.mu, tol)
+        res = lab._ball_integral(s.U, s.mu.components[0], tol)
     except QuadratureBudgetError:
         return
     assert res.error_estimate <= tol
+
+
+def _corpus_balls(seed: int = 42, count: int = 200):
+    """(scenario, ball) for every ball of the default corpus."""
+    scenarios = (generate_scenario(seed, k, lab.DEFAULT_FAMILIES[k % 4]) for k in range(count))
+    return [(s, c) for s in scenarios for c in s.mu.components if isinstance(c, UniformBall)]
+
+
+def test_green_rule_takes_every_corpus_ball():
+    # every charge of a generated U is an atom clear of mu's support, so
+    # Green's rule takes all 174 balls of the seed-42 corpus, within tol
+    balls = _corpus_balls()
+    assert len(balls) == 174
+    for s, ball in balls:
+        res = lab._green_ball_integral(s.U, ball, s.tolerances.mean)
+        assert res is not None, s.scenario_id
+        assert res.error_estimate <= s.tolerances.mean, s.scenario_id
+
+
+def test_green_rule_positive_minus_negative_part_is_the_mean_value():
+    # the integral of U^+ less that of (-U)^+ over a ball is the integral of
+    # U, weight U(c) by the mean value property, as U is harmonic on the ball
+    for s, ball in _corpus_balls():
+        tol = s.tolerances.mean
+        plus = lab._green_ball_integral(s.U, ball, tol)
+        minus = lab._green_ball_integral(DeltaSubharmonicFn(s.U.v, s.U.u), ball, tol)
+        assert plus is not None and minus is not None, s.scenario_id
+        mean = ball.weight * float(s.U.values(np.array([ball.center]))[0])
+        assert abs(plus.value - minus.value - mean) <= \
+            plus.error_estimate + minus.error_estimate + 1e-15 * abs(mean), s.scenario_id
+
+
+def _grid_marker(monkeypatch):
+    """Replace the product grid by a marker result, so a test sees which
+    balls reach it."""
+    marker = lab.QuadratureResult(-123.0, 0.0, 0)
+    monkeypatch.setattr(lab, "_ball_integral", lambda U, comp, tol: marker)
+    return marker
+
+
+def test_balls_outside_greens_rule_go_to_the_product_grid(monkeypatch):
+    f = _mero(zeros=[(0.3 + 0.1j, 1)], poles=[(-1.2 + 0j, 1)], unit=1.4)
+    disk = UniformBall((0.1, 0.0), 0.5, 1.0)
+    atom_inside = lab._green_ball_integral(f.to_delta_subharmonic(), disk, 1e-8)
+    pin_3d, pin_disks = (parse_scenario(json.dumps(obj).encode())
+                         for obj in (PIN_3D, PIN_DISK_UNION))
+    assert atom_inside is None  # the zero at 0.3 + 0.1i is in the disk
+    for s in (pin_3d, pin_disks):  # d = 3; continuous charges
+        for comp in s.mu.components:
+            if isinstance(comp, UniformBall):
+                assert lab._green_ball_integral(s.U, comp, 1e-8) is None
+    marker = _grid_marker(monkeypatch)
+    for U, mu in ((f.to_delta_subharmonic(), BorelMeasure((disk,), 2)),
+                  (pin_3d.U, BorelMeasure(pin_3d.mu.components[:1], 3)),
+                  (pin_disks.U, pin_disks.mu)):
+        res = positive_part_integral(U, mu, 1e-8)
+        assert res.value == marker.value * len(mu.components)
+
+
+def test_a_failed_pairing_goes_to_the_product_grid(monkeypatch):
+    # s0082-disk: {U = 0} crosses the ball, so the rule traces its arcs
+    s = generate_scenario(42, 82, "disk")
+    ball, tol = s.mu.components[0], s.tolerances.mean
+    assert lab._green_ball_integral(s.U, ball, tol) is not None
+    marker = _grid_marker(monkeypatch)
+    monkeypatch.setattr(lab, "_follow", lambda *args: None)
+    assert lab._green_ball_integral(s.U, ball, tol) is None
+    assert positive_part_integral(s.U, s.mu, tol).value == marker.value
 
 
 # -- the per-point proof checks, kept as the bit-identity reference -----------
@@ -936,7 +1009,6 @@ def _proof_case(name):
     if name == "charges":
         s = generate_scenario(42, 4, "charges")
     else:
-        from test_cli import PIN_3D
         s = parse_scenario(json.dumps(PIN_3D).encode())
     rng = random.Random(f"points:{name}")
     pts = [lab._point_in_ball(rng, s.r, s.U.dim) for _ in range(18)]

@@ -16,7 +16,9 @@ C_{U^+}(r) stay.
 Each pair of values must agree within the sum of their error estimates.
 Arcs and segments go through one by-sign path integral
 (characteristics._path_integral), so this tests it on both sides of the
-inequality; the rotation, halving and scaling cases hold no ball.
+inequality; the rotation and scaling cases take disks and disk unions too,
+whose integral goes through Green's rule (lab._green_ball_integral), which
+runs the same path integral on each rim.  The halving cases hold no ball.
 """
 
 import cmath
@@ -35,6 +37,7 @@ from test_cli import PIN_3D
 SEED = 42
 ANGLES = (0.7, 2.1)
 CASES = [(family, k) for family in ("ef_arc", "segment") for k in range(0, 200, 8)]
+BALL_CASES = [(family, k) for family in ("disk", "disk_union") for k in range(0, 200, 8)]
 
 
 def _turn(p: tuple, alpha: float) -> tuple:
@@ -74,7 +77,8 @@ def _invariants(s) -> tuple:
             verify_main_theorem(s))
 
 
-@pytest.mark.parametrize("family, k", CASES, ids=[f"s{k:04d}-{f}" for f, k in CASES])
+@pytest.mark.parametrize("family, k", CASES + BALL_CASES,
+                         ids=[f"s{k:04d}-{f}" for f, k in CASES + BALL_CASES])
 def test_rotation_about_the_origin_keeps_both_sides(family, k):
     s = generate_scenario(SEED, k, family)
     lhs, c_plus, report = _invariants(s)
@@ -113,7 +117,8 @@ def _scaled(s, lam: float):
                                R=lam * s.R, r0=None if s.r0 is None else lam * s.r0)
 
 
-@pytest.mark.parametrize("family, k", CASES, ids=[f"s{k:04d}-{f}" for f, k in CASES])
+@pytest.mark.parametrize("family, k", CASES + BALL_CASES,
+                         ids=[f"s{k:04d}-{f}" for f, k in CASES + BALL_CASES])
 def test_scaling_by_two_keeps_both_sides(family, k):
     s = generate_scenario(SEED, k, family)
     lhs, c_plus, report = _invariants(s)
