@@ -192,16 +192,22 @@ def _cuts(a: float, b: float, n: int) -> list:
 
 
 def _path_edges(signed, path, splits) -> tuple:
-    """(edges, up): the ends of path.span with, between them, the flips of
-    the class signed > 0 that _sign_changes finds on a closed 2048-cell grid
-    plus the feet of the atoms of each split (so a window of one class
-    about an atom narrower than a cell is not lost); and whether the first
-    piece is in the class."""
+    """(edges, up, nodes): the ends of path.span with, between them, the
+    flips of the class signed > 0 that _sign_changes finds on a closed
+    2048-cell grid plus the feet of the atoms of each split (so a window of
+    one class about an atom narrower than a cell is not lost); whether the
+    first piece is in the class; and the points signed was evaluated at."""
     lo, hi = path.span
     feet = np.concatenate([path.feet(sp.points, lo, hi) for sp in splits])
     x = np.union1d(lo + (hi - lo) * np.arange(2049) / 2048, feet)
-    fx = np.asarray(signed(path.at(x)), dtype=float)
-    return [lo] + _sign_changes(lambda t: signed(path.at(t)), x, fx) + [hi], bool(fx[0] > 0.0)
+    sizes = []  # the points of each call of signed: the scan, then each Illinois step
+
+    def on_path(t):
+        sizes.append(t.size)
+        return signed(path.at(t))
+
+    fx = np.asarray(on_path(x), dtype=float)
+    return [lo] + _sign_changes(on_path, x, fx) + [hi], bool(fx[0] > 0.0), sum(sizes)
 
 
 def _path_integral(signed, pos: _Split, path, tol: float,
@@ -212,9 +218,10 @@ def _path_integral(signed, pos: _Split, path, tol: float,
     points.  It integrates in dt over [lo, hi] = path.span to tol over the
     density, and scales by the density last.  Pieces end at _path_edges,
     unless the caller hands them in as edges (its result for these
-    arguments).  The rest of each class goes to one _integrate_pieces
-    call over its pieces, each cut into parts no wider than (hi - lo) / 8 and
-    given tol times its share of [lo, hi], and each atom adds
+    arguments), and the points it evaluated signed at join nodes_used.  The
+    rest of each class goes to one _integrate_pieces call over its pieces,
+    each cut into parts no wider than (hi - lo) / 8 and given tol times its
+    share of [lo, hi], and each atom adds
     w integral_a^b k(|x(t) - p|) dt per piece [a, b] in closed form, whose
     rounding bound joins the estimate: one path.kernel_integrals call per
     class gives them for all its pieces, added piece by piece after its
@@ -222,9 +229,10 @@ def _path_integral(signed, pos: _Split, path, tol: float,
     lo, hi = path.span
     density = path.weight / (hi - lo)
     tol = tol / max(density, 1e-300)
-    breaks, up = edges or _path_edges(signed, path, [sp for sp in (pos, neg) if sp is not None])
+    splits = [sp for sp in (pos, neg) if sp is not None]
+    breaks, up, scanned = edges or _path_edges(signed, path, splits)
     cap = (hi - lo) / 8.0
-    total = QuadratureResult(0.0, 0.0, 0)
+    total = QuadratureResult(0.0, 0.0, scanned)
     pieces = list(zip(breaks[:-1], breaks[1:]))  # the classes alternate
     first = 0 if up else 1
     for sp, ends in ((pos, pieces[first::2]), (neg, pieces[1 - first::2])):

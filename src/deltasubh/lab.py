@@ -68,6 +68,7 @@ from .potentials import (
     HarmonicPolynomial,
     MeromorphicFn,
     SubharmonicFn,
+    UnsupportedModelError,
     jordan_decomposition,
     potential_values,
 )
@@ -145,6 +146,10 @@ class Scenario:
         if self.mu.dim != self.U.dim:
             raise ScenarioError("DIMENSION", f"mu must have U's dimension {self.U.dim}, "
                                 f"got {self.mu.dim}")
+        try:  # T_U's N_{charge^-} needs it; U keeps the pair
+            jordan_decomposition(self.U)
+        except UnsupportedModelError as exc:
+            raise ScenarioError("FUNCTION_SPEC", str(exc)) from None
         if self.f is not None and self.U is not self.f.to_delta_subharmonic():
             raise ValueError("U must be log|f|, the model f.to_delta_subharmonic() returns")
 
@@ -195,14 +200,11 @@ def _ball_integral(U, comp: UniformBall, tol: float) -> QuadratureResult:
     shell tangent to {U = 0} limits the radial rule, which the estimate
     does not see, and at its level cap the rule returns its last change.
 
-    Each level walks its grid in row blocks.  A row is one circle of angles:
-    a radial node in 2-d, a (radius, cos theta) pair of the polar rule in
-    3-d.  A block holds as many rows as fit in potentials._BLOCK new points
-    (at least one), and each row is summed as soon as its samples are in.
-    Once the radial rule stops changing (it is capped at 48 nodes), a
-    doubling evaluates only the new odd angles: 2 pi (2j) / 2n is exactly
-    2 pi j / n, so the even ones are the previous level's samples, the only
-    ones a level keeps, and only if a level can follow it."""
+    Each level evaluates its whole grid in row blocks.  A row is one circle
+    of angles: a radial node in 2-d, a (radius, cos theta) pair of the polar
+    rule in 3-d.  A block holds as many rows as fit in
+    potentials._BLOCK points (at least one), each row is summed as soon as
+    its samples are in, and only one block of samples is held at a time."""
     c = np.asarray(comp.center)
     rho = comp.radius
     dim = comp.dim
@@ -213,26 +215,22 @@ def _ball_integral(U, comp: UniformBall, tol: float) -> QuadratureResult:
 
     prev = None
     nodes = 0
-    kept: dict = {}  # radial panel -> its rows at the previous level
     for level in range(7):
         n_q, n_a = min(8 << level, 48), 128 << level
-        reuse = level >= 4  # n_q reached 48 a level ago
         angles = 2.0 * math.pi * np.arange(n_a) / n_a
-        new = angles[1::2] if reuse else angles
-        cos, sin = np.cos(new), np.sin(new)
-        step = max(1, potentials._BLOCK // new.size)
+        cos, sin = np.cos(angles), np.sin(angles)
+        step = max(1, potentials._BLOCK // n_a)
         total = 0.0
-        for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        for lo, hi in zip(edges[:-1], edges[1:]):
             if hi - lo <= 1e-15 * rho:
                 continue
             qs, qw = _gl_nodes(lo, hi, n_q)
             # per row: the radius in the plane of the angles and, in 3-d, the height
             rows = [qs] if dim == 2 else [(qs[:, None] * sin_u).ravel(), (qs[:, None] * u).ravel()]
             means = np.empty(rows[0].size)
-            store = np.empty((means.size, n_a)) if 3 <= level < 6 else None  # level + 1 reuses it
             for b in (slice(i, i + step) for i in range(0, means.size, step)):
                 r_xy = rows[0][b, None]
-                coords = np.empty((dim, r_xy.size, new.size))  # column-major points
+                coords = np.empty((dim, r_xy.size, n_a))  # column-major points
                 np.multiply(r_xy, cos, out=coords[0])
                 np.multiply(r_xy, sin, out=coords[1])
                 if dim == 3:
@@ -243,16 +241,8 @@ def _ball_integral(U, comp: UniformBall, tol: float) -> QuadratureResult:
                 if not vals.max() < np.inf:  # NaN or +inf at a measure-zero node
                     np.copyto(vals, 0.0, where=~np.isfinite(vals))
                 nodes += vals.size
-                if reuse:
-                    block = np.empty((r_xy.size, n_a)) if store is None else store[b]
-                    block[:, 0::2] = kept[k][b]
-                    block[:, 1::2] = vals
-                    vals = block
-                elif store is not None:
-                    store[b] = vals
                 np.add.reduce(vals, axis=1, out=means[b])  # the sum np.mean takes
             means /= n_a
-            kept[k] = store
             if dim == 2:
                 total += float(_dots(qw, 2.0 * qs / (rho * rho) * means))
             else:
@@ -458,11 +448,11 @@ def _green_ball_integral(U, comp: UniformBall, tol: float) -> Optional[Quadratur
     germ = _Germ(U, split, c)
     if len(edges[0]) == 2:  # no sign change on the rim
         if not edges[1]:
-            return QuadratureResult(0.0, 0.0, 0)
+            return QuadratureResult(0.0, 0.0, edges[2])
         value = comp.weight * germ.value(c).real
         scale = (abs(value) + comp.weight * float(_dots(np.abs(germ.w), np.abs(germ.L)))
                  + comp.weight * sum(abs(a) * abs(c) ** k for k, a in enumerate(germ.coeffs)))
-        return QuadratureResult(value, _ROUNDING * scale, 1)
+        return QuadratureResult(value, _ROUNDING * scale, edges[2])
     if len(edges[0]) % 2:  # an odd number of sign changes on a closed curve
         return None
     rim_part = _path_integral(U.values, split, rim, 0.5 * tol, edges=edges)

@@ -42,13 +42,13 @@ builds no complex z; log_abs takes each zero and pole through one complex
 and one real buffer.  Each step keeps the one-point formula's operations
 and their order, so every value is the same floats as a one-point call (a
 test compares them bit for bit).
-values_with_polar evaluates more than _BLOCK points _BLOCK rows at a time,
-so that a block's buffers stay in cache, and the ball rule
-(lab._ball_integral) asks for at most _BLOCK points a call, read at call
-time, unless one circle of its grid holds more.  Both are sound
-only because every potential and harmonic part acts node by node: a point's
-value is the same floats whatever the layout of its array and whatever
-other points share its call, and any new potential must keep that.
+values_with_polar evaluates more than _BLOCK points _BLOCK rows at a time, so
+that a block's buffers stay in cache, and the ball rule (lab._ball_integral)
+asks for at most _BLOCK points a call, read at call time, unless one circle
+of its grid holds more, and holds one call's samples at a time.  Both are
+sound only because every potential and harmonic part acts node by node: a
+point's value is the same floats whatever the layout of its array and
+whatever other points share its call, and any new potential must keep that.
 
 Pointwise evaluation of U follows the extended-real conventions; the one
 undefined case (-inf) - (-inf) -- x in the polar set of both parts -- is

@@ -646,6 +646,29 @@ def test_segment_kernel_integrals_of_many_pieces_equal_one_piece_calls_bit_for_b
             seg, ends, pts, lambda a, b: _ref_segment_kernel_integrals(seg, a, b, pts))
 
 
+def _counted(g, seen: list):
+    """g, recording the number of points of each call in seen."""
+    def on_points(pts):
+        seen.append(len(pts))
+        return g(pts)
+    return on_points
+
+
+def test_path_integral_counts_every_point_it_evaluates():
+    # nodes_used is every point that signed and the splits' rest see: the
+    # sign scan (2,049 nodes and the atom feet), each Illinois step, and the
+    # adaptive GL nodes of both classes
+    U = _mero(zeros=[(0.5 + 0.2j, 1), (-1.1j, 2)], poles=[(0.9, 1)], unit=1.3).to_delta_subharmonic()
+    seen = []
+    split = _split(U)
+    split = split._replace(rest=_counted(split.rest, seen))
+    for path in (characteristics._circle(1.05), UniformSegment((-1.0, 0.3), (1.2, -0.4), 1.0)):
+        for neg in (None, split):
+            seen.clear()
+            res = characteristics._path_integral(_counted(U.values, seen), split, path, 1e-8, neg)
+            assert res.nodes_used == sum(seen) > 2049
+
+
 def test_one_kernel_integrals_call_per_sign_class_with_pieces(monkeypatch):
     calls = []
     kernel_integrals = UniformArc.kernel_integrals

@@ -283,6 +283,25 @@ def test_malformed_scenario_json_exits_two(tmp_path, capsys, edit, code):
     assert f"error: {code}:" in capsys.readouterr().err
 
 
+def test_charges_that_overlap_in_part_are_a_function_spec_error(tmp_path, capsys):
+    # a v-segment on the line of u's, over half of it: no exact Jordan
+    # decomposition, so every command that reads the file stops at parse
+    # time with the one coded error, before any row is printed
+    obj = json.loads(json.dumps(PIN_2D))
+    obj["function"]["v"]["charge"].append(
+        {"type": "segment", "endpoints": [[-0.1, -0.05], [1.3, -0.75]], "weight": 0.3})
+    with pytest.raises(ScenarioError, match="overlap partially") as err:
+        parse_scenario(json.dumps(obj))
+    assert err.value.code == "FUNCTION_SPEC"
+    path = tmp_path / "overlap.json"
+    path.write_text(json.dumps(obj))
+    for args in (["verify", str(path)], ["verify", str(path), "--checks", "Ux"],
+                 ["characteristic", str(path), "--kind", "Tdiff", "--r-grid", "0.5:1.5:0.5"]):
+        assert main(args) == 2, args
+        out = capsys.readouterr()
+        assert out.err.startswith("error: FUNCTION_SPEC:") and out.out == "", args
+
+
 def _every_number_kind():
     """The golden scenario with a component of each kind, a pole and an
     exponent: a place for every number a meromorphic scenario holds."""

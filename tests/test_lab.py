@@ -46,6 +46,7 @@ from deltasubh.lab import (
     verify_pointwise_bound,
     verify_poisson_jensen,
 )
+from test_characteristics import _counted
 from test_cli import PIN_3D, PIN_DISK_UNION
 
 def _mero(zeros=(), poles=(), unit=1.0, exponent=()):
@@ -722,8 +723,8 @@ def test_scenario_shares_the_log_abs_model_of_its_f(monkeypatch):
 
 
 def _ref_disk_integral(U, comp, tol):
-    """The disk branch of lab._ball_integral before it reused samples: every
-    level evaluates the whole radius x angle grid afresh."""
+    """The disk branch of lab._ball_integral as one whole-grid evaluation per
+    level, the radius x angle grid built afresh by meshgrid."""
     c = np.asarray(comp.center)
     rho = comp.radius
     breaks = sorted({float(_distances(p, c)) for p in lab._split(U).points
@@ -760,37 +761,63 @@ def _ref_disk_integral(U, comp, tol):
     return comp.weight * prev, comp.weight * diff, nodes
 
 
-def test_ball_integral_reuses_samples_bit_for_bit():
-    # U^+ kinks across the disk, so the doubling runs to level 6; from level
-    # 4 on the radial rule is capped at 48 nodes and only odd angles are new
+def _kinked_disk():
+    """(U, disk): U^+ kinks across the disk, so the product grid runs to
+    level 6 at tol 1e-7, on three radial panels."""
     U = MeromorphicFn(((0.3 + 0.1j, 1),), ((-0.2 + 0j, 1),), 1.4).to_delta_subharmonic()
-    disk = UniformBall((0.1, 0.0), 0.8, 1.0)
+    return U, UniformBall((0.1, 0.0), 0.8, 1.0)
+
+
+def test_ball_integral_equals_its_whole_grid_reference():
+    # the row blocks take the same floats as the whole grid, row by row
+    U, disk = _kinked_disk()
     value, err, ref_nodes = _ref_disk_integral(U, disk, 1e-7)
     got = lab._ball_integral(U, disk, 1e-7)
-    assert (got.value, got.error_estimate) == (value, err)
+    assert (got.value, got.error_estimate, got.nodes_used) == (value, err, ref_nodes)
     assert ref_nodes == 2_276_352  # levels 0-6 on three radial panels
-    assert got.nodes_used == 1_244_160
 
 
-def test_ball_integral_keeps_only_the_previous_levels_rows():
-    # the case above runs to level 6, which reads the level-5 rows of its
-    # three panels: 3 x 48 x 4,096 x 8 B = 4.7 MB.  Level 5 holds those and
-    # one panel's level-4 rows (0.8 MB) at its peak, and a block of at most
-    # _BLOCK points adds well under 1 MB
-    U = MeromorphicFn(((0.3 + 0.1j, 1),), ((-0.2 + 0j, 1),), 1.4).to_delta_subharmonic()
-    disk = UniformBall((0.1, 0.0), 0.8, 1.0)
-    lab._ball_integral(U, disk, 1e-7)  # first-use caches are not the rule's
+@pytest.mark.parametrize("case, limit", [("disk", 1.5e6), ("pin-3d", 4e6)], ids=["disk", "pin-3d"])
+def test_ball_integral_holds_one_block_of_samples(case, limit):
+    # a block of at most _BLOCK = 8,192 points is 64 KiB of samples and
+    # 192 KiB of 3-d coordinates, so the peak does not grow with the grid:
+    # the disk (2.3M nodes) peaks at 0.7 MB, PIN_3D's ball (6.8M) at 1.7 MB
+    if case == "disk":
+        (U, ball), tol = _kinked_disk(), 1e-7
+    else:
+        s = parse_scenario(json.dumps(PIN_3D).encode())
+        U, ball, tol = s.U, s.mu.components[0], 1e-6
+    lab._ball_integral(U, ball, 1e-2)  # first-use caches are not the rule's
     tracemalloc.start()
     try:
-        got = lab._ball_integral(U, disk, 1e-7)
+        lab._ball_integral(U, ball, tol)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got.nodes_used == 1_244_160
-    assert peak < 8e6
+    assert peak < limit
 
 
-def _assert_block_size_free(monkeypatch, U, ball, tol, nodes, blocks):
+@pytest.mark.parametrize("d, blocks", [(2, (1, 7)), (3, (7,)), (2, (7, 5200))])
+def test_ball_integral_does_not_depend_on_the_block_size(monkeypatch, d, blocks):
+    # a block of rows holds at most _BLOCK points and at least one row, and a
+    # point's U^+ is the same floats in any block: _BLOCK = 1 and 7 give
+    # one-row blocks, which values_with_polar splits again, and 5,200 blocks
+    # of 40, 20, 10, 5 and 2 rows at levels 0-4.  U > 0 on the first two
+    # balls, so the rule stops after two levels: 5,120 nodes in d = 2 and
+    # 245,760 in d = 3, where one point per block would take 20 s.  U^+
+    # kinks across the third, so the rule runs to level 4: 168,960 nodes
+    tol, nodes = 1e-6, 5_120
+    if d == 3:
+        u = SubharmonicFn(AffineHarmonic(0.8, (0.1, -0.05, 0.2)),
+                          BorelMeasure((Atom((1.5, 0.3, -0.2), 0.6),), 3))
+        v = SubharmonicFn(None, BorelMeasure((Atom((-1.7, 0.2, 0.5), 0.4),), 3))
+        U, ball, nodes = DeltaSubharmonicFn(u, v), UniformBall((0.1, 0.0, 0.0), 0.5, 1.0), 245_760
+    elif 1 in blocks:
+        U = MeromorphicFn(((1.5 + 0.2j, 1),), ((-1.4 + 0j, 1),), 4.0).to_delta_subharmonic()
+        ball = UniformBall((0.1, 0.0), 0.5, 1.0)
+    else:
+        U = MeromorphicFn(((0.9 + 0.1j, 1),), ((-0.9 + 0j, 1),), 1.0).to_delta_subharmonic()
+        ball, tol, nodes = UniformBall((0.0, 0.0), 0.5, 1.0), 3e-7, 168_960
     want = lab._ball_integral(U, ball, tol)
     assert want.nodes_used == nodes
     for block in blocks:
@@ -800,40 +827,13 @@ def _assert_block_size_free(monkeypatch, U, ball, tol, nodes, blocks):
             (want.value, want.error_estimate, want.nodes_used), block
 
 
-@pytest.mark.parametrize("d, blocks", [(2, (1, 7)), (3, (7,))])
-def test_ball_integral_does_not_depend_on_the_block_size(monkeypatch, d, blocks):
-    # a block of rows holds at most _BLOCK points and at least one row, and a
-    # point's U^+ is the same floats in any block: _BLOCK = 1 and 7 give
-    # one-row blocks, which values_with_polar splits again.  U > 0 on the
-    # ball, so the rule stops after two levels: 5,120 nodes in d = 2 and
-    # 245,760 in d = 3, where one point per block would take 20 s
-    if d == 2:
-        U = MeromorphicFn(((1.5 + 0.2j, 1),), ((-1.4 + 0j, 1),), 4.0).to_delta_subharmonic()
-        ball = UniformBall((0.1, 0.0), 0.5, 1.0)
-    else:
-        u = SubharmonicFn(AffineHarmonic(0.8, (0.1, -0.05, 0.2)),
-                          BorelMeasure((Atom((1.5, 0.3, -0.2), 0.6),), 3))
-        v = SubharmonicFn(None, BorelMeasure((Atom((-1.7, 0.2, 0.5), 0.4),), 3))
-        U, ball = DeltaSubharmonicFn(u, v), UniformBall((0.1, 0.0, 0.0), 0.5, 1.0)
-    _assert_block_size_free(monkeypatch, U, ball, 1e-6, 5_120 if d == 2 else 245_760, blocks)
-
-
-def test_ball_integral_reuse_level_does_not_depend_on_the_block_size(monkeypatch):
-    # U^+ kinks across the disk, so the rule runs to level 4, whose even
-    # angles are level 3's rows: one-row blocks at _BLOCK = 7, and at 5,200
-    # blocks of five rows at levels 3 and 4, the last of three
-    U = MeromorphicFn(((0.9 + 0.1j, 1),), ((-0.9 + 0j, 1),), 1.0).to_delta_subharmonic()
-    _assert_block_size_free(monkeypatch, U, UniformBall((0.0, 0.0), 0.5, 1.0), 3e-7, 119_808,
-                            (7, 5200))
-
-
 @pytest.mark.xfail(strict=True,
                    reason="known defect (ROADMAP item 12): the product grid, the ball rule's "
                           "fallback, returns its last change at its level cap, neither raising "
                           "nor meeting tol")
 def test_ball_rule_at_its_level_cap_raises_or_meets_its_tolerance():
     # s0154-disk of seed 42 is one ball; on it all 7 levels of the product
-    # grid (414,720 nodes) end at an estimate of 2.44e-8 against tol 1e-8,
+    # grid (758,784 nodes) end at an estimate of 2.44e-8 against tol 1e-8,
     # and the call returns it.  positive_part_integral takes Green's rule
     # there (test_green_rule_takes_every_corpus_ball), but the grid remains
     # for the balls the rule does not take
@@ -912,6 +912,31 @@ def test_a_failed_pairing_goes_to_the_product_grid(monkeypatch):
     monkeypatch.setattr(lab, "_follow", lambda *args: None)
     assert lab._green_ball_integral(s.U, ball, tol) is None
     assert positive_part_integral(s.U, s.mu, tol).value == marker.value
+
+
+def test_green_rule_counts_every_point_it_evaluates(monkeypatch):
+    # the rim's sign scan and Illinois steps, the rim's GL nodes (points of
+    # the split's rest) and the arcs' GL nodes at every n; a one-signed rim
+    # (s0002-disk: U <= 0, s0014-disk: U > 0) costs its scan alone
+    seen, arc_nodes = [], []
+    path_edges, split, arc_sum = lab._path_edges, lab._split, lab._arc_sum
+    monkeypatch.setattr(lab, "_path_edges", lambda signed, path, splits: path_edges(
+        _counted(signed, seen), path, splits))
+    monkeypatch.setattr(lab, "_split", lambda U: split(U)._replace(
+        rest=_counted(split(U).rest, seen)))
+
+    def counted_arc_sum(germ, arcs, c, rho, n):
+        arc_nodes.append(len(arcs) * n)
+        return arc_sum(germ, arcs, c, rho, n)
+
+    monkeypatch.setattr(lab, "_arc_sum", counted_arc_sum)
+    for k in (2, 14, 82):
+        s = generate_scenario(42, k, "disk")
+        seen.clear()
+        arc_nodes.clear()
+        res = lab._green_ball_integral(s.U, s.mu.components[0], s.tolerances.mean)
+        assert res.nodes_used == sum(seen) + sum(arc_nodes) > 2049, s.scenario_id
+        assert bool(arc_nodes) == (k == 82), s.scenario_id
 
 
 # -- the per-point proof checks, kept as the bit-identity reference -----------

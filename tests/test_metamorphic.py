@@ -3,9 +3,11 @@ checked with no reference value.
 
 A rotation about the origin turns U and mu together, and the sphere measure
 sigma_R is rotation invariant, so the integral of U^+ d mu, C_{U^+}(R) and
-the UR verdict stay the same.  Halving splits each segment at its midpoint
-and each arc at its mid-angle into two halves of half the weight, which
-leaves mu, and so the integral of U^+ d mu, as it is.  Scaling by lambda
+the UR verdict stay the same; it also takes the charges family, whose U is
+no log|f| but atomic charges and a harmonic polynomial.  Halving splits
+each segment at its midpoint and each arc at its mid-angle into two halves
+of half the weight, which leaves mu, and so the integral of U^+ d mu, as it
+is.  Scaling by lambda
 takes f(z) to f(z / lambda) and mu to its image under x -> lambda x, with
 r, R and r0 times lambda; the integral of U^+ d mu, C_{U^+}(R), T_U, the
 Dini integral to R + r, A_d(r, R) and so the UR right side and verdict stay.
@@ -30,7 +32,8 @@ import pytest
 from deltasubh.characteristics import spherical_mean
 from deltasubh.lab import generate_scenario, positive_part_integral, verify_main_theorem
 from deltasubh.measures import Atom, BorelMeasure, UniformArc, UniformBall, UniformSegment
-from deltasubh.potentials import AffineHarmonic, DeltaSubharmonicFn, MeromorphicFn, SubharmonicFn
+from deltasubh.potentials import (AffineHarmonic, DeltaSubharmonicFn, HarmonicPolynomial,
+                                  MeromorphicFn, SubharmonicFn)
 from deltasubh.scenario_io import parse_scenario
 from test_cli import PIN_3D
 
@@ -38,6 +41,7 @@ SEED = 42
 ANGLES = (0.7, 2.1)
 CASES = [(family, k) for family in ("ef_arc", "segment") for k in range(0, 200, 8)]
 BALL_CASES = [(family, k) for family in ("disk", "disk_union") for k in range(0, 200, 8)]
+CHARGE_CASES = [("charges", k) for k in range(0, 200, 8)]
 
 
 def _turn(p: tuple, alpha: float) -> tuple:
@@ -56,17 +60,35 @@ def _rotated_component(c, alpha: float):
     return UniformBall(_turn(c.center, alpha), c.radius, c.weight)
 
 
+def _rotated_measure(m, alpha: float):
+    return BorelMeasure(tuple(_rotated_component(c, alpha) for c in m.components), m.dim)
+
+
+def _rotated_subharmonic(u, alpha: float):
+    """u(e^{-i alpha} z): its charge turns by alpha, and the coefficient c_k
+    of its harmonic part Re p becomes c_k e^{-i k alpha}."""
+    h = u.harmonic
+    if h is not None:
+        h = HarmonicPolynomial(tuple(c * cmath.exp(-1j * k * alpha) for k, c in enumerate(h.coeffs)))
+    return SubharmonicFn(h, _rotated_measure(u.riesz, alpha))
+
+
 def _rotated(s, alpha: float):
     """s turned about the origin by alpha: f(z) becomes f(e^{-i alpha} z),
     whose zeros and poles turn by alpha and whose exponent coefficient c_k
     becomes c_k e^{-i k alpha}.  The unit factor only gains a unimodular
-    constant, which |f| does not see, so it stays."""
+    constant, which |f| does not see, so it stays.  Without f, u and v turn
+    (_rotated_subharmonic)."""
+    mu = _rotated_measure(s.mu, alpha)
+    if s.f is None:
+        U = DeltaSubharmonicFn(_rotated_subharmonic(s.U.u, alpha),
+                               _rotated_subharmonic(s.U.v, alpha))
+        return dataclasses.replace(s, U=U, mu=mu)
     f = s.f
     g = MeromorphicFn(tuple((a * cmath.exp(1j * alpha), m) for a, m in f.zeros),
                       tuple((b * cmath.exp(1j * alpha), n) for b, n in f.poles),
                       f.unit_factor,
                       tuple(c * cmath.exp(-1j * k * alpha) for k, c in enumerate(f.exponent)))
-    mu = BorelMeasure(tuple(_rotated_component(c, alpha) for c in s.mu.components), s.mu.dim)
     return dataclasses.replace(s, U=g.to_delta_subharmonic(), mu=mu, f=g)
 
 
@@ -77,8 +99,11 @@ def _invariants(s) -> tuple:
             verify_main_theorem(s))
 
 
-@pytest.mark.parametrize("family, k", CASES + BALL_CASES,
-                         ids=[f"s{k:04d}-{f}" for f, k in CASES + BALL_CASES])
+ROTATION_CASES = CASES + BALL_CASES + CHARGE_CASES
+
+
+@pytest.mark.parametrize("family, k", ROTATION_CASES,
+                         ids=[f"s{k:04d}-{f}" for f, k in ROTATION_CASES])
 def test_rotation_about_the_origin_keeps_both_sides(family, k):
     s = generate_scenario(SEED, k, family)
     lhs, c_plus, report = _invariants(s)
