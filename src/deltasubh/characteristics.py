@@ -26,7 +26,14 @@ of U^+ is a panel edge, in one _integrate_pieces call per sign, and adds each
 atom's potential of every piece of that sign from one kernel_integrals call;
 so C_{U^+}(r) and lab's integral of U^+ d mu are one rule.  The piece ends
 come from _path_edges, whose roots on a planar ball's rim are also where
-lab's Green rule starts the arcs of {U = 0} it traces.  A mean over a
+lab's Green rule starts the arcs of {U = 0} it traces.  _path_edges first
+asks _one_signed, a closed-form certificate: where every charge is an
+atom and the rest a planar harmonic polynomial (_Split.poly), U on the
+circle the path lies on, or bounds the disk of, is its mean plus a Fourier
+series whose coefficients come from the atoms' Laurent series and the
+polynomial's Taylor shift (_circle_bound); a mean larger than their sum
+proves one sign, and such a path is evaluated nowhere.  Every other path
+(continuous charges, d = 3, undecided) is scanned (_scan_edges).  A mean over a
 sphere (_identity_mean) takes each atom by Gauss's mean value theorem.  The
 remaining means are _sphere_mean.
 """
@@ -46,6 +53,7 @@ from .potentials import (
     DeltaSubharmonicFn,
     MeromorphicFn,
     SubharmonicFn,
+    _combine_harmonics,
     canonical_representation,
     jordan_decomposition,
 )
@@ -112,11 +120,15 @@ def _sphere_means(values, r: float, dim: int, tol: float) -> list:
 
 class _Split(NamedTuple):
     """F = rest + sum_j weights[j] k(|x - points[j]|), with rest (points ->
-    values) F without its charge atoms: smooth about them, and no cancellation."""
+    values) F without its charge atoms: smooth about them, and no
+    cancellation.  poly holds the complex coefficients, low to high, of the
+    polynomial p with rest = Re p(z) when the rest is a planar harmonic
+    polynomial (() for 0), and is None otherwise (continuous charges, d = 3)."""
 
     rest: Callable
     points: np.ndarray   # (n, d)
     weights: np.ndarray  # (n,), signed
+    poly: Optional[tuple]
 
 
 def _split(F) -> _Split:
@@ -126,8 +138,12 @@ def _split(F) -> _Split:
     atoms = [(a.point, sign * a.weight) for sub, sign in parts for a in sub.riesz.atoms]
     bare = [replace(sub, riesz=sub.riesz.continuous) for sub, _sign in parts]
     rest = bare[0] if len(bare) == 1 else DeltaSubharmonicFn(*bare)
+    poly = None
+    if F.dim == 2 and not any(sub.riesz.components for sub in bare):
+        harmonic = _combine_harmonics(bare[0].harmonic, bare[1].harmonic if bare[1:] else None)
+        poly = () if harmonic is None else harmonic.coeffs
     return _Split(rest.values, np.array([p for p, _ in atoms], dtype=float).reshape(-1, F.dim),
-                  np.array([w for _, w in atoms], dtype=float))
+                  np.array([w for _, w in atoms], dtype=float), poly)
 
 
 def _identity_mean(split: _Split, r: float, dim: int, tol: float) -> QuadratureResult:
@@ -191,7 +207,103 @@ def _cuts(a: float, b: float, n: int) -> list:
     return [i * step + a for i in range(n)] + [b]
 
 
+_TERMS = 16  # the Fourier terms _circle_bound sums before its tail bound
+
+
+def _circle_bound(splits, center, rho: float, solid: bool) -> Optional[tuple]:
+    """(M, bound, margin) for F = F_pos - F_neg of splits (F_neg = 0 without
+    a second split) on the circle |x - c| = rho, c = center: M the mean of F
+    there and |F - M| <= bound on it, plus margin, far above the rounding of
+    F's values at points of the circle and of M and bound themselves.  None
+    where a split's rest is no planar polynomial (poly None), an atom lies
+    on the circle or, if solid, in the closed disk.
+
+    On the circle, with delta = a - c and D = |delta| for an atom a of
+    weight w, w ln|x - a| = w ln max(rho, D) - Re sum_k A_k e^{ikt} / k with
+    A_k = w conj(delta / rho)^k (D < rho) or w (rho / delta)^k (D > rho),
+    the Laurent series of the logarithm (Ransford, Potential Theory in the
+    Complex Plane, 1995, ch. 2), and Re p(x) = Re sum_k b_k rho^k e^{ikt}
+    with b_k p's Taylor coefficients at c.  bound is sum_{k <= _TERMS} of
+    |the coefficients summed over atoms and p| plus sum |w| q^17 / (17 (1 - q)),
+    q = min(D / rho, rho / D), for the atoms' tails and |b_k| rho^k for p's
+    terms past _TERMS.  margin is 1e-9 times F's scale on the circle,
+    sum |w| (1 + max |ln|x - a||) + sum |p_k| (|c| + rho)^k, and times its
+    slope bound there, sum |w| / |D - rho| + sum k |p_k| (|c| + rho)^(k - 1),
+    times |c| + rho, for points rounded off the path.  Python floats: arrays
+    of a few atoms cost more per call than this arithmetic."""
+    if any(sp.poly is None for sp in splits):
+        return None
+    c = complex(*center)
+    far = abs(c) + rho
+    coeffs = [0j] * (_TERMS + 1)
+    mean = tail = size = slope = 0.0
+    for sign, sp in zip((1.0, -1.0), splits):
+        for (x, y), w in zip(sp.points.tolist(), sp.weights.tolist()):
+            w *= sign
+            delta = complex(x, y) - c
+            D = abs(delta)
+            if D < rho and not solid:
+                ratio, q, mean = (delta / rho).conjugate(), D / rho, mean + w * math.log(rho)
+            elif D > rho:
+                ratio, q, mean = rho / delta, rho / D, mean + w * math.log(D)
+            else:
+                return None
+            term = -w
+            for k in range(1, _TERMS + 1):
+                term *= ratio
+                coeffs[k] += term / k
+            tail += abs(w) * q ** (_TERMS + 1) / ((_TERMS + 1) * (1.0 - q))
+            size += abs(w) * (1.0 + max(abs(math.log(rho + D)), abs(math.log(abs(rho - D)))))
+            slope += abs(w) / abs(D - rho)
+        shifted = [sign * a for a in sp.poly]  # Taylor shift to c by synthetic division
+        for i in range(len(shifted) - 1):
+            for j in range(len(shifted) - 2, i - 1, -1):
+                shifted[j] += c * shifted[j + 1]
+        for k, (a, b) in enumerate(zip(sp.poly, shifted)):
+            size += abs(a) * far ** k
+            if k == 0:
+                mean += b.real
+                continue
+            slope += k * abs(a) * far ** (k - 1)
+            if k <= _TERMS:
+                coeffs[k] += b * rho ** k
+            else:
+                tail += abs(b) * rho ** k
+    bound = sum(abs(a) for a in coeffs) + tail
+    return mean, bound, 1e-9 * (size + far * slope)
+
+
+def _one_signed(path, splits) -> Optional[bool]:
+    """True where F_pos - F_neg of splits is proved > 0 on all of path, False
+    where it is proved < 0, None otherwise: the mean and bound of
+    _circle_bound on the circle of path.carrier(), which holds an arc, or on
+    the rim of its closed disk, which holds a segment; with every atom
+    outside that disk, F is harmonic there, and the maximum principle
+    carries the rim's sign inside.  A proof needs |M| - bound > margin."""
+    center, rho, solid = path.carrier()
+    found = _circle_bound(splits, center, rho, solid)
+    if found is None:
+        return None
+    mean, bound, margin = found
+    if mean - bound > margin:
+        return True
+    if mean + bound < -margin:
+        return False
+    return None
+
+
 def _path_edges(signed, path, splits) -> tuple:
+    """(edges, up, nodes): where signed, which is F_pos - F_neg of splits,
+    is proved one-signed on path (_one_signed), the ends of path.span, its
+    class and 0: it is evaluated nowhere, and the scan would find no flip.
+    Otherwise _scan_edges."""
+    up = _one_signed(path, splits)
+    if up is not None:
+        return list(path.span), up, 0
+    return _scan_edges(signed, path, splits)
+
+
+def _scan_edges(signed, path, splits) -> tuple:
     """(edges, up, nodes): the ends of path.span with, between them, the
     flips of the class signed > 0 that _sign_changes finds on a closed
     2048-cell grid plus the feet of the atoms of each split (so a window of
@@ -216,12 +328,14 @@ def _path_integral(signed, pos: _Split, path, tol: float,
     segment or arc component, or _circle) of pos where signed > 0 and of neg
     (0 if None) elsewhere, to the absolute tolerance tol; all three act on
     points.  It integrates in dt over [lo, hi] = path.span to tol over the
-    density, and scales by the density last.  Pieces end at _path_edges,
-    unless the caller hands them in as edges (its result for these
-    arguments), and the points it evaluated signed at join nodes_used.  The
-    rest of each class goes to one _integrate_pieces call over its pieces,
-    each cut into parts no wider than (hi - lo) / 8 and given tol times its
-    share of [lo, hi], and each atom adds
+    density, and scales by the density last.  For every caller signed is
+    F_pos - F_neg of the splits pos and neg (F_neg = 0 when neg is None):
+    the one-sign certificate of _path_edges reads the splits alone.  Pieces
+    end at _path_edges, unless the caller hands them in as edges (its result
+    for these arguments), and the points it evaluated signed at join
+    nodes_used.  The rest of each class goes to one _integrate_pieces call
+    over its pieces, each cut into parts no wider than (hi - lo) / 8 and
+    given tol times its share of [lo, hi], and each atom adds
     w integral_a^b k(|x(t) - p|) dt per piece [a, b] in closed form, whose
     rounding bound joins the estimate: one path.kernel_integrals call per
     class gives them for all its pieces, added piece by piece after its
@@ -292,9 +406,11 @@ def nevanlinna_m(f: MeromorphicFn, r: float, tol: float = 1e-8) -> Characteristi
         return lambda pts: g(pts[:, 0] + 1j * pts[:, 1])
 
     atoms = f.zeros + tuple((b, -n) for b, n in f.poles)
+    poly = list(f.exponent) or [0j]  # ln|unit| + Re exponent(z)
+    poly[0] += math.log(abs(f.unit_factor))
     split = _Split(on_points(replace(f, zeros=(), poles=()).log_abs),
                    np.array([(a.real, a.imag) for a, _ in atoms], dtype=float).reshape(-1, 2),
-                   np.array([m for _, m in atoms], dtype=float))
+                   np.array([m for _, m in atoms], dtype=float), tuple(poly))
     res = _path_integral(on_points(f.log_abs), split, _circle(r), tol)
     return CharacteristicRecord("m_classical", r, res.value, res.error_estimate)
 

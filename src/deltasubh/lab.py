@@ -263,12 +263,12 @@ class _Germ:
     less v's, plus sum_j w_j [ln|c - p_j| + Log((z - p_j) / (c - p_j))] over
     the atoms p_j of signed weight w_j.  Each ratio has a positive real part
     on the disc, so this branch of Log is continuous there and V = Im g is
-    single-valued.  value and slope (g') take a complex scalar, for the
-    continuation; values and slopes an array, for the Newton pass."""
+    single-valued.  p is split.poly, U's rest on its split.  value and
+    slope (g') take a complex scalar, for the continuation; values and
+    slopes an array, for the Newton pass."""
 
-    def __init__(self, U: DeltaSubharmonicFn, split, c: complex):
-        harmonic = potentials._combine_harmonics(U.u.harmonic, U.v.harmonic)
-        self.coeffs = () if harmonic is None else harmonic.coeffs
+    def __init__(self, split, c: complex):
+        self.coeffs = split.poly
         self.dcoeffs = tuple(k * a for k, a in enumerate(self.coeffs))[1:]
         self.p = split.points[:, 0] + 1j * split.points[:, 1]
         self.w = split.weights
@@ -445,7 +445,7 @@ def _green_ball_integral(U, comp: UniformBall, tol: float) -> Optional[Quadratur
     rim = UniformArc(comp.center, rho, 0.0, TWO_PI, comp.weight)
     edges = _path_edges(U.values, rim, [split])
     c = complex(*comp.center)
-    germ = _Germ(U, split, c)
+    germ = _Germ(split, c)
     if len(edges[0]) == 2:  # no sign change on the rim
         if not edges[1]:
             return QuadratureResult(0.0, 0.0, edges[2])

@@ -41,9 +41,12 @@ component of another d (DIMENSION); nothing infers or defaults it.  A weight
 carriers, segments and arcs, are paths for the by-sign integral of
 characteristics as well: span (the parameter interval, [0, 1] or the arc's
 angles), at (points at parameters), feet (the parameters of points' nearest
-points, within [lo, hi]) and kernel_integrals(ends, pts) (integral_a^b
+points, within [lo, hi]), kernel_integrals(ends, pts) (integral_a^b
 k(|x(t) - p|) dt in closed form for every piece [a, b] of ends at every
-point p, with its rounding bound, as (pieces, points) arrays).  Balls carry
+point p, with its rounding bound, as (pieces, points) arrays) and carrier
+(center, radius, solid): the circle an arc lies on (solid False), or the
+closed ball a segment is a diameter of (solid True), on which the by-sign
+integral's one-sign certificate bounds U.  Balls carry
 second_order (the gradient and a Hessian bound of y -> mu(B_y(t)) in d=2)
 for the modulus bracket, which decides once per call, from d and the kinds,
 whether its second-order cover applies: in d=2 with every component a ball.
@@ -279,6 +282,12 @@ class UniformSegment:
             pts[:, k] = self.start[k] + s * step[k]
         return pts
 
+    def carrier(self) -> tuple:
+        """(center, radius, True): the closed ball with the segment as a
+        diameter, which holds the segment."""
+        mid = tuple(0.5 * (a + b) for a, b in zip(self.start, self.end))
+        return mid, 0.5 * self.length, True
+
     def feet(self, pts, lo: float, hi: float):
         """The parameters of the points' projections, clipped to [lo, hi]."""
         step = np.subtract(self.end, self.start)
@@ -488,6 +497,10 @@ class UniformArc:
         (cx, cy), r, pts = self.center, self.radius, np.empty((2, np.size(t))).T
         pts[:, 0], pts[:, 1] = cx + r * np.cos(t), cy + r * np.sin(t)
         return pts
+
+    def carrier(self) -> tuple:
+        """(center, radius, False): the circle the arc lies on."""
+        return self.center, self.radius, False
 
     def feet(self, pts, lo: float, hi: float):
         """The angles in [lo, hi] of the points about the center."""

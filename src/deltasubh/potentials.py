@@ -44,8 +44,9 @@ and their order, so every value is the same floats as a one-point call (a
 test compares them bit for bit).
 values_with_polar evaluates more than _BLOCK points _BLOCK rows at a time, so
 that a block's buffers stay in cache, and the ball rule (lab._ball_integral)
-asks for at most _BLOCK points a call, read at call time, unless one circle
-of its grid holds more, and holds one call's samples at a time.  Both are
+and the d = 3 sphere mean (quadrature._sphere_means_3d) ask for at most
+_BLOCK points a call, read at call time, unless one circle of their grid
+holds more, and hold one call's samples at a time.  Both are
 sound only because every potential and harmonic part acts node by node: a
 point's value is the same floats whatever the layout of its array and
 whatever other points share its call, and any new potential must keep that.

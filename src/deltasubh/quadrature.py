@@ -314,19 +314,34 @@ def _sphere_means_3d(G: Callable[[np.ndarray, np.ndarray], np.ndarray],
     until a row's mean is stable to tol; a row still changing when the
     levels run out reports its last change.  A non-finite node is nudged in
     cos(theta), its phi held fixed.
+
+    A level of n polar nodes is evaluated in blocks of whole circles (the 2n
+    azimuths at one cos(theta)), as many as fit in potentials._BLOCK nodes
+    and at least one, read at call time; each circle's mean in phi is taken
+    as its block comes in, so one block of values is held at a time.  G acts
+    node by node, each circle's mean is its own reduction, and the nudge's
+    offset is step max(1, |cos theta|) = step in any block, so every value,
+    estimate and node count is the same floats as from the whole grid.
     """
+    from .potentials import _BLOCK  # potentials imports this module, through measures
+
     active = slice(None)
     total = 0
     for n in (8, 16, 32, 64, 128, 256, 512, 1024):
         u, w = _leggauss(n)
         phi = TWO_PI * np.arange(2 * n) / (2 * n)
-        cos, phis = (grid.ravel() for grid in np.meshgrid(u, phi, indexing="ij"))
-        vals = _rows(lambda c: G(np.arccos(c), phis), cos, active, 1.0)
+        step = max(1, _BLOCK // (2 * n))
+        circles = []
+        for i in range(0, n, step):
+            cos = np.repeat(u[i:i + step], 2 * n)
+            phis = np.tile(phi, cos.size // (2 * n))
+            vals = _rows(lambda c: G(np.arccos(c), phis), cos, active, 1.0)
+            circles.append(vals.reshape(len(vals), -1, 2 * n).mean(axis=2))
         if total == 0:
-            m = len(vals)
+            m = len(circles[0])
             active, prev, diff, nodes = list(range(m)), [math.inf] * m, [math.inf] * m, [0] * m
-        total += vals.shape[1]
-        means = (0.5 * _dots(vals.reshape(-1, n, 2 * n).mean(axis=2), w)).tolist()
+        total += 2 * n * n
+        means = (0.5 * _dots(np.concatenate(circles, axis=1), w)).tolist()
         still = []
         for i in active:
             diff[i] = abs(means[i] - prev[i])  # inf at the first level

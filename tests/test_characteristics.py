@@ -1,11 +1,15 @@
 import math
 import random
+import sys
 import warnings
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
-from deltasubh import characteristics
+from deltasubh import characteristics, lab
 from deltasubh.characteristics import (
     _sign_changes,
     _split,
@@ -693,3 +697,203 @@ def test_one_kernel_integrals_call_per_sign_class_with_pieces(monkeypatch):
     calls.clear()
     characteristics._path_integral(U.values, split, characteristics._circle(4.0), 1e-8, split)
     assert calls == [[(0.0, 2 * math.pi)]]
+
+
+# -- the one-sign certificate of the by-sign path integral -------------------
+# _one_signed proves F_pos - F_neg of the splits one-signed on a path from
+# the Laurent coefficients of its atoms and the Taylor shift of its
+# polynomial on the path's circle (or a segment's disk); _path_edges then
+# skips the scan, which is sound only where the scan finds no edge.
+
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+_BENCH_SCENARIOS = {"corpus": 396, "proof": 792, "sweep": 264}  # bench/run.py --seconds 22
+
+
+@pytest.mark.parametrize("seed", [42, 13])
+@pytest.mark.parametrize("workload", ["corpus", "proof", "sweep"])
+def test_one_signed_paths_of_the_bench_workloads_have_no_scan_edge(monkeypatch, workload, seed):
+    # every by-sign path of the workload and its correctness gate: where the
+    # certificate holds, the full scan finds no edge and starts in its class
+    monkeypatch.syspath_prepend(str(_BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    import workloads
+
+    path_edges = characteristics._path_edges
+    paths, proved, wrong = [], [], []
+
+    def audited(signed, path, splits):
+        up = characteristics._one_signed(path, splits)
+        paths.append(path)
+        if up is not None:
+            edges, first, _nodes = characteristics._scan_edges(signed, path, splits)
+            proved.append(path)
+            if edges != list(path.span) or first != up:
+                wrong.append((path, edges, first, up))
+        return path_edges(signed, path, splits)
+
+    monkeypatch.setattr(characteristics, "_path_edges", audited)
+    monkeypatch.setattr(lab, "_path_edges", audited)
+    for k in range(_BENCH_SCENARIOS[workload]):
+        s, out = workloads.run_scenario(workload, seed, k)
+        assert workloads.check(workload, s, out) == [], s.scenario_id
+    assert wrong == []
+    assert 0.25 * len(paths) < len(proved) < len(paths)
+
+
+def _planar_U(poly, atoms) -> DeltaSubharmonicFn:
+    """Re poly + sum w ln|x - a| over atoms (a, w), w of either sign."""
+    pos = tuple(Atom(a, w) for a, w in atoms if w > 0)
+    neg = tuple(Atom(a, -w) for a, w in atoms if w < 0)
+    return DeltaSubharmonicFn(SubharmonicFn(HarmonicPolynomial(tuple(poly)), BorelMeasure(pos, 2)),
+                              SubharmonicFn(None, BorelMeasure(neg, 2)))
+
+
+def _with_value_at(U, poly, atoms, x, value):
+    """U with its constant moved so that U(x) = value, up to rounding; a
+    case with an atom at x is rejected."""
+    at_x = float(U.values(np.array([x]))[0])
+    assume(math.isfinite(at_x))
+    return _planar_U((poly[0] + value - at_x,) + tuple(poly[1:]), atoms)
+
+
+@st.composite
+def _planar_paths(draw):
+    """(U, path, kind): an atomic planar U and a full circle, partial arc,
+    Green rim (every atom outside) or segment (often with every atom outside
+    its disk), with atoms near the path's circle and, often, U's zero set
+    crossing near it."""
+    kind = draw(st.sampled_from(["circle", "arc", "rim", "segment"]))
+    c = (draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+    rho = draw(st.floats(0.2, 2.0))
+    atoms = []
+    clear = kind == "rim" or (kind == "segment" and draw(st.booleans()))  # of the closed disk
+    for _ in range(draw(st.integers(1, 5))):
+        if clear:
+            q = 1.0 + draw(st.floats(1e-4, 3.0))
+        elif draw(st.booleans()):  # near the circle, inside or out
+            q = 1.0 + draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-4, 0.3))
+        else:
+            q = draw(st.floats(0.0, 3.0))
+        angle = draw(st.floats(0.0, 2.0 * math.pi))
+        w = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.1, 3.0))
+        atoms.append(((c[0] + q * rho * math.cos(angle), c[1] + q * rho * math.sin(angle)), w))
+    poly = [complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+            for _ in range(draw(st.integers(1, 4)))]
+    U = _planar_U(poly, atoms)
+    if draw(st.booleans()):  # a zero of U 1e-3 rho or closer to the circle
+        angle = draw(st.floats(0.0, 2.0 * math.pi))
+        q = 1.0 + draw(st.floats(-1e-3, 1e-3))
+        x = (c[0] + q * rho * math.cos(angle), c[1] + q * rho * math.sin(angle))
+        U = _with_value_at(U, poly, atoms, x, draw(st.floats(-1e-2, 1e-2)))
+    lo = draw(st.floats(-4.0, 4.0))
+    if kind == "segment":
+        tip = (rho * math.cos(lo), rho * math.sin(lo))
+        path = UniformSegment((c[0] - tip[0], c[1] - tip[1]), (c[0] + tip[0], c[1] + tip[1]), 1.0)
+    else:
+        width = 2.0 * math.pi if kind != "arc" else draw(st.floats(0.1, 6.0))
+        path = UniformArc(c, rho, lo, lo + width, 1.0)
+    return U, path, kind
+
+
+def _two_forms(U):
+    """(signed, splits) as C^+ (U's one split) and as the canonical form
+    (u* over v*) hand them to _path_edges."""
+    u_star, v_star = canonical_representation(U)
+    return [(U.values, [_split(U)]),
+            (lambda pts: u_star.values(pts) - v_star.values(pts), [_split(u_star), _split(v_star)])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_planar_paths())
+def test_one_signed_proof_holds_on_a_dense_grid_of_the_path(case):
+    U, path, kind = case
+    for signed, splits in _two_forms(U):
+        up = characteristics._one_signed(path, splits)
+        event(f"{kind}: {'undecided' if up is None else 'proved'}")
+        if up is None:
+            continue
+        lo, hi = path.span
+        vals = signed(path.at(lo + (hi - lo) * np.arange(65536) / 65535))
+        assert np.all((vals > 0.0) == up)
+        assert characteristics._path_edges(signed, path, splits) == ([lo, hi], up, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_planar_paths(), st.floats(0.0, 1.0))
+def test_one_signed_never_proves_a_path_through_a_root(case, at):
+    U, path, kind = case
+    lo, hi = path.span
+    x = tuple(path.at(np.array([lo + at * (hi - lo)]))[0])
+    split = _split(U)
+    atoms = list(zip(map(tuple, split.points.tolist()), split.weights.tolist()))
+    U = _with_value_at(U, split.poly, atoms, x, 0.0)
+    for _signed, splits in _two_forms(U):
+        assert characteristics._one_signed(path, splits) is None
+
+
+def _mp_mean_and_max(poly, atoms, c, rho):
+    """The mean of U on the circle |x - c| = rho, and the max of |U - mean|
+    there, at 30 digits: from 512 equispaced angles, each of the four
+    largest refined by 60 golden-section steps."""
+    with mp.workdps(30):
+        centre = mp.mpc(*c)
+
+        def u(t):
+            z = centre + rho * mp.expj(t)
+            acc = mp.mpc(0)
+            for a in reversed(poly):
+                acc = acc * z + mp.mpc(a.real, a.imag)
+            return mp.re(acc) + sum(w * mp.log(abs(z - mp.mpc(*a))) for a, w in atoms)
+
+        mean = mp.quad(u, mp.linspace(0, 2 * mp.pi, 9)) / (2 * mp.pi)
+
+        def dev(t):
+            return abs(u(t) - mean)
+
+        step = 2 * mp.pi / 512
+        grid = sorted(((dev(k * step), k * step) for k in range(512)), reverse=True)
+        best = grid[0][0]
+        ratio = (mp.sqrt(5) - 1) / 2
+        for _, t in grid[:4]:
+            a, b = t - step, t + step
+            for _ in range(60):
+                x1, x2 = b - ratio * (b - a), a + ratio * (b - a)
+                if dev(x1) > dev(x2):
+                    b = x2
+                else:
+                    a = x1
+            best = max(best, dev(0.5 * (a + b)))
+        return float(mean), float(best)
+
+
+def _mp_cases():
+    rng = random.Random(45)
+    cases = []
+    for n in range(12):
+        c = (rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+        rho = rng.uniform(0.3, 2.0)
+        atoms = []
+        for _ in range(rng.randint(1, 5)):
+            q = rng.choice([rng.uniform(0.0, 0.9), rng.uniform(1.1, 3.0),
+                            1.0 + rng.choice([-1, 1]) * rng.uniform(0.05, 0.2)])
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            atoms.append(((c[0] + q * rho * math.cos(angle), c[1] + q * rho * math.sin(angle)),
+                          rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0)))
+        degree = 18 if n == 11 else rng.randint(0, 3)  # the last one past _TERMS
+        poly = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) / (1.0 + rho) ** k
+                     for k in range(degree + 1))
+        cases.append((poly, atoms, c, rho))
+    return cases
+
+
+@pytest.mark.parametrize("poly, atoms, c, rho", _mp_cases())
+def test_one_signed_bound_holds_against_an_mpmath_maximum(poly, atoms, c, rho):
+    split = _split(_planar_U(poly, atoms))
+    mean, bound, margin = characteristics._circle_bound([split], c, rho, False)
+    mp_mean, mp_max = _mp_mean_and_max(poly, atoms, c, rho)
+    scale = sum(abs(w) * (1.0 + abs(math.log(rho))) for _, w in atoms) + sum(map(abs, poly))
+    assert abs(mean - mp_mean) <= 1e-13 * scale
+    assert mp_max <= bound
+    assert bound <= 1.5 * mp_max + 1e-3 * scale  # close enough to prove what it should
+    assert 0.0 < margin < 1e-7 * (scale + bound)

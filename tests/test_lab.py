@@ -916,8 +916,9 @@ def test_a_failed_pairing_goes_to_the_product_grid(monkeypatch):
 
 def test_green_rule_counts_every_point_it_evaluates(monkeypatch):
     # the rim's sign scan and Illinois steps, the rim's GL nodes (points of
-    # the split's rest) and the arcs' GL nodes at every n; a one-signed rim
-    # (s0002-disk: U <= 0, s0014-disk: U > 0) costs its scan alone
+    # the split's rest) and the arcs' GL nodes at every n; a rim proved
+    # one-signed from U's Laurent coefficients (s0002-disk: U < 0,
+    # s0014-disk: U > 0) evaluates no scan point at all
     seen, arc_nodes = [], []
     path_edges, split, arc_sum = lab._path_edges, lab._split, lab._arc_sum
     monkeypatch.setattr(lab, "_path_edges", lambda signed, path, splits: path_edges(
@@ -934,9 +935,17 @@ def test_green_rule_counts_every_point_it_evaluates(monkeypatch):
         s = generate_scenario(42, k, "disk")
         seen.clear()
         arc_nodes.clear()
-        res = lab._green_ball_integral(s.U, s.mu.components[0], s.tolerances.mean)
-        assert res.nodes_used == sum(seen) + sum(arc_nodes) > 2049, s.scenario_id
+        comp = s.mu.components[0]
+        res = lab._green_ball_integral(s.U, comp, s.tolerances.mean)
+        assert res.nodes_used == sum(seen) + sum(arc_nodes), s.scenario_id
         assert bool(arc_nodes) == (k == 82), s.scenario_id
+        rim = UniformArc(comp.center, comp.radius, 0.0, 2.0 * math.pi, comp.weight)
+        proved = characteristics._one_signed(rim, [split(s.U)])
+        assert (proved is None) == (k == 82), s.scenario_id
+        if proved is None:
+            assert res.nodes_used > 2049, s.scenario_id
+        else:
+            assert seen == [] and res.nodes_used == 0, s.scenario_id
 
 
 # -- the per-point proof checks, kept as the bit-identity reference -----------

@@ -1,11 +1,12 @@
 import logging
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from deltasubh import quadrature
+from deltasubh import characteristics, potentials, quadrature
 from deltasubh.geometry import _dots
 from deltasubh.quadrature import (
     QuadratureBudgetError,
@@ -14,6 +15,7 @@ from deltasubh.quadrature import (
     sphere_mean_3d,
     sphere_sup,
 )
+from deltasubh.scenario_io import parse_scenario
 
 
 def test_smooth_interval():
@@ -272,6 +274,93 @@ def test_batched_sphere_nudges_a_column_non_finite_in_one_row_only(caplog):
     nudges = [rec.getMessage() for rec in caplog.records
               if rec.getMessage().startswith("perturbed")]
     assert nudges == ["perturbed 1 quadrature nodes off a singular point"] * 2
+
+
+def _whole_grid_sphere_means(G, tol):
+    """_sphere_means_3d with each level one call of G on its whole (n x 2n)
+    grid: the reference its blocks of circles must equal float for float."""
+    active = slice(None)
+    total = 0
+    for n in (8, 16, 32, 64, 128, 256, 512, 1024):
+        u, w = quadrature._leggauss(n)
+        phi = 2.0 * math.pi * np.arange(2 * n) / (2 * n)
+        cos, phis = (grid.ravel() for grid in np.meshgrid(u, phi, indexing="ij"))
+        vals = quadrature._rows(lambda c: G(np.arccos(c), phis), cos, active, 1.0)
+        if total == 0:
+            m = len(vals)
+            active, prev, diff, nodes = list(range(m)), [math.inf] * m, [math.inf] * m, [0] * m
+        total += vals.shape[1]
+        means = (0.5 * _dots(vals.reshape(-1, n, 2 * n).mean(axis=2), w)).tolist()
+        still = []
+        for i in active:
+            diff[i] = abs(means[i] - prev[i])
+            prev[i], nodes[i] = means[i], total
+            if not diff[i] <= tol:
+                still.append(i)
+        active = still
+        if not active:
+            break
+    return quadrature._results(prev, diff, nodes)
+
+
+def _nudged_nodes(records) -> int:
+    return sum(int(rec.getMessage().split()[1]) for rec in records
+               if rec.getMessage().startswith("perturbed"))
+
+
+@pytest.mark.parametrize("block", [1, 7, 8192])
+def test_sphere_block_means_equal_the_whole_grid(monkeypatch, caplog, block):
+    # blocks of one circle, of 7 nodes (still one circle) and of _BLOCK: the
+    # same values, estimates, node counts and nudged nodes as the whole grid,
+    # for rows that stop at their own levels, run out of levels, or have a
+    # pole at a node of the first level (a circle of 16 nodes, so a block of
+    # its own below _BLOCK = 16)
+    theta0 = float(np.arccos(quadrature._leggauss(8)[0][2]))
+
+    def pole(th, ph):
+        return np.where((th == theta0) & (ph == 0.0), -np.inf, np.cos(th) ** 2)
+
+    G = _rows(pole, _newtonian_row((0.3, 0.0, 1.2)), _cap_row)
+    with caplog.at_level(logging.DEBUG, logger="deltasubh.quadrature"):
+        want = _whole_grid_sphere_means(G, 1e-12)
+        whole = _nudged_nodes(caplog.records)
+        caplog.clear()
+        monkeypatch.setattr(potentials, "_BLOCK", block)
+        got = quadrature._sphere_means_3d(G, 1e-12)
+        assert _nudged_nodes(caplog.records) == whole == 1
+    assert [(r.value, r.error_estimate, r.nodes_used) for r in got] == \
+        [(r.value, r.error_estimate, r.nodes_used) for r in want]
+    assert got[2].nodes_used == sum(2 * n * n for n in (8, 16, 32, 64, 128, 256, 512, 1024))
+
+
+def test_sphere_block_mean_of_the_3d_positive_part_equals_the_whole_grid():
+    # PIN_3D's C_{U^+}(r), through U's own evaluator, at a tolerance that
+    # reaches levels of many blocks
+    from test_cli import PIN_3D
+    U = parse_scenario(PIN_3D).U
+    for r in (1.0, 3.0):
+        g = characteristics._on_sphere(U.positive_values, r, 3)
+        want = _whole_grid_sphere_means(lambda th, ph: g(th, ph).reshape(1, -1), 1e-6)[0]
+        got = characteristics.spherical_mean(U, r, "positive", 1e-6)
+        assert (got.value, got.error_estimate) == (want.value, want.error_estimate)
+        assert want.nodes_used > 2 * 128 * 128  # a level of more than one block
+
+
+def test_sphere_block_peak_memory_of_the_3d_positive_mean():
+    # PIN_3D's C_{U^+}(1) and C_{U^+}(3) at tol 1e-8 reach n = 1024, whose
+    # whole grid of 2,097,152 nodes traced a 172 MB peak; a block of circles
+    # holds at most _BLOCK nodes (a cold cache of the GL rule of order 1024
+    # adds its 8 MB companion matrix once)
+    from test_cli import PIN_3D
+    U = parse_scenario(PIN_3D).U
+    for r in (1.0, 3.0):
+        tracemalloc.start()
+        try:
+            characteristics.spherical_mean(U, r, "positive", 1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, r
 
 
 @pytest.mark.parametrize("batched, one_row, g", [
