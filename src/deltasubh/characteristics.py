@@ -25,12 +25,12 @@ the sign of U is constant, ended at Illinois roots (_sign_changes) so a kink
 of U^+ is a panel edge, in one _integrate_pieces call per sign, and adds each
 atom's potential of every piece of that sign from one kernel_integrals call;
 so C_{U^+}(r) and lab's integral of U^+ d mu are one rule.  The piece ends
-come from _path_edges, whose roots on a planar ball's rim are also where
-lab's Green rule starts the arcs of {U = 0} it traces.  _path_edges first
-asks _one_signed, a closed-form certificate: where every charge is an
-atom and the rest a planar harmonic polynomial (_Split.poly), U on the
-circle the path lies on, or bounds the disk of, is its mean plus a Fourier
-series whose coefficients come from the atoms' Laurent series and the
+come from _path_edges, given the split of the function whose sign they
+follow (U's, or u* - v*'s), whose roots on a planar ball's rim also start
+the arcs of {U = 0} that lab's Green rule traces.  It first asks
+_one_signed: where U is planar atomic (_Split.poly; its one model is
+_Planar), U on the circle the path lies on, or bounds the disk of, is its
+mean plus a Fourier series from the atoms' Laurent series and the
 polynomial's Taylor shift (_circle_bound); a mean larger than their sum
 proves one sign, and such a path is evaluated nowhere.  Every other path
 (continuous charges, d = 3, undecided) is scanned (_scan_edges).  A mean over a
@@ -40,6 +40,7 @@ remaining means are _sphere_mean.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -54,6 +55,7 @@ from .potentials import (
     MeromorphicFn,
     SubharmonicFn,
     _combine_harmonics,
+    _horner,
     canonical_representation,
     jordan_decomposition,
 )
@@ -120,10 +122,10 @@ def _sphere_means(values, r: float, dim: int, tol: float) -> list:
 
 class _Split(NamedTuple):
     """F = rest + sum_j weights[j] k(|x - points[j]|), with rest (points ->
-    values) F without its charge atoms: smooth about them, and no
-    cancellation.  poly holds the complex coefficients, low to high, of the
-    polynomial p with rest = Re p(z) when the rest is a planar harmonic
-    polynomial (() for 0), and is None otherwise (continuous charges, d = 3)."""
+    values) F without its charge atoms: smooth about them, no cancellation.
+    poly holds p, low to high, with rest = Re p(z) where F is planar atomic
+    (its model is _Planar; () for p = 0), and is None otherwise (continuous
+    charges, d = 3).  The sign finder (_path_edges) takes F's own split."""
 
     rest: Callable
     points: np.ndarray   # (n, d)
@@ -207,81 +209,126 @@ def _cuts(a: float, b: float, n: int) -> list:
     return [i * step + a for i in range(n)] + [b]
 
 
+def _complex(points: np.ndarray) -> np.ndarray:
+    return points[:, 0] + 1j * points[:, 1]
+
+
+class _Planar:
+    """The model of a planar atomic F about a centre c: F = Re g with
+    g(z) = p(z) + sum_j w_j [L_j + Log((z - a_j) / d_j)] over the atoms a_j of
+    signed weight w_j, d_j = c - a_j and L_j = ln|d_j|; on a closed disc
+    about c clear of the atoms each ratio has a positive real part, so this
+    branch is continuous there.  Built where g is needed (L is -inf at an atom
+    at c).  value and slope (g') take a scalar, values and slopes an array."""
+
+    def __init__(self, split: _Split, c: complex):
+        self.c, self.coeffs, self.w = c, split.poly, split.weights
+        self.dcoeffs = tuple(k * a for k, a in enumerate(self.coeffs))[1:]
+        self.a = _complex(split.points)
+        self.d = c - self.a
+        self.L = np.log(np.abs(self.d))
+        self.terms = list(zip(self.a.tolist(), self.d.tolist(), self.L.tolist(), self.w.tolist()))
+
+    @staticmethod
+    def taylor(coeffs: tuple, c: complex) -> list:
+        """p's Taylor coefficients at c, low to high, by synthetic division."""
+        b = list(coeffs)
+        for i in range(len(b) - 1):
+            for j in range(len(b) - 2, i - 1, -1):
+                b[j] += c * b[j + 1]
+        return b
+
+    def value(self, z: complex) -> complex:
+        acc = 0j
+        for b in reversed(self.coeffs):
+            acc = acc * z + b
+        for a, d, L, w in self.terms:
+            acc += w * (L + cmath.log((z - a) / d))
+        return acc
+
+    def slope(self, z: complex) -> complex:
+        acc = 0j
+        for b in reversed(self.dcoeffs):
+            acc = acc * z + b
+        for a, *_, w in self.terms:
+            acc += w / (z - a)
+        return acc
+
+    def values(self, Z: np.ndarray) -> np.ndarray:
+        return _horner(self.coeffs, Z) + _dots(np.log((Z[:, None] - self.a) / self.d) + self.L,
+                                               self.w)
+
+    def slopes(self, Z: np.ndarray) -> np.ndarray:
+        return _horner(self.dcoeffs, Z) + _dots(1.0 / (Z[:, None] - self.a), self.w)
+
+
 _TERMS = 16  # the Fourier terms _circle_bound sums before its tail bound
 
 
-def _circle_bound(splits, center, rho: float, solid: bool) -> Optional[tuple]:
-    """(M, bound, margin) for F = F_pos - F_neg of splits (F_neg = 0 without
-    a second split) on the circle |x - c| = rho, c = center: M the mean of F
-    there and |F - M| <= bound on it, plus margin, far above the rounding of
-    F's values at points of the circle and of M and bound themselves.  None
-    where a split's rest is no planar polynomial (poly None), an atom lies
-    on the circle or, if solid, in the closed disk.
+def _circle_bound(split: _Split, center, rho: float, solid: bool) -> Optional[tuple]:
+    """(M, bound, margin) for the F of split on the circle |x - c| = rho,
+    c = center: M the mean of F there and |F - M| <= bound on it, plus
+    margin, far above the rounding of F's values at points of the circle and
+    of M and bound themselves.  None where F is not planar atomic (poly
+    None), an atom lies on the circle or, if solid, in the closed disk.
 
     On the circle, with delta = a - c and D = |delta| for an atom a of
     weight w, w ln|x - a| = w ln max(rho, D) - Re sum_k A_k e^{ikt} / k with
     A_k = w conj(delta / rho)^k (D < rho) or w (rho / delta)^k (D > rho),
     the Laurent series of the logarithm (Ransford, Potential Theory in the
     Complex Plane, 1995, ch. 2), and Re p(x) = Re sum_k b_k rho^k e^{ikt}
-    with b_k p's Taylor coefficients at c.  bound is sum_{k <= _TERMS} of
-    |the coefficients summed over atoms and p| plus sum |w| q^17 / (17 (1 - q)),
-    q = min(D / rho, rho / D), for the atoms' tails and |b_k| rho^k for p's
-    terms past _TERMS.  margin is 1e-9 times F's scale on the circle,
-    sum |w| (1 + max |ln|x - a||) + sum |p_k| (|c| + rho)^k, and times its
-    slope bound there, sum |w| / |D - rho| + sum k |p_k| (|c| + rho)^(k - 1),
-    times |c| + rho, for points rounded off the path.  Python floats: arrays
-    of a few atoms cost more per call than this arithmetic."""
-    if any(sp.poly is None for sp in splits):
+    with b_k p's Taylor coefficients at c (_Planar.taylor).  bound is the
+    sum_{k <= _TERMS} of |the coefficients summed over atoms and p| plus
+    sum |w| q^17 / (17 (1 - q)), q = min(D / rho, rho / D), for the atoms'
+    tails and |b_k| rho^k for p's terms past _TERMS.  margin is 1e-9 times
+    F's scale on the circle, sum |w| (1 + max |ln|x - a||) + sum |p_k|
+    (|c| + rho)^k, and times its slope bound there, sum |w| / |D - rho| +
+    sum k |p_k| (|c| + rho)^(k - 1), times |c| + rho, for points rounded off
+    the path.  Python floats: arrays of a few atoms cost more than this."""
+    if split.poly is None:
         return None
     c = complex(*center)
     far = abs(c) + rho
     coeffs = [0j] * (_TERMS + 1)
     mean = tail = size = slope = 0.0
-    for sign, sp in zip((1.0, -1.0), splits):
-        for (x, y), w in zip(sp.points.tolist(), sp.weights.tolist()):
-            w *= sign
-            delta = complex(x, y) - c
-            D = abs(delta)
-            if D < rho and not solid:
-                ratio, q, mean = (delta / rho).conjugate(), D / rho, mean + w * math.log(rho)
-            elif D > rho:
-                ratio, q, mean = rho / delta, rho / D, mean + w * math.log(D)
-            else:
-                return None
-            term = -w
-            for k in range(1, _TERMS + 1):
-                term *= ratio
-                coeffs[k] += term / k
-            tail += abs(w) * q ** (_TERMS + 1) / ((_TERMS + 1) * (1.0 - q))
-            size += abs(w) * (1.0 + max(abs(math.log(rho + D)), abs(math.log(abs(rho - D)))))
-            slope += abs(w) / abs(D - rho)
-        shifted = [sign * a for a in sp.poly]  # Taylor shift to c by synthetic division
-        for i in range(len(shifted) - 1):
-            for j in range(len(shifted) - 2, i - 1, -1):
-                shifted[j] += c * shifted[j + 1]
-        for k, (a, b) in enumerate(zip(sp.poly, shifted)):
-            size += abs(a) * far ** k
-            if k == 0:
-                mean += b.real
-                continue
-            slope += k * abs(a) * far ** (k - 1)
-            if k <= _TERMS:
-                coeffs[k] += b * rho ** k
-            else:
-                tail += abs(b) * rho ** k
+    for (x, y), w in zip(split.points.tolist(), split.weights.tolist()):
+        delta = complex(x, y) - c
+        D = abs(delta)
+        if D < rho and not solid:
+            ratio, q, mean = (delta / rho).conjugate(), D / rho, mean + w * math.log(rho)
+        elif D > rho:
+            ratio, q, mean = rho / delta, rho / D, mean + w * math.log(D)
+        else:
+            return None
+        term = -w
+        for k in range(1, _TERMS + 1):
+            term *= ratio
+            coeffs[k] += term / k
+        tail += abs(w) * q ** (_TERMS + 1) / ((_TERMS + 1) * (1.0 - q))
+        size += abs(w) * (1.0 + max(abs(math.log(rho + D)), abs(math.log(abs(rho - D)))))
+        slope += abs(w) / abs(D - rho)
+    for k, (a, b) in enumerate(zip(split.poly, _Planar.taylor(split.poly, c))):
+        size += abs(a) * far ** k
+        if k == 0:
+            mean += b.real
+            continue
+        slope += k * abs(a) * far ** (k - 1)
+        if k <= _TERMS:
+            coeffs[k] += b * rho ** k
+        else:
+            tail += abs(b) * rho ** k
     bound = sum(abs(a) for a in coeffs) + tail
     return mean, bound, 1e-9 * (size + far * slope)
 
 
-def _one_signed(path, splits) -> Optional[bool]:
-    """True where F_pos - F_neg of splits is proved > 0 on all of path, False
-    where it is proved < 0, None otherwise: the mean and bound of
-    _circle_bound on the circle of path.carrier(), which holds an arc, or on
-    the rim of its closed disk, which holds a segment; with every atom
-    outside that disk, F is harmonic there, and the maximum principle
-    carries the rim's sign inside.  A proof needs |M| - bound > margin."""
-    center, rho, solid = path.carrier()
-    found = _circle_bound(splits, center, rho, solid)
+def _one_signed(path, split: _Split) -> Optional[bool]:
+    """True where the F of split is proved > 0 on all of path, False where
+    it is proved < 0, None otherwise: the mean and bound of _circle_bound on
+    the circle of path.carrier(), which holds an arc, or on the rim of its
+    closed disk, which holds a segment; with every atom outside that disk,
+    F is harmonic there, and the maximum principle carries the rim's sign
+    inside.  A proof needs |M| - bound > margin."""
+    found = _circle_bound(split, *path.carrier())
     if found is None:
         return None
     mean, bound, margin = found
@@ -292,26 +339,25 @@ def _one_signed(path, splits) -> Optional[bool]:
     return None
 
 
-def _path_edges(signed, path, splits) -> tuple:
-    """(edges, up, nodes): where signed, which is F_pos - F_neg of splits,
-    is proved one-signed on path (_one_signed), the ends of path.span, its
-    class and 0: it is evaluated nowhere, and the scan would find no flip.
-    Otherwise _scan_edges."""
-    up = _one_signed(path, splits)
+def _path_edges(signed, path, split: _Split) -> tuple:
+    """(edges, up, nodes): where signed, the F of split, is proved
+    one-signed on path (_one_signed), the ends of path.span, its class and
+    0: it is evaluated nowhere, and the scan would find no flip.  Otherwise
+    _scan_edges."""
+    up = _one_signed(path, split)
     if up is not None:
         return list(path.span), up, 0
-    return _scan_edges(signed, path, splits)
+    return _scan_edges(signed, path, split)
 
 
-def _scan_edges(signed, path, splits) -> tuple:
+def _scan_edges(signed, path, split: _Split) -> tuple:
     """(edges, up, nodes): the ends of path.span with, between them, the
     flips of the class signed > 0 that _sign_changes finds on a closed
-    2048-cell grid plus the feet of the atoms of each split (so a window of
-    one class about an atom narrower than a cell is not lost); whether the
-    first piece is in the class; and the points signed was evaluated at."""
+    2048-cell grid plus the feet of split's atoms (so a window of one class
+    about an atom narrower than a cell is not lost); whether the first piece
+    is in the class; and the points signed was evaluated at."""
     lo, hi = path.span
-    feet = np.concatenate([path.feet(sp.points, lo, hi) for sp in splits])
-    x = np.union1d(lo + (hi - lo) * np.arange(2049) / 2048, feet)
+    x = np.union1d(lo + (hi - lo) * np.arange(2049) / 2048, path.feet(split.points, lo, hi))
     sizes = []  # the points of each call of signed: the scan, then each Illinois step
 
     def on_path(t):
@@ -328,23 +374,22 @@ def _path_integral(signed, pos: _Split, path, tol: float,
     segment or arc component, or _circle) of pos where signed > 0 and of neg
     (0 if None) elsewhere, to the absolute tolerance tol; all three act on
     points.  It integrates in dt over [lo, hi] = path.span to tol over the
-    density, and scales by the density last.  For every caller signed is
-    F_pos - F_neg of the splits pos and neg (F_neg = 0 when neg is None):
-    the one-sign certificate of _path_edges reads the splits alone.  Pieces
-    end at _path_edges, unless the caller hands them in as edges (its result
-    for these arguments), and the points it evaluated signed at join
-    nodes_used.  The rest of each class goes to one _integrate_pieces call
-    over its pieces, each cut into parts no wider than (hi - lo) / 8 and
-    given tol times its share of [lo, hi], and each atom adds
-    w integral_a^b k(|x(t) - p|) dt per piece [a, b] in closed form, whose
-    rounding bound joins the estimate: one path.kernel_integrals call per
-    class gives them for all its pieces, added piece by piece after its
-    quadrature.  So quadrature sees only integrands smooth between piece ends."""
+    density, and scales by the density last.  Pieces end at _path_edges of
+    signed and pos, which finds the sign of signed only where signed is
+    pos's F; otherwise, as for a neg (the canonical form's u* - v*), the
+    caller hands in as edges the result for signed's own split.  The points
+    _path_edges evaluated signed at join nodes_used.  The rest of each class
+    goes to one _integrate_pieces call over its pieces, each cut into parts
+    no wider than (hi - lo) / 8 and given tol times its share of [lo, hi],
+    and each atom adds w integral_a^b k(|x(t) - p|) dt per piece [a, b] in
+    closed form, whose rounding bound joins the estimate: one
+    path.kernel_integrals call per class gives them for all its pieces,
+    added piece by piece after its quadrature.  So quadrature sees only
+    integrands smooth between piece ends."""
     lo, hi = path.span
     density = path.weight / (hi - lo)
     tol = tol / max(density, 1e-300)
-    splits = [sp for sp in (pos, neg) if sp is not None]
-    breaks, up, scanned = edges or _path_edges(signed, path, splits)
+    breaks, up, scanned = edges or _path_edges(signed, path, pos)
     cap = (hi - lo) / 8.0
     total = QuadratureResult(0.0, 0.0, scanned)
     pieces = list(zip(breaks[:-1], breaks[1:]))  # the classes alternate
@@ -402,16 +447,12 @@ def nevanlinna_m(f: MeromorphicFn, r: float, tol: float = 1e-8) -> Characteristi
     if not r > 0:
         raise ValueError("r must be > 0")
 
-    def on_points(g):
-        return lambda pts: g(pts[:, 0] + 1j * pts[:, 1])
-
+    rest = replace(f, zeros=(), poles=()).log_abs
     atoms = f.zeros + tuple((b, -n) for b, n in f.poles)
-    poly = list(f.exponent) or [0j]  # ln|unit| + Re exponent(z)
-    poly[0] += math.log(abs(f.unit_factor))
-    split = _Split(on_points(replace(f, zeros=(), poles=()).log_abs),
+    split = _Split(lambda pts: rest(_complex(pts)),
                    np.array([(a.real, a.imag) for a, _ in atoms], dtype=float).reshape(-1, 2),
-                   np.array([m for _, m in atoms], dtype=float), tuple(poly))
-    res = _path_integral(on_points(f.log_abs), split, _circle(r), tol)
+                   np.array([m for _, m in atoms], dtype=float), f._rest_coeffs)
+    res = _path_integral(lambda pts: f.log_abs(_complex(pts)), split, _circle(r), tol)
     return CharacteristicRecord("m_classical", r, res.value, res.error_estimate)
 
 
@@ -468,8 +509,10 @@ def difference_characteristic_canonical(U: DeltaSubharmonicFn, r: float, R: floa
         raise ValueError(f"need 0 < r < R, got ({r}, {R})")
     u_star, v_star = canonical_representation(U)
     if U.dim == 2:  # u* where u* > v*, v* elsewhere
-        sup_mean = _path_integral(lambda pts: u_star.values(pts) - v_star.values(pts),
-                                  _split(u_star), _circle(R), tol, _split(v_star))
+        def signed(pts):
+            return u_star.values(pts) - v_star.values(pts)
+        edges = _path_edges(signed, _circle(R), _split(DeltaSubharmonicFn(u_star, v_star)))
+        sup_mean = _path_integral(signed, _split(u_star), _circle(R), tol, _split(v_star), edges)
     else:
         sup_mean = _sphere_mean(lambda pts: np.maximum(u_star.values(pts), v_star.values(pts)),
                                 R, U.dim, tol)

@@ -31,7 +31,6 @@ ScenarioError (geometry's coded ValueError) that the JSON reader passes on.
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 import time
@@ -45,8 +44,10 @@ import numpy as np
 from . import potentials
 from .characteristics import (
     CharacteristicRecord,
+    _complex,
     _path_edges,
     _path_integral,
+    _Planar,
     _sphere_means,
     _split,
     nevanlinna_N,
@@ -257,50 +258,7 @@ def _ball_integral(U, comp: UniformBall, tol: float) -> QuadratureResult:
                             nodes)
 
 
-class _Germ:
-    """g, analytic on a closed disc B(c, rho) clear of the charge of an
-    atomic d = 2 U, with Re g = U there: p(z), the harmonic polynomials of u
-    less v's, plus sum_j w_j [ln|c - p_j| + Log((z - p_j) / (c - p_j))] over
-    the atoms p_j of signed weight w_j.  Each ratio has a positive real part
-    on the disc, so this branch of Log is continuous there and V = Im g is
-    single-valued.  p is split.poly, U's rest on its split.  value and
-    slope (g') take a complex scalar, for the continuation; values and
-    slopes an array, for the Newton pass."""
-
-    def __init__(self, split, c: complex):
-        self.coeffs = split.poly
-        self.dcoeffs = tuple(k * a for k, a in enumerate(self.coeffs))[1:]
-        self.p = split.points[:, 0] + 1j * split.points[:, 1]
-        self.w = split.weights
-        self.d = c - self.p
-        self.L = np.log(np.abs(self.d))
-        self.terms = list(zip(self.p.tolist(), self.w.tolist(), self.d.tolist(), self.L.tolist()))
-
-    def value(self, z: complex) -> complex:
-        acc = 0j
-        for a in reversed(self.coeffs):
-            acc = acc * z + a
-        for p, w, d, L in self.terms:
-            acc += w * (L + cmath.log((z - p) / d))
-        return acc
-
-    def slope(self, z: complex) -> complex:
-        acc = 0j
-        for a in reversed(self.dcoeffs):
-            acc = acc * z + a
-        for p, w, _d, _L in self.terms:
-            acc += w / (z - p)
-        return acc
-
-    def values(self, Z: np.ndarray) -> np.ndarray:
-        return potentials._horner(self.coeffs, Z) + _dots(
-            np.log((Z[:, None] - self.p) / self.d) + self.L, self.w)
-
-    def slopes(self, Z: np.ndarray) -> np.ndarray:
-        return potentials._horner(self.dcoeffs, Z) + _dots(1.0 / (Z[:, None] - self.p), self.w)
-
-
-def _correct(germ: _Germ, z: complex, V: float, rho: float) -> Optional[complex]:
+def _correct(germ: _Planar, z: complex, V: float, rho: float) -> Optional[complex]:
     """Newton on g(z) = iV from z: the root once a step is below 1e-12 rho,
     or None after 8 steps."""
     for _ in range(8):
@@ -311,20 +269,19 @@ def _correct(germ: _Germ, z: complex, V: float, rho: float) -> Optional[complex]
     return None
 
 
-def _follow(germ: _Germ, zr: list, Vr: list, k: int, free: set, c: complex,
-            rho: float) -> Optional[tuple]:
-    """The arc of {U = 0} that enters B(c, rho) at the rim root zr[k], traced
-    by predictor-corrector continuation in V = Im g: an Euler step along
-    dz/dV = i / g' of arc length ds, which starts at rho / 8, doubles after a
-    step the corrector barely moved (to at most rho / 4), halves where
-    Newton (_correct) fails or moves the point by more than ds / 4, and
-    stays below half the distance to the nearest atom.  At the first point
-    outside, the arc leaves at the free root whose V lies in the last step
-    and which Newton from the last inside point reaches to 1e-8 rho.
+def _follow(germ: _Planar, zr: list, Vr: list, k: int, free: set, rho: float) -> Optional[tuple]:
+    """The arc of {U = 0} that enters B(germ.c, rho) at the rim root zr[k],
+    traced by predictor-corrector continuation in V = Im g: an Euler step
+    along dz/dV = i / g' of arc length ds, which starts at rho / 8, doubles
+    after a step the corrector barely moved (to at most rho / 4), halves
+    where Newton (_correct) fails or moves the point by more than ds / 4,
+    and stays below half the distance to the nearest atom.  At the first
+    point outside, the arc leaves at the free root whose V lies in the last
+    step and which Newton from the last inside point reaches to 1e-8 rho.
     Returns (that root's index, [(V, z, dz/dV)] from zr[k] to it), or None."""
     z, V = zr[k], Vr[k]
     dz = 1j / germ.slope(z)
-    s = -1.0 if (dz * (z - c).conjugate()).real > 0.0 else 1.0  # V's way in
+    s = -1.0 if (dz * (z - germ.c).conjugate()).real > 0.0 else 1.0  # V's way in
     pts = [(V, z, dz)]
     ds = rho / 8.0
     for _ in range(400):
@@ -337,7 +294,7 @@ def _follow(germ: _Germ, zr: list, Vr: list, k: int, free: set, c: complex,
             if ds < 1e-9 * rho:
                 return None
             continue
-        if abs(zn - c) > rho:
+        if abs(zn - germ.c) > rho:
             slack = 1e-6 * abs(h)
             out = sorted((j for j in free if s * (Vr[j] - V) > 0.0 and s * (Vr[j] - Vn) <= slack),
                          key=lambda j: abs(zr[j] - zn))
@@ -353,8 +310,8 @@ def _follow(germ: _Germ, zr: list, Vr: list, k: int, free: set, c: complex,
     return None
 
 
-def _zero_arcs(germ: _Germ, roots: np.ndarray, c: complex, rho: float) -> Optional[list]:
-    """The arcs of {U = 0} in B(c, rho) between the rim roots (complex),
+def _zero_arcs(germ: _Planar, roots: np.ndarray, rho: float) -> Optional[list]:
+    """The arcs of {U = 0} in B(germ.c, rho) between the rim roots (complex),
     each traced once from its first free root and paired with the root
     where it leaves (_follow); None where a trace or a pairing fails."""
     zr, Vr = roots.tolist(), germ.values(roots).imag.tolist()
@@ -363,7 +320,7 @@ def _zero_arcs(germ: _Germ, roots: np.ndarray, c: complex, rho: float) -> Option
     for k in range(len(zr)):
         if k in free:
             free.discard(k)
-            end = _follow(germ, zr, Vr, k, free, c, rho)
+            end = _follow(germ, zr, Vr, k, free, rho)
             if end is None:
                 return None
             free.discard(end[0])
@@ -371,8 +328,8 @@ def _zero_arcs(germ: _Germ, roots: np.ndarray, c: complex, rho: float) -> Option
     return arcs
 
 
-def _arc_sum(germ: _Germ, arcs: list, c: complex, rho: float, n: int) -> Optional[tuple]:
-    """(sum over the arcs of integral w(z(V)) dV, w = (|z - c|^2 - rho^2) / 4,
+def _arc_sum(germ: _Planar, arcs: list, rho: float, n: int) -> Optional[tuple]:
+    """(sum over the arcs of integral w(z(V)) dV, w = (|z - germ.c|^2 - rho^2) / 4,
     by n GL nodes in V between each arc's end roots, its rounding bound):
     each node's z starts at the cubic Hermite interpolant of its arc's
     traced points and solves g(z) = iV in one Newton pass over all nodes,
@@ -402,7 +359,7 @@ def _arc_sum(germ: _Germ, arcs: list, c: complex, rho: float, n: int) -> Optiona
             break
     else:
         return None
-    q = np.abs(Z - c)
+    q = np.abs(Z - germ.c)
     if not (np.all(q < rho) and np.all(np.abs(Z - start) <= 0.1 * rho)):
         return None
     w = 0.25 * (q - rho) * (q + rho)
@@ -419,10 +376,10 @@ def _arc_sum(germ: _Germ, arcs: list, c: complex, rho: float, n: int) -> Optiona
 
 def _green_ball_integral(U, comp: UniformBall, tol: float) -> Optional[QuadratureResult]:
     """The integral of U^+ over a d = 2 ball B(c, rho) of comp by Green's
-    second identity, where every charge of U is an atom outside the closed
-    ball, so U = Re g there (_Germ); None elsewhere, and wherever a step
-    fails or the estimate misses tol.  With w = (|x - c|^2 - rho^2) / 4,
-    which is 0 on the rim and has Laplacian 1,
+    second identity, where U is planar atomic (split.poly set) with every
+    atom outside the closed ball, so U = Re g there (_Planar about c); None
+    elsewhere, and wherever a step fails or the estimate misses tol.  With
+    w = (|x - c|^2 - rho^2) / 4, which is 0 on the rim and has Laplacian 1,
 
         integral over B and U > 0 of U dA
             = (rho / 2) integral over the rim of U^+ ds
@@ -436,35 +393,31 @@ def _green_ball_integral(U, comp: UniformBall, tol: float) -> Optional[Quadratur
     Otherwise each arc is traced (_zero_arcs) and integrated by GL in V
     (_arc_sum) with n = 8, 16, ..., 128 until the rim's estimate, the change
     from n / 2 to n and the rounding meet tol."""
-    if comp.dim != 2 or U.u.riesz.continuous.components or U.v.riesz.continuous.components:
-        return None
     split = _split(U)
     rho = comp.radius
-    if not np.all(_distances(split.points, np.asarray(comp.center)) > rho):
+    if split.poly is None or not np.all(_distances(split.points, np.asarray(comp.center)) > rho):
         return None
     rim = UniformArc(comp.center, rho, 0.0, TWO_PI, comp.weight)
-    edges = _path_edges(U.values, rim, [split])
-    c = complex(*comp.center)
-    germ = _Germ(split, c)
+    edges = _path_edges(U.values, rim, split)
+    germ = _Planar(split, complex(*comp.center))
     if len(edges[0]) == 2:  # no sign change on the rim
         if not edges[1]:
             return QuadratureResult(0.0, 0.0, edges[2])
-        value = comp.weight * germ.value(c).real
+        value = comp.weight * germ.value(germ.c).real
         scale = (abs(value) + comp.weight * float(_dots(np.abs(germ.w), np.abs(germ.L)))
-                 + comp.weight * sum(abs(a) * abs(c) ** k for k, a in enumerate(germ.coeffs)))
+                 + comp.weight * sum(abs(a) * abs(germ.c) ** k for k, a in enumerate(germ.coeffs)))
         return QuadratureResult(value, _ROUNDING * scale, edges[2])
     if len(edges[0]) % 2:  # an odd number of sign changes on a closed curve
         return None
     rim_part = _path_integral(U.values, split, rim, 0.5 * tol, edges=edges)
-    at = rim.at(np.array(edges[0][1:-1]))
-    arcs = _zero_arcs(germ, at[:, 0] + 1j * at[:, 1], c, rho)
+    arcs = _zero_arcs(germ, _complex(rim.at(np.array(edges[0][1:-1]))), rho)
     if arcs is None:
         return None
     density = comp.weight / (math.pi * rho * rho)
     nodes = len(arcs) * (8 + 16)
-    prev = _arc_sum(germ, arcs, c, rho, 8)
+    prev = _arc_sum(germ, arcs, rho, 8)
     for n in (16, 32, 64, 128):
-        cur = _arc_sum(germ, arcs, c, rho, n)
+        cur = _arc_sum(germ, arcs, rho, n)
         if prev is None or cur is None:
             return None
         err = rim_part.error_estimate + density * (abs(cur[0] - prev[0]) + cur[1])

@@ -366,13 +366,16 @@ class MeromorphicFn:
         return self._log_abs_model
 
     @cached_property
+    def _rest_coeffs(self) -> tuple:  # p, low to high: ln|f| = Re p + its zeros' and poles' terms
+        head = self.exponent[0] if self.exponent else 0j
+        return (head + math.log(abs(self.unit_factor)),) + self.exponent[1:]
+
+    @cached_property
     def _log_abs_model(self) -> DeltaSubharmonicFn:
         """to_delta_subharmonic(), built on first use and then shared."""
         zero_atoms = tuple(Atom((a.real, a.imag), float(m)) for a, m in self.zeros)
         pole_atoms = tuple(Atom((b.real, b.imag), float(n)) for b, n in self.poles)
-        coeffs = list(self.exponent) if self.exponent else [0j]
-        coeffs[0] = coeffs[0] + math.log(abs(self.unit_factor))
-        u = SubharmonicFn(HarmonicPolynomial(tuple(coeffs)), BorelMeasure(zero_atoms, 2))
+        u = SubharmonicFn(HarmonicPolynomial(self._rest_coeffs), BorelMeasure(zero_atoms, 2))
         v = SubharmonicFn(None, BorelMeasure(pole_atoms, 2))
         return DeltaSubharmonicFn(u, v)
 

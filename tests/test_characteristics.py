@@ -700,10 +700,10 @@ def test_one_kernel_integrals_call_per_sign_class_with_pieces(monkeypatch):
 
 
 # -- the one-sign certificate of the by-sign path integral -------------------
-# _one_signed proves F_pos - F_neg of the splits one-signed on a path from
-# the Laurent coefficients of its atoms and the Taylor shift of its
-# polynomial on the path's circle (or a segment's disk); _path_edges then
-# skips the scan, which is sound only where the scan finds no edge.
+# _one_signed proves the F of one split, the signed function's own, one-signed
+# on a path from the Laurent coefficients of its atoms and the Taylor shift
+# of its polynomial on the path's circle (or a segment's disk); _path_edges
+# then skips the scan, which is sound only where the scan finds no edge.
 
 _BENCH = Path(__file__).resolve().parents[1] / "bench"
 _BENCH_SCENARIOS = {"corpus": 396, "proof": 792, "sweep": 264}  # bench/run.py --seconds 22
@@ -722,15 +722,15 @@ def test_one_signed_paths_of_the_bench_workloads_have_no_scan_edge(monkeypatch, 
     path_edges = characteristics._path_edges
     paths, proved, wrong = [], [], []
 
-    def audited(signed, path, splits):
-        up = characteristics._one_signed(path, splits)
+    def audited(signed, path, split):
+        up = characteristics._one_signed(path, split)
         paths.append(path)
         if up is not None:
-            edges, first, _nodes = characteristics._scan_edges(signed, path, splits)
+            edges, first, _nodes = characteristics._scan_edges(signed, path, split)
             proved.append(path)
             if edges != list(path.span) or first != up:
                 wrong.append((path, edges, first, up))
-        return path_edges(signed, path, splits)
+        return path_edges(signed, path, split)
 
     monkeypatch.setattr(characteristics, "_path_edges", audited)
     monkeypatch.setattr(lab, "_path_edges", audited)
@@ -797,26 +797,27 @@ def _planar_paths(draw):
 
 
 def _two_forms(U):
-    """(signed, splits) as C^+ (U's one split) and as the canonical form
-    (u* over v*) hand them to _path_edges."""
+    """(signed, split) as C^+ (U's split) and as the canonical form (the
+    split of u* - v*) hand them to _path_edges."""
     u_star, v_star = canonical_representation(U)
-    return [(U.values, [_split(U)]),
-            (lambda pts: u_star.values(pts) - v_star.values(pts), [_split(u_star), _split(v_star)])]
+    return [(U.values, _split(U)),
+            (lambda pts: u_star.values(pts) - v_star.values(pts),
+             _split(DeltaSubharmonicFn(u_star, v_star)))]
 
 
 @settings(max_examples=200, deadline=None)
 @given(_planar_paths())
 def test_one_signed_proof_holds_on_a_dense_grid_of_the_path(case):
     U, path, kind = case
-    for signed, splits in _two_forms(U):
-        up = characteristics._one_signed(path, splits)
+    for signed, split in _two_forms(U):
+        up = characteristics._one_signed(path, split)
         event(f"{kind}: {'undecided' if up is None else 'proved'}")
         if up is None:
             continue
         lo, hi = path.span
         vals = signed(path.at(lo + (hi - lo) * np.arange(65536) / 65535))
         assert np.all((vals > 0.0) == up)
-        assert characteristics._path_edges(signed, path, splits) == ([lo, hi], up, 0)
+        assert characteristics._path_edges(signed, path, split) == ([lo, hi], up, 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -828,8 +829,8 @@ def test_one_signed_never_proves_a_path_through_a_root(case, at):
     split = _split(U)
     atoms = list(zip(map(tuple, split.points.tolist()), split.weights.tolist()))
     U = _with_value_at(U, split.poly, atoms, x, 0.0)
-    for _signed, splits in _two_forms(U):
-        assert characteristics._one_signed(path, splits) is None
+    for _signed, split in _two_forms(U):
+        assert characteristics._one_signed(path, split) is None
 
 
 def _mp_mean_and_max(poly, atoms, c, rho):
@@ -890,10 +891,64 @@ def _mp_cases():
 @pytest.mark.parametrize("poly, atoms, c, rho", _mp_cases())
 def test_one_signed_bound_holds_against_an_mpmath_maximum(poly, atoms, c, rho):
     split = _split(_planar_U(poly, atoms))
-    mean, bound, margin = characteristics._circle_bound([split], c, rho, False)
+    mean, bound, margin = characteristics._circle_bound(split, c, rho, False)
     mp_mean, mp_max = _mp_mean_and_max(poly, atoms, c, rho)
     scale = sum(abs(w) * (1.0 + abs(math.log(rho))) for _, w in atoms) + sum(map(abs, poly))
     assert abs(mean - mp_mean) <= 1e-13 * scale
     assert mp_max <= bound
     assert bound <= 1.5 * mp_max + 1e-3 * scale  # close enough to prove what it should
     assert 0.0 < margin < 1e-7 * (scale + bound)
+
+
+# -- the one model of planar atomic U ------------------------------------------
+# _Planar is U = Re g about a ball's centre, with g' in closed form: Green's
+# rule traces {U = 0} by g and g', in Python floats along an arc and in numpy
+# (whose log follows the dispatch target) at the GL nodes.
+
+
+def _planar_checks(U, comp):
+    """(|Re g - U|, |g' - central difference of g| over both axes, |scalar -
+    array| for g and g', each per point over its tolerance) at the centre of
+    the ball comp and 16 points at 0.5 and 0.95 of its radius."""
+    c, rho = complex(*comp.center), comp.radius
+    model = characteristics._Planar(_split(U), c)
+    angles = 2.0 * np.pi * np.arange(8) / 8.0
+    Z = np.concatenate([[c], c + 0.5 * rho * np.exp(1j * angles),
+                        c + 0.95 * rho * np.exp(1j * (angles + 0.2))])
+    G, dG = model.values(Z), model.slopes(Z)
+    out = []
+    for z, g, dg in zip(Z.tolist(), G.tolist(), dG.tolist()):
+        near = min(abs(z - a) for a, *_ in model.terms)
+        w = sum(abs(t[3]) for t in model.terms)
+        scale = 1.0 + sum(abs(t[3]) * (1.0 + abs(t[2]) + abs(math.log(abs(z - t[0]))))
+                          for t in model.terms) + sum(abs(a) * abs(z) ** k
+                                                      for k, a in enumerate(model.coeffs))
+        slope_scale = 1.0 + w / near + sum(k * abs(a) * abs(z) ** (k - 1)
+                                           for k, a in enumerate(model.coeffs))
+        U_z = float(U.values(np.array([[z.real, z.imag]]))[0])
+        h = 1e-5 * min(near, 1.0)
+        steps = np.array([z + h, z - h, z + 1j * h, z - 1j * h])
+        gs = model.values(steps).tolist()
+        diffs = [(gs[0] - gs[1]) / (2.0 * h), (gs[2] - gs[3]) / (2j * h)]
+        out.append((abs(g.real - U_z) / (1e-13 * scale),
+                    max(abs(d - dg) for d in diffs) / (1e-9 * (scale + w) / min(near, 1.0)),
+                    abs(model.value(z) - g) / (4.0 * _ROUNDING * scale),
+                    abs(model.slope(z) - dg) / (4.0 * _ROUNDING * slope_scale)))
+    return out
+
+
+@pytest.mark.parametrize("family", ["disk", "disk_union"])
+def test_planar_model_is_u_with_its_slope_on_every_green_ball_of_seed_42(family):
+    # every ball of the family's 200 seed-42 scenarios with all atoms outside
+    # it: Re g equals U.values, g' a central difference of g along either
+    # axis, and the scalar forms the array forms, each within its rounding
+    worst, balls = [0.0] * 4, 0
+    for k in range(200):
+        s = lab.generate_scenario(42, k, family)
+        for comp in s.mu.components:
+            if np.all(_distances(_split(s.U).points, np.asarray(comp.center)) > comp.radius):
+                balls += 1
+                for row in _planar_checks(s.U, comp):
+                    worst = [max(a, b) for a, b in zip(worst, row)]
+    assert balls > 150
+    assert max(worst) <= 1.0, worst

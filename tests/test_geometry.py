@@ -1,6 +1,7 @@
 import ast
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -318,3 +319,36 @@ def test_pass_and_fail_are_decided_only_by_the_verdict_rule():
                       if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
                       and node.id in ("PASS", "FAIL")]
     assert found == []
+
+
+_G_METHODS = {"value", "slope", "values", "slopes"}  # characteristics._Planar's g and g'
+
+
+def test_planar_atomic_u_has_one_model():
+    # characteristics._Planar is the one model of planar atomic U: lab has no
+    # class of its own that evaluates g and imports neither cmath nor
+    # potentials._horner, the sign finder takes no list of splits, and src
+    # has one synthetic-division Taylor shift and one conversion of point
+    # rows to complex numbers
+    lab_classes, lab_imports, splits, shifts, rows = [], [], [], [], []
+    for where, node in _src_nodes():
+        name = where.split(":")[0]
+        if name == "lab.py" and isinstance(node, ast.ClassDef):
+            lab_classes += [f"{where} {node.name}" for f in node.body
+                            if isinstance(f, ast.FunctionDef) and f.name in _G_METHODS]
+        if name == "lab.py" and isinstance(node, ast.Import):
+            lab_imports += [f"{where} {a.name}" for a in node.names if a.name == "cmath"]
+        if name == "lab.py" and isinstance(node, ast.ImportFrom):
+            lab_imports += [f"{where} {a.name}" for a in node.names if a.name == "_horner"]
+        if name == "lab.py" and _attribute_of(node, ("potentials",)) == "_horner":
+            lab_imports.append(f"{where} potentials._horner")
+        if name == "characteristics.py" and isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            splits += [where for a in node.args.args if a.arg == "splits"]
+        if isinstance(node, ast.AugAssign) and re.fullmatch(
+                r"(\w+)\[(\w+)\] \+= \w+ \* \1\[\2 \+ 1\]", ast.unparse(node)):
+            shifts.append(where)
+        if isinstance(node, ast.BinOp) and re.fullmatch(
+                r"([\w.]+)\[:, 0\] \+ 1j \* \1\[:, 1\]", ast.unparse(node)):
+            rows.append(where)
+    assert lab_classes == [] and lab_imports == [] and splits == []
+    assert len(shifts) == 1 and len(rows) == 1, (shifts, rows)

@@ -926,9 +926,9 @@ def test_green_rule_counts_every_point_it_evaluates(monkeypatch):
     monkeypatch.setattr(lab, "_split", lambda U: split(U)._replace(
         rest=_counted(split(U).rest, seen)))
 
-    def counted_arc_sum(germ, arcs, c, rho, n):
+    def counted_arc_sum(germ, arcs, rho, n):
         arc_nodes.append(len(arcs) * n)
-        return arc_sum(germ, arcs, c, rho, n)
+        return arc_sum(germ, arcs, rho, n)
 
     monkeypatch.setattr(lab, "_arc_sum", counted_arc_sum)
     for k in (2, 14, 82):
@@ -940,7 +940,7 @@ def test_green_rule_counts_every_point_it_evaluates(monkeypatch):
         assert res.nodes_used == sum(seen) + sum(arc_nodes), s.scenario_id
         assert bool(arc_nodes) == (k == 82), s.scenario_id
         rim = UniformArc(comp.center, comp.radius, 0.0, 2.0 * math.pi, comp.weight)
-        proved = characteristics._one_signed(rim, [split(s.U)])
+        proved = characteristics._one_signed(rim, split(s.U))
         assert (proved is None) == (k == 82), s.scenario_id
         if proved is None:
             assert res.nodes_used > 2049, s.scenario_id
