@@ -21,18 +21,20 @@ quadrature sees only the rest.  Along a path -- a segment or arc component
 of a measure (lab), or the circle |x| = r as a full arc of mass 1 (_circle)
 -- whose span, at, feet and kernel_integrals it reads, _path_integral
 integrates the rest against the path's uniform measure over the pieces where
-the sign of U is constant, ended at Illinois roots (_sign_changes) so a kink
-of U^+ is a panel edge, in one _integrate_pieces call per sign, and adds each
-atom's potential of every piece of that sign from one kernel_integrals call;
-so C_{U^+}(r) and lab's integral of U^+ d mu are one rule.  The piece ends
-come from _path_edges, given the split of the function whose sign they
-follow (U's, or u* - v*'s), whose roots on a planar ball's rim also start
-the arcs of {U = 0} that lab's Green rule traces.  It first asks
-_one_signed: where U is planar atomic (_Split.poly; its one model is
-_Planar), U on the circle the path lies on, or bounds the disk of, is its
-mean plus a Fourier series from the atoms' Laurent series and the
-polynomial's Taylor shift (_circle_bound); a mean larger than their sum
-proves one sign, and such a path is evaluated nowhere.  Every other path
+the sign of U is constant, ended at the roots of the scan (Newton in Python
+floats where U is planar atomic, _newton_changes, and Illinois otherwise,
+_sign_changes) so a kink of U^+ is a panel edge, in one _integrate_pieces
+call per sign, and adds each atom's potential of every piece of that sign
+from one kernel_integrals call; so C_{U^+}(r) and lab's integral of U^+ d mu
+are one rule.  The piece ends come from _path_edges, given the split of
+the function whose sign they follow (U's, or u* - v*'s), whose roots on a
+planar ball's rim also start the arcs of {U = 0} that lab's Green rule
+traces.  It first asks _one_signed: where U is planar atomic
+(_Split.poly; its one model is _Planar), U on the circle the path lies
+on, or bounds the disk of, is its mean plus a Fourier series from the
+atoms' Laurent series and the polynomial's Taylor shift (_circle_bound); a
+mean larger than their sum proves one sign, and such a path is evaluated
+nowhere.  Every other path
 (continuous charges, d = 3, undecided) is scanned (_scan_edges).  A mean over a
 sphere (_identity_mean) takes each atom by Gauss's mean value theorem.  The
 remaining means are _sphere_mean.
@@ -44,7 +46,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -53,9 +55,8 @@ from .measures import UniformArc, integrated_counting_result
 from .potentials import (
     DeltaSubharmonicFn,
     MeromorphicFn,
-    SubharmonicFn,
-    _combine_harmonics,
     _horner,
+    _Split,
     canonical_representation,
     jordan_decomposition,
 )
@@ -120,32 +121,10 @@ def _sphere_means(values, r: float, dim: int, tol: float) -> list:
     return _circle_means(g, tol) if dim == 2 else _sphere_means_3d(g, tol)
 
 
-class _Split(NamedTuple):
-    """F = rest + sum_j weights[j] k(|x - points[j]|), with rest (points ->
-    values) F without its charge atoms: smooth about them, no cancellation.
-    poly holds p, low to high, with rest = Re p(z) where F is planar atomic
-    (its model is _Planar; () for p = 0), and is None otherwise (continuous
-    charges, d = 3).  The sign finder (_path_edges) takes F's own split."""
-
-    rest: Callable
-    points: np.ndarray   # (n, d)
-    weights: np.ndarray  # (n,), signed
-    poly: Optional[tuple]
-
-
 def _split(F) -> _Split:
-    """A SubharmonicFn, or a DeltaSubharmonicFn with the atoms of u at +w and
-    those of v at -w, split into its atoms and the rest."""
-    parts = [(F, 1.0)] if isinstance(F, SubharmonicFn) else [(F.u, 1.0), (F.v, -1.0)]
-    atoms = [(a.point, sign * a.weight) for sub, sign in parts for a in sub.riesz.atoms]
-    bare = [replace(sub, riesz=sub.riesz.continuous) for sub, _sign in parts]
-    rest = bare[0] if len(bare) == 1 else DeltaSubharmonicFn(*bare)
-    poly = None
-    if F.dim == 2 and not any(sub.riesz.components for sub in bare):
-        harmonic = _combine_harmonics(bare[0].harmonic, bare[1].harmonic if bare[1:] else None)
-        poly = () if harmonic is None else harmonic.coeffs
-    return _Split(rest.values, np.array([p for p, _ in atoms], dtype=float).reshape(-1, F.dim),
-                  np.array([w for _, w in atoms], dtype=float), poly)
+    """F's split into its atoms and the rest (potentials._split_parts),
+    built once per model and then shared."""
+    return F._split
 
 
 def _identity_mean(split: _Split, r: float, dim: int, tol: float) -> QuadratureResult:
@@ -166,7 +145,9 @@ def _sign_changes(evaluator, x, fx) -> list:
     inside; a bracket bisects where an end is not finite, the secant's
     denominator is 0 (a subnormal end halved to 0) or it has not halved in
     two steps.  A bracket's state is Python floats, one list entry each:
-    arrays of a few brackets cost more per step than the arithmetic."""
+    arrays of a few brackets cost more per step than the arithmetic.  The
+    refinement of paths that are not planar atomic (continuous charges,
+    d = 3), and of those _newton_changes hands back."""
     up = fx > 0.0
     i = np.flatnonzero(up[:-1] != up[1:])
     lo, hi, f_lo, f_hi = x[i].tolist(), x[i + 1].tolist(), fx[i].tolist(), fx[i + 1].tolist()
@@ -219,15 +200,19 @@ class _Planar:
     signed weight w_j, d_j = c - a_j and L_j = ln|d_j|; on a closed disc
     about c clear of the atoms each ratio has a positive real part, so this
     branch is continuous there.  Built where g is needed (L is -inf at an atom
-    at c).  value and slope (g') take a scalar, values and slopes an array."""
+    at c).  value and slope (g') take a scalar, values and slopes an array.
+    level (F) and slope need no centre: without c, the model has no g."""
 
-    def __init__(self, split: _Split, c: complex):
+    def __init__(self, split: _Split, c: Optional[complex] = None):
         self.c, self.coeffs, self.w = c, split.poly, split.weights
         self.dcoeffs = tuple(k * a for k, a in enumerate(self.coeffs))[1:]
         self.a = _complex(split.points)
-        self.d = c - self.a
-        self.L = np.log(np.abs(self.d))
-        self.terms = list(zip(self.a.tolist(), self.d.tolist(), self.L.tolist(), self.w.tolist()))
+        self.atoms = list(zip(self.a.tolist(), self.w.tolist()))
+        if c is not None:
+            self.d = c - self.a
+            self.L = np.log(np.abs(self.d))
+            self.terms = list(zip(self.a.tolist(), self.d.tolist(), self.L.tolist(),
+                                  self.w.tolist()))
 
     @staticmethod
     def taylor(coeffs: tuple, c: complex) -> list:
@@ -246,11 +231,18 @@ class _Planar:
             acc += w * (L + cmath.log((z - a) / d))
         return acc
 
+    def level(self, z: complex) -> float:
+        """F(z) = Re p(z) + sum_j w_j ln|z - a_j|; ValueError at an atom."""
+        acc = 0j
+        for b in reversed(self.coeffs):
+            acc = acc * z + b
+        return acc.real + sum(w * math.log(abs(z - a)) for a, w in self.atoms)
+
     def slope(self, z: complex) -> complex:
         acc = 0j
         for b in reversed(self.dcoeffs):
             acc = acc * z + b
-        for a, *_, w in self.terms:
+        for a, w in self.atoms:
             acc += w / (z - a)
         return acc
 
@@ -352,20 +344,79 @@ def _path_edges(signed, path, split: _Split) -> tuple:
 
 def _scan_edges(signed, path, split: _Split) -> tuple:
     """(edges, up, nodes): the ends of path.span with, between them, the
-    flips of the class signed > 0 that _sign_changes finds on a closed
-    2048-cell grid plus the feet of split's atoms (so a window of one class
-    about an atom narrower than a cell is not lost); whether the first piece
-    is in the class; and the points signed was evaluated at."""
+    flips of the class signed > 0 on a closed 2048-cell grid plus the feet
+    of split's atoms (so a window of one class about an atom narrower than a
+    cell is not lost), refined by _newton_changes where F is planar atomic
+    and by _sign_changes elsewhere or where Newton hands the path back;
+    whether the first piece is in the class; and the points signed and the
+    Newton steps were evaluated at."""
     lo, hi = path.span
     x = np.union1d(lo + (hi - lo) * np.arange(2049) / 2048, path.feet(split.points, lo, hi))
-    sizes = []  # the points of each call of signed: the scan, then each Illinois step
+    sizes = []  # the points evaluated: the scan, the Newton steps, each Illinois step
 
     def on_path(t):
         sizes.append(t.size)
         return signed(path.at(t))
 
     fx = np.asarray(on_path(x), dtype=float)
-    return [lo] + _sign_changes(on_path, x, fx) + [hi], bool(fx[0] > 0.0), sum(sizes)
+    roots = None
+    if split.poly is not None:
+        roots, steps = _newton_changes(path, split, x, fx)
+        sizes.append(steps)
+    if roots is None:
+        roots = _sign_changes(on_path, x, fx)
+    return [lo] + roots + [hi], bool(fx[0] > 0.0), sum(sizes)
+
+
+_NEWTON = 60  # the steps a bracket may take before _newton_changes hands the path back
+
+
+def _newton_changes(path, split: _Split, x, fx) -> tuple:
+    """(roots, steps): where the class F > 0 of the planar atomic F of split
+    flips between scan nodes x[i] < x[i + 1] of values fx, each bracket
+    refined by safeguarded Newton in Python floats on F(t) = F(z(t)) and
+    F'(t) = Re(g'(z) z'(t)) (_Planar.level and slope, path.z_at) from its
+    secant point; the root is the bracket's midpoint once it is no wider
+    than _sign_changes' close width.  Each step keeps the end of its sign.
+    It bisects where Newton would leave the bracket or F' is 0 or not
+    finite, and a Newton step no longer than half that width goes on by the
+    half, across the root: that closes the bracket at a root, and moves an
+    end past a tangency of F = 0 that is no flip, to which a step rule
+    alone would converge.  roots is None, and the path goes whole to
+    _sign_changes, where a bracket end is not finite (an atom's foot), a
+    step lands on an atom or a bracket is open after _NEWTON steps; steps
+    counts the points evaluated either way."""
+    up = fx > 0.0
+    i = np.flatnonzero(up[:-1] != up[1:])
+    f_lo, f_hi = fx[i].tolist(), fx[i + 1].tolist()
+    if not all(map(math.isfinite, f_lo + f_hi)):
+        return None, 0
+    model, span, roots, steps = _Planar(split), float(x[-1] - x[0]), [], 0
+    for a, b, fa, fb, a_up in zip(x[i].tolist(), x[i + 1].tolist(), f_lo, f_hi, up[i].tolist()):
+        close = _CLOSE * max(-a, b, span)  # a < b: max(|a|, |b|)
+        half = 0.5 * close
+        t = min(max(a + (b - a) * (fa / (fa - fb)), a), b)
+        for _ in range(_NEWTON):
+            z, dz = path.z_at(t)
+            steps += 1
+            try:
+                f, df = model.level(z), (model.slope(z) * dz).real
+            except (ValueError, ZeroDivisionError):  # z on an atom
+                return None, steps
+            if (f > 0.0) == a_up:
+                a, across = t, half
+            else:
+                b, across = t, -half
+            if b - a <= close:
+                roots.append(0.5 * (a + b))
+                break
+            nxt = t - f / df if df != 0.0 and math.isfinite(df) else math.nan
+            if abs(nxt - t) <= half:
+                nxt += across
+            t = nxt if a < nxt < b else 0.5 * (a + b)
+        else:
+            return None, steps
+    return roots, steps
 
 
 def _path_integral(signed, pos: _Split, path, tol: float,

@@ -54,6 +54,7 @@ whether its second-order cover applies: in d=2 with every component a ball.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -282,6 +283,12 @@ class UniformSegment:
             pts[:, k] = self.start[k] + s * step[k]
         return pts
 
+    def z_at(self, s: float) -> tuple:
+        """(z(s), z'(s)) of a planar segment, z = x + iy: one point in Python floats."""
+        a = complex(*self.start)
+        step = complex(*self.end) - a
+        return a + s * step, step
+
     def carrier(self) -> tuple:
         """(center, radius, True): the closed ball with the segment as a
         diameter, which holds the segment."""
@@ -497,6 +504,11 @@ class UniformArc:
         (cx, cy), r, pts = self.center, self.radius, np.empty((2, np.size(t))).T
         pts[:, 0], pts[:, 1] = cx + r * np.cos(t), cy + r * np.sin(t)
         return pts
+
+    def z_at(self, t: float) -> tuple:
+        """(z(t), z'(t)), z = x + iy: one point in Python floats."""
+        e = cmath.rect(self.radius, t)
+        return complex(*self.center) + e, 1j * e
 
     def carrier(self) -> tuple:
         """(center, radius, False): the circle the arc lies on."""

@@ -64,7 +64,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -210,6 +210,38 @@ def potential_values(measure: BorelMeasure, pts: np.ndarray) -> np.ndarray:
 # the function models
 
 
+class _Split(NamedTuple):
+    """F = rest + sum_j weights[j] k(|x - points[j]|), with rest (points ->
+    values) F without its charge atoms: smooth about them, no cancellation.
+    poly holds p, low to high, with rest = Re p(z) where F is planar atomic
+    (its model is characteristics._Planar; () for p = 0), and is None
+    otherwise (continuous charges, d = 3).  A model's split is built once,
+    on first use (its cached _split), and shared by every caller, so its
+    arrays are read-only."""
+
+    rest: Callable
+    points: np.ndarray   # (n, d)
+    weights: np.ndarray  # (n,), signed
+    poly: Optional[tuple]
+
+
+def _split_parts(F) -> _Split:
+    """A SubharmonicFn, or a DeltaSubharmonicFn with the atoms of u at +w and
+    those of v at -w, split into its atoms and the rest."""
+    parts = [(F, 1.0)] if isinstance(F, SubharmonicFn) else [(F.u, 1.0), (F.v, -1.0)]
+    atoms = [(a.point, sign * a.weight) for sub, sign in parts for a in sub.riesz.atoms]
+    bare = [replace(sub, riesz=sub.riesz.continuous) for sub, _sign in parts]
+    rest = bare[0] if len(bare) == 1 else DeltaSubharmonicFn(*bare)
+    poly = None
+    if F.dim == 2 and not any(sub.riesz.components for sub in bare):
+        harmonic = _combine_harmonics(bare[0].harmonic, bare[1].harmonic if bare[1:] else None)
+        poly = () if harmonic is None else harmonic.coeffs
+    points = np.array([p for p, _ in atoms], dtype=float).reshape(-1, F.dim)
+    weights = np.array([w for _, w in atoms], dtype=float)
+    points.flags.writeable = weights.flags.writeable = False
+    return _Split(rest.values, points, weights, poly)
+
+
 @dataclass(frozen=True)
 class SubharmonicFn:
     """harmonic part + kernel potential of a positive measure (its Riesz mass),
@@ -226,6 +258,8 @@ class SubharmonicFn:
     @property
     def dim(self) -> int:
         return self.riesz.dim
+
+    _split = cached_property(_split_parts)
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         return self._values(np.atleast_2d(np.asarray(pts, dtype=float)))
@@ -257,6 +291,8 @@ class DeltaSubharmonicFn:
     def _jordan(self):
         """jordan_decomposition(self), computed on first use and then shared."""
         return _jordan_parts(self)
+
+    _split = cached_property(_split_parts)
 
     def values_with_polar(self, pts: np.ndarray):
         """(U values, polar mask); entries under the mask are meaningless.

@@ -316,12 +316,14 @@ def test_criterion_10_corpus_determinism(tmp_path):
         assert outs[0] == outs[1]
         # the corpus bytes are frozen: a refactor must reproduce them exactly,
         # on each numpy dispatch target (test_cli.pin)
-        assert hashlib.md5(outs[0]).hexdigest() == pin("6df56b66f545d014e9803998a65bb115",
-                                                       "a1715ad19b6408ffbb9526d8a580f76d")
+        assert hashlib.md5(outs[0]).hexdigest() == pin("9230e02b30a959d82b5332f221d7785f",
+                                                       "2a50bcbf123693add4fba79334d52677")
         # so are the proof-ingredient checks (Ux, U+B, dBr) next to the UR
-        # family, the same bytes on either target
-        for family, digest in (("atomic_mu", "4c4be1566fcfb11e4700860bd0667014"),
-                               ("charges", "f164cbc3fb67e96fbcedbf6c2f7c1ebb")):
+        # family: atomic_mu the same bytes on either target, charges not, as
+        # its Newton roots start from secant points of numpy's values
+        for family, digest in (("atomic_mu", "56c18e21f2662e5c0caaf516a521962b"),
+                               ("charges", pin("47c8ecdb6e4ccadf228e51ee8ea1be33",
+                                               "7603c1fa3da6e4eecc041711361aea2c"))):
             proc = subprocess.run(
                 [sys.executable, "-m", "deltasubh.cli", "corpus", "--families", family,
                  "--checks", "UR,UR2,UR2f,UR2fr,Ux,U+B,dBr", "--seed", "7", "--count", "12"],

@@ -658,12 +658,24 @@ def _counted(g, seen: list):
     return on_points
 
 
-def test_path_integral_counts_every_point_it_evaluates():
-    # nodes_used is every point that signed and the splits' rest see: the
-    # sign scan (2,049 nodes and the atom feet), each Illinois step, and the
-    # adaptive GL nodes of both classes
+def _counted_newton(monkeypatch, seen: list):
+    """Record each point _Planar.level takes, one Newton step each, in seen."""
+    level = characteristics._Planar.level
+
+    def counted(self, z):
+        seen.append(1)
+        return level(self, z)
+
+    monkeypatch.setattr(characteristics._Planar, "level", counted)
+
+
+def test_path_integral_counts_every_point_it_evaluates(monkeypatch):
+    # nodes_used is every point that signed, the Newton steps and the
+    # splits' rest see: the sign scan (2,049 nodes and the atom feet), each
+    # Newton step, and the adaptive GL nodes of both classes
     U = _mero(zeros=[(0.5 + 0.2j, 1), (-1.1j, 2)], poles=[(0.9, 1)], unit=1.3).to_delta_subharmonic()
     seen = []
+    _counted_newton(monkeypatch, seen)
     split = _split(U)
     split = split._replace(rest=_counted(split.rest, seen))
     for path in (characteristics._circle(1.05), UniformSegment((-1.0, 0.3), (1.2, -0.4), 1.0)):
@@ -709,16 +721,24 @@ _BENCH = Path(__file__).resolve().parents[1] / "bench"
 _BENCH_SCENARIOS = {"corpus": 396, "proof": 792, "sweep": 264}  # bench/run.py --seconds 22
 
 
-@pytest.mark.parametrize("seed", [42, 13])
-@pytest.mark.parametrize("workload", ["corpus", "proof", "sweep"])
-def test_one_signed_paths_of_the_bench_workloads_have_no_scan_edge(monkeypatch, workload, seed):
-    # every by-sign path of the workload and its correctness gate: where the
-    # certificate holds, the full scan finds no edge and starts in its class
+def _run_bench_workload(monkeypatch, workload, seed):
+    """The scenarios of the workload's 22-s bench run, each through its
+    correctness gate."""
     monkeypatch.syspath_prepend(str(_BENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
     monkeypatch.delitem(sys.modules, "workloads", raising=False)
     import workloads
 
+    for k in range(_BENCH_SCENARIOS[workload]):
+        s, out = workloads.run_scenario(workload, seed, k)
+        assert workloads.check(workload, s, out) == [], s.scenario_id
+
+
+@pytest.mark.parametrize("seed", [42, 13])
+@pytest.mark.parametrize("workload", ["corpus", "proof", "sweep"])
+def test_one_signed_paths_of_the_bench_workloads_have_no_scan_edge(monkeypatch, workload, seed):
+    # every by-sign path of the workload and its correctness gate: where the
+    # certificate holds, the full scan finds no edge and starts in its class
     path_edges = characteristics._path_edges
     paths, proved, wrong = [], [], []
 
@@ -734,11 +754,151 @@ def test_one_signed_paths_of_the_bench_workloads_have_no_scan_edge(monkeypatch, 
 
     monkeypatch.setattr(characteristics, "_path_edges", audited)
     monkeypatch.setattr(lab, "_path_edges", audited)
-    for k in range(_BENCH_SCENARIOS[workload]):
-        s, out = workloads.run_scenario(workload, seed, k)
-        assert workloads.check(workload, s, out) == [], s.scenario_id
+    _run_bench_workload(monkeypatch, workload, seed)
     assert wrong == []
     assert 0.25 * len(paths) < len(proved) < len(paths)
+
+
+# -- the Newton refinement of the scan's flips ---------------------------------
+# Where F is planar atomic, _scan_edges refines each flip of the scan by
+# safeguarded Newton on _Planar's F and g' in Python floats
+# (_newton_changes); Illinois (_sign_changes) is the reference, and takes a
+# path Newton hands back.
+
+def _recorded_newton(monkeypatch, handed: list):
+    """Record in handed each path _newton_changes hands back to Illinois."""
+    newton_changes = characteristics._newton_changes
+
+    def recorded(path, split, x, fx):
+        found, steps = newton_changes(path, split, x, fx)
+        if found is None:
+            handed.append(path)
+        return found, steps
+
+    monkeypatch.setattr(characteristics, "_newton_changes", recorded)
+
+
+@pytest.mark.parametrize("seed", [42, 13])
+@pytest.mark.parametrize("workload", ["corpus", "proof", "sweep"])
+def test_newton_roots_on_the_bench_workloads_equal_illinois(monkeypatch, workload, seed):
+    # every scanned planar atomic path of the workload and its gate: the
+    # same flips as Illinois, each within 1e-12 of the path's scale, and no
+    # path handed back
+    scan_edges = characteristics._scan_edges
+    roots, wrong, handed = [], [], []
+
+    def audited(signed, path, split):
+        got = scan_edges(signed, path, split)
+        if split.poly is not None:
+            ref = scan_edges(signed, path, split._replace(poly=None))  # Illinois
+            lo, hi = path.span
+            scale = max(abs(lo), abs(hi), hi - lo)
+            roots.extend(got[0][1:-1])
+            if len(got[0]) != len(ref[0]) or got[1] != ref[1] or any(
+                    abs(a - b) > 1e-12 * scale for a, b in zip(got[0], ref[0])):
+                wrong.append((path, got[0], ref[0]))
+        return got
+
+    monkeypatch.setattr(characteristics, "_scan_edges", audited)
+    _recorded_newton(monkeypatch, handed)
+    _run_bench_workload(monkeypatch, workload, seed)
+    assert wrong == [] and handed == []
+    assert len(roots) > 100
+
+
+def test_newton_hands_a_path_through_an_atom_to_illinois(monkeypatch):
+    # U = ln|z| + Re(8 - 10 z) on [-1, 1] is -inf at its atom's foot s = 1/2,
+    # a scan node, and > 0 at the nodes beside it: two brackets with a
+    # non-finite end, and a third flip by x = 0.78
+    U = _planar_U((8.0 + 0j, -10.0 + 0j), [((0.0, 0.0), 1.0)])
+    path = UniformSegment((-1.0, 0.0), (1.0, 0.0), 1.0)
+    split = _split(U)
+    handed = []
+    _recorded_newton(monkeypatch, handed)
+    got = characteristics._scan_edges(U.values, path, split)
+    assert handed == [path] and len(got[0]) == 5
+    assert got == characteristics._scan_edges(U.values, path, split._replace(poly=None))
+
+
+def test_newton_bisects_where_its_step_leaves_the_bracket(monkeypatch):
+    # U = Re((z - v)^2) - m^2 on [-1, 1], its vertex v 0.01 of a scan cell
+    # right of the node x_k and its roots v -+ m, m 0.02 of a cell: each
+    # bracket holds a root and, at or by its end x_k, a point where F' = 0.
+    # From the right bracket's secant point by x_k, where F' < 0, Newton
+    # heads for the left root, out of the bracket, and the step bisects;
+    # both roots stay in their brackets and equal the exact ones
+    cell = 2.0 / 2048
+    xk = -1.0 + 1100 * cell
+    v, m = xk + 0.01 * cell, 0.02 * cell
+    U = _planar_U((complex(v * v - m * m), complex(-2.0 * v), 1.0 + 0j), [])
+    path = UniformSegment((-1.0, 0.0), (1.0, 0.0), 1.0)
+    ts, handed = [], []
+    z_at = UniformSegment.z_at
+    monkeypatch.setattr(UniformSegment, "z_at", lambda self, t: ts.append(t) or z_at(self, t))
+    _recorded_newton(monkeypatch, handed)
+    edges, up, _nodes = characteristics._scan_edges(U.values, path, _split(U))
+    s = [1099 / 2048, 1100 / 2048, 1101 / 2048]  # the nodes x_(k-1), x_k, x_(k+1)
+    assert handed == [] and up and len(edges) == 4
+    assert s[0] < edges[1] < s[1] < edges[2] < s[2]
+    assert abs(edges[1] - 0.5 * (1.0 + v - m)) <= 1e-12
+    assert abs(edges[2] - 0.5 * (1.0 + v + m)) <= 1e-12
+    right = [t for t in ts if t > s[1]]
+    assert right[1] == 0.5 * (right[0] + s[2])  # the first step bisects
+
+
+@pytest.mark.parametrize("alpha, rho", [(0.05, 0.3), (0.1, 0.5), (0.05, 0.8)])
+def test_newton_steps_past_a_tangency_that_is_no_flip(monkeypatch, alpha, rho):
+    # U = Re(z^3 - r z^2) = x^2 (x - r) on a segment of the real axis whose
+    # scan cell holds the double root x = 0 (F = F' = 0, no flip), alpha of
+    # a cell right of the node before it, and the flip x = r, r = rho cells:
+    # the secant point lies left of x = 0, and Newton converges to the
+    # tangency from there, U < 0 on both sides, so a rule that stops on a
+    # short step would return it; the step across it keeps U < 0 and moves
+    # the bracket past it, to the flip
+    cell = 2.0 / 2048
+    shift, r = -alpha * cell, rho * cell
+    path = UniformSegment((-1.0 + shift, 0.0), (1.0 + shift, 0.0), 1.0)
+    U = _planar_U((0j, 0j, complex(-r), 1.0 + 0j), [])
+    ts = []
+    z_at = UniformSegment.z_at
+    monkeypatch.setattr(UniformSegment, "z_at", lambda self, t: ts.append(t) or z_at(self, t))
+    edges, up, _nodes = characteristics._scan_edges(U.values, path, _split(U))
+    tangency = 0.5 * (1.0 - shift)
+    assert any(0.0 < tangency - t < 1e-6 * cell for t in ts)  # Newton neared x = 0 from the left
+    assert not up and len(edges) == 3
+    assert abs(edges[1] - 0.5 * (1.0 - shift + r)) <= 1e-15
+
+
+def test_scan_edges_count_the_scan_and_the_newton_points(monkeypatch):
+    # a planar atomic path with flips: signed sees the scan alone, no
+    # Illinois step, and nodes adds one point per Newton step
+    U = _mero(zeros=[(0.5 + 0.2j, 1), (-1.1j, 2)], poles=[(0.9, 1)], unit=1.3).to_delta_subharmonic()
+    signed_calls, newton_points = [], []
+    _counted_newton(monkeypatch, newton_points)
+    edges, _up, nodes = characteristics._scan_edges(_counted(U.values, signed_calls),
+                                                    characteristics._circle(1.05), _split(U))
+    assert len(signed_calls) == 1 and signed_calls[0] >= 2049
+    assert len(edges) > 2 and len(newton_points) >= 2 * (len(edges) - 2)
+    assert nodes == signed_calls[0] + len(newton_points)
+
+
+def test_one_split_per_model_shared_by_every_caller():
+    # a model's split is built once and read-only; every caller of one U
+    # gets that split, and the outputs equal those of an equal model's own
+    U = _mero(zeros=[(0.5 + 0.2j, 1), (-1.1j, 2)], poles=[(0.9, 1)], unit=1.3).to_delta_subharmonic()
+    split = _split(U)
+    assert _split(U) is split and _split(U.u) is _split(U.u)
+    assert not (split.points.flags.writeable or split.weights.flags.writeable)
+    with pytest.raises(ValueError):
+        split.weights[0] = 0.0
+    fresh = DeltaSubharmonicFn(U.u, U.v)
+    assert _split(fresh) is not split
+    assert np.array_equal(_split(fresh).points, split.points) and _split(fresh).poly == split.poly
+    for run in (lambda V: spherical_mean(V, 1.05, "positive"), lambda V: spherical_mean(V, 1.05),
+                lambda V: difference_characteristic(V, 0.5, 1.05),
+                lambda V: difference_characteristic_canonical(V, 0.5, 1.05)):
+        first = run(U)
+        assert run(U) == first == run(fresh)
 
 
 def _planar_U(poly, atoms) -> DeltaSubharmonicFn:
@@ -907,9 +1067,10 @@ def test_one_signed_bound_holds_against_an_mpmath_maximum(poly, atoms, c, rho):
 
 
 def _planar_checks(U, comp):
-    """(|Re g - U|, |g' - central difference of g| over both axes, |scalar -
-    array| for g and g', each per point over its tolerance) at the centre of
-    the ball comp and 16 points at 0.5 and 0.95 of its radius."""
+    """(|Re g - U| and |level - U|, |g' - central difference of g| over both
+    axes, |scalar - array| for g and g', each per point over its tolerance)
+    at the centre of the ball comp and 16 points at 0.5 and 0.95 of its
+    radius."""
     c, rho = complex(*comp.center), comp.radius
     model = characteristics._Planar(_split(U), c)
     angles = 2.0 * np.pi * np.arange(8) / 8.0
@@ -930,7 +1091,7 @@ def _planar_checks(U, comp):
         steps = np.array([z + h, z - h, z + 1j * h, z - 1j * h])
         gs = model.values(steps).tolist()
         diffs = [(gs[0] - gs[1]) / (2.0 * h), (gs[2] - gs[3]) / (2j * h)]
-        out.append((abs(g.real - U_z) / (1e-13 * scale),
+        out.append((max(abs(g.real - U_z), abs(model.level(z) - U_z)) / (1e-13 * scale),
                     max(abs(d - dg) for d in diffs) / (1e-9 * (scale + w) / min(near, 1.0)),
                     abs(model.value(z) - g) / (4.0 * _ROUNDING * scale),
                     abs(model.slope(z) - dg) / (4.0 * _ROUNDING * slope_scale)))

@@ -758,14 +758,14 @@ PINNED_RUNS = {
 PINNED_RUN_STDOUT = {
     "verify pin-3d": pin("48775ff6632fa37723c9d0eb519ef536", "8d1b349a64d5aa70700aaa744ac0150f"),
     "verify pin-arc": "e98522a6e851cda1dc4856bd3685e1c2",
-    "m pin-arc": "95051b5dfe0faea7033191ef933b5f95",
-    "C+ pin-arc": "432a5df18f2b2438dc8af1c5b56fb440",
+    "m pin-arc": "b5a10366d6e5ccb2ade7e7d55a034174",
+    "C+ pin-arc": "47e4649c6028d7216ddd0077eb6af67d",
     "verify pin-disk-union": pin("f10e464121e465bf480e55d24c67d315", "7d32fda097c4fbe488ef58d6e7824d57"),
     "verify pin-disk-union mean": pin("20bd0947c5c0d6dce721122cece72aca", "3119ecf8072b80b71f753fc92d630e6b"),
     "C+ pin-2d": pin("367e4b00f2c9781dcfce623efec3051f", "7e05d23de9d9cb4143ec125b5f78ba19"),
     "C+ pin-2d mean": pin("b2388a4693b22b14b059967492f81d1c", "8c0f5ac59d9a9bf011e934834f0179a7"),
-    "corpus": "4ad6b7dfe2d869d7c8eefb320cf9f8cf",
-    "corpus tols": "d1f0bea3c1a27320292dc0d5db08e8c3",
+    "corpus": "124f77f8014fdcc178e0a740ad7d7630",
+    "corpus tols": "c3ae8a84dc9a1204e4f977076257bf25",
     "verify pin-arc default": "f05bde3cf59a7ca3a254ce73c210e5f3",
     "verify pin-mixed": pin("440a5563433c6ee749dd4a0414b24540", "8d45b6284f92e8eca97c73ac922db28c"),
 }

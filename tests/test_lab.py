@@ -915,11 +915,14 @@ def test_a_failed_pairing_goes_to_the_product_grid(monkeypatch):
 
 
 def test_green_rule_counts_every_point_it_evaluates(monkeypatch):
-    # the rim's sign scan and Illinois steps, the rim's GL nodes (points of
+    # the rim's sign scan and Newton steps, the rim's GL nodes (points of
     # the split's rest) and the arcs' GL nodes at every n; a rim proved
     # one-signed from U's Laurent coefficients (s0002-disk: U < 0,
     # s0014-disk: U > 0) evaluates no scan point at all
     seen, arc_nodes = [], []
+    level = characteristics._Planar.level
+    monkeypatch.setattr(characteristics._Planar, "level",
+                        lambda self, z: seen.append(1) or level(self, z))
     path_edges, split, arc_sum = lab._path_edges, lab._split, lab._arc_sum
     monkeypatch.setattr(lab, "_path_edges", lambda signed, path, splits: path_edges(
         _counted(signed, seen), path, splits))
